@@ -35,7 +35,7 @@ from random import Random
 
 from .artinschreier import ASInstance, NEGATIVE_RAMIFIED, classify, ramified_root_value
 from .errors import HypothesisError, ParamError, PrecisionError
-from .fields import GF, QQ, embed, frobenius
+from .fields import GF, QQ, _is_prime, embed, frobenius
 from .groups import QQ_GROUP, ZZ_GROUP, one_over_m, p_power_hull
 from .hensel import SeriesPoly, hensel_lift
 from .places import (
@@ -207,11 +207,8 @@ def _ram_row(level: str, n: int, e: int, f: int, p: int) -> RamificationRow:
 def _check_prime(name: str, v) -> int:
     if not isinstance(v, int) or isinstance(v, bool) or v < 2:
         raise ParamError(f"{name} must be a prime integer, got {v!r}")
-    d = 2
-    while d * d <= v:
-        if v % d == 0:
-            raise ParamError(f"{name} must be prime, got {v} = {d}*{v // d}")
-        d += 1
+    if not _is_prime(v):
+        raise ParamError(f"{name} must be prime, got {v}")
     return v
 
 

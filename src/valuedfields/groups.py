@@ -29,6 +29,7 @@ from .errors import (
     SpanError,
     UnsupportedError,
 )
+from .polys import adjugate, det
 
 __all__ = [
     "GroupDesc",
@@ -311,11 +312,14 @@ def parse_elem(group: GroupDesc, text: str) -> GroupElem:
     if isinstance(group, LexGroup):
         if not (text.startswith("(") and text.endswith(")")):
             raise GroupLawError(f"lex element must look like (n1,...,n{group.r})")
-        parts = text[1:-1].split(",")
-        return group.elem([int(x) for x in parts])
-    if isinstance(group, RationalGroup):
-        return group.elem(Fraction(text))
-    return group.elem(_parse_quad(text))
+    try:
+        if isinstance(group, LexGroup):
+            return group.elem([int(x) for x in text[1:-1].split(",")])
+        if isinstance(group, RationalGroup):
+            return group.elem(Fraction(text))
+        return group.elem(_parse_quad(text))
+    except ValueError:
+        raise GroupLawError(f"malformed element {text!r} of {group}") from None
 
 
 def _parse_quad(text: str) -> tuple[Fraction, Fraction]:
@@ -497,33 +501,6 @@ def _solve_int_coords(basis: list[list[int]], target: list[int]) -> list[int] | 
     return coords
 
 
-def _det2(m) -> int:
-    return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-
-
-def _mat_mul(a, b):
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
-        for i in range(len(a))
-    ]
-
-
-def _det_int(m) -> int:
-    """Determinant of a small integer matrix by fraction-free expansion."""
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    if n == 2:
-        return _det2(m)
-    total = 0
-    for j in range(n):
-        if m[0][j] == 0:
-            continue
-        minor = [row[:j] + row[j + 1:] for row in m[1:]]
-        total += (-1) ** j * m[0][j] * _det_int(minor)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Perron positivity algorithm
 
@@ -630,9 +607,9 @@ def perron_basis(generators, positives) -> PerronResult:
         raise UnsupportedError(f"no positivity procedure for {group} at rank {rho}")
 
     basis_elems = tuple(to_elem(r) for r in rows)
-    det = _det_int(T)
-    if det not in (1, -1):
-        raise IterationCapError(f"transform determinant {det} is not a unit")
+    d = det(T, 0, 1)
+    if d not in (1, -1):
+        raise IterationCapError(f"transform determinant {d} is not a unit")
     for g in basis_elems:
         if g.sign() <= 0:
             raise IterationCapError(f"basis element {g} is not positive")
@@ -707,31 +684,17 @@ def _brute_force_pair(rows, T, coords, to_elem) -> bool:
 
 
 def _mat_inv_unimodular(m):
-    """Exact inverse of a unimodular integer matrix (integer entries)."""
-    n = len(m)
-    aug = [[Fraction(m[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        scale = aug[col][col]
-        aug[col] = [x / scale for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    inv = [[aug[i][n + j] for j in range(n)] for i in range(n)]
-    for row in inv:
-        for x in row:
-            if x.denominator != 1:
-                raise IterationCapError("matrix is not unimodular")
-    return [[int(x) for x in row] for row in inv]
+    """Exact inverse of a unimodular integer matrix: det(m) * adj(m)."""
+    d = det(m, 0, 1)
+    if d not in (1, -1):
+        raise IterationCapError("matrix is not unimodular")
+    return [[d * x for x in row] for row in adjugate(m, 0, 1)]
 
 
 def _fix_lex(rows, T, coords):
     """Convex-filtration recursion for lex spans (in-place on rows/T/coords)."""
     new_rows, M, new_coords = _lex_fix(rows, [list(c) for c in coords])
-    new_T = _mat_mul(M, T)
+    new_T = [[sum(a * b for a, b in zip(row, col)) for col in zip(*T)] for row in M]
     for i in range(len(rows)):
         rows[i] = new_rows[i]
         T[i] = new_T[i]

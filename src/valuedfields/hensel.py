@@ -6,10 +6,11 @@ an automatically located simple residue root.  Every step logs the residual
 valuation and asserts the quadratic-convergence certificate
 v(f(a_next)) >= 2*v(f(a)).
 
-newton_system does the same for square systems via the Jacobian (Cramer's
-rule up to 4x4, elimination beyond), and implicit_solve re-solves the
-trailing coordinates of a known common zero after the leading coordinates
-are perturbed, with an explicit, reported perturbation threshold.
+newton_system does the same for square systems via the Jacobian (each step
+solves with the division-free adjugate and one inverted determinant), and
+implicit_solve re-solves the trailing coordinates of a known common zero
+after the leading coordinates are perturbed, with an explicit, reported
+perturbation threshold.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .errors import (
 )
 from .fields import FieldDesc, FieldElement, FiniteField, RationalField
 from .groups import GroupDesc, GroupElem
-from .polys import MPoly
+from .polys import MPoly, adjugate, det
 from .series import (
     POLE,
     Series,
@@ -320,79 +321,16 @@ def _eval_matrix(rows, values, field, group):
     return [[eval_poly_at_series(m, values, field, group) for m in row] for row in rows]
 
 
-def _det_series(m, field, group) -> Series:
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    acc = zero_series(field, group)
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in m[1:]]
-        term = mul_series(m[0][j], _det_series(minor, field, group))
-        acc = add_series(acc, term) if j % 2 == 0 else sub_series(acc, term)
-    return acc
-
-
-def _adjugate_series(m, field, group):
-    n = len(m)
-    if n == 1:
-        return [[one_series(field, group)]]
-    adj = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [m[r][c] for c in range(n) if c != j] for r in range(n) if r != i
-            ]
-            cof = _det_series(minor, field, group)
-            if (i + j) % 2:
-                cof = -cof
-            adj[j][i] = cof  # transpose
-    return adj
-
-
 def _solve_linear_series(mat, rhs, target, field, group):
-    """Solve mat * x = rhs to the target precision; the matrix must be a unit
-    (determinant of valuation 0)."""
-    n = len(mat)
-    if n <= 4:
-        det = _det_series(mat, field, group)
-        inv_det = invert(det, target)
-        adj = _adjugate_series(mat, field, group)
-        out = []
-        for i in range(n):
-            acc = zero_series(field, group)
-            for j in range(n):
-                acc = add_series(acc, mul_series(adj[i][j], rhs[j]))
-            out.append(truncate(mul_series(acc, inv_det), target))
-        return out
-    # elimination with valuation-least pivoting for larger systems
-    a = [[truncate(x, target) for x in row] for row in mat]
-    b = [truncate(x, target) for x in rhs]
-    n_ = n
-    for col in range(n_):
-        best, best_v = None, None
-        for r in range(col, n_):
-            v = valuation(a[r][col])
-            if v.is_exact and (best_v is None or v.value < best_v):
-                best, best_v = r, v.value
-        if best is None:
-            raise SingularPointError("elimination found no usable pivot")
-        a[col], a[best] = a[best], a[col]
-        b[col], b[best] = b[best], b[col]
-        inv_p = invert(a[col][col], target)
-        for r in range(col + 1, n_):
-            factor = truncate(mul_series(a[r][col], inv_p), target)
-            if factor.is_zero_to_precision():
-                continue
-            for c in range(col, n_):
-                a[r][c] = sub_series(a[r][c], mul_series(factor, a[col][c]))
-            b[r] = sub_series(b[r], mul_series(factor, b[col]))
-    x = [None] * n_
-    for i in range(n_ - 1, -1, -1):
-        acc = b[i]
-        for j in range(i + 1, n_):
-            acc = sub_series(acc, mul_series(a[i][j], x[j]))
-        x[i] = truncate(mul_series(acc, invert(a[i][i], target)), target)
-    return x
+    """Solve mat * x = rhs to the target precision as adj(mat) * rhs / det(mat);
+    the matrix must be a unit (determinant of valuation 0)."""
+    zero, one = zero_series(field, group), one_series(field, group)
+    inv_det = invert(det(mat, zero, one), target)
+    out = []
+    for row in adjugate(mat, zero, one):
+        acc = sum((mul_series(a, r) for a, r in zip(row, rhs)), zero)
+        out.append(truncate(mul_series(acc, inv_det), target))
+    return out
 
 
 def _residuals(polys, vars, point, field, group, target):
@@ -450,7 +388,7 @@ def newton_system(s: SystemInstance, target, max_steps: int = _MAX_STEPS) -> New
             raise HypothesisError(f"start residual has valuation {v.value}, need > 0")
     values = dict(zip(s.vars, s.start))
     jac0 = _eval_matrix(s.jacobian, values, field, group)
-    vdet = valuation(_det_series(jac0, field, group))
+    vdet = valuation(det(jac0, zero_series(field, group), one_series(field, group)))
     if not (vdet.is_exact and vdet.value.is_zero()):
         raise SingularPointError(f"v(det J(start)) = {vdet}, need exactly 0")
     roots, steps = _newton_loop(s.polys, s.vars, s.start, target, field, group, max_steps)
@@ -485,12 +423,13 @@ def implicit_solve(
     trailing = s.vars[ell - n:]
     block = [[p.partial(v) for v in trailing] for p in s.polys]
     block_val = _eval_matrix(block, values, field, group)
-    vdet = valuation(_det_series(block_val, field, group))
+    zero, one = zero_series(field, group), one_series(field, group)
+    vdet = valuation(det(block_val, zero, one))
     if not (vdet.is_exact and vdet.value.is_zero()):
         raise SingularPointError(f"v(det of trailing Jacobian block) = {vdet}, need 0")
 
     alpha = group.zero()
-    for row in _adjugate_series(block_val, field, group):
+    for row in adjugate(block_val, zero, one):
         for entry in row:
             v = valuation(entry)
             if v.is_exact and alpha < v.value:

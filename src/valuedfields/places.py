@@ -50,21 +50,17 @@ from .groups import (
 )
 from .groups import invariants as group_invariants
 from .hensel import eval_poly_at_series
-from .polys import MPoly, RatFn, const_poly, mpoly
+from .polys import MPoly, RatFn, const_poly, det, mpoly
 from .series import (
     DEFAULT_STREAM_CAP,
     POLE,
     Series,
     Stream,
     ValuationResult,
-    bad_residue,
-    bad_value_group,
-    frobenius_root,
     make_series,
     stream_expand,
-    theta_defect,
+    stream_from_params,
     valuation,
-    z_series,
 )
 
 __all__ = [
@@ -777,7 +773,7 @@ def verify_uniformization_witness(w: UniformizationWitness, P: PlaceDesc) -> dic
                     for e in row
                 ]
             )
-        u3 = not _det_field(residues, field).is_zero()
+        u3 = not det(residues, field.zero(), field.one()).is_zero()
 
     return {"U1": u1, "U2": u2, "U3": u3, "smooth_center": u1 and u2 and u3}
 
@@ -786,22 +782,6 @@ def _unit_exp(vars: tuple[str, ...], name: str) -> tuple[int, ...]:
     if name not in vars:
         raise ParamError(f"witness element {name} is not a place variable")
     return tuple(1 if v == name else 0 for v in vars)
-
-
-def _det_field(m: list[list[FieldElement]], field: FieldDesc) -> FieldElement:
-    n = len(m)
-    if n == 0:
-        return field.one()
-    if n == 1:
-        return m[0][0]
-    total = field.zero()
-    sign = 1
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-        contrib = m[0][j] * _det_field(minor, field)
-        total = total + contrib.times_int(sign)
-        sign = -sign
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -815,11 +795,12 @@ def _field_to_json(f: FieldDesc):
 
 
 def _field_from_json(blob) -> FieldDesc:
-    if blob["kind"] == "Q":
+    kind = _get(blob, "kind", str, "field")
+    if kind == "Q":
         return QQ
-    if blob["kind"] == "GF":
-        return GF(int(blob["p"]), int(blob.get("n", 1)))
-    raise ParamError(f"unknown field kind {blob['kind']!r}")
+    if kind == "GF":
+        return GF(_get(blob, "p", int, "field"), _get(blob, "n", int, "field", 1))
+    raise ParamError(f"unknown field kind {kind!r}")
 
 
 def _group_to_json(g: GroupDesc):
@@ -835,15 +816,15 @@ def _group_to_json(g: GroupDesc):
 
 
 def _group_from_json(blob) -> GroupDesc:
-    kind = blob["kind"]
+    kind = _get(blob, "kind", str, "group")
     if kind == "Q":
         return QQ_GROUP
     if kind == "one_over_m":
-        return one_over_m(int(blob["m"]))
+        return one_over_m(_get(blob, "m", int, "group"))
     if kind == "p_power":
-        return p_power_hull(int(blob["p"]))
+        return p_power_hull(_get(blob, "p", int, "group"))
     if kind == "lex":
-        return LexGroup(int(blob["r"]))
+        return LexGroup(_get(blob, "r", int, "group"))
     if kind == "quad":
         return QuadGroup()
     raise ParamError(f"unknown group kind {kind!r}")
@@ -857,19 +838,19 @@ def _coeff_to_json(c: FieldElement):
 
 def _coeff_from_json(field: FieldDesc, blob) -> FieldElement:
     if isinstance(blob, str):
-        return field.elem(Fraction(blob))
-    if isinstance(blob, int):
+        try:
+            return field.elem(Fraction(blob))
+        except ValueError:
+            raise ParamError(f"malformed coefficient {blob!r}") from None
+    if isinstance(blob, int) and not isinstance(blob, bool):
         return field.elem(blob)
-    return field.elem(list(blob))
-
-
-_STREAM_BUILDERS = {
-    "ThetaDefect": lambda params: theta_defect(params["p"]),
-    "FrobeniusRoot": lambda params: frobenius_root(params["p"]),
-    "BadValueGroup": lambda params: bad_value_group(params["p"], params["S"]),
-    "BadResidue": lambda params: bad_residue(params["p"], params.get("lcm_degree")),
-    "ZSeries": lambda params: z_series(params["p"]),
-}
+    if (
+        isinstance(blob, list)
+        and not isinstance(field, RationalField)
+        and all(isinstance(x, int) and not isinstance(x, bool) for x in blob)
+    ):
+        return field.elem(blob)
+    raise ParamError(f"coefficient over {field} must be a string, an integer or a digit list")
 
 
 def _assignment_to_json(s: Series | Stream):
@@ -882,17 +863,50 @@ def _assignment_to_json(s: Series | Stream):
 
 
 def _assignment_from_json(field: FieldDesc, group: GroupDesc, blob):
-    if "stream" in blob:
-        name = blob["stream"]
-        if name not in _STREAM_BUILDERS:
-            raise ParamError(f"unknown stream {name!r}")
-        return _STREAM_BUILDERS[name](blob.get("params", {}))
+    if isinstance(blob, dict) and "stream" in blob:
+        return stream_from_params(blob["stream"], blob.get("params", {}))
     terms = [
-        (parse_elem(group, e), _coeff_from_json(field, c)) for e, c in blob["terms"]
+        (_elem_from_json(group, e, "series term"), _coeff_from_json(field, c))
+        for e, c in _pairs(blob, "terms", "series assignment")
     ]
     prec = blob.get("precision")
-    prec_elem = None if prec is None else parse_elem(group, prec)
+    prec_elem = None if prec is None else _elem_from_json(group, prec, "series precision")
     return make_series(field, group, terms, prec_elem)
+
+
+_MISSING = object()
+_JSON_KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
+
+
+def _get(blob, key, kind, where, default=_MISSING):
+    """blob[key], checked to be JSON of the given kind (dict, list, str or
+    int).  A blob that is not an object, a missing key without a default, or
+    a value of another kind raises ParamError naming where it occurred."""
+    if not isinstance(blob, dict):
+        raise ParamError(f"{where} must be a JSON object")
+    if key not in blob:
+        if default is _MISSING:
+            raise ParamError(f"{where} is missing key {key!r}")
+        return default
+    value = blob[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ParamError(f"{where}: {key!r} must be {_JSON_KINDS[kind]}")
+    return value
+
+
+def _pairs(blob, key, where, default=_MISSING) -> list:
+    """blob[key] as a list of [name, value] pairs with string names."""
+    pairs = _get(blob, key, list, where, default)
+    for pair in pairs:
+        if not (isinstance(pair, list) and len(pair) == 2 and isinstance(pair[0], str)):
+            raise ParamError(f"{where}: {key!r} must be a list of [name, value] pairs")
+    return pairs
+
+
+def _elem_from_json(group: GroupDesc, text, where) -> GroupElem:
+    if not isinstance(text, str):
+        raise ParamError(f"{where}: group element must be a string, got {text!r}")
+    return parse_elem(group, text)
 
 
 def place_to_json(P: PlaceDesc) -> dict:
@@ -927,37 +941,48 @@ def place_to_json(P: PlaceDesc) -> dict:
     }
 
 
-def place_from_json(blob: dict) -> PlaceDesc:
-    variant = blob.get("variant")
+def place_from_json(blob) -> PlaceDesc:
+    """Inverse of place_to_json.  The blob usually comes from a file: one that
+    is not an object, lacks a key or holds a value of the wrong type raises
+    ParamError."""
+    variant = _get(blob, "variant", str, "place")
     if variant == "trivial":
-        return TrivialPlace(tuple(blob["vars"]), _field_from_json(blob["field"]))
+        names = _get(blob, "vars", list, "place")
+        if not all(isinstance(v, str) for v in names):
+            raise ParamError("place: 'vars' must be a list of strings")
+        return TrivialPlace(tuple(names), _field_from_json(_get(blob, "field", dict, "place")))
     if variant == "eval":
-        field = _field_from_json(blob["field"])
-        return EvalPlace(
-            field,
-            tuple((v, _coeff_from_json(field, a)) for v, a in blob["assignments"]),
-        )
+        field = _field_from_json(_get(blob, "field", dict, "place"))
+        points = _pairs(blob, "assignments", "place")
+        return EvalPlace(field, tuple((v, _coeff_from_json(field, a)) for v, a in points))
     if variant == "monomial":
-        field = _field_from_json(blob["field"])
-        group = _group_from_json(blob["group"])
+        field = _field_from_json(_get(blob, "field", dict, "place"))
+        group = _group_from_json(_get(blob, "group", dict, "place"))
+        values = _pairs(blob, "values", "place")
+        residues = _pairs(blob, "residues", "place", [])
+        if not all(isinstance(z, str) for _, z in residues):
+            raise ParamError("place: residue indeterminates must be strings")
         return MonomialPlace(
             field,
             group,
-            tuple((v, parse_elem(group, g)) for v, g in blob["values"]),
-            tuple((v, z) for v, z in blob.get("residues", [])),
+            tuple((v, _elem_from_json(group, g, "place value")) for v, g in values),
+            tuple((v, z) for v, z in residues),
         )
     if variant == "series_embed":
-        field = _field_from_json(blob["field"])
-        group = _group_from_json(blob["group"])
+        field = _field_from_json(_get(blob, "field", dict, "place"))
+        group = _group_from_json(_get(blob, "group", dict, "place"))
         return SeriesEmbedPlace(
             field,
             group,
             tuple(
                 (v, _assignment_from_json(field, group, s))
-                for v, s in blob["assignments"]
+                for v, s in _pairs(blob, "assignments", "place")
             ),
-            int(blob.get("residue_dim", 0)),
+            _get(blob, "residue_dim", int, "place", 0),
         )
     if variant == "compose":
-        return compose(place_from_json(blob["first"]), place_from_json(blob["second"]))
+        return compose(
+            place_from_json(_get(blob, "first", dict, "place")),
+            place_from_json(_get(blob, "second", dict, "place")),
+        )
     raise ParamError(f"unknown place variant {variant!r}")

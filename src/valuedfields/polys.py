@@ -10,6 +10,9 @@ terms.
 RatFn is a quotient num/den of FieldElement-coefficient polynomials with a
 nonzero denominator.  No gcd machinery: equality is decided by
 cross-multiplication and evaluation signals poles instead of cancelling.
+
+det and adjugate work over any commutative ring whose elements support
++, - and * (ints, FieldElement, Series): they never divide.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 from .errors import FieldMismatchError, PoleError, UnsupportedError
 from .fields import FieldDesc, FieldElement
 
-__all__ = ["MPoly", "RatFn", "mpoly", "const_poly", "var_poly"]
+__all__ = ["MPoly", "RatFn", "mpoly", "const_poly", "var_poly", "det", "adjugate"]
 
 
 @dataclass(frozen=True)
@@ -262,3 +265,59 @@ class RatFn:
 
     def __repr__(self):
         return f"RatFn({self})"
+
+
+# ---------------------------------------------------------------------------
+# division-free determinant and adjugate
+
+
+def _charpoly(m, zero, one) -> list:
+    """Coefficients [1, c1, ..., cn] of det(x*I - m), highest degree first.
+
+    Berkowitz's recurrence (Inf. Process. Lett. 18, 1984): bordering the
+    leading k x k block A with column C, row R and corner a turns its
+    coefficients q into the Toeplitz convolution of (1, -a, -R*C, -R*A*C,
+    ..., -R*A^(k-1)*C) with q.  O(n^4) ring operations, no division."""
+    coeffs = [one]
+    for k in range(len(m)):
+        block = [row[:k] for row in m[:k]]
+        row = m[k][:k]
+        col = [m[i][k] for i in range(k)]
+        toeplitz = [one, zero - m[k][k]]
+        for _ in range(k):
+            toeplitz.append(zero - _dot(row, col, zero))
+            col = [_dot(b, col, zero) for b in block]
+        coeffs = [
+            sum((toeplitz[i - j] * coeffs[j] for j in range(min(i, k) + 1)), zero)
+            for i in range(k + 2)
+        ]
+    return coeffs
+
+
+def _dot(xs, ys, zero):
+    return sum((x * y for x, y in zip(xs, ys)), zero)
+
+
+def det(m, zero, one):
+    """Determinant of a square matrix (a sequence of rows) over a commutative
+    ring with the given zero and one; det of the empty matrix is one."""
+    c = _charpoly(m, zero, one)[-1]
+    return c if len(m) % 2 == 0 else zero - c
+
+
+def adjugate(m, zero, one) -> list:
+    """Adjugate (transposed cofactor matrix), so m*adj = adj*m = det(m)*I.
+
+    By Cayley-Hamilton, adj(m) = (-1)^(n+1) * (m^(n-1) + c1*m^(n-2) + ...
+    + c_(n-1)*I) with c_i from the characteristic polynomial; the sum is
+    evaluated by Horner's rule."""
+    n = len(m)
+    adj = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    for c in _charpoly(m, zero, one)[1:n]:
+        cols = list(zip(*adj))
+        adj = [[_dot(row, col, zero) for col in cols] for row in m]
+        for i in range(n):
+            adj[i][i] = adj[i][i] + c
+    if n % 2 == 0:
+        adj = [[zero - x for x in row] for row in adj]
+    return adj

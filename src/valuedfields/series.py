@@ -16,6 +16,7 @@ materialized at any requested truncation.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,7 +45,6 @@ __all__ = [
     "add_series",
     "sub_series",
     "mul_series",
-    "ring_op",
     "invert",
     "valuation",
     "residue",
@@ -62,6 +62,7 @@ __all__ = [
     "bad_value_group",
     "bad_residue",
     "z_series",
+    "stream_from_params",
     "stream_expand",
     "DEFAULT_STREAM_CAP",
 ]
@@ -281,16 +282,6 @@ def mul_series(a: Series, b: Series) -> Series:
             if prec is None or e < prec:
                 out.append((e, c1 * c2))
     return make_series(a.field, a.group, out, prec)
-
-
-def ring_op(a: Series, b: Series, op: str) -> Series:
-    if op == "add":
-        return add_series(a, b)
-    if op == "sub":
-        return sub_series(a, b)
-    if op == "mul":
-        return mul_series(a, b)
-    raise ParamError(f"unknown ring op {op!r}")
 
 
 def truncate(a: Series, precision) -> Series:
@@ -518,7 +509,9 @@ def frobenius_root(p: int) -> Stream:
 def bad_value_group(p: int, S) -> Stream:
     """Sum of t^(-1/n) over n in S, each n prime to p; exponents in Q."""
     _check_prime(p)
-    S = tuple(sorted(set(int(n) for n in S)))
+    if not isinstance(S, (list, tuple)) or not all(_is_int(n) for n in S):
+        raise ParamError(f"denominator set must be a list of integers, got {S!r}")
+    S = tuple(sorted(set(S)))
     if not S:
         raise ParamError("empty denominator set")
     for n in S:
@@ -538,8 +531,8 @@ def bad_residue(p: int, lcm_degree: int | None = None) -> Stream:
     embedded into F_{p^L}; L is lcm(1..N) for the truncation's largest N, or
     the pinned lcm_degree."""
     _check_prime(p)
-    if lcm_degree is not None and lcm_degree < 1:
-        raise ParamError("lcm_degree must be positive")
+    if lcm_degree is not None and not (_is_int(lcm_degree) and lcm_degree >= 1):
+        raise ParamError(f"lcm_degree must be a positive integer, got {lcm_degree!r}")
     return Stream(
         "BadResidue",
         (("p", p), ("lcm_degree", lcm_degree)),
@@ -562,40 +555,75 @@ def z_series(p: int) -> Stream:
     )
 
 
-def _check_prime(p: int):
-    if not _is_prime(p):
-        raise ParamError(f"{p} is not prime")
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
+
+def _check_prime(p):
+    if not (_is_int(p) and _is_prime(p)):
+        raise ParamError(f"p must be a prime integer, got {p!r}")
+
+
+def _theta_defect_terms(s: Stream):
+    p = s.param("p")
+    one = s.field.one()
+    for i in itertools.count(1):
+        yield s.group.elem(Fraction(-1, p ** i)), one
+
+
+def _frobenius_root_terms(s: Stream):
+    p = s.param("p")
+    coeff = s.field.one() if p == 2 else -s.field.one()
+    for i in itertools.count(0):
+        yield s.group.elem(p ** i), coeff
+
+
+def _bad_value_group_terms(s: Stream):
+    one = s.field.one()
+    for n in s.param("S"):
+        yield s.group.elem(Fraction(-1, n)), one
+
+
+def _z_series_terms(s: Stream):
+    p = s.param("p")
+    one = s.field.one()
+    for i in itertools.count(1):
+        nu = i * (i + 1) // 2
+        yield s.group.elem(p ** nu - Fraction(1, p ** nu)), one
+
+
+# The stream registry: name -> (constructor, term generator).  A generator
+# yields (exponent, coefficient) in increasing exponent order; BadResidue has
+# none because its coefficient field depends on the truncation.
+_STREAMS = {
+    "ThetaDefect": (theta_defect, _theta_defect_terms),
+    "FrobeniusRoot": (frobenius_root, _frobenius_root_terms),
+    "BadValueGroup": (bad_value_group, _bad_value_group_terms),
+    "BadResidue": (bad_residue, None),
+    "ZSeries": (z_series, _z_series_terms),
+}
 
 DEFAULT_STREAM_CAP = 64
 
 
-def _stream_terms(s: Stream):
-    """Yield (exponent: GroupElem, coeff: FieldElement) in increasing
-    exponent order.  BadResidue is handled separately (field depends on the
-    truncation)."""
-    if s.name == "ThetaDefect":
-        p = s.param("p")
-        one = s.field.one()
-        for i in itertools.count(1):
-            yield s.group.elem(Fraction(-1, p ** i)), one
-    elif s.name == "FrobeniusRoot":
-        p = s.param("p")
-        coeff = s.field.one() if p == 2 else -s.field.one()
-        for i in itertools.count(0):
-            yield s.group.elem(p ** i), coeff
-    elif s.name == "BadValueGroup":
-        one = s.field.one()
-        for n in s.param("S"):
-            yield s.group.elem(Fraction(-1, n)), one
-    elif s.name == "ZSeries":
-        p = s.param("p")
-        one = s.field.one()
-        for i in itertools.count(1):
-            nu = i * (i + 1) // 2
-            yield s.group.elem(p ** nu - Fraction(1, p ** nu)), one
-    else:
-        raise ParamError(f"unknown stream {s.name}")
+def _registry_entry(name):
+    if not isinstance(name, str) or name not in _STREAMS:
+        raise ParamError(f"unknown stream {name!r}")
+    return _STREAMS[name]
+
+
+def stream_from_params(name, params) -> Stream:
+    """Build a catalog stream from its name and a mapping of constructor
+    parameters (the JSON form); a bad name, a missing or unknown parameter,
+    or an ill-typed value raises ParamError."""
+    build, _ = _registry_entry(name)
+    if not isinstance(params, dict):
+        raise ParamError(f"params of stream {name} must be an object, got {params!r}")
+    try:
+        inspect.signature(build).bind(**params)
+    except TypeError as exc:
+        raise ParamError(f"stream {name}: {exc}") from None
+    return build(**params)
 
 
 def stream_expand(s: Stream, precision, max_terms: int | None = None) -> Series:
@@ -607,11 +635,12 @@ def stream_expand(s: Stream, precision, max_terms: int | None = None) -> Series:
     if cap < 1:
         raise ParamError("max_terms must be positive")
     prec = _as_group_elem(s.group, precision)
-    if s.name == "BadResidue":
+    _, terms = _registry_entry(s.name)
+    if terms is None:
         return _expand_bad_residue(s, prec, cap)
     kept = []
     honest = prec
-    for e, c in _stream_terms(s):
+    for e, c in terms(s):
         if not e < prec:
             break
         if len(kept) == cap:

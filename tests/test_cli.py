@@ -69,6 +69,47 @@ def test_eval_malformed_json_exits_2(capsys, tmp_path):
     assert "JSON" in err
 
 
+_P2_HULL = {"field": {"kind": "GF", "p": 2}, "group": {"kind": "p_power", "p": 2}}
+
+
+@pytest.mark.parametrize(
+    "blob, needle",
+    [
+        ({"variant": "monomial", "field": {"kind": "Q"}}, "missing key 'group'"),
+        ({"variant": "eval", "field": {"kind": "GF"}, "assignments": [["x", 1]]}, "'p'"),
+        ([1, 2], "JSON object"),
+        (
+            {
+                "variant": "series_embed",
+                **_P2_HULL,
+                "assignments": [["x1", {"stream": "ThetaDefect"}]],
+            },
+            "'p'",
+        ),
+        (
+            {
+                "variant": "series_embed",
+                **_P2_HULL,
+                "assignments": [["x1", {"stream": "ThetaDefect", "params": {"p": "2"}}]],
+            },
+            "prime integer",
+        ),
+        ({"variant": "eval", "field": {"kind": "GF", "p": "5"}, "assignments": []}, "integer"),
+        ({"variant": "eval", "field": {"kind": "Q"}, "assignments": {"x1": 1}}, "list"),
+        ({"variant": "sphere"}, "sphere"),
+        ({**LEX2, "values": [["x1", "(a,0)"], ["x2", "(0,1)"]]}, "(a,0)"),
+    ],
+)
+def test_eval_malformed_place_file_exits_2(capsys, tmp_path, blob, needle):
+    path = tmp_path / "place.json"
+    path.write_text(json.dumps(blob), encoding="utf-8")
+    code, out, err = run(capsys, ["eval", "--place", str(path), "x1"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert needle in err
+
+
 def test_eval_division_by_zero_function_exits_2(capsys, lex2_path):
     code, _, err = run(capsys, ["eval", "--place", lex2_path, "1/(x1-x1)"])
     assert code == 2

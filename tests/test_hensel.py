@@ -212,7 +212,8 @@ def test_newton_singular_jacobian():
 
 
 def test_newton_elimination_path():
-    # five decoupled square roots exercise the n > 4 linear solver
+    # five decoupled square roots: a 5x5 Jacobian solve (adjugate and one
+    # inverted determinant, the same path as every smaller system)
     F = GF(3)
     one = one_series(F, ZZ_GROUP)
     t = t_pow(F, ZZ_GROUP, 1)

@@ -1,10 +1,14 @@
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from valuedfields.errors import PoleError, UnsupportedError
 from valuedfields.fields import GF, QQ
-from valuedfields.polys import MPoly, RatFn, const_poly, mpoly, var_poly
+from valuedfields.groups import ZZ_GROUP
+from valuedfields.polys import MPoly, RatFn, adjugate, const_poly, det, mpoly, var_poly
+from valuedfields.series import make_series, one_series, zero_series
 
 
 def test_zero_coefficients_dropped():
@@ -148,3 +152,87 @@ def test_render():
     p = mpoly(("X", "Y"), {(2, 1): QQ.elem(3), (0, 0): QQ.elem(-1)})
     assert str(p) == "3*X^2*Y + -1"
     assert str(MPoly(("X",), ())) == "0"
+
+
+# ---------------------------------------------------------------------------
+# division-free determinant and adjugate against a permutation-sum oracle
+
+
+def _leibniz(m, zero, one):
+    """Brute-force determinant: the signed sum over all n! permutations."""
+    n = len(m)
+    total = zero
+    for perm in itertools.permutations(range(n)):
+        term = one
+        for i, j in enumerate(perm):
+            term = term * m[i][j]
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+def _leibniz_adjugate(m, zero, one):
+    """adj[i][j] = (-1)^(i+j) * det(m without row j and column i)."""
+    n = len(m)
+    adj = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            minor = [[m[r][c] for c in range(n) if c != i] for r in range(n) if r != j]
+            cof = _leibniz(minor, zero, one)
+            row.append(zero - cof if (i + j) % 2 else cof)
+        adj.append(row)
+    return adj
+
+
+_RINGS = {
+    "int": (0, 1, lambda rng: rng.randint(-9, 9)),
+    "GF7": (GF(7).zero(), GF(7).one(), lambda rng: GF(7).elem(rng.randrange(7))),
+    "QQ": (
+        QQ.zero(),
+        QQ.one(),
+        lambda rng: QQ.elem(Fraction(rng.randint(-9, 9), rng.randint(1, 5))),
+    ),
+}
+
+
+@pytest.mark.parametrize("ring", sorted(_RINGS))
+@pytest.mark.parametrize("n", range(7))
+def test_det_and_adjugate_match_leibniz(ring, n):
+    zero, one, draw = _RINGS[ring]
+    rng = random.Random(100 * n + len(ring))
+    matrices = [[[draw(rng) for _ in range(n)] for _ in range(n)] for _ in range(3)]
+    if n >= 2:
+        singular = [row[:] for row in matrices[0]]
+        singular[1] = singular[0][:]
+        matrices.append(singular)
+    for m in matrices:
+        assert det(m, zero, one) == _leibniz(m, zero, one)
+        assert adjugate(m, zero, one) == _leibniz_adjugate(m, zero, one)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_adjugate_identity_over_truncated_series(n):
+    F, N = GF(3), 6
+    zero, one = zero_series(F, ZZ_GROUP), one_series(F, ZZ_GROUP)
+    rng = random.Random(7 + n)
+
+    def entry():
+        terms = [(e, rng.randrange(3)) for e in range(rng.randrange(3), N)]
+        return make_series(F, ZZ_GROUP, terms, rng.choice([None, N]))
+
+    for _ in range(2):
+        m = [[entry() for _ in range(n)] for _ in range(n)]
+        d = det(m, zero, one)
+        adj = adjugate(m, zero, one)
+        if n <= 4:
+            assert (d - _leibniz(m, zero, one)).is_zero_to_precision()
+        for i in range(n):
+            for j in range(n):
+                for prod in (
+                    sum((m[i][k] * adj[k][j] for k in range(n)), zero),
+                    sum((adj[i][k] * m[k][j] for k in range(n)), zero),
+                ):
+                    gap = prod - d if i == j else prod
+                    assert gap.is_zero_to_precision()
+                    assert gap.precision is None or not gap.precision < ZZ_GROUP.elem(N)

@@ -26,6 +26,7 @@ from valuedfields.series import (
     residue,
     series_to_json,
     stream_expand,
+    stream_from_params,
     t_pow,
     theta_defect,
     truncate,
@@ -361,6 +362,34 @@ def test_stream_bad_residue_pinned_degree():
     assert s.field.order == 2 ** 12
     with pytest.raises(ParamError):
         stream_expand(bad_residue(2, lcm_degree=5), 5)
+
+
+def test_stream_from_params_matches_constructors():
+    assert stream_from_params("ThetaDefect", {"p": 3}) == theta_defect(3)
+    assert stream_from_params("BadValueGroup", {"p": 2, "S": [5, 3]}) == bad_value_group(2, [3, 5])
+    assert stream_from_params("BadResidue", {"p": 2}) == bad_residue(2)
+    assert stream_from_params("ZSeries", {"p": 2}) == z_series(2)
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("ThetaDefect", {}),
+        ("ThetaDefect", {"p": 3, "q": 1}),
+        ("ThetaDefect", {"p": "3"}),
+        ("ThetaDefect", {"p": True}),
+        ("ThetaDefect", [3]),
+        ("FrobeniusRoot", {"p": 4}),
+        ("BadValueGroup", {"p": 2, "S": 5}),
+        ("BadValueGroup", {"p": 2, "S": ["3"]}),
+        ("BadResidue", {"p": 2, "lcm_degree": "6"}),
+        ("Sawtooth", {"p": 2}),
+        (["ZSeries"], {"p": 2}),
+    ],
+)
+def test_stream_from_params_rejects_bad_input(name, params):
+    with pytest.raises(ParamError):
+        stream_from_params(name, params)
 
 
 def test_stream_precision_must_fit_group():
