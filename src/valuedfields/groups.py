@@ -318,7 +318,7 @@ def parse_elem(group: GroupDesc, text: str) -> GroupElem:
         if isinstance(group, RationalGroup):
             return group.elem(Fraction(text))
         return group.elem(_parse_quad(text))
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise GroupLawError(f"malformed element {text!r} of {group}") from None
 
 

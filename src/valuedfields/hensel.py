@@ -2,15 +2,16 @@
 
 hensel_lift finds a simple root of a univariate polynomial with series
 coefficients, starting either from a supplied initial approximation or from
-an automatically located simple residue root.  Every step logs the residual
-valuation and asserts the quadratic-convergence certificate
-v(f(a_next)) >= 2*v(f(a)).
+an automatically located simple residue root.  newton_system does the same
+for square systems via the Jacobian, and implicit_solve re-solves the
+trailing coordinates of a known common zero after the leading coordinates
+are perturbed, with an explicit, reported perturbation threshold.
 
-newton_system does the same for square systems via the Jacobian (each step
-solves with the division-free adjugate and one inverted determinant), and
-implicit_solve re-solves the trailing coordinates of a known common zero
-after the leading coordinates are perturbed, with an explicit, reported
-perturbation threshold.
+Each of them checks its own preconditions and then runs the one Newton
+iteration of series._newton, as does series.unit_nth_root: every step logs
+the residual valuation, asserts the quadratic-convergence certificate
+v(f(a_next)) >= 2*v(f(a)), and solves with the Jacobian's adjugate and one
+inverted determinant.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from math import lcm
 
 from .errors import (
     HypothesisError,
-    IterationCapError,
     NoResidueRootError,
     PerturbationError,
     PrecisionError,
@@ -32,10 +32,11 @@ from .fields import FieldDesc, FieldElement, FiniteField, RationalField
 from .groups import GroupDesc, GroupElem
 from .polys import MPoly, adjugate, det
 from .series import (
+    _MAX_STEPS,
     POLE,
     Series,
+    _newton,
     add_series,
-    invert,
     make_series,
     mul_series,
     one_series,
@@ -59,9 +60,6 @@ __all__ = [
     "implicit_solve",
     "eval_poly_at_series",
 ]
-
-_MAX_STEPS = 64
-
 
 @dataclass(frozen=True)
 class SeriesPoly:
@@ -254,23 +252,10 @@ def hensel_lift(f: SeriesPoly, b: Series | None, target, max_steps: int = _MAX_S
     if v0.is_exact and not v0.value.sign() > 0:
         raise HypothesisError(f"v(f(start)) = {v0.value}, need > 0")
 
-    a = truncate(b, target)
-    steps: list[GroupElem] = []
-    prev: GroupElem | None = None
-    for _ in range(max_steps):
-        fa = truncate(f.eval(a), target)
-        va = valuation(fa)
-        if not va.is_exact or not va.value < target:
-            return LiftResult(truncate(a, target), tuple(steps))
-        if prev is not None and va.value < prev.scale(2):
-            raise HypothesisError(
-                f"convergence certificate failed: v went {prev} -> {va.value}"
-            )
-        steps.append(va.value)
-        prev = va.value
-        deriv_val = truncate(fd.eval(a), target)
-        a = truncate(sub_series(a, mul_series(fa, invert(deriv_val, target))), target)
-    raise IterationCapError("hensel_lift did not reach the target", max_steps)
+    (root,), steps = _newton(
+        lambda a: [f.eval(a[0])], lambda a: [[fd.eval(a[0])]], [b], target, max_steps
+    )
+    return LiftResult(root, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -317,59 +302,14 @@ def eval_poly_at_series(p: MPoly, values: dict[str, Series], field, group) -> Se
     return acc
 
 
-def _eval_matrix(rows, values, field, group):
+def _eval_matrix(rows, vars, point, field, group):
+    values = dict(zip(vars, point))
     return [[eval_poly_at_series(m, values, field, group) for m in row] for row in rows]
-
-
-def _solve_linear_series(mat, rhs, target, field, group):
-    """Solve mat * x = rhs to the target precision as adj(mat) * rhs / det(mat);
-    the matrix must be a unit (determinant of valuation 0)."""
-    zero, one = zero_series(field, group), one_series(field, group)
-    inv_det = invert(det(mat, zero, one), target)
-    out = []
-    for row in adjugate(mat, zero, one):
-        acc = sum((mul_series(a, r) for a, r in zip(row, rhs)), zero)
-        out.append(truncate(mul_series(acc, inv_det), target))
-    return out
 
 
 def _residuals(polys, vars, point, field, group, target):
     values = dict(zip(vars, point))
     return [truncate(eval_poly_at_series(p, values, field, group), target) for p in polys]
-
-
-def _min_exact_valuation(series_list):
-    """Min of the valuations; None means every residual is zero to precision."""
-    best = None
-    for s in series_list:
-        v = valuation(s)
-        if v.is_exact:
-            if best is None or v.value < best:
-                best = v.value
-    return best
-
-
-def _newton_loop(polys, vars, start, target, field, group, max_steps) -> tuple[tuple, tuple]:
-    jac = [[poly.partial(v) for v in vars] for poly in polys]
-    a = [truncate(s, target) for s in start]
-    steps: list[GroupElem] = []
-    prev = None
-    for _ in range(max_steps):
-        res = _residuals(polys, vars, a, field, group, target)
-        worst = _min_exact_valuation(res)
-        if worst is None or not worst < target:
-            return tuple(a), tuple(steps)
-        if prev is not None and worst < prev.scale(2):
-            raise HypothesisError(
-                f"convergence certificate failed: v went {prev} -> {worst}"
-            )
-        steps.append(worst)
-        prev = worst
-        values = dict(zip(vars, a))
-        jac_val = _eval_matrix(jac, values, field, group)
-        delta = _solve_linear_series(jac_val, res, target, field, group)
-        a = [truncate(sub_series(ai, di), target) for ai, di in zip(a, delta)]
-    raise IterationCapError("newton_system did not reach the target", max_steps)
 
 
 def newton_system(s: SystemInstance, target, max_steps: int = _MAX_STEPS) -> NewtonResult:
@@ -386,12 +326,15 @@ def newton_system(s: SystemInstance, target, max_steps: int = _MAX_STEPS) -> New
         v = valuation(r)
         if v.is_exact and not v.value.sign() > 0:
             raise HypothesisError(f"start residual has valuation {v.value}, need > 0")
-    values = dict(zip(s.vars, s.start))
-    jac0 = _eval_matrix(s.jacobian, values, field, group)
+    jac0 = _eval_matrix(s.jacobian, s.vars, s.start, field, group)
     vdet = valuation(det(jac0, zero_series(field, group), one_series(field, group)))
     if not (vdet.is_exact and vdet.value.is_zero()):
         raise SingularPointError(f"v(det J(start)) = {vdet}, need exactly 0")
-    roots, steps = _newton_loop(s.polys, s.vars, s.start, target, field, group, max_steps)
+    roots, steps = _newton(
+        lambda a: _residuals(s.polys, s.vars, a, field, group, target),
+        lambda a: _eval_matrix(s.jacobian, s.vars, a, field, group),
+        s.start, target, max_steps,
+    )
     return NewtonResult(roots, steps)
 
 
@@ -419,10 +362,9 @@ def implicit_solve(
     group = s.start[0].group
     target = target if isinstance(target, GroupElem) else group.elem(target)
 
-    values = dict(zip(s.vars, s.start))
     trailing = s.vars[ell - n:]
     block = [[p.partial(v) for v in trailing] for p in s.polys]
-    block_val = _eval_matrix(block, values, field, group)
+    block_val = _eval_matrix(block, s.vars, s.start, field, group)
     zero, one = zero_series(field, group), one_series(field, group)
     vdet = valuation(det(block_val, zero, one))
     if not (vdet.is_exact and vdet.value.is_zero()):
@@ -462,5 +404,10 @@ def implicit_solve(
             raise PerturbationError(
                 f"perturbation too large: residual valuation {v.value} not positive"
             )
-    solved, steps = _newton_loop(reduced, trailing, start_tail, target, field, group, max_steps)
+    jac = [[p.partial(v) for v in trailing] for p in reduced]
+    solved, steps = _newton(
+        lambda a: _residuals(reduced, trailing, a, field, group, target),
+        lambda a: _eval_matrix(jac, trailing, a, field, group),
+        start_tail, target, max_steps,
+    )
     return ImplicitResult(solved, alpha, steps)

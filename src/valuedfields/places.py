@@ -840,7 +840,7 @@ def _coeff_from_json(field: FieldDesc, blob) -> FieldElement:
     if isinstance(blob, str):
         try:
             return field.elem(Fraction(blob))
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             raise ParamError(f"malformed coefficient {blob!r}") from None
     if isinstance(blob, int) and not isinstance(blob, bool):
         return field.elem(blob)

@@ -11,8 +11,8 @@ RatFn is a quotient num/den of FieldElement-coefficient polynomials with a
 nonzero denominator.  No gcd machinery: equality is decided by
 cross-multiplication and evaluation signals poles instead of cancelling.
 
-det and adjugate work over any commutative ring whose elements support
-+, - and * (ints, FieldElement, Series): they never divide.
+cramer, det and adjugate work over any commutative ring whose elements
+support +, - and * (ints, FieldElement, Series): they never divide.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .errors import FieldMismatchError, PoleError, UnsupportedError
 from .fields import FieldDesc, FieldElement
 
-__all__ = ["MPoly", "RatFn", "mpoly", "const_poly", "var_poly", "det", "adjugate"]
+__all__ = ["MPoly", "RatFn", "mpoly", "const_poly", "var_poly", "cramer", "det", "adjugate"]
 
 
 @dataclass(frozen=True)
@@ -298,26 +298,32 @@ def _dot(xs, ys, zero):
     return sum((x * y for x, y in zip(xs, ys)), zero)
 
 
+def cramer(m, vecs, zero, one):
+    """det(m) and [adj(m)*v for v in vecs] from one characteristic
+    polynomial, so m*x = det(m)*v has the solution x = adj(m)*v.
+
+    By Cayley-Hamilton, adj(m) = (-1)^(n+1) * (m^(n-1) + c1*m^(n-2) + ...
+    + c_(n-1)*I) with c_i from the characteristic polynomial; each product
+    adj(m)*v is evaluated by Horner's rule in n-1 matrix-vector products."""
+    n = len(m)
+    c = _charpoly(m, zero, one)
+    out = []
+    for v in vecs:
+        w = list(v)
+        for ci in c[1:n]:
+            w = [_dot(row, w, zero) + ci * vi for row, vi in zip(m, v)]
+        out.append(w if n % 2 else [zero - x for x in w])
+    return (c[-1] if n % 2 == 0 else zero - c[-1]), out
+
+
 def det(m, zero, one):
     """Determinant of a square matrix (a sequence of rows) over a commutative
     ring with the given zero and one; det of the empty matrix is one."""
-    c = _charpoly(m, zero, one)[-1]
-    return c if len(m) % 2 == 0 else zero - c
+    return cramer(m, (), zero, one)[0]
 
 
 def adjugate(m, zero, one) -> list:
-    """Adjugate (transposed cofactor matrix), so m*adj = adj*m = det(m)*I.
-
-    By Cayley-Hamilton, adj(m) = (-1)^(n+1) * (m^(n-1) + c1*m^(n-2) + ...
-    + c_(n-1)*I) with c_i from the characteristic polynomial; the sum is
-    evaluated by Horner's rule."""
-    n = len(m)
-    adj = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    for c in _charpoly(m, zero, one)[1:n]:
-        cols = list(zip(*adj))
-        adj = [[_dot(row, col, zero) for col in cols] for row in m]
-        for i in range(n):
-            adj[i][i] = adj[i][i] + c
-    if n % 2 == 0:
-        adj = [[zero - x for x in row] for row in adj]
-    return adj
+    """Adjugate (transposed cofactor matrix), so m*adj = adj*m = det(m)*I;
+    its columns are adj(m) times the unit vectors."""
+    units = [[one if i == j else zero for i in range(len(m))] for j in range(len(m))]
+    return [list(row) for row in zip(*cramer(m, units, zero, one)[1])]

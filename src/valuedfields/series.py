@@ -10,6 +10,10 @@ Valuation is the least exponent present.  A series with no terms is either
 exactly zero (infinite precision) or merely zero to its precision bound; the
 two are never conflated.
 
+_newton is the one certified Newton iteration every lift goes through:
+unit_nth_root here, and hensel_lift, newton_system and implicit_solve in
+the hensel module.
+
 The stream catalog at the bottom provides named infinite series that can be
 materialized at any requested truncation.
 """
@@ -32,6 +36,7 @@ from .errors import (
 )
 from .fields import GF, FieldDesc, FieldElement, _is_prime, embed, frobenius
 from .groups import GroupDesc, GroupElem, ZZ_GROUP, QQ_GROUP, p_power_hull
+from .polys import cramer
 
 __all__ = [
     "Series",
@@ -408,16 +413,48 @@ def unit_nth_root(u: Series, n: int, precision=None) -> Series:
         if len(u.terms) == 1:
             return one_series(u.field, u.group)
         raise PrecisionError("exact multi-term input needs an explicit precision bound")
-    n_const = u.field.elem(n)
-    a = one_series(u.field, u.group, target)
-    uu = truncate(u, target)
-    for _ in range(200):
-        res = sub_series(truncate(a ** n, target), uu)
-        if not res.terms:
-            return a
-        deriv = scale_series(truncate(a ** (n - 1), target), n_const)
-        a = truncate(sub_series(a, mul_series(res, invert(deriv, target))), target)
-    raise IterationCapError("unit_nth_root did not converge", 200)
+    (root,), _ = _newton(
+        lambda a: [a[0] ** n - u], lambda a: [[(a[0] ** (n - 1)).times_int(n)]],
+        [one_series(u.field, u.group)], target, _MAX_STEPS,
+    )
+    return root
+
+
+# ---------------------------------------------------------------------------
+# Newton iteration
+
+_MAX_STEPS = 64
+
+
+def _newton(residuals, jacobian, start, target: GroupElem, max_steps: int):
+    """The Newton iteration a <- a - J(a)^(-1) * f(a) behind every lift.
+
+    residuals(a) returns the vector f(a) and jacobian(a) the matrix J(a) at
+    the vector a; det J(a) must be a unit, and each correction solves
+    J * d = f by Cramer's rule with one inverted determinant.  Everything is
+    truncated at the target.  The iteration stops when every residual is
+    zero below the target; before each correction it logs the least exact
+    residual valuation and checks the certificate v(f(a_next)) >= 2*v(f(a)).
+    Returns the root vector and the logged valuations."""
+    a = tuple(truncate(s, target) for s in start)
+    zero, one = zero_series(a[0].field, a[0].group), one_series(a[0].field, a[0].group)
+    steps: list[GroupElem] = []
+    for _ in range(max_steps):
+        res = [truncate(r, target) for r in residuals(a)]
+        worst = min((v.value for v in map(valuation, res) if v.is_exact), default=None)
+        if worst is None or not worst < target:
+            return a, tuple(steps)
+        if steps and worst < steps[-1].scale(2):
+            raise HypothesisError(
+                f"convergence certificate failed: v went {steps[-1]} -> {worst}"
+            )
+        steps.append(worst)
+        d, (adj_res,) = cramer(jacobian(a), [res], zero, one)
+        inv_d = invert(d, target)
+        a = tuple(
+            truncate(sub_series(ai, mul_series(x, inv_d)), target) for ai, x in zip(a, adj_res)
+        )
+    raise IterationCapError("Newton iteration did not reach the target", max_steps)
 
 
 # ---------------------------------------------------------------------------

@@ -98,6 +98,7 @@ _P2_HULL = {"field": {"kind": "GF", "p": 2}, "group": {"kind": "p_power", "p": 2
         ({"variant": "eval", "field": {"kind": "Q"}, "assignments": {"x1": 1}}, "list"),
         ({"variant": "sphere"}, "sphere"),
         ({**LEX2, "values": [["x1", "(a,0)"], ["x2", "(0,1)"]]}, "(a,0)"),
+        ({"variant": "eval", "field": {"kind": "Q"}, "assignments": [["x1", "1/0"]]}, "'1/0'"),
     ],
 )
 def test_eval_malformed_place_file_exits_2(capsys, tmp_path, blob, needle):
@@ -208,6 +209,22 @@ def test_perron_negative_target_exits_2(capsys):
     code, _, err = run(capsys, ["perron", "--group", "quad", "--", "-1"])
     assert code == 2
     assert "positive" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["perron", "--group", "q", "1/0"],
+        ["lift", "--p", "3", "--precision", "1/0", "--", "-t", "-1", "1"],
+        ["as", "--p", "3", "--precision", "1/0", "t"],
+    ],
+)
+def test_zero_denominator_literal_exits_2(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "'1/0'" in err
 
 
 def test_perron_unknown_group_exits_2(capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from valuedfields.errors import (
     HypothesisError,
+    IterationCapError,
     NoResidueRootError,
     PerturbationError,
     PrecisionError,
@@ -60,11 +61,28 @@ def test_lift_artin_schreier_char2():
 
 
 def test_lift_matches_unit_nth_root():
+    # X^2 - (1+t) through all three entry points of the one Newton iteration
     F = GF(3)
+    one = one_series(F, ZZ_GROUP)
     u = make_series(F, ZZ_GROUP, [(0, 1), (1, 1)])
-    f = SeriesPoly((-u, zero_series(F, ZZ_GROUP), _const(F, 1)))  # X^2 - (1+t)
-    out = hensel_lift(f, one_series(F, ZZ_GROUP), 4)
-    assert out.root == unit_nth_root(u, 2, 4)
+    f = SeriesPoly((-u, zero_series(F, ZZ_GROUP), _const(F, 1)))
+    out = hensel_lift(f, one, 9)
+    sysi = make_system([mpoly(("X",), {(2,): one, (0,): -u})], ("X",), (one,))
+    system = newton_system(sysi, 9)
+    assert out.root == unit_nth_root(u, 2, 9) == system.roots[0]
+    assert out.steps == system.steps
+    assert [str(v) for v in out.steps] == ["1", "2", "4", "8"]
+
+
+def test_newton_step_cap():
+    F = GF(2)
+    with pytest.raises(IterationCapError):
+        hensel_lift(_artin_schreier_poly(F, 2), zero_series(F, ZZ_GROUP), 16, max_steps=2)
+    one = one_series(F, ZZ_GROUP)
+    f = mpoly(("X",), {(2,): one, (1,): -one, (0,): -t_pow(F, ZZ_GROUP, 1)})
+    sysi = make_system([f], ("X",), (zero_series(F, ZZ_GROUP),))
+    with pytest.raises(IterationCapError):
+        newton_system(sysi, 8, max_steps=1)
 
 
 def test_lift_auto_start():

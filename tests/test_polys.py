@@ -7,7 +7,7 @@ import pytest
 from valuedfields.errors import PoleError, UnsupportedError
 from valuedfields.fields import GF, QQ
 from valuedfields.groups import ZZ_GROUP
-from valuedfields.polys import MPoly, RatFn, adjugate, const_poly, det, mpoly, var_poly
+from valuedfields.polys import MPoly, RatFn, adjugate, const_poly, cramer, det, mpoly, var_poly
 from valuedfields.series import make_series, one_series, zero_series
 
 
@@ -207,8 +207,12 @@ def test_det_and_adjugate_match_leibniz(ring, n):
         singular[1] = singular[0][:]
         matrices.append(singular)
     for m in matrices:
-        assert det(m, zero, one) == _leibniz(m, zero, one)
-        assert adjugate(m, zero, one) == _leibniz_adjugate(m, zero, one)
+        d, adj = _leibniz(m, zero, one), _leibniz_adjugate(m, zero, one)
+        assert det(m, zero, one) == d
+        assert adjugate(m, zero, one) == adj
+        vecs = [[draw(rng) for _ in range(n)] for _ in range(2)]
+        adj_vecs = [[sum((a * x for a, x in zip(row, v)), zero) for row in adj] for v in vecs]
+        assert cramer(m, vecs, zero, one) == (d, adj_vecs)
 
 
 @pytest.mark.parametrize("n", range(6))
