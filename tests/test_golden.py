@@ -29,6 +29,15 @@ CASES = {
     "eval_embed_pole": ["eval", "--place", "frobenius_embed.json", "x1^2/x2"],
     "lift": ["lift", "--p", "2", "--precision", "16", "--", "-t", "-1", "1"],
     "lift_json": ["lift", "--p", "3", "--precision", "12", "--json", "--", "-t", "-1", "0", "1"],
+    "lift_dense_cubic_json": [
+        "lift", "--p", "3", "--precision", "33", "--json", "--",
+        "2*t + t^2 + 2*t^3 + t^5 + 2*t^6 + t^7", "2 + t + t^2 + 2*t^4 + t^6 + 2*t^7",
+        "1 + 2*t + 2*t^3 + t^4 + t^5", "1 + t + 2*t^2 + t^3",
+    ],
+    "lift_rational": [
+        "lift", "--p", "5", "--precision", "20", "--",
+        "2 + t + 4*t^2 + 2*t^3", "(2 + 3*t + t^2)/(1 + 2*t + 4*t^2 + t^3)", "1 + 2*t",
+    ],
     "as_positive": ["as", "--p", "2", "--precision", "8", "t"],
     "as_zero": ["as", "--p", "2", "--precision", "8", "1"],
     "as_ramified": ["as", "--p", "2", "--precision", "8", "1/t"],
