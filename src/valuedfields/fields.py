@@ -62,22 +62,6 @@ def _poly_mul(a, b, p):
     return _poly_trim(out)
 
 
-def _poly_mod(a, m, p):
-    a = list(a)
-    dm = len(m) - 1
-    inv_lead = pow(m[-1], -1, p)
-    while len(a) - 1 >= dm and a:
-        if a[-1] == 0:
-            a.pop()
-            continue
-        f = (a[-1] * inv_lead) % p
-        shift = len(a) - 1 - dm
-        for i, c in enumerate(m):
-            a[shift + i] = (a[shift + i] - f * c) % p
-        a.pop()
-    return _poly_trim(a)
-
-
 def _poly_sub(a, b, p):
     n = max(len(a), len(b))
     return _poly_trim(
@@ -86,8 +70,11 @@ def _poly_sub(a, b, p):
 
 
 def _poly_divmod(a, m, p):
-    a = list(a)
+    """Quotient and remainder of a by m over F_p, both trimmed."""
     dm = len(m) - 1
+    if len(a) <= dm:
+        return (), _poly_trim(a)
+    a = list(a)
     q = [0] * max(1, len(a) - dm)
     inv_lead = pow(m[-1], -1, p)
     while len(a) - 1 >= dm and a:
@@ -123,7 +110,7 @@ def _monic_irreducibles(p: int, d: int) -> list[tuple[int, ...]]:
         if d == 1:
             out.append(poly)
             continue
-        if any(not _poly_mod(poly, f, p) for f in smaller):
+        if any(not _poly_divmod(poly, f, p)[1] for f in smaller):
             continue
         out.append(poly)
     _IRRED_CACHE[key] = out
@@ -141,7 +128,7 @@ def _least_irreducible(p: int, n: int) -> tuple[int, ...]:
             coeffs.append(mm % p)
             mm //= p
         poly = tuple(coeffs) + (1,)
-        if all(_poly_mod(poly, f, p) for f in smaller):
+        if all(_poly_divmod(poly, f, p)[1] for f in smaller):
             return poly
     raise UnsupportedError(f"no irreducible of degree {n} over F_{p}")  # pragma: no cover
 
@@ -219,7 +206,7 @@ class FiniteField(FieldDesc):
             return FieldElement(self, (v,) + (0,) * (self.n - 1))
         vec = tuple(int(x) % self.p for x in data)
         if len(vec) > self.n:
-            vec = _poly_mod(vec, self.modulus, self.p)
+            vec = _poly_divmod(vec, self.modulus, self.p)[1]
         vec = vec + (0,) * (self.n - len(vec))
         return FieldElement(self, vec[: self.n])
 
@@ -270,7 +257,7 @@ def GF(p: int, n: int = 1, modulus: tuple[int, ...] | None = None) -> FiniteFiel
         if n >= 2:
             for d in range(1, n // 2 + 1):
                 for f in _monic_irreducibles(p, d):
-                    if not _poly_mod(modulus, f, p):
+                    if not _poly_divmod(modulus, f, p)[1]:
                         raise UnsupportedError("modulus is reducible")
     fld = FiniteField(p, n, modulus)
     _GF_CACHE[key] = fld
@@ -326,7 +313,7 @@ class FieldElement:
             return FieldElement(self.field, self.data * other.data)
         f = self.field
         prod = _poly_mul(self.data, other.data, f.p)
-        red = _poly_mod(prod, f.modulus, f.p)
+        _, red = _poly_divmod(prod, f.modulus, f.p)
         return FieldElement(f, red + (0,) * (f.n - len(red)))
 
     def inverse(self) -> "FieldElement":

@@ -11,7 +11,10 @@ Each of them checks its own preconditions and then runs the one Newton
 iteration of series._newton, as does series.unit_nth_root: every step logs
 the residual valuation, asserts the quadratic-convergence certificate
 v(f(a_next)) >= 2*v(f(a)), and solves with the Jacobian's adjugate and one
-inverted determinant.
+inverted determinant.  The steps run on a precision ladder: after residual
+valuation w a step needs f(a) only modulo t^(4w) and J(a) modulo t^(3w)
+(both capped at the target), so the callbacks here see approximants
+truncated that far.
 """
 
 from __future__ import annotations

@@ -12,7 +12,10 @@ two are never conflated.
 
 _newton is the one certified Newton iteration every lift goes through:
 unit_nth_root here, and hensel_lift, newton_system and implicit_solve in
-the hensel module.
+the hensel module.  It runs on a precision ladder, each step evaluated only
+as far as the next one can certify, and inversion is a Newton iteration of
+its own; mul_series never forms a product beyond its precision.  A lift to
+precision N so costs about N^2 coefficient products, not N^3.
 
 The stream catalog at the bottom provides named infinite series that can be
 materialized at any requested truncation.
@@ -35,7 +38,7 @@ from .errors import (
     PrecisionError,
 )
 from .fields import GF, FieldDesc, FieldElement, _is_prime, embed, frobenius
-from .groups import GroupDesc, GroupElem, ZZ_GROUP, QQ_GROUP, p_power_hull
+from .groups import GroupDesc, GroupElem, LexGroup, ZZ_GROUP, QQ_GROUP, p_power_hull
 from .polys import cramer
 
 __all__ = [
@@ -280,12 +283,18 @@ def mul_series(a: Series, b: Series) -> Series:
     cand1 = None if a.precision is None else a.precision + lb
     cand2 = None if b.precision is None else b.precision + la
     prec = _prec_min(cand1, cand2)
+    # exponents increase along each row and down the first column, so the
+    # first product at or beyond the precision ends its row, and a row that
+    # starts there ends the product
     out = []
     for e1, c1 in a.terms:
+        if prec is not None and b.terms and not e1 + b.terms[0][0] < prec:
+            break
         for e2, c2 in b.terms:
             e = e1 + e2
-            if prec is None or e < prec:
-                out.append((e, c1 * c2))
+            if prec is not None and not e < prec:
+                break
+            out.append((e, c1 * c2))
     return make_series(a.field, a.group, out, prec)
 
 
@@ -347,12 +356,20 @@ def residue(a: Series):
 
 
 def invert(a: Series, precision=None) -> Series:
-    """Multiplicative inverse by geometric expansion of the 1-unit part.
+    """Multiplicative inverse by Newton iteration on the 1-unit part.
+
+    Write a = c*t^(g)*(1 + u) with v(u) > 0.  The inverse s of 1 + u is
+    refined by s <- s + s*(1 - (1 + u)*s), which doubles the precision it is
+    right to, on the ladder v(u), 2v(u), 4v(u), ... up to the target: about
+    log2(target/v(u)) steps of two products each.
 
     The result precision is capped by what the input determines: an input
     known modulo t^(P) with valuation g pins its inverse only modulo
     t^(P - 2g).  Inverting an exact series with more than one term needs an
-    explicit precision bound.
+    explicit precision bound.  A bound that no multiple of v(u) reaches (a
+    higher archimedean class, as in Z^2 lex) would need infinitely many
+    terms and raises PrecisionError; a ladder longer than 64 rungs raises
+    IterationCapError.
     """
     v = valuation(a)
     if not v.is_exact:
@@ -368,19 +385,38 @@ def invert(a: Series, precision=None) -> Series:
         if len(a.terms) == 1:
             return Series(a.field, a.group, ((-g, cinv),), None)
         raise PrecisionError("inverting an exact multi-term series needs a precision bound")
-    # a = c t^g (1 + u) with v(u) > 0; 1/a = c^(-1) t^(-g) sum (-u)^k
+    # 1/a = c^(-1) t^(-g) s with s = 1/w, w = 1 + u, needed modulo t^(rel)
     rel = target + g
-    u_terms = tuple((e - g, cinv * k) for e, k in a.terms[1:])
-    u = truncate(Series(a.field, a.group, u_terms, None), rel)
-    neg_u = -u
-    s = one_series(a.field, a.group, rel)
-    power = one_series(a.field, a.group, rel)
-    while True:
-        power = truncate(mul_series(power, neg_u), rel)
-        if not power.terms:
-            break
-        s = add_series(s, power)
-    return shift(scale_series(s, cinv), -g)
+    unit = ((a.group.zero(), a.field.one()),) + tuple((e - g, cinv * k) for e, k in a.terms[1:])
+    w = truncate(Series(a.field, a.group, unit, None), rel)
+    one = s = one_series(a.field, a.group)  # s*w = 1 modulo t^(known)
+    known = w.terms[1][0] if len(w.terms) > 1 else rel
+    if known < rel and _beyond_every_multiple(rel, known):
+        raise PrecisionError(
+            f"inverse has infinitely many terms below t^({target}): no multiple of "
+            f"v(u) = {known} reaches it"
+        )
+    ladder = []
+    while known < rel:
+        if len(ladder) == _MAX_STEPS:
+            raise IterationCapError(f"inverse needs more than {_MAX_STEPS} Newton steps", _MAX_STEPS)
+        known = _prec_min(known.scale(2), rel)
+        ladder.append(known)
+    for known in ladder:
+        err = sub_series(one, mul_series(truncate(w, known), s))
+        s = add_series(s, mul_series(s, err))
+        s = Series(s.field, s.group, s.terms, None)  # an approximant is read as exact
+    return shift(scale_series(truncate(s, rel), cinv), -g)
+
+
+def _beyond_every_multiple(bound: GroupElem, step: GroupElem) -> bool:
+    """Whether bound > n*step for every n, with both positive: bound lies in
+    a higher archimedean class.  Only lex groups have more than one class;
+    there the class is the first nonzero coordinate."""
+    if not isinstance(step.group, LexGroup):
+        return False
+    lead = [next(i for i, x in enumerate(g.data) if x) for g in (bound, step)]
+    return lead[0] < lead[1]
 
 
 def frobenius_series(a: Series) -> Series:
@@ -431,29 +467,73 @@ def _newton(residuals, jacobian, start, target: GroupElem, max_steps: int):
 
     residuals(a) returns the vector f(a) and jacobian(a) the matrix J(a) at
     the vector a; det J(a) must be a unit, and each correction solves
-    J * d = f by Cramer's rule with one inverted determinant.  Everything is
-    truncated at the target.  The iteration stops when every residual is
-    zero below the target; before each correction it logs the least exact
-    residual valuation and checks the certificate v(f(a_next)) >= 2*v(f(a)).
-    Returns the root vector and the logged valuations."""
+    J * d = f by Cramer's rule with one inverted determinant.  The iteration
+    stops when every residual is zero below the target; before each
+    correction it logs the least exact residual valuation w and checks the
+    certificate v(f(a_next)) >= 2*v(f(a)).  Returns the root vector and the
+    logged valuations.
+
+    The steps run on a precision ladder.  A correction after residual
+    valuation w is computed modulo t^(min(target, 4w)), with J(a) and 1/det
+    only modulo that minus w, since f(a) has valuation w.  The next residual
+    is evaluated modulo t^(min(target, 8w)), four times its certified lower
+    bound 2w.  It is evaluated again further when it is zero to, or too
+    close to, that precision.  A residual valuation that reaches the
+    precision of the last correction may be an artifact of that truncation,
+    so the correction is redone at the target.  A residual that loses
+    precision below its evaluation precision (coefficients of negative
+    valuation, inputs known to less than the target) turns the ladder off:
+    from then on every step runs at the target."""
     a = tuple(truncate(s, target) for s in start)
     zero, one = zero_series(a[0].field, a[0].group), one_series(a[0].field, a[0].group)
     steps: list[GroupElem] = []
-    for _ in range(max_steps):
-        res = [truncate(r, target) for r in residuals(a)]
+    back = None  # the approximant before the last correction, with its trust
+    trust = target  # a is the Newton update of back modulo t^(trust)
+    at = target  # precision of the next residual evaluation
+    full = redo = False
+    # between two corrections a residual is evaluated at most three times
+    # (on the ladder, widened, redone at the target), plus once when the
+    # ladder turns off; the bound below has room to spare
+    for _ in range(6 * max_steps + 6):
+        res = [truncate(r, at) for r in residuals(tuple(truncate(x, at) for x in a))]
+        have = min((r.precision for r in res if r.precision is not None), default=at)
         worst = min((v.value for v in map(valuation, res) if v.is_exact), default=None)
-        if worst is None or not worst < target:
+        if have < at:
+            full = True
+            if at < target:
+                at = target
+                continue
+        if trust < target and (worst is None or not worst < trust):
+            (a, trust), at, redo = back, target, True
+            steps.pop()
+            continue
+        if at < target and (worst is None or at < worst.scale(4)):
+            at = target if worst is None else _prec_min(target, worst.scale(4))
+            continue
+        if worst is None:
             return a, tuple(steps)
         if steps and worst < steps[-1].scale(2):
             raise HypothesisError(
                 f"convergence certificate failed: v went {steps[-1]} -> {worst}"
             )
         steps.append(worst)
-        d, (adj_res,) = cramer(jacobian(a), [res], zero, one)
-        inv_d = invert(d, target)
-        a = tuple(
-            truncate(sub_series(ai, mul_series(x, inv_d)), target) for ai, x in zip(a, adj_res)
+        cut = target if full or redo else _prec_min(target, worst.scale(4))
+        jet = target if full else cut - worst
+        d, (adj_res,) = cramer(
+            jacobian(tuple(truncate(x, jet) for x in a)), [[truncate(r, cut) for r in res]],
+            zero, one,
         )
+        inv_d = invert(d, jet)
+        back = (a, trust)
+        a = tuple(
+            truncate(sub_series(ai, mul_series(x, inv_d)), cut) for ai, x in zip(a, adj_res)
+        )
+        if cut < target:  # an approximant cut by the ladder alone is read to the target
+            a = tuple(Series(x.field, x.group, x.terms, target) if x.precision == cut else x
+                      for x in a)
+        trust, at, redo = cut, target if full else _prec_min(target, worst.scale(8)), False
+        if len(steps) == max_steps:
+            break
     raise IterationCapError("Newton iteration did not reach the target", max_steps)
 
 
