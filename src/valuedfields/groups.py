@@ -68,6 +68,11 @@ class GroupDesc:
     def elem(self, data) -> "GroupElem":
         raise NotImplementedError
 
+    def above_every_multiple(self, a: "GroupElem", b: "GroupElem") -> bool:
+        """Whether a > n*b for every integer n, for positive a and b: a lies
+        in a higher archimedean class than b."""
+        raise NotImplementedError
+
 
 @dataclass(frozen=True)
 class RationalGroup(GroupDesc):
@@ -109,6 +114,9 @@ class RationalGroup(GroupDesc):
     def zero(self) -> "GroupElem":
         return GroupElem(self, Fraction(0))
 
+    def above_every_multiple(self, a: "GroupElem", b: "GroupElem") -> bool:
+        return False  # archimedean: one class
+
     def __str__(self):
         if self.law == "all":
             return "Q"
@@ -136,6 +144,11 @@ class LexGroup(GroupDesc):
     def zero(self) -> "GroupElem":
         return GroupElem(self, (0,) * self.r)
 
+    def above_every_multiple(self, a: "GroupElem", b: "GroupElem") -> bool:
+        # the class of a positive element is its first nonzero coordinate
+        lead_a, lead_b = (next(i for i, x in enumerate(g.data) if x) for g in (a, b))
+        return lead_a < lead_b
+
     def __str__(self):
         return f"Z^{self.r} lex"
 
@@ -150,6 +163,9 @@ class QuadGroup(GroupDesc):
 
     def zero(self) -> "GroupElem":
         return GroupElem(self, (Fraction(0), Fraction(0)))
+
+    def above_every_multiple(self, a: "GroupElem", b: "GroupElem") -> bool:
+        return False  # a subgroup of R: one class
 
     def __str__(self):
         return "Q + Q*sqrt2"

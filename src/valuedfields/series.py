@@ -38,7 +38,7 @@ from .errors import (
     PrecisionError,
 )
 from .fields import GF, FieldDesc, FieldElement, _is_prime, embed, frobenius
-from .groups import GroupDesc, GroupElem, LexGroup, ZZ_GROUP, QQ_GROUP, p_power_hull
+from .groups import GroupDesc, GroupElem, ZZ_GROUP, QQ_GROUP, p_power_hull
 from .polys import cramer
 
 __all__ = [
@@ -391,7 +391,7 @@ def invert(a: Series, precision=None) -> Series:
     w = truncate(Series(a.field, a.group, unit, None), rel)
     one = s = one_series(a.field, a.group)  # s*w = 1 modulo t^(known)
     known = w.terms[1][0] if len(w.terms) > 1 else rel
-    if known < rel and _beyond_every_multiple(rel, known):
+    if known < rel and a.group.above_every_multiple(rel, known):
         raise PrecisionError(
             f"inverse has infinitely many terms below t^({target}): no multiple of "
             f"v(u) = {known} reaches it"
@@ -407,16 +407,6 @@ def invert(a: Series, precision=None) -> Series:
         s = add_series(s, mul_series(s, err))
         s = Series(s.field, s.group, s.terms, None)  # an approximant is read as exact
     return shift(scale_series(truncate(s, rel), cinv), -g)
-
-
-def _beyond_every_multiple(bound: GroupElem, step: GroupElem) -> bool:
-    """Whether bound > n*step for every n, with both positive: bound lies in
-    a higher archimedean class.  Only lex groups have more than one class;
-    there the class is the first nonzero coordinate."""
-    if not isinstance(step.group, LexGroup):
-        return False
-    lead = [next(i for i, x in enumerate(g.data) if x) for g in (bound, step)]
-    return lead[0] < lead[1]
 
 
 def frobenius_series(a: Series) -> Series:
@@ -480,10 +470,12 @@ def _newton(residuals, jacobian, start, target: GroupElem, max_steps: int):
     bound 2w.  It is evaluated again further when it is zero to, or too
     close to, that precision.  A residual valuation that reaches the
     precision of the last correction may be an artifact of that truncation,
-    so the correction is redone at the target.  A residual that loses
-    precision below its evaluation precision (coefficients of negative
-    valuation, inputs known to less than the target) turns the ladder off:
-    from then on every step runs at the target."""
+    so the correction is redone at the target.  The ladder runs only while
+    nothing loses precision: a residual known to less than it was evaluated
+    to (inputs known to less than the target), or a det J(a) or correction
+    known to less than it was computed to (coefficients of negative
+    valuation), turns it off, and the pending correction and every later
+    one run at the target."""
     a = tuple(truncate(s, target) for s in start)
     zero, one = zero_series(a[0].field, a[0].group), one_series(a[0].field, a[0].group)
     steps: list[GroupElem] = []
@@ -523,14 +515,21 @@ def _newton(residuals, jacobian, start, target: GroupElem, max_steps: int):
             jacobian(tuple(truncate(x, jet) for x in a)), [[truncate(r, cut) for r in res]],
             zero, one,
         )
-        inv_d = invert(d, jet)
-        back = (a, trust)
-        a = tuple(
-            truncate(sub_series(ai, mul_series(x, inv_d)), cut) for ai, x in zip(a, adj_res)
-        )
+        nxt = None
+        if full or d.precision is None or not d.precision < jet:
+            inv_d = invert(d, jet)
+            nxt = tuple(
+                truncate(sub_series(ai, mul_series(x, inv_d)), cut) for ai, x in zip(a, adj_res)
+            )
+        if nxt is None or not full and any(x.precision != cut for x in nxt):
+            # J(a), det or the correction lost precision the ladder had cut
+            # off (coefficients of negative valuation): redo at the target
+            full, at = True, target
+            steps.pop()
+            continue
         if cut < target:  # an approximant cut by the ladder alone is read to the target
-            a = tuple(Series(x.field, x.group, x.terms, target) if x.precision == cut else x
-                      for x in a)
+            nxt = tuple(Series(x.field, x.group, x.terms, target) for x in nxt)
+        back, a = (a, trust), nxt
         trust, at, redo = cut, target if full else _prec_min(target, worst.scale(8)), False
         if len(steps) == max_steps:
             break

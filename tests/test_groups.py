@@ -73,6 +73,17 @@ def test_lex_cmp_matches_spec_example():
     assert cmp(a, b) == 1
 
 
+def test_above_every_multiple_compares_archimedean_classes():
+    lex3 = LexGroup(3)
+    e = lex3.elem
+    assert lex3.above_every_multiple(e((1, -5, 0)), e((0, 7, 2)))
+    assert lex3.above_every_multiple(e((0, 1, -9)), e((0, 0, 4)))
+    assert not lex3.above_every_multiple(e((0, 0, 4)), e((0, 1, -9)))
+    assert not lex3.above_every_multiple(e((2, 0, 0)), e((1, 3, 0)))  # one class
+    assert not QQ_GROUP.above_every_multiple(QQ_GROUP.elem(10**9), QQ_GROUP.elem(Fraction(1, 7)))
+    assert not QUAD.above_every_multiple(QUAD.elem((100, 0)), QUAD.elem((3, -2)))
+
+
 def test_quad_cmp_spec_example():
     a = QUAD.elem((3, -2))  # 3 - 2*sqrt2 > 0 since 9 > 8
     assert cmp(a, QUAD.zero()) == 1

@@ -164,3 +164,32 @@ def test_ladder_keeps_the_precision_of_a_start_known_to_less_than_the_target():
         out = newton_system(make_system([f1, f2], ("X", "Y"), start), 16)
         assert [str(r.precision) for r in out.roots] == precisions
         assert [str(v) for v in out.steps] == steps
+
+
+def test_ladder_keeps_the_precision_lost_to_coefficients_of_negative_valuation():
+    # t^(-k) times a variable of positive valuation costs J(a), det J(a) or
+    # the correction precision when the ladder cuts a; the roots carry the
+    # precision and the steps of a lift run at the target throughout
+    def case(p, f1, f2, start, n):
+        field = GF(p)
+        s = lambda *terms: make_series(field, ZZ_GROUP, list(terms))
+        one = one_series(field, ZZ_GROUP)
+        polys = [mpoly(("X", "Y"), {m: s(*c) if c else one for m, c in f.items()})
+                 for f in (f1, f2)]
+        out = newton_system(make_system(polys, ("X", "Y"), tuple(s(*x) for x in start)), n)
+        return [str(r.precision) for r in out.roots], [str(v) for v in out.steps]
+
+    # X = t, t^-1*X*Y + Y + Y^2 = 2t + t^2 + t^3 from (t, t): J(a) loses
+    assert case(5, {(1, 0): (), (0, 0): ((1, -1),)},
+                {(1, 1): ((-1, 1),), (0, 1): (), (0, 2): (), (0, 0): ((1, -2), (2, -1), (3, -1))},
+                (((1, 1),), ((1, 1),)), 32) == (["32", "32"], ["3", "6", "12", "24"])
+    # X + t^-2*Y^2 = t^4 + t^6 + t^9, Y + X*Y = t^3 + t^7 + 2t^8: the correction loses
+    f1 = {(1, 0): (), (0, 2): ((-2, 1),), (0, 0): ((4, -1), (6, -1), (9, -1))}
+    f2 = {(0, 1): (), (1, 1): (), (0, 0): ((3, -1), (7, -1), (8, -2))}
+    for n in (14, 20):
+        assert case(3, f1, f2, (((4, 1),), ((3, 1),)), n) == ([str(n)] * 2, ["4", "11"])
+    # X = t^4, Y + t^-3*X*Y + Y^2 = t + t^3 from (t^4, 0): det J(a) loses
+    # all of its precision on the first rung
+    assert case(3, {(1, 0): (), (0, 0): ((4, -1),)},
+                {(0, 1): (), (1, 1): ((-3, 1),), (0, 2): (), (0, 0): ((1, -1), (3, -1))},
+                (((4, 1),), ()), 16) == (["16", "14"], ["1", "2", "4", "8"])
