@@ -274,15 +274,17 @@ class FieldElement:
     data: object
 
     def _check(self, other):
+        if type(other) is FieldElement and other.field is self.field:
+            return
         if not isinstance(other, FieldElement) or other.field != self.field:
             raise FieldMismatchError(
                 f"field mismatch: {self.field} vs {getattr(other, 'field', other)}"
             )
 
     def is_zero(self) -> bool:
-        if isinstance(self.field, RationalField):
+        if type(self.field) is RationalField:
             return self.data == 0
-        return all(c == 0 for c in self.data)
+        return not any(self.data)
 
     # the protocol shared with Series so polynomials stay coefficient-generic
     def is_exact_zero(self) -> bool:
@@ -293,10 +295,13 @@ class FieldElement:
 
     def __add__(self, other):
         self._check(other)
-        if isinstance(self.field, RationalField):
-            return FieldElement(self.field, self.data + other.data)
-        p = self.field.p
-        return FieldElement(self.field, tuple((a + b) % p for a, b in zip(self.data, other.data)))
+        f = self.field
+        if type(f) is RationalField:
+            return FieldElement(f, self.data + other.data)
+        p = f.p
+        if f.n == 1:
+            return FieldElement(f, ((self.data[0] + other.data[0]) % p,))
+        return FieldElement(f, tuple((a + b) % p for a, b in zip(self.data, other.data)))
 
     def __neg__(self):
         if isinstance(self.field, RationalField):
@@ -309,9 +314,11 @@ class FieldElement:
 
     def __mul__(self, other):
         self._check(other)
-        if isinstance(self.field, RationalField):
-            return FieldElement(self.field, self.data * other.data)
         f = self.field
+        if type(f) is RationalField:
+            return FieldElement(f, self.data * other.data)
+        if f.n == 1:
+            return FieldElement(f, (self.data[0] * other.data[0] % f.p,))
         prod = _poly_mul(self.data, other.data, f.p)
         _, red = _poly_divmod(prod, f.modulus, f.p)
         return FieldElement(f, red + (0,) * (f.n - len(red)))

@@ -18,9 +18,10 @@ family, which downstream modules rely on for valuation arithmetic.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import gcd
+from operator import add, neg
 
 from .errors import (
     FamilyMismatchError,
@@ -59,8 +60,37 @@ __all__ = [
 # descriptors
 
 
+_DESCRIPTORS: dict = {}
+_MAX_DESCRIPTORS = 256
+
+
 class GroupDesc:
-    """Base class for group descriptors."""
+    """Base class for group descriptors.
+
+    Descriptors are interned: building one twice with the same arguments
+    gives the same object, so the family check of two elements is almost
+    always an identity test.  Equality stays structural, so a descriptor
+    that escapes the (bounded) cache still compares equal to its twin.
+
+    native_order says whether the data of the elements is ordered by Python
+    as the group orders them."""
+
+    native_order = True
+
+    def __new__(cls, *args, **kwargs):
+        # keyed by the field values, however they are passed
+        values = {f.name: f.default for f in fields(cls)}
+        values.update(zip(tuple(values), args), **kwargs)
+        key = (cls, *((k, type(v), v) for k, v in values.items()))
+        desc = _DESCRIPTORS.get(key)
+        if desc is None:
+            desc = object.__new__(cls)
+            if len(_DESCRIPTORS) < _MAX_DESCRIPTORS:
+                _DESCRIPTORS[key] = desc
+        return desc
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     def zero(self) -> "GroupElem":
         raise NotImplementedError
@@ -157,6 +187,8 @@ class LexGroup(GroupDesc):
 class QuadGroup(GroupDesc):
     """Rational combinations a + b*sqrt(2) with the real-number order."""
 
+    native_order = False
+
     def elem(self, data) -> "GroupElem":
         a, b = data
         return GroupElem(self, (Fraction(a), Fraction(b)))
@@ -205,35 +237,77 @@ def _quad_sign(a: Fraction, b: Fraction) -> int:
     return s if a > 0 else -s
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupElem:
-    """An element of one of the three group families."""
+    """An element of one of the three group families.
+
+    The order is native: rationals compare as Fractions and lex vectors as
+    tuples, with no difference built; only Q + Q*sqrt2 takes the exact sign
+    of the difference.  Equality and hashing look only at the data, once the
+    families agree."""
 
     group: GroupDesc
     data: object
 
     def _check(self, other: "GroupElem"):
+        if type(other) is GroupElem and other.group is self.group:
+            return
         if not isinstance(other, GroupElem) or other.group != self.group:
             raise FamilyMismatchError(
                 f"group mismatch: {self.group} vs {getattr(other, 'group', other)}"
             )
 
+    def _keys(self, other: "GroupElem"):
+        """The one comparator: stand-ins for self and other that Python
+        orders as the group does."""
+        self._check(other)
+        g = self.group
+        if not g.native_order:  # Q + Q*sqrt2
+            (a, b), (c, d) = self.data, other.data
+            return _quad_sign(a - c, b - d), 0
+        return self.data, other.data
+
+    def __lt__(self, other):
+        x, y = self._keys(other)
+        return x < y
+
+    def __le__(self, other):
+        x, y = self._keys(other)
+        return x <= y
+
+    def __gt__(self, other):
+        x, y = self._keys(other)
+        return x > y
+
+    def __ge__(self, other):
+        x, y = self._keys(other)
+        return x >= y
+
+    def __eq__(self, other):
+        if type(other) is not GroupElem:
+            return NotImplemented
+        return (other.group is self.group or other.group == self.group) and other.data == self.data
+
+    def __hash__(self):
+        return hash(self.data)
+
     def __add__(self, other: "GroupElem") -> "GroupElem":
         self._check(other)
-        if isinstance(self.group, RationalGroup):
-            return GroupElem(self.group, self.data + other.data)
-        if isinstance(self.group, LexGroup):
-            return GroupElem(self.group, tuple(x + y for x, y in zip(self.data, other.data)))
-        (a, b), (c, d) = self.data, other.data
-        return GroupElem(self.group, (a + c, b + d))
+        g = self.group
+        x, y = self.data, other.data
+        if type(g) is RationalGroup:
+            return GroupElem(g, x + y)
+        if type(g) is LexGroup:
+            return GroupElem(g, tuple(map(add, x, y)))
+        return GroupElem(g, (x[0] + y[0], x[1] + y[1]))
 
     def __neg__(self) -> "GroupElem":
-        if isinstance(self.group, RationalGroup):
-            return GroupElem(self.group, -self.data)
-        if isinstance(self.group, LexGroup):
-            return GroupElem(self.group, tuple(-x for x in self.data))
-        a, b = self.data
-        return GroupElem(self.group, (-a, -b))
+        g, x = self.group, self.data
+        if type(g) is RationalGroup:
+            return GroupElem(g, -x)
+        if type(g) is LexGroup:
+            return GroupElem(g, tuple(map(neg, x)))
+        return GroupElem(g, (-x[0], -x[1]))
 
     def __sub__(self, other: "GroupElem") -> "GroupElem":
         return self + (-other)
@@ -241,41 +315,23 @@ class GroupElem:
     def scale(self, n: int) -> "GroupElem":
         """Integer multiple n*self (n may be negative or zero)."""
         n = int(n)
-        if isinstance(self.group, RationalGroup):
-            return GroupElem(self.group, self.data * n)
-        if isinstance(self.group, LexGroup):
-            return GroupElem(self.group, tuple(n * x for x in self.data))
-        a, b = self.data
-        return GroupElem(self.group, (n * a, n * b))
+        g, x = self.group, self.data
+        if type(g) is RationalGroup:
+            return GroupElem(g, x * n)
+        if type(g) is LexGroup:
+            return GroupElem(g, tuple(n * c for c in x))
+        return GroupElem(g, (n * x[0], n * x[1]))
 
     def sign(self) -> int:
-        if isinstance(self.group, RationalGroup):
-            return _sign_frac(self.data)
-        if isinstance(self.group, LexGroup):
-            for x in self.data:
-                if x:
-                    return 1 if x > 0 else -1
-            return 0
-        return _quad_sign(*self.data)
+        g, x = self.group, self.data
+        if type(g) is QuadGroup:
+            return _quad_sign(*x)
+        if type(g) is LexGroup:
+            x = next((c for c in x if c), 0)
+        return (x > 0) - (x < 0)
 
     def is_zero(self) -> bool:
         return self.sign() == 0
-
-    def __lt__(self, other):
-        self._check(other)
-        return (self - other).sign() < 0
-
-    def __le__(self, other):
-        self._check(other)
-        return (self - other).sign() <= 0
-
-    def __gt__(self, other):
-        self._check(other)
-        return (self - other).sign() > 0
-
-    def __ge__(self, other):
-        self._check(other)
-        return (self - other).sign() >= 0
 
     def coords(self) -> tuple[Fraction, ...]:
         """Coordinates in the ambient Q-vector space of the family."""
@@ -303,9 +359,8 @@ def sign(a: GroupElem) -> int:
 
 def cmp(a: GroupElem, b: GroupElem) -> int:
     """-1, 0 or 1 as a < b, a = b, a > b.  Exact in every family."""
-    if not isinstance(b, GroupElem) or b.group != a.group:
-        raise FamilyMismatchError(f"group mismatch: {a.group} vs {getattr(b, 'group', b)}")
-    return (a - b).sign()
+    x, y = a._keys(b)
+    return (x > y) - (x < y)
 
 
 def from_coords(group: GroupDesc, coords) -> GroupElem:

@@ -143,17 +143,18 @@ class Series:
     precision: GroupElem | None  # None = exact
 
     def __post_init__(self):
+        group, field, prec = self.group, self.field, self.precision
         prev = None
         for e, c in self.terms:
-            if e.group != self.group:
-                raise FamilyMismatchError(f"exponent {e} not in group {self.group}")
-            if c.field != self.field:
-                raise FamilyMismatchError(f"coefficient {c} not in field {self.field}")
+            if e.group is not group and e.group != group:
+                raise FamilyMismatchError(f"exponent {e} not in group {group}")
+            if c.field is not field and c.field != field:
+                raise FamilyMismatchError(f"coefficient {c} not in field {field}")
             if c.is_zero():
                 raise FamilyMismatchError("zero coefficient stored in a series")
             if prev is not None and not prev < e:
                 raise FamilyMismatchError("exponents not strictly increasing")
-            if self.precision is not None and not e < self.precision:
+            if prec is not None and not e < prec:
                 raise FamilyMismatchError("term at or beyond the precision bound")
             prev = e
 
@@ -202,25 +203,24 @@ def _as_group_elem(group: GroupDesc, e) -> GroupElem:
     return e if isinstance(e, GroupElem) else group.elem(e)
 
 
-def _as_field_elem(field: FieldDesc, c) -> FieldElement:
-    return c if isinstance(c, FieldElement) else field.elem(c)
-
-
 def make_series(field: FieldDesc, group: GroupDesc, terms, precision=None) -> Series:
     """Canonical constructor: merges duplicate exponents, drops zeros and
     terms at or beyond the precision bound."""
     prec = None if precision is None else _as_group_elem(group, precision)
     acc: dict[GroupElem, FieldElement] = {}
     for e, c in terms:
-        e = _as_group_elem(group, e)
-        c = _as_field_elem(field, c)
-        acc[e] = acc[e] + c if e in acc else c
+        if type(e) is not GroupElem:
+            e = group.elem(e)
+        if type(c) is not FieldElement:
+            c = field.elem(c)
+        old = acc.get(e)
+        acc[e] = c if old is None else old + c
     kept = [
         (e, c)
         for e, c in acc.items()
         if not c.is_zero() and (prec is None or e < prec)
     ]
-    kept.sort(key=lambda t: t[0])
+    kept.sort(key=(lambda t: t[0].data) if group.native_order else (lambda t: t[0]))
     return Series(field, group, tuple(kept), prec)
 
 
@@ -258,7 +258,8 @@ def _low_bound(a: Series) -> GroupElem | None:
 
 
 def _check_same_ring(a: Series, b: Series):
-    if a.field != b.field or a.group != b.group:
+    same_field = a.field is b.field or a.field == b.field  # identity first
+    if not (same_field and (a.group is b.group or a.group == b.group)):
         raise FamilyMismatchError(
             f"series rings differ: {a.field}/{a.group} vs {b.field}/{b.group}"
         )
@@ -368,8 +369,8 @@ def invert(a: Series, precision=None) -> Series:
     t^(P - 2g).  Inverting an exact series with more than one term needs an
     explicit precision bound.  A bound that no multiple of v(u) reaches (a
     higher archimedean class, as in Z^2 lex) would need infinitely many
-    terms and raises PrecisionError; a ladder longer than 64 rungs raises
-    IterationCapError.
+    terms and raises PrecisionError; a ladder longer than 64 rungs, or an
+    inverse with more than _MAX_TERMS terms, raises IterationCapError.
     """
     v = valuation(a)
     if not v.is_exact:
@@ -406,6 +407,10 @@ def invert(a: Series, precision=None) -> Series:
         err = sub_series(one, mul_series(truncate(w, known), s))
         s = add_series(s, mul_series(s, err))
         s = Series(s.field, s.group, s.terms, None)  # an approximant is read as exact
+        if len(s.terms) > _MAX_TERMS:
+            raise IterationCapError(
+                f"inverse has more than {_MAX_TERMS} terms below t^({target})", _MAX_TERMS
+            )
     return shift(scale_series(truncate(s, rel), cinv), -g)
 
 
@@ -450,6 +455,10 @@ def unit_nth_root(u: Series, n: int, precision=None) -> Series:
 # Newton iteration
 
 _MAX_STEPS = 64
+# the most terms an inverse, or a Newton approximant or residual, may carry:
+# 1/(1 + t^(1/2^k)) over F_2 has 2^k terms below t^1, and each rung or step of
+# a ladder can double the count, so the budget is what stops such inputs fast
+_MAX_TERMS = 1024
 
 
 def _newton(residuals, jacobian, start, target: GroupElem, max_steps: int):
@@ -475,7 +484,11 @@ def _newton(residuals, jacobian, start, target: GroupElem, max_steps: int):
     to (inputs known to less than the target), or a det J(a) or correction
     known to less than it was computed to (coefficients of negative
     valuation), turns it off, and the pending correction and every later
-    one run at the target."""
+    one run at the target.  No rung reaches a target in a higher archimedean
+    class than w (Z^r lex), so such a correction runs at the target, where
+    a Jacobian whose inverse needs infinitely many terms raises
+    PrecisionError.  An approximant or residual with more than _MAX_TERMS
+    terms raises IterationCapError."""
     a = tuple(truncate(s, target) for s in start)
     zero, one = zero_series(a[0].field, a[0].group), one_series(a[0].field, a[0].group)
     steps: list[GroupElem] = []
@@ -487,7 +500,13 @@ def _newton(residuals, jacobian, start, target: GroupElem, max_steps: int):
     # (on the ladder, widened, redone at the target), plus once when the
     # ladder turns off; the bound below has room to spare
     for _ in range(6 * max_steps + 6):
-        res = [truncate(r, at) for r in residuals(tuple(truncate(x, at) for x in a))]
+        point = tuple(truncate(x, at) for x in a)
+        res = [truncate(r, at) for r in residuals(point)]
+        if any(len(x.terms) > _MAX_TERMS for x in (*point, *res)):
+            raise IterationCapError(
+                f"Newton approximant or residual has more than {_MAX_TERMS} terms "
+                f"below t^({target})", _MAX_TERMS,
+            )
         have = min((r.precision for r in res if r.precision is not None), default=at)
         worst = min((v.value for v in map(valuation, res) if v.is_exact), default=None)
         if have < at:
@@ -509,7 +528,9 @@ def _newton(residuals, jacobian, start, target: GroupElem, max_steps: int):
                 f"convergence certificate failed: v went {steps[-1]} -> {worst}"
             )
         steps.append(worst)
-        cut = target if full or redo else _prec_min(target, worst.scale(4))
+        # a target in a higher archimedean class than w: no rung reaches it
+        gap = worst.sign() > 0 and worst.group.above_every_multiple(target, worst)
+        cut = target if full or redo or gap else _prec_min(target, worst.scale(4))
         jet = target if full else cut - worst
         d, (adj_res,) = cramer(
             jacobian(tuple(truncate(x, jet) for x in a)), [[truncate(r, cut) for r in res]],

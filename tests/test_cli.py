@@ -227,6 +227,16 @@ def test_zero_denominator_literal_exits_2(capsys, argv):
     assert "'1/0'" in err
 
 
+def test_lift_beyond_the_term_budget_exits_2(capsys):
+    # 1/(1 + t) over F_2 has a term at every exponent, so its inverse below
+    # t^2000 exceeds the term budget of an inverse
+    argv = ["lift", "--p", "2", "--precision", "2000", "--", "1/(1+t)", "1"]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: inverse has more than") and err.count("\n") == 1
+
+
 def test_perron_unknown_group_exits_2(capsys):
     code, _, err = run(capsys, ["perron", "--group", "hyperbolic", "1"])
     assert code == 2

@@ -7,18 +7,21 @@ mul_series, which is deterministic where wall time is not.
 """
 
 import random
+import time
 from fractions import Fraction
 from math import ceil, log2
 
 import pytest
 
 from valuedfields import hensel, series
-from valuedfields.errors import PrecisionError
+from valuedfields.errors import IterationCapError, PrecisionError
 from valuedfields.fields import GF, QQ
 from valuedfields.groups import QQ_GROUP, ZZ_GROUP, LexGroup, one_over_m, p_power_hull
 from valuedfields.hensel import SeriesPoly, hensel_lift, make_system, newton_system
 from valuedfields.polys import mpoly
-from valuedfields.series import invert, make_series, mul_series, one_series, sub_series
+from valuedfields.series import (
+    invert, make_series, mul_series, one_series, sub_series, t_pow, zero_series,
+)
 
 GROUPS = [ZZ_GROUP, one_over_m(2), QQ_GROUP, p_power_hull(3)]
 FIELDS = [GF(5), GF(2, 4), QQ]
@@ -94,6 +97,35 @@ def test_invert_bound_in_higher_archimedean_class_fails_fast():
     b = make_series(QQ, lex, [((0, 0), 1), ((1, 0), 1), ((1, 3), 2)])
     inv = invert(b, precision=lex.elem((3, 0)))
     assert not sub_series(mul_series(b, inv), one_series(QQ, lex)).terms
+
+
+def test_invert_term_budget_fails_fast():
+    # 1/(1 + t^(1/2^k)) over F_2 has 2^k terms below t^1, one rung per doubling
+    def unit(k):
+        return make_series(GF(2), QQ_GROUP, [(0, 1), (Fraction(1, 2 ** k), 1)])
+
+    assert len(invert(unit(10), 1).terms) == 1024
+    start = time.perf_counter()
+    with pytest.raises(IterationCapError, match=f"more than {series._MAX_TERMS} terms") as info:
+        invert(unit(40), 1)
+    assert time.perf_counter() - start < 5
+    assert "\n" not in str(info.value)
+
+
+def test_lex_lift_beyond_the_class_of_its_residuals_fails_fast():
+    # the root of X^2 = 1 + t^(0,1) over F_5 has infinitely many terms below
+    # t^(1,0): each ladder step used to double them until the 64-step cap
+    lex, field = LexGroup(2), GF(5)
+    one, y = one_series(field, lex), t_pow(field, lex, (0, 1))
+    start = time.perf_counter()
+    with pytest.raises((PrecisionError, IterationCapError)) as info:
+        hensel_lift(SeriesPoly((-(one + y), zero_series(field, lex), one)), one, lex.elem((1, 0)))
+    assert time.perf_counter() - start < 2
+    assert "\n" not in str(info.value)
+    # a root with finitely many terms there is still reached, in one step
+    out = hensel_lift(SeriesPoly((-y, one)), zero_series(field, lex), lex.elem((1, 0)))
+    assert [str(v) for v in out.steps] == ["(0,1)"]
+    assert out.root.terms == y.terms
 
 
 def _count_products(monkeypatch):
