@@ -34,6 +34,12 @@ CASES = {
         "2*t + t^2 + 2*t^3 + t^5 + 2*t^6 + t^7", "2 + t + t^2 + 2*t^4 + t^6 + 2*t^7",
         "1 + 2*t + 2*t^3 + t^4 + t^5", "1 + t + 2*t^2 + t^3",
     ],
+    # the same cubic deep enough that a product's operands run to hundreds of terms
+    "lift_dense_cubic_512_json": [
+        "lift", "--p", "3", "--precision", "512", "--json", "--",
+        "2*t + t^2 + 2*t^3 + t^5 + 2*t^6 + t^7", "2 + t + t^2 + 2*t^4 + t^6 + 2*t^7",
+        "1 + 2*t + 2*t^3 + t^4 + t^5", "1 + t + 2*t^2 + t^3",
+    ],
     "lift_rational": [
         "lift", "--p", "5", "--precision", "20", "--",
         "2 + t + 4*t^2 + 2*t^3", "(2 + 3*t + t^2)/(1 + 2*t + 4*t^2 + t^3)", "1 + 2*t",
