@@ -17,6 +17,15 @@ as far as the next one can certify, and inversion is a Newton iteration of
 its own; mul_series never forms a product beyond its precision.  A lift to
 precision N so costs about N^2 coefficient products, not N^3.
 
+mul_series has two paths and one result.  Over F_p (a prime field) with
+exponents in a subgroup of Q, operands of at least four terms whose
+exponents, scaled by the lcm m of their denominators, span at most 12 slots
+per term are multiplied by Kronecker substitution: each becomes one Python
+integer, and CPython's Karatsuba multiplies them.  Everything else (Q,
+F_{p^n}, lex and quad groups, short or sparse operands such as those with
+exponents near 2^49) goes through the term-pair loop.  The conversion
+happens only inside mul_series; a Series has one representation.
+
 The stream catalog at the bottom provides named infinite series that can be
 materialized at any requested truncation.
 """
@@ -37,8 +46,8 @@ from .errors import (
     ParamError,
     PrecisionError,
 )
-from .fields import GF, FieldDesc, FieldElement, _is_prime, embed, frobenius
-from .groups import GroupDesc, GroupElem, ZZ_GROUP, QQ_GROUP, p_power_hull
+from .fields import GF, FieldDesc, FieldElement, FiniteField, _is_prime, embed, frobenius
+from .groups import GroupDesc, GroupElem, RationalGroup, ZZ_GROUP, QQ_GROUP, p_power_hull
 from .polys import cramer
 
 __all__ = [
@@ -284,6 +293,9 @@ def mul_series(a: Series, b: Series) -> Series:
     cand1 = None if a.precision is None else a.precision + lb
     cand2 = None if b.precision is None else b.precision + la
     prec = _prec_min(cand1, cand2)
+    m = _dense_scale(a, b, prec)
+    if m:
+        return _mul_dense(a, b, prec, m)
     # exponents increase along each row and down the first column, so the
     # first product at or beyond the precision ends its row, and a row that
     # starts there ends the product
@@ -297,6 +309,73 @@ def mul_series(a: Series, b: Series) -> Series:
                 break
             out.append((e, c1 * c2))
     return make_series(a.field, a.group, out, prec)
+
+
+# The dense path takes operands of at least _DENSE_MIN_TERMS terms, each
+# spanning at most _DENSE_SLOTS_PER_TERM slots per term; shorter or sparser
+# operands are multiplied faster by the term-pair loop.  Timed on random
+# operands over F_3, F_101 and F_(2^61 - 1), operands at the span bound
+# multiply about 1.2x faster on the dense path at 4 terms, 2x at 8 and 6x
+# at 64; fully dense ones 3x faster at 4 terms; and 2 or 3 terms, or 16
+# slots per term at 4 terms, can be slower.
+_DENSE_MIN_TERMS = 4
+_DENSE_SLOTS_PER_TERM = 12
+
+
+def _dense_scale(a: Series, b: Series, prec: GroupElem | None) -> int | None:
+    """The scale m of the dense path of mul_series, or None for the sparse
+    loop.  The dense path takes series over F_p with exponents in a subgroup
+    of Q, when both operands are long and dense enough; m is the lcm of the
+    denominators of their exponents and of the product's precision, so m*e
+    is an integer slot for every exponent e."""
+    f = a.field
+    if not (type(f) is FiniteField and f.n == 1 and type(a.group) is RationalGroup):
+        return None
+    ta, tb = a.terms, b.terms
+    if len(ta) < _DENSE_MIN_TERMS or len(tb) < _DENSE_MIN_TERMS:
+        return None
+    dens = {e.data.denominator for e, _ in ta}
+    dens.update(e.data.denominator for e, _ in tb)
+    if prec is not None:
+        dens.add(prec.data.denominator)
+    m = lcm(*dens)
+    for t in (ta, tb):
+        if m * (t[-1][0].data - t[0][0].data) > _DENSE_SLOTS_PER_TERM * len(t):
+            return None
+    return m
+
+
+def _mul_dense(a: Series, b: Series, prec: GroupElem | None, m: int) -> Series:
+    """The product by Kronecker substitution: each operand becomes one
+    integer with coefficient k*t^(e) in slot m*e - offset, and one big-integer
+    product does the work.  A slot holds the sum of at most min(len a, len b)
+    products below p^2 with room to spare, so no slot carries into the next;
+    the slots below the precision are read back and reduced mod p."""
+    field, group, p = a.field, a.group, a.field.p
+    xa = [e.data.numerator * (m // e.data.denominator) for e, _ in a.terms]
+    xb = [e.data.numerator * (m // e.data.denominator) for e, _ in b.terms]
+    base = xa[0] + xb[0]
+    # slots of the product below the precision; operand terms beyond them drop
+    limit = None if prec is None else prec.data.numerator * (m // prec.data.denominator) - base
+    ca = [(x - xa[0], c.data[0]) for x, (_, c) in zip(xa, a.terms) if limit is None or x - xa[0] < limit]
+    cb = [(x - xb[0], c.data[0]) for x, (_, c) in zip(xb, b.terms) if limit is None or x - xb[0] < limit]
+    width = (2 * (p - 1).bit_length() + min(len(ca), len(cb)).bit_length() + 7) // 8
+    packed = []
+    for cs in (ca, cb):
+        buf = bytearray((cs[-1][0] + 1) * width)
+        for i, k in cs:
+            buf[i * width:(i + 1) * width] = k.to_bytes(width, "little")
+        packed.append(int.from_bytes(buf, "little"))
+    size = ca[-1][0] + cb[-1][0] + 1
+    raw = memoryview((packed[0] * packed[1]).to_bytes(size * width, "little"))
+    if limit is not None:
+        size = min(size, limit)
+    terms = []
+    for i in range(size):
+        k = int.from_bytes(raw[i * width:(i + 1) * width], "little") % p
+        if k:
+            terms.append((GroupElem(group, Fraction(base + i, m)), FieldElement(field, (k,))))
+    return Series(field, group, tuple(terms), prec)
 
 
 def truncate(a: Series, precision) -> Series:
