@@ -56,7 +56,17 @@ class MPoly:
 
     def __add__(self, other: "MPoly") -> "MPoly":
         self._check(other)
-        return MPoly.make(self.vars, list(self.terms) + list(other.terms))
+        # both sides are canonical, so only their common exponents can cancel
+        acc = dict(self.terms)
+        for e, c in other.terms:
+            old = acc.get(e)
+            if old is None:
+                acc[e] = c
+            elif (old := old + c).is_exact_zero():
+                del acc[e]
+            else:
+                acc[e] = old
+        return MPoly(self.vars, tuple(sorted(acc.items(), key=lambda t: t[0])))
 
     def __neg__(self) -> "MPoly":
         return MPoly(self.vars, tuple((e, -c) for e, c in self.terms))
@@ -64,8 +74,23 @@ class MPoly:
     def __sub__(self, other: "MPoly") -> "MPoly":
         return self + (-other)
 
+    def _field_of_one(self) -> FieldDesc | None:
+        """The field of self when self is the constant one over a field."""
+        if len(self.terms) != 1:
+            return None
+        e, c = self.terms[0]
+        if type(c) is not FieldElement or any(e) or c != c.field.one():
+            return None
+        return c.field
+
     def __mul__(self, other: "MPoly") -> "MPoly":
         self._check(other)
+        # the constant one times a canonical polynomial over its field is that
+        # polynomial (RatFn multiplies by the denominator 1 at every step)
+        for one, x in ((self, other), (other, self)):
+            f = one._field_of_one()
+            if f is not None and all(type(c) is FieldElement and c.field is f for _, c in x.terms):
+                return x
         acc: dict[tuple[int, ...], object] = {}
         for e1, c1 in self.terms:
             for e2, c2 in other.terms:
