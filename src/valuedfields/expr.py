@@ -11,11 +11,13 @@ Recognized language, with no implicit multiplication:
 
 Names are short lowercase identifiers such as x1, y2, or t; the caller
 decides which names are in scope when converting to a rational function.
-Integer literals combined with '/' give rational constants.  Every failure
+Integer literals combined with '/' give rational constants.  Parentheses
+and unary signs nest at most _MAX_NESTING levels deep.  Every failure
 raises ExprError carrying the offending position.
 """
 
 from dataclasses import dataclass
+from operator import add, mul, sub, truediv
 
 from .errors import ExprError
 from .fields import FieldDesc
@@ -63,11 +65,27 @@ def tokenize(text: str) -> list[Token]:
     return out
 
 
+# how deep parentheses and unary signs may nest; each level costs the
+# recursive parser a few stack frames, so this stays well inside Python's
+# recursion limit
+_MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.tokens = tokenize(text)
         self.i = 0
+        self.depth = 0
+
+    def nest(self, t: Token):
+        """Enter one level of nesting at token t; leave it with unnest."""
+        self.depth += 1
+        if self.depth > _MAX_NESTING:
+            raise ExprError(f"nesting deeper than {_MAX_NESTING} levels at position {t.pos}")
+
+    def unnest(self):
+        self.depth -= 1
 
     def peek(self) -> Token:
         return self.tokens[self.i]
@@ -105,7 +123,9 @@ class _Parser:
         t = self.peek()
         if t.kind == "op" and t.text in "+-":
             self.take()
+            self.nest(t)
             inner = self.unary()
+            self.unnest()
             return inner if t.text == "+" else ("neg", inner)
         return self.power()
 
@@ -121,8 +141,10 @@ class _Parser:
         t = self.peek()
         if t.kind == "op" and t.text == "(":
             self.take()
+            self.nest(t)
             k = self.exponent()
             self.expect_op(")")
+            self.unnest()
             return k
         negate = False
         if t.kind == "op" and t.text == "-":
@@ -142,8 +164,10 @@ class _Parser:
         if t.kind == "name":
             return ("var", t.text)
         if t.kind == "op" and t.text == "(":
+            self.nest(t)
             node = self.expr()
             self.expect_op(")")
+            self.unnest()
             return node
         raise ExprError(f"expected a value at position {t.pos}")
 
@@ -177,15 +201,19 @@ def to_ratfn(node, vars: tuple[str, ...], field: FieldDesc) -> RatFn:
         return -to_ratfn(node[1], vars, field)
     if kind == "pow":
         return to_ratfn(node[1], vars, field) ** node[2]
-    a = to_ratfn(node[1], vars, field)
-    b = to_ratfn(node[2], vars, field)
-    if kind == "add":
-        return a + b
-    if kind == "sub":
-        return a - b
-    if kind == "mul":
-        return a * b
-    return a / b
+    # a chain such as t^0 + t^1 + ... nests to the left as deep as it is long,
+    # so walk down its left spine and fold it in the same left-to-right order
+    chain = []
+    while node[0] in _BINARY:
+        chain.append(node)
+        node = node[1]
+    acc = to_ratfn(node, vars, field)
+    for kind, _, rhs in reversed(chain):
+        acc = _BINARY[kind](acc, to_ratfn(rhs, vars, field))
+    return acc
+
+
+_BINARY = {"add": add, "sub": sub, "mul": mul, "div": truediv}
 
 
 def expr_to_ratfn(text: str, vars, field: FieldDesc) -> RatFn:

@@ -136,3 +136,45 @@ def test_to_ratfn_nested_tree_reuse():
     b = to_ratfn(node, ("t",), GF(3))
     assert str(a) == "(t + 1)/(t + -1)"
     assert b == expr_to_ratfn("(t+1)/(t+2)", ("t",), GF(3))
+
+
+def test_to_ratfn_folds_long_chains_without_recursion():
+    # a flat sum or product nests to the left as deep as it is long; 1200
+    # levels are past Python's recursion limit
+    vars = ("t",)
+    f2 = GF(2)
+    assert expr_to_ratfn("+".join(["1"] * 1201), vars, f2) == expr_to_ratfn("1", vars, f2)
+    assert expr_to_ratfn("-".join(["t"] * 1200), vars, QQ) == expr_to_ratfn("-1198*t", vars, QQ)
+    product = expr_to_ratfn("*".join(["t"] * 1200), vars, f2)
+    assert product.num.terms == (((1200,), f2.one()),)
+    quotient = expr_to_ratfn("/".join(["t"] * 1200), vars, f2)
+    assert quotient.num.terms == (((1,), f2.one()),) and quotient.den.terms == (((1199,), f2.one()),)
+    total = expr_to_ratfn("+".join(f"t^{k}" for k in range(200)), vars, f2)
+    assert [e for e, _ in total.num.terms] == [(k,) for k in range(200)]
+    # the fold keeps the left-to-right order of the recursive evaluation
+    x1 = RatFn.from_poly(var_poly(("x1",), "x1", QQ), QQ)
+    one = expr_to_ratfn("1", ("x1",), QQ)
+    assert expr_to_ratfn("x1 - 1 + x1/x1 * x1", ("x1",), QQ) == (x1 - one) + x1 / x1 * x1
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["(" * 3000 + "t" + ")" * 3000, "-" * 3000 + "t", "t^" + "(" * 3000 + "2" + ")" * 3000],
+    ids=["parentheses", "signs", "exponent"],
+)
+def test_parse_nesting_budget(text):
+    with pytest.raises(ExprError, match="nesting deeper than 100 levels") as info:
+        parse_expr(text)
+    assert "\n" not in str(info.value)
+
+
+def test_parse_nesting_within_the_budget():
+    assert parse_expr("(" * 100 + "t" + ")" * 100) == ("var", "t")
+    negated = ("var", "t")
+    for _ in range(100):
+        negated = ("neg", negated)
+    assert parse_expr("-" * 100 + "t") == negated
+    # only the depth counts, not the number of nested groups
+    assert parse_expr("+".join(["(" * 60 + "t" + ")" * 60] * 3)) == (
+        "add", ("add", ("var", "t"), ("var", "t")), ("var", "t")
+    )
