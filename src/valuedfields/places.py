@@ -293,25 +293,31 @@ def _flatten(g: GroupElem) -> tuple[int, ...]:
 # polynomial preliminaries
 
 
+# the highest degree in one variable that a Taylor shift takes: the shift of
+# x^d has d + 1 terms, so a degree far beyond any real input fails fast
+_MAX_SHIFT_DEGREE = 1024
+
+
 def _taylor_shift(g: MPoly, var: str, a: FieldElement) -> MPoly:
     """Substitute var -> var + a."""
     if a.is_zero() or var not in g.vars:
         return g
     idx = g.vars.index(var)
+    top = max((exps[idx] for exps, _ in g.terms), default=0)
+    if top > _MAX_SHIFT_DEGREE:
+        raise ParamError(
+            f"degree {top} in {var} exceeds the Taylor shift budget of {_MAX_SHIFT_DEGREE}"
+        )
     out: dict[tuple[int, ...], FieldElement] = {}
-    pow_cache = {0: a.field.one()}
-
-    def a_pow(k):
-        if k not in pow_cache:
-            pow_cache[k] = a_pow(k - 1) * a
-        return pow_cache[k]
-
+    a_pow = [a.field.one()]
+    for _ in range(top):
+        a_pow.append(a_pow[-1] * a)
     for exps, coeff in g.terms:
         e = exps[idx]
         for k in range(e + 1):
             new = list(exps)
             new[idx] = k
-            contrib = (coeff * a_pow(e - k)).times_int(comb(e, k))
+            contrib = (coeff * a_pow[e - k]).times_int(comb(e, k))
             key = tuple(new)
             acc = out.get(key)
             out[key] = contrib if acc is None else acc + contrib

@@ -251,6 +251,28 @@ def test_eval_residue_is_point_evaluation():
     assert str(place_residue(P, g)) == "7"
 
 
+def test_eval_high_degree_shift():
+    # x^1000 at x = 2 over F_5: the Taylor shift builds its powers of the
+    # point without recursion, and 2^1000 = 1 in F_5
+    F5 = GF(5)
+    P = EvalPlace(F5, (("x", F5.elem(2)), ("y", F5.elem(0))))
+    f = _poly(("x", "y"), {(1000, 0): 1}, F5)
+    assert str(place_value(P, f).value) == "(0,0)"
+    assert str(place_residue(P, f)) == "1"
+    g = _poly(("x", "y"), {(1000, 1): 1, (1, 0): 1, (0, 0): -2}, F5)  # (x - 2) + x^1000 y
+    assert str(place_value(P, g).value) == "(0,1)"
+
+
+def test_eval_degree_budget_fails_fast():
+    P = EvalPlace(QQ, (("x", QQ.elem(2)),))
+    for d in (1025, 10**12):
+        with pytest.raises(ParamError, match="Taylor shift budget of 1024"):
+            place_value(P, _poly(("x",), {(d,): 1}))
+    # at x = 0 nothing is shifted, so the degree is not bounded there
+    P0 = EvalPlace(QQ, (("x", QQ.elem(0)),))
+    assert str(place_value(P0, _poly(("x",), {(10**12,): 1})).value) == "1000000000000"
+
+
 # ---------------------------------------------------------------------------
 # composition
 
