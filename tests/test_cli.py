@@ -1,6 +1,7 @@
 """Command line behavior: output formats, exit codes, determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -235,6 +236,49 @@ def test_lift_beyond_the_term_budget_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: inverse has more than") and err.count("\n") == 1
+
+
+def test_lift_newton_term_budget_trips_early(capsys):
+    # the root of X^2 - (1 + t) over F_5 has a term at almost every exponent,
+    # so the Newton approximant passes the term budget long before t^4096
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["lift", "--p", "5", "--precision", "4096", "--", "-1-t", "0", "1"])
+    assert time.perf_counter() - start < 3
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: Newton approximant or residual has more than") and err.count("\n") == 1
+
+
+def test_lift_of_a_long_flat_sum(capsys):
+    # a dense coefficient of 1200 monomials: the expression layer folds the
+    # sum without recursion
+    coeff = "+".join(f"t^{k}" for k in range(1, 1201))
+    code, out, err = run(capsys, ["lift", "--p", "2", "--precision", "8", "--", coeff, "1"])
+    assert code == 0 and err == ""
+    assert out.startswith("root = 1*t^(1) + 1*t^(2) + 1*t^(3)")
+
+
+@pytest.mark.parametrize("coeff", ["(" * 3000 + "t" + ")" * 3000, "-" * 3000 + "t"], ids=["parens", "signs"])
+def test_lift_of_a_deeply_nested_coefficient_exits_2(capsys, coeff):
+    code, out, err = run(capsys, ["lift", "--p", "5", "--precision", "4", "--", coeff, "1"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: nesting deeper than") and err.count("\n") == 1
+
+
+def test_eval_degree_beyond_the_shift_budget_exits_2(capsys, tmp_path):
+    path = tmp_path / "gf5.json"
+    place = {"variant": "eval", "field": {"kind": "GF", "p": 5, "n": 1},
+             "assignments": [["x1", 2], ["x2", 0]]}
+    path.write_text(json.dumps(place), encoding="utf-8")
+    code, out, _ = run(capsys, ["eval", "--place", str(path), "x1^1000"])
+    assert (code, out) == (0, "v = (0,0), residue = 1\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["eval", "--place", str(path), "x1^1000000000000"])
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert "budget" in err and err.count("\n") == 1
 
 
 def test_perron_unknown_group_exits_2(capsys):
