@@ -184,6 +184,9 @@ def parse_expr(text: str):
     return node
 
 
+_BINARY = {"add": add, "sub": sub, "mul": mul, "div": truediv}
+
+
 def to_ratfn(node, vars: tuple[str, ...], field: FieldDesc) -> RatFn:
     """Evaluate a syntax tree to a rational function in the given variables.
 
@@ -211,9 +214,6 @@ def to_ratfn(node, vars: tuple[str, ...], field: FieldDesc) -> RatFn:
     for kind, _, rhs in reversed(chain):
         acc = _BINARY[kind](acc, to_ratfn(rhs, vars, field))
     return acc
-
-
-_BINARY = {"add": add, "sub": sub, "mul": mul, "div": truediv}
 
 
 def expr_to_ratfn(text: str, vars, field: FieldDesc) -> RatFn:

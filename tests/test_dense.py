@@ -9,12 +9,13 @@ term-pair loop as well.
 """
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from valuedfields import series
-from valuedfields.errors import ValuedFieldError
+from valuedfields.errors import IterationCapError, ValuedFieldError
 from valuedfields.fields import GF, FiniteField
 from valuedfields.groups import QQ_GROUP, ZZ_GROUP, one_over_m, p_power_hull
 from valuedfields.hensel import SeriesPoly, hensel_lift
@@ -173,6 +174,22 @@ def test_dense_lifts_match_the_term_pair_loop(seed, monkeypatch):
             _sparse_only(mp)
             sparse = _outcome(lambda: hensel_lift(f, None, n))
         assert sparse == dense
+    assert calls
+
+
+def test_lift_with_dense_iterates_in_a_fine_group_fails_fast(monkeypatch):
+    # the Newton iterates of X^2 = 1 + t^(1/2^40) fill consecutive slots of
+    # (1/2^40)Z, so they run dense and reach the term budget at once; on
+    # the term-pair loop this took about 12 s
+    calls = _spy_dense(monkeypatch)
+    field, group = GF(5), p_power_hull(2)
+    one = make_series(field, group, [(0, 1)])
+    f = SeriesPoly((-make_series(field, group, [(0, 1), (Fraction(1, 2**40), 1)]),
+                    make_series(field, group, []), one))
+    start = time.perf_counter()
+    with pytest.raises(IterationCapError, match="more than 1024 terms"):
+        hensel_lift(f, one, 1)
+    assert time.perf_counter() - start < 3
     assert calls
 
 
