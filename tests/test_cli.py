@@ -155,6 +155,16 @@ def test_as_ramified_text(capsys):
     assert "root_value: -1/2" in out
 
 
+def test_as_ramified_json_root_value_is_exact(capsys):
+    # v(c)/p = -1/3 is divided as a Fraction: a float quotient of the int
+    # exponent data of Z would violate the law of (1/3)Z
+    code, out, err = run(capsys, ["as", "--p", "3", "--precision", "8", "--json", "1/t"])
+    assert code == 0 and err == ""
+    blob = json.loads(out)
+    assert blob["case"] == "NegativeRamified"
+    assert blob["outcome"]["root_value"] == "-1/3"
+
+
 def test_as_split_json(capsys):
     code, out, _ = run(capsys, ["as", "--p", "2", "--precision", "8", "--json", "t"])
     assert code == 0
