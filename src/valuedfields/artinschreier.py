@@ -24,6 +24,7 @@ theta^p - theta = c.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import (
     HypothesisError,
@@ -290,9 +291,9 @@ def ramified_root_value(inst: ASInstance, target=None) -> Ramified:
     ambient = _p_divided_group(inst.group, inst.p)
     coords = vc.coords()
     if isinstance(ambient, QuadGroup):
-        root_value = ambient.elem((coords[0] / inst.p, coords[1] / inst.p))
+        root_value = ambient.elem((Fraction(coords[0], inst.p), Fraction(coords[1], inst.p)))
     elif isinstance(ambient, RationalGroup):
-        root_value = ambient.elem(coords[0] / inst.p)
+        root_value = ambient.elem(Fraction(coords[0], inst.p))
     else:  # pragma: no cover - _p_divided_group only returns the above
         raise UnsupportedError(f"unexpected ambient {ambient}")
     note = (

@@ -22,6 +22,7 @@ from .errors import (
     CharacteristicError,
     FieldMismatchError,
     GroupLawError,
+    ParamError,
     UnsupportedError,
 )
 
@@ -133,14 +134,36 @@ def _least_irreducible(p: int, n: int) -> tuple[int, ...]:
     raise UnsupportedError(f"no irreducible of degree {n} over F_{p}")  # pragma: no cover
 
 
+# Miller-Rabin to the first 13 prime bases decides primality for every n
+# below _MR_BOUND, the least strong pseudoprime to all of them (Sorenson and
+# Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin; p at or above _MR_BOUND raises ParamError,
+    so no answer is uncertain."""
+    if p >= _MR_BOUND:
+        raise ParamError(f"primality of {p} is not decided: p must be below {_MR_BOUND}")
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -168,6 +191,8 @@ class RationalField(FieldDesc):
     characteristic = 0
 
     def elem(self, data) -> "FieldElement":
+        if isinstance(data, float):
+            raise UnsupportedError(f"float {data!r} is not an exact rational")
         return FieldElement(self, Fraction(data))
 
     def zero(self):

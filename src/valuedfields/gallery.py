@@ -715,10 +715,12 @@ def _run_g8(P: dict):
             acc = add_series(acc, mul_series(t_pow(field, group, a, c), second[b]))
         return acc
 
+    # h(t, x) for each sample, shared by the three claims below
+    values = [eval_at(terms, xs) for terms in drawn]
+
     def integral_values():
         good = 0
-        for terms in drawn:
-            w = eval_at(terms, xs)
+        for w in values:
             v = valuation(w)
             if not v.is_exact:
                 raise PrecisionError("a sampled value is undecided at this truncation")
@@ -734,8 +736,7 @@ def _run_g8(P: dict):
 
     def prime_residues():
         good = 0
-        for terms in drawn:
-            w = eval_at(terms, xs)
+        for w in values:
             v = valuation(w)
             if not v.is_exact:
                 raise PrecisionError("a sampled value is undecided at this truncation")
@@ -756,8 +757,7 @@ def _run_g8(P: dict):
 
     def power_counterparts():
         good = 0
-        for terms in drawn:
-            w = eval_at(terms, xs)
+        for terms, w in zip(drawn, values):
             counterpart = eval_at([((a * p, b), pow(c, p)) for (a, b), c in terms], ss)
             d = sub_series(w ** p, counterpart)
             if not d.terms:

@@ -135,14 +135,21 @@ class RationalGroup(GroupDesc):
             d //= self.p
         return d == 1
 
+    @property
+    def int_data(self) -> bool:
+        """Whether elements store int data (Z) rather than Fractions."""
+        return self.law == "one_over_m" and self.m == 1
+
     def elem(self, data) -> "GroupElem":
+        if isinstance(data, float):
+            raise GroupLawError(f"float {data!r} is not an exact element of {self}")
         q = Fraction(data)
         if not self.admits(q):
             raise GroupLawError(f"{q} violates the {self.law} law of {self}")
-        return GroupElem(self, q)
+        return GroupElem(self, q.numerator if self.int_data else q)
 
     def zero(self) -> "GroupElem":
-        return GroupElem(self, Fraction(0))
+        return GroupElem(self, 0 if self.int_data else Fraction(0))
 
     def above_every_multiple(self, a: "GroupElem", b: "GroupElem") -> bool:
         return False  # archimedean: one class
@@ -191,6 +198,8 @@ class QuadGroup(GroupDesc):
 
     def elem(self, data) -> "GroupElem":
         a, b = data
+        if isinstance(a, float) or isinstance(b, float):
+            raise GroupLawError(f"float coordinates {a!r}, {b!r} are not exact in {self}")
         return GroupElem(self, (Fraction(a), Fraction(b)))
 
     def zero(self) -> "GroupElem":
@@ -241,10 +250,17 @@ def _quad_sign(a: Fraction, b: Fraction) -> int:
 class GroupElem:
     """An element of one of the three group families.
 
-    The order is native: rationals compare as Fractions and lex vectors as
-    tuples, with no difference built; only Q + Q*sqrt2 takes the exact sign
-    of the difference.  Equality and hashing look only at the data, once the
-    families agree."""
+    The data is one representation per group: an int for Z, a Fraction for
+    Q, (1/m)Z with m > 1 and (1/p^inf)Z (even at integral values), a tuple
+    of ints for Z^r lex and a pair of Fractions for Q + Q*sqrt2.  Ints and
+    Fractions of one value compare, hash and print alike, so readers of the
+    data need not tell them apart; only true division must, as int / int is
+    a float.
+
+    The order is native: rationals compare as Fractions or ints and lex
+    vectors as tuples, with no difference built; only Q + Q*sqrt2 takes the
+    exact sign of the difference.  Equality and hashing look only at the
+    data, once the families agree."""
 
     group: GroupDesc
     data: object
@@ -336,7 +352,7 @@ class GroupElem:
     def coords(self) -> tuple[Fraction, ...]:
         """Coordinates in the ambient Q-vector space of the family."""
         if isinstance(self.group, RationalGroup):
-            return (self.data,)
+            return (Fraction(self.data),)
         if isinstance(self.group, LexGroup):
             return tuple(Fraction(x) for x in self.data)
         return self.data
@@ -441,9 +457,9 @@ def divisible_by(gamma: GroupElem, n: int) -> MembershipResult:
         raise GroupLawError("division by zero")
     g = gamma.group
     if isinstance(g, RationalGroup):
-        beta = gamma.data / n
+        beta = Fraction(gamma.data, n)
         if g.admits(beta):
-            return MembershipResult(True, GroupElem(g, beta))
+            return MembershipResult(True, g.elem(beta))
         return MembershipResult(False)
     if isinstance(g, LexGroup):
         if all(x % n == 0 for x in gamma.data):

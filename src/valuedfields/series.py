@@ -26,6 +26,15 @@ F_{p^n}, lex and quad groups, short or sparse operands such as those with
 exponents near 2^49) goes through the term-pair loop.  The conversion
 happens only inside mul_series; a Series has one representation.
 
+Series.__pow__ is the one power routine.  In characteristic p a p-th power
+is the Frobenius, (sum c*t^e)^p = sum c^p*t^(pe), so a ** k with p | k
+takes frobenius_series in work linear in the terms and then the (k/p)-th
+power; the rest squares through mul_series.  The Frobenius is cut to the
+precision P + (p-1)v that repeated multiplication certifies (P the
+precision, v the least exponent, or P for a series zero to precision): a
+product has precision min(Pa + vb, Pb + va), so a ** k has P + (k-1)v
+whatever the order of the products, and both routes give equal results.
+
 The stream catalog at the bottom provides named infinite series that can be
 materialized at any requested truncation.
 """
@@ -191,15 +200,25 @@ class Series:
     def __pow__(self, k: int):
         if k < 0:
             return invert(self) ** (-k)
-        result = one_series(self.field, self.group)
+        if k == 0:
+            return one_series(self.field, self.group)
+        p = self.field.characteristic
+        if p and k % p == 0:
+            # the p-th power is the Frobenius, cut to the precision P + (p-1)v
+            # that repeated multiplication certifies (v the least exponent)
+            prec = self.precision
+            if prec is not None:
+                prec = prec + _low_bound(self).scale(p - 1)
+            return truncate(frobenius_series(self), prec) ** (k // p)
+        result = None
         base = self
-        while k:
+        while True:
             if k & 1:
-                result = result * base
+                result = base if result is None else result * base
             k >>= 1
-            if k:
-                base = base * base
-        return result
+            if not k:
+                return result
+            base = base * base
 
     def __str__(self):
         return render_series(self)
@@ -370,11 +389,13 @@ def _mul_dense(a: Series, b: Series, prec: GroupElem | None, m: int) -> Series:
     raw = memoryview((packed[0] * packed[1]).to_bytes(size * width, "little"))
     if limit is not None:
         size = min(size, limit)
+    ints = group.int_data  # Z, where m = 1
     terms = []
     for i in range(size):
         k = int.from_bytes(raw[i * width:(i + 1) * width], "little") % p
         if k:
-            terms.append((GroupElem(group, Fraction(base + i, m)), FieldElement(field, (k,))))
+            e = base + i if ints else Fraction(base + i, m)
+            terms.append((GroupElem(group, e), FieldElement(field, (k,))))
     return Series(field, group, tuple(terms), prec)
 
 

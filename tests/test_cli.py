@@ -238,6 +238,22 @@ def test_zero_denominator_literal_exits_2(capsys, argv):
     assert "'1/0'" in err
 
 
+def test_lift_over_a_61_bit_prime(capsys):
+    # deterministic Miller-Rabin proves 2^61 - 1 prime at once
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["lift", "--p", str(2**61 - 1), "--precision", "8", "--", "-1-t", "0", "1"])
+    assert time.perf_counter() - start < 2
+    assert code == 0 and err == ""
+    assert out.startswith("root = 1*t^(0) + ")
+
+
+def test_lift_p_beyond_the_primality_bound_exits_2(capsys):
+    code, out, err = run(capsys, ["lift", "--p", str(2**89 - 1), "--precision", "8", "--", "-1-t", "0", "1"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: primality of") and err.count("\n") == 1
+
+
 def test_lift_beyond_the_term_budget_exits_2(capsys):
     # 1/(1 + t) over F_2 has a term at every exponent, so its inverse below
     # t^2000 exceeds the term budget of an inverse
@@ -305,6 +321,18 @@ def test_gallery_single_json_schema(capsys):
     assert blob["scenario"] == "G2"
     assert blob["params"] == {"p": 2, "k_max": 3}
     assert blob["pass"] is True
+
+
+def test_gallery_g2_at_p_101_takes_frobenius_powers(capsys):
+    # theta_k^101 is a Frobenius power, linear in the terms; squaring
+    # through mul_series took about 30 s here
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["gallery", "G2", "--p", "101", "--k-max", "3", "--json"])
+    assert time.perf_counter() - start < 5
+    assert code == 0
+    blob = json.loads(out)
+    assert blob["pass"] is True
+    assert blob["claims"][0]["lhs"] == "100*t^(-1/101)"
 
 
 def test_gallery_several_names_json_array(capsys):

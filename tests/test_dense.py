@@ -16,7 +16,7 @@ import pytest
 
 from valuedfields import series
 from valuedfields.errors import IterationCapError, ValuedFieldError
-from valuedfields.fields import GF, FiniteField
+from valuedfields.fields import GF
 from valuedfields.groups import QQ_GROUP, ZZ_GROUP, one_over_m, p_power_hull
 from valuedfields.hensel import SeriesPoly, hensel_lift
 from valuedfields.series import invert, make_series, mul_series
@@ -29,12 +29,6 @@ DENOMINATORS = {
     QQ_GROUP: [1, 2, 3, 4],
     p_power_hull(2): [1, 2, 4, 8],
 }
-
-
-def _field(p):
-    # GF proves p prime by trial division, far too slow near 2^61; this is
-    # the field GF(p) builds
-    return GF(p) if p < 2**32 else FiniteField(p, 1, (0, 1))
 
 
 def _reference(a, b):
@@ -92,7 +86,7 @@ def test_dense_products_match_the_term_pair_loop(seed, monkeypatch):
     calls = _spy_dense(monkeypatch)
     cases = 50
     for _ in range(cases):
-        field = _field(rng.choice(PRIMES))
+        field = GF(rng.choice(PRIMES))
         group = rng.choice(list(DENOMINATORS))
         dens = DENOMINATORS[group]
         den_a = rng.choice(dens)
@@ -113,7 +107,7 @@ def test_dense_slots_hold_the_largest_sums(p, monkeypatch):
     # every coefficient p - 1: the middle slot of the product sums n
     # products (p - 1)^2, the most a slot must hold without carrying
     calls = _spy_dense(monkeypatch)
-    field = _field(p)
+    field = GF(p)
     for n in (4, 15, 16, 64):
         a = make_series(field, ZZ_GROUP, [(k, p - 1) for k in range(n)])
         b = make_series(field, ZZ_GROUP, [(k - 3, p - 1) for k in range(n)], n)
@@ -143,7 +137,7 @@ def test_dense_inverses_match_the_term_pair_loop(seed, monkeypatch):
     rng = random.Random(100 + seed)
     calls = _spy_dense(monkeypatch)
     for _ in range(10):
-        field = _field(rng.choice(PRIMES))
+        field = GF(rng.choice(PRIMES))
         group = rng.choice(list(DENOMINATORS))
         den = rng.choice(DENOMINATORS[group])
         a = _operand(rng, field, group, den, rng.randrange(4, 20))

@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from valuedfields.errors import CharacteristicError, FieldMismatchError, UnsupportedError
+from valuedfields.errors import CharacteristicError, FieldMismatchError, ParamError, UnsupportedError
 from valuedfields.fields import (
     GF,
     QQ,
+    _MR_BOUND,
+    _is_prime,
     embed,
     frobenius,
     inverse_frobenius,
@@ -140,3 +142,27 @@ def test_render():
     assert str(u * u + f8.one()) == "u^2+1"
     assert str(f8.zero()) == "0"
     assert str(QQ.elem(Fraction(-3, 4))) == "-3/4"
+
+
+def test_is_prime_matches_a_sieve():
+    n = 200_000
+    sieve = bytearray([1]) * n
+    sieve[0] = sieve[1] = 0
+    for d in range(2, int(n ** 0.5) + 1):
+        if sieve[d]:
+            sieve[d * d::d] = bytes(len(range(d * d, n, d)))
+    assert [k for k in range(n) if _is_prime(k)] == [k for k in range(n) if sieve[k]]
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to every prime base up to 23
+    for n in (3215031751, 3825123056546413051):
+        assert not _is_prime(n)
+    assert _is_prime(2**61 - 1) and _is_prime(2**64 - 59)
+
+
+def test_is_prime_refuses_the_undecided_range():
+    assert not _is_prime(_MR_BOUND - 1)  # even
+    for n in (_MR_BOUND, 2**89 - 1):
+        with pytest.raises(ParamError):
+            _is_prime(n)
