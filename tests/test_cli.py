@@ -325,7 +325,7 @@ def test_gallery_single_json_schema(capsys):
 
 def test_gallery_g2_at_p_101_takes_frobenius_powers(capsys):
     # theta_k^101 is a Frobenius power, linear in the terms; squaring
-    # through mul_series took about 30 s here
+    # through mul_series took about 30 s
     start = time.perf_counter()
     code, out, _ = run(capsys, ["gallery", "G2", "--p", "101", "--k-max", "3", "--json"])
     assert time.perf_counter() - start < 5
