@@ -59,6 +59,10 @@ CASES = {
 for _n in range(1, 10):
     CASES[f"gallery_G{_n}"] = ["gallery", f"G{_n}"]
     CASES[f"gallery_G{_n}_json"] = ["gallery", f"G{_n}", "--json"]
+# F_{p^n} elements print in u-notation, so these pin the choice of modulus
+CASES["gallery_G4_k4_json"] = ["gallery", "G4", "--k-max", "4", "--json"]
+CASES["gallery_G4_p3_k4_json"] = ["gallery", "G4", "--p", "3", "--k-max", "4", "--json"]
+CASES["gallery_G6_p5_json"] = ["gallery", "G6", "--p", "5", "--json"]
 
 _ELAPSED = re.compile(r'"elapsed_ms": \d+')
 
