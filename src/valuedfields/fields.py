@@ -3,14 +3,19 @@
 Finite fields F_{p^n} are realized as F_p[x]/(modulus) where the modulus is
 the lexicographically least monic irreducible polynomial of degree n: among
 x^n + sum c_i x^i the one minimizing the base-p integer sum c_i p^i (constant
-coefficient least significant).  The search is deterministic, so two runs
-always agree on the representation.  Elements are coefficient tuples of
+coefficient least significant).  The scan visits candidates in that order
+and decides each with Ben-Or's irreducibility test (Ben-Or, "Probabilistic
+algorithms in finite fields", FOCS 1981), which is deterministic and
+polynomial in n; a user-supplied modulus is checked by the same test.  Two
+runs always agree on the representation.  Elements are coefficient tuples of
 length n; for n = 1 the modulus is x and the arithmetic is plain mod-p.
 
 The canonical generator of F_{p^n} is the class of x for n >= 2 and 1 for
 n = 1.  Frobenius, trace to the prime field, and inverse Frobenius (p-th
 roots, always exact since the fields are perfect) are provided, along with
-deterministic subfield enumeration used for embeddings between finite fields.
+deterministic subfield enumeration used for embeddings between finite fields;
+that enumeration lists every element, so it refuses subfields of more than
+2^16 elements with ParamError.
 """
 
 from __future__ import annotations
@@ -91,47 +96,48 @@ def _poly_divmod(a, m, p):
     return _poly_trim(q), _poly_trim(a)
 
 
-_IRRED_CACHE: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+def _poly_powmod(a, e, m, p):
+    """a^e mod m over F_p, by square and multiply."""
+    out, a = (1,), _poly_divmod(a, m, p)[1]
+    while True:
+        if e & 1:
+            out = _poly_divmod(_poly_mul(out, a, p), m, p)[1]
+        e >>= 1
+        if not e:
+            return out
+        a = _poly_divmod(_poly_mul(a, a, p), m, p)[1]
 
 
-def _monic_irreducibles(p: int, d: int) -> list[tuple[int, ...]]:
-    """All monic irreducible polynomials of degree d over F_p, lex order."""
-    key = (p, d)
-    if key in _IRRED_CACHE:
-        return _IRRED_CACHE[key]
-    smaller = [f for e in range(1, d // 2 + 1) for f in _monic_irreducibles(p, e)]
+def _is_irreducible(f, p) -> bool:
+    """Ben-Or's test: monic f of degree n is irreducible over F_p iff
+    gcd(f, x^(p^i) - x) = 1 for every i <= n/2.  A reducible f has a factor
+    of degree at most n/2, so it usually fails at a small i."""
+    xq = (0, 1)
+    for _ in range((len(f) - 1) // 2):
+        xq = _poly_powmod(xq, p, f, p)  # x^(p^i) mod f
+        a, b = f, _poly_sub(xq, (0, 1), p)
+        while b:
+            a, b = b, _poly_divmod(a, b, p)[1]
+        if len(a) > 1:
+            return False
+    return True
+
+
+def _digits(m: int, p: int, n: int) -> tuple[int, ...]:
+    """The n base-p digits of m, least significant first."""
     out = []
-    for m in range(p ** d):
-        coeffs = []
-        mm = m
-        for _ in range(d):
-            coeffs.append(mm % p)
-            mm //= p
-        poly = tuple(coeffs) + (1,)
-        if d == 1:
-            out.append(poly)
-            continue
-        if any(not _poly_divmod(poly, f, p)[1] for f in smaller):
-            continue
-        out.append(poly)
-    _IRRED_CACHE[key] = out
-    return out
+    for _ in range(n):
+        m, d = divmod(m, p)
+        out.append(d)
+    return tuple(out)
 
 
 def _least_irreducible(p: int, n: int) -> tuple[int, ...]:
-    if n == 1:
-        return (0, 1)  # x: F_p[x]/(x) = F_p
-    smaller = [f for e in range(1, n // 2 + 1) for f in _monic_irreducibles(p, e)]
-    for m in range(p ** n):
-        coeffs = []
-        mm = m
-        for _ in range(n):
-            coeffs.append(mm % p)
-            mm //= p
-        poly = tuple(coeffs) + (1,)
-        if all(_poly_divmod(poly, f, p)[1] for f in smaller):
-            return poly
-    raise UnsupportedError(f"no irreducible of degree {n} over F_{p}")  # pragma: no cover
+    """The first monic irreducible of degree n in base-p counter order; x for n = 1."""
+    m = 0
+    while not _is_irreducible(_digits(m, p, n) + (1,), p):
+        m += 1
+    return _digits(m, p, n) + (1,)
 
 
 # Miller-Rabin to the first 13 prime bases decides primality for every n
@@ -250,12 +256,7 @@ class FiniteField(FieldDesc):
     def elements(self):
         """Deterministic enumeration: base-p counter, constant digit fastest."""
         for m in range(self.order):
-            coeffs = []
-            mm = m
-            for _ in range(self.n):
-                coeffs.append(mm % self.p)
-                mm //= self.p
-            yield FieldElement(self, tuple(coeffs))
+            yield FieldElement(self, _digits(m, self.p, self.n))
 
     def __str__(self):
         return f"F_{self.order}"
@@ -279,11 +280,8 @@ def GF(p: int, n: int = 1, modulus: tuple[int, ...] | None = None) -> FiniteFiel
         modulus = tuple(int(c) % p for c in modulus)
         if len(modulus) != n + 1 or modulus[-1] != 1:
             raise UnsupportedError("modulus must be monic of degree n")
-        if n >= 2:
-            for d in range(1, n // 2 + 1):
-                for f in _monic_irreducibles(p, d):
-                    if not _poly_divmod(modulus, f, p)[1]:
-                        raise UnsupportedError("modulus is reducible")
+        if not _is_irreducible(modulus, p):
+            raise UnsupportedError("modulus is reducible")
     fld = FiniteField(p, n, modulus)
     _GF_CACHE[key] = fld
     return fld
@@ -452,26 +450,31 @@ def _frob_power_matrix(field: FiniteField, d: int) -> list[list[int]]:
     return cols
 
 
+# the subfield is listed element by element, so its size is budgeted
+_MAX_SUBFIELD_ELEMENTS = 2 ** 16
+
+
 def subfield_elements(field: FiniteField, d: int) -> list[FieldElement]:
     """Elements of the subfield F_{p^d} inside F_{p^n} (requires d | n).
 
     Kernel of (Frobenius^d - id) as an F_p-linear map, enumerated in
-    deterministic coefficient order.
+    deterministic coefficient order; more than _MAX_SUBFIELD_ELEMENTS
+    elements raise ParamError.
     """
     if field.n % d != 0:
         raise UnsupportedError(f"F_{field.p}^{d} does not embed in {field}")
     p, n = field.p, field.n
+    if p ** d > _MAX_SUBFIELD_ELEMENTS:
+        raise ParamError(
+            f"F_{p}^{d} has {p ** d} elements; listing more than {_MAX_SUBFIELD_ELEMENTS} is refused"
+        )
     cols = _frob_power_matrix(field, d)
     mat = [[(cols[j][i] - (1 if i == j else 0)) % p for j in range(n)] for i in range(n)]
     kernel = _nullspace_mod_p(mat, p)
     elems = []
-    counters = range(p ** len(kernel))
-    for m in counters:
+    for m in range(p ** len(kernel)):
         vec = [0] * n
-        mm = m
-        for basis_vec in kernel:
-            c = mm % p
-            mm //= p
+        for c, basis_vec in zip(_digits(m, p, len(kernel)), kernel):
             if c:
                 vec = [(v + c * b) % p for v, b in zip(vec, basis_vec)]
         elems.append(field.elem(tuple(vec)))
@@ -508,7 +511,16 @@ def _nullspace_mod_p(mat, p):
     return basis
 
 
-_EMBED_CACHE: dict[tuple[FiniteField, FiniteField], dict] = {}
+_EMBED_CACHE: dict[tuple[FiniteField, FiniteField], FieldElement] = {}
+
+
+def _horner(coeffs, x):
+    """coeffs (low degree first) evaluated at x; FieldElement and Series
+    share the + and * it needs."""
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        acc = acc * x + c
+    return acc
 
 
 def embed(a: FieldElement, big: FiniteField) -> FieldElement:
@@ -521,19 +533,8 @@ def embed(a: FieldElement, big: FiniteField) -> FieldElement:
     if key not in _EMBED_CACHE:
         if big.p != small.p or big.n % small.n != 0:
             raise UnsupportedError(f"{small} does not embed in {big}")
-        root = None
-        for cand in subfield_elements(big, small.n):
-            acc = big.zero()
-            for c in reversed(small.modulus):
-                acc = acc * cand + big.elem(c)
-            if acc.is_zero():
-                root = cand
-                break
-        if root is None:  # pragma: no cover
-            raise UnsupportedError("no root of the small modulus found")
-        _EMBED_CACHE[key] = {"root": root}
-    root = _EMBED_CACHE[key]["root"]
-    acc = big.zero()
-    for c in reversed(a.data):
-        acc = acc * root + big.elem(c)
-    return acc
+        modulus = [big.elem(c) for c in small.modulus]
+        _EMBED_CACHE[key] = next(
+            r for r in subfield_elements(big, small.n) if _horner(modulus, r).is_zero()
+        )
+    return _horner([big.elem(c) for c in a.data], _EMBED_CACHE[key])

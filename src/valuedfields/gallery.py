@@ -47,6 +47,7 @@ from .places import (
 )
 from .polys import RatFn, mpoly
 from .series import (
+    _MAX_HOST_DEGREE,
     add_series,
     bad_residue,
     bad_value_group,
@@ -263,6 +264,14 @@ def _norm_g3(params: dict) -> dict:
 def _norm_g4(params: dict) -> dict:
     p = _check_prime("p", _take(params, "p", 2))
     k_max = _check_int("k_max", _take(params, "k_max", 3), 1)
+    host_degree = 1
+    for k in range(2, k_max + 1):  # stops at the first k over the budget
+        host_degree = lcm(host_degree, k)
+        if host_degree > _MAX_HOST_DEGREE:
+            raise ParamError(
+                f"k_max = {k_max} needs a host field of degree lcm(1..{k}) = {host_degree} "
+                f"or more, above the budget of {_MAX_HOST_DEGREE}"
+            )
     return _finish("G4", params, {"p": p, "k_max": k_max})
 
 

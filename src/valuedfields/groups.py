@@ -686,7 +686,7 @@ def perron_basis(generators, positives) -> PerronResult:
         # coords are integer multiples of a positive generator; positive
         # targets force positive coefficients, so reaching here is a bug
         raise SpanError("rank-one span with positive targets cannot have negative coords")
-    elif isinstance(group, QuadGroup) or (isinstance(group, RationalGroup) and rho == 2):
+    elif isinstance(group, QuadGroup):
         _fix_pair_subtractive(rows, T, coords, to_elem)
     elif isinstance(group, LexGroup):
         _fix_lex(rows, T, coords)

@@ -31,7 +31,7 @@ from .errors import (
     SingularPointError,
     UnsupportedError,
 )
-from .fields import FieldDesc, FieldElement, FiniteField, RationalField
+from .fields import FieldDesc, FieldElement, FiniteField, RationalField, _horner
 from .groups import GroupDesc, GroupElem
 from .polys import MPoly, adjugate, det
 from .series import (
@@ -94,17 +94,11 @@ class SeriesPoly:
         return d
 
     def eval(self, a: Series) -> Series:
-        acc = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            acc = add_series(mul_series(acc, a), c)
-        return acc
+        return _horner(self.coeffs, a)
 
     def derivative(self) -> "SeriesPoly":
-        if len(self.coeffs) == 1:
-            return SeriesPoly((zero_series(self.field, self.group),), self.var)
-        return SeriesPoly(
-            tuple(c.times_int(i) for i, c in enumerate(self.coeffs) if i >= 1), self.var
-        )
+        zero = zero_series(self.field, self.group)
+        return SeriesPoly(tuple(_derivative(self.coeffs, zero)), self.var)
 
     def to_json(self) -> dict:
         return {"var": self.var, "coeffs": [series_to_json(c) for c in self.coeffs]}
@@ -149,17 +143,10 @@ def _coeff_residues(coeffs) -> list[FieldElement]:
     return out
 
 
-def _poly_eval_field(coeffs: list[FieldElement], x: FieldElement) -> FieldElement:
-    acc = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        acc = acc * x + c
-    return acc
-
-
-def _field_derivative(coeffs: list[FieldElement]) -> list[FieldElement]:
-    if len(coeffs) == 1:
-        return [coeffs[0].field.zero()]
-    return [c.times_int(i) for i, c in enumerate(coeffs) if i >= 1]
+def _derivative(coeffs, zero) -> list:
+    """Derivative coefficients (FieldElement or Series), low degree first;
+    [zero] for a constant."""
+    return [c.times_int(i) for i, c in enumerate(coeffs) if i >= 1] or [zero]
 
 
 def _divisors(n: int) -> list[int]:
@@ -195,7 +182,7 @@ def _find_residue_root(coeffs) -> FieldElement:
     element order of the residue field."""
     residues = _coeff_residues(coeffs)
     field = residues[0].field
-    deriv = _field_derivative(residues)
+    deriv = _derivative(residues, field.zero())
     if isinstance(field, FiniteField):
         candidates = field.elements()
     elif isinstance(field, RationalField):
@@ -203,8 +190,8 @@ def _find_residue_root(coeffs) -> FieldElement:
     else:
         raise UnsupportedError(f"no residue-root search over {field}")
     for r in candidates:
-        if _poly_eval_field(residues, r).is_zero():
-            if not _poly_eval_field(deriv, r).is_zero():
+        if _horner(residues, r).is_zero():
+            if not _horner(deriv, r).is_zero():
                 return r
     raise NoResidueRootError(
         "residue polynomial has no simple root in the residue field",

@@ -763,13 +763,21 @@ def bad_value_group(p: int, S) -> Stream:
     )
 
 
+# The largest degree L of the field F_{p^L} that hosts BadResidue's
+# coefficients; embedding lists subfields element by element, and the hosts
+# grow as lcm(1..N).
+_MAX_HOST_DEGREE = 60
+
+
 def bad_residue(p: int, lcm_degree: int | None = None) -> Stream:
     """Sum of a_n*t^n with a_n the canonical generator of F_{p^n}, all
     embedded into F_{p^L}; L is lcm(1..N) for the truncation's largest N, or
-    the pinned lcm_degree."""
+    the pinned lcm_degree.  L above _MAX_HOST_DEGREE raises ParamError."""
     _check_prime(p)
     if lcm_degree is not None and not (_is_int(lcm_degree) and lcm_degree >= 1):
         raise ParamError(f"lcm_degree must be a positive integer, got {lcm_degree!r}")
+    if lcm_degree is not None and lcm_degree > _MAX_HOST_DEGREE:
+        raise ParamError(f"lcm_degree {lcm_degree} is above the budget of {_MAX_HOST_DEGREE}")
     return Stream(
         "BadResidue",
         (("p", p), ("lcm_degree", lcm_degree)),
@@ -906,6 +914,10 @@ def _expand_bad_residue(s: Stream, prec: GroupElem, cap: int) -> Series:
                 f"lcm_degree {pinned} cannot host degree-{max(ns)} coefficients (needs a multiple of {L})"
             )
         L = pinned
+    if L > _MAX_HOST_DEGREE:
+        raise ParamError(
+            f"degree-1..{max(ns)} coefficients need a host of degree {L}, above the budget of {_MAX_HOST_DEGREE}"
+        )
     big = GF(p, L)
     terms = tuple((s.group.elem(n), embed(GF(p, n).generator(), big)) for n in ns)
     return Series(big, s.group, terms, honest)

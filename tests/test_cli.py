@@ -335,6 +335,54 @@ def test_gallery_g2_at_p_101_takes_frobenius_powers(capsys):
     assert blob["claims"][0]["lhs"] == "100*t^(-1/101)"
 
 
+@pytest.mark.parametrize(
+    "args", [["--k-max", "5"], ["--k-max", "6"], ["--p", "3", "--k-max", "5"]]
+)
+def test_gallery_g4_hosts_of_degree_60_build_quickly(capsys, args):
+    # host degree lcm(1..5) = lcm(1..6) = 60; the trial-division sieve took
+    # more than a minute to pick its modulus
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["gallery", "G4", *args, "--json"])
+    assert time.perf_counter() - start < 5
+    assert code == 0
+    assert json.loads(out)["pass"] is True
+
+
+@pytest.mark.parametrize(
+    "args, word",
+    [
+        (["--k-max", "7"], "420"),  # lcm(1..7)
+        (["--k-max", "99999999"], "budget"),  # stops at the first lcm over the budget
+        (["--p", "101", "--k-max", "3"], "1030301"),  # would list F_101^3
+    ],
+)
+def test_gallery_g4_over_budget_exits_2_at_once(capsys, args, word):
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["gallery", "G4", *args])
+    assert time.perf_counter() - start < 2
+    assert code == 2
+    assert out == ""
+    assert word in err and len(err.splitlines()) == 1
+
+
+def test_eval_bad_residue_place_over_budget_exits_2(capsys, tmp_path):
+    place = {
+        "variant": "series_embed",
+        "field": {"kind": "GF", "p": 2, "n": 1},
+        "group": {"kind": "one_over_m", "m": 1},
+        "residue_dim": 0,
+        "assignments": [["x1", {"stream": "BadResidue", "params": {"p": 2, "lcm_degree": 420}}]],
+    }
+    path = tmp_path / "bad_residue.json"
+    path.write_text(json.dumps(place), encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["eval", "--place", str(path), "x1"])
+    assert time.perf_counter() - start < 2
+    assert code == 2
+    assert out == ""
+    assert "420" in err and len(err.splitlines()) == 1
+
+
 def test_gallery_several_names_json_array(capsys):
     code, out, _ = run(capsys, ["gallery", "G1", "G7", "--json"])
     assert code == 0

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
@@ -10,7 +12,12 @@ from valuedfields.fields import (
     GF,
     QQ,
     _MR_BOUND,
+    _digits,
+    _is_irreducible,
     _is_prime,
+    _least_irreducible,
+    _poly_divmod,
+    _poly_mul,
     embed,
     frobenius,
     inverse_frobenius,
@@ -63,6 +70,80 @@ def test_least_modulus_is_deterministic_and_irreducible():
 def test_reducible_modulus_rejected():
     with pytest.raises(UnsupportedError):
         GF(2, 2, modulus=(1, 0, 1))  # x^2 + 1 = (x+1)^2 over F_2
+    with pytest.raises(UnsupportedError):
+        GF(2, 4, modulus=(1, 0, 1, 0, 1))  # (x^2 + x + 1)^2, no root in F_2
+    with pytest.raises(UnsupportedError):
+        GF(3, 4, modulus=_poly_mul((1, 0, 1), (2, 1, 1), 3))  # two quadratics
+    assert GF(2, 4, modulus=(1, 1, 0, 0, 1)).modulus == (1, 1, 0, 0, 1)  # x^4 + x + 1
+    assert GF(5, 1, modulus=(3, 1)).modulus == (3, 1)
+
+
+# Trial division, the sieve that chose moduli before Ben-Or's test: the
+# reference for _is_irreducible and _least_irreducible.
+@cache
+def _reference_irreducibles(p: int, d: int) -> tuple[tuple[int, ...], ...]:
+    """All monic irreducible polynomials of degree d over F_p, in base-p
+    counter order (constant digit fastest)."""
+    smaller = [f for e in range(1, d // 2 + 1) for f in _reference_irreducibles(p, e)]
+    out = []
+    for m in range(p ** d):
+        poly = _digits(m, p, d) + (1,)
+        if all(_poly_divmod(poly, f, p)[1] for f in smaller):
+            out.append(poly)
+    return tuple(out)
+
+
+def _reference_is_irreducible(f, p) -> bool:
+    d = len(f) - 1
+    return all(
+        _poly_divmod(f, g, p)[1] for e in range(1, d // 2 + 1) for g in _reference_irreducibles(p, e)
+    )
+
+
+_PRIMES = (2, 3, 5, 7, 11, 13)
+# every monic polynomial is checked up to p^d = 5000 (34 lists), and a seeded
+# sample of each list up to p^d = 20000
+_EXHAUSTIVE = [(p, d) for p in _PRIMES for d in range(1, 14) if p ** d <= 5000]
+_SAMPLED = [(p, d) for p in _PRIMES for d in range(1, 15) if 5000 < p ** d <= 20000]
+
+
+@pytest.mark.parametrize("p, d", _EXHAUSTIVE)
+def test_is_irreducible_matches_trial_division_on_every_polynomial(p, d):
+    monic = [_digits(m, p, d) + (1,) for m in range(p ** d)]
+    assert tuple(f for f in monic if _is_irreducible(f, p)) == _reference_irreducibles(p, d)
+    assert _least_irreducible(p, d) == _reference_irreducibles(p, d)[0]
+    assert GF(p, d).modulus == _reference_irreducibles(p, d)[0]
+
+
+@pytest.mark.parametrize("p, d", _SAMPLED)
+def test_is_irreducible_matches_trial_division_on_a_sample(p, d):
+    rng = random.Random(p * 100 + d)
+    for _ in range(1000):
+        f = tuple(rng.randrange(p) for _ in range(d)) + (1,)
+        assert _is_irreducible(f, p) == _reference_is_irreducible(f, p), f
+    assert _least_irreducible(p, d) == next(
+        f for f in (_digits(m, p, d) + (1,) for m in range(p ** d)) if _reference_is_irreducible(f, p)
+    )
+
+
+@pytest.mark.parametrize("p", _PRIMES)
+def test_squares_and_products_of_irreducibles_are_reducible(p):
+    rng = random.Random(p)
+    degrees = [d for d in range(1, 10) if p ** d <= 600]
+    for _ in range(60):
+        f = rng.choice(_reference_irreducibles(p, rng.choice(degrees)))
+        g = rng.choice(_reference_irreducibles(p, rng.choice(degrees)))
+        assert not _is_irreducible(_poly_mul(f, f, p), p), f
+        assert not _is_irreducible(_poly_mul(f, g, p), p), (f, g)
+        assert not _is_irreducible(_poly_mul(_poly_mul(f, g, p), g, p), p), (f, g)
+
+
+def test_large_degree_modulus_builds_quickly():
+    # the sieve needed every irreducible of degree up to 100 here
+    start = time.perf_counter()
+    f = GF(2, 200)
+    assert time.perf_counter() - start < 10
+    assert len(f.modulus) == 201 and f.modulus[0] == 1
 
 
 def test_field_axioms_random():
@@ -123,6 +204,14 @@ def test_subfield_elements_and_embedding():
         for b in f4.elements():
             assert embed(a * b, big) == embed(a, big) * embed(b, big)
             assert embed(a + b, big) == embed(a, big) + embed(b, big)
+
+
+def test_subfield_listing_has_a_budget():
+    assert len(subfield_elements(GF(2, 16), 8)) == 256
+    with pytest.raises(ParamError):
+        subfield_elements(GF(101, 3), 3)  # 101^3 elements
+    with pytest.raises(ParamError):
+        embed(GF(2, 17).generator(), GF(2, 34))
 
 
 def test_embedding_respects_modulus():

@@ -364,6 +364,14 @@ def test_stream_bad_residue_pinned_degree():
         stream_expand(bad_residue(2, lcm_degree=5), 5)
 
 
+def test_stream_bad_residue_host_degree_budget():
+    assert stream_expand(bad_residue(2), 7).field.n == 60  # lcm(1..6)
+    with pytest.raises(ParamError):
+        stream_expand(bad_residue(2), 8)  # lcm(1..7) = 420
+    with pytest.raises(ParamError):
+        bad_residue(2, lcm_degree=420)
+
+
 def test_stream_from_params_matches_constructors():
     assert stream_from_params("ThetaDefect", {"p": 3}) == theta_defect(3)
     assert stream_from_params("BadValueGroup", {"p": 2, "S": [5, 3]}) == bad_value_group(2, [3, 5])
