@@ -44,11 +44,19 @@ CASES = {
         "lift", "--p", "5", "--precision", "20", "--",
         "2 + t + 4*t^2 + 2*t^3", "(2 + 3*t + t^2)/(1 + 2*t + 4*t^2 + t^3)", "1 + 2*t",
     ],
+    # t^0, subtraction, unary minus, powers of a sum and of a power, and a
+    # division in the middle of a chain: each form the evaluator folds
+    "lift_expr_forms": [
+        "lift", "--p", "5", "--precision", "20", "--",
+        "t^0 - 2*t + (1+t)^3/(1-t)*t^2 - -t^3 + ((t+2)^2)^2 - 2",
+        "-(1 - t^2)^2 + 4*t^0", "1",
+    ],
     "as_positive": ["as", "--p", "2", "--precision", "8", "t"],
     "as_zero": ["as", "--p", "2", "--precision", "8", "1"],
     "as_ramified": ["as", "--p", "2", "--precision", "8", "1/t"],
     "as_unramified": ["as", "--p", "2", "--precision", "8", "1/t^2"],
     "as_positive_json": ["as", "--p", "3", "--precision", "9", "--json", "t + t^2"],
+    "as_over_t3": ["as", "--p", "3", "--precision", "9", "(1 + 2*t - t^2 + t^4)/t^3"],
     "perron_quad": ["perron", "--group", "quad", "1", "sqrt2-1"],
     "perron_quad_json": ["perron", "--group", "quad", "--json", "3+1*sqrt2", "2-1*sqrt2"],
     "perron_lex": ["perron", "--group", "lex:3", "(1,3,0)", "(0,1,-2)", "(0,0,1)"],
