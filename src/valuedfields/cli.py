@@ -16,6 +16,7 @@ error (one structured message on stderr).
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -354,9 +355,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process; building one costs about a millisecond
+    and leaves a few hundred objects of cyclic garbage, so main reuses it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = _parser().parse_args(argv)
     try:
         return ns.handler(ns)
     except (ValuedFieldError, ZeroDivisionError) as exc:

@@ -14,14 +14,17 @@ decides which names are in scope when converting to a rational function.
 Integer literals combined with '/' give rational constants.  Parentheses
 and unary signs nest at most _MAX_NESTING levels deep.  Every failure
 raises ExprError carrying the offending position.
+
+to_ratfn evaluates a tree as a polynomial until it meets a division or a
+negative power, and merges the polynomial summands of a sum in one
+MPoly.make, so a dense coefficient costs time linear in its length.
 """
 
 from dataclasses import dataclass
-from operator import add, mul, sub, truediv
 
-from .errors import ExprError
+from .errors import ExprError, UnsupportedError
 from .fields import FieldDesc
-from .polys import RatFn, const_poly, var_poly
+from .polys import MPoly, RatFn, const_poly, var_poly
 
 _OPS = set("+-*/^()")
 
@@ -184,36 +187,101 @@ def parse_expr(text: str):
     return node
 
 
-_BINARY = {"add": add, "sub": sub, "mul": mul, "div": truediv}
-
-
 def to_ratfn(node, vars: tuple[str, ...], field: FieldDesc) -> RatFn:
     """Evaluate a syntax tree to a rational function in the given variables.
 
+    A subtree stays a polynomial until it meets a division or a negative
+    power, and the polynomial summands of a sum are merged in one pass, so a
+    dense n-term polynomial costs time linear in n.  The numerator and
+    denominator are those of folding the tree through RatFn arithmetic.
     Names outside `vars` raise ExprError.  Division by the zero function
-    raises ZeroDivisionError (from the rational-function layer)."""
+    raises ZeroDivisionError."""
+    num, den = _eval(node, vars, field)
+    return RatFn.make(num, const_poly(vars, field.one()) if den is None else den)
+
+
+def _eval(node, vars, field):
+    """(num, den) of a syntax tree; den is None while the tree is a polynomial."""
     kind = node[0]
     if kind == "int":
-        return RatFn.from_poly(const_poly(vars, field.elem(node[1])), field)
+        return const_poly(vars, field.elem(node[1])), None
     if kind == "var":
         if node[1] not in vars:
             known = ", ".join(vars) if vars else "(none)"
             raise ExprError(f"unknown variable {node[1]!r}; in scope: {known}")
-        return RatFn.from_poly(var_poly(vars, node[1], field), field)
+        return var_poly(vars, node[1], field), None
     if kind == "neg":
-        return -to_ratfn(node[1], vars, field)
+        num, den = _eval(node[1], vars, field)
+        return -num, den
     if kind == "pow":
-        return to_ratfn(node[1], vars, field) ** node[2]
-    # a chain such as t^0 + t^1 + ... nests to the left as deep as it is long,
-    # so walk down its left spine and fold it in the same left-to-right order
-    chain = []
-    while node[0] in _BINARY:
-        chain.append(node)
+        return _power(*_eval(node[1], vars, field), node[2], vars, field)
+    if kind in ("add", "sub"):
+        return _sum(_chain(node, ("add", "sub")), vars, field)
+    return _product(_chain(node, ("mul", "div")), vars, field)
+
+
+def _chain(node, ops):
+    """[(op, operand), ...] of a left-nested chain such as t^0 + t^1 + ...,
+    first operand tagged ops[0].  The chain nests as deep as it is long, so
+    this walks down its left spine instead of recursing into it."""
+    steps = []
+    while node[0] in ops:
+        steps.append((node[0], node[2]))
         node = node[1]
-    acc = to_ratfn(node, vars, field)
-    for kind, _, rhs in reversed(chain):
-        acc = _BINARY[kind](acc, to_ratfn(rhs, vars, field))
-    return acc
+    steps.append((ops[0], node))
+    return steps[::-1]
+
+
+def _power(num, den, k: int, vars, field):
+    if k == 0:
+        if num.is_zero():
+            raise UnsupportedError("0^0 is undefined")
+        return (const_poly(vars, field.one()), None) if den is None else (den, den)
+    if k < 0:
+        if num.is_zero():
+            raise ZeroDivisionError("negative power of zero")
+        return (const_poly(vars, field.one()) if den is None else den ** -k), num ** -k
+    return num ** k, None if den is None else den ** k
+
+
+def _sum(chain, vars, field):
+    """The polynomial summands are merged by one MPoly.make; the rational
+    ones add as n1/d1 + n2/d2 = (n1*d2 + n2*d1)/(d1*d2)."""
+    terms = []
+    frac = None
+    for kind, node in chain:
+        num, den = _eval(node, vars, field)
+        if kind == "sub":
+            num = -num
+        if den is None:
+            terms.extend(num.terms)
+        elif frac is None:
+            frac = num, den
+        else:
+            frac = frac[0] * den + num * frac[1], frac[1] * den
+    poly = MPoly.make(vars, terms)
+    if frac is None:
+        return poly, None
+    return frac[0] + poly * frac[1], frac[1]
+
+
+def _product(chain, vars, field):
+    num = den = None
+    for kind, node in chain:
+        num2, den2 = _eval(node, vars, field)
+        if kind == "div":
+            if num2.is_zero():
+                raise ZeroDivisionError("division by the zero rational function")
+            num2, den2 = den2, num2
+        num, den = _times(num, num2), _times(den, den2)
+    return num, den
+
+
+def _times(a, b):
+    """a*b where None stands for the constant one."""
+    if a is None:
+        return b
+    return a if b is None else a * b
 
 
 def expr_to_ratfn(text: str, vars, field: FieldDesc) -> RatFn:

@@ -15,7 +15,8 @@ n = 1.  Frobenius, trace to the prime field, and inverse Frobenius (p-th
 roots, always exact since the fields are perfect) are provided, along with
 deterministic subfield enumeration used for embeddings between finite fields;
 that enumeration lists every element, so it refuses subfields of more than
-2^16 elements with ParamError.
+2^16 elements with ParamError.  GF itself refuses, with ParamError, degrees
+above _MAX_DEGREE and modulus scans past _MAX_CANDIDATES candidates.
 """
 
 from __future__ import annotations
@@ -132,12 +133,25 @@ def _digits(m: int, p: int, n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+# budgets of GF(p, n), each ParamError beyond: the degree, checked before any
+# Ben-Or work (a Ben-Or step squares and reduces degree-n polynomials, and
+# GF(2, 800) already takes about two minutes), and the candidates the modulus
+# scan tests (x^n + c with 0 <= c < p are all reducible for some p and n, so
+# the scan could run through p of them); each is at least four times what
+# the tests, gallery and benchmark reach (n = 200, 105 candidates)
+_MAX_DEGREE = 800
+_MAX_CANDIDATES = 1024
+
+
 def _least_irreducible(p: int, n: int) -> tuple[int, ...]:
     """The first monic irreducible of degree n in base-p counter order; x for n = 1."""
-    m = 0
-    while not _is_irreducible(_digits(m, p, n) + (1,), p):
-        m += 1
-    return _digits(m, p, n) + (1,)
+    for m in range(_MAX_CANDIDATES):
+        f = _digits(m, p, n) + (1,)
+        if _is_irreducible(f, p):
+            return f
+    raise ParamError(
+        f"no irreducible modulus of degree {n} over F_{p} among the first {_MAX_CANDIDATES} candidates"
+    )
 
 
 # Miller-Rabin to the first 13 prime bases decides primality for every n
@@ -266,7 +280,8 @@ _GF_CACHE: dict[tuple[int, int, tuple[int, ...] | None], FiniteField] = {}
 
 
 def GF(p: int, n: int = 1, modulus: tuple[int, ...] | None = None) -> FiniteField:
-    """Construct F_{p^n}, validating (p prime, modulus monic irreducible)."""
+    """Construct F_{p^n}, validating (p prime, modulus monic irreducible);
+    n above _MAX_DEGREE raises ParamError before any irreducibility test."""
     key = (p, n, modulus)
     if key in _GF_CACHE:
         return _GF_CACHE[key]
@@ -274,6 +289,8 @@ def GF(p: int, n: int = 1, modulus: tuple[int, ...] | None = None) -> FiniteFiel
         raise UnsupportedError(f"{p} is not prime")
     if n < 1:
         raise UnsupportedError("extension degree must be >= 1")
+    if n > _MAX_DEGREE:
+        raise ParamError(f"extension degree {n} is above the budget of {_MAX_DEGREE}")
     if modulus is None:
         modulus = _least_irreducible(p, n)
     else:

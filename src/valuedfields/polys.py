@@ -74,23 +74,8 @@ class MPoly:
     def __sub__(self, other: "MPoly") -> "MPoly":
         return self + (-other)
 
-    def _field_of_one(self) -> FieldDesc | None:
-        """The field of self when self is the constant one over a field."""
-        if len(self.terms) != 1:
-            return None
-        e, c = self.terms[0]
-        if type(c) is not FieldElement or any(e) or c != c.field.one():
-            return None
-        return c.field
-
     def __mul__(self, other: "MPoly") -> "MPoly":
         self._check(other)
-        # the constant one times a canonical polynomial over its field is that
-        # polynomial (RatFn multiplies by the denominator 1 at every step)
-        for one, x in ((self, other), (other, self)):
-            f = one._field_of_one()
-            if f is not None and all(type(c) is FieldElement and c.field is f for _, c in x.terms):
-                return x
         acc: dict[tuple[int, ...], object] = {}
         for e1, c1 in self.terms:
             for e2, c2 in other.terms:
@@ -104,6 +89,10 @@ class MPoly:
             raise UnsupportedError("negative power of a polynomial")
         if not self.terms and k == 0:
             raise UnsupportedError("0^0 is undefined")
+        if len(self.terms) == 1 and k > 0:
+            # a monomial in one step: exponents times k, coefficient c ** k
+            (e, c), = self.terms
+            return MPoly.make(self.vars, ((tuple(a * k for a in e), c ** k),))
         result = None
         base = self
         while True:

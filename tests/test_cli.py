@@ -275,6 +275,17 @@ def test_lift_newton_term_budget_trips_early(capsys):
     assert err.startswith("error: Newton approximant or residual has more than") and err.count("\n") == 1
 
 
+def test_lift_of_a_dense_4096_term_coefficient(capsys):
+    # X - c with c = 1*t^0 + 2*t^1 + ... + 4096*t^4095 over F_5
+    c = "+".join(f"{i + 1}*t^{i}" for i in range(4096))
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["lift", "--p", "5", "--precision", "1000", "--", f"-({c})", "1"])
+    assert time.perf_counter() - start < 5
+    assert code == 0 and err == ""
+    want = " + ".join(f"{(i + 1) % 5}*t^({i})" for i in range(1000) if (i + 1) % 5)
+    assert out.startswith(f"root = {want} + O(t^(1000))\n")
+
+
 def test_lift_of_a_long_flat_sum(capsys):
     # a dense coefficient of 1200 monomials: the expression layer folds the
     # sum without recursion
@@ -381,6 +392,23 @@ def test_eval_bad_residue_place_over_budget_exits_2(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "420" in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "p, n, word", [(2, 1000, "degree 1000"), (1000003, 20, "1024 candidates")], ids=["degree", "scan"]
+)
+def test_eval_place_over_a_field_beyond_the_gf_budget_exits_2(capsys, tmp_path, p, n, word):
+    # GF(2, 1000) took 98 s; every x^20 + c over F_1000003 is reducible, so
+    # the modulus scan ran on past 5 minutes
+    place = {"variant": "eval", "field": {"kind": "GF", "p": p, "n": n}, "assignments": [["x1", 0]]}
+    path = tmp_path / "big_field.json"
+    path.write_text(json.dumps(place), encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["eval", "--place", str(path), "x1"])
+    assert time.perf_counter() - start < 2
+    assert code == 2
+    assert out == ""
+    assert word in err and len(err.splitlines()) == 1
 
 
 def test_gallery_several_names_json_array(capsys):
@@ -501,6 +529,42 @@ def test_list_json_entries(capsys):
     assert [e["name"] for e in blob] == ["G1", "G2", "G3", "G4", "G5", "G6", "G7", "G8", "G9"]
     for e in blob:
         assert set(e) == {"name", "title", "anchor", "params"}
+
+
+def _call(capsys, argv):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_one_parser_serves_a_sequence_of_calls(capsys, lex2_path):
+    # subcommands mixed, flags set in one call and absent in the next, and
+    # argparse rejections in between: each call answers as it does alone
+    calls = [
+        ["lift", "--p", "3", "--precision", "12", "--json", "--", "-t", "-1", "0", "1"],
+        ["lift", "--p", "2"],
+        ["lift", "--p", "3", "--precision", "12", "--", "-t", "-1", "0", "1"],
+        ["eval", "--place", lex2_path, "--json", "x1^3/x2^2"],
+        ["nonesuch"],
+        ["eval", "--place", lex2_path, "x1 + 1"],
+        ["as", "--p", "2", "--precision", "8", "1/t"],
+        ["lift", "--p", "4", "--precision", "4", "--", "t", "1"],
+        ["perron", "--group", "q", "3/2", "1/2"],
+        ["gallery", "G1", "--p", "3"],
+        ["gallery", "G1"],
+        ["list"],
+    ]
+    alone = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        alone.append(_call(capsys, argv))
+    cli._parser.cache_clear()
+    assert [_call(capsys, argv) for argv in calls] == alone
+    assert cli._parser.cache_info().misses == 1
+    assert [a[0] for a in alone] == [0, ("SystemExit", 2), 0, 0, ("SystemExit", 2), 0, 0, 2, 0, 0, 0, 0]
 
 
 def test_usage_error_exits_2():

@@ -1,8 +1,12 @@
 """Expression grammar: tokens, precedence, and conversion to rational functions."""
 
+import random
+import time
+from operator import add, mul, sub, truediv
+
 import pytest
 
-from valuedfields.errors import ExprError
+from valuedfields.errors import ExprError, UnsupportedError
 from valuedfields.expr import expr_to_ratfn, parse_expr, to_ratfn, tokenize
 from valuedfields.fields import GF, QQ
 from valuedfields.polys import RatFn, const_poly, var_poly
@@ -178,3 +182,129 @@ def test_parse_nesting_within_the_budget():
     assert parse_expr("+".join(["(" * 60 + "t" + ")" * 60] * 3)) == (
         "add", ("add", ("var", "t"), ("var", "t")), ("var", "t")
     )
+
+
+# ---------------------------------------------------------------------------
+# the evaluator against the fold it replaced
+
+_BINARY = {"add": add, "sub": sub, "mul": mul, "div": truediv}
+
+
+def _fold(node, vars, field):
+    """The former to_ratfn: every leaf a RatFn, every operator RatFn arithmetic."""
+    kind = node[0]
+    if kind == "int":
+        return RatFn.from_poly(const_poly(vars, field.elem(node[1])), field)
+    if kind == "var":
+        if node[1] not in vars:
+            known = ", ".join(vars) if vars else "(none)"
+            raise ExprError(f"unknown variable {node[1]!r}; in scope: {known}")
+        return RatFn.from_poly(var_poly(vars, node[1], field), field)
+    if kind == "neg":
+        return -_fold(node[1], vars, field)
+    if kind == "pow":
+        return _fold(node[1], vars, field) ** node[2]
+    chain = []
+    while node[0] in _BINARY:
+        chain.append(node)
+        node = node[1]
+    acc = _fold(node, vars, field)
+    for kind, _, rhs in reversed(chain):
+        acc = _BINARY[kind](acc, _fold(rhs, vars, field))
+    return acc
+
+
+def _outcome(evaluate, node, vars, field):
+    try:
+        rf = evaluate(node, vars, field)
+    except (ExprError, UnsupportedError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+    return rf.num.terms, rf.den.terms
+
+
+def _random_text(rng, names, depth):
+    """A random expression with + - * /, powers with exponents in -3..5,
+    parentheses and unary signs; now and then a name out of scope."""
+    r = rng.random()
+    if depth == 0 or r < 0.25:
+        if rng.random() < 0.45:
+            return str(rng.randrange(0, 7))
+        return "y" if rng.random() < 0.02 else rng.choice(names)
+    if r < 0.6:
+        parts = [_random_text(rng, names, depth - 1) for _ in range(rng.randint(2, 4))]
+        text = parts[0]
+        for part in parts[1:]:
+            text += rng.choice(" + | - |*|/".split("|")) + part
+        return f"({text})" if rng.random() < 0.5 else text
+    if r < 0.85:
+        k = rng.randint(-3, 5)
+        exponent = str(k) if k >= 0 else rng.choice([str(k), f"({k})"])
+        base = _random_text(rng, names, depth - 1)
+        if not (base.isdigit() or base.isalnum()):
+            base = f"({base})"
+        return f"{base}^{exponent}"
+    return rng.choice("-+") + _random_text(rng, names, depth - 1)
+
+
+DENSE_4096 = "+".join(f"{i + 1}*t^{i}" for i in range(4096))
+
+_FIELDS = {"F5": GF(5), "F9": GF(3, 2), "Q": QQ}
+
+
+@pytest.mark.parametrize("field_name", sorted(_FIELDS))
+@pytest.mark.parametrize("names", [("t",), ("x1", "x2")], ids=["one_var", "two_vars"])
+def test_evaluator_matches_the_ratfn_fold(field_name, names):
+    field = _FIELDS[field_name]
+    rng = random.Random(f"{field_name}/{len(names)}")
+    seen = set()
+    for _ in range(100):
+        text = _random_text(rng, names, 3)
+        node = parse_expr(text)
+        got = _outcome(to_ratfn, node, names, field)
+        assert got == _outcome(_fold, node, names, field), text
+        if isinstance(got[0], type):
+            seen.add(got[0])
+        else:
+            seen.add("fraction" if any(any(e) for e, _ in got[1]) else "polynomial")
+    assert {"polynomial", "fraction", ZeroDivisionError} <= seen
+
+
+@pytest.mark.parametrize("field_name", sorted(_FIELDS))
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("(t - t)^0", UnsupportedError),
+        ("t + (2*t - t - t)^-2", ZeroDivisionError),
+        ("1 - t/(t^2 - t*t)", ZeroDivisionError),
+        ("t^2 + s", ExprError),
+        ("(1/t)^0 + t^0 - 1", None),
+        ("-(t^2 - 1)^-3*t/(1 + t)^0", None),
+    ],
+)
+def test_evaluator_errors_match_the_ratfn_fold(field_name, text, error):
+    field = _FIELDS[field_name]
+    node = parse_expr(text)
+    want = _outcome(_fold, node, ("t",), field)
+    assert _outcome(to_ratfn, node, ("t",), field) == want
+    assert (want[0] if isinstance(want[0], type) else None) is error
+
+
+def test_evaluator_within_the_nesting_budget():
+    # 100 nested groups alternating sums, products, quotients and powers
+    text = "t"
+    for i in range(100):
+        text = f"(t + t*{text}/t)" if i % 2 else f"(1 - t*{text})^1"
+    node = parse_expr(text)
+    f5 = GF(5)
+    assert _outcome(to_ratfn, node, ("t",), f5) == _outcome(_fold, node, ("t",), f5)
+
+
+def test_dense_coefficient_in_linear_time():
+    # 1*t^0 + 2*t^1 + ... with 4096 terms; the RatFn fold re-sorted the
+    # growing numerator at every '+' and took seconds
+    f5 = GF(5)
+    start = time.perf_counter()
+    rf = expr_to_ratfn(DENSE_4096, ("t",), f5)
+    assert time.perf_counter() - start < 1.0
+    assert rf.num.terms == tuple(((i,), f5.elem(i + 1)) for i in range(4096) if (i + 1) % 5)
+    assert rf.den.terms == (((0,), f5.one()),)

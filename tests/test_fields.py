@@ -146,6 +146,25 @@ def test_large_degree_modulus_builds_quickly():
     assert len(f.modulus) == 201 and f.modulus[0] == 1
 
 
+def test_degree_budget_is_checked_before_any_irreducibility_work():
+    for modulus in (None, (1,) * 1001):
+        start = time.perf_counter()
+        with pytest.raises(ParamError, match="degree 1000 is above the budget of 800"):
+            GF(2, 1000, modulus)
+        assert time.perf_counter() - start < 0.1
+
+
+def test_modulus_scan_budget():
+    # x^20 + c is reducible over F_p for every c when 5 does not divide p - 1,
+    # so the scan would test p candidates before the first x-coefficient
+    assert (1000003 - 1) % 5
+    start = time.perf_counter()
+    with pytest.raises(ParamError, match="among the first 1024 candidates"):
+        _least_irreducible(1000003, 20)
+    assert time.perf_counter() - start < 2
+    assert all(not _is_irreducible((c,) + (0,) * 19 + (1,), 1000003) for c in range(64))
+
+
 def test_field_axioms_random():
     rng = random.Random(5)
     for field in (GF(2, 4), GF(3, 2), GF(5), GF(2, 1)):

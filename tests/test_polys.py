@@ -42,6 +42,19 @@ def test_ring_axioms_random():
         assert (a - a).is_zero()
 
 
+def test_monomial_power_matches_repeated_multiplication():
+    rng = random.Random(7)
+    for field in (GF(5), GF(3, 2), QQ):
+        for _ in range(20):
+            e = (rng.randrange(4), rng.randrange(4))
+            c = QQ.elem(Fraction(rng.randrange(-5, 6) or 1, rng.randrange(1, 4))) if field is QQ else rng.choice(list(field.elements())[1:])
+            m = mpoly(("X", "Y"), [(e, c)])
+            power = m
+            for k in range(1, 8):
+                assert m ** k == power
+                power = power * m
+
+
 def test_partial_derivative():
     # d/dY of Y^2 - X^3 is 2Y
     p = mpoly(("X", "Y"), {(0, 2): QQ.elem(1), (3, 0): QQ.elem(-1)})
