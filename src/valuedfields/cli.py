@@ -288,7 +288,10 @@ def _cmd_list(ns) -> int:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of this process; building one costs about a millisecond
+    and leaves a few hundred objects of cyclic garbage, so main reuses it."""
     parser = argparse.ArgumentParser(
         prog="valuedfields",
         description="exact computations in valued fields: places, series roots, "
@@ -355,15 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser of this process; building one costs about a millisecond
-    and leaves a few hundred objects of cyclic garbage, so main reuses it."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    ns = _parser().parse_args(argv)
+    ns = build_parser().parse_args(argv)
     try:
         return ns.handler(ns)
     except (ValuedFieldError, ZeroDivisionError) as exc:

@@ -22,7 +22,7 @@ MPoly.make, so a dense coefficient costs time linear in its length.
 
 from dataclasses import dataclass
 
-from .errors import ExprError, UnsupportedError
+from .errors import ExprError
 from .fields import FieldDesc
 from .polys import MPoly, RatFn, const_poly, var_poly
 
@@ -196,7 +196,10 @@ def to_ratfn(node, vars: tuple[str, ...], field: FieldDesc) -> RatFn:
     denominator are those of folding the tree through RatFn arithmetic.
     Names outside `vars` raise ExprError.  Division by the zero function
     raises ZeroDivisionError."""
-    num, den = _eval(node, vars, field)
+    return _ratfn(*_eval(node, vars, field), vars, field)
+
+
+def _ratfn(num, den, vars, field) -> RatFn:
     return RatFn.make(num, const_poly(vars, field.one()) if den is None else den)
 
 
@@ -233,15 +236,14 @@ def _chain(node, ops):
 
 
 def _power(num, den, k: int, vars, field):
-    if k == 0:
-        if num.is_zero():
-            raise UnsupportedError("0^0 is undefined")
-        return (const_poly(vars, field.one()), None) if den is None else (den, den)
-    if k < 0:
-        if num.is_zero():
-            raise ZeroDivisionError("negative power of zero")
-        return (const_poly(vars, field.one()) if den is None else den ** -k), num ** -k
-    return num ** k, None if den is None else den ** k
+    """A polynomial keeps its own powers (the 0-th of a nonzero one is the
+    constant one); a rational or negative power goes through RatFn."""
+    if den is None and k > 0:
+        return num ** k, None
+    if den is None and k == 0 and not num.is_zero():
+        return const_poly(vars, field.one()), None
+    r = _ratfn(num, den, vars, field) ** k
+    return r.num, r.den
 
 
 def _sum(chain, vars, field):
@@ -270,10 +272,10 @@ def _product(chain, vars, field):
     for kind, node in chain:
         num2, den2 = _eval(node, vars, field)
         if kind == "div":
-            if num2.is_zero():
-                raise ZeroDivisionError("division by the zero rational function")
-            num2, den2 = den2, num2
-        num, den = _times(num, num2), _times(den, den2)
+            q = _ratfn(num, den, vars, field) / _ratfn(num2, den2, vars, field)
+            num, den = q.num, q.den
+        else:
+            num, den = _times(num, num2), _times(den, den2)
     return num, den
 
 

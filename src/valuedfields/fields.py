@@ -16,7 +16,7 @@ roots, always exact since the fields are perfect) are provided, along with
 deterministic subfield enumeration used for embeddings between finite fields;
 that enumeration lists every element, so it refuses subfields of more than
 2^16 elements with ParamError.  GF itself refuses, with ParamError, degrees
-above _MAX_DEGREE and modulus scans past _MAX_CANDIDATES candidates.
+above _MAX_DEGREE and modulus scans past _MAX_SCAN_WORK units of work.
 """
 
 from __future__ import annotations
@@ -135,22 +135,28 @@ def _digits(m: int, p: int, n: int) -> tuple[int, ...]:
 
 # budgets of GF(p, n), each ParamError beyond: the degree, checked before any
 # Ben-Or work (a Ben-Or step squares and reduces degree-n polynomials, and
-# GF(2, 800) already takes about two minutes), and the candidates the modulus
-# scan tests (x^n + c with 0 <= c < p are all reducible for some p and n, so
-# the scan could run through p of them); each is at least four times what
-# the tests, gallery and benchmark reach (n = 200, 105 candidates)
+# GF(2, 400) already takes 6 s), and the work of the modulus scan (x^n + c
+# with 0 <= c < p are all reducible for some p and n, so the scan could run
+# through p of them).  A candidate is charged its first Ben-Or step, about
+# bits(p) squarings of degree-n polynomials, as bits(p) * (n + 8)^2 units,
+# the 8 standing for the per-call overhead that dominates at small n.  Each
+# budget is at least four times what the tests, gallery and benchmark reach
+# (n = 200; 4.0 million units, the 46 candidates of GF(2, 200)); F_{1031^3}
+# tests 1035 candidates, 1.4 million units
 _MAX_DEGREE = 800
-_MAX_CANDIDATES = 1024
+_MAX_SCAN_WORK = 18_000_000
 
 
 def _least_irreducible(p: int, n: int) -> tuple[int, ...]:
     """The first monic irreducible of degree n in base-p counter order; x for n = 1."""
-    for m in range(_MAX_CANDIDATES):
+    candidates = _MAX_SCAN_WORK // (p.bit_length() * (n + 8) ** 2)
+    for m in range(candidates):
         f = _digits(m, p, n) + (1,)
         if _is_irreducible(f, p):
             return f
     raise ParamError(
-        f"no irreducible modulus of degree {n} over F_{p} among the first {_MAX_CANDIDATES} candidates"
+        f"no irreducible modulus of degree {n} over F_{p} among the first {candidates} "
+        "candidates, the scan budget"
     )
 
 

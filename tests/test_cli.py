@@ -395,7 +395,7 @@ def test_eval_bad_residue_place_over_budget_exits_2(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "p, n, word", [(2, 1000, "degree 1000"), (1000003, 20, "1024 candidates")], ids=["degree", "scan"]
+    "p, n, word", [(2, 1000, "degree 1000"), (1000003, 20, "the scan budget")], ids=["degree", "scan"]
 )
 def test_eval_place_over_a_field_beyond_the_gf_budget_exits_2(capsys, tmp_path, p, n, word):
     # GF(2, 1000) took 98 s; every x^20 + c over F_1000003 is reducible, so
@@ -559,11 +559,11 @@ def test_one_parser_serves_a_sequence_of_calls(capsys, lex2_path):
     ]
     alone = []
     for argv in calls:
-        cli._parser.cache_clear()
+        cli.build_parser.cache_clear()
         alone.append(_call(capsys, argv))
-    cli._parser.cache_clear()
+    cli.build_parser.cache_clear()
     assert [_call(capsys, argv) for argv in calls] == alone
-    assert cli._parser.cache_info().misses == 1
+    assert cli.build_parser.cache_info().misses == 1
     assert [a[0] for a in alone] == [0, ("SystemExit", 2), 0, 0, ("SystemExit", 2), 0, 0, 2, 0, 0, 0, 0]
 
 

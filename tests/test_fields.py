@@ -159,10 +159,23 @@ def test_modulus_scan_budget():
     # so the scan would test p candidates before the first x-coefficient
     assert (1000003 - 1) % 5
     start = time.perf_counter()
-    with pytest.raises(ParamError, match="among the first 1024 candidates"):
+    with pytest.raises(ParamError, match="among the first 1147 candidates, the scan budget"):
         _least_irreducible(1000003, 20)
     assert time.perf_counter() - start < 2
     assert all(not _is_irreducible((c,) + (0,) * 19 + (1,), 1000003) for c in range(64))
+
+
+def test_modulus_scan_budget_admits_many_cheap_candidates():
+    # every x^3 + c over F_1031 is reducible (1031 = 2 mod 3, so every element
+    # is a cube), so the scan tests more than p candidates, each of them cheap
+    p = 1031
+    assert all(not _is_irreducible((c, 0, 0, 1), p) for c in range(p))
+    # the reference's trial division by linear polynomials, as a root search
+    assert GF(p, 3).modulus == next(
+        f
+        for f in (_digits(m, p, 3) + (1,) for m in range(p ** 3))
+        if all((((a + f[2]) * a + f[1]) * a + f[0]) % p for a in range(p))
+    )
 
 
 def test_field_axioms_random():
