@@ -21,6 +21,7 @@ above _MAX_DEGREE and modulus scans past _MAX_SCAN_WORK units of work.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -109,6 +110,17 @@ def _poly_powmod(a, e, m, p):
         a = _poly_divmod(_poly_mul(a, a, p), m, p)[1]
 
 
+def _poly_gcd(a, b, p):
+    """The monic gcd of a and b over F_p, () when both are zero."""
+    a, b = _poly_trim(a), _poly_trim(b)
+    while b:
+        a, b = b, _poly_divmod(a, b, p)[1]
+    if not a:
+        return a
+    inv_lead = pow(a[-1], -1, p)
+    return tuple(c * inv_lead % p for c in a)
+
+
 def _is_irreducible(f, p) -> bool:
     """Ben-Or's test: monic f of degree n is irreducible over F_p iff
     gcd(f, x^(p^i) - x) = 1 for every i <= n/2.  A reducible f has a factor
@@ -116,12 +128,40 @@ def _is_irreducible(f, p) -> bool:
     xq = (0, 1)
     for _ in range((len(f) - 1) // 2):
         xq = _poly_powmod(xq, p, f, p)  # x^(p^i) mod f
-        a, b = f, _poly_sub(xq, (0, 1), p)
-        while b:
-            a, b = b, _poly_divmod(a, b, p)[1]
-        if len(a) > 1:
+        if len(_poly_gcd(f, _poly_sub(xq, (0, 1), p), p)) > 1:
             return False
     return True
+
+
+def _poly_roots(f, p) -> list[int]:
+    """The distinct roots in F_p of a nonzero f over F_p, ascending.
+
+    g = gcd(f, x^p - x) is the product of x - r over them, and equal-degree
+    splitting takes it apart (Cantor and Zassenhaus, Math. Comp. 1981): for
+    a random a, gcd(h, (x + a)^((p-1)/2) - 1) splits h with probability
+    about 1/2.  The seed is fixed, and the roots are sorted anyway.  Over
+    F_2, g divides x^2 - x and needs no split.  The work is polynomial in
+    deg f and log p."""
+    f = _poly_trim(f)
+    if len(f) < 2:
+        return []
+    g = _poly_gcd(f, _poly_sub(_poly_powmod((0, 1), p, f, p), (0, 1), p), p)
+    rng = random.Random(0)
+    roots, todo = [], [g] if len(g) > 1 else []
+    while todo:
+        h = todo.pop()
+        if len(h) == 2:  # x + c, monic
+            roots.append(-h[0] % p)
+            continue
+        if p == 2:  # x^2 + x
+            roots += [0, 1]
+            continue
+        while True:
+            d = _poly_gcd(h, _poly_sub(_poly_powmod((rng.randrange(p), 1), (p - 1) // 2, h, p), (1,), p), p)
+            if 1 < len(d) < len(h):
+                break
+        todo += [d, _poly_divmod(h, d, p)[0]]
+    return sorted(roots)
 
 
 def _digits(m: int, p: int, n: int) -> tuple[int, ...]:
@@ -391,9 +431,14 @@ class FieldElement:
         return self * other.inverse()
 
     def __pow__(self, e: int):
+        f = self.field
+        if type(f) is FiniteField and f.n == 1:
+            if e < 0 and not self.data[0]:
+                raise ZeroDivisionError("inverse of zero")
+            return FieldElement(f, (pow(self.data[0], e, f.p),))
         if e < 0:
             return self.inverse() ** (-e)
-        result = self.field.one()
+        result = f.one()
         base = self
         while e:
             if e & 1:

@@ -31,7 +31,7 @@ from .errors import (
     SingularPointError,
     UnsupportedError,
 )
-from .fields import FieldDesc, FieldElement, FiniteField, RationalField, _horner
+from .fields import FieldDesc, FieldElement, FiniteField, RationalField, _horner, _poly_roots
 from .groups import GroupDesc, GroupElem
 from .polys import MPoly, adjugate, det
 from .series import (
@@ -179,11 +179,16 @@ def _rational_candidates(residues: list[FieldElement]) -> list[FieldElement]:
 
 def _find_residue_root(coeffs) -> FieldElement:
     """Least simple root of the residue polynomial, in the deterministic
-    element order of the residue field."""
+    element order of the residue field.  Over F_p the candidates are the
+    roots found by fields._poly_roots, in polynomial time; F_{p^n} with
+    n > 1 tries every element.  The zero polynomial has no simple root, as
+    its derivative vanishes too."""
     residues = _coeff_residues(coeffs)
     field = residues[0].field
     deriv = _derivative(residues, field.zero())
-    if isinstance(field, FiniteField):
+    if isinstance(field, FiniteField) and field.n == 1:
+        candidates = [field.elem(r) for r in _poly_roots([c.data[0] for c in residues], field.p)]
+    elif isinstance(field, FiniteField):
         candidates = field.elements()
     elif isinstance(field, RationalField):
         candidates = _rational_candidates(residues)

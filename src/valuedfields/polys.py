@@ -19,10 +19,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import FieldMismatchError, PoleError, UnsupportedError
+from .errors import FieldMismatchError, ParamError, PoleError, UnsupportedError
 from .fields import FieldDesc, FieldElement
 
 __all__ = ["MPoly", "RatFn", "mpoly", "const_poly", "var_poly", "cramer", "det", "adjugate"]
+
+
+# The most terms a power of a polynomial may expand to, by the bound
+# prod over the variables v of (k*deg_v + 1), checked before any product is
+# formed; beyond it MPoly.__pow__ raises ParamError.  The tests, goldens,
+# demos and benchmark workloads reach 561 (a 15-term power in two
+# variables); (1 + t)^2499 at the budget takes about 11 s over F_1000003,
+# as the products are term by term.
+_MAX_POWER_TERMS = 2500
 
 
 @dataclass(frozen=True)
@@ -93,6 +102,14 @@ class MPoly:
             # a monomial in one step: exponents times k, coefficient c ** k
             (e, c), = self.terms
             return MPoly.make(self.vars, ((tuple(a * k for a in e), c ** k),))
+        bound = 1
+        for i in range(len(self.vars)):
+            bound *= k * max((e[i] for e, _ in self.terms), default=0) + 1
+        if bound > _MAX_POWER_TERMS:
+            raise ParamError(
+                f"a {len(self.terms)}-term polynomial to the power {k} may have more "
+                f"than {_MAX_POWER_TERMS} terms, the budget"
+            )
         result = None
         base = self
         while True:

@@ -10,6 +10,13 @@ Valuation is the least exponent present.  A series with no terms is either
 exactly zero (infinite precision) or merely zero to its precision bound; the
 two are never conflated.
 
+Every Series checks its invariants once, on construction: exponents in its
+group and strictly increasing, nonzero coefficients in its field, each term
+below a precision that lies in its group.  The exponents compare by their
+data wherever the group orders its data natively (all but Q + Q*sqrt2).  A
+sum is one merge of the two sorted term lists, each cut below the precision
+of the sum by bisection; make_series, which sorts, is for unsorted input.
+
 _newton is the one certified Newton iteration every lift goes through:
 unit_nth_root here, and hensel_lift, newton_system and implicit_solve in
 the hensel module.  It runs on a precision ladder, each step evaluated only
@@ -43,9 +50,11 @@ from __future__ import annotations
 
 import inspect
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import itemgetter
 
 from .errors import (
     CharacteristicError,
@@ -162,6 +171,11 @@ class Series:
 
     def __post_init__(self):
         group, field, prec = self.group, self.field, self.precision
+        if prec is not None:
+            _check_precision(group, prec)
+        # exponents of one group compare by their data where it orders natively
+        native = group.native_order
+        bound = None if prec is None else prec.data if native else prec
         prev = None
         for e, c in self.terms:
             if e.group is not group and e.group != group:
@@ -170,11 +184,12 @@ class Series:
                 raise FamilyMismatchError(f"coefficient {c} not in field {field}")
             if c.is_zero():
                 raise FamilyMismatchError("zero coefficient stored in a series")
-            if prev is not None and not prev < e:
+            x = e.data if native else e
+            if prev is not None and not prev < x:
                 raise FamilyMismatchError("exponents not strictly increasing")
-            if prec is not None and not e < prec:
+            if bound is not None and not x < bound:
                 raise FamilyMismatchError("term at or beyond the precision bound")
-            prev = e
+            prev = x
 
     def is_zero_to_precision(self) -> bool:
         return not self.terms
@@ -225,6 +240,13 @@ class Series:
 
     def __repr__(self):
         return f"Series({render_series(self)})"
+
+
+def _check_precision(group: GroupDesc, prec):
+    """A precision bound must lie in the series' group: the checks and cuts
+    that read exponent data natively cannot tell a foreign bound."""
+    if not (type(prec) is GroupElem and (prec.group is group or prec.group == group)):
+        raise FamilyMismatchError(f"precision {prec} not in group {group}")
 
 
 def _as_group_elem(group: GroupDesc, e) -> GroupElem:
@@ -293,10 +315,50 @@ def _check_same_ring(a: Series, b: Series):
         )
 
 
+def _below(terms, prec: GroupElem | None):
+    """The leading terms of a strictly increasing term tuple with exponent
+    below prec (all of them for None), found by bisection."""
+    if prec is None:
+        return terms
+    if prec.group.native_order:
+        return terms[:bisect_left(terms, prec.data, key=_exp_data)]
+    return terms[:bisect_left(terms, prec, key=itemgetter(0))]
+
+
+def _exp_data(term):
+    return term[0].data
+
+
 def add_series(a: Series, b: Series) -> Series:
+    """a + b by one merge of the two increasing term lists, each first cut
+    below the precision of the sum; equal exponents add their coefficients,
+    and a sum that vanishes drops out."""
     _check_same_ring(a, b)
     prec = _prec_min(a.precision, b.precision)
-    return make_series(a.field, a.group, list(a.terms) + list(b.terms), prec)
+    ta, tb = _below(a.terms, prec), _below(b.terms, prec)
+    native = a.group.native_order
+    out = []
+    i = j = 0
+    na, nb = len(ta), len(tb)
+    while i < na and j < nb:
+        ea, ca = ta[i]
+        eb, cb = tb[j]
+        x, y = (ea.data, eb.data) if native else (ea, eb)
+        if x < y:
+            out.append(ta[i])
+            i += 1
+        elif y < x:
+            out.append(tb[j])
+            j += 1
+        else:
+            c = ca + cb
+            if not c.is_zero():
+                out.append((ea, c))
+            i += 1
+            j += 1
+    out.extend(ta[i:])
+    out.extend(tb[j:])
+    return Series(a.field, a.group, tuple(out), prec)
 
 
 def sub_series(a: Series, b: Series) -> Series:
@@ -403,10 +465,9 @@ def truncate(a: Series, precision) -> Series:
     if precision is None:
         return a
     prec = _as_group_elem(a.group, precision)
+    _check_precision(a.group, prec)
     new_prec = _prec_min(a.precision, prec)
-    return Series(
-        a.field, a.group, tuple((e, c) for e, c in a.terms if e < new_prec), new_prec
-    )
+    return Series(a.field, a.group, _below(a.terms, new_prec), new_prec)
 
 
 def shift(a: Series, g) -> Series:

@@ -577,3 +577,37 @@ def test_no_command_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.main([])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "coeffs, code, first",
+    [
+        (["-1000002-t", "1"], 0, "root = 1000002*t^(0) + 1*t^(1) + O(t^(4))\n"),
+        (["-2-t", "0", "1"], 2, "error: residue polynomial has no simple root in the residue field\n"),
+    ],
+)
+def test_residue_root_over_a_large_prime_is_fast(capsys, coeffs, code, first):
+    # every element of F_1000003 was tried before: 6 s and 9 s
+    start = time.perf_counter()
+    got, out, err = run(capsys, ["lift", "--p", "1000003", "--precision", "4", "--", *coeffs])
+    assert time.perf_counter() - start < 1
+    assert got == code
+    assert (out if code == 0 else err).startswith(first)
+
+
+def test_large_residue_root_over_a_61_bit_prime(capsys):
+    # X^2 + 150 X + 5000 + t has the residue roots p - 100 < p - 50
+    p = 2**61 - 1
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["lift", "--p", str(p), "--precision", "4", "--", "5000+t", "150", "1"])
+    assert time.perf_counter() - start < 2
+    assert code == 0 and err == ""
+    assert out.startswith(f"root = {p - 100}*t^(0) + ")
+
+
+def test_power_beyond_the_term_budget_exits_2(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["lift", "--p", "1000003", "--precision", "4", "--", "-(1+t)^20000", "1"])
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "budget" in err

@@ -287,3 +287,46 @@ def test_is_prime_refuses_the_undecided_range():
     for n in (_MR_BOUND, 2**89 - 1):
         with pytest.raises(ParamError):
             _is_prime(n)
+
+
+def _pow_loop(c, e):
+    """c ** e by square and multiply on FieldElement.__mul__, the reference
+    for the one-call power over F_p."""
+    if e < 0:
+        c, e = c.inverse(), -e
+    result = c.field.one()
+    while e:
+        if e & 1:
+            result = result * c
+        c = c * c
+        e >>= 1
+    return result
+
+
+@pytest.mark.parametrize("p", [2, 5, 101, 2**61 - 1])
+def test_prime_field_power_matches_the_loop(p):
+    f = GF(p)
+    rng = random.Random(p)
+    values = sorted({0, 1, p - 1} | {rng.randrange(p) for _ in range(6)})
+    exponents = list(range(-5, 71)) + [rng.getrandbits(100) | 1 << 99, -(rng.getrandbits(100) | 1 << 99)]
+    for v in values:
+        c = f.elem(v)
+        for e in exponents:
+            if v == 0 and e < 0:
+                with pytest.raises(ZeroDivisionError):
+                    c ** e
+                continue
+            assert c ** e == _pow_loop(c, e), (v, e)
+        assert c ** 0 == f.one()
+
+
+def test_extension_and_rational_powers_keep_the_loop():
+    f9 = GF(3, 2)
+    u = f9.generator()
+    for e in range(-5, 20):
+        assert u ** e == _pow_loop(u, e)
+    q = QQ.elem(Fraction(-2, 3))
+    assert q ** -3 == QQ.elem(Fraction(-27, 8)) and q ** 0 == QQ.one()
+    for zero in (f9.zero(), QQ.zero()):
+        with pytest.raises(ZeroDivisionError):
+            zero ** -1

@@ -11,10 +11,11 @@ from valuedfields.errors import (
     PrecisionError,
     SingularPointError,
 )
-from valuedfields.fields import GF, QQ
+from valuedfields.fields import GF, QQ, _poly_roots
 from valuedfields.groups import ZZ_GROUP
 from valuedfields.hensel import (
     SeriesPoly,
+    _find_residue_root,
     eval_poly_at_series,
     hensel_lift,
     implicit_solve,
@@ -329,3 +330,72 @@ def test_formal_derivative_consistency():
         ve = valuation(eps).value
         if v.is_exact:
             assert not v.value < ve.scale(2)
+
+
+def _enumerated_root(field, ints):
+    """The least simple root of a residue polynomial over F_p by trying
+    every element, the reference for the polynomial-time search."""
+    p = field.p
+    for r in range(p):
+        if sum(c * r ** i for i, c in enumerate(ints)) % p == 0:
+            if sum(i * c * r ** (i - 1) for i, c in enumerate(ints) if i) % p:
+                return field.elem(r)
+    return None
+
+
+def _poly_from_roots(roots, p):
+    out = [1]
+    for r in roots:
+        out = [((out[i - 1] if i else 0) - r * (out[i] if i < len(out) else 0)) % p for i in range(len(out) + 1)]
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 101])
+def test_residue_root_matches_enumeration(p):
+    field = GF(p)
+    rng = random.Random(7 * p)
+    polys = [[0], [3 % p or 1], [0, 0, 1]]
+    for _ in range(60):
+        polys.append([rng.randrange(p) for _ in range(rng.randint(1, 7))])
+        # only multiple roots, and multiple roots beside simple ones
+        doubled = [rng.randrange(p) for _ in range(rng.randint(1, 3))]
+        polys.append(_poly_from_roots(doubled * 2, p))
+        polys.append(_poly_from_roots(doubled * 2 + [rng.randrange(p)], p))
+        # a unit times a product of linear factors, maybe times x^2 - c
+        lin = _poly_from_roots([rng.randrange(p) for _ in range(rng.randint(0, 4))], p)
+        unit = rng.randrange(1, p)
+        poly = [c * unit % p for c in lin]
+        if rng.random() < 0.5:
+            poly = [c % p for c in _mul_int_polys(poly, [-rng.randrange(p), 0, 1])]
+        polys.append(poly)
+    outcomes = set()
+    for ints in polys:
+        coeffs = [_const(field, c) for c in ints]
+        expect = _enumerated_root(field, ints)
+        if expect is None:
+            with pytest.raises(NoResidueRootError) as info:
+                _find_residue_root(coeffs)
+            assert info.value.witness == [str(field.elem(c)) for c in ints]
+        else:
+            assert _find_residue_root(coeffs) == expect, ints
+        outcomes.add(expect is None)
+    assert outcomes == {True, False}
+
+
+def _mul_int_polys(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@pytest.mark.parametrize("p", [3, 5, 101, 1000003])
+def test_poly_roots_are_every_root(p):
+    # times x^2 - n for a non-residue n (Euler's criterion), which has no root
+    n = next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1)
+    rng = random.Random(p)
+    for _ in range(40):
+        roots = sorted({rng.randrange(p) for _ in range(rng.randint(1, 6))})
+        f = _mul_int_polys(_poly_from_roots(roots * 2, p), [-n, 0, 1])
+        assert _poly_roots([c % p for c in f], p) == roots

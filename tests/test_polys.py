@@ -1,10 +1,11 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from valuedfields.errors import PoleError, UnsupportedError
+from valuedfields.errors import ParamError, PoleError, UnsupportedError
 from valuedfields.fields import GF, QQ
 from valuedfields.groups import ZZ_GROUP
 from valuedfields.polys import MPoly, RatFn, adjugate, const_poly, cramer, det, mpoly, var_poly
@@ -253,3 +254,18 @@ def test_adjugate_identity_over_truncated_series(n):
                     gap = prod - d if i == j else prod
                     assert gap.is_zero_to_precision()
                     assert gap.precision is None or not gap.precision < ZZ_GROUP.elem(N)
+
+
+def test_power_term_budget():
+    F = GF(5)
+    x, y = var_poly(("x", "y"), "x", F), var_poly(("x", "y"), "y", F)
+    one = const_poly(("x", "y"), F.one())
+    # the bound prod (k*deg_v + 1) is 50^2 = 2500 at k = 49: within the budget
+    assert len(((x + y) ** 49).terms) == 50
+    start = time.perf_counter()
+    for base, k in ((x + y, 50), (x + one, 2500), (x * x + y, 10 ** 30)):
+        with pytest.raises(ParamError):
+            base ** k
+    assert time.perf_counter() - start < 1
+    # a monomial raises in one step, whatever its exponent
+    assert (x * y) ** 10 ** 6 == mpoly(("x", "y"), {(10 ** 6, 10 ** 6): F.one()})

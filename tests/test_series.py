@@ -11,9 +11,12 @@ from valuedfields.errors import (
     PrecisionError,
 )
 from valuedfields.fields import GF, QQ
-from valuedfields.groups import QQ_GROUP, ZZ_GROUP, p_power_hull
+from valuedfields.groups import QQ_GROUP, ZZ_GROUP, LexGroup, QuadGroup, one_over_m, p_power_hull
 from valuedfields.series import (
     POLE,
+    Series,
+    _prec_min,
+    add_series,
     bad_residue,
     bad_value_group,
     frobenius_root,
@@ -27,6 +30,7 @@ from valuedfields.series import (
     series_to_json,
     stream_expand,
     stream_from_params,
+    sub_series,
     t_pow,
     theta_defect,
     truncate,
@@ -423,3 +427,119 @@ def test_family_mixing_rejected():
     c = make_series(GF(2), ZZ_GROUP, [(1, 1)])
     with pytest.raises(FamilyMismatchError):
         a * c
+
+
+# ---------------------------------------------------------------------------
+# the merge in add_series against the make_series rebuild it replaced
+
+_QUAD = QuadGroup()
+_LEX2 = LexGroup(2)
+
+
+def _exponent_pool(rng, group):
+    """A small pool of exponents, so that random operands share some."""
+    if group is _LEX2:
+        return [group.elem((rng.randint(-2, 2), rng.randint(-4, 4))) for _ in range(12)]
+    if group is _QUAD:
+        return [group.elem((Fraction(rng.randint(-6, 6), rng.randint(1, 3)), rng.randint(-3, 3))) for _ in range(12)]
+    if group is ZZ_GROUP:
+        return [group.elem(rng.randint(-6, 12)) for _ in range(12)]
+    den = {"one_over_m": lambda: 6, "p_power": lambda: 2 ** rng.randint(0, 4)}.get(group.law, lambda: rng.randint(1, 5))
+    return [group.elem(Fraction(rng.randint(-20, 40), den())) for _ in range(12)]
+
+
+def _coefficient(rng, field):
+    if field is QQ:
+        return QQ.elem(Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3)))
+    while True:
+        c = field.elem(tuple(rng.randrange(field.p) for _ in range(field.n)))
+        if not c.is_zero():
+            return c
+
+
+def _random_operand(rng, field, group, pool):
+    terms = [(rng.choice(pool), _coefficient(rng, field)) for _ in range(rng.randint(0, 8))]
+    prec = None if rng.random() < 0.4 else rng.choice(pool)
+    return make_series(field, group, terms, prec)
+
+
+def _rebuilt_sum(a, b):
+    """a + b as the canonical constructor builds it from both term lists."""
+    prec = _prec_min(a.precision, b.precision)
+    return make_series(a.field, a.group, list(a.terms) + list(b.terms), prec)
+
+
+_GROUPS = [ZZ_GROUP, one_over_m(6), QQ_GROUP, p_power_hull(2), _LEX2, _QUAD]
+_FIELDS = [GF(5), GF(3, 2), QQ]
+
+
+@pytest.mark.parametrize("group", _GROUPS, ids=str)
+@pytest.mark.parametrize("field", _FIELDS, ids=str)
+def test_add_series_matches_the_rebuild(field, group):
+    rng = random.Random(f"{field}/{group}")
+    pool = _exponent_pool(rng, group)
+    zero, zero_to = zero_series(field, group), zero_series(field, group, rng.choice(pool))
+    for _ in range(60):
+        a = _random_operand(rng, field, group, pool)
+        b = _random_operand(rng, field, group, pool)
+        for x, y in ((a, b), (b, a), (a, a), (a, zero), (zero, a), (a, zero_to), (zero_to, a)):
+            assert add_series(x, y) == _rebuilt_sum(x, y)
+            assert sub_series(x, y) == _rebuilt_sum(x, -y)
+        # full cancellation keeps the precision of the sum
+        assert add_series(a, -a) == sub_series(a, a) == zero_series(field, group, a.precision)
+
+
+def test_add_series_takes_the_precision_of_either_operand():
+    F = GF(5)
+    a = make_series(F, QQ_GROUP, [(0, 1), (1, 2), (2, 3)], 3)
+    b = make_series(F, QQ_GROUP, [(Fraction(1, 2), 1), (1, 3)], Fraction(3, 2))
+    expect = make_series(F, QQ_GROUP, [(0, 1), (Fraction(1, 2), 1)], Fraction(3, 2))
+    assert add_series(a, b) == add_series(b, a) == expect
+    quad = make_series(F, _QUAD, [((0, 0), 1), ((0, 1), 2)], (2, 0))
+    cut = make_series(F, _QUAD, [((1, 0), 4)], (0, 1))  # 1 < sqrt2 < 2
+    assert add_series(quad, cut) == add_series(cut, quad) == make_series(
+        F, _QUAD, [((0, 0), 1), ((1, 0), 4)], (0, 1)
+    )
+
+
+# ---------------------------------------------------------------------------
+# the invariants every Series(...) checks, on a native group and on Q + Q*sqrt2
+
+
+def _malformed(field, e0, e1, foreign_group, foreign_exponent):
+    """(terms, precision) for each invariant a Series checks, with e0 < e1."""
+    one = field.one()
+    return {
+        "unsorted": (((e1, one), (e0, one)), None),
+        "duplicate": (((e0, one), (e0, one)), None),
+        "at the precision": (((e0, one), (e1, one)), e1),
+        "beyond the precision": (((e1, one),), e0),
+        "zero coefficient": (((e0, field.zero()),), None),
+        "foreign exponent group": (((foreign_exponent, one),), None),
+        "foreign coefficient field": (((e0, GF(7).one()),), None),
+        "foreign precision group": (((e0, one),), foreign_group.elem(5)),
+        "foreign precision group, no terms": ((), foreign_group.elem(5)),
+    }
+
+
+_INVARIANT_CASES = [
+    (QQ_GROUP, QQ_GROUP.elem(Fraction(1, 2)), QQ_GROUP.elem(3), ZZ_GROUP, ZZ_GROUP.elem(1)),
+    (_QUAD, _QUAD.elem((0, 1)), _QUAD.elem((2, 0)), QQ_GROUP, QQ_GROUP.elem(1)),
+]
+
+
+@pytest.mark.parametrize("group, e0, e1, foreign_group, foreign", _INVARIANT_CASES, ids=["native", "quad"])
+@pytest.mark.parametrize("case", list(_malformed(GF(5), 0, 1, ZZ_GROUP, 0)))
+def test_series_rejects_each_malformed_input(group, e0, e1, foreign_group, foreign, case):
+    F = GF(5)
+    terms, prec = _malformed(F, e0, e1, foreign_group, foreign)[case]
+    with pytest.raises(FamilyMismatchError):
+        Series(F, group, terms, prec)
+    # the same exponents, well formed, are accepted
+    Series(F, group, ((e0, F.one()), (e1, F.one())), e1 + e1)
+
+
+def test_truncate_rejects_a_foreign_precision():
+    for s in (t_pow(GF(5), QQ_GROUP, 1), make_series(GF(5), _QUAD, [((0, 1), 1)])):
+        with pytest.raises(FamilyMismatchError):
+            truncate(s, LexGroup(2).elem((1, 0)))
