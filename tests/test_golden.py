@@ -71,6 +71,10 @@ for _n in range(1, 10):
 CASES["gallery_G4_k4_json"] = ["gallery", "G4", "--k-max", "4", "--json"]
 CASES["gallery_G4_p3_k4_json"] = ["gallery", "G4", "--p", "3", "--k-max", "4", "--json"]
 CASES["gallery_G6_p5_json"] = ["gallery", "G6", "--p", "5", "--json"]
+# the whole catalog forwards each flag only where a scenario declares it;
+# explicit names forward every flag given
+CASES["gallery_all_p3_k2"] = ["gallery", "--p", "3", "--k-max", "2"]
+CASES["gallery_G3_p5_k3_prec4"] = ["gallery", "G3", "--p", "5", "--k-max", "3", "--precision", "4"]
 
 _ELAPSED = re.compile(r'"elapsed_ms": \d+')
 
