@@ -32,14 +32,16 @@ from .errors import (
     UnsupportedError,
     WrongCaseError,
 )
-from .fields import FieldElement, FiniteField, frobenius, inverse_frobenius, trace_to_prime
+from .fields import FieldElement, FiniteField, inverse_frobenius, trace_to_prime
 from .groups import (
     GroupDesc,
     GroupElem,
     QQ_GROUP,
     QuadGroup,
     RationalGroup,
+    ZZ_GROUP,
     divisible_by,
+    from_coords,
     one_over_m,
 )
 from .polys import MPoly, mpoly
@@ -251,21 +253,13 @@ def residue_case(inst: ASInstance, target) -> LiftedRoot | NoResidueRoot:
     if not isinstance(inst.field, FiniteField):
         raise UnsupportedError("residue criterion needs a finite residue field")
     r = residue(inst.c)
-    if r.is_zero():
-        # the residue polynomial has the root 0; fall through to plain lifting
-        return LiftedRoot(hensel_lift(inst.poly(), zero_series(inst.field, inst.group), target).root)
     tr = trace_to_prime(r)
     if not tr.is_zero():
         return NoResidueRoot(tr)
-    start = None
-    for b in inst.field.elements():
-        if (frobenius(b) - b - r).is_zero():
-            start = b
-            break
-    if start is None:  # pragma: no cover - trace 0 guarantees a solution
-        raise HypothesisError("trace 0 but no constant solution found")
-    lifted = hensel_lift(inst.poly(), _const(inst.field, inst.group, start), target)
-    return LiftedRoot(lifted.root)
+    # trace 0: b^p - b = r has a root in the residue field, and every root is
+    # simple; the lift starts from 0 when r = 0, else from the least root
+    start = zero_series(inst.field, inst.group) if r.is_zero() else None
+    return LiftedRoot(hensel_lift(inst.poly(), start, target).root)
 
 
 def _p_divided_group(group: GroupDesc, p: int) -> GroupDesc:
@@ -289,13 +283,7 @@ def ramified_root_value(inst: ASInstance, target=None) -> Ramified:
         raise WrongCaseError(f"ramified_root_value called in case {case}")
     vc = valuation(inst.c).value
     ambient = _p_divided_group(inst.group, inst.p)
-    coords = vc.coords()
-    if isinstance(ambient, QuadGroup):
-        root_value = ambient.elem((Fraction(coords[0], inst.p), Fraction(coords[1], inst.p)))
-    elif isinstance(ambient, RationalGroup):
-        root_value = ambient.elem(Fraction(coords[0], inst.p))
-    else:  # pragma: no cover - _p_divided_group only returns the above
-        raise UnsupportedError(f"unexpected ambient {ambient}")
+    root_value = from_coords(ambient, [Fraction(x, inst.p) for x in vc.coords()])
     note = (
         f"any root has value {root_value}, outside the base group {inst.group}; "
         f"the value-group index is at least {inst.p}"
@@ -323,7 +311,7 @@ def surgery(c: Series | MPoly, max_iter: int, group: GroupDesc | None = None):
     root of that term.  Returns a NormalForm once the leading exponent stops
     being eliminable, or a DefectSuspect after max_iter rounds."""
     if isinstance(c, MPoly):
-        c = poly_to_series(c, group if group is not None else _default_int_group())
+        c = poly_to_series(c, group if group is not None else ZZ_GROUP)
     p = c.field.characteristic
     if p == 0:
         raise HypothesisError("surgery needs positive characteristic")
@@ -347,12 +335,6 @@ def surgery(c: Series | MPoly, max_iter: int, group: GroupDesc | None = None):
         return DefectSuspect(partial, current, len(trace), tuple(trace))
     case = _residual_case(current, p)
     return NormalForm(case, partial, current, len(trace), tuple(trace))
-
-
-def _default_int_group():
-    from .groups import ZZ_GROUP
-
-    return ZZ_GROUP
 
 
 def _eliminable_front(c: Series, p: int) -> bool:

@@ -28,6 +28,7 @@ from .gallery import (
     SCENARIO_NAMES,
     Report,
     list_scenarios,
+    make_scenario,
     report_to_json,
     run_scenario,
 )
@@ -244,18 +245,14 @@ def _scenario_params(ns, schema_keys) -> dict:
 
 def _cmd_gallery(ns) -> int:
     names = tuple(ns.name) if ns.name else SCENARIO_NAMES
-    schemas = {entry["name"]: set(entry["params"]) for entry in list_scenarios()}
-    for name in names:
-        if name not in schemas:
-            raise ParamError(
-                f"unknown scenario {name!r}; known scenarios: {', '.join(SCENARIO_NAMES)}"
-            )
+    # each scenario with its defaults, so an unknown name fails before any runs
+    declared = {name: dict(make_scenario(name).params) for name in names}
     reports = []
     for name in names:
         # With explicit names the flags are forwarded verbatim, so a flag a
         # scenario does not take is an error; a run over the whole catalog
         # forwards each flag only where the schema declares it.
-        keys = None if ns.name else schemas[name]
+        keys = None if ns.name else declared[name]
         reports.append(run_scenario(name, _scenario_params(ns, keys)))
     if ns.json:
         if len(reports) == 1:

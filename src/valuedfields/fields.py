@@ -467,10 +467,6 @@ class FieldElement:
         return f"FieldElement({self})"
 
 
-def _pad(t, n):
-    return tuple(t) + (0,) * (n - len(t))
-
-
 # ---------------------------------------------------------------------------
 # Frobenius machinery
 

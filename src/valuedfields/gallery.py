@@ -20,6 +20,12 @@ defect) are certified only as monotone finite-level evidence and labeled
 limit.  A claim whose truncation is too short to decide is marked
 indeterminate and fails its scenario.
 
+Each scenario states its parameters once, in its schema: a type, a default
+and an optional constraint, which `list` shows, and a check.  make_scenario
+walks the schema in order, takes each given value or else the default (G1's
+precision and G3's S are computed from the parameters before them), checks
+it, and then reports any unknown names.
+
 Reports are deterministic: identical (name, params) produce identical
 claims, ramification rows, and pass flags; only the elapsed_ms timing field
 varies between runs.
@@ -203,9 +209,11 @@ def _ram_row(level: str, n: int, e: int, f: int, p: int) -> RamificationRow:
 
 
 # ---------------------------------------------------------------------------
-# parameter validation
+# parameter validation: each check takes (name, value, earlier params) and
+# returns the value to keep
 
-def _check_prime(name: str, v) -> int:
+
+def _prime(name: str, v, P=None) -> int:
     if not isinstance(v, int) or isinstance(v, bool) or v < 2:
         raise ParamError(f"{name} must be a prime integer, got {v!r}")
     if not _is_prime(v):
@@ -213,57 +221,43 @@ def _check_prime(name: str, v) -> int:
     return v
 
 
-def _check_int(name: str, v, low: int) -> int:
-    if not isinstance(v, int) or isinstance(v, bool) or v < low:
-        raise ParamError(f"{name} must be an integer >= {low}, got {v!r}")
+def _int_at_least(low: int):
+    def check(name: str, v, P=None) -> int:
+        if not isinstance(v, int) or isinstance(v, bool) or v < low:
+            raise ParamError(f"{name} must be an integer >= {low}, got {v!r}")
+        return v
+
+    return check
+
+
+def _odd_prime(name: str, v, P) -> int:
+    if _prime(name, v) == 2:
+        raise ParamError("p must be an odd prime: the witness Jacobian uses the derivative 2y")
     return v
 
 
-def _take(params: dict, key: str, default):
-    return params.pop(key) if key in params else default
+def _g3_k_max(name: str, k, P) -> int:
+    _int_at_least(1)(name, k)
+    if gcd(k, P["p"]) != 1:
+        raise ParamError(f"the recovered denominator k_max = {k} must be prime to p = {P['p']}")
+    return k
 
 
-def _finish(name: str, params: dict, norm: dict) -> dict:
-    if params:
-        raise ParamError(f"unknown params for {name}: {sorted(params)}")
-    return norm
-
-
-def _norm_g1(params: dict) -> dict:
-    p = _check_prime("p", _take(params, "p", 2))
-    precision = _check_int("precision", _take(params, "precision", p ** 4), 2)
-    return _finish("G1", params, {"p": p, "precision": precision})
-
-
-def _norm_g2(params: dict) -> dict:
-    p = _check_prime("p", _take(params, "p", 2))
-    k_max = _check_int("k_max", _take(params, "k_max", 3), 1)
-    return _finish("G2", params, {"p": p, "k_max": k_max})
-
-
-def _norm_g3(params: dict) -> dict:
-    p = _check_prime("p", _take(params, "p", 3))
-    k = _check_int("k_max", _take(params, "k_max", 4), 1)
-    if gcd(k, p) != 1:
-        raise ParamError(f"the recovered denominator k_max = {k} must be prime to p = {p}")
-    default_s = tuple(n for n in range(max(1, k - 2), k + 3) if gcd(n, p) == 1)
-    s_raw = _take(params, "S", default_s)
+def _g3_s(name: str, s_raw, P) -> tuple[int, ...]:
     try:
         S = tuple(sorted(set(int(n) for n in s_raw)))
     except (TypeError, ValueError):
         raise ParamError(f"S must be a collection of integers, got {s_raw!r}")
     for n in S:
-        if n < 1 or gcd(n, p) != 1:
-            raise ParamError(f"every denominator in S must be positive and prime to {p}; got {n}")
-    if k not in S:
-        raise ParamError(f"S must contain the recovered denominator {k}")
-    precision = _check_int("precision", _take(params, "precision", 3), 1)
-    return _finish("G3", params, {"p": p, "k_max": k, "S": S, "precision": precision})
+        if n < 1 or gcd(n, P["p"]) != 1:
+            raise ParamError(f"every denominator in S must be positive and prime to {P['p']}; got {n}")
+    if P["k_max"] not in S:
+        raise ParamError(f"S must contain the recovered denominator {P['k_max']}")
+    return S
 
 
-def _norm_g4(params: dict) -> dict:
-    p = _check_prime("p", _take(params, "p", 2))
-    k_max = _check_int("k_max", _take(params, "k_max", 3), 1)
+def _g4_k_max(name: str, k_max, P) -> int:
+    _int_at_least(1)(name, k_max)
     host_degree = 1
     for k in range(2, k_max + 1):  # stops at the first k over the budget
         host_degree = lcm(host_degree, k)
@@ -272,38 +266,7 @@ def _norm_g4(params: dict) -> dict:
                 f"k_max = {k_max} needs a host field of degree lcm(1..{k}) = {host_degree} "
                 f"or more, above the budget of {_MAX_HOST_DEGREE}"
             )
-    return _finish("G4", params, {"p": p, "k_max": k_max})
-
-
-def _norm_g5(params: dict) -> dict:
-    p = _check_prime("p", _take(params, "p", 2))
-    k_max = _check_int("k_max", _take(params, "k_max", 2), 1)
-    return _finish("G5", params, {"p": p, "k_max": k_max})
-
-
-def _norm_g6(params: dict) -> dict:
-    p = _check_prime("p", _take(params, "p", 2))
-    k_max = _check_int("k_max", _take(params, "k_max", 3), 1)
-    return _finish("G6", params, {"p": p, "k_max": k_max})
-
-
-def _norm_g7(params: dict) -> dict:
-    k_max = _check_int("k_max", _take(params, "k_max", 6), 1)
-    return _finish("G7", params, {"k_max": k_max})
-
-
-def _norm_g8(params: dict) -> dict:
-    p = _check_prime("p", _take(params, "p", 2))
-    k_max = _check_int("k_max", _take(params, "k_max", 16), 1)
-    seed = _check_int("seed", _take(params, "seed", 0), 0)
-    return _finish("G8", params, {"p": p, "k_max": k_max, "seed": seed})
-
-
-def _norm_g9(params: dict) -> dict:
-    p = _check_prime("p", _take(params, "p", 7))
-    if p == 2:
-        raise ParamError("p must be an odd prime: the witness Jacobian uses the derivative 2y")
-    return _finish("G9", params, {"p": p})
+    return k_max
 
 
 # ---------------------------------------------------------------------------
@@ -865,11 +828,15 @@ def _run_g9(P: dict):
 _REGISTRY = {
     "G1": {
         "title": "FrobeniusRoot",
-        "normalize": _norm_g1,
         "builder": _run_g1,
         "schema": {
-            "p": {"type": "prime", "default": 2},
-            "precision": {"type": "int >= 2", "default": "p^4"},
+            "p": {"type": "prime", "default": 2, "check": _prime},
+            "precision": {
+                "type": "int >= 2",
+                "default": "p^4",
+                "derive": lambda P: P["p"] ** 4,
+                "check": _int_at_least(2),
+            },
         },
         "anchor": (
             "the power-series root of X^p - X - t with residue 0, lifted by certified "
@@ -878,11 +845,10 @@ _REGISTRY = {
     },
     "G2": {
         "title": "DefectTower",
-        "normalize": _norm_g2,
         "builder": _run_g2,
         "schema": {
-            "p": {"type": "prime", "default": 2},
-            "k_max": {"type": "int >= 1", "default": 3},
+            "p": {"type": "prime", "default": 2, "check": _prime},
+            "k_max": {"type": "int >= 1", "default": 3, "check": _int_at_least(1)},
         },
         "anchor": (
             "a tower of degree-p steps below an order-one pole: each level satisfies "
@@ -892,17 +858,20 @@ _REGISTRY = {
     },
     "G3": {
         "title": "BadValueGroup",
-        "normalize": _norm_g3,
         "builder": _run_g3,
         "schema": {
-            "p": {"type": "prime", "default": 3},
-            "k_max": {"type": "int >= 1, gcd(k_max, p) = 1", "default": 4},
+            "p": {"type": "prime", "default": 3, "check": _prime},
+            "k_max": {"type": "int >= 1, gcd(k_max, p) = 1", "default": 4, "check": _g3_k_max},
             "S": {
                 "type": "set of positive ints",
                 "default": "the window max(1, k_max - 2)..k_max + 2 restricted to gcd(n, p) = 1",
                 "constraint": "gcd(n, p) = 1 for every n in S",
+                "derive": lambda P: tuple(
+                    n for n in range(max(1, P["k_max"] - 2), P["k_max"] + 3) if gcd(n, P["p"]) == 1
+                ),
+                "check": _g3_s,
             },
-            "precision": {"type": "int >= 1", "default": 3},
+            "precision": {"type": "int >= 1", "default": 3, "check": _int_at_least(1)},
         },
         "anchor": (
             "recovering t^(1/k) as a unit multiple of the inverted tail of the series "
@@ -911,11 +880,10 @@ _REGISTRY = {
     },
     "G4": {
         "title": "BadResidue",
-        "normalize": _norm_g4,
         "builder": _run_g4,
         "schema": {
-            "p": {"type": "prime", "default": 2},
-            "k_max": {"type": "int >= 1", "default": 3},
+            "p": {"type": "prime", "default": 2, "check": _prime},
+            "k_max": {"type": "int >= 1", "default": 3, "check": _g4_k_max},
         },
         "anchor": (
             "coefficients of strictly growing degree over the prime field, extracted as "
@@ -924,11 +892,10 @@ _REGISTRY = {
     },
     "G5": {
         "title": "ZSeries",
-        "normalize": _norm_g5,
         "builder": _run_g5,
         "schema": {
-            "p": {"type": "prime", "default": 2},
-            "k_max": {"type": "int >= 1", "default": 2},
+            "p": {"type": "prime", "default": 2, "check": _prime},
+            "k_max": {"type": "int >= 1", "default": 2, "check": _int_at_least(1)},
         },
         "anchor": (
             "the sparse series mixing huge integer exponents with tiny fractional ones: "
@@ -937,11 +904,10 @@ _REGISTRY = {
     },
     "G6": {
         "title": "NonIsoMIE",
-        "normalize": _norm_g6,
         "builder": _run_g6,
         "schema": {
-            "p": {"type": "prime", "default": 2},
-            "k_max": {"type": "int >= 1 (truncation depth)", "default": 3},
+            "p": {"type": "prime", "default": 2, "check": _prime},
+            "k_max": {"type": "int >= 1 (truncation depth)", "default": 3, "check": _int_at_least(1)},
         },
         "anchor": (
             "two pole towers differing by a constant with no root of X^p - X - 1 in the "
@@ -950,10 +916,9 @@ _REGISTRY = {
     },
     "G7": {
         "title": "Puiseux",
-        "normalize": _norm_g7,
         "builder": _run_g7,
         "schema": {
-            "k_max": {"type": "int >= 1", "default": 6},
+            "k_max": {"type": "int >= 1", "default": 6, "check": _int_at_least(1)},
         },
         "anchor": (
             "fractional-exponent elements over Q realize every value denominator up to "
@@ -962,12 +927,11 @@ _REGISTRY = {
     },
     "G8": {
         "title": "SchmidtDefect",
-        "normalize": _norm_g8,
         "builder": _run_g8,
         "schema": {
-            "p": {"type": "prime", "default": 2},
-            "k_max": {"type": "int >= 1 (sample count)", "default": 16},
-            "seed": {"type": "int >= 0", "default": 0},
+            "p": {"type": "prime", "default": 2, "check": _prime},
+            "k_max": {"type": "int >= 1 (sample count)", "default": 16, "check": _int_at_least(1)},
+            "seed": {"type": "int >= 0", "default": 0, "check": _int_at_least(0)},
         },
         "anchor": (
             "a degree-p model step x^p = s with s the index-shifted catalog stream, "
@@ -977,10 +941,9 @@ _REGISTRY = {
     },
     "G9": {
         "title": "CuspIFT",
-        "normalize": _norm_g9,
         "builder": _run_g9,
         "schema": {
-            "p": {"type": "odd prime (smooth-center coefficient field)", "default": 7},
+            "p": {"type": "odd prime (smooth-center coefficient field)", "default": 7, "check": _odd_prime},
         },
         "anchor": (
             "the cusp y^2 = x^3: value 3/2 at the origin parameterization, the curve "
@@ -991,14 +954,23 @@ _REGISTRY = {
 }
 
 SCENARIO_NAMES = tuple(_REGISTRY)
+_DISPLAY_KEYS = ("type", "default", "constraint")  # what list shows of a schema entry
 
 
 def make_scenario(name: str, params: dict | None = None) -> Scenario:
     if name not in _REGISTRY:
         raise ParamError(f"unknown scenario {name!r}; known scenarios: {', '.join(SCENARIO_NAMES)}")
     given = dict(params) if params else {}
-    norm = _REGISTRY[name]["normalize"](given)
-    return Scenario(name, tuple(sorted(norm.items())))
+    P = {}
+    for key, spec in _REGISTRY[name]["schema"].items():
+        if key in given:
+            value = given.pop(key)
+        else:
+            value = spec["derive"](P) if "derive" in spec else spec["default"]
+        P[key] = spec["check"](key, value, P)
+    if given:
+        raise ParamError(f"unknown params for {name}: {sorted(given)}")
+    return Scenario(name, tuple(sorted(P.items())))
 
 
 def run_scenario(name: str, params: dict | None = None) -> Report:
@@ -1018,6 +990,9 @@ def list_scenarios() -> tuple[dict, ...]:
             "name": name,
             "title": entry["title"],
             "anchor": entry["anchor"],
-            "params": {pn: dict(ps) for pn, ps in entry["schema"].items()},
+            "params": {
+                pn: {k: v for k, v in ps.items() if k in _DISPLAY_KEYS}
+                for pn, ps in entry["schema"].items()
+            },
         })
     return tuple(out)

@@ -17,7 +17,6 @@ family, which downstream modules rely on for valuation arithmetic.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import gcd
@@ -608,9 +607,6 @@ class PerronResult:
     change_of_basis: tuple[tuple[int, ...], ...]
 
 
-_SUBTRACT_CAP = 10_000
-
-
 def perron_basis(generators, positives) -> PerronResult:
     """Find a positive basis expressing the positive targets non-negatively.
 
@@ -620,8 +616,8 @@ def perron_basis(generators, positives) -> PerronResult:
 
     Rank-one spans are immediate (primitive positive generator).  The
     quadratic family uses repeated subtraction on the basis pair (replace the
-    larger element by the difference) with an iteration cap and a bounded
-    brute-force unimodular fallback.  Lex spans recurse along the convex
+    larger element by the difference), a whole run at a time; it ends because
+    the pair's ratio is irrational.  Lex spans recurse along the convex
     filtration: split off the dominant-coordinate basis row, fix the rest,
     then shear the dominant row until every coefficient is non-negative.
 
@@ -668,10 +664,6 @@ def perron_basis(generators, positives) -> PerronResult:
     rows = [list(r) for r in base]
     T = [[1 if i == j else 0 for j in range(rho)] for i in range(rho)]
 
-    def apply(new_rows, new_T, new_coords):
-        nonlocal rows, T, coords
-        rows, T, coords = new_rows, new_T, new_coords
-
     # sign-normalize: make every basis row positive in the group order
     for i in range(rho):
         if to_elem(rows[i]).sign() < 0:
@@ -716,58 +708,40 @@ def perron_basis(generators, positives) -> PerronResult:
 
 
 def _fix_pair_subtractive(rows, T, coords, to_elem):
-    """Repeated subtraction on a positive basis pair of an archimedean span."""
-    for _ in range(_SUBTRACT_CAP):
-        if all(all(x >= 0 for x in c) for c in coords):
-            return
+    """Repeated subtraction on a positive basis pair of an archimedean span,
+    a whole run at a time: the smaller element is subtracted from the larger q
+    times, q the largest k with big > k*small, or fewer when an earlier step
+    leaves every coefficient non-negative, which gives the basis of one step
+    at a time.  The ratio of a rank-2 span of Q + Q*sqrt2 is irrational, so no
+    run ends in a tie and the pair's cone grows until it holds every target."""
+    while not all(x >= 0 for c in coords for x in c):
         u, v = to_elem(rows[0]), to_elem(rows[1])
         if cmp(u, v) > 0:
-            # u <- u - v: alpha = a*u' + (a+b)*v
-            rows[0] = [x - y for x, y in zip(rows[0], rows[1])]
-            T[0] = [x - y for x, y in zip(T[0], T[1])]
-            for c in coords:
-                c[1] += c[0]
+            big, small, steps = 0, 1, _run_length(u, v)
         else:
-            rows[1] = [x - y for x, y in zip(rows[1], rows[0])]
-            T[1] = [x - y for x, y in zip(T[1], T[0])]
-            for c in coords:
-                c[0] += c[1]
-    if _brute_force_pair(rows, T, coords, to_elem):
-        return
-    raise IterationCapError(
-        f"subtractive loop exceeded {_SUBTRACT_CAP} iterations and the bounded "
-        "fallback found no basis",
-        iterations=_SUBTRACT_CAP,
-    )
+            big, small, steps = 1, 0, _run_length(v, u)
+        # a step adds c[big] to c[small]; with every c[big] >= 0 the run ends at
+        # the first step leaving every c[small] >= 0 (c[big] = 0 forces c[small] > 0)
+        if all(c[big] >= 0 for c in coords):
+            steps = min(steps, max(-(c[small] // c[big]) for c in coords if c[big]))
+        rows[big] = [x - steps * y for x, y in zip(rows[big], rows[small])]
+        T[big] = [x - steps * y for x, y in zip(T[big], T[small])]
+        for c in coords:
+            c[small] += steps * c[big]
 
 
-def _brute_force_pair(rows, T, coords, to_elem) -> bool:
-    """Bounded search over unimodular transforms of the current pair."""
-    for bound in (4, 8, 16):
-        rng = range(-bound, bound + 1)
-        for a, b, c, d in itertools.product(rng, rng, rng, rng):
-            if a * d - b * c not in (1, -1):
-                continue
-            r0 = [a * x + b * y for x, y in zip(rows[0], rows[1])]
-            r1 = [c * x + d * y for x, y in zip(rows[0], rows[1])]
-            if to_elem(r0).sign() <= 0 or to_elem(r1).sign() <= 0:
-                continue
-            # coords transform by the inverse transpose action
-            det = a * d - b * c
-            inv = [[d * det, -b * det], [-c * det, a * det]]
-            new_coords = [
-                [x * inv[0][0] + y * inv[1][0], x * inv[0][1] + y * inv[1][1]]
-                for x, y in coords
-            ]
-            if all(all(x >= 0 for x in nc) for nc in new_coords):
-                t0 = [a * x + b * y for x, y in zip(T[0], T[1])]
-                t1 = [c * x + d * y for x, y in zip(T[0], T[1])]
-                rows[0], rows[1] = r0, r1
-                T[0], T[1] = t0, t1
-                for old, new in zip(coords, new_coords):
-                    old[0], old[1] = new
-                return True
-    return False
+def _run_length(big: GroupElem, small: GroupElem) -> int:
+    """The largest k with big > k*small, for 0 < small < big: doubling, then
+    bisection."""
+    k = 1
+    while cmp(big, small.scale(2 * k)) > 0:
+        k *= 2
+    step = k // 2
+    while step:
+        if cmp(big, small.scale(k + step)) > 0:
+            k += step
+        step //= 2
+    return k
 
 
 def _mat_inv_unimodular(m):

@@ -21,11 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
 from .errors import (
     HypothesisError,
     NoResidueRootError,
+    ParamError,
     PerturbationError,
     PrecisionError,
     SingularPointError,
@@ -149,10 +150,18 @@ def _derivative(coeffs, zero) -> list:
     return [c.times_int(i) for i, c in enumerate(coeffs) if i >= 1] or [zero]
 
 
+# Budget of the rational-root search in trial divisions, isqrt(|c|) + isqrt(|l|)
+# for the constant c and leading coefficient l of the residue polynomial; 5
+# million take about 0.4 s.  Tier-1, the goldens and the demos reach 3, and
+# the timing test's constant 10^12 reaches 10^6 + 1.
+_MAX_TRIAL_DIVISIONS = 5_000_000
+
+
 def _divisors(n: int) -> list[int]:
+    """The positive divisors of n != 0, ascending, by trial division up to isqrt(|n|)."""
     n = abs(n)
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 def _rational_candidates(residues: list[FieldElement]) -> list[FieldElement]:
@@ -170,8 +179,14 @@ def _rational_candidates(residues: list[FieldElement]) -> list[FieldElement]:
     if low > 0:
         cands.add(Fraction(0))
     lead, const = ints[-1], ints[low]
+    if isqrt(abs(const)) + isqrt(abs(lead)) > _MAX_TRIAL_DIVISIONS:
+        raise ParamError(
+            "the rational roots of this residue polynomial need more than "
+            f"{_MAX_TRIAL_DIVISIONS} trial divisions, the budget"
+        )
+    lead_divisors = _divisors(lead)
     for p in _divisors(const):
-        for q in _divisors(lead):
+        for q in lead_divisors:
             cands.add(Fraction(p, q))
             cands.add(Fraction(-p, q))
     return [field.elem(c) for c in sorted(cands)]

@@ -147,7 +147,8 @@ def test_residue_case_trace_zero_lifts():
     assert inst.poly().eval(out.root).is_zero_to_precision()
     lead = out.root.terms[0][1]
     assert (frobenius(lead) - lead - F4.one()).is_zero()
-    assert lead in (g, g + F4.one())
+    # the roots are g and g + 1; the start is the least in element order
+    assert lead == g
 
 
 def test_residue_case_nonzero_trace_reports_witness():

@@ -42,6 +42,19 @@ def test_catalog_entries_are_self_describing():
             assert "type" in schema and "default" in schema
 
 
+def test_listed_numeric_defaults_are_the_filled_in_values():
+    checked = 0
+    for entry in list_scenarios():
+        filled = dict(make_scenario(entry["name"]).params)
+        assert set(filled) == set(entry["params"])
+        for name, schema in entry["params"].items():
+            assert set(schema) <= {"type", "default", "constraint"}
+            if isinstance(schema["default"], int):
+                assert filled[name] == schema["default"]
+                checked += 1
+    assert checked == 17  # every default but G1's precision and G3's S
+
+
 def test_g3_schema_documents_the_coprimality_constraint():
     entry = next(e for e in list_scenarios() if e["name"] == "G3")
     assert entry["params"]["S"]["constraint"] == "gcd(n, p) = 1 for every n in S"

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+from valuedfields import groups
 from valuedfields.errors import (
     FamilyMismatchError,
     GroupLawError,
@@ -296,3 +298,71 @@ def test_perron_quad_random_vs_oracle():
         if oracle is not None:
             found += 1
     assert found > 0  # the oracle must corroborate at least some instances
+
+
+def _fix_pair_one_step(rows, T, coords, to_elem, log):
+    """Reference: one subtraction per pass, which the runs must reproduce."""
+    steps = 0
+    while not all(x >= 0 for c in coords for x in c):
+        big, small = (0, 1) if cmp(to_elem(rows[0]), to_elem(rows[1])) > 0 else (1, 0)
+        rows[big] = [x - y for x, y in zip(rows[big], rows[small])]
+        T[big] = [x - y for x, y in zip(T[big], T[small])]
+        for c in coords:
+            c[small] += c[big]
+        steps += 1
+    log.append(steps)
+
+
+def _random_quad(rng, size):
+    return QUAD.elem((Fraction(rng.randint(-size, size), rng.randint(1, 4)),
+                      Fraction(rng.randint(-size, size), rng.randint(1, 4))))
+
+
+def _random_quad_case(rng):
+    """Two or three random generators of rank 2 and one to three positive
+    targets, integer combinations of them."""
+    while True:
+        gens = [_random_quad(rng, 30) for _ in range(rng.randint(2, 3))]
+        if not any(g0.data[0] * g1.data[1] != g0.data[1] * g1.data[0]
+                   for g0, g1 in itertools.combinations(gens, 2)):
+            continue
+        targets, count = [], rng.randint(1, 3)
+        while len(targets) < count:
+            t = QUAD.zero()
+            for g in gens:
+                t = t + g.scale(rng.randint(-6, 6))
+            if t.sign() > 0:
+                targets.append(t)
+        return gens, targets
+
+
+def test_perron_quad_runs_match_one_step_reference(monkeypatch):
+    # every pair perron_basis fixes is also fixed one step at a time, from a
+    # copy, and the two must leave the same basis, transform and coefficients
+    runs = groups._fix_pair_subtractive
+    log = []
+
+    def both(rows, T, coords, to_elem):
+        ref = ([r[:] for r in rows], [r[:] for r in T], [c[:] for c in coords])
+        _fix_pair_one_step(*ref, to_elem, log)
+        runs(rows, T, coords, to_elem)
+        assert (rows, T, coords) == ref
+
+    monkeypatch.setattr(groups, "_fix_pair_subtractive", both)
+    rng = random.Random(20240611)
+    for _ in range(400):
+        perron_basis(*_random_quad_case(rng))
+    # the reference ran on most cases, for several steps on average
+    assert len(log) > 280 and sum(log) > 5 * len(log)
+
+
+def test_perron_quad_long_run_answers():
+    # a single run of 141421 subtractions; one step at a time this took
+    # longer than any cap worth keeping
+    target = QUAD.elem((-141421, 100000))
+    start = time.perf_counter()
+    res = perron_basis([QUAD.elem((1, 0)), QUAD.elem((0, 100000))], [target])
+    assert time.perf_counter() - start < 0.5
+    _check_perron(res, [target])
+    assert res.basis == (QUAD.elem((1, 0)), target)
+    assert res.coeffs == ((0, 1),)

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from valuedfields.errors import (
     HypothesisError,
     IterationCapError,
     NoResidueRootError,
+    ParamError,
     PerturbationError,
     PrecisionError,
     SingularPointError,
@@ -15,6 +17,7 @@ from valuedfields.fields import GF, QQ, _poly_roots
 from valuedfields.groups import ZZ_GROUP
 from valuedfields.hensel import (
     SeriesPoly,
+    _divisors,
     _find_residue_root,
     eval_poly_at_series,
     hensel_lift,
@@ -103,6 +106,35 @@ def test_lift_auto_start_rational():
     assert out.root.terms[0] == (ZZ_GROUP.zero(), QQ.elem(-2))
     check = f.eval(out.root)
     assert not check.terms
+
+
+def _square_root_poly(c):
+    """X^2 - (c + t) over Q((t))."""
+    return SeriesPoly(
+        (make_series(QQ, ZZ_GROUP, [(0, -c), (1, -1)]), zero_series(QQ, ZZ_GROUP), _const(QQ, 1))
+    )
+
+
+def test_divisors_match_the_full_scan():
+    for n in list(range(1, 400)) + [-12, 2 ** 10, 3 ** 7 * 5 ** 2, 9973 ** 2]:
+        naive = [d for d in range(1, abs(n) + 1) if n % d == 0] if abs(n) < 10 ** 6 else [1, 9973, n]
+        assert _divisors(n) == naive
+
+
+def test_lift_auto_start_rational_large_constant_is_fast():
+    # the divisors of 10^12 come from trial division up to 10^6
+    start = time.perf_counter()
+    out = hensel_lift(_square_root_poly(10 ** 12), None, 4)
+    assert time.perf_counter() - start < 1.0
+    assert out.root.terms[0] == (ZZ_GROUP.zero(), QQ.elem(-10 ** 6))
+    assert not _square_root_poly(10 ** 12).eval(out.root).terms
+
+
+def test_lift_auto_start_rational_over_budget_fails_fast():
+    start = time.perf_counter()
+    with pytest.raises(ParamError, match="trial divisions"):
+        hensel_lift(_square_root_poly(10 ** 14), None, 4)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_no_residue_root():
