@@ -1,15 +1,18 @@
-"""Golden snapshots of the command line: stdout and exit code, byte for byte.
+"""Golden snapshots of the command line and the demos: stdout, byte for byte.
 
 Each case runs ``cli.main`` in-process and compares its stdout and exit
 code with ``tests/golden/<case>.txt``, whose first line is ``exit=<code>``
 and whose remainder is the exact stdout.  The ``elapsed_ms`` field of JSON
 reports is the only masked value.  Place files live in
-``tests/golden/places``.  To record the snapshots again (only when an
-output change is intended), run ``PYTHONPATH=src python tests/test_golden.py``.
+``tests/golden/places``.  Each script in ``demos/`` runs in-process as
+``__main__``, and its stdout is compared with ``tests/golden/demo_<name>.txt``.
+To record the snapshots again (only when an output change is intended),
+run ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 import io
 import re
+import runpy
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -19,6 +22,7 @@ from valuedfields import cli
 
 GOLDEN = Path(__file__).parent / "golden"
 PLACES = GOLDEN / "places"
+DEMOS = Path(__file__).parent.parent / "demos"
 
 CASES = {
     "eval_lex2": ["eval", "--place", "lex2.json", "x1^3/x2^2"],
@@ -87,12 +91,27 @@ def _run(argv) -> str:
     return f"exit={code}\n" + _ELAPSED.sub('"elapsed_ms": "*"', out.getvalue())
 
 
+def _run_demo(name) -> str:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        runpy.run_path(str(DEMOS / f"{name}.py"), run_name="__main__")
+    return out.getvalue()
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden(name):
     expected = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
     assert _run(CASES[name]) == expected
 
 
+@pytest.mark.parametrize("name", sorted(p.stem for p in DEMOS.glob("*.py")))
+def test_demo_golden(name):
+    expected = (GOLDEN / f"demo_{name}.txt").read_text(encoding="utf-8")
+    assert _run_demo(name) == expected
+
+
 if __name__ == "__main__":
     for case, args in CASES.items():
         (GOLDEN / f"{case}.txt").write_text(_run(args), encoding="utf-8")
+    for demo in DEMOS.glob("*.py"):
+        (GOLDEN / f"demo_{demo.stem}.txt").write_text(_run_demo(demo.stem), encoding="utf-8")
