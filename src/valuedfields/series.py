@@ -24,14 +24,19 @@ as far as the next one can certify, and inversion is a Newton iteration of
 its own; mul_series never forms a product beyond its precision.  A lift to
 precision N so costs about N^2 coefficient products, not N^3.
 
-mul_series has two paths and one result.  Over F_p (a prime field) with
-exponents in a subgroup of Q, operands of at least four terms whose
-exponents, scaled by the lcm m of their denominators, span at most 12 slots
-per term are multiplied by Kronecker substitution: each becomes one Python
-integer, and CPython's Karatsuba multiplies them.  Everything else (Q,
-F_{p^n}, lex and quad groups, short or sparse operands such as those with
-exponents near 2^49) goes through the term-pair loop.  The conversion
-happens only inside mul_series; a Series has one representation.
+mul_series scales exponents to slots once and has two kernels.  Over a
+subgroup of Q the slot of an exponent e is the integer m*e, with m the lcm
+of the denominators of both operands and of the product's precision; over
+lex and quad groups the slot is the exponent itself.  Each operand is cut to
+the terms whose products can fall below the precision.  The term-pair loop
+adds and compares slots, sums the products per slot in a dict (over F_p as
+plain ints, reduced mod p once per slot) and sorts the slots once.  Over F_p
+with slots in Z, Kronecker substitution packs each operand into one Python
+integer, and CPython's Karatsuba multiplies them.  One cost rule picks the
+kernel: Kronecker when the slots of the product window it reads back are
+fewer than _PAIR_COST times the pairs the loop would form.  A one-term
+factor only shifts and scales the other.  The slots live only inside
+mul_series; a Series has one representation.
 
 Series.__pow__ is the one power routine.  In characteristic p a p-th power
 is the Frobenius, (sum c*t^e)^p = sum c^p*t^(pe), so a ** k with p | k
@@ -366,99 +371,177 @@ def sub_series(a: Series, b: Series) -> Series:
 
 
 def mul_series(a: Series, b: Series) -> Series:
+    """a*b below the precision min(Pa + v(b), Pb + v(a)), with P the
+    precision and v the least exponent of each factor.
+
+    A one-term factor shifts and scales the other (_mul_monomial).  Any
+    other product maps its exponents to slots once (_slot_lists), cuts each
+    operand to the terms whose products can fall below the precision, and
+    takes the kernel the cost rule picks: Kronecker substitution over F_p
+    with slots in Z, the term-pair loop otherwise.  Both kernels return
+    unreduced coefficient sums per slot, and the result is built once."""
     _check_same_ring(a, b)
     la, lb = _low_bound(a), _low_bound(b)
+    field, group, ta, tb = a.field, a.group, a.terms, b.terms
     if la is None or lb is None:
         # an exact zero annihilates regardless of the other factor
-        return zero_series(a.field, a.group)
+        return Series(field, group, (), None)
     cand1 = None if a.precision is None else a.precision + lb
     cand2 = None if b.precision is None else b.precision + la
     prec = _prec_min(cand1, cand2)
-    m = _dense_scale(a, b, prec)
-    if m:
-        return _mul_dense(a, b, prec, m)
-    # exponents increase along each row and down the first column, so the
-    # first product at or beyond the precision ends its row, and a row that
-    # starts there ends the product
-    out = []
-    for e1, c1 in a.terms:
-        if prec is not None and b.terms and not e1 + b.terms[0][0] < prec:
-            break
-        for e2, c2 in b.terms:
-            e = e1 + e2
-            if prec is not None and not e < prec:
-                break
-            out.append((e, c1 * c2))
-    return make_series(a.field, a.group, out, prec)
+    if not (ta and tb):
+        return Series(field, group, (), prec)
+    if len(tb) == 1:
+        ta, tb = tb, ta
+    if len(ta) == 1:
+        return _mul_monomial(ta[0], tb, prec)
+    m, xa, xb, limit = _slot_lists(group, ta, tb, prec)
+    if limit is not None:
+        # a term matters only if its product with the other's first is below
+        na, nb = bisect_left(xa, limit - xb[0]), bisect_left(xb, limit - xa[0])
+        if not na:
+            return Series(field, group, (), prec)
+        xa, xb, ta, tb = xa[:na], xb[:nb], ta[:na], tb[:nb]
+    # coefficients as ints over F_p, elements over F_{p^n}, Fractions over Q
+    finite = type(field) is FiniteField
+    p = field.p if finite and field.n == 1 else 0
+    if p:
+        ca, cb, zero = [c.data[0] for _, c in ta], [c.data[0] for _, c in tb], 0
+    elif finite:
+        ca, cb, zero = [c for _, c in ta], [c for _, c in tb], field.zero()
+    else:
+        ca, cb, zero = [c.data for _, c in ta], [c.data for _, c in tb], 0
+    if p and m and _kronecker_pays(xa, xb, limit):
+        sums = _mul_kronecker(xa, ca, xb, cb, limit, p)
+    else:
+        sums = _mul_pairs(xa, ca, xb, cb, limit, zero)
+    # the nonzero sums as coefficients, in slot order
+    if p:
+        items = [(x, FieldElement(field, (k,))) for x, s in sums if (k := s % p)]
+    elif finite:
+        items = [(x, c) for x, c in sums if not c.is_zero()]
+    else:
+        items = [(x, FieldElement(field, c)) for x, c in sums if c]
+    items.sort(key=itemgetter(0) if m or not group.native_order else _exp_data)
+    # the slots back to exponents
+    if not m:
+        terms = items
+    elif group.int_data:
+        terms = [(GroupElem(group, x), c) for x, c in items]
+    else:
+        terms = [(GroupElem(group, Fraction(x, m)), c) for x, c in items]
+    return Series(field, group, tuple(terms), prec)
 
 
-# The dense path takes operands of at least _DENSE_MIN_TERMS terms, each
-# spanning at most _DENSE_SLOTS_PER_TERM slots per term; shorter or sparser
-# operands are multiplied faster by the term-pair loop.  Timed on random
-# operands over F_3, F_101 and F_(2^61 - 1), operands at the span bound
-# multiply about 1.2x faster on the dense path at 4 terms, 2x at 8 and 6x
-# at 64; fully dense ones 3x faster at 4 terms; and 2 or 3 terms, or 16
-# slots per term at 4 terms, can be slower.
-_DENSE_MIN_TERMS = 4
-_DENSE_SLOTS_PER_TERM = 12
+def _mul_monomial(term, terms, prec) -> Series:
+    """c*t^(e) times the series with the given terms, below prec: a shift
+    and a scaling, whose exponents stay distinct and, in a field, whose
+    coefficients stay nonzero, so it needs no slots and no merge."""
+    (e1, c1), field, group = term, term[1].field, term[0].group
+    if type(group) is RationalGroup:
+        x1 = e1.data
+        if prec is not None:
+            terms = terms[:bisect_left(terms, prec.data - x1, key=_exp_data)]
+        exps = [GroupElem(group, x1 + e.data) for e, _ in terms]
+    else:
+        if prec is not None:
+            terms = _below(terms, prec - e1)
+        exps = [e1 + e for e, _ in terms]
+    if type(field) is not FiniteField:
+        q = c1.data
+        coeffs = [FieldElement(field, q * c.data) for _, c in terms]
+    elif field.n == 1:
+        k, p = c1.data[0], field.p
+        coeffs = [FieldElement(field, (k * c.data[0] % p,)) for _, c in terms]
+    else:
+        coeffs = [c1 * c for _, c in terms]
+    return Series(field, group, tuple(zip(exps, coeffs)), prec)
 
 
-def _dense_scale(a: Series, b: Series, prec: GroupElem | None) -> int | None:
-    """The scale m of the dense path of mul_series, or None for the sparse
-    loop.  The dense path takes series over F_p with exponents in a subgroup
-    of Q, when both operands are long and dense enough; m is the lcm of the
-    denominators of their exponents and of the product's precision, so m*e
-    is an integer slot for every exponent e."""
-    f = a.field
-    if not (type(f) is FiniteField and f.n == 1 and type(a.group) is RationalGroup):
-        return None
-    ta, tb = a.terms, b.terms
-    if len(ta) < _DENSE_MIN_TERMS or len(tb) < _DENSE_MIN_TERMS:
-        return None
+def _slot_lists(group: GroupDesc, ta, tb, prec: GroupElem | None):
+    """(m, slots of ta, slots of tb, slot of prec or None).  Over a subgroup
+    of Q the slot of e is the integer m*e, m the lcm of the denominators of
+    every exponent and of the precision (1 over Z, whose data are ints);
+    over a lex or quad group it is e itself, and m is None."""
+    if type(group) is not RationalGroup:
+        return None, [e for e, _ in ta], [e for e, _ in tb], prec
+    if group.int_data:
+        return 1, [e.data for e, _ in ta], [e.data for e, _ in tb], None if prec is None else prec.data
     dens = {e.data.denominator for e, _ in ta}
     dens.update(e.data.denominator for e, _ in tb)
     if prec is not None:
         dens.add(prec.data.denominator)
     m = lcm(*dens)
-    for t in (ta, tb):
-        if m * (t[-1][0].data - t[0][0].data) > _DENSE_SLOTS_PER_TERM * len(t):
-            return None
-    return m
+    xa = [e.data.numerator * (m // e.data.denominator) for e, _ in ta]
+    xb = [e.data.numerator * (m // e.data.denominator) for e, _ in tb]
+    limit = None if prec is None else prec.data.numerator * (m // prec.data.denominator)
+    return m, xa, xb, limit
 
 
-def _mul_dense(a: Series, b: Series, prec: GroupElem | None, m: int) -> Series:
-    """The product by Kronecker substitution: each operand becomes one
-    integer with coefficient k*t^(e) in slot m*e - offset, and one big-integer
-    product does the work.  A slot holds the sum of at most min(len a, len b)
-    products below p^2 with room to spare, so no slot carries into the next;
-    the slots below the precision are read back and reduced mod p."""
-    field, group, p = a.field, a.group, a.field.p
-    xa = [e.data.numerator * (m // e.data.denominator) for e, _ in a.terms]
-    xb = [e.data.numerator * (m // e.data.denominator) for e, _ in b.terms]
+# The cost rule: the Kronecker kernel pays when the slots of the product
+# window it reads back are fewer than _PAIR_COST times the term pairs the
+# pair loop would form.  Both kernels were timed on 660 random operand pairs
+# over F_3, F_101 and F_(2^61 - 1): 2 to 128 terms, 1 to 24 slots per term,
+# exact and cut.  Kronecker won every case with fewer than 0.09 slots per
+# pair and the pair loop every case with more than 0.25; 0.1 keeps the
+# total time within 2.3 % of always picking the faster kernel, and no case
+# more than 1.4x slower.
+_PAIR_COST = 0.1
+
+
+def _kronecker_pays(xa: list, xb: list, limit) -> bool:
+    """Whether the Kronecker kernel is cheaper than the pair loop on the
+    cut slot lists xa, xb with the slot bound limit (None when exact)."""
     base = xa[0] + xb[0]
-    # slots of the product below the precision; operand terms beyond them drop
-    limit = None if prec is None else prec.data.numerator * (m // prec.data.denominator) - base
-    ca = [(x - xa[0], c.data[0]) for x, (_, c) in zip(xa, a.terms) if limit is None or x - xa[0] < limit]
-    cb = [(x - xb[0], c.data[0]) for x, (_, c) in zip(xb, b.terms) if limit is None or x - xb[0] < limit]
-    width = (2 * (p - 1).bit_length() + min(len(ca), len(cb)).bit_length() + 7) // 8
+    slots = xa[-1] + xb[-1] - base + 1
+    most = len(xa) * len(xb)
+    if limit is not None:
+        slots = min(slots, limit - base)
+        if slots < _PAIR_COST * most:
+            most = sum(bisect_left(xb, limit - x) for x in xa)
+    return slots < _PAIR_COST * most
+
+
+def _mul_pairs(xa: list, ca: list, xb: list, cb: list, limit, zero):
+    """The one term-pair loop: every product of a slot of xa and one of xb
+    below limit (None: all of them), summed per slot, as (slot, sum) pairs
+    in no particular order.  Rows shrink as xa grows, so each row is cut by
+    bisection."""
+    acc = {}
+    get = acc.get
+    tb = list(zip(xb, cb))
+    row = tb
+    for x1, c1 in zip(xa, ca):
+        if limit is not None:
+            row = tb[:bisect_left(xb, limit - x1, 0, len(row))]
+        for x2, c2 in row:
+            x = x1 + x2
+            acc[x] = get(x, zero) + c1 * c2
+    return acc.items()
+
+
+def _mul_kronecker(xa: list, ca: list, xb: list, cb: list, limit, p: int) -> list:
+    """The product over F_p by Kronecker substitution: each operand becomes
+    one integer with coefficient k in slot x - x[0], and one big-integer
+    product does the work.  A slot holds the sum of at most
+    min(len xa, len xb) products below p^2 with room to spare, so no slot
+    carries into the next; the slots below limit are read back as sorted
+    (slot, sum) pairs, the sums not yet reduced mod p."""
+    base = xa[0] + xb[0]
+    width = (2 * (p - 1).bit_length() + min(len(xa), len(xb)).bit_length() + 7) // 8
     packed = []
-    for cs in (ca, cb):
-        buf = bytearray((cs[-1][0] + 1) * width)
-        for i, k in cs:
+    for xs, cs in ((xa, ca), (xb, cb)):
+        low = xs[0]
+        buf = bytearray((xs[-1] - low + 1) * width)
+        for x, k in zip(xs, cs):
+            i = x - low
             buf[i * width:(i + 1) * width] = k.to_bytes(width, "little")
         packed.append(int.from_bytes(buf, "little"))
-    size = ca[-1][0] + cb[-1][0] + 1
+    size = xa[-1] + xb[-1] - base + 1
     raw = memoryview((packed[0] * packed[1]).to_bytes(size * width, "little"))
     if limit is not None:
-        size = min(size, limit)
-    ints = group.int_data  # Z, where m = 1
-    terms = []
-    for i in range(size):
-        k = int.from_bytes(raw[i * width:(i + 1) * width], "little") % p
-        if k:
-            e = base + i if ints else Fraction(base + i, m)
-            terms.append((GroupElem(group, e), FieldElement(field, (k,))))
-    return Series(field, group, tuple(terms), prec)
+        size = min(size, limit - base)
+    return [(base + i, int.from_bytes(raw[i * width:(i + 1) * width], "little")) for i in range(size)]
 
 
 def truncate(a: Series, precision) -> Series:

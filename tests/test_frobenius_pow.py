@@ -85,8 +85,9 @@ def test_pow_matches_repeated_multiplication():
 def _z_elems():
     z = ZZ_GROUP
     a, b = z.elem(3), z.elem(Fraction(-4))
-    dense = make_series(GF(5), z, [(i, i % 4 + 1) for i in range(8)], 16)
-    assert series._dense_scale(dense, dense, z.elem(16))
+    dense = make_series(GF(5), z, [(i, i % 4 + 1) for i in range(64)], 64)
+    m, xa, xb, limit = series._slot_lists(z, dense.terms, dense.terms, z.elem(64))
+    assert m == 1 and series._kronecker_pays(xa, xb, limit)
     t = make_series(GF(5), z, [(1, 1), (2, 3)], 9)
     return [
         ("zero", z.zero()),
@@ -116,8 +117,9 @@ def test_z_data_is_int_on_every_path():
 def test_q_data_stays_fraction_at_integral_values():
     q = QQ_GROUP
     a, b = q.elem(3), q.elem(Fraction(-4))
-    dense = make_series(GF(5), q, [(i, i % 4 + 1) for i in range(8)], 16)
-    assert series._dense_scale(dense, dense, q.elem(16)) == 1
+    dense = make_series(GF(5), q, [(i, i % 4 + 1) for i in range(64)], 64)
+    m, xa, xb, limit = series._slot_lists(q, dense.terms, dense.terms, q.elem(64))
+    assert m == 1 and series._kronecker_pays(xa, xb, limit)
     made = [
         q.zero(), a, b, parse_elem(q, "7"), a + b, a - b, -a, a.scale(5),
         divisible_by(q.elem(6), 3).witness,
