@@ -212,6 +212,15 @@ def _ram_row(level: str, n: int, e: int, f: int, p: int) -> RamificationRow:
 # parameter validation: each check takes (name, value, earlier params) and
 # returns the value to keep
 
+# Budgets of k_max, each at least 4x above what tier-1, the goldens, the
+# demos and the workloads reach (G5: k_max 6 and 56 bits; G7: k_max 12).
+# G5 grows like k^5 * log p: at the budget it takes up to about 2 s (p = 101,
+# k_max = 24).  G7 is cheap, but its claims print lcm(1..k_max), which passes
+# the 4300 digits CPython converts to str near k_max = 9900.
+_G5_MAX_K = 24
+_G5_MAX_BITS = 8192
+_G7_MAX_K = 1000
+
 
 def _prime(name: str, v, P=None) -> int:
     if not isinstance(v, int) or isinstance(v, bool) or v < 2:
@@ -221,10 +230,12 @@ def _prime(name: str, v, P=None) -> int:
     return v
 
 
-def _int_at_least(low: int):
+def _int_at_least(low: int, budget: int | None = None):
     def check(name: str, v, P=None) -> int:
         if not isinstance(v, int) or isinstance(v, bool) or v < low:
             raise ParamError(f"{name} must be an integer >= {low}, got {v!r}")
+        if budget is not None and v > budget:
+            raise ParamError(f"{name} = {v} is above the budget of {budget}")
         return v
 
     return check
@@ -254,6 +265,18 @@ def _g3_s(name: str, s_raw, P) -> tuple[int, ...]:
     if P["k_max"] not in S:
         raise ParamError(f"S must contain the recovered denominator {P['k_max']}")
     return S
+
+
+def _g5_k_max(name: str, k_max, P) -> int:
+    _int_at_least(1, _G5_MAX_K)(name, k_max)
+    # the largest number G5 prints, p^((k+1)^2) - 1/p^(k+1) at k = k_max, in bits
+    bits = P["p"].bit_length() * ((k_max + 1) ** 2 + k_max + 1)
+    if bits > _G5_MAX_BITS:
+        raise ParamError(
+            f"k_max = {k_max} with p = {P['p']} makes exponents of about {bits} bits, "
+            f"above the budget of {_G5_MAX_BITS}"
+        )
+    return k_max
 
 
 def _g4_k_max(name: str, k_max, P) -> int:
@@ -895,7 +918,7 @@ _REGISTRY = {
         "builder": _run_g5,
         "schema": {
             "p": {"type": "prime", "default": 2, "check": _prime},
-            "k_max": {"type": "int >= 1", "default": 2, "check": _int_at_least(1)},
+            "k_max": {"type": "int >= 1", "default": 2, "check": _g5_k_max},
         },
         "anchor": (
             "the sparse series mixing huge integer exponents with tiny fractional ones: "
@@ -918,7 +941,7 @@ _REGISTRY = {
         "title": "Puiseux",
         "builder": _run_g7,
         "schema": {
-            "k_max": {"type": "int >= 1", "default": 6, "check": _int_at_least(1)},
+            "k_max": {"type": "int >= 1", "default": 6, "check": _int_at_least(1, _G7_MAX_K)},
         },
         "anchor": (
             "fractional-exponent elements over Q realize every value denominator up to "

@@ -155,6 +155,10 @@ def _derivative(coeffs, zero) -> list:
 # million take about 0.4 s.  Tier-1, the goldens and the demos reach 3, and
 # the timing test's constant 10^12 reaches 10^6 + 1.
 _MAX_TRIAL_DIVISIONS = 5_000_000
+# Budget of the candidates p/q it forms, one per pair of a divisor p of c and
+# a divisor q of l.  Tier-1, the goldens, the demos and the workloads reach
+# 169 pairs (the 10^12 test); 963761198400 with l = 1 makes 6720.
+_MAX_CANDIDATE_PAIRS = 10_000
 
 
 def _divisors(n: int) -> list[int]:
@@ -184,8 +188,14 @@ def _rational_candidates(residues: list[FieldElement]) -> list[FieldElement]:
             "the rational roots of this residue polynomial need more than "
             f"{_MAX_TRIAL_DIVISIONS} trial divisions, the budget"
         )
-    lead_divisors = _divisors(lead)
-    for p in _divisors(const):
+    lead_divisors, const_divisors = _divisors(lead), _divisors(const)
+    pairs = len(lead_divisors) * len(const_divisors)
+    if pairs > _MAX_CANDIDATE_PAIRS:
+        raise ParamError(
+            f"the rational roots of this residue polynomial need {pairs} divisor pairs, "
+            f"above the budget of {_MAX_CANDIDATE_PAIRS}"
+        )
+    for p in const_divisors:
         for q in lead_divisors:
             cands.add(Fraction(p, q))
             cands.add(Fraction(-p, q))

@@ -376,6 +376,30 @@ def test_gallery_g4_over_budget_exits_2_at_once(capsys, args, word):
     assert word in err and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "args, word",
+    [
+        (["G7", "--k-max", "10000"], "budget of 1000"),  # would print lcm(1..10000)
+        (["G5", "--k-max", "1000"], "budget of 24"),
+        (["G5", "--k-max", "25"], "budget of 24"),
+        (["G5", "--p", "2305843009213693951", "--k-max", "18"], "budget of 8192"),
+    ],
+)
+def test_gallery_k_max_over_budget_exits_2_at_once(capsys, args, word):
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["gallery", *args])
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and word in err and len(err.splitlines()) == 1
+
+
+def test_gallery_g7_at_its_budget_answers(capsys):
+    code, out, err = run(capsys, ["gallery", "G7", "--k-max", "1000"])
+    assert code == 0 and err == ""
+    assert out.rstrip().endswith("result: PASS")
+
+
 def test_eval_bad_residue_place_over_budget_exits_2(capsys, tmp_path):
     place = {
         "variant": "series_embed",

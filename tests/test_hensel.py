@@ -137,6 +137,18 @@ def test_lift_auto_start_rational_over_budget_fails_fast():
     assert time.perf_counter() - start < 0.5
 
 
+def test_lift_auto_start_rational_over_the_pair_budget_fails_fast():
+    # 5040*X^2 + 963761198400: 60 x 6720 divisor pairs, each a candidate root
+    f = SeriesPoly((
+        make_series(QQ, ZZ_GROUP, [(0, 963761198400), (1, 1)]), zero_series(QQ, ZZ_GROUP),
+        _const(QQ, 5040),
+    ))
+    start = time.perf_counter()
+    with pytest.raises(ParamError, match="403200 divisor pairs, above the budget"):
+        hensel_lift(f, None, 4)
+    assert time.perf_counter() - start < 1
+
+
 def test_no_residue_root():
     # X^2 - 8 has no rational residue root
     f = SeriesPoly(
