@@ -213,10 +213,10 @@ def _ram_row(level: str, n: int, e: int, f: int, p: int) -> RamificationRow:
 # returns the value to keep
 
 # Budgets of k_max, each at least 4x above what tier-1, the goldens, the
-# demos and the workloads reach (G5: k_max 6 and 56 bits; G7: k_max 12).
-# G5 grows like k^5 * log p: at the budget it takes up to about 2 s (p = 101,
-# k_max = 24).  G7 is cheap, but its claims print lcm(1..k_max), which passes
-# the 4300 digits CPython converts to str near k_max = 9900.
+# demos and the workloads reach (G5: k_max 6 and 112 bits; G7: k_max 12).
+# G5 grows about like k^5: within the budget it takes up to about 2 s
+# (p = 101, k_max = 24).  G7 is cheap, but its claims print lcm(1..k_max),
+# which passes the 4300 digits CPython converts to str at k_max = 9859.
 _G5_MAX_K = 24
 _G5_MAX_BITS = 8192
 _G7_MAX_K = 1000
@@ -269,7 +269,8 @@ def _g3_s(name: str, s_raw, P) -> tuple[int, ...]:
 
 def _g5_k_max(name: str, k_max, P) -> int:
     _int_at_least(1, _G5_MAX_K)(name, k_max)
-    # the largest number G5 prints, p^((k+1)^2) - 1/p^(k+1) at k = k_max, in bits
+    # about the bits of the numerator of p^((k+1)^2) - 1/p^(k+1) at k = k_max,
+    # the largest exponent G5 prints
     bits = P["p"].bit_length() * ((k_max + 1) ** 2 + k_max + 1)
     if bits > _G5_MAX_BITS:
         raise ParamError(

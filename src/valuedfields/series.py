@@ -494,12 +494,12 @@ def _kronecker_pays(xa: list, xb: list, limit) -> bool:
     cut slot lists xa, xb with the slot bound limit (None when exact)."""
     base = xa[0] + xb[0]
     slots = xa[-1] + xb[-1] - base + 1
-    most = len(xa) * len(xb)
+    pairs = len(xa) * len(xb)
     if limit is not None:
         slots = min(slots, limit - base)
-        if slots < _PAIR_COST * most:
-            most = sum(bisect_left(xb, limit - x) for x in xa)
-    return slots < _PAIR_COST * most
+        if slots < _PAIR_COST * pairs:  # count the pairs below the limit
+            pairs = sum(bisect_left(xb, limit - x) for x in xa)
+    return slots < _PAIR_COST * pairs
 
 
 def _mul_pairs(xa: list, ca: list, xb: list, cb: list, limit, zero):

@@ -226,6 +226,28 @@ def test_sparse_and_huge_exponents_take_the_term_pair_loop(monkeypatch):
 # the slot kernels in every field and group
 
 
+def test_one_term_factors_take_neither_kernel(monkeypatch):
+    # a monomial factor shifts and scales the other, cut to the precision
+    def refuse(*args):
+        raise AssertionError("a kernel took a one-term factor")
+
+    monkeypatch.setattr(series, "_mul_pairs", refuse)
+    monkeypatch.setattr(series, "_mul_kronecker", refuse)
+    rng = random.Random(400)
+    checked = 0
+    for field in ORACLE_FIELDS:
+        for group in ORACLE_GROUPS:
+            for _ in range(3):
+                a = _random_operand(rng, field, group, 1)
+                b = _random_operand(rng, field, group, rng.randrange(1, 12))
+                for x, y in ((a, b), (b, a)):
+                    if len(x.terms) == 1 or len(y.terms) == 1:
+                        product = mul_series(x, y)
+                        assert (list(product.terms), product.precision) == _reference(x, y)
+                        checked += 1
+    assert checked > 150
+
+
 def _exponent(rng, group, low, high):
     """A random exponent of group roughly between low and high."""
     if group is LEX:
@@ -291,7 +313,7 @@ def test_slot_kernels_on_products_that_cancel(field, group, monkeypatch):
             assert mul_series(b, a) == make_series(field, group, ends)
             cut = make_series(field, group, b.terms, g.scale(8))
             assert mul_series(a, cut) == make_series(field, group, ends[:1], g.scale(8))
-            # shifted to negative exponents, and squared
+            # one factor shifted to negative exponents and cut at t^h
             low = make_series(field, group, [(e - g.scale(5), c) for e, c in a.terms], g)
             product = mul_series(low, a)
             assert (list(product.terms), product.precision) == _reference(low, a)
@@ -316,7 +338,22 @@ def test_cost_rule_picks_each_kernel_on_its_side_of_the_boundary(monkeypatch):
     assert product(8, 12) == 2
     # 4 dense terms: too few pairs to pay for the set-up
     assert product(4, 1) == 2
-    # the same sparse operand with the rule tilted either way
+    # the rule sees the operands cut to the product's precision t^10: an
+    # exact factor's 60 dense terms beyond it leave 4 by 4 dense terms, for
+    # the pair loop
+    a = make_series(field, ZZ_GROUP, [(k, 1) for k in range(4)] + [(k, 2) for k in range(1000, 1060)])
+    b = make_series(field, ZZ_GROUP, [(k, 1) for k in range(4)], 10)
+    result = mul_series(a, b)
+    assert (list(result.terms), result.precision) == _reference(a, b)
+    assert len(calls) == 2
+    # and so does the kernel: forced, Kronecker packs only those 4 terms of a
+    seen = []
+    with monkeypatch.context() as mp:
+        mp.setattr(series, "_mul_kronecker", lambda xa, *rest: seen.append(xa) or [])
+        _force(mp, "kronecker")
+        mul_series(a, b)
+    assert seen == [[0, 1, 2, 3]]
+    # with the constant 100 times larger, a sparse operand takes Kronecker
     with monkeypatch.context() as mp:
         mp.setattr(series, "_PAIR_COST", series._PAIR_COST * 100)
         assert product(8, 12) == 3
