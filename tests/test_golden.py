@@ -29,6 +29,15 @@ CASES = {
     "eval_lex2_json": ["eval", "--place", "lex2.json", "--json", "x1 + 1"],
     "eval_gf5": ["eval", "--place", "eval_gf5.json", "x1^2 + 1 + x2"],
     "eval_gf5_unit": ["eval", "--place", "eval_gf5.json", "(x1-2)*x2^2 + 3"],
+    # values of order 2 or more at a nonzero point: the x1 + 3 factor vanishes at
+    # x1 = 2 over F_5, x1^5 - 2 is (x1 - 2)^5 there, and over Q the residue is the
+    # ratio of the lowest Taylor coefficients
+    "eval_gf5_order4": ["eval", "--place", "eval_gf5.json", "(x1-2)^3*((x1+3)*x2 + x1 - 2)"],
+    "eval_gf5_frobenius": ["eval", "--place", "eval_gf5.json", "(x1^5 - 2)*(x2^2 + 3*x2)/(x1 + 3)"],
+    "eval_q_order": ["eval", "--place", "eval_q.json", "(x1-2)^2*(x1^2+1)*(2*x2+1)^3 + (x1-2)^3*x1"],
+    "eval_q_residue_json": [
+        "eval", "--place", "eval_q.json", "--json", "(x1-2)^2*(x1^2+1)*(x2-3)/((x1^2-4)^2*(x2+2))",
+    ],
     "eval_embed_unit": ["eval", "--place", "frobenius_embed.json", "x1*x2 + 1"],
     "eval_embed_pole": ["eval", "--place", "frobenius_embed.json", "x1^2/x2"],
     "lift": ["lift", "--p", "2", "--precision", "16", "--", "-t", "-1", "1"],
