@@ -47,6 +47,7 @@ from .groups import (
 from .polys import MPoly, mpoly
 from .series import (
     Series,
+    ValuationKind,
     frobenius_series,
     invert,
     make_series,
@@ -215,11 +216,11 @@ class NormalForm:
 
 def classify(inst: ASInstance) -> str:
     v = valuation(inst.c)
-    if v.kind == "at_least":
+    if v.kind is ValuationKind.AT_LEAST:
         raise PrecisionError(
             f"sign of v(c) undecidable: known only to be >= {v.value}"
         )
-    if v.kind == "infinity":
+    if v.kind is ValuationKind.INFINITY:
         return POSITIVE_VALUE  # c = 0 splits like any positive-value constant
     s = v.value.sign()
     if s > 0:
@@ -339,18 +340,18 @@ def surgery(c: Series | MPoly, max_iter: int, group: GroupDesc | None = None):
 
 def _eliminable_front(c: Series, p: int) -> bool:
     v = valuation(c)
-    if v.kind == "at_least":
+    if v.kind is ValuationKind.AT_LEAST:
         raise PrecisionError("surgery front undecidable at this precision")
-    if v.kind == "infinity" or v.value.is_zero():
+    if v.kind is ValuationKind.INFINITY or v.value.is_zero():
         return False
     return divisible_by(v.value, p).member
 
 
 def _residual_case(c: Series, p: int) -> str:
     v = valuation(c)
-    if v.kind == "at_least":
+    if v.kind is ValuationKind.AT_LEAST:
         raise PrecisionError("residual classification undecidable")
-    if v.kind == "infinity" or v.value.sign() > 0:
+    if v.kind is ValuationKind.INFINITY or v.value.sign() > 0:
         return POSITIVE_VALUE
     if v.value.is_zero():
         return ZERO_VALUE

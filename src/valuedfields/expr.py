@@ -157,13 +157,13 @@ class _Parser:
         if t.kind != "int":
             raise ExprError(f"exponent must be an integer at position {t.pos}")
         self.take()
-        k = int(t.text)
+        k = _int_value(t)
         return -k if negate else k
 
     def atom(self):
         t = self.take()
         if t.kind == "int":
-            return ("int", int(t.text))
+            return ("int", _int_value(t))
         if t.kind == "name":
             return ("var", t.text)
         if t.kind == "op" and t.text == "(":
@@ -173,6 +173,13 @@ class _Parser:
             self.unnest()
             return node
         raise ExprError(f"expected a value at position {t.pos}")
+
+
+def _int_value(t: Token) -> int:
+    try:  # CPython converts at most 4300 digits by default
+        return int(t.text)
+    except ValueError:
+        raise ExprError(f"{len(t.text)}-digit integer at position {t.pos} is too long") from None
 
 
 def parse_expr(text: str):

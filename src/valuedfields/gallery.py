@@ -54,6 +54,7 @@ from .places import (
 from .polys import RatFn, mpoly
 from .series import (
     _MAX_HOST_DEGREE,
+    ValuationKind,
     add_series,
     bad_residue,
     bad_value_group,
@@ -792,7 +793,7 @@ def _run_g9(P: dict):
 
     def kernel():
         v = place_value(origin, curve_q)
-        return v, "oo", v.kind == "infinity"
+        return v, "oo", v.kind is ValuationKind.INFINITY
 
     claims.append(_claim("the curve equation y^2 - x^3 lies in the kernel: value oo", kernel))
 

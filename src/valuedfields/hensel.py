@@ -39,6 +39,7 @@ from .series import (
     _MAX_STEPS,
     POLE,
     Series,
+    ValuationKind,
     _newton,
     add_series,
     make_series,
@@ -257,7 +258,7 @@ def hensel_lift(f: SeriesPoly, b: Series | None, target, max_steps: int = _MAX_S
         v = valuation(c)
         if v.is_exact and v.value.sign() < 0:
             raise HypothesisError(f"coefficient valuation {v.value} is negative")
-        if v.kind == "at_least" and v.value.sign() < 0:
+        if v.kind is ValuationKind.AT_LEAST and v.value.sign() < 0:
             raise PrecisionError("coefficient sign undecidable at this precision")
     _require_precision(f.coeffs, target)
     if b is None:
@@ -403,8 +404,7 @@ def implicit_solve(
         if diff.is_exact_zero():
             continue
         v = valuation(diff)
-        bound = v.value if v.kind != "infinity" else None
-        if bound is None or not threshold < bound:
+        if v.value is None or not threshold < v.value:  # None: diff is exactly zero
             raise PerturbationError(
                 f"perturbation valuation {v} does not exceed threshold 2*alpha = {threshold}"
             )

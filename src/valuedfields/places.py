@@ -6,6 +6,8 @@ A place is described declaratively and evaluated exactly:
   function itself.
 * ``EvalPlace``      -- evaluation at a point; the value is the vector of
   vanishing orders along the listed coordinates (first listed dominates).
+  Each order is the least k with a nonzero Taylor coefficient at (x - a)^k (a
+  Hasse derivative); degrees above 1024 at a nonzero point raise ParamError.
 * ``MonomialPlace``  -- prescribed positive, rationally independent values
   on some variables and fresh residue indeterminates for the others; the
   value of a polynomial is the least weighted exponent sum over its
@@ -56,6 +58,7 @@ from .series import (
     POLE,
     Series,
     Stream,
+    ValuationKind,
     ValuationResult,
     make_series,
     stream_expand,
@@ -224,12 +227,10 @@ def _check_rational_independence(values: list[GroupElem]):
 def place_vars(P: PlaceDesc) -> tuple[str, ...]:
     if isinstance(P, TrivialPlace):
         return P.vars
-    if isinstance(P, EvalPlace):
+    if isinstance(P, (EvalPlace, SeriesEmbedPlace)):
         return tuple(v for v, _ in P.assignments)
     if isinstance(P, MonomialPlace):
         return tuple(v for v, _ in P.values) + tuple(v for v, _ in P.residues)
-    if isinstance(P, SeriesEmbedPlace):
-        return tuple(v for v, _ in P.assignments)
     return place_vars(P.first)
 
 
@@ -293,63 +294,47 @@ def _flatten(g: GroupElem) -> tuple[int, ...]:
 # polynomial preliminaries
 
 
-# the highest degree in one variable that a Taylor shift takes: the shift of
-# x^d has d + 1 terms, so a degree far beyond any real input fails fast
+# the highest degree in one variable at a nonzero point: each Taylor coefficient
+# tried is one pass over the terms, so a degree far beyond any real input fails fast
 _MAX_SHIFT_DEGREE = 1024
 
 
-def _taylor_shift(g: MPoly, var: str, a: FieldElement) -> MPoly:
-    """Substitute var -> var + a."""
-    if a.is_zero() or var not in g.vars:
-        return g
-    idx = g.vars.index(var)
-    top = max((exps[idx] for exps, _ in g.terms), default=0)
-    if top > _MAX_SHIFT_DEGREE:
-        raise ParamError(
-            f"degree {top} in {var} exceeds the Taylor shift budget of {_MAX_SHIFT_DEGREE}"
-        )
-    out: dict[tuple[int, ...], FieldElement] = {}
-    a_pow = [a.field.one()]
-    for _ in range(top):
-        a_pow.append(a_pow[-1] * a)
-    for exps, coeff in g.terms:
-        e = exps[idx]
-        for k in range(e + 1):
-            new = list(exps)
-            new[idx] = k
-            contrib = (coeff * a_pow[e - k]).times_int(comb(e, k))
-            key = tuple(new)
-            acc = out.get(key)
-            out[key] = contrib if acc is None else acc + contrib
-    return MPoly.make(g.vars, out)
-
-
-def _split_by_var(g: MPoly, var: str) -> dict[int, MPoly]:
-    """Coefficient polynomials of g viewed as a polynomial in var."""
+def _lowest_taylor_coeff(g: MPoly, var: str, a: FieldElement) -> tuple[int, MPoly]:
+    """The least k such that (var - a)^k has a nonzero coefficient in g, with
+    that coefficient, a polynomial in the other variables: the k-th Hasse
+    derivative of g in var at a, the sum of c * C(e, k) * a^(e-k) * rest over
+    the terms c * var^e * rest of g."""
     if var not in g.vars:
-        return {0: g}
-    idx = g.vars.index(var)
-    rest = tuple(v for v in g.vars if v != var)
-    buckets: dict[int, dict[tuple[int, ...], FieldElement]] = {}
-    for exps, coeff in g.terms:
-        k = exps[idx]
-        key = tuple(e for i, e in enumerate(exps) if i != idx)
-        bucket = buckets.setdefault(k, {})
-        acc = bucket.get(key)
-        bucket[key] = coeff if acc is None else acc + coeff
-    out = {}
-    for k, term_map in buckets.items():
-        mp = MPoly.make(rest, term_map)
-        if mp.terms:
-            out[k] = mp
-    return out
+        return 0, g
+    i = g.vars.index(var)
+    terms = [(exps[i], exps[:i] + exps[i + 1:], c) for exps, c in g.terms]
+    a_pow = [a.field.one()]  # the nonzero powers of a
+    if a.is_zero():
+        # only a^0: no degree budget, and k starts at the least exponent of var
+        k = min(e for e, _, _ in terms)
+    else:
+        top = max(e for e, _, _ in terms)
+        if top > _MAX_SHIFT_DEGREE:
+            raise ParamError(
+                f"degree {top} in {var} exceeds the Taylor shift budget of {_MAX_SHIFT_DEGREE}"
+            )
+        for _ in range(top):
+            a_pow.append(a_pow[-1] * a)
+        k = 0
+    while True:
+        coeff = MPoly.make(g.vars[:i] + g.vars[i + 1:], [
+            (rest, (c * a_pow[e - k]).times_int(comb(e, k)))
+            for e, rest, c in terms
+            if 0 <= e - k < len(a_pow)
+        ])
+        if coeff.terms:
+            return k, coeff
+        k += 1
 
 
 def _const_value(g: MPoly) -> FieldElement | None:
-    """The coefficient when g is a constant polynomial, else None."""
-    if not g.terms:
-        return None
-    if len(g.terms) == 1 and all(e == 0 for e in g.terms[0][0]):
+    """The coefficient when g is a nonzero constant polynomial, else None."""
+    if len(g.terms) == 1 and not any(g.terms[0][0]):
         return g.terms[0][1]
     return None
 
@@ -368,10 +353,7 @@ def _lead(P: PlaceDesc, g: MPoly):
     if isinstance(P, TrivialPlace):
         return ZZ_GROUP.zero(), g
     if isinstance(P, EvalPlace):
-        coords, lead = _eval_lead(list(P.assignments), g)
-        vg = value_group(P)
-        val = vg.elem(coords[0]) if vg == ZZ_GROUP else vg.elem(coords)
-        return val, lead
+        return _eval_lead(P, g)
     if isinstance(P, MonomialPlace):
         return _monomial_lead(P, g)
     if isinstance(P, SeriesEmbedPlace):
@@ -389,18 +371,16 @@ def _lead(P: PlaceDesc, g: MPoly):
     return LexGroup(len(coords)).elem(coords), lead2
 
 
-def _eval_lead(assignments, g: MPoly):
-    if not assignments:
-        c = _const_value(g)
-        if c is None:  # pragma: no cover - covered-variable check prevents this
-            raise ParamError(f"{g} involves variables the place does not cover")
-        return (), c
-    var, a = assignments[0]
-    shifted = _taylor_shift(g, var, a)
-    buckets = _split_by_var(shifted, var)
-    k0 = min(buckets)
-    coords, lead = _eval_lead(assignments[1:], buckets[k0])
-    return (k0,) + coords, lead
+def _eval_lead(P: EvalPlace, g: MPoly):
+    coords = []
+    for var, a in P.assignments:
+        k, g = _lowest_taylor_coeff(g, var, a)
+        coords.append(k)
+    c = _const_value(g)
+    if c is None:  # pragma: no cover - covered-variable check prevents this
+        raise ParamError(f"{g} involves variables the place does not cover")
+    vg = value_group(P)
+    return (vg.elem(coords[0]) if vg == ZZ_GROUP else vg.elem(tuple(coords))), c
 
 
 def _monomial_lead(P: MonomialPlace, g: MPoly):
@@ -462,9 +442,9 @@ def _embed_valuations(P: SeriesEmbedPlace, num: MPoly, den: MPoly):
         s_num = _substitute(P, num, r)
         s_den = _substitute(P, den, r)
         v_num, v_den = valuation(s_num), valuation(s_den)
-        if v_den.kind == "infinity":
+        if v_den.kind is ValuationKind.INFINITY:
             raise PoleError("denominator vanishes under the embedding")
-        if v_den.is_exact and (v_num.is_exact or v_num.kind == "infinity"):
+        if v_den.is_exact and (v_num.is_exact or v_num.kind is ValuationKind.INFINITY):
             return v_num, v_den, s_num, s_den
         if r == rounds - 1:
             if not v_den.is_exact:
@@ -500,7 +480,7 @@ def place_value(P: PlaceDesc, f: RatFn | MPoly) -> ValuationResult:
         raise ParamError("the zero function has no value")
     if isinstance(P, SeriesEmbedPlace):
         v_num, v_den, _, _ = _embed_valuations(P, f.num, f.den)
-        if v_num.kind == "infinity":
+        if v_num.kind is ValuationKind.INFINITY:
             return ValuationResult.infinity()
         if v_num.is_exact:
             return ValuationResult.exact(v_num.value - v_den.value)
@@ -532,7 +512,7 @@ def place_residue(P: PlaceDesc, f: RatFn | MPoly):
 
 def _embed_residue(P: SeriesEmbedPlace, f: RatFn):
     v_num, v_den, s_num, s_den = _embed_valuations(P, f.num, f.den)
-    if v_num.kind == "infinity":
+    if v_num.kind is ValuationKind.INFINITY:
         return ZERO
     w = v_den.value
     if v_num.is_exact:
@@ -743,7 +723,7 @@ def verify_uniformization_witness(w: UniformizationWitness, P: PlaceDesc) -> dic
     for name in w.trans_vars + w.gen_vars:
         g = mpoly(all_vars, {_unit_exp(all_vars, name): field.one()})
         v = place_value(P, g)
-        if v.kind == "exact" and v.value.sign() < 0:
+        if v.kind is ValuationKind.EXACT and v.value.sign() < 0:
             raise HypothesisError(f"witness element {name} has negative value")
 
     n = len(w.gen_vars)
@@ -762,7 +742,7 @@ def verify_uniformization_witness(w: UniformizationWitness, P: PlaceDesc) -> dic
         if not fi.terms:
             continue
         v = place_value(P, fi)
-        if v.kind == "exact":
+        if v.kind is ValuationKind.EXACT:
             u2 = False
 
     if n == 0:

@@ -57,6 +57,7 @@ import inspect
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
+from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter
@@ -75,6 +76,7 @@ from .polys import cramer
 
 __all__ = [
     "Series",
+    "ValuationKind",
     "ValuationResult",
     "PoleSignal",
     "POLE",
@@ -112,33 +114,39 @@ __all__ = [
 # valuation results and the pole sentinel
 
 
+class ValuationKind(Enum):
+    EXACT = "exact"
+    INFINITY = "infinity"  # the series is exactly zero
+    AT_LEAST = "at_least"  # zero to the precision of the series
+
+
 @dataclass(frozen=True)
 class ValuationResult:
     """Exact(g), Infinity (exact zero), or AtLeast(g) (zero to precision g)."""
 
-    kind: str  # "exact" | "infinity" | "at_least"
+    kind: ValuationKind
     value: GroupElem | None
 
     @staticmethod
     def exact(g: GroupElem) -> "ValuationResult":
-        return ValuationResult("exact", g)
+        return ValuationResult(ValuationKind.EXACT, g)
 
     @staticmethod
     def infinity() -> "ValuationResult":
-        return ValuationResult("infinity", None)
+        return ValuationResult(ValuationKind.INFINITY, None)
 
     @staticmethod
     def at_least(g: GroupElem) -> "ValuationResult":
-        return ValuationResult("at_least", g)
+        return ValuationResult(ValuationKind.AT_LEAST, g)
 
     @property
     def is_exact(self) -> bool:
-        return self.kind == "exact"
+        return self.kind is ValuationKind.EXACT
 
     def __str__(self):
-        if self.kind == "exact":
+        if self.kind is ValuationKind.EXACT:
             return str(self.value)
-        if self.kind == "infinity":
+        if self.kind is ValuationKind.INFINITY:
             return "oo"
         return f">= {self.value}"
 
@@ -584,9 +592,9 @@ def residue(a: Series):
     """Image in the residue field: 0 for positive valuation, the t^0
     coefficient for valuation 0, POLE for negative valuation."""
     v = valuation(a)
-    if v.kind == "infinity":
+    if v.kind is ValuationKind.INFINITY:
         return a.field.zero()
-    if v.kind == "at_least":
+    if v.kind is ValuationKind.AT_LEAST:
         if v.value.sign() > 0:
             return a.field.zero()
         raise PrecisionError(

@@ -30,6 +30,7 @@ from valuedfields.hensel import SeriesPoly, hensel_lift
 from valuedfields.places import MonomialPlace, SeriesEmbedPlace, place_value
 from valuedfields.polys import MPoly, RatFn, var_poly
 from valuedfields.series import (
+    ValuationKind,
     add_series,
     frobenius_root,
     frobenius_series,
@@ -251,7 +252,7 @@ def test_criterion_04_monomial_value_oracle():
             rf = RatFn.make(num, den)
             want = subst_valuation(num, vx, vy) - subst_valuation(den, vx, vy)
             got = place_value(place, rf)
-            if not (got.kind == "exact" and got.value == want):
+            if not (got.kind is ValuationKind.EXACT and got.value == want):
                 mismatches += 1
         assert mismatches == 0
 
@@ -357,7 +358,7 @@ def test_criterion_09_cusp_witness():
             ),
         )
         v = place_value(place, var_poly(("x", "y"), "y", QQ))
-        assert v.kind == "exact" and v.value == half.elem(Fraction(3, 2))
+        assert v.kind is ValuationKind.EXACT and v.value == half.elem(Fraction(3, 2))
         r = run_scenario("G9", {"p": 7})
         assert r.passed
         u3 = next(c for c in r.claims if "U3" in c.description and "origin" in c.description)

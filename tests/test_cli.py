@@ -318,6 +318,20 @@ def test_eval_degree_beyond_the_shift_budget_exits_2(capsys, tmp_path):
     assert "budget" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("text", ["1" * 4400 + "+t", "t^" + "9" * 4400], ids=["atom", "exponent"])
+@pytest.mark.parametrize("command", ["lift", "as", "eval"])
+def test_literal_beyond_the_int_digit_limit_exits_2(capsys, lex2_path, command, text):
+    argv = {
+        "lift": ["lift", "--p", "5", "--precision", "4", "--", text, "1"],
+        "as": ["as", "--p", "5", "--precision", "4", text],
+        "eval": ["eval", "--place", lex2_path, text.replace("t", "x1")],
+    }[command]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: 4400-digit integer") and err.count("\n") == 1
+
+
 def test_perron_unknown_group_exits_2(capsys):
     code, _, err = run(capsys, ["perron", "--group", "hyperbolic", "1"])
     assert code == 2

@@ -265,18 +265,22 @@ def _brute_force_quad_oracle(pos, bound=10):
     """Search unimodular combinations of the target pair with bounded entries."""
     a1, a2 = pos
     rng = range(-bound, bound + 1)
-    for a, b, c, d in itertools.product(rng, rng, rng, rng):
-        if a * d - b * c not in (1, -1):
-            continue
+    for a, b in itertools.product(rng, rng):
+        # g1 depends on (a, b) alone: skip the inner loop when it is not positive
         g1 = a1.scale(a) + a2.scale(b)
-        g2 = a1.scale(c) + a2.scale(d)
-        if g1.sign() <= 0 or g2.sign() <= 0:
+        if g1.sign() <= 0:
             continue
-        det = a * d - b * c
-        # coords of (a1, a2) over (g1, g2): rows of the inverse of [[a,b],[c,d]]
-        inv = [[d * det, -b * det], [-c * det, a * det]]
-        if all(x >= 0 for row in inv for x in row):
-            return (g1, g2), inv
+        for c, d in itertools.product(rng, rng):
+            if a * d - b * c not in (1, -1):
+                continue
+            g2 = a1.scale(c) + a2.scale(d)
+            if g2.sign() <= 0:
+                continue
+            det = a * d - b * c
+            # coords of (a1, a2) over (g1, g2): rows of the inverse of [[a,b],[c,d]]
+            inv = [[d * det, -b * det], [-c * det, a * det]]
+            if all(x >= 0 for row in inv for x in row):
+                return (g1, g2), inv
     return None
 
 

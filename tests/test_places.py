@@ -32,9 +32,10 @@ from valuedfields.places import (
     value_group,
     verify_uniformization_witness,
 )
-from valuedfields.polys import MPoly, RatFn, mpoly
+from valuedfields.polys import MPoly, RatFn, const_poly, mpoly
 from valuedfields.series import (
     POLE,
+    ValuationKind,
     bad_value_group,
     frobenius_root,
     make_series,
@@ -252,8 +253,8 @@ def test_eval_residue_is_point_evaluation():
 
 
 def test_eval_high_degree_shift():
-    # x^1000 at x = 2 over F_5: the Taylor shift builds its powers of the
-    # point without recursion, and 2^1000 = 1 in F_5
+    # x^1000 at x = 2 over F_5: its lowest Taylor coefficient is read at
+    # k = 0 from the powers of the point, and 2^1000 = 1 in F_5
     F5 = GF(5)
     P = EvalPlace(F5, (("x", F5.elem(2)), ("y", F5.elem(0))))
     f = _poly(("x", "y"), {(1000, 0): 1}, F5)
@@ -271,6 +272,73 @@ def test_eval_degree_budget_fails_fast():
     # at x = 0 nothing is shifted, so the degree is not bounded there
     P0 = EvalPlace(QQ, (("x", QQ.elem(0)),))
     assert str(place_value(P0, _poly(("x",), {(10**12,): 1})).value) == "1000000000000"
+
+
+def _x_minus(vars, v, a):
+    """x_v - a over vars."""
+    return MPoly.make(vars, {tuple(int(w == v) for w in vars): a.field.one()}) - const_poly(vars, a)
+
+
+def _power(f, e):
+    return f**e if e else const_poly(f.vars, f.terms[0][1].field.one())
+
+
+def _shifted_reference(g, point):
+    """g(x + a) expanded by products of the binomials (x + a)^e, one per
+    monomial and variable: the naive Taylor shift at every assigned point."""
+    binomials = {}
+    out = MPoly(g.vars, ())
+    for exps, c in g.terms:
+        term = const_poly(g.vars, c)
+        for v, e in zip(g.vars, exps):
+            if e:
+                if (v, e) not in binomials:
+                    binomials[v, e] = _x_minus(g.vars, v, -point[v]) ** e
+                term = term * binomials[v, e]
+        out = out + term
+    return out
+
+
+def _random_eval_case(rng, field):
+    names = ("x", "y", "z")[: rng.randint(1, 3)]
+    if field == QQ:
+        draw = lambda: field.elem(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+    else:
+        draw = lambda: field.elem(rng.randrange(field.p))
+    point = {v: draw() if rng.random() < 0.7 else field.zero() for v in names}
+    # g lives in the first few place variables, so the others are absent from it
+    gvars = names[: rng.randint(1, len(names))]
+    g = MPoly(gvars, ())
+    while not g.terms:
+        g = MPoly.make(gvars, {tuple(rng.randint(0, 3) for _ in gvars): draw() for _ in range(4)})
+    for v in gvars:
+        # vanish to a chosen order, and in characteristic p sometimes through
+        # (x - a)^p, whose middle coefficients are 0 mod p
+        g = g * _power(_x_minus(gvars, v, point[v]), rng.randint(0, 3))
+        if field != QQ and rng.random() < 0.3:
+            g = g * _x_minus(gvars, v, point[v]) ** field.p
+    return EvalPlace(field, tuple(point.items())), g
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(5), GF(7)], ids=str)
+def test_eval_lowest_taylor_coeff_vs_naive_shift(field):
+    rng = random.Random(20261018)
+    for _ in range(24):
+        P, g = _random_eval_case(rng, field)
+        point = dict(P.assignments)
+        h = _shifted_reference(g, point)
+        # the value is the lex-least exponent of g(x + a) along the listed
+        # coordinates, a variable absent from g counting as exponent 0
+        order = lambda exps: tuple(exps[g.vars.index(v)] if v in g.vars else 0 for v in point)
+        want, lead = min(((order(e), c) for e, c in h.terms), key=lambda t: t[0])
+        got = place_value(P, g).value
+        assert tuple(int(q) for q in got.coords()) == want
+        # dividing by the product of the (x - a)^k leaves the lowest coefficient
+        den = const_poly(g.vars, field.one())
+        for v, k in zip(point, want):
+            if v in g.vars:
+                den = den * _power(_x_minus(g.vars, v, point[v]), k)
+        assert place_residue(P, RatFn.make(g, den)) == lead
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +473,7 @@ def test_series_embed_kernel_gives_infinite_value():
     P = _cusp_place()
     rel = _poly(("x", "y"), {(0, 2): 1, (3, 0): -1})  # the defining relation
     v = place_value(P, rel)
-    assert v.kind == "infinity"
+    assert v.kind is ValuationKind.INFINITY
     assert place_residue(P, rel) is ZERO
 
 
@@ -436,7 +504,7 @@ def test_series_embed_stream_refinement_reports_at_least():
     assert str(place_value(P, g).value) == "1"
     rel = _poly(("x", "u"), {(2, 0): 1, (1, 0): 1, (0, 1): 1}, field=F2)
     v = place_value(P, rel)
-    assert v.kind == "at_least"
+    assert v.kind is ValuationKind.AT_LEAST
     assert place_residue(P, rel) is ZERO
 
 

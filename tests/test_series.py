@@ -15,6 +15,7 @@ from valuedfields.groups import QQ_GROUP, ZZ_GROUP, LexGroup, QuadGroup, one_ove
 from valuedfields.series import (
     POLE,
     Series,
+    ValuationKind,
     _prec_min,
     add_series,
     bad_residue,
@@ -107,9 +108,9 @@ def test_mul_both_zero_to_precision():
 def test_valuation_variants():
     v = valuation(make_series(QQ, QQ_GROUP, [(Fraction(-1, 2), 1), (0, 1)]))
     assert v.is_exact and str(v.value) == "-1/2"
-    assert valuation(zero_series(QQ, QQ_GROUP)).kind == "infinity"
+    assert valuation(zero_series(QQ, QQ_GROUP)).kind is ValuationKind.INFINITY
     v2 = valuation(zero_series(QQ, QQ_GROUP, 3))
-    assert v2.kind == "at_least" and str(v2.value) == "3"
+    assert v2.kind is ValuationKind.AT_LEAST and str(v2.value) == "3"
 
 
 def test_residue_cases():
