@@ -64,12 +64,25 @@ CASES = {
         "t^0 - 2*t + (1+t)^3/(1-t)*t^2 - -t^3 + ((t+2)^2)^2 - 2",
         "-(1 - t^2)^2 + 4*t^0", "1",
     ],
+    # coefficients whose summands are products of monomial factors: repeated
+    # variables and integers, an integer power, a zero monomial, negated
+    # monomials, and a division in the middle of a chain
+    "lift_monomial_chains": [
+        "lift", "--p", "7", "--precision", "16", "--",
+        "3*t^2*2*t + 2^3*t + 0*t^5 - 2*t*t^4*3 + 4*t/(1+t)*t^3 - 6",
+        "-3*t^2 + t^0*t*5 - - t - 6*1", "1",
+    ],
     "as_positive": ["as", "--p", "2", "--precision", "8", "t"],
     "as_zero": ["as", "--p", "2", "--precision", "8", "1"],
     "as_ramified": ["as", "--p", "2", "--precision", "8", "1/t"],
     "as_unramified": ["as", "--p", "2", "--precision", "8", "1/t^2"],
     "as_positive_json": ["as", "--p", "3", "--precision", "9", "--json", "t + t^2"],
     "as_over_t3": ["as", "--p", "3", "--precision", "9", "(1 + 2*t - t^2 + t^4)/t^3"],
+    # a Laurent numerator of monomial chains over t^5
+    "as_chains_over_t5": [
+        "as", "--p", "5", "--precision", "10",
+        "(2*t^2*t*2 - 3*t*2 + 2^2*t^5*t + 0*t^3 - -t^0*3 + t^4*t^2 - 4*t^7/t^2)/t^5",
+    ],
     "perron_quad": ["perron", "--group", "quad", "1", "sqrt2-1"],
     "perron_quad_json": ["perron", "--group", "quad", "--json", "3+1*sqrt2", "2-1*sqrt2"],
     "perron_lex": ["perron", "--group", "lex:3", "(1,3,0)", "(0,1,-2)", "(0,0,1)"],
