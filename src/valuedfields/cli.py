@@ -43,7 +43,7 @@ from .groups import (
     perron_basis,
 )
 from .hensel import SeriesPoly, hensel_lift
-from .places import ZERO, base_field, place_from_json, place_residue, place_value, place_vars
+from .places import ZERO, base_field, place_from_json, place_value_residue, place_vars
 from .series import invert, mul_series, render_series, scale_series, valuation, zero_series
 
 
@@ -159,8 +159,7 @@ def _cmd_eval(ns) -> int:
         blob = json.load(fh)
     place = place_from_json(blob)
     rf = expr_to_ratfn(ns.expression, place_vars(place), base_field(place))
-    v = place_value(place, rf)
-    r = place_residue(place, rf)
+    v, r = place_value_residue(place, rf)
     if ns.json:
         print(json.dumps({"v": str(v), "residue": _render_residue(r)}, sort_keys=True))
     else:

@@ -15,56 +15,52 @@ Integer literals combined with '/' give rational constants.  Parentheses
 and unary signs nest at most _MAX_NESTING levels deep.  Every failure
 raises ExprError carrying the offending position.
 
-to_ratfn evaluates a tree as a polynomial until it meets a division or a
-negative power, and merges the polynomial summands of a sum in one
-MPoly.make, so a dense coefficient costs time linear in its length.
+Digits are the ASCII digits 0-9 only, in integers and in names alike.
+
+Cost model of to_ratfn:
+
+* a monomial (an integer, a name, a product or negation of monomials, or a
+  monomial to a power k >= 0 other than 0^0) is one (exponents,
+  coefficient) term, built with O(1) work per factor and no MPoly;
+* a sum merges all its summands in one MPoly.make;
+* a tree stays a polynomial until it meets a division or a negative
+  power, and only then does RatFn arithmetic run.
+
+A dense coefficient therefore costs time linear in its length.
 """
 
-from dataclasses import dataclass
+import re
+from operator import add
+from typing import NamedTuple
 
 from .errors import ExprError
 from .fields import FieldDesc
-from .polys import MPoly, RatFn, const_poly, var_poly
-
-_OPS = set("+-*/^()")
+from .polys import MPoly, RatFn, const_poly
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "int", "name", "op", "end"
     text: str
     pos: int
 
 
+# every character falls in one group, so a scan leaves no gaps
+_TOKEN = re.compile(
+    r"(?P<int>[0-9]+)|(?P<name>[a-z][a-z0-9]*)|(?P<op>[-+*/^()])|(?P<space>\s+)|(?P<bad>.)",
+    re.DOTALL,
+)
+
+
 def tokenize(text: str) -> list[Token]:
     out = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "space":
             continue
-        if ch in _OPS:
-            out.append(Token("op", ch, i))
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            out.append(Token("int", text[i:j], i))
-            i = j
-            continue
-        if "a" <= ch <= "z":
-            j = i
-            while j < n and (("a" <= text[j] <= "z") or text[j].isdigit()):
-                j += 1
-            out.append(Token("name", text[i:j], i))
-            i = j
-            continue
-        raise ExprError(f"unexpected character {ch!r} at position {i}")
-    out.append(Token("end", "", n))
+        if kind == "bad":
+            raise ExprError(f"unexpected character {m.group()!r} at position {m.start()}")
+        out.append(Token(kind, m.group(), m.start()))
+    out.append(Token("end", "", len(text)))
     return out
 
 
@@ -100,15 +96,16 @@ class _Parser:
 
     def expect_op(self, symbol: str) -> Token:
         t = self.peek()
-        if t.kind != "op" or t.text != symbol:
+        if t.text != symbol:
             raise ExprError(f"expected {symbol!r} at position {t.pos}")
         return self.take()
 
-    # grammar rules, one method each
+    # grammar rules, one method each; an operator text occurs only in an
+    # "op" token, so the rules compare texts alone
 
     def expr(self):
         node = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
+        while self.peek().text in ("+", "-"):
             op = self.take().text
             rhs = self.term()
             node = ("add" if op == "+" else "sub", node, rhs)
@@ -116,7 +113,7 @@ class _Parser:
 
     def term(self):
         node = self.unary()
-        while self.peek().kind == "op" and self.peek().text in "*/":
+        while self.peek().text in ("*", "/"):
             op = self.take().text
             rhs = self.unary()
             node = ("mul" if op == "*" else "div", node, rhs)
@@ -124,7 +121,7 @@ class _Parser:
 
     def unary(self):
         t = self.peek()
-        if t.kind == "op" and t.text in "+-":
+        if t.text in ("+", "-"):
             self.take()
             self.nest(t)
             inner = self.unary()
@@ -134,15 +131,14 @@ class _Parser:
 
     def power(self):
         base = self.atom()
-        t = self.peek()
-        if t.kind == "op" and t.text == "^":
+        if self.peek().text == "^":
             self.take()
             return ("pow", base, self.exponent())
         return base
 
     def exponent(self) -> int:
         t = self.peek()
-        if t.kind == "op" and t.text == "(":
+        if t.text == "(":
             self.take()
             self.nest(t)
             k = self.exponent()
@@ -150,7 +146,7 @@ class _Parser:
             self.unnest()
             return k
         negate = False
-        if t.kind == "op" and t.text == "-":
+        if t.text == "-":
             self.take()
             negate = True
             t = self.peek()
@@ -166,7 +162,7 @@ class _Parser:
             return ("int", _int_value(t))
         if t.kind == "name":
             return ("var", t.text)
-        if t.kind == "op" and t.text == "(":
+        if t.text == "(":
             self.nest(t)
             node = self.expr()
             self.expect_op(")")
@@ -197,37 +193,120 @@ def parse_expr(text: str):
 def to_ratfn(node, vars: tuple[str, ...], field: FieldDesc) -> RatFn:
     """Evaluate a syntax tree to a rational function in the given variables.
 
-    A subtree stays a polynomial until it meets a division or a negative
-    power, and the polynomial summands of a sum are merged in one pass, so a
-    dense n-term polynomial costs time linear in n.  The numerator and
-    denominator are those of folding the tree through RatFn arithmetic.
-    Names outside `vars` raise ExprError.  Division by the zero function
-    raises ZeroDivisionError."""
-    return _ratfn(*_eval(node, vars, field), vars, field)
+    Monomials fold to single terms, the summands of a sum are merged in one
+    pass, and a subtree stays a polynomial until it meets a division or a
+    negative power, so a dense n-term polynomial costs time linear in n.
+    The numerator and denominator are those of folding the tree through
+    RatFn arithmetic.  Names outside `vars` raise ExprError.  Division by
+    the zero function raises ZeroDivisionError."""
+    ev = _Evaluator(vars, field)
+    return ev.ratfn(*ev.eval(node))
 
 
-def _ratfn(num, den, vars, field) -> RatFn:
-    return RatFn.make(num, const_poly(vars, field.one()) if den is None else den)
+class _Evaluator:
+    """Evaluation over one variable tuple and field.
 
+    A value is a pair (num, den).  den is None while the value is a
+    polynomial, and num is then either an MPoly or a monomial: a plain
+    (exponents, coefficient) tuple, the shape of one MPoly term, kept until
+    something needs an MPoly.  A monomial may carry a zero coefficient,
+    which stands for the zero polynomial."""
 
-def _eval(node, vars, field):
-    """(num, den) of a syntax tree; den is None while the tree is a polynomial."""
-    kind = node[0]
-    if kind == "int":
-        return const_poly(vars, field.elem(node[1])), None
-    if kind == "var":
-        if node[1] not in vars:
-            known = ", ".join(vars) if vars else "(none)"
-            raise ExprError(f"unknown variable {node[1]!r}; in scope: {known}")
-        return var_poly(vars, node[1], field), None
-    if kind == "neg":
-        num, den = _eval(node[1], vars, field)
-        return -num, den
-    if kind == "pow":
-        return _power(*_eval(node[1], vars, field), node[2], vars, field)
-    if kind in ("add", "sub"):
-        return _sum(_chain(node, ("add", "sub")), vars, field)
-    return _product(_chain(node, ("mul", "div")), vars, field)
+    def __init__(self, vars, field):
+        self.vars = vars
+        self.field = field
+        self.one = field.one()
+        self.zeros = (0,) * len(vars)
+        self.units = {v: tuple(int(w == v) for w in vars) for v in vars}
+
+    def poly(self, num) -> MPoly:
+        if type(num) is not tuple:
+            return num
+        return MPoly(self.vars, () if num[1].is_exact_zero() else (num,))
+
+    def ratfn(self, num, den) -> RatFn:
+        return RatFn.make(self.poly(num), const_poly(self.vars, self.one) if den is None else den)
+
+    def eval(self, node):
+        """(num, den) of a syntax tree."""
+        kind = node[0]
+        if kind == "int":
+            return (self.zeros, self.field.elem(node[1])), None
+        if kind == "var":
+            unit = self.units.get(node[1])
+            if unit is None:
+                known = ", ".join(self.vars) if self.vars else "(none)"
+                raise ExprError(f"unknown variable {node[1]!r}; in scope: {known}")
+            return (unit, self.one), None
+        if kind == "neg":
+            num, den = self.eval(node[1])
+            return ((num[0], -num[1]) if type(num) is tuple else -num), den
+        if kind == "pow":
+            return self.power(*self.eval(node[1]), node[2])
+        if kind in ("add", "sub"):
+            return self.sum(_chain(node, ("add", "sub")))
+        return self.product(_chain(node, ("mul", "div")))
+
+    def power(self, num, den, k: int):
+        """A monomial to a power k >= 0 is a monomial, except 0^0; a
+        polynomial keeps its own powers (the 0-th of a nonzero one is the
+        constant one); a rational or negative power goes through RatFn."""
+        if type(num) is tuple:
+            exps, c = num
+            if k > 0 or k == 0 and not c.is_exact_zero():
+                return (tuple(e * k for e in exps), c if c is self.one else c ** k), None
+            num = self.poly(num)
+        if den is None and k > 0:
+            return num ** k, None
+        if den is None and k == 0 and not num.is_zero():
+            return const_poly(self.vars, self.one), None
+        r = self.ratfn(num, den) ** k
+        return r.num, r.den
+
+    def sum(self, chain):
+        """Monomials and the terms of polynomial summands are merged by one
+        MPoly.make; the rational summands add as n1/d1 + n2/d2 =
+        (n1*d2 + n2*d1)/(d1*d2)."""
+        terms = []
+        frac = None
+        for kind, node in chain:
+            num, den = self.eval(node)
+            if type(num) is tuple:
+                terms.append(num if kind == "add" else (num[0], -num[1]))
+                continue
+            if kind == "sub":
+                num = -num
+            if den is None:
+                terms.extend(num.terms)
+            elif frac is None:
+                frac = num, den
+            else:
+                frac = frac[0] * den + num * frac[1], frac[1] * den
+        poly = MPoly.make(self.vars, terms)
+        if frac is None:
+            return poly, None
+        return frac[0] + poly * frac[1], frac[1]
+
+    def product(self, chain):
+        """Monomial factors fold into one monomial, with no MPoly built.  A
+        division or a factor that is not a monomial turns the product so far
+        into an MPoly, and the rest of the chain multiplies and divides
+        polynomials and RatFns."""
+        num = den = None
+        for kind, node in chain:
+            num2, den2 = self.eval(node)
+            if kind == "div":
+                q = self.ratfn(num, den) / self.ratfn(num2, den2)
+                num, den = q.num, q.den
+            elif type(num2) is tuple and (num is None or type(num) is tuple):
+                if num is None:
+                    num = num2
+                else:  # names and their powers carry the shared one: skip c*1
+                    c = num[1] if num2[1] is self.one else num[1] * num2[1]
+                    num = tuple(map(add, num[0], num2[0])), c
+            else:
+                num, den = _times(self.poly(num), self.poly(num2)), _times(den, den2)
+        return num, den
 
 
 def _chain(node, ops):
@@ -240,50 +319,6 @@ def _chain(node, ops):
         node = node[1]
     steps.append((ops[0], node))
     return steps[::-1]
-
-
-def _power(num, den, k: int, vars, field):
-    """A polynomial keeps its own powers (the 0-th of a nonzero one is the
-    constant one); a rational or negative power goes through RatFn."""
-    if den is None and k > 0:
-        return num ** k, None
-    if den is None and k == 0 and not num.is_zero():
-        return const_poly(vars, field.one()), None
-    r = _ratfn(num, den, vars, field) ** k
-    return r.num, r.den
-
-
-def _sum(chain, vars, field):
-    """The polynomial summands are merged by one MPoly.make; the rational
-    ones add as n1/d1 + n2/d2 = (n1*d2 + n2*d1)/(d1*d2)."""
-    terms = []
-    frac = None
-    for kind, node in chain:
-        num, den = _eval(node, vars, field)
-        if kind == "sub":
-            num = -num
-        if den is None:
-            terms.extend(num.terms)
-        elif frac is None:
-            frac = num, den
-        else:
-            frac = frac[0] * den + num * frac[1], frac[1] * den
-    poly = MPoly.make(vars, terms)
-    if frac is None:
-        return poly, None
-    return frac[0] + poly * frac[1], frac[1]
-
-
-def _product(chain, vars, field):
-    num = den = None
-    for kind, node in chain:
-        num2, den2 = _eval(node, vars, field)
-        if kind == "div":
-            q = _ratfn(num, den, vars, field) / _ratfn(num2, den2, vars, field)
-            num, den = q.num, q.den
-        else:
-            num, den = _times(num, num2), _times(den, den2)
-    return num, den
 
 
 def _times(a, b):

@@ -289,6 +289,8 @@ class FiniteField(FieldDesc):
         return self.p ** self.n
 
     def elem(self, data) -> "FieldElement":
+        if type(data) is int:  # the common case, without building a Fraction
+            return FieldElement(self, (data % self.p,) + (0,) * (self.n - 1))
         if isinstance(data, (int, Fraction)):
             q = Fraction(data)
             if q.denominator % self.p == 0:

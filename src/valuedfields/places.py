@@ -80,6 +80,7 @@ __all__ = [
     "value_group",
     "place_value",
     "place_residue",
+    "place_value_residue",
     "compose",
     "place_invariants",
     "verify_uniformization_witness",
@@ -472,12 +473,17 @@ def _check_covered(P: PlaceDesc, f: RatFn):
             raise ParamError(f"variable {name} is not covered by the place")
 
 
-def place_value(P: PlaceDesc, f: RatFn | MPoly) -> ValuationResult:
-    """Value of a nonzero rational function: v(num) - v(den)."""
+def _nonzero_ratfn(P: PlaceDesc, f: RatFn | MPoly, zero_message: str) -> RatFn:
     f = _as_ratfn(f, base_field(P))
     _check_covered(P, f)
     if not f.num.terms:
-        raise ParamError("the zero function has no value")
+        raise ParamError(zero_message)
+    return f
+
+
+def place_value(P: PlaceDesc, f: RatFn | MPoly) -> ValuationResult:
+    """Value of a nonzero rational function: v(num) - v(den)."""
+    f = _nonzero_ratfn(P, f, "the zero function has no value")
     if isinstance(P, SeriesEmbedPlace):
         v_num, v_den, _, _ = _embed_valuations(P, f.num, f.den)
         if v_num.kind is ValuationKind.INFINITY:
@@ -494,40 +500,42 @@ def place_residue(P: PlaceDesc, f: RatFn | MPoly):
     """ZERO for positive value, POLE for negative, and the exact residue at
     value zero: a FieldElement, or a polynomial/rational function in the
     residue indeterminates."""
-    f = _as_ratfn(f, base_field(P))
-    _check_covered(P, f)
-    if not f.num.terms:
-        raise ParamError("the zero function has no residue data")
+    return _value_residue(P, _nonzero_ratfn(P, f, "the zero function has no residue data"))[1]
+
+
+def place_value_residue(P: PlaceDesc, f: RatFn | MPoly):
+    """(place_value(P, f), place_residue(P, f)), with the leading data of
+    num and den computed once; an error is the one place_value, or else
+    place_residue, raises."""
+    return _value_residue(P, _nonzero_ratfn(P, f, "the zero function has no value"))
+
+
+def _value_residue(P: PlaceDesc, f: RatFn):
     if isinstance(P, SeriesEmbedPlace):
-        return _embed_residue(P, f)
+        return _embed_value_residue(P, f)
     v_num, lead_num = _lead(P, f.num)
     v_den, lead_den = _lead(P, f.den)
-    s = (v_num - v_den).sign()
-    if s > 0:
-        return ZERO
-    if s < 0:
-        return POLE
-    return _leading_ratio(lead_num, lead_den)
+    v = v_num - v_den
+    s = v.sign()
+    residue = ZERO if s > 0 else POLE if s < 0 else _leading_ratio(lead_num, lead_den)
+    return ValuationResult.exact(v), residue
 
 
-def _embed_residue(P: SeriesEmbedPlace, f: RatFn):
+def _embed_value_residue(P: SeriesEmbedPlace, f: RatFn):
     v_num, v_den, s_num, s_den = _embed_valuations(P, f.num, f.den)
     if v_num.kind is ValuationKind.INFINITY:
-        return ZERO
-    w = v_den.value
-    if v_num.is_exact:
-        s = (v_num.value - w).sign()
+        return ValuationResult.infinity(), ZERO
+    d = v_num.value - v_den.value
+    s = d.sign()
+    if not v_num.is_exact:
+        # num only bounded below: decidable exactly when the bound clears the den
         if s > 0:
-            return ZERO
-        if s < 0:
-            return POLE
-        return s_num.terms[0][1] / s_den.terms[0][1]
-    # num only bounded below: decidable exactly when the bound clears the den
-    if (v_num.value - w).sign() > 0:
-        return ZERO
-    raise PrecisionError(
-        f"residue undecidable: numerator value only known to be >= {v_num.value}"
-    )
+            return ValuationResult.at_least(d), ZERO
+        raise PrecisionError(
+            f"residue undecidable: numerator value only known to be >= {v_num.value}"
+        )
+    residue = ZERO if s > 0 else POLE if s < 0 else s_num.terms[0][1] / s_den.terms[0][1]
+    return ValuationResult.exact(d), residue
 
 
 def _leading_ratio(lead_num, lead_den):

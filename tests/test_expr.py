@@ -9,7 +9,7 @@ import pytest
 from valuedfields.errors import ExprError, UnsupportedError
 from valuedfields.expr import expr_to_ratfn, parse_expr, to_ratfn, tokenize
 from valuedfields.fields import GF, QQ
-from valuedfields.polys import RatFn, const_poly, var_poly
+from valuedfields.polys import MPoly, RatFn, const_poly, var_poly
 
 
 def same_fn(a, b):
@@ -33,6 +33,19 @@ def test_tokenize_kinds_and_positions():
 def test_tokenize_rejects_unknown_character():
     with pytest.raises(ExprError):
         tokenize("x1 % 2")
+
+
+@pytest.mark.parametrize(
+    "text, char, pos",
+    [("1+\u00b2", "\u00b2", 2), ("t\u00b2", "\u00b2", 1), ("\u0663*t", "\u0663", 0)],
+    ids=["superscript_after_int", "superscript_in_name", "arabic_indic_three"],
+)
+def test_tokenize_accepts_ascii_digits_only(text, char, pos):
+    # str.isdigit accepts a superscript two and an Arabic-Indic three;
+    # integers and names take 0-9 only
+    with pytest.raises(ExprError) as info:
+        tokenize(text)
+    assert str(info.value) == f"unexpected character {char!r} at position {pos}"
 
 
 def test_parse_precedence_mul_over_add():
@@ -246,6 +259,34 @@ def _random_text(rng, names, depth):
     return rng.choice("-+") + _random_text(rng, names, depth - 1)
 
 
+def _random_chain(rng, names):
+    """A sum of products of monomial factors: integers, names and their
+    powers, with now and then a division, 0^0, a negative power, a name out
+    of scope or a parenthesized factor that is not a monomial."""
+    summands = []
+    for _ in range(rng.randint(1, 4)):
+        factors = []
+        for _ in range(rng.randint(1, 5)):
+            r = rng.random()
+            if r < 0.015:
+                factor = "y"
+            elif r < 0.1:
+                factor = f"({_random_text(rng, names, 1)})"
+            else:
+                factor = str(rng.randrange(0, 5)) if r < 0.45 else rng.choice(names)
+                if rng.random() < 0.5:
+                    factor += f"^{rng.randint(-1, 4)}"
+            factors.append(factor)
+        text = factors[0]
+        for factor in factors[1:]:
+            text += ("/" if rng.random() < 0.15 else "*") + factor
+        summands.append(rng.choice(["", "-"]) + text)
+    text = summands[0]
+    for summand in summands[1:]:
+        text += rng.choice([" + ", " - "]) + summand
+    return text
+
+
 DENSE_4096 = "+".join(f"{i + 1}*t^{i}" for i in range(4096))
 
 _FIELDS = {"F5": GF(5), "F9": GF(3, 2), "Q": QQ}
@@ -256,17 +297,22 @@ _FIELDS = {"F5": GF(5), "F9": GF(3, 2), "Q": QQ}
 def test_evaluator_matches_the_ratfn_fold(field_name, names):
     field = _FIELDS[field_name]
     rng = random.Random(f"{field_name}/{len(names)}")
-    seen = set()
-    for _ in range(100):
-        text = _random_text(rng, names, 3)
-        node = parse_expr(text)
-        got = _outcome(to_ratfn, node, names, field)
-        assert got == _outcome(_fold, node, names, field), text
-        if isinstance(got[0], type):
-            seen.add(got[0])
-        else:
-            seen.add("fraction" if any(any(e) for e, _ in got[1]) else "polynomial")
-    assert {"polynomial", "fraction", ZeroDivisionError} <= seen
+    outcomes = {"polynomial", "fraction", ZeroDivisionError}
+    for generate, want in [
+        (lambda: _random_text(rng, names, 3), outcomes),
+        (lambda: _random_chain(rng, names), outcomes | {UnsupportedError, ExprError}),
+    ]:
+        seen = set()
+        for _ in range(100):
+            text = generate()
+            node = parse_expr(text)
+            got = _outcome(to_ratfn, node, names, field)
+            assert got == _outcome(_fold, node, names, field), text
+            if isinstance(got[0], type):
+                seen.add(got[0])
+            else:
+                seen.add("fraction" if any(any(e) for e, _ in got[1]) else "polynomial")
+        assert want <= seen
 
 
 @pytest.mark.parametrize("field_name", sorted(_FIELDS))
@@ -279,6 +325,14 @@ def test_evaluator_matches_the_ratfn_fold(field_name, names):
         ("t^2 + s", ExprError),
         ("(1/t)^0 + t^0 - 1", None),
         ("-(t^2 - 1)^-3*t/(1 + t)^0", None),
+        # inside chains of monomial factors
+        ("2*t*0^0*t", UnsupportedError),
+        ("3*t^2*0^-1 + t", ZeroDivisionError),
+        ("t - 2*t*s*t^2", ExprError),
+        ("4*t^2*t^-1*3 - t", None),
+        ("3*t^2*2*t + 2^3*t + 0*t^5 - -t*t", None),
+        ("4*t/(1+t)*t^3 - 2^0*0^3", None),
+        ("(2*t)^3*t^0 - (-t)^2/t", None),
     ],
 )
 def test_evaluator_errors_match_the_ratfn_fold(field_name, text, error):
@@ -308,3 +362,14 @@ def test_dense_coefficient_in_linear_time():
     assert time.perf_counter() - start < 1.0
     assert rf.num.terms == tuple(((i,), f5.elem(i + 1)) for i in range(4096) if (i + 1) % 5)
     assert rf.den.terms == (((0,), f5.one()),)
+
+
+def test_dense_coefficient_builds_a_constant_number_of_mpolys(monkeypatch):
+    # each monomial folds to one term and the sum merges them all at once:
+    # one MPoly.make for the numerator and one for the constant denominator
+    calls = []
+    make = MPoly.make
+    monkeypatch.setattr(MPoly, "make", staticmethod(lambda v, t: calls.append(v) or make(v, t)))
+    rf = expr_to_ratfn(DENSE_4096, ("t",), GF(5))
+    assert len(rf.num.terms) == 4096 - 4096 // 5
+    assert len(calls) <= 2

@@ -10,9 +10,11 @@ from valuedfields.errors import (
     PrecisionError,
     SpanError,
     UnsupportedError,
+    ValuedFieldError,
 )
 from valuedfields.fields import GF, QQ
 from valuedfields.groups import LexGroup, QQ_GROUP, QuadGroup, ZZ_GROUP, one_over_m
+from valuedfields import places
 from valuedfields.hensel import eval_poly_at_series
 from valuedfields.places import (
     ComposePlace,
@@ -28,6 +30,7 @@ from valuedfields.places import (
     place_residue,
     place_to_json,
     place_value,
+    place_value_residue,
     place_vars,
     value_group,
     verify_uniformization_witness,
@@ -668,3 +671,66 @@ def test_place_vars_accessors():
     P = _two_step()
     assert place_vars(P) == ("x1", "x2")
     assert place_vars(_cusp_place()) == ("x", "y")
+
+
+# ---------------------------------------------------------------------------
+# value and residue together
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValuedFieldError, ZeroDivisionError) as exc:  # errors must agree too
+        return type(exc), str(exc)
+
+
+def _value_residue_cases():
+    """(place, function) pairs over every place kind, with ZERO, POLE and
+    nonzero residues, an infinite and a bounded value, and the errors."""
+    xy = ("x", "y")
+    cusp = _cusp_place()
+    F2 = GF(2)
+    stream = SeriesEmbedPlace(
+        F2, ZZ_GROUP, (("x", frobenius_root(2)), ("u", t_pow(F2, ZZ_GROUP, 1)))
+    )
+    x12 = ("x1", "x2")
+    at_2 = EvalPlace(QQ, (("x1", QQ.elem(2)), ("x2", QQ.elem(0))))
+    return [
+        (TrivialPlace(x12, QQ), _rf(_poly(x12, {(1, 0): 1}), _poly(x12, {(0, 1): 2}))),
+        (_quad_place(), _rf(_poly(x12, {(1, 0): 1}), _poly(x12, {(0, 1): 1}))),
+        (_quad_place(), _rf(_poly(x12, {(0, 1): 1}), _poly(x12, {(1, 0): 1}))),
+        (at_2, _rf(_poly(x12, {(2, 0): 1, (0, 0): -4}), _poly(x12, {(1, 0): 1, (0, 0): -2}))),
+        (at_2, _rf(_poly(x12, {(1, 1): 1}), _poly(x12, {(0, 2): 1}))),
+        (_two_step(), _rf(_poly(x12, {(1, 1): 3, (0, 2): 1}), _poly(x12, {(1, 0): 2}))),
+        (_two_step(), _rf(_poly(x12, {(1, 1): 3, (2, 0): 1}), _poly(x12, {(1, 1): 2}))),
+        (cusp, _rf(_poly(xy, {(0, 2): 1}), _poly(xy, {(3, 0): 1}))),
+        (cusp, _rf(_poly(xy, {(0, 2): 1, (3, 0): -1}))),
+        (cusp, RatFn.make(_poly(xy, {(1, 0): 1}), _poly(xy, {(0, 2): 1, (3, 0): -1}))),
+        (stream, _rf(_poly(("x", "u"), {(2, 0): 1, (1, 0): 1, (0, 1): 1}, F2), None, F2)),
+        # the numerator's value is only bounded below, by less than the den's
+        (stream, _rf(_poly(("x", "u"), {(2, 0): 1, (1, 0): 1, (0, 1): 1}, F2),
+                     _poly(("x", "u"), {(0, 70): 1}, F2))),
+        (_quad_place(), _rf(_poly(x12, {}))),
+        (MonomialPlace(QQ, ZZ_GROUP, (("x", ZZ_GROUP.elem(1)),)), _poly(("x", "w"), {(1, 1): 1})),
+    ]
+
+
+@pytest.mark.parametrize("P, f", _value_residue_cases())
+def test_value_residue_matches_value_then_residue(P, f):
+
+    def separately():
+        return place_value(P, f), place_residue(P, f)
+
+    assert _outcome(place_value_residue, P, f) == _outcome(separately)
+
+
+def test_value_residue_reads_leading_data_once(monkeypatch):
+    calls = []
+    lead = places._lead
+    monkeypatch.setattr(places, "_lead", lambda P, g: calls.append(g) or lead(P, g))
+    P = EvalPlace(QQ, (("x1", QQ.elem(2)), ("x2", QQ.elem(-1))))
+    x12 = ("x1", "x2")
+    f = _rf(_poly(x12, {(3, 0): 1, (0, 0): -8}), _poly(x12, {(1, 0): 1, (0, 0): 1}))
+    v, r = place_value_residue(P, f)
+    assert str(v.value) == "(1,0)" and r is ZERO
+    assert calls == [f.num, f.den]
