@@ -480,9 +480,9 @@ def _require_finite(a: FieldElement) -> FiniteField:
 
 
 def frobenius(a: FieldElement) -> FieldElement:
-    """a -> a^p."""
+    """a -> a^p; the identity over F_p, where c^p = c."""
     f = _require_finite(a)
-    return a ** f.p
+    return a if f.n == 1 else a ** f.p
 
 
 def inverse_frobenius(a: FieldElement) -> FieldElement:
@@ -582,10 +582,10 @@ _EMBED_CACHE: dict[tuple[FiniteField, FiniteField], FieldElement] = {}
 
 def _horner(coeffs, x):
     """coeffs (low degree first) evaluated at x; FieldElement and Series
-    share the + and * it needs."""
+    share the + and * it needs.  An exact-zero coefficient adds nothing."""
     acc = coeffs[-1]
     for c in reversed(coeffs[:-1]):
-        acc = acc * x + c
+        acc = acc * x if c.is_exact_zero() else acc * x + c
     return acc
 
 

@@ -335,8 +335,11 @@ def cramer(m, vecs, zero, one):
 
     By Cayley-Hamilton, adj(m) = (-1)^(n+1) * (m^(n-1) + c1*m^(n-2) + ...
     + c_(n-1)*I) with c_i from the characteristic polynomial; each product
-    adj(m)*v is evaluated by Horner's rule in n-1 matrix-vector products."""
+    adj(m)*v is evaluated by Horner's rule in n-1 matrix-vector products.
+    A 1x1 matrix is its own determinant, with adjugate 1."""
     n = len(m)
+    if n == 1:
+        return m[0][0], [list(v) for v in vecs]
     c = _charpoly(m, zero, one)
     out = []
     for v in vecs:

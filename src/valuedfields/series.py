@@ -36,7 +36,15 @@ integer, and CPython's Karatsuba multiplies them.  One cost rule picks the
 kernel: Kronecker when the slots of the product window it reads back are
 fewer than _PAIR_COST times the pairs the loop would form.  A one-term
 factor only shifts and scales the other.  The slots live only inside
-mul_series; a Series has one representation.
+mul_series and _horner_packed; a Series has one representation.
+
+_pack and _unpack are the one pair of routines that put coefficients into
+the fixed-width slots of one integer and read them back, by memoryview.cast
+where a slot is 1, 2, 4 or 8 bytes wide.  Kronecker multiplies with them,
+and _horner_packed evaluates a polynomial at a series below t^N with them:
+each operand is packed once, Horner's rule runs on the integers, and the
+slots are reduced mod p once, so a dense evaluation builds one Series where
+the plain Horner builds two per degree.
 
 Series.__pow__ is the one power routine.  In characteristic p a p-th power
 is the Frobenius, (sum c*t^e)^p = sum c^p*t^(pe), so a ** k with p | k
@@ -55,6 +63,8 @@ from __future__ import annotations
 
 import inspect
 import itertools
+import struct
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
@@ -403,7 +413,7 @@ def mul_series(a: Series, b: Series) -> Series:
         ta, tb = tb, ta
     if len(ta) == 1:
         return _mul_monomial(ta[0], tb, prec)
-    m, xa, xb, limit = _slot_lists(group, ta, tb, prec)
+    m, (xa, xb), limit = _slot_lists(group, (ta, tb), prec)
     if limit is not None:
         # a term matters only if its product with the other's first is below
         na, nb = bisect_left(xa, limit - xb[0]), bisect_left(xb, limit - xa[0])
@@ -431,7 +441,13 @@ def mul_series(a: Series, b: Series) -> Series:
     else:
         items = [(x, FieldElement(field, c)) for x, c in sums if c]
     items.sort(key=itemgetter(0) if m or not group.native_order else _exp_data)
-    # the slots back to exponents
+    return _from_slots(field, group, m, items, prec)
+
+
+def _from_slots(field: FieldDesc, group: GroupDesc, m, items: list, prec) -> Series:
+    """The Series whose terms are the (slot, coefficient) items, in slot
+    order: slot x is the exponent x/m over a subgroup of Q, and the
+    exponent itself over lex and quad groups (m None)."""
     if not m:
         terms = items
     elif group.int_data:
@@ -466,35 +482,34 @@ def _mul_monomial(term, terms, prec) -> Series:
     return Series(field, group, tuple(zip(exps, coeffs)), prec)
 
 
-def _slot_lists(group: GroupDesc, ta, tb, prec: GroupElem | None):
-    """(m, slots of ta, slots of tb, slot of prec or None).  Over a subgroup
-    of Q the slot of e is the integer m*e, m the lcm of the denominators of
-    every exponent and of the precision (1 over Z, whose data are ints);
-    over a lex or quad group it is e itself, and m is None."""
+def _slot_lists(group: GroupDesc, term_lists, prec: GroupElem | None):
+    """(m, the slots of each term tuple, slot of prec or None).  Over a
+    subgroup of Q the slot of e is the integer m*e, m the lcm of the
+    denominators of every exponent and of the precision (1 over Z, whose
+    data are ints); over a lex or quad group it is e itself, and m is None."""
     if type(group) is not RationalGroup:
-        return None, [e for e, _ in ta], [e for e, _ in tb], prec
+        return None, [[e for e, _ in ts] for ts in term_lists], prec
     if group.int_data:
-        return 1, [e.data for e, _ in ta], [e.data for e, _ in tb], None if prec is None else prec.data
-    dens = {e.data.denominator for e, _ in ta}
-    dens.update(e.data.denominator for e, _ in tb)
+        return 1, [[e.data for e, _ in ts] for ts in term_lists], None if prec is None else prec.data
+    dens = {e.data.denominator for ts in term_lists for e, _ in ts}
     if prec is not None:
         dens.add(prec.data.denominator)
     m = lcm(*dens)
-    xa = [e.data.numerator * (m // e.data.denominator) for e, _ in ta]
-    xb = [e.data.numerator * (m // e.data.denominator) for e, _ in tb]
+    slots = [[e.data.numerator * (m // e.data.denominator) for e, _ in ts] for ts in term_lists]
     limit = None if prec is None else prec.data.numerator * (m // prec.data.denominator)
-    return m, xa, xb, limit
+    return m, slots, limit
 
 
 # The cost rule: the Kronecker kernel pays when the slots of the product
 # window it reads back are fewer than _PAIR_COST times the term pairs the
-# pair loop would form.  Both kernels were timed on 660 random operand pairs
-# over F_3, F_101 and F_(2^61 - 1): 2 to 128 terms, 1 to 24 slots per term,
-# exact and cut.  Kronecker won every case with fewer than 0.09 slots per
-# pair and the pair loop every case with more than 0.25; 0.1 keeps the
-# total time within 2.3 % of always picking the faster kernel, and no case
-# more than 1.4x slower.
-_PAIR_COST = 0.1
+# pair loop would form.  Both kernels were timed, with the slots read back
+# by memoryview.cast, on 660 random operand pairs over F_3, F_101 and
+# F_(2^61 - 1): 2 to 128 terms, 1 to 24 slots per term, exact and cut, in
+# two sweeps.  Kronecker won every case with fewer than 0.05 slots per pair
+# and was the faster in the median up to 0.35; the pair loop won in the
+# median above.  0.2 keeps the total time within 9 % of always picking the
+# faster kernel (0.1: 11 %, 0.25: 16 %).
+_PAIR_COST = 0.2
 
 
 def _kronecker_pays(xa: list, xb: list, limit) -> bool:
@@ -530,26 +545,140 @@ def _mul_pairs(xa: list, ca: list, xb: list, cb: list, limit, zero):
 
 def _mul_kronecker(xa: list, ca: list, xb: list, cb: list, limit, p: int) -> list:
     """The product over F_p by Kronecker substitution: each operand becomes
-    one integer with coefficient k in slot x - x[0], and one big-integer
-    product does the work.  A slot holds the sum of at most
-    min(len xa, len xb) products below p^2 with room to spare, so no slot
-    carries into the next; the slots below limit are read back as sorted
+    one integer with coefficient k in slot x - x[0] (_pack), and one
+    big-integer product does the work.  A slot holds the sum of at most
+    min(len xa, len xb) products below p^2, so no slot carries into the
+    next; the slots below limit are read back (_unpack) as sorted
     (slot, sum) pairs, the sums not yet reduced mod p."""
     base = xa[0] + xb[0]
-    width = (2 * (p - 1).bit_length() + min(len(xa), len(xb)).bit_length() + 7) // 8
-    packed = []
-    for xs, cs in ((xa, ca), (xb, cb)):
-        low = xs[0]
-        buf = bytearray((xs[-1] - low + 1) * width)
-        for x, k in zip(xs, cs):
-            i = x - low
-            buf[i * width:(i + 1) * width] = k.to_bytes(width, "little")
-        packed.append(int.from_bytes(buf, "little"))
+    width = _slot_width(min(len(xa), len(xb)) * (p - 1) ** 2)
+    packed = [_pack(xs, cs, xs[0], xs[-1] - xs[0] + 1, width) for xs, cs in ((xa, ca), (xb, cb))]
     size = xa[-1] + xb[-1] - base + 1
-    raw = memoryview((packed[0] * packed[1]).to_bytes(size * width, "little"))
     if limit is not None:
         size = min(size, limit - base)
-    return [(base + i, int.from_bytes(raw[i * width:(i + 1) * width], "little")) for i in range(size)]
+    return list(zip(range(base, base + size), _unpack(packed[0] * packed[1], size, width)))
+
+
+# memoryview.cast formats of the slot widths it reads and writes natively,
+# by byte count; a cast reads native byte order, so big-endian hosts use
+# none and fall back to int.to_bytes and int.from_bytes per slot
+_CAST = {struct.calcsize(f): f for f in "BHIQ"} if sys.byteorder == "little" else {}
+
+
+def _slot_width(bound: int) -> int:
+    """Bytes per slot for slot values up to bound, rounded up to a width
+    memoryview.cast reads when one is wide enough."""
+    width = (bound.bit_length() + 7) // 8
+    for w in _CAST:  # ascending
+        if w >= width:
+            return w
+    return width
+
+
+def _pack(xs: list, ks: list, low: int, size: int, width: int) -> int:
+    """The integer of size slots of width bytes, low slot first, whose slot
+    x - low holds k for each slot x and value 0 <= k < 2^(8*width) of xs
+    and ks, and whose other slots hold 0."""
+    buf = bytearray(size * width)
+    fmt = _CAST.get(width)
+    if fmt:
+        view = memoryview(buf).cast(fmt)
+        for x, k in zip(xs, ks):
+            view[x - low] = k
+        view.release()
+    else:
+        for x, k in zip(xs, ks):
+            i = (x - low) * width
+            buf[i:i + width] = k.to_bytes(width, "little")
+    return int.from_bytes(buf, "little")
+
+
+def _unpack(value: int, size: int, width: int) -> list:
+    """The values of the low size slots of width bytes of value >= 0, low
+    slot first: the inverse of _pack."""
+    raw = memoryview(value.to_bytes(max(size * width, (value.bit_length() + 7) // 8), "little"))
+    fmt = _CAST.get(width)
+    if fmt:
+        return raw[:size * width].cast(fmt).tolist()
+    return [int.from_bytes(raw[i:i + width], "little") for i in range(0, size * width, width)]
+
+
+def _horner_packed(coeffs, a: Series, below: GroupElem) -> Series | None:
+    """truncate(_horner(coeffs, a), below) by one packed pass, or None where
+    the pass does not apply or the cost rule says it does not pay.
+
+    It applies over F_p with exponents in a subgroup of Q when a and every
+    coefficient have no term of negative exponent and are known modulo
+    t^(below), below > 0: the result below t^(below) then depends only on
+    the operands below it.  Each operand is packed once into the slots of
+    t^0 .. t^(below) (exclusive), and Horner's rule runs on the integers,
+    acc <- (acc * A mod 2^(width*slots)) + C.  The slot width holds the
+    largest unreduced sum, so no slot carries and the low slots of each
+    product are the truncated product; the slots are read back and reduced
+    mod p once."""
+    field, group = a.field, a.group
+    if not (type(field) is FiniteField and field.n == 1 and type(group) is RationalGroup):
+        return None
+    c0 = coeffs[0]  # the coefficients share one ring; the plain Horner reports a foreign a
+    if not ((c0.field is field or c0.field == field) and (c0.group is group or c0.group == group)):
+        return None
+    bound = below.data
+    if bound <= 0:
+        return None
+    cut = []
+    for s in (a, *coeffs):
+        terms = s.terms
+        if terms and terms[0][0].data < 0 or s.precision is not None and s.precision.data < bound:
+            return None
+        cut.append(_below(terms, below))
+    m, slots, limit = _slot_lists(group, cut, below)
+    p = field.p
+    # the largest slot of acc after each step, from c_d: acc*A adds at most
+    # len(cut[0]) products of two slots
+    top = p - 1
+    for _ in coeffs[1:]:
+        top = top * (p - 1) * len(cut[0]) + p - 1
+    width = _slot_width(top)
+    if not _packing_pays(list(map(len, cut)), limit, width):
+        return None
+    packed_a, *packed_cs = [
+        _pack(xs, [c.data[0] for _, c in terms], 0, limit, width) for xs, terms in zip(slots, cut)
+    ]
+    mask = (1 << 8 * width * limit) - 1
+    acc = packed_cs[-1]
+    for packed_c in reversed(packed_cs[:-1]):
+        acc = (acc * packed_a & mask) + packed_c
+    sums = _unpack(acc, limit, width)
+    items = [(x, FieldElement(field, (k,))) for x, total in enumerate(sums) if (k := total % p)]
+    return _from_slots(field, group, m, items, below)
+
+
+# The cost rule of the packed evaluation: it pays when the slots it reads
+# back plus the 8-byte words its big-integer products cover are fewer than
+# _PACK_COST times a lower bound on the terms the plain Horner builds.  Both
+# were timed on 1836 random evaluations over F_3, F_101 and F_(2^61 - 1):
+# 4 to 512 slots, degree 1 to 8, points and coefficients from one term to
+# every slot, exact and cut.  With 3 the rule's total time is 0.76 times the
+# plain Horner's; where it packs and loses by more than 1.3x (31 cases), the
+# degree is 1, or 2 with 512 slots, and the loss at most 2.9x or 0.5 ms.
+_PACK_COST = 3
+
+
+def _packing_pays(counts: list, limit: int, width: int) -> bool:
+    """Whether one packed pass over limit slots of width bytes is cheaper
+    than the plain Horner on operands with the given term counts, point
+    first.  Each plain step builds acc*a + c, which has at least
+    |acc| + |a| - 1 and |c| terms (sums of two sets of integers), and at
+    most limit."""
+    na, *ncs = counts
+    terms = built = 0
+    for nc in reversed(ncs):
+        if terms and na:
+            terms += na - 1
+        terms = min(limit, max(terms, nc))
+        built += terms
+    words = (len(ncs) - 1) * limit * width / 8
+    return limit + words < _PACK_COST * built
 
 
 def truncate(a: Series, precision) -> Series:
@@ -557,8 +686,9 @@ def truncate(a: Series, precision) -> Series:
         return a
     prec = _as_group_elem(a.group, precision)
     _check_precision(a.group, prec)
-    new_prec = _prec_min(a.precision, prec)
-    return Series(a.field, a.group, _below(a.terms, new_prec), new_prec)
+    if a.precision is not None and not prec < a.precision:
+        return a  # nothing to cut, and a Series is immutable
+    return Series(a.field, a.group, _below(a.terms, prec), prec)
 
 
 def shift(a: Series, g) -> Series:

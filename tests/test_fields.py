@@ -205,6 +205,15 @@ def test_frobenius_additive_and_inverse():
             assert inverse_frobenius(frobenius(a)) == a
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 101])
+def test_frobenius_over_a_prime_field_is_the_p_th_power(p):
+    field = GF(p)
+    for c in range(p):
+        a = field.elem(c)
+        assert frobenius(a) == a ** p
+        assert frobenius(a).field is field
+
+
 def test_frobenius_needs_positive_characteristic():
     with pytest.raises(CharacteristicError):
         frobenius(QQ.one())

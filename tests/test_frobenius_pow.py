@@ -86,7 +86,7 @@ def _z_elems():
     z = ZZ_GROUP
     a, b = z.elem(3), z.elem(Fraction(-4))
     dense = make_series(GF(5), z, [(i, i % 4 + 1) for i in range(64)], 64)
-    m, xa, xb, limit = series._slot_lists(z, dense.terms, dense.terms, z.elem(64))
+    m, (xa, xb), limit = series._slot_lists(z, (dense.terms, dense.terms), z.elem(64))
     assert m == 1 and series._kronecker_pays(xa, xb, limit)
     t = make_series(GF(5), z, [(1, 1), (2, 3)], 9)
     return [
@@ -118,7 +118,7 @@ def test_q_data_stays_fraction_at_integral_values():
     q = QQ_GROUP
     a, b = q.elem(3), q.elem(Fraction(-4))
     dense = make_series(GF(5), q, [(i, i % 4 + 1) for i in range(64)], 64)
-    m, xa, xb, limit = series._slot_lists(q, dense.terms, dense.terms, q.elem(64))
+    m, (xa, xb), limit = series._slot_lists(q, (dense.terms, dense.terms), q.elem(64))
     assert m == 1 and series._kronecker_pays(xa, xb, limit)
     made = [
         q.zero(), a, b, parse_elem(q, "7"), a + b, a - b, -a, a.scale(5),

@@ -14,7 +14,7 @@ from valuedfields.errors import (
     SingularPointError,
 )
 from valuedfields.fields import GF, QQ, _poly_roots
-from valuedfields.groups import ZZ_GROUP
+from valuedfields.groups import ZZ_GROUP, one_over_m
 from valuedfields.hensel import (
     SeriesPoly,
     _divisors,
@@ -27,8 +27,11 @@ from valuedfields.hensel import (
 )
 from valuedfields.polys import mpoly
 from valuedfields.series import (
+    Series,
+    add_series,
     frobenius_root,
     make_series,
+    mul_series,
     one_series,
     stream_expand,
     t_pow,
@@ -239,6 +242,43 @@ def test_newton_system_pair():
     for f in (f1, f2):
         r = truncate(eval_poly_at_series(f, vals, F, ZZ_GROUP), 6)
         assert not r.terms
+
+
+def _add_chain(p, values, field, group):
+    """The reference: each term's powers formed afresh, summed by a chain of
+    add_series."""
+    acc = zero_series(field, group)
+    for exps, coeff in p.terms:
+        term = coeff if isinstance(coeff, Series) else make_series(field, group, [(group.zero(), coeff)])
+        for v, e in zip(p.vars, exps):
+            if e:
+                term = mul_series(term, values[v] ** e)
+        acc = add_series(acc, term)
+    return acc
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=str)
+def test_eval_poly_at_series_matches_the_add_chain(field):
+    rng = random.Random(41)
+    group = one_over_m(2)
+
+    def coefficient():
+        return Fraction(rng.randrange(-4, 5), rng.randrange(1, 3)) if field is QQ else rng.randrange(3)
+
+    def series(low):
+        terms = [(Fraction(rng.randrange(low, 12), 2), coefficient()) for _ in range(rng.randrange(4))]
+        prec = None if rng.random() < 0.4 else Fraction(rng.randrange(4, 16), 2)
+        return make_series(field, group, terms, prec)
+
+    for _ in range(40):
+        scalar = rng.random() < 0.3
+        terms = {}
+        for _ in range(rng.randrange(1, 7)):
+            exps = (rng.randrange(4), rng.randrange(3))
+            terms[exps] = field.elem(coefficient() or 1) if scalar else series(-2)
+        p = mpoly(("X", "Y"), terms)
+        values = {"X": series(-1), "Y": series(0)}
+        assert eval_poly_at_series(p, values, field, group) == _add_chain(p, values, field, group)
 
 
 def test_newton_system_matches_hensel_n1():

@@ -8,7 +8,7 @@ import pytest
 from valuedfields.errors import ParamError, PoleError, UnsupportedError
 from valuedfields.fields import GF, QQ
 from valuedfields.groups import ZZ_GROUP
-from valuedfields.polys import MPoly, RatFn, adjugate, const_poly, cramer, det, mpoly, var_poly
+from valuedfields.polys import MPoly, RatFn, _charpoly, adjugate, const_poly, cramer, det, mpoly, var_poly
 from valuedfields.series import make_series, one_series, zero_series
 
 
@@ -254,6 +254,19 @@ def test_adjugate_identity_over_truncated_series(n):
                     gap = prod - d if i == j else prod
                     assert gap.is_zero_to_precision()
                     assert gap.precision is None or not gap.precision < ZZ_GROUP.elem(N)
+
+
+def test_cramer_on_a_1x1_series_matrix_keeps_value_and_precision():
+    # a 1x1 matrix is its own determinant, with the precision Berkowitz gives
+    F = GF(5)
+    zero, one = zero_series(F, ZZ_GROUP), one_series(F, ZZ_GROUP)
+    for prec in (None, 4, 9):
+        m = [[make_series(F, ZZ_GROUP, [(0, 2), (3, 1), (7, 4)], prec)]]
+        v = [make_series(F, ZZ_GROUP, [(1, 3)], 6)]
+        d, (x,) = cramer(m, [v], zero, one)
+        berkowitz = zero - _charpoly(m, zero, one)[-1]
+        assert (d, d.precision) == (berkowitz, berkowitz.precision) == (m[0][0], m[0][0].precision)
+        assert x == v
 
 
 def test_power_term_budget():
