@@ -39,7 +39,6 @@ from .groups import (
     QQ_GROUP,
     QuadGroup,
     RationalGroup,
-    ZZ_GROUP,
     divisible_by,
     from_coords,
     one_over_m,
@@ -306,13 +305,11 @@ def poly_to_series(q: MPoly, group: GroupDesc) -> Series:
     return make_series(field, group, [(e[0], c) for e, c in q.terms])
 
 
-def surgery(c: Series | MPoly, max_iter: int, group: GroupDesc | None = None):
+def surgery(c: Series, max_iter: int):
     """Repeatedly eliminate the leading term when its exponent is a nonzero
     p-th multiple inside the group: subtract b^p - b for b the exact p-th
     root of that term.  Returns a NormalForm once the leading exponent stops
     being eliminable, or a DefectSuspect after max_iter rounds."""
-    if isinstance(c, MPoly):
-        c = poly_to_series(c, group if group is not None else ZZ_GROUP)
     p = c.field.characteristic
     if p == 0:
         raise HypothesisError("surgery needs positive characteristic")

@@ -98,16 +98,24 @@ def _poly_divmod(a, m, p):
     return _poly_trim(q), _poly_trim(a)
 
 
-def _poly_powmod(a, e, m, p):
-    """a^e mod m over F_p, by square and multiply."""
-    out, a = (1,), _poly_divmod(a, m, p)[1]
+def _power(x, k, mul):
+    """x^k for k >= 1 by square and multiply, with the product mul."""
+    result = None
     while True:
-        if e & 1:
-            out = _poly_divmod(_poly_mul(out, a, p), m, p)[1]
-        e >>= 1
-        if not e:
-            return out
-        a = _poly_divmod(_poly_mul(a, a, p), m, p)[1]
+        if k & 1:
+            result = x if result is None else mul(result, x)
+        k >>= 1
+        if not k:
+            return result
+        x = mul(x, x)
+
+
+def _poly_powmod(a, e, m, p):
+    """a^e mod m over F_p, for e >= 1."""
+    def mulmod(x, y):
+        return _poly_divmod(_poly_mul(x, y, p), m, p)[1]
+
+    return _power(_poly_divmod(a, m, p)[1], e, mulmod)
 
 
 def _poly_gcd(a, b, p):
@@ -440,14 +448,7 @@ class FieldElement:
             return FieldElement(f, (pow(self.data[0], e, f.p),))
         if e < 0:
             return self.inverse() ** (-e)
-        result = f.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, e, FieldElement.__mul__) if e else f.one()
 
     def __str__(self):
         if isinstance(self.field, RationalField):

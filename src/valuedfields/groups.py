@@ -29,7 +29,7 @@ from .errors import (
     SpanError,
     UnsupportedError,
 )
-from .polys import adjugate, det
+from .polys import det
 
 __all__ = [
     "GroupDesc",
@@ -617,9 +617,11 @@ def perron_basis(generators, positives) -> PerronResult:
     Rank-one spans are immediate (primitive positive generator).  The
     quadratic family uses repeated subtraction on the basis pair (replace the
     larger element by the difference), a whole run at a time; it ends because
-    the pair's ratio is irrational.  Lex spans recurse along the convex
-    filtration: split off the dominant-coordinate basis row, fix the rest,
-    then shear the dominant row until every coefficient is non-negative.
+    the pair's ratio is irrational.  Lex spans shear along the convex
+    filtration, in place, from the smallest convex subgroup up: each basis
+    row loses multiples of the rows below it until the targets of its level
+    have non-negative coefficients.  Both procedures change the basis rows,
+    the transform T and the target coordinates together, one shear at a time.
 
     Postconditions (unimodularity, positivity, non-negative coefficients,
     exact reconstruction) are machine-checked on every call.
@@ -713,7 +715,8 @@ def _fix_pair_subtractive(rows, T, coords, to_elem):
     times, q the largest k with big > k*small, or fewer when an earlier step
     leaves every coefficient non-negative, which gives the basis of one step
     at a time.  The ratio of a rank-2 span of Q + Q*sqrt2 is irrational, so no
-    run ends in a tie and the pair's cone grows until it holds every target."""
+    run ends in a tie and the pair's cone grows until it holds every target.
+    Each run is one shear of the larger row by the smaller."""
     while not all(x >= 0 for c in coords for x in c):
         u, v = to_elem(rows[0]), to_elem(rows[1])
         if cmp(u, v) > 0:
@@ -724,10 +727,16 @@ def _fix_pair_subtractive(rows, T, coords, to_elem):
         # the first step leaving every c[small] >= 0 (c[big] = 0 forces c[small] > 0)
         if all(c[big] >= 0 for c in coords):
             steps = min(steps, max(-(c[small] // c[big]) for c in coords if c[big]))
-        rows[big] = [x - steps * y for x, y in zip(rows[big], rows[small])]
-        T[big] = [x - steps * y for x, y in zip(T[big], T[small])]
-        for c in coords:
-            c[small] += steps * c[big]
+        _shear(rows, T, coords, big, small, steps)
+
+
+def _shear(rows, T, coords, i, j, k):
+    """Row i loses k times row j, in the basis and in T; every target gains
+    k*c[i] in coordinate j, so it stays the same sum over the new basis."""
+    rows[i] = [x - k * y for x, y in zip(rows[i], rows[j])]
+    T[i] = [x - k * y for x, y in zip(T[i], T[j])]
+    for c in coords:
+        c[j] += k * c[i]
 
 
 def _run_length(big: GroupElem, small: GroupElem) -> int:
@@ -744,90 +753,17 @@ def _run_length(big: GroupElem, small: GroupElem) -> int:
     return k
 
 
-def _mat_inv_unimodular(m):
-    """Exact inverse of a unimodular integer matrix: det(m) * adj(m)."""
-    d = det(m, 0, 1)
-    if d not in (1, -1):
-        raise IterationCapError("matrix is not unimodular")
-    return [[d * x for x in row] for row in adjugate(m, 0, 1)]
-
-
 def _fix_lex(rows, T, coords):
-    """Convex-filtration recursion for lex spans (in-place on rows/T/coords)."""
-    new_rows, M, new_coords = _lex_fix(rows, [list(c) for c in coords])
-    new_T = [[sum(a * b for a, b in zip(row, col)) for col in zip(*T)] for row in M]
-    for i in range(len(rows)):
-        rows[i] = new_rows[i]
-        T[i] = new_T[i]
-    for c, nc in zip(coords, new_coords):
-        c[:] = nc
-
-
-def _lex_fix(rows, coords):
-    """Return (rows', M, coords') with rows' = M @ rows, M unimodular,
-    every row' lex-positive and every coordinate vector non-negative.
-
-    rows are echelon with positive pivots (hence lex-positive), pivot columns
-    strictly increasing, so rows[0] owns the dominant coordinate.  Each
-    target's head coefficient is automatically >= 0 (a negative one would make
-    the target's leading coordinate negative).  Recurse on the tail span for
-    the targets that avoid the head, then shear the head row by the fixed
-    tail basis until every remaining coefficient is non-negative; the shear
-    leaves the head's dominant coordinate untouched, preserving positivity.
-    """
-    n = len(rows)
-    ident = [[int(i == j) for j in range(n)] for i in range(n)]
-    if n == 0 or all(all(x >= 0 for x in c) for c in coords):
-        return [r[:] for r in rows], ident, [c[:] for c in coords]
-    if n == 1:
-        raise SpanError("single-row lex span with a negative coefficient for a positive target")
-
-    heads = [c[0] for c in coords]
-    if any(k < 0 for k in heads):
-        raise SpanError("positive lex target with negative dominant coefficient")
-
-    tail = [r[:] for r in rows[1:]]
-    tail_targets = [c[1:] for c in coords if c[0] == 0]
-    tail_fixed, m_tail, tail_fixed_coords = _lex_fix(tail, tail_targets)
-
-    inv = _mat_inv_unimodular(m_tail)
-    # re-express every target's tail part over the fixed tail basis
-    reexp = []
-    it_fixed = iter(tail_fixed_coords)
-    for c in coords:
-        if c[0] == 0:
-            reexp.append(list(next(it_fixed)))
-        else:
-            v = c[1:]
-            reexp.append([sum(v[i] * inv[i][j] for i in range(len(v))) for j in range(len(v))])
-
-    # shear amounts: make c'_ij + k_i * m_j >= 0 for every head-positive target
-    s = len(tail_fixed)
-    shear = [0] * s
-    for j in range(s):
-        need = 0
-        for k, c in zip(heads, reexp):
-            if k > 0 and c[j] < 0:
-                need = max(need, (-c[j] + k - 1) // k)  # ceil(-c/k)
-        shear[j] = need
-
-    head_new = rows[0][:]
-    for j in range(s):
-        if shear[j]:
-            head_new = [x - shear[j] * y for x, y in zip(head_new, tail_fixed[j])]
-
-    out_rows = [head_new] + [r[:] for r in tail_fixed]
-    out_coords = []
-    for k, c in zip(heads, reexp):
-        if k == 0:
-            out_coords.append([0] + list(c))
-        else:
-            out_coords.append([k] + [c[j] + k * shear[j] for j in range(s)])
-
-    # assemble M: head row = e0 - shear @ m_tail, tail block = [0 | m_tail]
-    m_top = [1] + [0] * (n - 1)
-    shear_combo = [sum(shear[j] * m_tail[j][i] for j in range(s)) for i in range(s)]
-    m_out = [[m_top[0]] + [-shear_combo[i] for i in range(s)]]
-    for i in range(s):
-        m_out.append([0] + list(m_tail[i]))
-    return out_rows, m_out, out_coords
+    """Shears along the convex filtration of a lex span, in place.  The rows
+    are echelon with positive pivots, so the targets whose coordinates before
+    lo vanish lie in the convex subgroup spanned by rows[lo:], and there
+    c[lo] >= 0.  From the smallest such subgroup up, row lo loses k times
+    each lower row j, k the least amount that leaves c[j] >= 0 for every
+    target of that subgroup with c[lo] > 0; the shear moves neither row lo's
+    pivot nor the coordinates fixed at the levels below."""
+    for lo in range(len(rows) - 2, -1, -1):
+        level = [c for c in coords if c[lo] > 0 and not any(c[:lo])]
+        for j in range(lo + 1, len(rows)):
+            k = max((-(c[j] // c[lo]) for c in level if c[j] < 0), default=0)
+            if k:
+                _shear(rows, T, coords, lo, j, k)

@@ -596,27 +596,6 @@ class PlaceInvariants:
         }
 
 
-def _coord_matrix_rank(values: list[GroupElem]) -> int:
-    rows = [list(g.coords()) for g in values]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for c in range(cols):
-        pivot = None
-        for r in range(rank, len(rows)):
-            if rows[r][c] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for r in range(len(rows)):
-            if r != rank and rows[r][c] != 0:
-                factor = rows[r][c] / rows[rank][c]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
-
-
 def _place_rank(P: PlaceDesc) -> int:
     if isinstance(P, TrivialPlace):
         return 0
@@ -637,7 +616,8 @@ def _place_rr(P: PlaceDesc) -> int:
     if isinstance(P, EvalPlace):
         return len(P.assignments)
     if isinstance(P, MonomialPlace):
-        return _coord_matrix_rank([g for _, g in P.values])
+        # __post_init__ checked the values rationally independent
+        return len(P.values)
     if isinstance(P, SeriesEmbedPlace):
         return group_invariants(P.group).rational_rank
     return _place_rr(P.first) + _place_rr(P.second)

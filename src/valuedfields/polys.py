@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import FieldMismatchError, ParamError, PoleError, UnsupportedError
-from .fields import FieldDesc, FieldElement
+from .fields import FieldDesc, FieldElement, _power
 
 __all__ = ["MPoly", "RatFn", "mpoly", "const_poly", "var_poly", "cramer", "det", "adjugate"]
 
@@ -110,19 +110,10 @@ class MPoly:
                 f"a {len(self.terms)}-term polynomial to the power {k} may have more "
                 f"than {_MAX_POWER_TERMS} terms, the budget"
             )
-        result = None
-        base = self
-        while True:
-            if k & 1:
-                result = base if result is None else result * base
-            k >>= 1
-            if not k:
-                break
-            base = base * base
-        if result is None:
-            # k was 0: the caller must scale by a genuine one; handled by RatFn
+        if k == 0:
+            # the caller must scale by a genuine one; handled by RatFn
             raise UnsupportedError("use an explicit constant for the empty product")
-        return result
+        return _power(self, k, MPoly.__mul__)
 
     def scale(self, coef) -> "MPoly":
         return MPoly.make(self.vars, tuple((e, c * coef) for e, c in self.terms))

@@ -80,7 +80,7 @@ from .errors import (
     ParamError,
     PrecisionError,
 )
-from .fields import GF, FieldDesc, FieldElement, FiniteField, _is_prime, embed, frobenius
+from .fields import GF, FieldDesc, FieldElement, FiniteField, _is_prime, _power, embed, frobenius
 from .groups import GroupDesc, GroupElem, RationalGroup, ZZ_GROUP, QQ_GROUP, p_power_hull
 from .polys import cramer
 
@@ -248,15 +248,7 @@ class Series:
             if prec is not None:
                 prec = prec + _low_bound(self).scale(p - 1)
             return truncate(frobenius_series(self), prec) ** (k // p)
-        result = None
-        base = self
-        while True:
-            if k & 1:
-                result = base if result is None else result * base
-            k >>= 1
-            if not k:
-                return result
-            base = base * base
+        return _power(self, k, mul_series)
 
     def __str__(self):
         return render_series(self)

@@ -19,6 +19,7 @@ from valuedfields.artinschreier import (
     analyze,
     classify,
     inversion_minimal_poly,
+    poly_to_series,
     ramified_root_value,
     residue_case,
     root_split,
@@ -267,7 +268,7 @@ def test_surgery_positive_front_is_eliminated():
     # x^2 + x^3 rewrites to x + x^3: the leading square moves to its root
     F2 = GF(2)
     q = mpoly(("x",), {(2,): F2.one(), (3,): F2.one()})
-    out = surgery(q, max_iter=10, group=ZZ_GROUP)
+    out = surgery(poly_to_series(q, ZZ_GROUP), max_iter=10)
     assert isinstance(out, NormalForm)
     assert out.iterations == 1
     assert out.case == POSITIVE_VALUE
@@ -325,10 +326,11 @@ def test_surgery_trace_records_steps():
 
 
 def test_surgery_rejects_multivariate_input():
+    # surgery takes a series; the conversion from a polynomial rejects two variables
     F2 = GF(2)
     q = mpoly(("x", "y"), {(1, 1): F2.one()})
     with pytest.raises(UnsupportedError):
-        surgery(q, max_iter=3)
+        poly_to_series(q, ZZ_GROUP)
 
 
 def test_surgery_rejects_characteristic_zero():

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from valuedfields import groups
+from valuedfields import groups, polys
 from valuedfields.errors import (
     FamilyMismatchError,
     GroupLawError,
@@ -370,3 +370,109 @@ def test_perron_quad_long_run_answers():
     _check_perron(res, [target])
     assert res.basis == (QUAD.elem((1, 0)), target)
     assert res.coeffs == ((0, 1),)
+
+
+def _lex_fix_recursive(rows, coords):
+    """Reference: the convex-filtration recursion with transform matrices.
+    Return (rows', M, coords') with rows' = M @ rows and M unimodular; fix the
+    tail span for the targets that avoid the head row, re-express the other
+    targets over the fixed tail by the adjugate inverse, then shear the head."""
+    n = len(rows)
+    ident = [[int(i == j) for j in range(n)] for i in range(n)]
+    if n == 0 or all(all(x >= 0 for x in c) for c in coords):
+        return [r[:] for r in rows], ident, [c[:] for c in coords]
+    if n == 1:
+        raise SpanError("single-row lex span with a negative coefficient for a positive target")
+    heads = [c[0] for c in coords]
+    if any(k < 0 for k in heads):
+        raise SpanError("positive lex target with negative dominant coefficient")
+    tail_fixed, m_tail, tail_coords = _lex_fix_recursive(
+        [r[:] for r in rows[1:]], [c[1:] for c in coords if c[0] == 0])
+    d = polys.det(m_tail, 0, 1)
+    assert d in (1, -1)
+    inv = [[d * x for x in row] for row in polys.adjugate(m_tail, 0, 1)]
+    it_fixed = iter(tail_coords)
+    reexp = [list(next(it_fixed)) if c[0] == 0 else
+             [sum(c[1 + i] * inv[i][j] for i in range(n - 1)) for j in range(n - 1)]
+             for c in coords]
+    shear = [max([(-c[j] + k - 1) // k for k, c in zip(heads, reexp) if k > 0 and c[j] < 0],
+                 default=0) for j in range(n - 1)]
+    head = rows[0][:]
+    for j in range(n - 1):
+        head = [x - shear[j] * y for x, y in zip(head, tail_fixed[j])]
+    out_coords = [[k] + [x + k * s for x, s in zip(c, shear)] for k, c in zip(heads, reexp)]
+    combo = [sum(shear[j] * m_tail[j][i] for j in range(n - 1)) for i in range(n - 1)]
+    m_out = [[1] + [-x for x in combo]] + [[0] + list(r) for r in m_tail]
+    return [head] + tail_fixed, m_out, out_coords
+
+
+def _fix_lex_recursive(rows, T, coords):
+    new_rows, M, new_coords = _lex_fix_recursive(rows, [list(c) for c in coords])
+    new_T = [[sum(a * b for a, b in zip(row, col)) for col in zip(*T)] for row in M]
+    rows[:], T[:] = new_rows, new_T
+    for c, nc in zip(coords, new_coords):
+        c[:] = nc
+
+
+def _random_lex_case(rng):
+    """Integer generators of a lex span of rank 2-4, rank to rank + 2 of them,
+    and one to three lex-positive targets: mostly integer combinations of the
+    generators, sometimes random vectors that may fall outside the span."""
+    rank = rng.randint(2, 4)
+    while True:
+        gens = [rng.choices(range(-4, 5), k=rank) for _ in range(rng.randint(rank, rank + 2))]
+        if len(groups._hnf(gens)) == rank:
+            break
+    if rng.random() < 0.5:
+        # one more coordinate, an integer combination of the others
+        ks, at = rng.choices(range(-2, 3), k=rank), rng.randint(0, rank)
+        gens = [g[:at] + [sum(k * x for k, x in zip(ks, g))] + g[at:] for g in gens]
+    targets, count = [], rng.randint(1, 3)
+    while len(targets) < count:
+        if rng.random() < 0.2:
+            t = rng.choices(range(-6, 7), k=len(gens[0]))
+        else:
+            ks = rng.choices(range(-5, 6), k=len(gens))
+            t = [sum(k * x for k, x in zip(ks, col)) for col in zip(*gens)]
+        head = next((x for x in t if x), 0)
+        if head:
+            targets.append([x if head > 0 else -x for x in t])
+    return gens, targets
+
+
+def _perron_outcome(gens, targets):
+    group = LexGroup(len(gens[0]))
+    try:
+        return perron_basis([group.elem(g) for g in gens], [group.elem(t) for t in targets])
+    except SpanError as exc:
+        return type(exc), str(exc)
+
+
+def test_perron_lex_shears_match_the_recursion(monkeypatch):
+    # perron_basis reads its basis, coefficients and transform off the rows,
+    # T and target coordinates its lex fix leaves; from the state perron_basis
+    # builds, the shears must leave what the recursion leaves, and the
+    # recursion must not raise
+    rng = random.Random(16)
+    cases = [_random_lex_case(rng) for _ in range(2000)]
+    sheared = outside = 0
+    for gens, targets in cases:
+        rows = groups._hnf(gens)
+        coords = [groups._solve_int_coords(rows, t) for t in targets]
+        if None in coords:  # perron_basis rejects the target before any fix
+            outside += 1
+            continue
+        ident = [[int(i == j) for j in range(len(rows))] for i in range(len(rows))]
+        T = [r[:] for r in ident]
+        ref = ([r[:] for r in rows], [r[:] for r in T], [c[:] for c in coords])
+        _fix_lex_recursive(*ref)
+        groups._fix_lex(rows, T, coords)
+        assert (rows, T, coords) == ref
+        sheared += T != ident
+    assert sheared >= len(cases) // 2 and outside > 200
+    # end to end on every twentieth case: the same basis, coefficients and
+    # transform, or the same error type and message
+    some = cases[::20]
+    shears = [_perron_outcome(*case) for case in some]
+    monkeypatch.setattr(groups, "_fix_lex", _fix_lex_recursive)
+    assert [_perron_outcome(*case) for case in some] == shears
