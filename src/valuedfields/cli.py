@@ -44,7 +44,7 @@ from .groups import (
 )
 from .hensel import SeriesPoly, hensel_lift
 from .places import ZERO, base_field, place_from_json, place_value_residue, place_vars
-from .series import invert, mul_series, render_series, scale_series, valuation, zero_series
+from .series import invert, mul_series, render_series, valuation, zero_series
 
 
 # ---------------------------------------------------------------------------
@@ -95,8 +95,6 @@ def _rational_to_series(rf, field, group, margin):
         return zero_series(field, group)
     num = poly_to_series(rf.num, group)
     den = poly_to_series(rf.den, group)
-    if len(den.terms) == 1 and den.terms[0][0].sign() == 0:
-        return scale_series(num, den.terms[0][1].inverse())
     if len(den.terms) == 1:
         return mul_series(num, invert(den))
     vd2 = valuation(den).value.scale(2)

@@ -9,21 +9,22 @@ Recognized language, with no implicit multiplication:
     exponent :=  INT | '-' INT | '(' exponent ')'
     atom     :=  INT | NAME | '(' expr ')'
 
-Names are short lowercase identifiers such as x1, y2, or t; the caller
-decides which names are in scope when converting to a rational function.
-Integer literals combined with '/' give rational constants.  Parentheses
-and unary signs nest at most _MAX_NESTING levels deep.  Every failure
-raises ExprError carrying the offending position.
+Names are short lowercase identifiers such as x1, y2, or t; the evaluator
+decides which names are in scope.  Integer literals combined with '/' give
+rational constants.  Parentheses and unary signs nest at most _MAX_NESTING
+levels deep.  Every syntax error raises ExprError carrying the offending
+position.  Digits are the ASCII digits 0-9 only, in integers and in names
+alike.
 
-Digits are the ASCII digits 0-9 only, in integers and in names alike.
-
-Cost model of to_ratfn:
+There is no syntax tree: evaluate reads the text once, and each grammar
+rule returns the value of what it read, built by an evaluator object.
+expr_to_ratfn evaluates to rational functions; its cost model:
 
 * a monomial (an integer, a name, a product or negation of monomials, or a
   monomial to a power k >= 0 other than 0^0) is one (exponents,
   coefficient) term, built with O(1) work per factor and no MPoly;
 * a sum merges all its summands in one MPoly.make;
-* a tree stays a polynomial until it meets a division or a negative
+* a value stays a polynomial until it meets a division or a negative
   power, and only then does RatFn arithmetic run.
 
 A dense coefficient therefore costs time linear in its length.
@@ -71,9 +72,12 @@ _MAX_NESTING = 100
 
 
 class _Parser:
-    def __init__(self, text: str):
-        self.text = text
+    """Reads the tokens of one text; each rule returns the value of what it
+    read, built by the evaluator ev as the rule reads it."""
+
+    def __init__(self, text: str, ev):
         self.tokens = tokenize(text)
+        self.ev = ev
         self.i = 0
         self.depth = 0
 
@@ -104,36 +108,38 @@ class _Parser:
     # "op" token, so the rules compare texts alone
 
     def expr(self):
-        node = self.term()
+        """A single term as it is; the summands of a sum, subtracted ones
+        negated, go to ev.sum at once, in reading order."""
+        summands = [self.term()]
         while self.peek().text in ("+", "-"):
             op = self.take().text
-            rhs = self.term()
-            node = ("add" if op == "+" else "sub", node, rhs)
-        return node
+            value = self.term()
+            summands.append(value if op == "+" else self.ev.neg(value))
+        return summands[0] if len(summands) == 1 else self.ev.sum(summands)
 
     def term(self):
-        node = self.unary()
+        """Each factor is folded in as soon as it is read."""
+        value = self.unary()
         while self.peek().text in ("*", "/"):
             op = self.take().text
-            rhs = self.unary()
-            node = ("mul" if op == "*" else "div", node, rhs)
-        return node
+            value = self.ev.product(value, op, self.unary())
+        return value
 
     def unary(self):
         t = self.peek()
         if t.text in ("+", "-"):
             self.take()
             self.nest(t)
-            inner = self.unary()
+            value = self.unary()
             self.unnest()
-            return inner if t.text == "+" else ("neg", inner)
+            return value if t.text == "+" else self.ev.neg(value)
         return self.power()
 
     def power(self):
         base = self.atom()
         if self.peek().text == "^":
             self.take()
-            return ("pow", base, self.exponent())
+            return self.ev.power(base, self.exponent())
         return base
 
     def exponent(self) -> int:
@@ -159,15 +165,15 @@ class _Parser:
     def atom(self):
         t = self.take()
         if t.kind == "int":
-            return ("int", _int_value(t))
+            return self.ev.int(_int_value(t))
         if t.kind == "name":
-            return ("var", t.text)
+            return self.ev.var(t.text)
         if t.text == "(":
             self.nest(t)
-            node = self.expr()
+            value = self.expr()
             self.expect_op(")")
             self.unnest()
-            return node
+            return value
         raise ExprError(f"expected a value at position {t.pos}")
 
 
@@ -178,39 +184,36 @@ def _int_value(t: Token) -> int:
         raise ExprError(f"{len(t.text)}-digit integer at position {t.pos} is too long") from None
 
 
-def parse_expr(text: str):
-    """Parse to a nested-tuple syntax tree; reject trailing input."""
+def evaluate(text: str, ev):
+    """The value of text, built by the evaluator ev while the text is read.
+
+    ev provides int(k), var(name), neg(a), power(a, k) for an integer k,
+    product(a, op, b) for op '*' or '/', and sum(values) for the summands
+    of a sum in reading order, subtracted ones already negated.  The whole
+    text is tokenized first; after that, the first error in reading order
+    is raised, whether a syntax error or one of ev's, and trailing input is
+    rejected once the expression is read."""
     if not text.strip():
         raise ExprError("empty expression")
-    p = _Parser(text)
-    node = p.expr()
+    p = _Parser(text, ev)
+    value = p.expr()
     t = p.peek()
     if t.kind != "end":
         raise ExprError(f"unexpected {t.text!r} at position {t.pos}")
-    return node
-
-
-def to_ratfn(node, vars: tuple[str, ...], field: FieldDesc) -> RatFn:
-    """Evaluate a syntax tree to a rational function in the given variables.
-
-    Monomials fold to single terms, the summands of a sum are merged in one
-    pass, and a subtree stays a polynomial until it meets a division or a
-    negative power, so a dense n-term polynomial costs time linear in n.
-    The numerator and denominator are those of folding the tree through
-    RatFn arithmetic.  Names outside `vars` raise ExprError.  Division by
-    the zero function raises ZeroDivisionError."""
-    ev = _Evaluator(vars, field)
-    return ev.ratfn(*ev.eval(node))
+    return value
 
 
 class _Evaluator:
-    """Evaluation over one variable tuple and field.
+    """Evaluation to rational functions over one variable tuple and field.
 
     A value is a pair (num, den).  den is None while the value is a
     polynomial, and num is then either an MPoly or a monomial: a plain
     (exponents, coefficient) tuple, the shape of one MPoly term, kept until
     something needs an MPoly.  A monomial may carry a zero coefficient,
-    which stands for the zero polynomial."""
+    which stands for the zero polynomial.  The numerator and denominator
+    are those of folding the same text through RatFn arithmetic.  Names
+    outside vars raise ExprError.  Division by the zero function raises
+    ZeroDivisionError."""
 
     def __init__(self, vars, field):
         self.vars = vars
@@ -227,30 +230,25 @@ class _Evaluator:
     def ratfn(self, num, den) -> RatFn:
         return RatFn.make(self.poly(num), const_poly(self.vars, self.one) if den is None else den)
 
-    def eval(self, node):
-        """(num, den) of a syntax tree."""
-        kind = node[0]
-        if kind == "int":
-            return (self.zeros, self.field.elem(node[1])), None
-        if kind == "var":
-            unit = self.units.get(node[1])
-            if unit is None:
-                known = ", ".join(self.vars) if self.vars else "(none)"
-                raise ExprError(f"unknown variable {node[1]!r}; in scope: {known}")
-            return (unit, self.one), None
-        if kind == "neg":
-            num, den = self.eval(node[1])
-            return ((num[0], -num[1]) if type(num) is tuple else -num), den
-        if kind == "pow":
-            return self.power(*self.eval(node[1]), node[2])
-        if kind in ("add", "sub"):
-            return self.sum(_chain(node, ("add", "sub")))
-        return self.product(_chain(node, ("mul", "div")))
+    def int(self, k: int):
+        return (self.zeros, self.field.elem(k)), None
 
-    def power(self, num, den, k: int):
+    def var(self, name: str):
+        unit = self.units.get(name)
+        if unit is None:
+            known = ", ".join(self.vars) if self.vars else "(none)"
+            raise ExprError(f"unknown variable {name!r}; in scope: {known}")
+        return (unit, self.one), None
+
+    def neg(self, value):
+        num, den = value
+        return ((num[0], -num[1]) if type(num) is tuple else -num), den
+
+    def power(self, value, k: int):
         """A monomial to a power k >= 0 is a monomial, except 0^0; a
         polynomial keeps its own powers (the 0-th of a nonzero one is the
         constant one); a rational or negative power goes through RatFn."""
+        num, den = value
         if type(num) is tuple:
             exps, c = num
             if k > 0 or k == 0 and not c.is_exact_zero():
@@ -263,20 +261,16 @@ class _Evaluator:
         r = self.ratfn(num, den) ** k
         return r.num, r.den
 
-    def sum(self, chain):
+    def sum(self, values):
         """Monomials and the terms of polynomial summands are merged by one
         MPoly.make; the rational summands add as n1/d1 + n2/d2 =
         (n1*d2 + n2*d1)/(d1*d2)."""
         terms = []
         frac = None
-        for kind, node in chain:
-            num, den = self.eval(node)
+        for num, den in values:
             if type(num) is tuple:
-                terms.append(num if kind == "add" else (num[0], -num[1]))
-                continue
-            if kind == "sub":
-                num = -num
-            if den is None:
+                terms.append(num)
+            elif den is None:
                 terms.extend(num.terms)
             elif frac is None:
                 frac = num, den
@@ -287,47 +281,25 @@ class _Evaluator:
             return poly, None
         return frac[0] + poly * frac[1], frac[1]
 
-    def product(self, chain):
+    def product(self, value, op: str, factor):
         """Monomial factors fold into one monomial, with no MPoly built.  A
         division or a factor that is not a monomial turns the product so far
-        into an MPoly, and the rest of the chain multiplies and divides
-        polynomials and RatFns."""
-        num = den = None
-        for kind, node in chain:
-            num2, den2 = self.eval(node)
-            if kind == "div":
-                q = self.ratfn(num, den) / self.ratfn(num2, den2)
-                num, den = q.num, q.den
-            elif type(num2) is tuple and (num is None or type(num) is tuple):
-                if num is None:
-                    num = num2
-                else:  # names and their powers carry the shared one: skip c*1
-                    c = num[1] if num2[1] is self.one else num[1] * num2[1]
-                    num = tuple(map(add, num[0], num2[0])), c
-            else:
-                num, den = _times(self.poly(num), self.poly(num2)), _times(den, den2)
-        return num, den
-
-
-def _chain(node, ops):
-    """[(op, operand), ...] of a left-nested chain such as t^0 + t^1 + ...,
-    first operand tagged ops[0].  The chain nests as deep as it is long, so
-    this walks down its left spine instead of recursing into it."""
-    steps = []
-    while node[0] in ops:
-        steps.append((node[0], node[2]))
-        node = node[1]
-    steps.append((ops[0], node))
-    return steps[::-1]
-
-
-def _times(a, b):
-    """a*b where None stands for the constant one."""
-    if a is None:
-        return b
-    return a if b is None else a * b
+        into an MPoly, and later factors multiply and divide polynomials and
+        RatFns."""
+        (num, den), (num2, den2) = value, factor
+        if op == "/":
+            q = self.ratfn(num, den) / self.ratfn(num2, den2)
+            return q.num, q.den
+        if type(num) is tuple and type(num2) is tuple:
+            # names and their powers carry the shared one: skip c*1
+            c = num[1] if num2[1] is self.one else num[1] * num2[1]
+            return (tuple(map(add, num[0], num2[0])), c), den
+        # a den of None stands for the constant one
+        den = den2 if den is None else den if den2 is None else den * den2
+        return self.poly(num) * self.poly(num2), den
 
 
 def expr_to_ratfn(text: str, vars, field: FieldDesc) -> RatFn:
-    """Parse and evaluate in one call."""
-    return to_ratfn(parse_expr(text), tuple(vars), field)
+    """The rational function of text in the given variables over field."""
+    ev = _Evaluator(tuple(vars), field)
+    return ev.ratfn(*evaluate(text, ev))

@@ -29,6 +29,7 @@ from .errors import (
     SpanError,
     UnsupportedError,
 )
+from .fields import _is_prime
 from .polys import det
 
 __all__ = [
@@ -121,8 +122,8 @@ class RationalGroup(GroupDesc):
             raise GroupLawError(f"unknown rational-group law {self.law!r}")
         if self.law == "one_over_m" and (self.m is None or self.m < 1):
             raise GroupLawError("one_over_m law needs m >= 1")
-        if self.law == "p_power" and (self.p is None or self.p < 2):
-            raise GroupLawError("p_power law needs a prime p")
+        if self.law == "p_power" and (self.p is None or not _is_prime(self.p)):
+            raise GroupLawError(f"p_power law needs a prime p, got {self.p}")
 
     def admits(self, q: Fraction) -> bool:
         if self.law == "all":

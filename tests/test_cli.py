@@ -112,6 +112,18 @@ def test_eval_malformed_place_file_exits_2(capsys, tmp_path, blob, needle):
     assert needle in err
 
 
+@pytest.mark.parametrize("p", [4, 6])
+def test_p_power_group_with_a_composite_p_exits_2(capsys, tmp_path, p):
+    path = tmp_path / "place.json"
+    group = {"kind": "p_power", "p": p}
+    path.write_text(json.dumps({"variant": "monomial", "field": {"kind": "Q"}, "group": group,
+                                "values": [["x1", f"1/{p}"]]}), encoding="utf-8")
+    for argv in (["perron", "--group", f"p_power:{p}", "1"], ["eval", "--place", str(path), "x1^2"]):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: p_power law needs a prime p, got {p}\n"
+
+
 def test_eval_division_by_zero_function_exits_2(capsys, lex2_path):
     code, _, err = run(capsys, ["eval", "--place", lex2_path, "1/(x1-x1)"])
     assert code == 2

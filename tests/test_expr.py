@@ -2,12 +2,13 @@
 
 import random
 import time
-from operator import add, mul, sub, truediv
+from functools import reduce
+from operator import add, neg
 
 import pytest
 
 from valuedfields.errors import ExprError, UnsupportedError
-from valuedfields.expr import expr_to_ratfn, parse_expr, to_ratfn, tokenize
+from valuedfields.expr import evaluate, expr_to_ratfn, tokenize
 from valuedfields.fields import GF, QQ
 from valuedfields.polys import MPoly, RatFn, const_poly, var_poly
 
@@ -48,54 +49,68 @@ def test_tokenize_accepts_ascii_digits_only(text, char, pos):
     assert str(info.value) == f"unexpected character {char!r} at position {pos}"
 
 
+def fn(text, vars=("x1", "x2"), field=QQ):
+    return expr_to_ratfn(text, vars, field)
+
+
 def test_parse_precedence_mul_over_add():
-    assert parse_expr("1+2*3") == ("add", ("int", 1), ("mul", ("int", 2), ("int", 3)))
+    assert fn("x1+x2*3") == fn("x1 + 3*x2") != fn("(x1+x2)*3")
 
 
 def test_parse_precedence_pow_over_mul_and_neg():
-    assert parse_expr("2*3^2") == ("mul", ("int", 2), ("pow", ("int", 3), 2))
+    x1 = RatFn.from_poly(var_poly(("x1", "x2"), "x1", QQ), QQ)
+    assert fn("2*x1^2") == fn("2") * x1 * x1 != fn("(2*x1)^2")
     # -x^2 means -(x^2)
-    assert parse_expr("-x1^2") == ("neg", ("pow", ("var", "x1"), 2))
+    assert fn("-x1^2") == -(x1 * x1) != fn("(-x1)^2")
 
 
 def test_parse_negative_exponents():
-    assert parse_expr("x1^-2") == ("pow", ("var", "x1"), -2)
-    assert parse_expr("x1^(-2)") == ("pow", ("var", "x1"), -2)
+    x1 = RatFn.from_poly(var_poly(("x1", "x2"), "x1", QQ), QQ)
+    assert fn("x1^-2") == fn("x1^(-2)") == fn("1") / (x1 * x1)
 
 
 def test_parse_left_associative_sub_and_div():
-    assert parse_expr("7-3-1") == ("sub", ("sub", ("int", 7), ("int", 3)), ("int", 1))
-    assert parse_expr("8/4/2") == ("div", ("div", ("int", 8), ("int", 4)), ("int", 2))
+    assert fn("7-3-1") == fn("3")
+    assert same_fn(fn("8/4/2"), fn("1")) and not same_fn(fn("8/4/2"), fn("4"))
+    assert fn("x1-x2-1") == fn("x1 - (x2 + 1)") != fn("x1 - (x2 - 1)")
+    assert same_fn(fn("x1/x2/x1"), fn("1/x2"))
 
 
 def test_parse_parentheses_and_unary_plus():
-    assert parse_expr("(1+2)*3") == ("mul", ("add", ("int", 1), ("int", 2)), ("int", 3))
-    assert parse_expr("+x1") == ("var", "x1")
+    assert fn("(1+2)*3") == fn("9")
+    assert fn("+x1") == fn("x1")
+    assert fn("+-+x1") == fn("-x1")
 
 
 def test_parse_rejects_implicit_multiplication():
     with pytest.raises(ExprError):
-        parse_expr("2 x1")
+        fn("2 x1")
     with pytest.raises(ExprError):
-        parse_expr("x1 x2")
+        fn("x1 x2")
 
 
 def test_parse_rejects_empty_and_trailing_and_dangling():
-    with pytest.raises(ExprError):
-        parse_expr("")
-    with pytest.raises(ExprError):
-        parse_expr("1+")
-    with pytest.raises(ExprError):
-        parse_expr("(1+2")
-    with pytest.raises(ExprError):
-        parse_expr("1)")
+    for text in ("", "  ", "1+", "(1+2", "1)"):
+        with pytest.raises(ExprError):
+            fn(text)
 
 
 def test_parse_rejects_non_integer_exponent():
     with pytest.raises(ExprError):
-        parse_expr("x1^x2")
+        fn("x1^x2")
     with pytest.raises(ExprError):
-        parse_expr("x1^(1+1)")
+        fn("x1^(1+1)")
+
+
+def test_evaluation_error_before_a_later_syntax_error():
+    # the text is read once and evaluated as it is read, so the first error
+    # in reading order is raised; a bad character is found before any work
+    with pytest.raises(ZeroDivisionError):
+        fn("1/(x1-x1) + )")
+    with pytest.raises(ExprError, match="unknown variable 'z9'"):
+        fn("z9 + )")
+    with pytest.raises(ExprError, match="unexpected character '%'"):
+        fn("1/(x1-x1) + %")
 
 
 def test_to_ratfn_monomial_quotient():
@@ -147,10 +162,9 @@ def test_to_ratfn_compound_identity():
     assert lhs == expr_to_ratfn("4*x1", vars, QQ)
 
 
-def test_to_ratfn_nested_tree_reuse():
-    node = parse_expr("(t+1)/(t-1)")
-    a = to_ratfn(node, ("t",), QQ)
-    b = to_ratfn(node, ("t",), GF(3))
+def test_to_ratfn_same_text_over_two_fields():
+    a = expr_to_ratfn("(t+1)/(t-1)", ("t",), QQ)
+    b = expr_to_ratfn("(t+1)/(t-1)", ("t",), GF(3))
     assert str(a) == "(t + 1)/(t + -1)"
     assert b == expr_to_ratfn("(t+1)/(t+2)", ("t",), GF(3))
 
@@ -181,55 +195,55 @@ def test_to_ratfn_folds_long_chains_without_recursion():
 )
 def test_parse_nesting_budget(text):
     with pytest.raises(ExprError, match="nesting deeper than 100 levels") as info:
-        parse_expr(text)
+        fn(text, ("t",))
     assert "\n" not in str(info.value)
 
 
 def test_parse_nesting_within_the_budget():
-    assert parse_expr("(" * 100 + "t" + ")" * 100) == ("var", "t")
-    negated = ("var", "t")
-    for _ in range(100):
-        negated = ("neg", negated)
-    assert parse_expr("-" * 100 + "t") == negated
+    t = fn("t", ("t",))
+    assert fn("(" * 100 + "t" + ")" * 100, ("t",)) == t
+    assert fn("-" * 100 + "t", ("t",)) == t
+    assert fn("-" * 99 + "t", ("t",)) == -t
+    assert fn("t^" + "(" * 100 + "2" + ")" * 100, ("t",)) == t * t
     # only the depth counts, not the number of nested groups
-    assert parse_expr("+".join(["(" * 60 + "t" + ")" * 60] * 3)) == (
-        "add", ("add", ("var", "t"), ("var", "t")), ("var", "t")
-    )
+    assert fn("+".join(["(" * 60 + "t" + ")" * 60] * 3), ("t",)) == fn("3*t", ("t",))
 
 
 # ---------------------------------------------------------------------------
 # the evaluator against the fold it replaced
 
-_BINARY = {"add": add, "sub": sub, "mul": mul, "div": truediv}
+class _Fold:
+    """The reference: every leaf a RatFn, every operator RatFn arithmetic."""
+
+    def __init__(self, vars, field):
+        self.vars, self.field = vars, field
+
+    def int(self, k):
+        return RatFn.from_poly(const_poly(self.vars, self.field.elem(k)), self.field)
+
+    def var(self, name):
+        if name not in self.vars:
+            known = ", ".join(self.vars) if self.vars else "(none)"
+            raise ExprError(f"unknown variable {name!r}; in scope: {known}")
+        return RatFn.from_poly(var_poly(self.vars, name, self.field), self.field)
+
+    neg = staticmethod(neg)
+    power = staticmethod(pow)
+
+    def sum(self, values):
+        return reduce(add, values)
+
+    def product(self, a, op, b):
+        return a * b if op == "*" else a / b
 
 
-def _fold(node, vars, field):
-    """The former to_ratfn: every leaf a RatFn, every operator RatFn arithmetic."""
-    kind = node[0]
-    if kind == "int":
-        return RatFn.from_poly(const_poly(vars, field.elem(node[1])), field)
-    if kind == "var":
-        if node[1] not in vars:
-            known = ", ".join(vars) if vars else "(none)"
-            raise ExprError(f"unknown variable {node[1]!r}; in scope: {known}")
-        return RatFn.from_poly(var_poly(vars, node[1], field), field)
-    if kind == "neg":
-        return -_fold(node[1], vars, field)
-    if kind == "pow":
-        return _fold(node[1], vars, field) ** node[2]
-    chain = []
-    while node[0] in _BINARY:
-        chain.append(node)
-        node = node[1]
-    acc = _fold(node, vars, field)
-    for kind, _, rhs in reversed(chain):
-        acc = _BINARY[kind](acc, _fold(rhs, vars, field))
-    return acc
+def _fold(text, vars, field):
+    return evaluate(text, _Fold(vars, field))
 
 
-def _outcome(evaluate, node, vars, field):
+def _outcome(evaluate, text, vars, field):
     try:
-        rf = evaluate(node, vars, field)
+        rf = evaluate(text, vars, field)
     except (ExprError, UnsupportedError, ZeroDivisionError) as exc:
         return type(exc), str(exc)
     return rf.num.terms, rf.den.terms
@@ -305,9 +319,8 @@ def test_evaluator_matches_the_ratfn_fold(field_name, names):
         seen = set()
         for _ in range(100):
             text = generate()
-            node = parse_expr(text)
-            got = _outcome(to_ratfn, node, names, field)
-            assert got == _outcome(_fold, node, names, field), text
+            got = _outcome(expr_to_ratfn, text, names, field)
+            assert got == _outcome(_fold, text, names, field), text
             if isinstance(got[0], type):
                 seen.add(got[0])
             else:
@@ -337,9 +350,8 @@ def test_evaluator_matches_the_ratfn_fold(field_name, names):
 )
 def test_evaluator_errors_match_the_ratfn_fold(field_name, text, error):
     field = _FIELDS[field_name]
-    node = parse_expr(text)
-    want = _outcome(_fold, node, ("t",), field)
-    assert _outcome(to_ratfn, node, ("t",), field) == want
+    want = _outcome(_fold, text, ("t",), field)
+    assert _outcome(expr_to_ratfn, text, ("t",), field) == want
     assert (want[0] if isinstance(want[0], type) else None) is error
 
 
@@ -348,9 +360,8 @@ def test_evaluator_within_the_nesting_budget():
     text = "t"
     for i in range(100):
         text = f"(t + t*{text}/t)" if i % 2 else f"(1 - t*{text})^1"
-    node = parse_expr(text)
     f5 = GF(5)
-    assert _outcome(to_ratfn, node, ("t",), f5) == _outcome(_fold, node, ("t",), f5)
+    assert _outcome(expr_to_ratfn, text, ("t",), f5) == _outcome(_fold, text, ("t",), f5)
 
 
 def test_dense_coefficient_in_linear_time():

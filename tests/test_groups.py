@@ -69,6 +69,13 @@ def test_rational_law_enforced():
         h.elem(Fraction(1, 6))
 
 
+@pytest.mark.parametrize("p", [4, 6])
+def test_p_power_law_refuses_a_composite_p(p):
+    # over p = 4, 1/4 + 1/4 = 1/2 would leave the group
+    with pytest.raises(GroupLawError, match=f"needs a prime p, got {p}"):
+        p_power_hull(p)
+
+
 def test_lex_cmp_matches_spec_example():
     a = LEX2.elem((1, -5))
     b = LEX2.elem((0, 0))

@@ -183,6 +183,27 @@ def test_ladder_keeps_steps_when_newton_converges_early():
         assert not f.eval(out.root).terms
 
 
+def test_ladder_widens_a_residual_evaluated_too_close_to_its_precision(monkeypatch):
+    # X^3 - X - t over F_3 converges faster than quadratically: the residual
+    # after the first step is zero below t^8, so it is read again to t^12
+    # rather than at the target, and the ladder stays on to t^81
+    field = GF(3)
+    s = lambda *terms: make_series(field, ZZ_GROUP, list(terms))
+    f = SeriesPoly((s((1, -1)), s((0, -1)), s(), s((0, 1))))
+    belows = []
+    plain = SeriesPoly.eval
+
+    def recording(poly, a, below=None):
+        belows.append(int(str(below)))
+        return plain(poly, a, below)
+
+    monkeypatch.setattr(SeriesPoly, "eval", recording)
+    out = hensel_lift(f, None, 81)
+    assert [str(v) for v in out.steps] == ["1", "3", "9", "27"]
+    # the start checks at the target, then residuals and derivatives
+    assert belows == [81] * 3 + [3, 8, 12, 9, 24, 36, 27, 72, 81, 54, 81]
+
+
 def test_ladder_keeps_the_precision_of_a_start_known_to_less_than_the_target():
     # X^2 = 1 + t, Y^2 = X + t over F_5 from Y known only to O(t^(p)): the
     # roots carry what the start determines, as at full precision
