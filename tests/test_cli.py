@@ -2,6 +2,7 @@
 
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -128,6 +129,15 @@ def test_eval_division_by_zero_function_exits_2(capsys, lex2_path):
     code, _, err = run(capsys, ["eval", "--place", lex2_path, "1/(x1-x1)"])
     assert code == 2
     assert "zero" in err
+
+
+def test_eval_undecided_denominator_exits_2(capsys):
+    # x2 + x1^2 + x1 vanishes at this place, so the denominator's value 70
+    # lies past every refinement of the stream
+    place = str(Path(__file__).parent / "golden" / "places" / "frobenius_root_embed.json")
+    code, out, err = run(capsys, ["eval", "--place", place, "x1/(x2 + x1^2 + x1 + x2^70)"])
+    assert (code, out) == (2, "")
+    assert err == "error: denominator valuation undecidable: >= 64 after refinement\n"
 
 
 def test_lift_frobenius_root_text(capsys):

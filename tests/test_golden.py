@@ -40,6 +40,18 @@ CASES = {
     ],
     "eval_embed_unit": ["eval", "--place", "frobenius_embed.json", "x1*x2 + 1"],
     "eval_embed_pole": ["eval", "--place", "frobenius_embed.json", "x1^2/x2"],
+    # x2 + x1^2 + x1 vanishes at x1 -> FrobeniusRoot(2), x2 -> t, so each value
+    # below is decided only after the stream is expanded past it
+    "eval_frobenius_root_v20": ["eval", "--place", "frobenius_root_embed.json", "x2 + x1^2 + x1 + x2^20"],
+    "eval_frobenius_root_unit": [
+        "eval", "--place", "frobenius_root_embed.json", "(x2 + x1^2 + x1 + x2^20)/x2^20",
+    ],
+    "eval_frobenius_root_ratio": [
+        "eval", "--place", "frobenius_root_embed.json", "(x2 + x1^2 + x1 + x2^20)/(x1 + x2^3)",
+    ],
+    "eval_frobenius_root_undecided_den": [
+        "eval", "--place", "frobenius_root_embed.json", "x1/(x2 + x1^2 + x1 + x2^70)",
+    ],
     "lift": ["lift", "--p", "2", "--precision", "16", "--", "-t", "-1", "1"],
     "lift_json": ["lift", "--p", "3", "--precision", "12", "--json", "--", "-t", "-1", "0", "1"],
     "lift_dense_cubic_json": [
