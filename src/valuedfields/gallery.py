@@ -43,7 +43,7 @@ from .artinschreier import ASInstance, NEGATIVE_RAMIFIED, classify, ramified_roo
 from .errors import HypothesisError, ParamError, PrecisionError
 from .fields import GF, QQ, _is_prime, embed, frobenius
 from .groups import QQ_GROUP, ZZ_GROUP, one_over_m, p_power_hull
-from .hensel import SeriesPoly, hensel_lift
+from .hensel import hensel_lift
 from .places import (
     SeriesEmbedPlace,
     UniformizationWitness,
@@ -215,7 +215,7 @@ def _ram_row(level: str, n: int, e: int, f: int, p: int) -> RamificationRow:
 
 # Budgets of k_max, each at least 4x above what tier-1, the goldens, the
 # demos and the workloads reach (G5: k_max 6 and 112 bits; G7: k_max 12).
-# G5 grows about like k^5: within the budget it takes up to about 2 s
+# G5 grows about like k^3.5: within the budget it takes up to about 0.4 s
 # (p = 101, k_max = 24).  G7 is cheap, but its claims print lcm(1..k_max),
 # which passes the 4300 digits CPython converts to str at k_max = 9859.
 _G5_MAX_K = 24
@@ -313,12 +313,7 @@ def _run_g1(P: dict):
     p, target = P["p"], P["precision"]
     field, group = GF(p), ZZ_GROUP
     bound = group.elem(target)
-    coeffs = (
-        [t_pow(field, group, 1, -1), make_series(field, group, [(0, -1)])]
-        + [zero_series(field, group)] * (p - 2)
-        + [one_series(field, group)]
-    )
-    fpoly = SeriesPoly(tuple(coeffs))
+    fpoly = ASInstance(p, t_pow(field, group, 1)).poly()
     lifted = hensel_lift(fpoly, None, bound)
     root = lifted.root
     claims = []
@@ -346,7 +341,7 @@ def _run_g1(P: dict):
     def doubling():
         steps = lifted.steps
         ok = all(
-            not steps[i + 1] < _group_min(steps[i].scale(2), bound)
+            not steps[i + 1] < min(steps[i].scale(2), bound)
             for i in range(len(steps) - 1)
         )
         chain = " -> ".join(str(v) for v in steps)
@@ -354,10 +349,6 @@ def _run_g1(P: dict):
 
     claims.append(_claim("the lift certificate shows doubling residual values", doubling))
     return claims, None
-
-
-def _group_min(a, b):
-    return a if a < b else b
 
 
 def _run_g2(P: dict):
@@ -528,9 +519,9 @@ def _run_g5(P: dict):
     exp_bound = (k_max + 1) ** 2 + 1
     z = stream_expand(z_series(p), p ** exp_bound, max_terms=2 * (k_max + 2))
     claims = []
+    power = z
     for k in range(1, k_max + 1):
-        power = z
-        for _ in range(nu(k)):
+        for _ in range(nu(k) - nu(k - 1)):  # z^(p^nu(k-1)) -> z^(p^nu(k))
             power = power ** p
         head = make_series(
             field, hull, [(e, c) for e, c in power.terms if e.coords()[0].denominator == 1]

@@ -401,8 +401,7 @@ def implicit_solve(
     target = target if isinstance(target, GroupElem) else group.elem(target)
 
     trailing = s.vars[ell - n:]
-    block = [[p.partial(v) for v in trailing] for p in s.polys]
-    block_val = _eval_matrix(block, s.vars, s.start, field, group)
+    block_val = _eval_matrix([row[ell - n:] for row in s.jacobian], s.vars, s.start, field, group)
     zero, one = zero_series(field, group), one_series(field, group)
     vdet = valuation(det(block_val, zero, one))
     if not (vdet.is_exact and vdet.value.is_zero()):

@@ -12,9 +12,10 @@ A place is described declaratively and evaluated exactly:
   on some variables and fresh residue indeterminates for the others; the
   value of a polynomial is the least weighted exponent sum over its
   monomials, and the residue is the sum of the minimal monomials' images.
-* ``SeriesEmbedPlace`` -- substitute explicit series (or catalog streams,
-  expanded adaptively) for the variables and read value and residue off the
-  resulting series.
+* ``SeriesEmbedPlace`` -- substitute explicit series or catalog streams for
+  the variables and read value and residue off the resulting series.  Each
+  polynomial, numerator, denominator or that of an inner stage, expands the
+  streams round by round until its own value is decided.
 * ``ComposePlace``   -- place on the residue field applied after a first
   place; values are lexicographic tuples with the first stage dominant.
 
@@ -345,10 +346,12 @@ def _const_value(g: MPoly) -> FieldElement | None:
 
 
 def _lead(P: PlaceDesc, g: MPoly):
-    """For nonzero g return (value: GroupElem of value_group(P), leading),
-    where leading represents the residue of g divided by its value part:
-    a FieldElement for Eval, an MPoly over the residue indeterminates for
-    Trivial and Monomial, and whatever the final stage yields for Compose."""
+    """For nonzero g return (value, leading), where leading represents the
+    residue of g divided by its value part: a FieldElement for Eval and
+    SeriesEmbed, an MPoly over the residue indeterminates for Trivial and
+    Monomial, and whatever the final stage yields for Compose.  The value is
+    a GroupElem of value_group(P), except at a SeriesEmbedPlace, where it is
+    the ValuationResult of g(series) and leading is None unless it is exact."""
     if not g.terms:
         raise ParamError("the zero polynomial has no value")
     if isinstance(P, TrivialPlace):
@@ -358,16 +361,15 @@ def _lead(P: PlaceDesc, g: MPoly):
     if isinstance(P, MonomialPlace):
         return _monomial_lead(P, g)
     if isinstance(P, SeriesEmbedPlace):
-        s = _substitute(P, g, 0)
-        v = valuation(s)
-        if not v.is_exact:
-            raise PrecisionError(f"value of an inner stage undecidable: {v}")
-        return v.value, s.terms[0][1]
-    v1, lead1 = _lead(P.first, g)
-    inner_vars = residue_vars(P.first)
+        return _embed_lead(P, g)
+    v1, lead1 = _lead(P.first, g)  # compose() admits no embedding as the first stage
     if isinstance(lead1, FieldElement):
-        lead1 = const_poly(inner_vars, lead1)
+        lead1 = const_poly(residue_vars(P.first), lead1)
     v2, lead2 = _lead(P.second, lead1)
+    if isinstance(P.second, SeriesEmbedPlace):
+        if not v2.is_exact:
+            raise PrecisionError(f"value of an inner stage undecidable: {v2}")
+        v2 = v2.value
     coords = _flatten(v1) + _flatten(v2)
     return LexGroup(len(coords)).elem(coords), lead2
 
@@ -432,28 +434,18 @@ def _substitute(P: SeriesEmbedPlace, g: MPoly, round_: int) -> Series:
     return eval_poly_at_series(g, values, P.field, P.group)
 
 
-def _has_stream(P: SeriesEmbedPlace) -> bool:
-    return any(isinstance(s, Stream) for _, s in P.assignments)
-
-
-def _embed_valuations(P: SeriesEmbedPlace, num: MPoly, den: MPoly):
-    """(v_num, v_den, s_num, s_den) with exact v_den, refining streams."""
-    rounds = REFINE_ROUNDS if _has_stream(P) else 1
-    for r in range(rounds):
-        s_num = _substitute(P, num, r)
-        s_den = _substitute(P, den, r)
-        v_num, v_den = valuation(s_num), valuation(s_den)
-        if v_den.kind is ValuationKind.INFINITY:
-            raise PoleError("denominator vanishes under the embedding")
-        if v_den.is_exact and (v_num.is_exact or v_num.kind is ValuationKind.INFINITY):
-            return v_num, v_den, s_num, s_den
-        if r == rounds - 1:
-            if not v_den.is_exact:
-                raise PrecisionError(
-                    f"denominator valuation undecidable: {v_den} after refinement"
-                )
-            return v_num, v_den, s_num, s_den
-    raise AssertionError("unreachable")
+def _embed_lead(P: SeriesEmbedPlace, g: MPoly):
+    """(v(g(series)), its leading coefficient or None), expanding the streams
+    round by round until the value is exact or infinite, or REFINE_ROUNDS
+    have run; explicit series are substituted once."""
+    for r in range(REFINE_ROUNDS):
+        s = _substitute(P, g, r)
+        v = valuation(s)
+        if v.kind is not ValuationKind.AT_LEAST:
+            return v, s.terms[0][1] if s.terms else None
+        if all(isinstance(a, Series) for _, a in P.assignments):
+            break
+    return v, None
 
 
 # ---------------------------------------------------------------------------
@@ -484,16 +476,22 @@ def _nonzero_ratfn(P: PlaceDesc, f: RatFn | MPoly, zero_message: str) -> RatFn:
 def place_value(P: PlaceDesc, f: RatFn | MPoly) -> ValuationResult:
     """Value of a nonzero rational function: v(num) - v(den)."""
     f = _nonzero_ratfn(P, f, "the zero function has no value")
-    if isinstance(P, SeriesEmbedPlace):
-        v_num, v_den, _, _ = _embed_valuations(P, f.num, f.den)
-        if v_num.kind is ValuationKind.INFINITY:
-            return ValuationResult.infinity()
-        if v_num.is_exact:
-            return ValuationResult.exact(v_num.value - v_den.value)
-        return ValuationResult.at_least(v_num.value - v_den.value)
-    v_num, _ = _lead(P, f.num)
-    v_den, _ = _lead(P, f.den)
-    return ValuationResult.exact(v_num - v_den)
+    return _value(P, _lead(P, f.num)[0], _lead(P, f.den)[0])
+
+
+def _value(P: PlaceDesc, v_num, v_den) -> ValuationResult:
+    """v_num - v_den from the values _lead gives num and den; only at an
+    embedding can num be in the kernel or bounded only from below, and den
+    vanish or stay undecided."""
+    if not isinstance(P, SeriesEmbedPlace):
+        return ValuationResult.exact(v_num - v_den)
+    if v_den.kind is ValuationKind.INFINITY:
+        raise PoleError("denominator vanishes under the embedding")
+    if not v_den.is_exact:
+        raise PrecisionError(f"denominator valuation undecidable: {v_den} after refinement")
+    if v_num.kind is ValuationKind.INFINITY:
+        return v_num
+    return ValuationResult(v_num.kind, v_num.value - v_den.value)  # exact or at least
 
 
 def place_residue(P: PlaceDesc, f: RatFn | MPoly):
@@ -511,31 +509,18 @@ def place_value_residue(P: PlaceDesc, f: RatFn | MPoly):
 
 
 def _value_residue(P: PlaceDesc, f: RatFn):
-    if isinstance(P, SeriesEmbedPlace):
-        return _embed_value_residue(P, f)
     v_num, lead_num = _lead(P, f.num)
     v_den, lead_den = _lead(P, f.den)
-    v = v_num - v_den
-    s = v.sign()
-    residue = ZERO if s > 0 else POLE if s < 0 else _leading_ratio(lead_num, lead_den)
-    return ValuationResult.exact(v), residue
-
-
-def _embed_value_residue(P: SeriesEmbedPlace, f: RatFn):
-    v_num, v_den, s_num, s_den = _embed_valuations(P, f.num, f.den)
-    if v_num.kind is ValuationKind.INFINITY:
-        return ValuationResult.infinity(), ZERO
-    d = v_num.value - v_den.value
-    s = d.sign()
-    if not v_num.is_exact:
-        # num only bounded below: decidable exactly when the bound clears the den
-        if s > 0:
-            return ValuationResult.at_least(d), ZERO
+    v = _value(P, v_num, v_den)
+    if v.kind is ValuationKind.INFINITY:
+        return v, ZERO
+    s = v.value.sign()
+    if s <= 0 and not v.is_exact:  # num bounded below by no more than den's value
         raise PrecisionError(
             f"residue undecidable: numerator value only known to be >= {v_num.value}"
         )
-    residue = ZERO if s > 0 else POLE if s < 0 else s_num.terms[0][1] / s_den.terms[0][1]
-    return ValuationResult.exact(d), residue
+    residue = ZERO if s > 0 else POLE if s < 0 else _leading_ratio(lead_num, lead_den)
+    return v, residue
 
 
 def _leading_ratio(lead_num, lead_den):

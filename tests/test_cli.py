@@ -140,6 +140,20 @@ def test_eval_undecided_denominator_exits_2(capsys):
     assert err == "error: denominator valuation undecidable: >= 64 after refinement\n"
 
 
+def test_eval_composed_place_refines_the_inner_embedding(capsys, tmp_path):
+    # the embedding above as the second stage, after u -> 1 with residues a, b
+    embed = json.loads((Path(__file__).parent / "golden" / "places" /
+                        "frobenius_root_embed.json").read_text(encoding="utf-8"))
+    first = {"variant": "monomial", "field": {"kind": "GF", "p": 2},
+             "group": {"kind": "one_over_m", "m": 1},
+             "values": [["u", "1"]], "residues": [["a", "x1"], ["b", "x2"]]}
+    path = tmp_path / "compose.json"
+    path.write_text(json.dumps({"variant": "compose", "first": first, "second": embed}),
+                    encoding="utf-8")
+    code, out, err = run(capsys, ["eval", "--place", str(path), "b + a^2 + a + b^20"])
+    assert (code, out, err) == (0, "v = (0,20), residue = 0\n", "")
+
+
 def test_lift_frobenius_root_text(capsys):
     code, out, _ = run(capsys, ["lift", "--p", "2", "--precision", "16", "--", "-t", "-1", "1"])
     assert code == 0

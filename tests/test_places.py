@@ -520,6 +520,57 @@ def test_series_embed_exact_series_no_refinement_loop():
     assert v.is_exact and str(v.value) == "2"
 
 
+F2 = GF(2)
+
+
+def _frobenius_root_embed():
+    """x1 -> FrobeniusRoot(2), x2 -> t over F_2: x2 + x1^2 + x1 vanishes."""
+    return SeriesEmbedPlace(
+        F2, ZZ_GROUP, (("x1", frobenius_root(2)), ("x2", t_pow(F2, ZZ_GROUP, 1)))
+    )
+
+
+def _frobenius_root_after_monomial():
+    """The embedding applied to the residues x1, x2 of a and b after u -> 1."""
+    first = MonomialPlace(F2, ZZ_GROUP, (("u", ZZ_GROUP.elem(1)),), (("a", "x1"), ("b", "x2")))
+    return compose(first, _frobenius_root_embed())
+
+
+def _kernel_plus(names, e):
+    """b + a^2 + a + b^e in the variables (..., a, b); no b^e term when e is None."""
+    n = len(names)
+    terms = {(0,) * (n - 1) + (1,): 1, (0,) * (n - 2) + (2, 0): 1, (0,) * (n - 2) + (1, 0): 1}
+    if e is not None:
+        terms[(0,) * (n - 1) + (e,)] = 1
+    return _poly(names, terms, F2)
+
+
+def test_composed_embedding_stage_agrees_with_the_embedding_alone():
+    rng = random.Random(57)
+    P, embed = _frobenius_root_after_monomial(), _frobenius_root_embed()
+    names = ("u", "a", "b")
+    kernel = _kernel_plus(names, None)
+    decided = 0
+    for _ in range(80):
+        g = _poly(names, {tuple(rng.randint(0, 3) for _ in names): 1
+                          for _ in range(rng.randint(1, 3))}, F2)
+        if rng.random() < 0.7:  # a multiple of the kernel, plus b^e or not
+            g = kernel * g
+            e = rng.choice([5, 12, 20, 40, 70, None])
+            if e:
+                g = g + _poly(names, {(0, 0, e): 1}, F2)
+        v1, lead = places._lead(P.first, g)
+        w = place_value(embed, lead)
+        if w.is_exact:
+            assert str(place_value(P, g)) == f"({v1},{w})"
+            decided += 1
+        else:
+            with pytest.raises(PrecisionError) as err:
+                place_value(P, g)
+            assert str(err.value) == f"value of an inner stage undecidable: {w}"
+    assert 20 <= decided < 80
+
+
 # ---------------------------------------------------------------------------
 # invariants
 
@@ -710,6 +761,9 @@ def _value_residue_cases():
         # the numerator's value is only bounded below, by less than the den's
         (stream, _rf(_poly(("x", "u"), {(2, 0): 1, (1, 0): 1, (0, 1): 1}, F2),
                      _poly(("x", "u"), {(0, 70): 1}, F2))),
+        # an inner embedding stage decided after refinement, and one in its kernel
+        (_frobenius_root_after_monomial(), _kernel_plus(("u", "a", "b"), 20)),
+        (_frobenius_root_after_monomial(), _kernel_plus(("u", "a", "b"), None)),
         (_quad_place(), _rf(_poly(x12, {}))),
         (MonomialPlace(QQ, ZZ_GROUP, (("x", ZZ_GROUP.elem(1)),)), _poly(("x", "w"), {(1, 1): 1})),
     ]
@@ -734,3 +788,21 @@ def test_value_residue_reads_leading_data_once(monkeypatch):
     v, r = place_value_residue(P, f)
     assert str(v.value) == "(1,0)" and r is ZERO
     assert calls == [f.num, f.den]
+
+
+@pytest.mark.parametrize("P, names, value", [
+    (_frobenius_root_embed(), ("x1", "x2"), "20"),
+    (_frobenius_root_after_monomial(), ("u", "a", "b"), "(0,20)"),
+])
+def test_series_embed_refines_num_and_den_separately(monkeypatch, P, names, value):
+    # the numerator expands the stream until its value 20 is decided (rounds
+    # 0, 1, 2), and the denominator 1 stops at round 0
+    rounds = []
+    substitute = places._substitute
+    monkeypatch.setattr(
+        places, "_substitute", lambda P, g, r: rounds.append(r) or substitute(P, g, r)
+    )
+    v, r = place_value_residue(P, _kernel_plus(names, 20))
+    assert (str(v), r) == (value, ZERO)
+    assert rounds == [0, 1, 2, 0]
+    assert str(place_value(P, _kernel_plus(names, 20))) == value
