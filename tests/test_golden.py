@@ -113,6 +113,11 @@ CASES["gallery_G6_p5_json"] = ["gallery", "G6", "--p", "5", "--json"]
 # explicit names forward every flag given
 CASES["gallery_all_p3_k2"] = ["gallery", "--p", "3", "--k-max", "2"]
 CASES["gallery_G3_p5_k3_prec4"] = ["gallery", "G3", "--p", "5", "--k-max", "3", "--precision", "4"]
+# G8 at the gallery workload's sample count, and at p = 3 and 5 with other seeds
+CASES["gallery_G8_k64"] = ["gallery", "G8", "--k-max", "64"]
+CASES["gallery_G8_k64_json"] = ["gallery", "G8", "--k-max", "64", "--json"]
+CASES["gallery_G8_p3_k32_seed5"] = ["gallery", "G8", "--p", "3", "--k-max", "32", "--seed", "5"]
+CASES["gallery_G8_p5_k24_seed2"] = ["gallery", "G8", "--p", "5", "--k-max", "24", "--seed", "2"]
 
 _ELAPSED = re.compile(r'"elapsed_ms": \d+')
 
