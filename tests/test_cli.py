@@ -429,6 +429,7 @@ def test_gallery_g4_over_budget_exits_2_at_once(capsys, args, word):
 @pytest.mark.parametrize(
     "args, word",
     [
+        (["G2", "--p", "2", "--k-max", "4000"], "budget of 100"),  # ran past 60 s
         (["G7", "--k-max", "10000"], "budget of 1000"),  # would print lcm(1..10000)
         (["G5", "--k-max", "1000"], "budget of 24"),
         (["G5", "--k-max", "25"], "budget of 24"),

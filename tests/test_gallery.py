@@ -2,20 +2,27 @@
 claims, ramification bookkeeping, determinism, and parameter validation."""
 
 import json
+from random import Random
 
 import pytest
 
 from valuedfields.errors import HypothesisError, ParamError, PrecisionError
+from valuedfields.fields import GF
 from valuedfields.gallery import (
     Claim,
     RamificationRow,
     SCENARIO_NAMES,
     _claim,
+    _sample_value,
     list_scenarios,
     make_scenario,
     report_to_json,
     run_scenario,
 )
+from valuedfields.groups import ZZ_GROUP
+from valuedfields.hensel import eval_poly_at_series
+from valuedfields.polys import mpoly
+from valuedfields.series import frobenius_root, frobenius_series, one_series, stream_expand, t_pow
 
 
 def _strip_elapsed(d):
@@ -269,6 +276,41 @@ def test_g8_sampled_invariance():
 def test_g8_odd_characteristic_samples():
     r = run_scenario("G8", {"p": 3, "k_max": 6, "seed": 1})
     assert r.passed
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_g8_sample_values_match_the_polynomial_evaluator(p):
+    # G8's x and s = x^p, with each sample against eval_poly_at_series on the
+    # same polynomial in (t, y), y -> x or s.  A monomial whose coefficients
+    # sum to 0 mod p would keep its precision in the table's sum but not in
+    # the merged polynomial, so such draws are redrawn.
+    field, group = GF(p), ZZ_GROUP
+    x = stream_expand(frobenius_root(p), p ** 9, max_terms=16)
+    s = frobenius_series(x)
+    t = t_pow(field, group, 1)
+    rng = Random(p)
+    repeats = scaled = 0
+    for y, step in ((x, 1), (s, p)):
+        powers = [one_series(field, group), y, y * y, y * y * y]
+        table = {}
+        pool = [(a * step, b) for a in range(4) for b in range(4)]
+        done = 0
+        while done < 40:
+            monomials = rng.sample(pool, 5)
+            terms = [(rng.choice(monomials), rng.randrange(1, 3 * p)) for _ in range(rng.randrange(1, 9))]
+            merged = {}
+            for e, c in terms:
+                merged[e] = merged.get(e, 0) + c
+            if any(c % p == 0 for c in merged.values()):
+                continue
+            done += 1
+            repeats += len(merged) < len(terms)
+            scaled += any(c % p != 1 for _, c in terms)
+            h = mpoly(("t", "y"), {e: field.elem(c) for e, c in merged.items()})
+            want = eval_poly_at_series(h, {"t": t, "y": y}, field, group)
+            assert _sample_value(terms, powers, table) == want
+        assert len(table) <= 16
+    assert repeats and scaled
 
 
 # ---------------------------------------------------------------------------
