@@ -39,6 +39,7 @@ from valuedfields.polys import MPoly, RatFn, const_poly, mpoly
 from valuedfields.series import (
     POLE,
     ValuationKind,
+    bad_residue,
     bad_value_group,
     frobenius_root,
     make_series,
@@ -521,6 +522,34 @@ def test_series_embed_exact_series_no_refinement_loop():
 
 
 F2 = GF(2)
+
+
+def test_series_embed_expands_only_the_streams_a_polynomial_uses(monkeypatch):
+    # no host of degree 420 = lcm(1..7) is within the budget, so the w stream
+    # cannot be expanded; it must not be while w is absent from the polynomial
+    z = make_series(F2, ZZ_GROUP, [(1, 1)], precision=3)  # t + O(t^3)
+    P = SeriesEmbedPlace(
+        F2, ZZ_GROUP,
+        (("x", frobenius_root(2)), ("y", t_pow(F2, ZZ_GROUP, 1)), ("z", z), ("w", bad_residue(2))),
+    )
+    xyzw = ("x", "y", "z", "w")
+    for g in (
+        _poly(("x", "y"), {(1, 0): 1, (0, 1): 1}, field=F2),
+        _poly(xyzw, {(1, 0, 0, 0): 1, (0, 1, 0, 0): 1}, field=F2),
+    ):
+        v = place_value(P, g)
+        assert v.is_exact and str(v.value) == "2"
+    with pytest.raises(ParamError, match="420"):
+        place_value(P, _poly(("x", "w"), {(1, 0): 1, (0, 1): 1}, field=F2))
+    # y + z uses only explicit series, so its bound is final after round 0
+    rounds = []
+    substitute = places._substitute
+    monkeypatch.setattr(
+        places, "_substitute", lambda P, g, r: rounds.append(r) or substitute(P, g, r)
+    )
+    v = place_value(P, _poly(xyzw, {(0, 1, 0, 0): 1, (0, 0, 1, 0): 1}, field=F2))
+    assert v.kind is ValuationKind.AT_LEAST and str(v.value) == "3"
+    assert rounds == [0, 0]  # numerator, then the denominator 1
 
 
 def _frobenius_root_embed():
