@@ -15,7 +15,8 @@ A place is described declaratively and evaluated exactly:
 * ``SeriesEmbedPlace`` -- substitute explicit series or catalog streams for
   the variables and read value and residue off the resulting series.  Each
   polynomial, numerator, denominator or that of an inner stage, expands the
-  streams round by round until its own value is decided.
+  streams of the variables it contains round by round until its own value
+  is decided.
 * ``ComposePlace``   -- place on the residue field applied after a first
   place; values are lexicographic tuples with the first stage dominant.
 
