@@ -424,17 +424,21 @@ def _monomial_lead(P: MonomialPlace, g: MPoly):
 # series embedding with adaptive stream refinement
 
 
-def _used(P: SeriesEmbedPlace, g: MPoly):
-    """The assignments of the variables g contains with a nonzero exponent:
-    only their streams are expanded."""
-    names = {v for i, v in enumerate(g.vars) if any(exps[i] for exps, _ in g.terms)}
-    return [(v, s) for v, s in P.assignments if v in names]
+def _uses(g: MPoly, v: str) -> bool:
+    """Whether g contains v with a nonzero exponent: only the streams of such
+    variables are expanded."""
+    if v not in g.vars:
+        return False
+    i = g.vars.index(v)
+    return any(exps[i] for exps, _ in g.terms)
 
 
 def _substitute(P: SeriesEmbedPlace, g: MPoly, round_: int) -> Series:
     values = {}
-    for v, s in _used(P, g):
+    for v, s in P.assignments:
         if isinstance(s, Stream):
+            if not _uses(g, v):
+                continue
             prec = P.group.elem(BASE_PRECISION * (2 ** round_))
             values[v] = stream_expand(s, prec, DEFAULT_STREAM_CAP * (2 ** round_))
         else:
@@ -446,13 +450,12 @@ def _embed_lead(P: SeriesEmbedPlace, g: MPoly):
     """(v(g(series)), its leading coefficient or None), expanding the streams
     round by round until the value is exact or infinite, or REFINE_ROUNDS
     have run; explicit series are substituted once."""
-    explicit = all(isinstance(a, Series) for _, a in _used(P, g))
     for r in range(REFINE_ROUNDS):
         s = _substitute(P, g, r)
         v = valuation(s)
         if v.kind is not ValuationKind.AT_LEAST:
             return v, s.terms[0][1] if s.terms else None
-        if explicit:
+        if not any(isinstance(a, Stream) and _uses(g, name) for name, a in P.assignments):
             break
     return v, None
 
