@@ -448,8 +448,8 @@ def _substitute(P: SeriesEmbedPlace, g: MPoly, round_: int) -> Series:
 
 def _embed_lead(P: SeriesEmbedPlace, g: MPoly):
     """(v(g(series)), its leading coefficient or None), expanding the streams
-    round by round until the value is exact or infinite, or REFINE_ROUNDS
-    have run; explicit series are substituted once."""
+    g uses round by round until the value is exact or infinite, or
+    REFINE_ROUNDS have run; a g that uses no stream is substituted once."""
     for r in range(REFINE_ROUNDS):
         s = _substitute(P, g, r)
         v = valuation(s)
