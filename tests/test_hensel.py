@@ -396,6 +396,27 @@ def test_implicit_perturbation_threshold():
         implicit_solve(sysi, (bad,), 6)
 
 
+def test_implicit_threshold_from_a_jacobian_block_with_a_positive_adjugate_entry():
+    # X + t*Y - U and Y - U over F_5 at the origin: the trailing block
+    # [[1, t], [0, 1]] has adjugate [[1, -t], [0, 1]], so alpha = 1 and a
+    # perturbation of U must have valuation above 2
+    F = GF(5)
+    one = one_series(F, ZZ_GROUP)
+    t = t_pow(F, ZZ_GROUP, 1)
+    vars = ("U", "X", "Y")
+    f1 = mpoly(vars, {(0, 1, 0): one, (0, 0, 1): t, (1, 0, 0): -one})
+    f2 = mpoly(vars, {(0, 0, 1): one, (1, 0, 0): -one})
+    zero = zero_series(F, ZZ_GROUP)
+    sysi = make_system([f1, f2], vars, (zero, zero, zero))
+    out = implicit_solve(sysi, (t_pow(F, ZZ_GROUP, 3),), 10)
+    assert out.alpha == ZZ_GROUP.elem(1)
+    x, y = out.solved
+    assert x == make_series(F, ZZ_GROUP, [(3, 1), (4, 4)], 10)
+    assert y == make_series(F, ZZ_GROUP, [(3, 1)], 10)
+    with pytest.raises(PerturbationError, match="threshold 2"):
+        implicit_solve(sysi, (t_pow(F, ZZ_GROUP, 2),), 10)
+
+
 def test_formal_derivative_consistency():
     rng = random.Random(33)
     F = GF(3)

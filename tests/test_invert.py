@@ -246,3 +246,23 @@ def test_ladder_keeps_the_precision_lost_to_coefficients_of_negative_valuation()
     assert case(3, {(1, 0): (), (0, 0): ((4, -1),)},
                 {(0, 1): (), (1, 1): ((-3, 1),), (0, 2): (), (0, 0): ((1, -1), (3, -1))},
                 (((4, 1),), ()), 16) == (["16", "14"], ["1", "2", "4", "8"])
+
+
+def test_ladder_turns_off_when_a_residual_is_known_to_less_than_it_was_read_to():
+    # X + 2t^4 = 0, Y + t^-3*X*Y^2 + 2t = 0 over F_3 from exact (0, 0): once X
+    # is read to a precision, the factor t^-3 leaves the second residual known
+    # to less than that, so the ladder turns off and the lift runs at the
+    # target from then on
+    field = GF(3)
+    s = lambda *terms: make_series(field, ZZ_GROUP, list(terms))
+    one = one_series(field, ZZ_GROUP)
+    f1 = mpoly(("X", "Y"), {(1, 0): one, (0, 0): s((4, 2))})
+    f2 = mpoly(("X", "Y"), {(0, 1): one, (1, 2): s((-3, 1)), (0, 0): s((1, 2))})
+    out = newton_system(make_system([f1, f2], ("X", "Y"), (s(), s())), 16)
+    x, y = out.roots
+    assert x == make_series(field, ZZ_GROUP, [(4, 1)], 16)
+    assert y == make_series(field, ZZ_GROUP, [(1, 1), (3, 2), (5, 2), (7, 1), (9, 2)], 15)
+    assert [str(v) for v in out.steps] == ["1", "3", "7"]
+    residuals = [hensel.eval_poly_at_series(f, {"X": x, "Y": y}, field, ZZ_GROUP)
+                 for f in (f1, f2)]
+    assert [(r.terms, str(r.precision)) for r in residuals] == [((), "16"), ((), "15")]

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -13,7 +15,7 @@ from valuedfields.errors import (
     ValuedFieldError,
 )
 from valuedfields.fields import GF, QQ
-from valuedfields.groups import LexGroup, QQ_GROUP, QuadGroup, ZZ_GROUP, one_over_m
+from valuedfields.groups import LexGroup, QQ_GROUP, QuadGroup, ZZ_GROUP, one_over_m, p_power_hull
 from valuedfields import places
 from valuedfields.hensel import eval_poly_at_series
 from valuedfields.places import (
@@ -44,6 +46,7 @@ from valuedfields.series import (
     frobenius_root,
     make_series,
     t_pow,
+    theta_defect,
     unit_nth_root,
     valuation,
 )
@@ -644,6 +647,75 @@ def test_invariants_reject_overdeclared_dim():
         place_invariants(P, ambient_trdeg=2)
 
 
+def _invariant_places():
+    """One place of each kind, with its value group and its (rank, rational
+    rank, dim, value group f.g., residue field f.g.); dim None stands for the
+    ambient transcendence degree, the dim of a trivial place."""
+    F4, L2, P2 = GF(2, 2), LexGroup(2), p_power_hull(2)
+    y_stage = MonomialPlace(QQ, ZZ_GROUP, (("y2", ZZ_GROUP.elem(1)),), (("y3", "w3"),))
+    w_stage = MonomialPlace(QQ, ZZ_GROUP, (("w3", ZZ_GROUP.elem(1)),))
+    first = MonomialPlace(QQ, ZZ_GROUP, (("x1", ZZ_GROUP.elem(1)),), (("x2", "y2"), ("x3", "y3")))
+    return {
+        "trivial": (TrivialPlace(("x", "y"), QQ), ZZ_GROUP, (0, 0, None, True, True)),
+        "eval at one point": (EvalPlace(QQ, (("x", QQ.elem(2)),)), ZZ_GROUP, (1, 1, 0, True, True)),
+        "eval at two points": (
+            EvalPlace(QQ, (("x", QQ.elem(2)), ("y", QQ.elem(0)))), L2, (2, 2, 0, True, True),
+        ),
+        "monomial lex": (
+            MonomialPlace(QQ, L2, (("x", L2.elem((1, 0))), ("y", L2.elem((0, 1)))), (("w", "z"),)),
+            L2, (2, 2, 1, True, True),
+        ),
+        "monomial quad": (_quad_place(), QUAD, (1, 2, 0, True, True)),
+        "monomial Z": (first, ZZ_GROUP, (1, 1, 2, True, True)),
+        "embed ThetaDefect": (
+            SeriesEmbedPlace(F2, P2, (("x", theta_defect(2)), ("y", t_pow(F2, P2, 1)))),
+            P2, (1, 1, 0, False, True),
+        ),
+        "embed FrobeniusRoot": (
+            SeriesEmbedPlace(F2, ZZ_GROUP, (("x", frobenius_root(2)),), residue_dim=1),
+            ZZ_GROUP, (1, 1, 1, True, True),
+        ),
+        "embed BadResidue": (
+            SeriesEmbedPlace(F4, ZZ_GROUP, (("x", bad_residue(2)),)),
+            ZZ_GROUP, (1, 1, 0, True, False),
+        ),
+        "compose two stages": (compose(first, y_stage), L2, (2, 2, 1, True, True)),
+        "compose three stages, left": (
+            compose(compose(first, y_stage), TrivialPlace(("w3",), QQ)),
+            LexGroup(3), (2, 2, 1, True, True),
+        ),
+        "compose three stages, right": (
+            compose(first, compose(y_stage, w_stage)), LexGroup(3), (3, 3, 0, True, True),
+        ),
+        "compose into an embedding": (
+            _frobenius_root_after_monomial(), L2, (2, 2, 0, True, True),
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", list(_invariant_places()))
+def test_invariants_and_value_group_of_every_place_kind(name):
+    P, group, (rank, rr, dim, vfg, rfg) = _invariant_places()[name]
+    assert value_group(P) == group
+    for ambient in range(6):
+        d = ambient if dim is None else dim
+        if ambient < d + rr:
+            with pytest.raises(HypothesisError, match="trdeg >= dim \\+ rational rank"):
+                place_invariants(P, ambient)
+            continue
+        inv = place_invariants(P, ambient)
+        assert inv.to_json() == {
+            "rank": rank,
+            "rational_rank": rr,
+            "dim": d,
+            "is_abhyankar": ambient == d + rr,
+            "is_maximal_rank": rank == ambient,
+            "ambient_trdeg": ambient,
+            "value_group_fg": vfg,
+            "residue_fg": rfg,
+        }
+
+
 # ---------------------------------------------------------------------------
 # uniformization witness
 
@@ -740,6 +812,28 @@ def test_json_roundtrip_stream_assignment():
     )
     back = place_from_json(place_to_json(P))
     assert back == P
+
+
+def test_json_roundtrip_lex_and_p_power_groups():
+    L2, P3 = LexGroup(2), p_power_hull(3)
+    F3 = GF(3)
+    lex = MonomialPlace(QQ, L2, (("x", L2.elem((1, 0))), ("y", L2.elem((0, 1)))), (("w", "z"),))
+    embed = SeriesEmbedPlace(
+        F3, P3,
+        (("x", make_series(F3, P3, [(Fraction(-1, 9), 1), (Fraction(1, 3), 2)], 1)),
+         ("y", theta_defect(3))),
+    )
+    for P, group in ((lex, {"kind": "lex", "r": 2}), (embed, {"kind": "p_power", "p": 3})):
+        blob = place_to_json(P)
+        assert blob["group"] == group
+        assert place_from_json(blob) == P
+
+
+def test_sentinels_survive_copy_and_pickle():
+    for sentinel in (ZERO, POLE):
+        assert copy.copy(sentinel) is sentinel
+        assert copy.deepcopy(sentinel) is sentinel
+        assert pickle.loads(pickle.dumps(sentinel)) is sentinel
 
 
 def test_json_rejects_unknown_variant():

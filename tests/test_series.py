@@ -362,6 +362,15 @@ def test_stream_bad_residue():
         assert acc.is_zero()
 
 
+def test_stream_bad_residue_term_cap():
+    # the cap bites before t^10: three terms, with the first omitted exponent
+    # as the precision, hosted in F_(2^lcm(1,2,3))
+    s = stream_expand(bad_residue(2), 10, max_terms=3)
+    assert s.field.order == 2 ** 6
+    assert [str(e) for e, _ in s.terms] == ["1", "2", "3"]
+    assert s.precision == ZZ_GROUP.elem(4)
+
+
 def test_stream_bad_residue_pinned_degree():
     s = stream_expand(bad_residue(2, lcm_degree=12), 4)
     assert s.field.order == 2 ** 12
