@@ -3,16 +3,16 @@
 Run:  python3 demos/frobenius_root.py
 """
 
+from valuedfields.artinschreier import ASInstance
 from valuedfields.fields import GF
 from valuedfields.groups import ZZ_GROUP
-from valuedfields.hensel import SeriesPoly, hensel_lift
+from valuedfields.hensel import hensel_lift
 from valuedfields.series import (
     frobenius_root,
     render_series,
     stream_expand,
     t_pow,
     truncate,
-    zero_series,
 )
 
 
@@ -20,10 +20,7 @@ def main():
     for p in (2, 3):
         field, group = GF(p), ZZ_GROUP
         bound = p ** 4
-        coeffs = [t_pow(field, group, 1, -1), t_pow(field, group, 0, -1)]
-        coeffs += [zero_series(field, group)] * (p - 2)
-        coeffs.append(t_pow(field, group, 0, 1))
-        f = SeriesPoly(tuple(coeffs))
+        f = ASInstance(p, t_pow(field, group, 1)).poly()
         lifted = hensel_lift(f, None, bound)
         print(f"p = {p}: root of X^{p} - X - t, truncated at t^({bound})")
         print("  root  =", render_series(lifted.root))

@@ -37,7 +37,6 @@ from .groups import (
     GroupDesc,
     GroupElem,
     QQ_GROUP,
-    QuadGroup,
     RationalGroup,
     divisible_by,
     from_coords,
@@ -263,15 +262,11 @@ def residue_case(inst: ASInstance, target) -> LiftedRoot | NoResidueRoot:
 
 
 def _p_divided_group(group: GroupDesc, p: int) -> GroupDesc:
+    """The ambient of v(c)/p for a ramified v(c): (1/m)Z goes to (1/mp)Z and
+    any other rational group to Q.  Q, (1/p^oo)Z and Q + Q*sqrt2 contain
+    v(c)/p, so classify never calls a v(c) in them ramified."""
     if isinstance(group, RationalGroup):
-        if group.law == "all":
-            return QQ_GROUP
-        if group.law == "one_over_m":
-            return one_over_m(group.m * p)
-        if group.law == "p_power":
-            return group if group.p == p else QQ_GROUP
-    if isinstance(group, QuadGroup):
-        return group
+        return one_over_m(group.m * p) if group.law == "one_over_m" else QQ_GROUP
     raise UnsupportedError(f"no canonical p-divided ambient for {group}")
 
 
@@ -331,7 +326,8 @@ def surgery(c: Series, max_iter: int):
         trace.append(SurgeryStep(len(trace) + 1, str(lead_exp), str(b)))
     if _eliminable_front(current, p):  # stopped by the iteration cap, not shape
         return DefectSuspect(partial, current, len(trace), tuple(trace))
-    case = _residual_case(current, p)
+    # the front is now zero, of value 0, or of a value not divisible by p
+    case = classify(ASInstance(p, current))
     return NormalForm(case, partial, current, len(trace), tuple(trace))
 
 
@@ -342,17 +338,6 @@ def _eliminable_front(c: Series, p: int) -> bool:
     if v.kind is ValuationKind.INFINITY or v.value.is_zero():
         return False
     return divisible_by(v.value, p).member
-
-
-def _residual_case(c: Series, p: int) -> str:
-    v = valuation(c)
-    if v.kind is ValuationKind.AT_LEAST:
-        raise PrecisionError("residual classification undecidable")
-    if v.kind is ValuationKind.INFINITY or v.value.sign() > 0:
-        return POSITIVE_VALUE
-    if v.value.is_zero():
-        return ZERO_VALUE
-    return NEGATIVE_RAMIFIED
 
 
 # ---------------------------------------------------------------------------

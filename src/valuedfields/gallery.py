@@ -402,14 +402,10 @@ def _run_g2(P: dict):
             chain,
         ))
 
-        e = next(m for m in (1, p) if _lies_in_one_over(rv.scale(m), p ** k))
+        e = next(m for m in (1, p) if level_group.admits(rv.scale(m).data))
         f = _coeff_field_degree(theta_k)
         rows.append(_ram_row(f"k={k}", p, e, f, p))
     return claims, tuple(rows)
-
-
-def _lies_in_one_over(g, m: int) -> bool:
-    return (g.coords()[0] * m).denominator == 1
 
 
 def _coeff_field_degree(s) -> int:

@@ -54,10 +54,11 @@ from .groups import (
 )
 from .groups import invariants as group_invariants
 from .hensel import eval_poly_at_series
-from .polys import MPoly, RatFn, const_poly, det, mpoly
+from .polys import MPoly, RatFn, det, var_poly
 from .series import (
     DEFAULT_STREAM_CAP,
     POLE,
+    ZERO,
     Series,
     Stream,
     ValuationKind,
@@ -90,22 +91,6 @@ __all__ = [
     "place_from_json",
 ]
 
-
-class ZeroSignal:
-    """Sentinel: the residue of an element of positive value."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "ZERO"
-
-
-ZERO = ZeroSignal()
 
 REFINE_ROUNDS = 4
 BASE_PRECISION = 8
@@ -182,8 +167,22 @@ class SeriesEmbedPlace:
 
 @dataclass(frozen=True)
 class ComposePlace:
+    """Place second on the residue field of first, applied after it: first
+    must have residue indeterminates, second must act on exactly those, and
+    both must have integer-coordinate value groups."""
+
     first: "PlaceDesc"
     second: "PlaceDesc"
+
+    def __post_init__(self):
+        inner = residue_vars(self.first)
+        if not inner:
+            raise UnsupportedError("the first place has a trivial residue field description")
+        if set(inner) != set(place_vars(self.second)):
+            raise ParamError(
+                f"second place acts on {place_vars(self.second)}, residue field has {inner}"
+            )
+        _depth(self)  # reject stages whose values do not flatten to integers
 
 
 PlaceDesc = TrivialPlace | EvalPlace | MonomialPlace | SeriesEmbedPlace | ComposePlace
@@ -255,23 +254,6 @@ def base_field(P: PlaceDesc) -> FieldDesc:
     return P.field
 
 
-def _depth(P: PlaceDesc) -> int:
-    """Number of lex coordinates the place contributes inside a composition."""
-    if isinstance(P, TrivialPlace):
-        return 1
-    if isinstance(P, EvalPlace):
-        return len(P.assignments)
-    if isinstance(P, (MonomialPlace, SeriesEmbedPlace)):
-        if P.group == ZZ_GROUP:
-            return 1
-        if isinstance(P.group, LexGroup):
-            return P.group.r
-        raise UnsupportedError(
-            f"{P.group} has non-integer coordinates; it cannot join a composition"
-        )
-    return _depth(P.first) + _depth(P.second)
-
-
 def value_group(P: PlaceDesc) -> GroupDesc:
     if isinstance(P, TrivialPlace):
         return ZZ_GROUP
@@ -280,8 +262,17 @@ def value_group(P: PlaceDesc) -> GroupDesc:
         return ZZ_GROUP if n == 1 else LexGroup(n)
     if isinstance(P, (MonomialPlace, SeriesEmbedPlace)):
         return P.group
-    d = _depth(P)
-    return LexGroup(d)
+    return LexGroup(_depth(P.first) + _depth(P.second))
+
+
+def _depth(P: PlaceDesc) -> int:
+    """Number of lex coordinates the place contributes inside a composition."""
+    group = value_group(P)
+    if group == ZZ_GROUP:
+        return 1
+    if isinstance(group, LexGroup):
+        return group.r
+    raise UnsupportedError(f"{group} has non-integer coordinates; it cannot join a composition")
 
 
 def _flatten(g: GroupElem) -> tuple[int, ...]:
@@ -363,9 +354,8 @@ def _lead(P: PlaceDesc, g: MPoly):
         return _monomial_lead(P, g)
     if isinstance(P, SeriesEmbedPlace):
         return _embed_lead(P, g)
-    v1, lead1 = _lead(P.first, g)  # compose() admits no embedding as the first stage
-    if isinstance(lead1, FieldElement):
-        lead1 = const_poly(residue_vars(P.first), lead1)
+    # the first stage has residue indeterminates, so its leading data is a polynomial
+    v1, lead1 = _lead(P.first, g)
     v2, lead2 = _lead(P.second, lead1)
     if isinstance(P.second, SeriesEmbedPlace):
         if not v2.is_exact:
@@ -380,11 +370,8 @@ def _eval_lead(P: EvalPlace, g: MPoly):
     for var, a in P.assignments:
         k, g = _lowest_taylor_coeff(g, var, a)
         coords.append(k)
-    c = _const_value(g)
-    if c is None:  # pragma: no cover - covered-variable check prevents this
-        raise ParamError(f"{g} involves variables the place does not cover")
     vg = value_group(P)
-    return (vg.elem(coords[0]) if vg == ZZ_GROUP else vg.elem(tuple(coords))), c
+    return (vg.elem(coords[0]) if vg == ZZ_GROUP else vg.elem(tuple(coords))), _const_value(g)
 
 
 def _monomial_lead(P: MonomialPlace, g: MPoly):
@@ -553,16 +540,7 @@ def _leading_ratio(lead_num, lead_den):
 def compose(Q: PlaceDesc, Qbar: PlaceDesc) -> PlaceDesc:
     """Place Qbar on the residue field of Q, applied after Q; values are lex
     pairs with Q dominant."""
-    inner = residue_vars(Q)
-    if not inner:
-        raise UnsupportedError("the first place has a trivial residue field description")
-    if set(inner) != set(place_vars(Qbar)):
-        raise ParamError(
-            f"second place acts on {place_vars(Qbar)}, residue field has {inner}"
-        )
-    out = ComposePlace(Q, Qbar)
-    _depth(out)  # reject stages whose values do not flatten to integers
-    return out
+    return ComposePlace(Q, Qbar)
 
 
 # ---------------------------------------------------------------------------
@@ -593,70 +571,41 @@ class PlaceInvariants:
         }
 
 
-def _place_rank(P: PlaceDesc) -> int:
+def _invariants(P: PlaceDesc, ambient: int) -> tuple[int, int, int, bool, bool]:
+    """(rank, rational rank, dim, value group f.g., residue field f.g.) of P
+    on a function field of transcendence degree ambient."""
     if isinstance(P, TrivialPlace):
-        return 0
+        return 0, 0, ambient, True, True
     if isinstance(P, EvalPlace):
-        return len(P.assignments)
+        n = len(P.assignments)
+        return n, n, 0, True, True
     if isinstance(P, MonomialPlace):
-        if isinstance(P.group, LexGroup):
-            return len(P.values)
-        return 1  # archimedean value group
+        # __post_init__ checked the values rationally independent; a group
+        # other than lex is archimedean
+        n = len(P.values)
+        return n if isinstance(P.group, LexGroup) else 1, n, len(P.residues), True, True
     if isinstance(P, SeriesEmbedPlace):
-        return group_invariants(P.group).rank
-    return _place_rank(P.first) + _place_rank(P.second)
-
-
-def _place_rr(P: PlaceDesc) -> int:
-    if isinstance(P, TrivialPlace):
-        return 0
-    if isinstance(P, EvalPlace):
-        return len(P.assignments)
-    if isinstance(P, MonomialPlace):
-        # __post_init__ checked the values rationally independent
-        return len(P.values)
-    if isinstance(P, SeriesEmbedPlace):
-        return group_invariants(P.group).rational_rank
-    return _place_rr(P.first) + _place_rr(P.second)
-
-
-def _place_dim(P: PlaceDesc, ambient: int) -> int:
-    if isinstance(P, TrivialPlace):
-        return ambient
-    if isinstance(P, EvalPlace):
-        return 0
-    if isinstance(P, MonomialPlace):
-        return len(P.residues)
-    if isinstance(P, SeriesEmbedPlace):
-        return P.residue_dim
-    return _place_dim(P.second, len(place_vars(P.second)))
-
-
-def _fg_flags(P: PlaceDesc) -> tuple[bool, bool]:
-    if isinstance(P, SeriesEmbedPlace):
-        vfg, rfg = True, True
-        for _, s in P.assignments:
-            if isinstance(s, Stream):
-                vfg = vfg and s.meta.value_group_fg
-                rfg = rfg and s.meta.residue_fg
-        return vfg, rfg
-    if isinstance(P, ComposePlace):
-        v1, r1 = _fg_flags(P.first)
-        v2, r2 = _fg_flags(P.second)
-        return v1 and v2, r1 and r2
-    return True, True
+        gi = group_invariants(P.group)
+        metas = [s.meta for _, s in P.assignments if isinstance(s, Stream)]
+        return (
+            gi.rank,
+            gi.rational_rank,
+            P.residue_dim,
+            all(m.value_group_fg for m in metas),
+            all(m.residue_fg for m in metas),
+        )
+    r1, rr1, _, v1, f1 = _invariants(P.first, ambient)
+    r2, rr2, dim, v2, f2 = _invariants(P.second, len(place_vars(P.second)))
+    return r1 + r2, rr1 + rr2, dim, v1 and v2, f1 and f2
 
 
 def place_invariants(P: PlaceDesc, ambient_trdeg: int) -> PlaceInvariants:
-    rank = _place_rank(P)
-    rr = _place_rr(P)
-    dim = _place_dim(P, ambient_trdeg)
+    rank, rr, dim, vfg, rfg = _invariants(P, ambient_trdeg)
     if ambient_trdeg < dim + rr:
         raise HypothesisError(
             f"declared data violates trdeg >= dim + rational rank: "
             f"{ambient_trdeg} < {dim} + {rr}"
         )
-    vfg, rfg = _fg_flags(P)
     return PlaceInvariants(
         rank=rank,
         rational_rank=rr,
@@ -706,8 +655,9 @@ def verify_uniformization_witness(w: UniformizationWitness, P: PlaceDesc) -> dic
     field = base_field(P)
     all_vars = place_vars(P)
     for name in w.trans_vars + w.gen_vars:
-        g = mpoly(all_vars, {_unit_exp(all_vars, name): field.one()})
-        v = place_value(P, g)
+        if name not in all_vars:
+            raise ParamError(f"witness element {name} is not a place variable")
+        v = place_value(P, var_poly(all_vars, name, field))
         if v.kind is ValuationKind.EXACT and v.value.sign() < 0:
             raise HypothesisError(f"witness element {name} has negative value")
 
@@ -747,12 +697,6 @@ def verify_uniformization_witness(w: UniformizationWitness, P: PlaceDesc) -> dic
         u3 = not det(residues, field.zero(), field.one()).is_zero()
 
     return {"U1": u1, "U2": u2, "U3": u3, "smooth_center": u1 and u2 and u3}
-
-
-def _unit_exp(vars: tuple[str, ...], name: str) -> tuple[int, ...]:
-    if name not in vars:
-        raise ParamError(f"witness element {name} is not a place variable")
-    return tuple(1 if v == name else 0 for v in vars)
 
 
 # ---------------------------------------------------------------------------

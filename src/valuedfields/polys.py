@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import FieldMismatchError, ParamError, PoleError, UnsupportedError
+from .errors import ParamError, PoleError, UnsupportedError
 from .fields import FieldDesc, FieldElement, _power
 
 __all__ = ["MPoly", "RatFn", "mpoly", "const_poly", "var_poly", "cramer", "det", "adjugate"]
@@ -140,24 +140,17 @@ class MPoly:
         the remaining variables.  (Series substitution lives with Series.)
         """
         remaining = tuple(v for v in self.vars if v not in values)
-        if not remaining:
-            acc = field.zero()
-            for e, c in self.terms:
-                term = c
-                for v, exp in zip(self.vars, e):
-                    if exp:
-                        term = term * values[v] ** exp
-                acc = acc + term
-            return acc
-        keep_idx = [i for i, v in enumerate(self.vars) if v in remaining]
+        keep_idx = [i for i, v in enumerate(self.vars) if v not in values]
         out = []
         for e, c in self.terms:
-            coef = c
-            for i, v in enumerate(self.vars):
-                if v in values and e[i]:
-                    coef = coef * values[v] ** e[i]
-            out.append((tuple(e[i] for i in keep_idx), coef))
-        return MPoly.make(remaining, out)
+            for v, exp in zip(self.vars, e):
+                if exp and v in values:
+                    c = c * values[v] ** exp
+            out.append((tuple(e[i] for i in keep_idx), c))
+        result = MPoly.make(remaining, out)
+        if remaining:
+            return result
+        return result.terms[0][1] if result.terms else field.zero()
 
     def restrict_vars(self, new_vars) -> "MPoly":
         """Reindex onto a variable tuple that must cover every used variable."""

@@ -88,8 +88,9 @@ __all__ = [
     "Series",
     "ValuationKind",
     "ValuationResult",
-    "PoleSignal",
+    "Signal",
     "POLE",
+    "ZERO",
     "make_series",
     "zero_series",
     "one_series",
@@ -121,7 +122,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# valuation results and the pole sentinel
+# valuation results and the residue sentinels
 
 
 class ValuationKind(Enum):
@@ -164,21 +165,23 @@ class ValuationResult:
         return f"ValuationResult({self})"
 
 
-class PoleSignal:
-    """Sentinel returned by residue() on negative valuation."""
+class Signal:
+    """A residue sentinel, named after the module constant that holds it:
+    POLE for negative value, ZERO for positive value.  A copy or an
+    unpickled sentinel is that constant itself."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    def __init__(self, name: str):
+        self.name = name
 
     def __repr__(self):
-        return "POLE"
+        return self.name
+
+    def __reduce__(self):
+        return self.name
 
 
-POLE = PoleSignal()
+POLE = Signal("POLE")
+ZERO = Signal("ZERO")
 
 
 # ---------------------------------------------------------------------------
@@ -407,10 +410,9 @@ def mul_series(a: Series, b: Series) -> Series:
         return _mul_monomial(ta[0], tb, prec)
     m, (xa, xb), limit = _slot_lists(group, (ta, tb), prec)
     if limit is not None:
-        # a term matters only if its product with the other's first is below
+        # a term matters only if its product with the other's first is below;
+        # each first term is, as every term lies below its series' precision
         na, nb = bisect_left(xa, limit - xb[0]), bisect_left(xb, limit - xa[0])
-        if not na:
-            return Series(field, group, (), prec)
         xa, xb, ta, tb = xa[:na], xb[:nb], ta[:na], tb[:nb]
     # coefficients as ints over F_p, elements over F_{p^n}, Fractions over Q
     finite = type(field) is FiniteField

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -410,6 +411,21 @@ def test_compose_rejects_irrational_stage():
     second = MonomialPlace(QQ, QUAD, (("z2", QUAD.elem((0, 1))),))
     with pytest.raises(UnsupportedError):
         compose(first, second)
+
+
+def test_direct_compose_place_raises_what_compose_raises():
+    first = MonomialPlace(QQ, ZZ_GROUP, (("x1", ZZ_GROUP.elem(1)),), (("x2", "z2"),))
+    refused = [
+        (EvalPlace(QQ, (("x1", QQ.elem(2)),)), TrivialPlace(("z",), QQ)),
+        (_cusp_place(), TrivialPlace(("z",), QQ)),
+        (first, MonomialPlace(QQ, ZZ_GROUP, (("w", ZZ_GROUP.elem(1)),))),
+        (first, MonomialPlace(QQ, QUAD, (("z2", QUAD.elem((0, 1))),))),
+    ]
+    for Q, Qbar in refused:
+        with pytest.raises(ValuedFieldError) as via_compose:
+            compose(Q, Qbar)
+        with pytest.raises(type(via_compose.value), match=re.escape(str(via_compose.value))):
+            ComposePlace(Q, Qbar)
 
 
 def test_eval_agrees_with_composed_coordinate_places():
