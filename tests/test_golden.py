@@ -69,6 +69,17 @@ CASES = {
         "lift", "--p", "5", "--precision", "20", "--",
         "2 + t + 4*t^2 + 2*t^3", "(2 + 3*t + t^2)/(1 + 2*t + 4*t^2 + t^3)", "1 + 2*t",
     ],
+    # a rational coefficient over a large prime: the Kronecker products of the
+    # lift and of its inverses use 8-byte slots, and over 2^61 - 1 slots wider
+    # than 8 bytes, read by slices
+    "lift_rational_p1000003": [
+        "lift", "--p", "1000003", "--precision", "24", "--",
+        "-(4 + 2*t + 3*t^2 + 5*t^3)", "(3 + t + 7*t^2)/(1 + 2*t + 5*t^2)", "1",
+    ],
+    "lift_rational_p2e61_json": [
+        "lift", "--p", "2305843009213693951", "--precision", "24", "--json", "--",
+        "-(4 + 2*t + 3*t^2 + 5*t^3)", "(3 + t + 7*t^2)/(1 + 2*t + 5*t^2)", "1",
+    ],
     # t^0, subtraction, unary minus, powers of a sum and of a power, and a
     # division in the middle of a chain: each form the evaluator folds
     "lift_expr_forms": [
