@@ -35,8 +35,11 @@ with slots in Z, Kronecker substitution packs each operand into one Python
 integer, and CPython's Karatsuba multiplies them.  One cost rule picks the
 kernel: Kronecker when the slots of the product window it reads back are
 fewer than _PAIR_COST times the pairs the loop would form.  A one-term
-factor only shifts and scales the other.  The slots live only inside
-mul_series and _horner_packed; a Series has one representation.
+factor only shifts and scales the other.  _mul_slots is that product on slot
+lists and raw coefficients: mul_series calls it once, and invert runs every
+rung of its Newton ladder on it and builds one Series at the end.  The slots
+live only inside mul_series, invert and _horner_packed; a Series has one
+representation.
 
 _pack and _unpack are the one pair of routines that put coefficients into
 the fixed-width slots of one integer and read them back, by memoryview.cast
@@ -388,11 +391,12 @@ def mul_series(a: Series, b: Series) -> Series:
     precision and v the least exponent of each factor.
 
     A one-term factor shifts and scales the other (_mul_monomial).  Any
-    other product maps its exponents to slots once (_slot_lists), cuts each
-    operand to the terms whose products can fall below the precision, and
+    other product maps its exponents to slots (_slot_lists) and its
+    coefficients to raw data (_raw_coeffs) once, and _mul_slots cuts each
+    operand to the terms whose products can fall below the precision and
     takes the kernel the cost rule picks: Kronecker substitution over F_p
-    with slots in Z, the term-pair loop otherwise.  Both kernels return
-    unreduced coefficient sums per slot, and the result is built once."""
+    with slots in Z, the term-pair loop otherwise.  The result is built
+    once."""
     _check_same_ring(a, b)
     la, lb = _low_bound(a), _low_bound(b)
     field, group, ta, tb = a.field, a.group, a.terms, b.terms
@@ -409,39 +413,59 @@ def mul_series(a: Series, b: Series) -> Series:
     if len(ta) == 1:
         return _mul_monomial(ta[0], tb, prec)
     m, (xa, xb), limit = _slot_lists(group, (ta, tb), prec)
+    p, zero, (ca, cb) = _raw_coeffs(field, (ta, tb))
+    return _from_slots(field, group, m, _mul_slots(xa, ca, xb, cb, limit, m, p, zero), prec)
+
+
+def _mul_slots(xa: list, ca: list, xb: list, cb: list, limit, m, p: int, zero) -> list:
+    """The one slot-level product, behind mul_series and invert: the
+    increasing slots xa and xb with their raw coefficients ca and cb (as
+    _slot_lists, with scale m, and _raw_coeffs, with p and zero, give them),
+    multiplied below the slot limit (None: all of it).  Returns the
+    product's nonzero coefficients as increasing (slot, raw coefficient)
+    pairs.
+
+    Each operand is cut to the terms whose products can fall below limit,
+    the cost rule picks the kernel (Kronecker over F_p with slots in Z, the
+    term-pair loop otherwise), and each slot's sum is reduced mod p once."""
     if limit is not None:
         # a term matters only if its product with the other's first is below;
         # each first term is, as every term lies below its series' precision
         na, nb = bisect_left(xa, limit - xb[0]), bisect_left(xb, limit - xa[0])
-        xa, xb, ta, tb = xa[:na], xb[:nb], ta[:na], tb[:nb]
-    # coefficients as ints over F_p, elements over F_{p^n}, Fractions over Q
-    finite = type(field) is FiniteField
-    p = field.p if finite and field.n == 1 else 0
-    if p:
-        ca, cb, zero = [c.data[0] for _, c in ta], [c.data[0] for _, c in tb], 0
-    elif finite:
-        ca, cb, zero = [c for _, c in ta], [c for _, c in tb], field.zero()
-    else:
-        ca, cb, zero = [c.data for _, c in ta], [c.data for _, c in tb], 0
+        xa, xb, ca, cb = xa[:na], xb[:nb], ca[:na], cb[:nb]
     if p and m and _kronecker_pays(xa, xb, limit):
-        sums = _mul_kronecker(xa, ca, xb, cb, limit, p)
-    else:
-        sums = _mul_pairs(xa, ca, xb, cb, limit, zero)
-    # the nonzero sums as coefficients, in slot order
+        return [(x, k) for x, s in _mul_kronecker(xa, ca, xb, cb, limit, p) if (k := s % p)]
+    sums = _mul_pairs(xa, ca, xb, cb, limit, zero)
     if p:
-        items = [(x, FieldElement(field, (k,))) for x, s in sums if (k := s % p)]
-    elif finite:
+        items = [(x, k) for x, s in sums if (k := s % p)]
+    elif type(zero) is FieldElement:
         items = [(x, c) for x, c in sums if not c.is_zero()]
     else:
-        items = [(x, FieldElement(field, c)) for x, c in sums if c]
-    items.sort(key=itemgetter(0) if m or not group.native_order else _exp_data)
-    return _from_slots(field, group, m, items, prec)
+        items = [(x, c) for x, c in sums if c]
+    items.sort(key=itemgetter(0) if m or not xa[0].group.native_order else _exp_data)
+    return items
+
+
+def _raw_coeffs(field: FieldDesc, term_lists):
+    """(p, zero, the coefficients of each term tuple as the slot kernels
+    hold them): ints mod p over F_p, with p the prime; elements over
+    F_{p^n} and Fraction data over Q, with p 0.  zero starts a sum."""
+    if type(field) is not FiniteField:
+        return 0, 0, [[c.data for _, c in ts] for ts in term_lists]
+    if field.n == 1:
+        return field.p, 0, [[c.data[0] for _, c in ts] for ts in term_lists]
+    return 0, field.zero(), [[c for _, c in ts] for ts in term_lists]
 
 
 def _from_slots(field: FieldDesc, group: GroupDesc, m, items: list, prec) -> Series:
-    """The Series whose terms are the (slot, coefficient) items, in slot
+    """The Series whose terms are the (slot, raw coefficient) items, in slot
     order: slot x is the exponent x/m over a subgroup of Q, and the
-    exponent itself over lex and quad groups (m None)."""
+    exponent itself over lex and quad groups (m None); a raw coefficient is
+    as _raw_coeffs holds it."""
+    if type(field) is not FiniteField:
+        items = [(x, FieldElement(field, c)) for x, c in items]
+    elif field.n == 1:
+        items = [(x, FieldElement(field, (k,))) for x, k in items]
     if not m:
         terms = items
     elif group.int_data:
@@ -643,7 +667,7 @@ def _horner_packed(coeffs, a: Series, below: GroupElem) -> Series | None:
     for packed_c in reversed(packed_cs[:-1]):
         acc = (acc * packed_a & mask) + packed_c
     sums = _unpack(acc, limit, width)
-    items = [(x, FieldElement(field, (k,))) for x, total in enumerate(sums) if (k := total % p)]
+    items = [(x, k) for x, total in enumerate(sums) if (k := total % p)]
     return _from_slots(field, group, m, items, below)
 
 
@@ -735,10 +759,17 @@ def residue(a: Series):
 def invert(a: Series, precision=None) -> Series:
     """Multiplicative inverse by Newton iteration on the 1-unit part.
 
-    Write a = c*t^(g)*(1 + u) with v(u) > 0.  The inverse s of 1 + u is
-    refined by s <- s + s*(1 - (1 + u)*s), which doubles the precision it is
+    Write a = c*t^(g)*(1 + u) with v(u) > 0.  The inverse s of w = 1 + u is
+    refined by s <- s + s*(1 - w*s), which doubles the precision it is
     right to, on the ladder v(u), 2v(u), 4v(u), ... up to the target: about
-    log2(target/v(u)) steps of two products each.
+    log2(target/v(u)) rungs of two products each.  Each rung's s is the
+    unique inverse of w modulo t^(rung).
+
+    The ladder runs on the slot lists of the kernels: the exponents of a
+    map to slots and its coefficients to raw data once, every product is a
+    _mul_slots call, and one Series, the result, is built at the end.  On a
+    rung, w*s is 1 below t^(previous rung), where s stops, so the error is
+    the rest of w*s negated, and s*(error) extends s past its last term.
 
     The result precision is capped by what the input determines: an input
     known modulo t^(P) with valuation g pins its inverse only modulo
@@ -758,36 +789,54 @@ def invert(a: Series, precision=None) -> Series:
     target = _prec_min(
         None if precision is None else _as_group_elem(a.group, precision), inherent
     )
+    field, group = a.field, a.group
     if target is None:
         if len(a.terms) == 1:
-            return Series(a.field, a.group, ((-g, cinv),), None)
+            return Series(field, group, ((-g, cinv),), None)
         raise PrecisionError("inverting an exact multi-term series needs a precision bound")
     # 1/a = c^(-1) t^(-g) s with s = 1/w, w = 1 + u, needed modulo t^(rel)
     rel = target + g
-    unit = ((a.group.zero(), a.field.one()),) + tuple((e - g, cinv * k) for e, k in a.terms[1:])
-    w = truncate(Series(a.field, a.group, unit, None), rel)
-    one = s = one_series(a.field, a.group)  # s*w = 1 modulo t^(known)
-    known = w.terms[1][0] if len(w.terms) > 1 else rel
-    if known < rel and a.group.above_every_multiple(rel, known):
+    if rel.sign() <= 0:
+        return Series(field, group, (), target)
+    terms = _below(a.terms, rel + g)  # a's terms that w has below t^(rel)
+    vu = terms[1][0] - g if len(terms) > 1 else rel
+    if vu < rel and group.above_every_multiple(rel, vu):
         raise PrecisionError(
             f"inverse has infinitely many terms below t^({target}): no multiple of "
-            f"v(u) = {known} reaches it"
+            f"v(u) = {vu} reaches it"
         )
+    m, (xs,), limit = _slot_lists(group, (terms,), target)
+    p, zero, (cs, (ci,)) = _raw_coeffs(field, (terms, ((g, cinv),)))
+    # w in slots and raw coefficients, its one in slot 0; rx the slot of rel
+    gx, rx = xs[0], limit + xs[0]
+    wx = [x - gx for x in xs]
+    wc = [ci * k % p for k in cs] if p else [ci * k for k in cs]
+    known = wx[1] if len(wx) > 1 else rx  # s*w = 1 modulo t^(known)
     ladder = []
-    while known < rel:
+    while known < rx:
         if len(ladder) == _MAX_STEPS:
             raise IterationCapError(f"inverse needs more than {_MAX_STEPS} Newton steps", _MAX_STEPS)
-        known = _prec_min(known.scale(2), rel)
+        known = _prec_min(known + known, rx)
         ladder.append(known)
+    sx, sc = wx[:1], wc[:1]  # s = 1
     for known in ladder:
-        err = sub_series(one, mul_series(truncate(w, known), s))
-        s = add_series(s, mul_series(s, err))
-        s = Series(s.field, s.group, s.terms, None)  # an approximant is read as exact
-        if len(s.terms) > _MAX_TERMS:
+        n = bisect_left(wx, known)
+        ws = _mul_slots(wx[:n], wc[:n], sx, sc, known, m, p, zero)
+        if len(ws) > 1:  # ws[0] is the one: the error 1 - w*s is the rest negated
+            ex = [x for x, _ in ws[1:]]
+            ec = [p - k for _, k in ws[1:]] if p else [-k for _, k in ws[1:]]
+            ds = _mul_slots(sx, sc, ex, ec, known, m, p, zero)
+            sx = sx + [x for x, _ in ds]
+            sc = sc + [k for _, k in ds]
+        if len(sx) > _MAX_TERMS:
             raise IterationCapError(
                 f"inverse has more than {_MAX_TERMS} terms below t^({target})", _MAX_TERMS
             )
-    return shift(scale_series(truncate(s, rel), cinv), -g)
+    if p:
+        items = [(x - gx, ci * k % p) for x, k in zip(sx, sc)]
+    else:
+        items = [(x - gx, ci * k) for x, k in zip(sx, sc)]
+    return _from_slots(field, group, m, items, target)
 
 
 def frobenius_series(a: Series) -> Series:
@@ -833,7 +882,9 @@ def unit_nth_root(u: Series, n: int, precision=None) -> Series:
 _MAX_STEPS = 64
 # the most terms an inverse, or a Newton approximant or residual, may carry:
 # 1/(1 + t^(1/2^k)) over F_2 has 2^k terms below t^1, and each rung or step of
-# a ladder can double the count, so the budget is what stops such inputs fast
+# a ladder can double the count, so the budget is what stops such inputs fast.
+# invert checks it on the slot lists its ladder runs on, after every rung, so
+# an oversized inverse fails before any Series is built
 _MAX_TERMS = 1024
 
 

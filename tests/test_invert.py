@@ -2,8 +2,9 @@
 
 invert is checked term by term against a geometric-series reference kept
 in this file, on random inputs over several value groups and coefficient
-fields.  The cost of inversion and lifting is pinned by counting calls of
-mul_series, which is deterministic where wall time is not.
+fields.  The cost of inversion and lifting is pinned by counting the
+products formed, which is deterministic where wall time is not: the calls
+of mul_series, and the slot-level products invert's ladder forms directly.
 """
 
 import random
@@ -85,6 +86,66 @@ def test_invert_matches_geometric_reference(seed):
         assert not check.terms  # a * invert(a) = 1 to the precision the product carries
 
 
+LADDER_FIELDS = [GF(3), GF(101), GF(2**61 - 1), GF(2, 4), QQ]
+LEX = LexGroup(2)
+LADDER_GROUPS = {ZZ_GROUP: [1], one_over_m(6): [1, 2, 3, 6], p_power_hull(2): [1, 2, 4, 8], LEX: None}
+
+
+def _ladder_exponent(rng, group, low, high):
+    if group is LEX:  # mostly in the class of (0,1), now and then a class above
+        return group.elem((int(rng.random() < 0.15), rng.randrange(low, high)))
+    den = rng.choice(LADDER_GROUPS[group])
+    return group.elem(Fraction(rng.randrange(low * den, high * den), den))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_invert_ladder_matches_geometric_reference(seed):
+    # every field the slot kernels hold coefficients of in their own way
+    # (ints mod p, 8-byte and wider slots, F_{p^n} elements, Fractions), and
+    # every kind of slot: m*e over Z, (1/m)Z and a p-power hull, lex vectors
+    rng = random.Random(1000 + seed)
+    for _ in range(30):
+        group, field = rng.choice(list(LADDER_GROUPS)), rng.choice(LADDER_FIELDS)
+        terms = [(_ladder_exponent(rng, group, -2, 10), _random_element(rng, field))
+                 for _ in range(rng.randrange(2, 14))]
+        known = None if rng.random() < 0.5 else _ladder_exponent(rng, group, 2, 16)
+        a = make_series(field, group, terms, known)
+        if len(a.terms) < 2:
+            continue
+        g = a.terms[0][0]
+        n = _ladder_exponent(rng, group, -1, 24)
+        cap = n if known is None else min(n, known - g - g)
+        u = a.terms[1][0] - g
+        if group is LEX and u.data[0] == 0 and (cap + g).data[0] > 0 and u < cap + g:
+            # no multiple of v(u) reaches the bound: infinitely many terms
+            with pytest.raises(PrecisionError, match="infinitely many terms"):
+                invert(a, n)
+            continue
+        inv = invert(a, n)
+        assert inv.precision == cap
+        assert dict(inv.terms) == _geometric_inverse(a, cap)
+
+
+def test_invert_errors_are_pinned():
+    f5 = GF(5)
+    # the term cap: 1/(1 + t^(1/2^40)) fills a slot per 1/2^40 below t^1
+    start = time.perf_counter()
+    with pytest.raises(IterationCapError) as info:
+        invert(make_series(f5, QQ_GROUP, [(0, 1), (Fraction(1, 2**40), 1)]), 1)
+    assert time.perf_counter() - start < 1
+    assert str(info.value) == "inverse has more than 1024 terms below t^(1)"
+    # 70 rungs from 1/2^70 to 1
+    with pytest.raises(IterationCapError) as info:
+        invert(make_series(f5, QQ_GROUP, [(0, 1), (Fraction(1, 2**70), 1)]), 1)
+    assert str(info.value) == "inverse needs more than 64 Newton steps"
+    # a lex bound in the class above v(u)
+    with pytest.raises(PrecisionError) as info:
+        invert(make_series(f5, LEX, [((0, 0), 1), ((0, 1), 1)]), LEX.elem((1, 0)))
+    assert str(info.value) == (
+        "inverse has infinitely many terms below t^((1,0)): no multiple of v(u) = (0,1) reaches it"
+    )
+
+
 def test_invert_bound_in_higher_archimedean_class_fails_fast():
     lex = LexGroup(2)
     a = make_series(QQ, lex, [((0, 0), 1), ((0, 1), 1)])
@@ -129,14 +190,27 @@ def test_lex_lift_beyond_the_class_of_its_residuals_fails_fast():
 
 
 def _count_products(monkeypatch):
-    calls = []
+    """A list that gains one entry per product formed: each mul_series call,
+    and each slot-level product formed outside mul_series (invert's ladder)."""
+    calls, inside = [], []
+    mul_slots = series._mul_slots
 
     def counting(a, b):
         calls.append(1)
-        return mul_series(a, b)
+        inside.append(1)
+        try:
+            return mul_series(a, b)
+        finally:
+            inside.pop()
+
+    def counting_slots(*args):
+        if not inside:
+            calls.append(1)
+        return mul_slots(*args)
 
     monkeypatch.setattr(series, "mul_series", counting)
     monkeypatch.setattr(hensel, "mul_series", counting)
+    monkeypatch.setattr(series, "_mul_slots", counting_slots)
     return calls
 
 
@@ -150,8 +224,24 @@ def test_invert_uses_logarithmically_many_products(monkeypatch):
     u = _dense(random.Random(7), GF(3), 1, 64, unit=True)
     calls = _count_products(monkeypatch)
     inv = invert(u, 64)
-    assert len(calls) <= 2 * ceil(log2(64)) + 2
+    assert 0 < len(calls) <= 2 * ceil(log2(64)) + 2
     assert dict(inv.terms) == _geometric_inverse(u, ZZ_GROUP.elem(64))
+
+
+def test_invert_builds_one_series(monkeypatch):
+    # the ladder runs on slot lists; only the result is a Series
+    built = []
+    check = series.Series.__post_init__
+
+    def counting(self):
+        built.append(self)
+        check(self)
+
+    u = _dense(random.Random(8), GF(5), 1, 40, unit=True)
+    monkeypatch.setattr(series.Series, "__post_init__", counting)
+    inv = invert(u, 40)
+    assert built == [inv]
+    assert len(inv.terms) > 30
 
 
 def test_dense_cubic_lift_uses_fewer_products(monkeypatch):
