@@ -89,11 +89,14 @@ def _render_residue(r) -> str:
 
 
 def _rational_to_series(rf, field, group, margin):
-    """View num/den over the single variable t as a series; inverting a
+    """View num/den over the single variable t as a series; a polynomial
+    (den the constant 1) is its numerator's series, and inverting a
     denominator with several terms truncates at the given margin."""
     if not rf.num.terms:
         return zero_series(field, group)
     num = poly_to_series(rf.num, group)
+    if rf.den.terms == (((0,), field.one()),):
+        return num
     den = poly_to_series(rf.den, group)
     if len(den.terms) == 1:
         return mul_series(num, invert(den))

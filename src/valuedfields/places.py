@@ -115,6 +115,8 @@ class EvalPlace:
     assignments: tuple[tuple[str, FieldElement], ...]
 
     def __post_init__(self):
+        if not self.assignments:
+            raise ParamError("an evaluation place needs at least one assigned variable")
         _check_distinct([v for v, _ in self.assignments])
         for v, a in self.assignments:
             if a.field != self.field:

@@ -7,7 +7,12 @@ from pathlib import Path
 import pytest
 
 from valuedfields import cli
+from valuedfields.artinschreier import poly_to_series
+from valuedfields.expr import expr_to_ratfn
+from valuedfields.fields import GF
 from valuedfields.gallery import Claim, Report
+from valuedfields.groups import ZZ_GROUP
+from valuedfields.series import invert, mul_series
 
 LEX2 = {
     "variant": "monomial",
@@ -113,6 +118,15 @@ def test_eval_malformed_place_file_exits_2(capsys, tmp_path, blob, needle):
     assert needle in err
 
 
+def test_eval_empty_evaluation_place_exits_2(capsys, tmp_path):
+    path = tmp_path / "place.json"
+    path.write_text(json.dumps({"variant": "eval", "field": {"kind": "GF", "p": 5}, "assignments": []}),
+                    encoding="utf-8")
+    code, out, err = run(capsys, ["eval", "--place", str(path), "1"])
+    assert (code, out) == (2, "")
+    assert err == "error: an evaluation place needs at least one assigned variable\n"
+
+
 @pytest.mark.parametrize("p", [4, 6])
 def test_p_power_group_with_a_composite_p_exits_2(capsys, tmp_path, p):
     path = tmp_path / "place.json"
@@ -176,6 +190,26 @@ def test_lift_rational_coefficient_in_t(capsys):
     code, out, _ = run(capsys, ["lift", "--p", "5", "--precision", "4", "--", "-t/(1+t)", "1"])
     assert code == 0
     assert "root = 1*t^(1) + 4*t^(2) + 1*t^(3) + O(t^(4))" in out
+
+
+def test_lift_inverts_only_denominators_that_are_not_one(capsys, monkeypatch):
+    # a polynomial coefficient is its numerator's series; a rational one
+    # still inverts its denominator once
+    field, target = GF(5), ZZ_GROUP.elem(8)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return invert(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "invert", spy)
+    poly = expr_to_ratfn("2 + 3*t^2 - t^5", ("t",), field)
+    series = cli._rational_to_series(poly, field, ZZ_GROUP, target)
+    assert calls == []
+    assert series == poly_to_series(poly.num, ZZ_GROUP)
+    assert series == mul_series(series, invert(poly_to_series(poly.den, ZZ_GROUP)))
+    cli._rational_to_series(expr_to_ratfn("(1 + t)/(2 + t)", ("t",), field), field, ZZ_GROUP, target)
+    assert calls == [1]
 
 
 def test_lift_composite_p_exits_2(capsys):
