@@ -100,9 +100,10 @@ def _ladder_exponent(rng, group, low, high):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_invert_ladder_matches_geometric_reference(seed):
-    # every field the slot kernels hold coefficients of in their own way
-    # (ints mod p, 8-byte and wider slots, F_{p^n} elements, Fractions), and
-    # every kind of slot: m*e over Z, (1/m)Z and a p-power hull, lex vectors
+    # every way the slot kernels hold coefficients (ints mod p, packed in
+    # slots of up to 8 bytes and wider ones, F_{p^n} elements, Fractions),
+    # and every kind of slot: m*e over Z, (1/m)Z and a p-power hull, lex
+    # vectors
     rng = random.Random(1000 + seed)
     for _ in range(30):
         group, field = rng.choice(list(LADDER_GROUPS)), rng.choice(LADDER_FIELDS)
