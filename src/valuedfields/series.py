@@ -782,14 +782,12 @@ def invert(a: Series, precision=None) -> Series:
     v = valuation(a)
     if not v.is_exact:
         raise PrecisionError(f"cannot invert a series with valuation {v}")
-    g = v.value
-    c = a.terms[0][1]
-    cinv = c.inverse()
+    field, group, g = a.field, a.group, v.value
+    cinv = a.terms[0][1].inverse()
     inherent = None if a.precision is None else a.precision - g - g
     target = _prec_min(
-        None if precision is None else _as_group_elem(a.group, precision), inherent
+        None if precision is None else _as_group_elem(group, precision), inherent
     )
-    field, group = a.field, a.group
     if target is None:
         if len(a.terms) == 1:
             return Series(field, group, ((-g, cinv),), None)
