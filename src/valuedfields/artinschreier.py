@@ -13,12 +13,8 @@ The constant c decides everything through its valuation:
   above or keeps going forever; a bounded run that never terminates returns
   the partial sum and residual as a defect suspect, not a proof.
 
-Transforms: translation by any b replaces c by c - (b^p - b) and shifts the
-root set by b; the scale X = cY turns the polynomial into
-Y^p - c^(1-p)Y - c^(1-p) whose constant has positive value; and for
-c = 1/t + f(t) the generator swap expresses t as a root of
-X*f(X) - W*X + 1 over the root field, W standing for the exact value
-theta^p - theta = c.
+Translation by any b replaces c by c - (b^p - b) and shifts the root set
+by b; each surgery step is one such translation.
 """
 
 from __future__ import annotations
@@ -42,12 +38,11 @@ from .groups import (
     from_coords,
     one_over_m,
 )
-from .polys import MPoly, mpoly
+from .polys import MPoly
 from .series import (
     Series,
     ValuationKind,
     frobenius_series,
-    invert,
     make_series,
     residue,
     series_to_json,
@@ -67,7 +62,6 @@ __all__ = [
     "DefectSuspect",
     "NormalForm",
     "SurgeryStep",
-    "TransformRecord",
     "classify",
     "root_split",
     "residue_case",
@@ -75,9 +69,6 @@ __all__ = [
     "surgery",
     "poly_to_series",
     "translation_instance",
-    "abhyankar_scale",
-    "inversion_minimal_poly",
-    "transforms",
     "analyze",
     "POSITIVE_VALUE",
     "ZERO_VALUE",
@@ -114,14 +105,10 @@ class ASInstance:
 
     def poly(self) -> SeriesPoly:
         field, group = self.field, self.group
-        coeffs = [-self.c, _const(field, group, -1)]
+        coeffs = [-self.c, t_pow(field, group, group.zero(), -1)]
         coeffs += [zero_series(field, group)] * (self.p - 2)
-        coeffs.append(_const(field, group, 1))
+        coeffs.append(t_pow(field, group, group.zero(), 1))
         return SeriesPoly(tuple(coeffs))
-
-
-def _const(field, group, value) -> Series:
-    return make_series(field, group, [(group.zero(), value)])
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +227,7 @@ def root_split(inst: ASInstance, target) -> Split:
         base = zero_series(field, group)
     else:
         base = hensel_lift(inst.poly(), zero_series(field, group), target).root
-    roots = tuple(base + _const(field, group, i) for i in range(inst.p))
+    roots = tuple(base + t_pow(field, group, group.zero(), i) for i in range(inst.p))
     return Split(roots)
 
 
@@ -300,6 +287,12 @@ def poly_to_series(q: MPoly, group: GroupDesc) -> Series:
     return make_series(field, group, [(e[0], c) for e, c in q.terms])
 
 
+def translation_instance(inst: ASInstance, b: Series) -> ASInstance:
+    """Roots shift by b: X^p - X - c becomes X^p - X - (c - (b^p - b))."""
+    shifted = sub_series(inst.c, sub_series(frobenius_series(b), b))
+    return ASInstance(inst.p, shifted)
+
+
 def surgery(c: Series, max_iter: int):
     """Repeatedly eliminate the leading term when its exponent is a nonzero
     p-th multiple inside the group: subtract b^p - b for b the exact p-th
@@ -321,7 +314,7 @@ def surgery(c: Series, max_iter: int):
         b = t_pow(c.field, c.group, g, inverse_frobenius(lead))
         # b^p reproduces the leading term exactly, so the step only trades
         # the exponent lead_exp for the smaller-in-absolute-value exponent g
-        current = sub_series(current, sub_series(frobenius_series(b), b))
+        current = translation_instance(ASInstance(p, current), b).c
         partial = partial + b
         trace.append(SurgeryStep(len(trace) + 1, str(lead_exp), str(b)))
     if _eliminable_front(current, p):  # stopped by the iteration cap, not shape
@@ -338,93 +331,6 @@ def _eliminable_front(c: Series, p: int) -> bool:
     if v.kind is ValuationKind.INFINITY or v.value.is_zero():
         return False
     return divisible_by(v.value, p).member
-
-
-# ---------------------------------------------------------------------------
-# transforms
-
-
-@dataclass(frozen=True)
-class TransformRecord:
-    translation: ASInstance
-    scaled: SeriesPoly | None
-    inversion: MPoly | None
-
-
-def translation_instance(inst: ASInstance, b: Series) -> ASInstance:
-    """Roots shift by b: X^p - X - c becomes X^p - X - (c - (b^p - b))."""
-    shifted = sub_series(inst.c, sub_series(frobenius_series(b), b))
-    return ASInstance(inst.p, shifted)
-
-
-def abhyankar_scale(inst: ASInstance, precision=None) -> SeriesPoly:
-    """Under X = cY the polynomial becomes Y^p - c^(1-p)Y - c^(1-p), whose
-    constant has value (1-p)v(c) > 0 when v(c) < 0."""
-    v = valuation(inst.c)
-    if not (v.is_exact and v.value.sign() < 0):
-        raise WrongCaseError(f"scaling needs v(c) < 0, have {v}")
-    field, group = inst.field, inst.group
-    c_power = inst.c ** (inst.p - 1)
-    small = invert(c_power, precision)
-    vs = valuation(small)
-    expected = v.value.scale(1 - inst.p)
-    if not (vs.is_exact and vs.value == expected):
-        raise HypothesisError(
-            f"v(c^(1-p)) = {vs}, expected {expected}"
-        )  # pragma: no cover - arithmetic guarantees this
-    coeffs = [-small, -small]
-    coeffs += [zero_series(field, group)] * (inst.p - 2)
-    coeffs.append(_const(field, group, 1))
-    return SeriesPoly(tuple(coeffs), var="Y")
-
-
-def inversion_minimal_poly(inst: ASInstance) -> MPoly:
-    """For c = 1/t + f(t) with f polynomial, t satisfies
-    X*f(X) - W*X + 1 = 0 over the root field, where W stands for the exact
-    value theta^p - theta = c.  Substituting X -> t and W -> c gives the
-    identically zero series."""
-    c = inst.c
-    if c.precision is not None:
-        raise PrecisionError("generator swap needs the exact constant")
-    terms = list(c.terms)
-    if not terms:
-        raise WrongCaseError("constant is zero, no pole to invert")
-    e0, c0 = terms[0]
-    minus_one = e0.group.elem(-1) if isinstance(e0.group, RationalGroup) else None
-    if minus_one is None or e0 != minus_one or not (c0 - c.field.one()).is_zero():
-        raise WrongCaseError("constant must have the shape 1/t + f(t)")
-    f_terms = []
-    for e, coeff in terms[1:]:
-        q = e.coords()[0]
-        if q.denominator != 1 or q < 0:
-            raise WrongCaseError("tail of the constant must be a polynomial in t")
-        f_terms.append((int(q), coeff))
-    vars = ("X", "W")
-    poly_terms: dict[tuple[int, int], FieldElement] = {}
-    for j, coeff in f_terms:
-        poly_terms[(j + 1, 0)] = coeff  # X * f(X)
-    poly_terms[(1, 1)] = -c.field.one()  # -W*X
-    poly_terms[(0, 0)] = c.field.one()  # +1
-    return mpoly(vars, poly_terms)
-
-
-def transforms(inst: ASInstance, b: Series, precision=None) -> TransformRecord:
-    """Translation always; the scale and generator swap only where their
-    preconditions hold."""
-    translated = translation_instance(inst, b)
-    v = valuation(inst.c)
-    scaled = None
-    if v.is_exact and v.value.sign() < 0:
-        try:
-            scaled = abhyankar_scale(inst, precision)
-        except PrecisionError:
-            scaled = None
-    inversion = None
-    try:
-        inversion = inversion_minimal_poly(inst)
-    except (WrongCaseError, PrecisionError):
-        inversion = None
-    return TransformRecord(translated, scaled, inversion)
 
 
 # ---------------------------------------------------------------------------

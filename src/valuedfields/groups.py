@@ -44,8 +44,6 @@ __all__ = [
     "cmp",
     "sign",
     "divisible_by",
-    "in_p_prime_closure",
-    "in_p_divisible_hull",
     "invariants",
     "perron_basis",
     "parse_elem",
@@ -468,45 +466,6 @@ def divisible_by(gamma: GroupElem, n: int) -> MembershipResult:
     a, b = gamma.data
     # the ambient quadratic group is divisible, flagged as such
     return MembershipResult(True, GroupElem(g, (a / n, b / n)), note="ambient")
-
-
-def _order_mod(gamma: GroupElem, delta: RationalGroup) -> int:
-    """Smallest n >= 1 with n*gamma in delta (rational family only)."""
-    q = gamma.data
-    if delta.law == "all":
-        return 1
-    if delta.law == "one_over_m":
-        return (q * delta.m).denominator
-    d = q.denominator
-    while d % delta.p == 0:
-        d //= delta.p
-    return d
-
-
-def in_p_prime_closure(gamma: GroupElem, delta: RationalGroup, p: int) -> MembershipResult:
-    """Is some n*gamma in delta with gcd(n, p) = 1?
-
-    gamma and delta must live in one rational family; the witness order is
-    returned through the note.
-    """
-    if not isinstance(gamma.group, RationalGroup):
-        raise UnsupportedError("closure queries are supported for rational subgroups only")
-    d = _order_mod(gamma, delta)
-    if d % p != 0:
-        return MembershipResult(True, gamma.scale(d), note=f"order {d}")
-    return MembershipResult(False, note=f"order {d} divisible by {p}")
-
-
-def in_p_divisible_hull(gamma: GroupElem, delta: RationalGroup, p: int) -> MembershipResult:
-    """Is p^k * gamma in delta for some k >= 0?"""
-    if not isinstance(gamma.group, RationalGroup):
-        raise UnsupportedError("hull queries are supported for rational subgroups only")
-    d = _order_mod(gamma, delta)
-    while d % p == 0:
-        d //= p
-    if d == 1:
-        return MembershipResult(True, note="p-power order")
-    return MembershipResult(False, note=f"order carries prime-to-{p} part {d}")
 
 
 # ---------------------------------------------------------------------------

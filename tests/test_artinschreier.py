@@ -15,16 +15,13 @@ from valuedfields.artinschreier import (
     Ramified,
     Split,
     ZERO_VALUE,
-    abhyankar_scale,
     analyze,
     classify,
-    inversion_minimal_poly,
     poly_to_series,
     ramified_root_value,
     residue_case,
     root_split,
     surgery,
-    transforms,
     translation_instance,
 )
 from valuedfields.errors import (
@@ -35,14 +32,12 @@ from valuedfields.errors import (
 )
 from valuedfields.fields import GF, frobenius, trace_to_prime
 from valuedfields.groups import ZZ_GROUP, one_over_m, p_power_hull
-from valuedfields.hensel import eval_poly_at_series
 from valuedfields.polys import mpoly
 from valuedfields.series import (
     frobenius_root,
     frobenius_series,
     make_series,
     stream_expand,
-    t_pow,
     theta_defect,
     truncate,
     valuation,
@@ -342,7 +337,7 @@ def test_surgery_rejects_characteristic_zero():
 
 
 # ---------------------------------------------------------------------------
-# transforms
+# translation
 
 
 def test_translation_shifts_constant():
@@ -377,87 +372,25 @@ def test_translation_by_root_splits_off_zero():
     assert moved.c.is_exact_zero()
 
 
-def test_abhyankar_scale_simple_pole():
-    F2 = GF(2)
-    inst = ASInstance(2, _series(F2, ZZ_GROUP, [(-1, 1)]))
-    scaled = abhyankar_scale(inst)
-    assert scaled.var == "Y"
-    assert scaled.degree() == 2
-    # Y^2 - tY - t: in characteristic 2 both lower coefficients render as t
-    assert str(scaled.coeffs[0]) == "1*t^(1)"
-    assert str(scaled.coeffs[1]) == "1*t^(1)"
-    v = valuation(scaled.coeffs[0])
-    assert v.is_exact and str(v.value) == "1"
-
-
-def test_abhyankar_scale_cubic():
-    F3 = GF(3)
-    inst = ASInstance(3, _series(F3, ZZ_GROUP, [(-1, 1)]))
-    scaled = abhyankar_scale(inst)
-    assert scaled.degree() == 3
-    assert str(scaled.coeffs[0]) == "2*t^(2)"
-    assert scaled.coeffs[2].is_exact_zero()
-
-
-def test_abhyankar_scale_needs_negative_value():
-    F2 = GF(2)
-    inst = ASInstance(2, _series(F2, ZZ_GROUP, [(1, 1)]))
-    with pytest.raises(WrongCaseError):
-        abhyankar_scale(inst)
-
-
-def test_abhyankar_scale_multiterm_needs_precision():
-    F2 = GF(2)
-    inst = ASInstance(2, _series(F2, ZZ_GROUP, [(-1, 1), (0, 1)]))
-    with pytest.raises(PrecisionError):
-        abhyankar_scale(inst)
-    scaled = abhyankar_scale(inst, precision=5)
-    v = valuation(scaled.coeffs[0])
-    assert v.is_exact and str(v.value) == "1"
-
-
-def test_inversion_minimal_poly_annihilates_the_variable():
-    F2 = GF(2)
-    c = _series(F2, ZZ_GROUP, [(-1, 1), (1, 1), (3, 1)])
-    inst = ASInstance(2, c)
-    q = inversion_minimal_poly(inst)
-    assert q.vars == ("X", "W")
-    t = t_pow(F2, ZZ_GROUP, 1)
-    value = eval_poly_at_series(q, {"X": t, "W": c}, F2, ZZ_GROUP)
-    assert value.is_exact_zero()
-
-
-def test_inversion_minimal_poly_pure_pole():
-    F3 = GF(3)
-    c = _series(F3, ZZ_GROUP, [(-1, 1)])
-    q = inversion_minimal_poly(ASInstance(3, c))
-    t = t_pow(F3, ZZ_GROUP, 1)
-    value = eval_poly_at_series(q, {"X": t, "W": c}, F3, ZZ_GROUP)
-    assert value.is_exact_zero()
-
-
-def test_inversion_minimal_poly_shape_guards():
-    F4 = GF(2, 2)
-    g = F4.generator()
-    with pytest.raises(WrongCaseError):
-        inversion_minimal_poly(ASInstance(2, _series(F4, ZZ_GROUP, [(-1, g)])))
-    with pytest.raises(WrongCaseError):
-        inversion_minimal_poly(ASInstance(2, _series(F4, ZZ_GROUP, [(-2, 1)])))
-    half = one_over_m(2)
-    bad_tail = _series(F4, half, [(-1, 1), (Fraction(1, 2), 1)])
-    with pytest.raises(WrongCaseError):
-        inversion_minimal_poly(ASInstance(2, bad_tail))
-
-
-def test_transforms_aggregate():
-    F2 = GF(2)
-    pole = ASInstance(2, _series(F2, ZZ_GROUP, [(-1, 1)]))
-    rec = transforms(pole, zero_series(F2, ZZ_GROUP))
-    assert rec.translation.c == pole.c
-    assert rec.scaled is not None and rec.inversion is not None
-    tame = ASInstance(2, _series(F2, ZZ_GROUP, [(1, 1)]))
-    rec2 = transforms(tame, zero_series(F2, ZZ_GROUP))
-    assert rec2.scaled is None and rec2.inversion is None
+def test_surgery_is_one_translation_by_its_partial_sum():
+    # DefectSuspect.partial and NormalForm.partial both carry the B with
+    # residual = c - (B^p - B), the constant of the translation by B
+    rng = random.Random(22)
+    kinds = set()
+    for p in (2, 3, 5):
+        F = GF(p)
+        for group, den in ((ZZ_GROUP, 1), (p_power_hull(p), p ** 2)):
+            for _ in range(10):
+                pairs = {
+                    Fraction(rng.randint(-3 * p, 3), den): rng.randint(1, p - 1)
+                    for _ in range(rng.randint(1, 4))
+                }
+                c = _series(F, group, list(pairs.items()))
+                out = surgery(c, max_iter=rng.randint(0, 3))
+                kinds.add(type(out))
+                moved = translation_instance(ASInstance(p, c), out.partial)
+                assert moved.c == out.residual
+    assert kinds == {DefectSuspect, NormalForm}
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,6 @@ from valuedfields.groups import (
     ZZ_GROUP,
     cmp,
     divisible_by,
-    in_p_divisible_hull,
-    in_p_prime_closure,
     invariants,
     one_over_m,
     p_power_hull,
@@ -156,26 +154,6 @@ def test_divisibility_membership():
     assert not divisible_by(lex.elem((2, -3)), 2).member
     rq = divisible_by(QUAD.elem((1, 1)), 3)
     assert rq.member and rq.note == "ambient"
-
-
-def test_p_prime_closure_spec_example():
-    amb = one_over_m(6)
-    delta = ZZ_GROUP
-    assert in_p_prime_closure(amb.elem(Fraction(1, 3)), delta, 2).member
-    assert not in_p_prime_closure(amb.elem(Fraction(1, 2)), delta, 2).member
-
-
-def test_p_divisible_hull():
-    amb = QQ_GROUP
-    delta = ZZ_GROUP
-    assert in_p_divisible_hull(amb.elem(Fraction(3, 4)), delta, 2).member
-    assert not in_p_divisible_hull(amb.elem(Fraction(1, 6)), delta, 2).member
-    # closure under addition on random samples
-    rng = random.Random(11)
-    for _ in range(100):
-        a = Fraction(rng.randint(-20, 20), 2 ** rng.randint(0, 5))
-        b = Fraction(rng.randint(-20, 20), 2 ** rng.randint(0, 5))
-        assert in_p_divisible_hull(amb.elem(a + b), delta, 2).member
 
 
 def test_parse_render_roundtrip():
