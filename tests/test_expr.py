@@ -53,6 +53,59 @@ def fn(text, vars=("x1", "x2"), field=QQ):
     return expr_to_ratfn(text, vars, field)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("x1 % 2", "unexpected character '%' at position 3"),
+        ("1+\u00b2", "unexpected character '\u00b2' at position 2"),
+        ("", "empty expression"),
+        ("  ", "empty expression"),
+        ("1+", "expected a value at position 2"),
+        ("*x1", "expected a value at position 0"),
+        ("(1+2", "expected ')' at position 4"),
+        ("x1^(1+1)", "expected ')' at position 5"),
+        ("x1^(2", "expected ')' at position 5"),
+        ("1)", "unexpected ')' at position 1"),
+        ("2 x1", "unexpected 'x1' at position 2"),
+        ("x1^x2", "exponent must be an integer at position 3"),
+        ("x1^-x2", "exponent must be an integer at position 4"),
+        ("x1^", "exponent must be an integer at position 3"),
+        ("(" * 101 + "t" + ")" * 101, "nesting deeper than 100 levels at position 100"),
+        ("-" * 101 + "t", "nesting deeper than 100 levels at position 100"),
+        ("t^" + "(" * 101 + "2" + ")" * 101, "nesting deeper than 100 levels at position 102"),
+        ("9" * 4301, "4301-digit integer at position 0 is too long"),
+        ("t^" + "9" * 4301, "4301-digit integer at position 2 is too long"),
+        ("1/(x1-x1) + %", "unexpected character '%' at position 12"),
+    ],
+    ids=[
+        "bad_character",
+        "superscript",
+        "empty",
+        "blank",
+        "dangling_plus",
+        "leading_star",
+        "open_parenthesis",
+        "sum_exponent",
+        "open_exponent",
+        "close_parenthesis",
+        "implicit_product",
+        "name_exponent",
+        "negated_name_exponent",
+        "missing_exponent",
+        "deep_parentheses",
+        "deep_signs",
+        "deep_exponent",
+        "long_integer",
+        "long_exponent",
+        "bad_character_before_evaluation",
+    ],
+)
+def test_error_messages(text, message):
+    with pytest.raises(ExprError) as info:
+        fn(text, ("t", "x1", "x2"))
+    assert str(info.value) == message
+
+
 def test_parse_precedence_mul_over_add():
     assert fn("x1+x2*3") == fn("x1 + 3*x2") != fn("(x1+x2)*3")
 
