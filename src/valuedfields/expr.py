@@ -3,9 +3,8 @@
 Recognized language, with no implicit multiplication:
 
     expr     :=  term (('+' | '-') term)*
-    term     :=  unary (('*' | '/') unary)*
-    unary    :=  ('-' | '+') unary | power
-    power    :=  atom ('^' exponent)?
+    term     :=  factor (('*' | '/') factor)*
+    factor   :=  ('-' | '+') factor | atom ('^' exponent)?
     exponent :=  INT | '-' INT | '(' exponent ')'
     atom     :=  INT | NAME | '(' expr ')'
 
@@ -18,7 +17,10 @@ alike.
 
 There is no syntax tree: evaluate reads the text once, and each grammar
 rule returns the value of what it read, built by an evaluator object.
-expr_to_ratfn evaluates to rational functions; its cost model:
+Reading costs one regex scan of the text, which yields the token strings,
+and constant Python work per token; the position of a token in the text is
+recomputed only for an error that is raised.  expr_to_ratfn evaluates to
+rational functions; its cost model:
 
 * a monomial (an integer, a name, a product or negation of monomials, or a
   monomial to a power k >= 0 other than 0^0) is one (exponents,
@@ -32,38 +34,19 @@ A dense coefficient therefore costs time linear in its length.
 
 import re
 from operator import add
-from typing import NamedTuple
 
 from .errors import ExprError
 from .fields import FieldDesc
 from .polys import MPoly, RatFn, const_poly
 
+# the tokens in reading order: an integer, a name or an operator; white space
+# is skipped, and a character outside the grammar starts a last token that
+# runs to the end of the text, so one look at the last token finds it
+_TOKEN = re.compile(r"[0-9]+|[a-z][a-z0-9]*|[-+*/^()]|[^-+*/^()0-9a-z\s].*", re.DOTALL)
+_FIRST = frozenset("0123456789abcdefghijklmnopqrstuvwxyz-+*/^()")
 
-class Token(NamedTuple):
-    kind: str  # "int", "name", "op", "end"
-    text: str
-    pos: int
-
-
-# every character falls in one group, so a scan leaves no gaps
-_TOKEN = re.compile(
-    r"(?P<int>[0-9]+)|(?P<name>[a-z][a-z0-9]*)|(?P<op>[-+*/^()])|(?P<space>\s+)|(?P<bad>.)",
-    re.DOTALL,
-)
-
-
-def tokenize(text: str) -> list[Token]:
-    out = []
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind == "space":
-            continue
-        if kind == "bad":
-            raise ExprError(f"unexpected character {m.group()!r} at position {m.start()}")
-        out.append(Token(kind, m.group(), m.start()))
-    out.append(Token("end", "", len(text)))
-    return out
-
+# the token after the last one; white space is never a token
+_END = " "
 
 # how deep parentheses and unary signs may nest; each level costs the
 # recursive parser a few stack frames, so this stays well inside Python's
@@ -72,116 +55,117 @@ _MAX_NESTING = 100
 
 
 class _Parser:
-    """Reads the tokens of one text; each rule returns the value of what it
-    read, built by the evaluator ev as the rule reads it."""
+    """Reads the token strings of one text with one index; each rule returns
+    the value of what it read, built by the evaluator ev as the rule reads
+    it.  A token's kind is its first character; its position in the text is
+    found again only for an error message."""
 
-    def __init__(self, text: str, ev):
-        self.tokens = tokenize(text)
+    def __init__(self, text: str, tokens: list[str], ev):
+        self.text = text
+        self.tokens = tokens
         self.ev = ev
         self.i = 0
         self.depth = 0
 
-    def nest(self, t: Token):
-        """Enter one level of nesting at token t; leave it with unnest."""
+    def pos(self, i: int) -> int:
+        """Where the i-th token starts in the text."""
+        for k, m in enumerate(_TOKEN.finditer(self.text)):
+            if k == i:
+                return m.start()
+        return len(self.text)
+
+    def nest(self, i: int):
+        """Enter one level of nesting at the i-th token; close leaves a
+        parenthesis, and a sign leaves by decrementing depth."""
         self.depth += 1
         if self.depth > _MAX_NESTING:
-            raise ExprError(f"nesting deeper than {_MAX_NESTING} levels at position {t.pos}")
+            pos = self.pos(i)
+            raise ExprError(f"nesting deeper than {_MAX_NESTING} levels at position {pos}")
 
-    def unnest(self):
+    def close(self):
+        i = self.i
+        if self.tokens[i] != ")":
+            raise ExprError(f"expected ')' at position {self.pos(i)}")
+        self.i = i + 1
         self.depth -= 1
 
-    def peek(self) -> Token:
-        return self.tokens[self.i]
+    def integer(self, i: int) -> int:
+        t = self.tokens[i]
+        try:  # CPython converts at most 4300 digits by default
+            return int(t)
+        except ValueError:
+            pos = self.pos(i)
+            raise ExprError(f"{len(t)}-digit integer at position {pos} is too long") from None
 
-    def take(self) -> Token:
-        t = self.tokens[self.i]
-        self.i += 1
-        return t
-
-    def expect_op(self, symbol: str) -> Token:
-        t = self.peek()
-        if t.text != symbol:
-            raise ExprError(f"expected {symbol!r} at position {t.pos}")
-        return self.take()
-
-    # grammar rules, one method each; an operator text occurs only in an
-    # "op" token, so the rules compare texts alone
+    # grammar rules, one method each
 
     def expr(self):
         """A single term as it is; the summands of a sum, subtracted ones
         negated, go to ev.sum at once, in reading order."""
-        summands = [self.term()]
-        while self.peek().text in ("+", "-"):
-            op = self.take().text
-            value = self.term()
-            summands.append(value if op == "+" else self.ev.neg(value))
+        tokens, term, neg = self.tokens, self.term, self.ev.neg
+        summands = [term()]
+        op = tokens[self.i]
+        while op == "+" or op == "-":
+            self.i += 1
+            value = term()
+            summands.append(value if op == "+" else neg(value))
+            op = tokens[self.i]
         return summands[0] if len(summands) == 1 else self.ev.sum(summands)
 
     def term(self):
         """Each factor is folded in as soon as it is read."""
-        value = self.unary()
-        while self.peek().text in ("*", "/"):
-            op = self.take().text
-            value = self.ev.product(value, op, self.unary())
+        tokens, factor, product = self.tokens, self.factor, self.ev.product
+        value = factor()
+        op = tokens[self.i]
+        while op == "*" or op == "/":
+            self.i += 1
+            value = product(value, op, factor())
+            op = tokens[self.i]
         return value
 
-    def unary(self):
-        t = self.peek()
-        if t.text in ("+", "-"):
-            self.take()
-            self.nest(t)
-            value = self.unary()
-            self.unnest()
-            return value if t.text == "+" else self.ev.neg(value)
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        if self.peek().text == "^":
-            self.take()
-            return self.ev.power(base, self.exponent())
-        return base
+    def factor(self):
+        i = self.i
+        t = self.tokens[i]
+        self.i = i + 1
+        c = t[0]
+        if "0" <= c <= "9":
+            value = self.ev.int(self.integer(i))
+        elif "a" <= c <= "z":
+            value = self.ev.var(t)
+        elif t == "(":
+            self.nest(i)
+            value = self.expr()
+            self.close()
+        elif t == "-" or t == "+":
+            self.nest(i)
+            value = self.factor()
+            self.depth -= 1
+            return value if t == "+" else self.ev.neg(value)
+        else:
+            raise ExprError(f"expected a value at position {self.pos(i)}")
+        if self.tokens[self.i] == "^":
+            self.i += 1
+            return self.ev.power(value, self.exponent())
+        return value
 
     def exponent(self) -> int:
-        t = self.peek()
-        if t.text == "(":
-            self.take()
-            self.nest(t)
+        i = self.i
+        t = self.tokens[i]
+        if t == "(":
+            self.i = i + 1
+            self.nest(i)
             k = self.exponent()
-            self.expect_op(")")
-            self.unnest()
+            self.close()
             return k
-        negate = False
-        if t.text == "-":
-            self.take()
-            negate = True
-            t = self.peek()
-        if t.kind != "int":
-            raise ExprError(f"exponent must be an integer at position {t.pos}")
-        self.take()
-        k = _int_value(t)
+        negate = t == "-"
+        if negate:
+            i += 1
+            t = self.tokens[i]
+        if not "0" <= t[0] <= "9":
+            raise ExprError(f"exponent must be an integer at position {self.pos(i)}")
+        self.i = i + 1
+        k = self.integer(i)
         return -k if negate else k
-
-    def atom(self):
-        t = self.take()
-        if t.kind == "int":
-            return self.ev.int(_int_value(t))
-        if t.kind == "name":
-            return self.ev.var(t.text)
-        if t.text == "(":
-            self.nest(t)
-            value = self.expr()
-            self.expect_op(")")
-            self.unnest()
-            return value
-        raise ExprError(f"expected a value at position {t.pos}")
-
-
-def _int_value(t: Token) -> int:
-    try:  # CPython converts at most 4300 digits by default
-        return int(t.text)
-    except ValueError:
-        raise ExprError(f"{len(t.text)}-digit integer at position {t.pos} is too long") from None
 
 
 def evaluate(text: str, ev):
@@ -190,16 +174,21 @@ def evaluate(text: str, ev):
     ev provides int(k), var(name), neg(a), power(a, k) for an integer k,
     product(a, op, b) for op '*' or '/', and sum(values) for the summands
     of a sum in reading order, subtracted ones already negated.  The whole
-    text is tokenized first; after that, the first error in reading order
+    text is scanned first; after that, the first error in reading order
     is raised, whether a syntax error or one of ev's, and trailing input is
     rejected once the expression is read."""
-    if not text.strip():
+    tokens = _TOKEN.findall(text)
+    if not tokens:
         raise ExprError("empty expression")
-    p = _Parser(text, ev)
+    last = tokens[-1]
+    if last[0] not in _FIRST:
+        raise ExprError(f"unexpected character {last[0]!r} at position {len(text) - len(last)}")
+    tokens.append(_END)
+    p = _Parser(text, tokens, ev)
     value = p.expr()
-    t = p.peek()
-    if t.kind != "end":
-        raise ExprError(f"unexpected {t.text!r} at position {t.pos}")
+    t = tokens[p.i]
+    if t != _END:
+        raise ExprError(f"unexpected {t!r} at position {p.pos(p.i)}")
     return value
 
 

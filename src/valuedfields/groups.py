@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import gcd
+from numbers import Integral
 from operator import add, neg
 
 from .errors import (
@@ -171,9 +172,14 @@ class LexGroup(GroupDesc):
             raise GroupLawError("lex rank must be >= 1")
 
     def elem(self, data) -> "GroupElem":
-        vec = tuple(int(x) for x in data)
+        try:
+            vec = tuple(data)
+        except TypeError:
+            raise GroupLawError(f"expected {self.r} coordinates, got {data!r}") from None
         if len(vec) != self.r:
             raise GroupLawError(f"expected {self.r} coordinates, got {len(vec)}")
+        if any(type(x) is not int for x in vec):
+            vec = tuple(map(_lex_coordinate, vec))
         return GroupElem(self, vec)
 
     def zero(self) -> "GroupElem":
@@ -188,6 +194,14 @@ class LexGroup(GroupDesc):
         return f"Z^{self.r} lex"
 
 
+def _lex_coordinate(x) -> int:
+    """An integer or an integral Fraction as an int; a float or a fraction
+    with a denominator raises GroupLawError rather than being truncated."""
+    if isinstance(x, Integral) or isinstance(x, Fraction) and x.denominator == 1:
+        return int(x)
+    raise GroupLawError(f"lex coordinate {x} is not an integer")
+
+
 @dataclass(frozen=True)
 class QuadGroup(GroupDesc):
     """Rational combinations a + b*sqrt(2) with the real-number order."""
@@ -195,7 +209,10 @@ class QuadGroup(GroupDesc):
     native_order = False
 
     def elem(self, data) -> "GroupElem":
-        a, b = data
+        try:
+            a, b = data
+        except (TypeError, ValueError):
+            raise GroupLawError(f"expected coordinates (a, b) of {self}, got {data!r}") from None
         if isinstance(a, float) or isinstance(b, float):
             raise GroupLawError(f"float coordinates {a!r}, {b!r} are not exact in {self}")
         return GroupElem(self, (Fraction(a), Fraction(b)))
@@ -381,13 +398,6 @@ def from_coords(group: GroupDesc, coords) -> GroupElem:
     coords = tuple(Fraction(c) for c in coords)
     if isinstance(group, RationalGroup):
         return group.elem(coords[0])
-    if isinstance(group, LexGroup):
-        vec = []
-        for c in coords:
-            if c.denominator != 1:
-                raise GroupLawError(f"lex coordinate {c} is not an integer")
-            vec.append(int(c))
-        return group.elem(vec)
     return group.elem(coords)
 
 

@@ -2,13 +2,14 @@
 
 import random
 import time
+from fractions import Fraction
 from functools import reduce
 from operator import add, neg
 
 import pytest
 
 from valuedfields.errors import ExprError, UnsupportedError
-from valuedfields.expr import evaluate, expr_to_ratfn, tokenize
+from valuedfields.expr import evaluate, expr_to_ratfn
 from valuedfields.fields import GF, QQ
 from valuedfields.polys import MPoly, RatFn, const_poly, var_poly
 
@@ -18,22 +19,37 @@ def same_fn(a, b):
     return a.num * b.den == b.num * a.den
 
 
-def test_tokenize_kinds_and_positions():
-    toks = tokenize("x1 + 23*y2")
-    assert [(t.kind, t.text) for t in toks] == [
-        ("name", "x1"),
-        ("op", "+"),
-        ("int", "23"),
-        ("op", "*"),
-        ("name", "y2"),
-        ("end", ""),
+def fn(text, vars=("x1", "x2"), field=QQ):
+    return expr_to_ratfn(text, vars, field)
+
+
+class _Record:
+    """An evaluator that records what it is asked to build."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __getattr__(self, name):
+        return lambda *args: self.calls.append((name, *args)) or name
+
+
+def test_reads_kinds_and_positions():
+    ev = _Record()
+    evaluate("x1 + 23*y2", ev)
+    assert ev.calls == [
+        ("var", "x1"),
+        ("int", 23),
+        ("var", "y2"),
+        ("product", "int", "*", "var"),
+        ("sum", ["var", "product"]),
     ]
-    assert [t.pos for t in toks] == [0, 3, 5, 7, 8, 10]
-
-
-def test_tokenize_rejects_unknown_character():
-    with pytest.raises(ExprError):
-        tokenize("x1 % 2")
+    # a ')' put before each token, or at the end, is reported where it stands
+    text = "x1 + 23*y2"
+    for pos in (0, 3, 5, 7, 8, 10):
+        with pytest.raises(ExprError) as info:
+            evaluate(text[:pos] + ")" + text[pos:], _Record())
+        expected = "unexpected ')'" if pos in (3, 7, 10) else "expected a value"
+        assert str(info.value) == f"{expected} at position {pos}"
 
 
 @pytest.mark.parametrize(
@@ -41,16 +57,12 @@ def test_tokenize_rejects_unknown_character():
     [("1+\u00b2", "\u00b2", 2), ("t\u00b2", "\u00b2", 1), ("\u0663*t", "\u0663", 0)],
     ids=["superscript_after_int", "superscript_in_name", "arabic_indic_three"],
 )
-def test_tokenize_accepts_ascii_digits_only(text, char, pos):
+def test_accepts_ascii_digits_only(text, char, pos):
     # str.isdigit accepts a superscript two and an Arabic-Indic three;
     # integers and names take 0-9 only
     with pytest.raises(ExprError) as info:
-        tokenize(text)
+        fn(text, ("t",))
     assert str(info.value) == f"unexpected character {char!r} at position {pos}"
-
-
-def fn(text, vars=("x1", "x2"), field=QQ):
-    return expr_to_ratfn(text, vars, field)
 
 
 @pytest.mark.parametrize(
@@ -260,6 +272,109 @@ def test_parse_nesting_within_the_budget():
     assert fn("t^" + "(" * 100 + "2" + ")" * 100, ("t",)) == t * t
     # only the depth counts, not the number of nested groups
     assert fn("+".join(["(" * 60 + "t" + ")" * 60] * 3), ("t",)) == fn("3*t", ("t",))
+
+
+# ---------------------------------------------------------------------------
+# the reader against values computed without it
+
+_POINT = {"x1": Fraction(3, 7), "x2": Fraction(-5, 2)}
+_NAMES = sorted(_POINT)
+
+
+class _Valued:
+    """Random texts of the grammar with their values at _POINT, computed
+    with Fraction arithmetic as the text is written; a value is None where
+    the text is undefined at the point (a division by 0, 0 to a power
+    k <= 0).  seen names the rules of reading that the text relies on."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.seen = set()
+        self.powered = False
+
+    def space(self):
+        return self.rng.choice(("", "", "", " ", "  "))
+
+    def join(self, parts, ops, fold):
+        # left association: a o b o c is (a o b) o c
+        self.seen.update(f"left {op}" for op in ops[:-1] if op in "-/")
+        text, value = parts[0]
+        for op, (part, v) in zip(ops, parts[1:]):
+            text += self.space() + op + self.space() + part
+            value = None if value is None or v is None else fold(value, op, v)
+        return text, value
+
+    def expr(self, depth):
+        parts = [self.term(depth) for _ in range(self.rng.choice((1, 2, 3)))]
+        ops = [self.rng.choice("+-") for _ in parts[1:]]
+        if ops and any("*" in text or "/" in text for text, _ in parts):
+            self.seen.add("precedence")
+        return self.join(parts, ops, lambda a, op, b: a + b if op == "+" else a - b)
+
+    def term(self, depth):
+        parts = [self.factor(depth) for _ in range(self.rng.choice((1, 1, 2, 3)))]
+        ops = [self.rng.choice("***/") for _ in parts[1:]]
+        return self.join(parts, ops, _product)
+
+    def factor(self, depth):
+        rng = self.rng
+        if rng.random() < 0.15:
+            sign = rng.choice("-+")
+            text, value = self.factor(depth)
+            if self.powered:  # -x^2 is -(x^2)
+                self.seen.add("sign over power")
+            return sign + text, value if sign == "+" or value is None else -value
+        r = rng.random()
+        if depth == 0 or r < 0.4:
+            text = str(rng.randrange(0, 10))
+            value = Fraction(int(text))
+        elif r < 0.85:
+            text = rng.choice(_NAMES)
+            value = _POINT[text]
+        else:
+            text, value = self.expr(depth - 1)
+            text = "(" + self.space() + text + self.space() + ")"
+        self.powered = rng.random() < 0.25
+        if self.powered:
+            k = rng.randint(-3, 3)
+            exponent = str(k)
+            for _ in range(rng.choice((0, 0, 1, 2))):
+                exponent = f"({exponent})"
+                self.seen.add("parenthesized exponent")
+            if k < 0:
+                self.seen.add("negative exponent")
+            text += "^" + exponent
+            value = None if value is None or value == 0 and k <= 0 else value**k
+        return text, value
+
+
+def _product(a, op, b):
+    if op == "*":
+        return a * b
+    return None if b == 0 else a / b
+
+
+def test_reader_matches_values_computed_without_it():
+    gen = _Valued(random.Random(2718))
+    point = {v: QQ.elem(q) for v, q in _POINT.items()}
+    checked, seen = 0, set()
+    for _ in range(2000):
+        gen.seen.clear()
+        text, value = gen.expr(1)
+        if value is None:
+            continue
+        assert fn(text).subst(point, QQ) == QQ.elem(value), text
+        checked += 1
+        seen |= gen.seen
+    assert checked > 1500
+    assert seen == {
+        "precedence",
+        "left -",
+        "left /",
+        "sign over power",
+        "negative exponent",
+        "parenthesized exponent",
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,39 @@ def test_rational_law_enforced():
         h.elem(Fraction(1, 6))
 
 
+@pytest.mark.parametrize(
+    "group, data, message",
+    [
+        (LexGroup(2), (1.5, 2), "lex coordinate 1.5 is not an integer"),
+        (LexGroup(2), (Fraction(1, 2), 1), "lex coordinate 1/2 is not an integer"),
+        (LexGroup(2), 0, "expected 2 coordinates, got 0"),
+        (LexGroup(2), (1, 2, 3), "expected 2 coordinates, got 3"),
+        (QuadGroup(), 0, r"expected coordinates \(a, b\) of Q \+ Q\*sqrt2, got 0$"),
+        (QuadGroup(), (1, 2, 3), r"of Q \+ Q\*sqrt2, got \(1, 2, 3\)$"),
+        (QuadGroup(), (0.5, 1), "float coordinates"),
+    ],
+    ids=[
+        "lex_float",
+        "lex_fraction",
+        "lex_scalar",
+        "lex_length",
+        "quad_scalar",
+        "quad_length",
+        "quad_float",
+    ],
+)
+def test_elem_refuses_what_it_cannot_hold_exactly(group, data, message):
+    # a bad input raises GroupLawError, never a silent truncation or a bare
+    # TypeError or ValueError that the command line would not catch
+    with pytest.raises(GroupLawError, match=message):
+        group.elem(data)
+
+
+def test_lex_elem_takes_integral_coordinates_of_any_kind():
+    assert LexGroup(2).elem((Fraction(4, 2), True)).data == (2, 1)
+    assert LexGroup(2).elem(x for x in (3, -1)).data == (3, -1)
+
+
 @pytest.mark.parametrize("p", [4, 6])
 def test_p_power_law_refuses_a_composite_p(p):
     # over p = 4, 1/4 + 1/4 = 1/2 would leave the group
