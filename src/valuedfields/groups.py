@@ -195,8 +195,8 @@ class LexGroup(GroupDesc):
 
 
 def _lex_coordinate(x) -> int:
-    """An integer or an integral Fraction as an int; a float or a fraction
-    with a denominator raises GroupLawError rather than being truncated."""
+    """An integer or an integral Fraction as an int; a float or any other
+    fraction raises GroupLawError rather than being truncated."""
     if isinstance(x, Integral) or isinstance(x, Fraction) and x.denominator == 1:
         return int(x)
     raise GroupLawError(f"lex coordinate {x} is not an integer")

@@ -53,23 +53,14 @@ def test_reads_kinds_and_positions():
 
 
 @pytest.mark.parametrize(
-    "text, char, pos",
-    [("1+\u00b2", "\u00b2", 2), ("t\u00b2", "\u00b2", 1), ("\u0663*t", "\u0663", 0)],
-    ids=["superscript_after_int", "superscript_in_name", "arabic_indic_three"],
-)
-def test_accepts_ascii_digits_only(text, char, pos):
-    # str.isdigit accepts a superscript two and an Arabic-Indic three;
-    # integers and names take 0-9 only
-    with pytest.raises(ExprError) as info:
-        fn(text, ("t",))
-    assert str(info.value) == f"unexpected character {char!r} at position {pos}"
-
-
-@pytest.mark.parametrize(
     "text, message",
     [
         ("x1 % 2", "unexpected character '%' at position 3"),
+        # str.isdigit accepts a superscript two and an Arabic-Indic three;
+        # integers and names take 0-9 only
         ("1+\u00b2", "unexpected character '\u00b2' at position 2"),
+        ("t\u00b2", "unexpected character '\u00b2' at position 1"),
+        ("\u0663*t", "unexpected character '\u0663' at position 0"),
         ("", "empty expression"),
         ("  ", "empty expression"),
         ("1+", "expected a value at position 2"),
@@ -91,7 +82,9 @@ def test_accepts_ascii_digits_only(text, char, pos):
     ],
     ids=[
         "bad_character",
-        "superscript",
+        "superscript_after_int",
+        "superscript_in_name",
+        "arabic_indic_three",
         "empty",
         "blank",
         "dangling_plus",
