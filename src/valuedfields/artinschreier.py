@@ -257,7 +257,7 @@ def _p_divided_group(group: GroupDesc, p: int) -> GroupDesc:
     raise UnsupportedError(f"no canonical p-divided ambient for {group}")
 
 
-def ramified_root_value(inst: ASInstance, target=None) -> Ramified:
+def ramified_root_value(inst: ASInstance) -> Ramified:
     """The forced root value v(c)/p when v(c) < 0 is not p-divisible in the
     group; the value lives in the p-divided ambient group."""
     case = classify(inst)

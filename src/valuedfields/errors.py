@@ -27,10 +27,6 @@ class SpanError(ValuedFieldError):
 class IterationCapError(ValuedFieldError):
     """An iterative search exceeded its cap without reaching its goal."""
 
-    def __init__(self, message: str, iterations: int = 0):
-        super().__init__(message)
-        self.iterations = iterations
-
 
 class FieldMismatchError(ValuedFieldError):
     """Operands belong to different coefficient fields."""

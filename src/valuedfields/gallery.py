@@ -153,12 +153,6 @@ class Scenario:
     name: str
     params: tuple[tuple[str, object], ...]
 
-    def param(self, key):
-        for k, v in self.params:
-            if k == key:
-                return v
-        raise ParamError(f"scenario {self.name} has no param {key!r}")
-
 
 @dataclass(frozen=True)
 class Report:
@@ -492,13 +486,13 @@ def _run_g4(P: dict):
             extract,
         ))
 
-        def degree(k=k):
+        def orbit_size(k=k):
             orbit = _frob_orbit_size(tail_coeff(k))
             return orbit, k, orbit == k
 
         claims.append(_claim(
             f"the coefficient at t^({k}) has degree {k} over the prime field",
-            degree,
+            orbit_size,
         ))
         running = lcm(running, k)
 

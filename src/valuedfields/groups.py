@@ -17,7 +17,7 @@ family, which downstream modules rely on for valuation arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from numbers import Integral
@@ -43,7 +43,6 @@ __all__ = [
     "MembershipResult",
     "PerronResult",
     "cmp",
-    "sign",
     "divisible_by",
     "invariants",
     "perron_basis",
@@ -59,37 +58,13 @@ __all__ = [
 # descriptors
 
 
-_DESCRIPTORS: dict = {}
-_MAX_DESCRIPTORS = 256
-
-
 class GroupDesc:
     """Base class for group descriptors.
-
-    Descriptors are interned: building one twice with the same arguments
-    gives the same object, so the family check of two elements is almost
-    always an identity test.  Equality stays structural, so a descriptor
-    that escapes the (bounded) cache still compares equal to its twin.
 
     native_order says whether the data of the elements is ordered by Python
     as the group orders them."""
 
     native_order = True
-
-    def __new__(cls, *args, **kwargs):
-        # keyed by the field values, however they are passed
-        values = {f.name: f.default for f in fields(cls)}
-        values.update(zip(tuple(values), args), **kwargs)
-        key = (cls, *((k, type(v), v) for k, v in values.items()))
-        desc = _DESCRIPTORS.get(key)
-        if desc is None:
-            desc = object.__new__(cls)
-            if len(_DESCRIPTORS) < _MAX_DESCRIPTORS:
-                _DESCRIPTORS[key] = desc
-        return desc
-
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     def zero(self) -> "GroupElem":
         raise NotImplementedError
@@ -215,6 +190,9 @@ class QuadGroup(GroupDesc):
             raise GroupLawError(f"expected coordinates (a, b) of {self}, got {data!r}") from None
         if isinstance(a, float) or isinstance(b, float):
             raise GroupLawError(f"float coordinates {a!r}, {b!r} are not exact in {self}")
+        for x in (a, b):
+            if not isinstance(x, (Integral, Fraction)):
+                raise GroupLawError(f"quad coordinate {x!r} is not an integer or a Fraction")
         return GroupElem(self, (Fraction(a), Fraction(b)))
 
     def zero(self) -> "GroupElem":
@@ -384,10 +362,6 @@ class GroupElem:
         return f"GroupElem({self})"
 
 
-def sign(a: GroupElem) -> int:
-    return a.sign()
-
-
 def cmp(a: GroupElem, b: GroupElem) -> int:
     """-1, 0 or 1 as a < b, a = b, a > b.  Exact in every family."""
     x, y = a._keys(b)
@@ -456,7 +430,6 @@ def _parse_quad(text: str) -> tuple[Fraction, Fraction]:
 class MembershipResult:
     member: bool
     witness: GroupElem | None = None
-    note: str | None = None
 
 
 def divisible_by(gamma: GroupElem, n: int) -> MembershipResult:
@@ -472,10 +445,10 @@ def divisible_by(gamma: GroupElem, n: int) -> MembershipResult:
     if isinstance(g, LexGroup):
         if all(x % n == 0 for x in gamma.data):
             return MembershipResult(True, g.elem(x // n for x in gamma.data))
-        return MembershipResult(False, note="componentwise divisibility fails")
+        return MembershipResult(False)
     a, b = gamma.data
-    # the ambient quadratic group is divisible, flagged as such
-    return MembershipResult(True, GroupElem(g, (a / n, b / n)), note="ambient")
+    # Q + Q*sqrt2 is divisible
+    return MembershipResult(True, GroupElem(g, (a / n, b / n)))
 
 
 # ---------------------------------------------------------------------------

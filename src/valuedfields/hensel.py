@@ -36,7 +36,6 @@ from .fields import FieldDesc, FieldElement, FiniteField, RationalField, _horner
 from .groups import GroupDesc, GroupElem
 from .polys import MPoly, adjugate, det
 from .series import (
-    _MAX_STEPS,
     POLE,
     _horner_packed,
     _prec_min,
@@ -72,7 +71,6 @@ class SeriesPoly:
     """Univariate polynomial with Series coefficients, low degree first."""
 
     coeffs: tuple[Series, ...]
-    var: str = "X"
 
     def __post_init__(self):
         if not self.coeffs:
@@ -90,12 +88,6 @@ class SeriesPoly:
     def group(self) -> GroupDesc:
         return self.coeffs[0].group
 
-    def degree(self) -> int:
-        d = len(self.coeffs) - 1
-        while d > 0 and self.coeffs[d].is_exact_zero():
-            d -= 1
-        return d
-
     def eval(self, a: Series, below=None) -> Series:
         """The value at a, cut below t^(below) when below is given.  Over
         F_p that cut value may come from one packed pass
@@ -108,10 +100,7 @@ class SeriesPoly:
 
     def derivative(self) -> "SeriesPoly":
         zero = zero_series(self.field, self.group)
-        return SeriesPoly(tuple(_derivative(self.coeffs, zero)), self.var)
-
-    def to_json(self) -> dict:
-        return {"var": self.var, "coeffs": [series_to_json(c) for c in self.coeffs]}
+        return SeriesPoly(tuple(_derivative(self.coeffs, zero)))
 
 
 @dataclass(frozen=True)
@@ -250,7 +239,7 @@ def _require_precision(series_list, target: GroupElem):
             )
 
 
-def hensel_lift(f: SeriesPoly, b: Series | None, target, max_steps: int = _MAX_STEPS) -> LiftResult:
+def hensel_lift(f: SeriesPoly, b: Series | None, target) -> LiftResult:
     """Lift a simple root to the target precision.
 
     Preconditions: coefficients have valuation >= 0 and precision >= target;
@@ -285,7 +274,7 @@ def hensel_lift(f: SeriesPoly, b: Series | None, target, max_steps: int = _MAX_S
 
     (root,), steps = _newton(
         lambda a: [f.eval(a[0], a[0].precision)], lambda a: [[fd.eval(a[0], a[0].precision)]],
-        [b], target, max_steps,
+        [b], target,
     )
     return LiftResult(root, steps)
 
@@ -350,7 +339,7 @@ def _residuals(polys, vars, point, field, group, target):
     return [truncate(eval_poly_at_series(p, values, field, group), target) for p in polys]
 
 
-def newton_system(s: SystemInstance, target, max_steps: int = _MAX_STEPS) -> NewtonResult:
+def newton_system(s: SystemInstance, target) -> NewtonResult:
     """Newton iteration on a square system from a start whose residuals have
     positive valuation and whose Jacobian determinant is a unit."""
     n = len(s.polys)
@@ -371,17 +360,12 @@ def newton_system(s: SystemInstance, target, max_steps: int = _MAX_STEPS) -> New
     roots, steps = _newton(
         lambda a: _residuals(s.polys, s.vars, a, field, group, target),
         lambda a: _eval_matrix(s.jacobian, s.vars, a, field, group),
-        s.start, target, max_steps,
+        s.start, target,
     )
     return NewtonResult(roots, steps)
 
 
-def implicit_solve(
-    s: SystemInstance,
-    perturbed_prefix,
-    target,
-    max_steps: int = _MAX_STEPS,
-) -> ImplicitResult:
+def implicit_solve(s: SystemInstance, perturbed_prefix, target) -> ImplicitResult:
     """Re-solve the trailing n coordinates after perturbing the first l - n.
 
     s.start is a known common zero of the n polys in l variables.  The
@@ -444,6 +428,6 @@ def implicit_solve(
     solved, steps = _newton(
         lambda a: _residuals(reduced, trailing, a, field, group, target),
         lambda a: _eval_matrix(jac, trailing, a, field, group),
-        start_tail, target, max_steps,
+        start_tail, target,
     )
     return ImplicitResult(solved, alpha, steps)

@@ -813,7 +813,7 @@ def invert(a: Series, precision=None) -> Series:
     ladder = []
     while known < rx:
         if len(ladder) == _MAX_STEPS:
-            raise IterationCapError(f"inverse needs more than {_MAX_STEPS} Newton steps", _MAX_STEPS)
+            raise IterationCapError(f"inverse needs more than {_MAX_STEPS} Newton steps")
         known = _prec_min(known + known, rx)
         ladder.append(known)
     sx, sc = wx[:1], wc[:1]  # s = 1
@@ -828,7 +828,7 @@ def invert(a: Series, precision=None) -> Series:
             sc = sc + [k for _, k in ds]
         if len(sx) > _MAX_TERMS:
             raise IterationCapError(
-                f"inverse has more than {_MAX_TERMS} terms below t^({target})", _MAX_TERMS
+                f"inverse has more than {_MAX_TERMS} terms below t^({target})"
             )
     if p:
         items = [(x - gx, ci * k % p) for x, k in zip(sx, sc)]
@@ -869,7 +869,7 @@ def unit_nth_root(u: Series, n: int, precision=None) -> Series:
         raise PrecisionError("exact multi-term input needs an explicit precision bound")
     (root,), _ = _newton(
         lambda a: [a[0] ** n - u], lambda a: [[(a[0] ** (n - 1)).times_int(n)]],
-        [one_series(u.field, u.group)], target, _MAX_STEPS,
+        [one_series(u.field, u.group)], target,
     )
     return root
 
@@ -886,7 +886,7 @@ _MAX_STEPS = 64
 _MAX_TERMS = 1024
 
 
-def _newton(residuals, jacobian, start, target: GroupElem, max_steps: int):
+def _newton(residuals, jacobian, start, target: GroupElem):
     """The Newton iteration a <- a - J(a)^(-1) * f(a) behind every lift.
 
     residuals(a) returns the vector f(a) and jacobian(a) the matrix J(a) at
@@ -924,13 +924,13 @@ def _newton(residuals, jacobian, start, target: GroupElem, max_steps: int):
     # between two corrections a residual is evaluated at most three times
     # (on the ladder, widened, redone at the target), plus once when the
     # ladder turns off; the bound below has room to spare
-    for _ in range(6 * max_steps + 6):
+    for _ in range(6 * _MAX_STEPS + 6):
         point = tuple(truncate(x, at) for x in a)
         res = [truncate(r, at) for r in residuals(point)]
         if any(len(x.terms) > _MAX_TERMS for x in (*point, *res)):
             raise IterationCapError(
                 f"Newton approximant or residual has more than {_MAX_TERMS} terms "
-                f"below t^({target})", _MAX_TERMS,
+                f"below t^({target})"
             )
         have = min((r.precision for r in res if r.precision is not None), default=at)
         worst = min((v.value for v in map(valuation, res) if v.is_exact), default=None)
@@ -977,9 +977,9 @@ def _newton(residuals, jacobian, start, target: GroupElem, max_steps: int):
             nxt = tuple(Series(x.field, x.group, x.terms, target) for x in nxt)
         back, a = (a, trust), nxt
         trust, at, redo = cut, target if full else _prec_min(target, worst.scale(8)), False
-        if len(steps) == max_steps:
+        if len(steps) == _MAX_STEPS:
             break
-    raise IterationCapError("Newton iteration did not reach the target", max_steps)
+    raise IterationCapError("Newton iteration did not reach the target")
 
 
 # ---------------------------------------------------------------------------
@@ -1014,14 +1014,10 @@ def series_to_json(a: Series) -> dict:
 @dataclass(frozen=True)
 class StreamMeta:
     """Declared place-theoretic data of the valued object the stream models:
-    rational rank of the value group its exponents generate, whether that
-    group is finitely generated, and the residue transcendence it contributes
-    (0 for every catalog stream) with finite-generation of the residue
-    extension."""
+    whether the value group its exponents generate is finitely generated,
+    and whether the residue extension it contributes is."""
 
-    value_rr: int
     value_group_fg: bool
-    residue_dim: int
     residue_fg: bool
 
 
@@ -1052,7 +1048,7 @@ def theta_defect(p: int) -> Stream:
         (("p", p),),
         GF(p),
         p_power_hull(p),
-        StreamMeta(1, False, 0, True),
+        StreamMeta(False, True),
     )
 
 
@@ -1064,7 +1060,7 @@ def frobenius_root(p: int) -> Stream:
         (("p", p),),
         GF(p),
         ZZ_GROUP,
-        StreamMeta(1, True, 0, True),
+        StreamMeta(True, True),
     )
 
 
@@ -1084,7 +1080,7 @@ def bad_value_group(p: int, S) -> Stream:
         (("p", p), ("S", S)),
         GF(p),
         QQ_GROUP,
-        StreamMeta(1, False, 0, True),
+        StreamMeta(False, True),
     )
 
 
@@ -1108,7 +1104,7 @@ def bad_residue(p: int, lcm_degree: int | None = None) -> Stream:
         (("p", p), ("lcm_degree", lcm_degree)),
         None,
         ZZ_GROUP,
-        StreamMeta(1, True, 0, False),
+        StreamMeta(True, False),
     )
 
 
@@ -1121,7 +1117,7 @@ def z_series(p: int) -> Stream:
         (("p", p),),
         GF(p),
         p_power_hull(p),
-        StreamMeta(1, False, 0, True),
+        StreamMeta(False, True),
     )
 
 

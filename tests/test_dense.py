@@ -33,8 +33,8 @@ DENOMINATORS = {
     p_power_hull(2): [1, 2, 4, 8],
 }
 ORACLE_FIELDS = [GF(2), GF(5), GF(101), GF(2**61 - 1), GF(3, 2), QQ]
-ORACLE_GROUPS = [*DENOMINATORS, LexGroup(2), QuadGroup()]
 LEX, QUAD = LexGroup(2), QuadGroup()
+ORACLE_GROUPS = [*DENOMINATORS, LEX, QUAD]
 
 
 def _reference(a, b):

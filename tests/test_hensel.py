@@ -14,7 +14,7 @@ from valuedfields.errors import (
     SingularPointError,
 )
 from valuedfields.fields import GF, QQ, _poly_roots
-from valuedfields.groups import ZZ_GROUP, one_over_m
+from valuedfields.groups import LexGroup, ZZ_GROUP, one_over_m
 from valuedfields.hensel import (
     SeriesPoly,
     _divisors,
@@ -81,15 +81,33 @@ def test_lift_matches_unit_nth_root():
     assert [str(v) for v in out.steps] == ["1", "2", "4", "8"]
 
 
-def test_newton_step_cap():
+def test_newton_step_cap(monkeypatch):
     F = GF(2)
-    with pytest.raises(IterationCapError):
-        hensel_lift(_artin_schreier_poly(F, 2), zero_series(F, ZZ_GROUP), 16, max_steps=2)
+    monkeypatch.setattr("valuedfields.series._MAX_STEPS", 2)
+    with pytest.raises(IterationCapError, match="did not reach the target"):
+        hensel_lift(_artin_schreier_poly(F, 2), zero_series(F, ZZ_GROUP), 16)
     one = one_series(F, ZZ_GROUP)
     f = mpoly(("X",), {(2,): one, (1,): -one, (0,): -t_pow(F, ZZ_GROUP, 1)})
     sysi = make_system([f], ("X",), (zero_series(F, ZZ_GROUP),))
-    with pytest.raises(IterationCapError):
-        newton_system(sysi, 8, max_steps=1)
+    monkeypatch.setattr("valuedfields.series._MAX_STEPS", 1)
+    with pytest.raises(IterationCapError, match="did not reach the target"):
+        newton_system(sysi, 8)
+
+
+def test_target_above_every_multiple_of_the_residual_value_fails_fast():
+    # X^2 - (1 + t^(0,1)) from 1 over Z^2 lex: the residual has value (0,1),
+    # and no multiple of it reaches the target (1,0), so no ladder rung is
+    # tried; the correction runs at the target, where 1/f'(a) = 1/(2 + ...)
+    # needs infinitely many terms
+    F, lex = GF(5), LexGroup(2)
+    one = one_series(F, lex)
+    f = SeriesPoly(
+        (make_series(F, lex, [((0, 0), -1), ((0, 1), -1)]), zero_series(F, lex), one)
+    )
+    start = time.perf_counter()
+    with pytest.raises(PrecisionError, match=r"no multiple of v\(u\) = \(0,1\) reaches it"):
+        hensel_lift(f, one, (1, 0))
+    assert time.perf_counter() - start < 0.2
 
 
 def test_lift_auto_start():
