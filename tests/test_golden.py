@@ -52,6 +52,18 @@ CASES = {
     "eval_frobenius_root_undecided_den": [
         "eval", "--place", "frobenius_root_embed.json", "x1/(x2 + x1^2 + x1 + x2^70)",
     ],
+    # residues that are polynomials and quotients in the residue indeterminates z, w
+    "eval_monomial_residue_poly": ["eval", "--place", "monomial_residues.json", "(x1*x2 + x1^2)/x1"],
+    "eval_monomial_residue_ratfn": [
+        "eval", "--place", "monomial_residues.json", "(x1*x2^2 + x1*x3 + x1^2)/(x1*x3 - 3*x1^2)",
+    ],
+    # the same first stage followed by z -> 1, w -> u on its residue field
+    "eval_compose_value": ["eval", "--place", "compose_monomial.json", "x1^2*x2*x3 + x1^2*x2^2 + x1^3"],
+    "eval_compose_residue": [
+        "eval", "--place", "compose_monomial.json", "(x1*x2*x3^2 + x1^2)/(x1*x2 + 2*x1*x2*x3)",
+    ],
+    "eval_trivial_gf5": ["eval", "--place", "trivial_gf5.json", "(x1^2 + 3)/(x2 + 4*x1)"],
+    "eval_trivial_gf5_json": ["eval", "--place", "trivial_gf5.json", "--json", "x1^5*x2 - 7"],
     "lift": ["lift", "--p", "2", "--precision", "16", "--", "-t", "-1", "1"],
     "lift_json": ["lift", "--p", "3", "--precision", "12", "--json", "--", "-t", "-1", "0", "1"],
     "lift_dense_cubic_json": [
