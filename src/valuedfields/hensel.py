@@ -243,9 +243,9 @@ def hensel_lift(f: SeriesPoly, b: Series | None, target) -> LiftResult:
     """Lift a simple root to the target precision.
 
     Preconditions: coefficients have valuation >= 0 and precision >= target;
-    the start b has v(f(b)) > 0 and v(f'(b)) = 0.  With b = None, the start
-    is the least simple root of the residue polynomial, lifted from a
-    constant.
+    a supplied start b has v(f(b)) > 0 and v(f'(b)) = 0.  With b = None, the
+    start is the least simple root of the residue polynomial, lifted from a
+    constant, which meets both conditions by construction.
     """
     field, group = f.field, f.group
     target = target if isinstance(target, GroupElem) else group.elem(target)
@@ -258,19 +258,20 @@ def hensel_lift(f: SeriesPoly, b: Series | None, target) -> LiftResult:
         if v.kind is ValuationKind.AT_LEAST and v.value.sign() < 0:
             raise PrecisionError("coefficient sign undecidable at this precision")
     _require_precision(f.coeffs, target)
+    fd = f.derivative()
     if b is None:
+        # a simple root of the residue polynomial: v(f(b)) > 0 and v(f'(b)) = 0
         b = make_series(field, group, [(group.zero(), _find_residue_root(f.coeffs))])
     else:
         _require_precision([b], target)
-    fd = f.derivative()
-    # cut at the target, each value keeps what its check reads (a valuation
-    # 0, or one <= 0); the message prints the uncut valuation
-    vd = valuation(fd.eval(b, target))
-    if not (vd.is_exact and vd.value.is_zero()):
-        raise HypothesisError(f"v(f'(start)) = {valuation(fd.eval(b))}, need exactly 0")
-    v0 = valuation(f.eval(b, target))
-    if v0.is_exact and not v0.value.sign() > 0:
-        raise HypothesisError(f"v(f(start)) = {v0.value}, need > 0")
+        # cut at the target, each value keeps what its check reads (a valuation
+        # 0, or one <= 0); the message prints the uncut valuation
+        vd = valuation(fd.eval(b, target))
+        if not (vd.is_exact and vd.value.is_zero()):
+            raise HypothesisError(f"v(f'(start)) = {valuation(fd.eval(b))}, need exactly 0")
+        v0 = valuation(f.eval(b, target))
+        if v0.is_exact and not v0.value.sign() > 0:
+            raise HypothesisError(f"v(f(start)) = {v0.value}, need > 0")
 
     (root,), steps = _newton(
         lambda a: [f.eval(a[0], a[0].precision)], lambda a: [[fd.eval(a[0], a[0].precision)]],
@@ -384,8 +385,8 @@ def implicit_solve(s: SystemInstance, perturbed_prefix, target) -> ImplicitResul
     group = s.start[0].group
     target = target if isinstance(target, GroupElem) else group.elem(target)
 
-    trailing = s.vars[ell - n:]
-    block_val = _eval_matrix([row[ell - n:] for row in s.jacobian], s.vars, s.start, field, group)
+    block = [row[ell - n:] for row in s.jacobian]
+    block_val = _eval_matrix(block, s.vars, s.start, field, group)
     zero, one = zero_series(field, group), one_series(field, group)
     vdet = valuation(det(block_val, zero, one))
     if not (vdet.is_exact and vdet.value.is_zero()):
@@ -409,25 +410,19 @@ def implicit_solve(s: SystemInstance, perturbed_prefix, target) -> ImplicitResul
                 f"perturbation valuation {v} does not exceed threshold 2*alpha = {threshold}"
             )
 
-    assignment = dict(zip(s.vars[: ell - n], perturbed_prefix))
-    reduced = []
-    for p in s.polys:
-        q = p.subst(assignment, field)
-        if not isinstance(q, MPoly):
-            raise UnsupportedError("substitution eliminated all variables")
-        reduced.append(q.restrict_vars(trailing))
+    # the system at (perturbed prefix, a) is a system in the trailing
+    # coordinates a, and its Jacobian there is the trailing block
     start_tail = s.start[ell - n:]
-    res0 = _residuals(reduced, trailing, start_tail, field, group, target)
+    res0 = _residuals(s.polys, s.vars, perturbed_prefix + start_tail, field, group, target)
     for r in res0:
         v = valuation(r)
         if v.is_exact and not v.value.sign() > 0:
             raise PerturbationError(
                 f"perturbation too large: residual valuation {v.value} not positive"
             )
-    jac = [[p.partial(v) for v in trailing] for p in reduced]
     solved, steps = _newton(
-        lambda a: _residuals(reduced, trailing, a, field, group, target),
-        lambda a: _eval_matrix(jac, trailing, a, field, group),
+        lambda a: _residuals(s.polys, s.vars, perturbed_prefix + a, field, group, target),
+        lambda a: _eval_matrix(block, s.vars, perturbed_prefix + a, field, group),
         start_tail, target,
     )
     return ImplicitResult(solved, alpha, steps)

@@ -152,7 +152,6 @@ class SeriesEmbedPlace:
     field: FieldDesc
     group: GroupDesc
     assignments: tuple[tuple[str, Series | Stream], ...]
-    residue_dim: int = 0  # declared, never inferred from truncations
 
     def __post_init__(self):
         _check_distinct([v for v, _ in self.assignments])
@@ -573,11 +572,11 @@ class PlaceInvariants:
         }
 
 
-def _invariants(P: PlaceDesc, ambient: int) -> tuple[int, int, int, bool, bool]:
+def _invariants(P: PlaceDesc) -> tuple[int, int, int, bool, bool]:
     """(rank, rational rank, dim, value group f.g., residue field f.g.) of P
-    on a function field of transcendence degree ambient."""
+    on the rational function field in its variables."""
     if isinstance(P, TrivialPlace):
-        return 0, 0, ambient, True, True
+        return 0, 0, len(P.vars), True, True
     if isinstance(P, EvalPlace):
         n = len(P.assignments)
         return n, n, 0, True, True
@@ -587,22 +586,27 @@ def _invariants(P: PlaceDesc, ambient: int) -> tuple[int, int, int, bool, bool]:
         n = len(P.values)
         return n if isinstance(P.group, LexGroup) else 1, n, len(P.residues), True, True
     if isinstance(P, SeriesEmbedPlace):
+        # the residue field lies in the coefficient field, algebraic over the base
         gi = group_invariants(P.group)
         metas = [s.meta for _, s in P.assignments if isinstance(s, Stream)]
         return (
             gi.rank,
             gi.rational_rank,
-            P.residue_dim,
+            0,
             all(m.value_group_fg for m in metas),
             all(m.residue_fg for m in metas),
         )
-    r1, rr1, _, v1, f1 = _invariants(P.first, ambient)
-    r2, rr2, dim, v2, f2 = _invariants(P.second, len(place_vars(P.second)))
+    r1, rr1, _, v1, f1 = _invariants(P.first)
+    r2, rr2, dim, v2, f2 = _invariants(P.second)
     return r1 + r2, rr1 + rr2, dim, v1 and v2, f1 and f2
 
 
-def place_invariants(P: PlaceDesc, ambient_trdeg: int) -> PlaceInvariants:
-    rank, rr, dim, vfg, rfg = _invariants(P, ambient_trdeg)
+def place_invariants(P: PlaceDesc) -> PlaceInvariants:
+    """Rank, rational rank and dim of P on the rational function field in
+    place_vars(P), whose transcendence degree is the number of those
+    variables, checked against Abhyankar's inequality rr + dim <= trdeg."""
+    ambient_trdeg = len(place_vars(P))
+    rank, rr, dim, vfg, rfg = _invariants(P)
     if ambient_trdeg < dim + rr:
         raise HypothesisError(
             f"declared data violates trdeg >= dim + rational rank: "
@@ -848,7 +852,6 @@ def place_to_json(P: PlaceDesc) -> dict:
             "variant": "series_embed",
             "field": _field_to_json(P.field),
             "group": _group_to_json(P.group),
-            "residue_dim": P.residue_dim,
             "assignments": [[v, _assignment_to_json(s)] for v, s in P.assignments],
         }
     return {
@@ -895,7 +898,6 @@ def place_from_json(blob) -> PlaceDesc:
                 (v, _assignment_from_json(field, group, s))
                 for v, s in _pairs(blob, "assignments", "place")
             ),
-            _get(blob, "residue_dim", int, "place", 0),
         )
     if variant == "compose":
         return compose(

@@ -152,21 +152,6 @@ class MPoly:
             return result
         return result.terms[0][1] if result.terms else field.zero()
 
-    def restrict_vars(self, new_vars) -> "MPoly":
-        """Reindex onto a variable tuple that must cover every used variable."""
-        new_vars = tuple(new_vars)
-        pos = {v: i for i, v in enumerate(new_vars)}
-        out = []
-        for e, c in self.terms:
-            ne = [0] * len(new_vars)
-            for v, exp in zip(self.vars, e):
-                if exp:
-                    if v not in pos:
-                        raise UnsupportedError(f"variable {v} is not in {new_vars}")
-                    ne[pos[v]] = exp
-            out.append((tuple(ne), c))
-        return MPoly.make(new_vars, out)
-
     def __str__(self):
         if not self.terms:
             return "0"

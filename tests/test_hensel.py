@@ -1,9 +1,11 @@
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from valuedfields import hensel
 from valuedfields.errors import (
     HypothesisError,
     IterationCapError,
@@ -12,10 +14,13 @@ from valuedfields.errors import (
     PerturbationError,
     PrecisionError,
     SingularPointError,
+    ValuedFieldError,
 )
 from valuedfields.fields import GF, QQ, _poly_roots
 from valuedfields.groups import LexGroup, ZZ_GROUP, one_over_m
 from valuedfields.hensel import (
+    ImplicitResult,
+    LiftResult,
     SeriesPoly,
     _divisors,
     _find_residue_root,
@@ -25,15 +30,17 @@ from valuedfields.hensel import (
     make_system,
     newton_system,
 )
-from valuedfields.polys import mpoly
+from valuedfields.polys import adjugate, det, mpoly
 from valuedfields.series import (
     Series,
+    _newton,
     add_series,
     frobenius_root,
     make_series,
     mul_series,
     one_series,
     stream_expand,
+    sub_series,
     t_pow,
     truncate,
     unit_nth_root,
@@ -433,6 +440,155 @@ def test_implicit_threshold_from_a_jacobian_block_with_a_positive_adjugate_entry
     assert y == make_series(F, ZZ_GROUP, [(3, 1)], 10)
     with pytest.raises(PerturbationError, match="threshold 2"):
         implicit_solve(sysi, (t_pow(F, ZZ_GROUP, 2),), 10)
+
+
+def _reference_implicit_solve(s, prefix, target):
+    """implicit_solve as first written: substitute the perturbed prefix into
+    the polynomials, then differentiate the reduced system in the trailing
+    variables again."""
+    n, ell = len(s.polys), len(s.vars)
+    field, group = s.start[0].field, s.start[0].group
+    target = group.elem(target)
+    head, trailing = s.vars[: ell - n], s.vars[ell - n:]
+    zero, one = zero_series(field, group), one_series(field, group)
+    block = hensel._eval_matrix(
+        [row[ell - n:] for row in s.jacobian], s.vars, s.start, field, group
+    )
+    vdet = valuation(det(block, zero, one))
+    if not (vdet.is_exact and vdet.value.is_zero()):
+        raise SingularPointError(f"v(det of trailing Jacobian block) = {vdet}, need 0")
+    alpha = group.zero()
+    for row in adjugate(block, zero, one):
+        for entry in row:
+            v = valuation(entry)
+            if v.is_exact and alpha < v.value:
+                alpha = v.value
+    threshold = alpha.scale(2)
+    for old, new in zip(s.start, prefix):
+        diff = sub_series(new, old)
+        if diff.is_exact_zero():
+            continue
+        v = valuation(diff)
+        if v.value is None or not threshold < v.value:
+            raise PerturbationError(
+                f"perturbation valuation {v} does not exceed threshold 2*alpha = {threshold}"
+            )
+    reduced = [p.subst(dict(zip(head, prefix)), field) for p in s.polys]
+    assert all(q.vars == trailing for q in reduced)
+    tail = s.start[ell - n:]
+    for r in hensel._residuals(reduced, trailing, tail, field, group, target):
+        v = valuation(r)
+        if v.is_exact and not v.value.sign() > 0:
+            raise PerturbationError(
+                f"perturbation too large: residual valuation {v.value} not positive"
+            )
+    jac = [[q.partial(v) for v in trailing] for q in reduced]
+    solved, steps = _newton(
+        lambda a: hensel._residuals(reduced, trailing, a, field, group, target),
+        lambda a: hensel._eval_matrix(jac, trailing, a, field, group),
+        tail, target,
+    )
+    return solved, alpha, steps
+
+
+def _random_series(rng, field, group, low=0, cut=False):
+    """A short series with exponents in (1/m)Z from low up; cut ones are
+    known to a precision a little above their last term."""
+    m = 2 if group == one_over_m(2) else 1
+    exps = sorted({Fraction(rng.randrange(low * m, low * m + 4), m) for _ in range(rng.randint(0, 3))})
+    terms = [(group.elem(e), rng.randrange(1, field.p)) for e in exps]
+    prec = None
+    if cut:
+        prec = group.elem(Fraction(rng.randrange(low * m + 6 * m, low * m + 12 * m), m))
+    return make_series(field, group, terms, prec)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValuedFieldError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_implicit_solve_matches_the_substituting_reference():
+    rng = random.Random(2025)
+    kinds = Counter()
+    for _ in range(320):
+        field = GF(rng.choice([3, 5, 7]))
+        group = rng.choice([ZZ_GROUP, one_over_m(2)])
+        n, k = rng.choice([(1, 1), (1, 2), (2, 1)])
+        names = tuple(f"U{i}" for i in range(k)) + tuple(f"X{i}" for i in range(n))
+        cut = rng.random() < 0.5
+        start = tuple(_random_series(rng, field, group) for _ in names)
+        values = dict(zip(names, start))
+        polys = []
+        for i in range(n):
+            terms = {}
+            # a unit on its own trailing variable keeps the block mostly invertible
+            if rng.random() < 0.8:
+                terms[tuple(int(v == names[k + i]) for v in names)] = one_series(field, group)
+            for _ in range(rng.randint(1, 3)):
+                exps = tuple(rng.randrange(3) for _ in names)
+                terms[exps] = _random_series(rng, field, group, rng.choice([0, 0, 0, 1, -1]), cut)
+            f = mpoly(names, terms)
+            # make the start a common zero, or nearly one, or leave it
+            if rng.random() < 0.85:
+                value = eval_poly_at_series(f, values, field, group)
+                if rng.random() < 0.8:  # drop the terms from t^k on, keep the precision
+                    below = group.elem(rng.choice([1, 2, 3, 5]))
+                    value = Series(field, group, tuple(x for x in value.terms if x[0] < below),
+                                   value.precision)
+                f = f - mpoly(names, {(0,) * len(names): value})
+            polys.append(f)
+        sysi = make_system(polys, names, start)
+        shift = rng.choice([0, 1, 2, 3, 4, 5])
+        prefix = tuple(
+            add_series(x, _random_series(rng, field, group, shift)) if shift else x
+            for x in start[:k]
+        )
+        target = rng.choice([4, 6, 9])
+        got = _outcome(implicit_solve, sysi, prefix, target)
+        want = _outcome(_reference_implicit_solve, sysi, prefix, target)
+        if isinstance(got, ImplicitResult):
+            got = (got.solved, got.alpha, got.steps)
+            kinds["solved" if got[2] else "fixed"] += 1
+        elif got[0] == "SingularPointError":
+            kinds["singular, " + ("inexact" if ">=" in got[1] or "oo" in got[1] else "exact")] += 1
+        elif got[0] == "PerturbationError":
+            kinds["perturbation, " + ("threshold" if "threshold" in got[1] else "residual")] += 1
+        else:
+            kinds[got[0]] += 1
+        assert got == want
+    assert kinds["solved"] >= 50, kinds
+    for kind in ("singular, exact", "singular, inexact", "perturbation, threshold",
+                 "perturbation, residual"):
+        assert kinds[kind] >= 5, kinds
+
+
+def test_automatic_start_lifts_as_the_same_start_supplied():
+    rng = random.Random(2026)
+    lifted = 0
+    for _ in range(320):
+        field = GF(rng.choice([2, 3, 5, 7]))
+        group = rng.choice([ZZ_GROUP, one_over_m(2)])
+        cut = rng.random() < 0.5
+        degree = rng.randint(1, 4)
+        coeffs = [_random_series(rng, field, group, 0, cut) for _ in range(degree)]
+        coeffs.append(one_series(field, group) if rng.random() < 0.7
+                      else _random_series(rng, field, group, 0, cut))
+        f = SeriesPoly(tuple(coeffs))
+        target = rng.choice([3, 5, 8])
+        auto = _outcome(hensel_lift, f, None, target)
+        try:
+            r = _find_residue_root(f.coeffs)
+        except ValuedFieldError:
+            assert isinstance(auto, tuple)
+            continue
+        start = make_series(field, group, [(0, r)])
+        supplied = _outcome(hensel_lift, f, start, target)
+        assert auto == supplied
+        lifted += isinstance(auto, LiftResult)
+    assert lifted >= 120, lifted
 
 
 def test_formal_derivative_consistency():

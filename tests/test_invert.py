@@ -291,8 +291,9 @@ def test_ladder_widens_a_residual_evaluated_too_close_to_its_precision(monkeypat
     monkeypatch.setattr(SeriesPoly, "eval", recording)
     out = hensel_lift(f, None, 81)
     assert [str(v) for v in out.steps] == ["1", "3", "9", "27"]
-    # the start checks at the target, then residuals and derivatives
-    assert belows == [81] * 3 + [3, 8, 12, 9, 24, 36, 27, 72, 81, 54, 81]
+    # the automatic start is not checked: the first residual at the target,
+    # then residuals and derivatives
+    assert belows == [81, 3, 8, 12, 9, 24, 36, 27, 72, 81, 54, 81]
 
 
 def test_ladder_keeps_the_precision_of_a_start_known_to_less_than_the_target():

@@ -625,16 +625,16 @@ def test_composed_embedding_stage_agrees_with_the_embedding_alone():
 
 def test_invariants_quad_monomial():
     P = _quad_place()
-    inv = place_invariants(P, ambient_trdeg=2)
-    assert (inv.rank, inv.rational_rank, inv.dim) == (1, 2, 0)
+    inv = place_invariants(P)
+    assert (inv.rank, inv.rational_rank, inv.dim, inv.ambient_trdeg) == (1, 2, 0, 2)
     assert inv.is_abhyankar and not inv.is_maximal_rank
     assert inv.value_group_fg and inv.residue_fg
 
 
 def test_invariants_composite_divisors_maximal_rank():
     P = _two_step()
-    inv = place_invariants(P, ambient_trdeg=2)
-    assert (inv.rank, inv.rational_rank, inv.dim) == (2, 2, 0)
+    inv = place_invariants(P)
+    assert (inv.rank, inv.rational_rank, inv.dim, inv.ambient_trdeg) == (2, 2, 0, 2)
     assert inv.is_abhyankar and inv.is_maximal_rank
 
 
@@ -643,93 +643,91 @@ def test_invariants_bad_value_group_stream():
     stream = bad_value_group(2, [3, 5, 7])
     x1 = t_pow(F2, QQ_GROUP, 1)
     P = SeriesEmbedPlace(F2, QQ_GROUP, (("x1", x1), ("x2", stream)))
-    inv = place_invariants(P, ambient_trdeg=2)
-    assert (inv.rank, inv.rational_rank, inv.dim) == (1, 1, 0)
+    inv = place_invariants(P)
+    assert (inv.rank, inv.rational_rank, inv.dim, inv.ambient_trdeg) == (1, 1, 0, 2)
     assert not inv.is_abhyankar
     assert not inv.value_group_fg
     assert inv.residue_fg
 
 
 def test_invariants_trivial_place():
-    P = TrivialPlace(("x", "y"), QQ)
-    inv = place_invariants(P, ambient_trdeg=2)
-    assert (inv.rank, inv.rational_rank, inv.dim) == (0, 0, 2)
-    assert inv.is_abhyankar
+    # the ambient degree is the place's own: one variable gives dim 1, not more
+    for names in (("x", "y"), ("x",)):
+        inv = place_invariants(TrivialPlace(names, GF(5)))
+        n = len(names)
+        assert (inv.rank, inv.rational_rank, inv.dim, inv.ambient_trdeg) == (0, 0, n, n)
+        assert inv.is_abhyankar
 
 
-def test_invariants_reject_overdeclared_dim():
-    P = SeriesEmbedPlace(QQ, ZZ_GROUP, (("x", t_pow(QQ, ZZ_GROUP, 1)),), residue_dim=5)
-    with pytest.raises(HypothesisError):
-        place_invariants(P, ambient_trdeg=2)
+def test_invariants_reject_a_group_larger_than_the_variables():
+    L3 = LexGroup(3)
+    P = SeriesEmbedPlace(QQ, L3, (("x", make_series(QQ, L3, [((1, 0, 0), 1)])),))
+    with pytest.raises(HypothesisError, match="trdeg >= dim \\+ rational rank: 1 < 0 \\+ 3"):
+        place_invariants(P)
 
 
 def _invariant_places():
     """One place of each kind, with its value group and its (rank, rational
-    rank, dim, value group f.g., residue field f.g.); dim None stands for the
-    ambient transcendence degree, the dim of a trivial place."""
+    rank, dim, ambient transcendence degree, value group f.g., residue field
+    f.g.)."""
     F4, L2, P2 = GF(2, 2), LexGroup(2), p_power_hull(2)
     y_stage = MonomialPlace(QQ, ZZ_GROUP, (("y2", ZZ_GROUP.elem(1)),), (("y3", "w3"),))
     w_stage = MonomialPlace(QQ, ZZ_GROUP, (("w3", ZZ_GROUP.elem(1)),))
     first = MonomialPlace(QQ, ZZ_GROUP, (("x1", ZZ_GROUP.elem(1)),), (("x2", "y2"), ("x3", "y3")))
     return {
-        "trivial": (TrivialPlace(("x", "y"), QQ), ZZ_GROUP, (0, 0, None, True, True)),
-        "eval at one point": (EvalPlace(QQ, (("x", QQ.elem(2)),)), ZZ_GROUP, (1, 1, 0, True, True)),
+        "trivial": (TrivialPlace(("x", "y"), QQ), ZZ_GROUP, (0, 0, 2, 2, True, True)),
+        "eval at one point": (
+            EvalPlace(QQ, (("x", QQ.elem(2)),)), ZZ_GROUP, (1, 1, 0, 1, True, True),
+        ),
         "eval at two points": (
-            EvalPlace(QQ, (("x", QQ.elem(2)), ("y", QQ.elem(0)))), L2, (2, 2, 0, True, True),
+            EvalPlace(QQ, (("x", QQ.elem(2)), ("y", QQ.elem(0)))), L2, (2, 2, 0, 2, True, True),
         ),
         "monomial lex": (
             MonomialPlace(QQ, L2, (("x", L2.elem((1, 0))), ("y", L2.elem((0, 1)))), (("w", "z"),)),
-            L2, (2, 2, 1, True, True),
+            L2, (2, 2, 1, 3, True, True),
         ),
-        "monomial quad": (_quad_place(), QUAD, (1, 2, 0, True, True)),
-        "monomial Z": (first, ZZ_GROUP, (1, 1, 2, True, True)),
+        "monomial quad": (_quad_place(), QUAD, (1, 2, 0, 2, True, True)),
+        "monomial Z": (first, ZZ_GROUP, (1, 1, 2, 3, True, True)),
         "embed ThetaDefect": (
             SeriesEmbedPlace(F2, P2, (("x", theta_defect(2)), ("y", t_pow(F2, P2, 1)))),
-            P2, (1, 1, 0, False, True),
+            P2, (1, 1, 0, 2, False, True),
         ),
         "embed FrobeniusRoot": (
-            SeriesEmbedPlace(F2, ZZ_GROUP, (("x", frobenius_root(2)),), residue_dim=1),
-            ZZ_GROUP, (1, 1, 1, True, True),
+            SeriesEmbedPlace(F2, ZZ_GROUP, (("x", frobenius_root(2)),)),
+            ZZ_GROUP, (1, 1, 0, 1, True, True),
         ),
         "embed BadResidue": (
             SeriesEmbedPlace(F4, ZZ_GROUP, (("x", bad_residue(2)),)),
-            ZZ_GROUP, (1, 1, 0, True, False),
+            ZZ_GROUP, (1, 1, 0, 1, True, False),
         ),
-        "compose two stages": (compose(first, y_stage), L2, (2, 2, 1, True, True)),
+        "compose two stages": (compose(first, y_stage), L2, (2, 2, 1, 3, True, True)),
         "compose three stages, left": (
             compose(compose(first, y_stage), TrivialPlace(("w3",), QQ)),
-            LexGroup(3), (2, 2, 1, True, True),
+            LexGroup(3), (2, 2, 1, 3, True, True),
         ),
         "compose three stages, right": (
-            compose(first, compose(y_stage, w_stage)), LexGroup(3), (3, 3, 0, True, True),
+            compose(first, compose(y_stage, w_stage)), LexGroup(3), (3, 3, 0, 3, True, True),
         ),
         "compose into an embedding": (
-            _frobenius_root_after_monomial(), L2, (2, 2, 0, True, True),
+            _frobenius_root_after_monomial(), L2, (2, 2, 0, 3, True, True),
         ),
     }
 
 
 @pytest.mark.parametrize("name", list(_invariant_places()))
 def test_invariants_and_value_group_of_every_place_kind(name):
-    P, group, (rank, rr, dim, vfg, rfg) = _invariant_places()[name]
+    P, group, (rank, rr, dim, ambient, vfg, rfg) = _invariant_places()[name]
     assert value_group(P) == group
-    for ambient in range(6):
-        d = ambient if dim is None else dim
-        if ambient < d + rr:
-            with pytest.raises(HypothesisError, match="trdeg >= dim \\+ rational rank"):
-                place_invariants(P, ambient)
-            continue
-        inv = place_invariants(P, ambient)
-        assert inv.to_json() == {
-            "rank": rank,
-            "rational_rank": rr,
-            "dim": d,
-            "is_abhyankar": ambient == d + rr,
-            "is_maximal_rank": rank == ambient,
-            "ambient_trdeg": ambient,
-            "value_group_fg": vfg,
-            "residue_fg": rfg,
-        }
+    assert place_invariants(P).to_json() == {
+        "rank": rank,
+        "rational_rank": rr,
+        "dim": dim,
+        "is_abhyankar": ambient == dim + rr,
+        "is_maximal_rank": rank == ambient,
+        "ambient_trdeg": ambient,
+        "value_group_fg": vfg,
+        "residue_fg": rfg,
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -153,15 +153,6 @@ def test_variable_mismatch_rejected():
         p + q
 
 
-def test_restrict_vars():
-    p = mpoly(("X",), {(2,): QQ.elem(1)})
-    q = p.restrict_vars(("X", "Y"))
-    assert q == mpoly(("X", "Y"), {(2, 0): QQ.elem(1)})
-    r = mpoly(("X", "Y"), {(1, 1): QQ.elem(1)})
-    with pytest.raises(UnsupportedError):
-        r.restrict_vars(("X",))
-
-
 def test_render():
     p = mpoly(("X", "Y"), {(2, 1): QQ.elem(3), (0, 0): QQ.elem(-1)})
     assert str(p) == "3*X^2*Y + -1"
