@@ -113,6 +113,12 @@ def _parse_gallery_precision(text: str):
     return int(q) if q.denominator == 1 else q
 
 
+# The largest R of perron --group lex:R.  Its postcondition takes a
+# determinant of the R x R transform in about R^4 steps: R = 64 answers in
+# 0.7 s, R = 300 took 94 s.  Tier-1, the goldens and the demos reach R = 4.
+_MAX_PERRON_RANK = 64
+
+
 def _parse_group_spec(spec: str):
     s = spec.strip().lower()
     if s == "q":
@@ -128,6 +134,8 @@ def _parse_group_spec(spec: str):
         except ValueError:
             raise ParamError(f"group argument must be an integer, got {arg!r}")
         if head == "lex":
+            if n > _MAX_PERRON_RANK:
+                raise ParamError(f"lex:{n} exceeds the perron rank budget of {_MAX_PERRON_RANK}")
             return LexGroup(n)
         if head == "one_over_m":
             return one_over_m(n)
@@ -157,7 +165,10 @@ def _standard_generators(group):
 
 def _cmd_eval(ns) -> int:
     with open(ns.place, "r", encoding="utf-8") as fh:
-        blob = json.load(fh)
+        try:
+            blob = json.load(fh)
+        except RecursionError:  # the decoder recurses once per nesting level
+            raise ParamError("malformed JSON: nested too deeply to decode") from None
     place = place_from_json(blob)
     rf = expr_to_ratfn(ns.expression, place_vars(place), base_field(place))
     v, r = place_value_residue(place, rf)

@@ -47,10 +47,6 @@ class WrongCaseError(ValuedFieldError):
 class NoResidueRootError(ValuedFieldError):
     """The reduced polynomial has no (simple) root in the residue field."""
 
-    def __init__(self, message: str, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
 
 class SingularPointError(ValuedFieldError):
     """The Jacobian criterion fails at the proposed center."""

@@ -6,9 +6,9 @@ x^n + sum c_i x^i the one minimizing the base-p integer sum c_i p^i (constant
 coefficient least significant).  The scan visits candidates in that order
 and decides each with Ben-Or's irreducibility test (Ben-Or, "Probabilistic
 algorithms in finite fields", FOCS 1981), which is deterministic and
-polynomial in n; a user-supplied modulus is checked by the same test.  Two
-runs always agree on the representation.  Elements are coefficient tuples of
-length n; for n = 1 the modulus is x and the arithmetic is plain mod-p.
+polynomial in n.  Two runs always agree on the representation.  Elements
+are coefficient tuples of length n; for n = 1 the modulus is x and the
+arithmetic is plain mod-p.
 
 The canonical generator of F_{p^n} is the class of x for n >= 2 and 1 for
 n = 1.  Frobenius, trace to the prime field, and inverse Frobenius (p-th
@@ -332,13 +332,14 @@ class FiniteField(FieldDesc):
         return f"F_{self.order}"
 
 
-_GF_CACHE: dict[tuple[int, int, tuple[int, ...] | None], FiniteField] = {}
+_GF_CACHE: dict[tuple[int, int], FiniteField] = {}
 
 
-def GF(p: int, n: int = 1, modulus: tuple[int, ...] | None = None) -> FiniteField:
-    """Construct F_{p^n}, validating (p prime, modulus monic irreducible);
-    n above _MAX_DEGREE raises ParamError before any irreducibility test."""
-    key = (p, n, modulus)
+def GF(p: int, n: int = 1) -> FiniteField:
+    """Construct F_{p^n} over the least irreducible modulus of degree n,
+    validating p prime; n above _MAX_DEGREE raises ParamError before any
+    irreducibility test."""
+    key = (p, n)
     if key in _GF_CACHE:
         return _GF_CACHE[key]
     if not _is_prime(p):
@@ -347,14 +348,7 @@ def GF(p: int, n: int = 1, modulus: tuple[int, ...] | None = None) -> FiniteFiel
         raise UnsupportedError("extension degree must be >= 1")
     if n > _MAX_DEGREE:
         raise ParamError(f"extension degree {n} is above the budget of {_MAX_DEGREE}")
-    if modulus is None:
-        modulus = _least_irreducible(p, n)
-    else:
-        modulus = tuple(int(c) % p for c in modulus)
-        if len(modulus) != n + 1 or modulus[-1] != 1:
-            raise UnsupportedError("modulus must be monic of degree n")
-        if not _is_irreducible(modulus, p):
-            raise UnsupportedError("modulus is reducible")
+    modulus = _least_irreducible(p, n)
     fld = FiniteField(p, n, modulus)
     _GF_CACHE[key] = fld
     return fld

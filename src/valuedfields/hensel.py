@@ -221,10 +221,7 @@ def _find_residue_root(coeffs) -> FieldElement:
         if _horner(residues, r).is_zero():
             if not _horner(deriv, r).is_zero():
                 return r
-    raise NoResidueRootError(
-        "residue polynomial has no simple root in the residue field",
-        witness=[str(c) for c in residues],
-    )
+    raise NoResidueRootError("residue polynomial has no simple root in the residue field")
 
 
 # ---------------------------------------------------------------------------

@@ -602,9 +602,8 @@ def _invariants(P: PlaceDesc) -> tuple[int, int, int, bool, bool]:
 
 
 def place_invariants(P: PlaceDesc) -> PlaceInvariants:
-    """Rank, rational rank and dim of P on the rational function field in
-    place_vars(P), whose transcendence degree is the number of those
-    variables, checked against Abhyankar's inequality rr + dim <= trdeg."""
+    """The invariants of P on the rational function field in place_vars(P),
+    checked against Abhyankar's inequality rr + dim <= trdeg."""
     ambient_trdeg = len(place_vars(P))
     rank, rr, dim, vfg, rfg = _invariants(P)
     if ambient_trdeg < dim + rr:
@@ -830,6 +829,12 @@ def _elem_from_json(group: GroupDesc, text, where) -> GroupElem:
     return parse_elem(group, text)
 
 
+# The most stages a place file may compose.  Tier-1, the goldens and the demos
+# reach 3; building and evaluating a composition recurse through its stages,
+# and 600 of them (64 kB of JSON) exhausted the interpreter's stack.
+_MAX_COMPOSE_STAGES = 16
+
+
 def place_to_json(P: PlaceDesc) -> dict:
     if isinstance(P, TrivialPlace):
         return {"variant": "trivial", "field": _field_to_json(P.field), "vars": list(P.vars)}
@@ -900,6 +905,16 @@ def place_from_json(blob) -> PlaceDesc:
             ),
         )
     if variant == "compose":
+        # count the stages without recursion, stopping past the budget
+        stages, todo = 0, [blob]
+        while todo and stages + len(todo) <= _MAX_COMPOSE_STAGES:
+            b = todo.pop()
+            if isinstance(b, dict) and b.get("variant") == "compose":
+                todo += [b.get("first"), b.get("second")]
+            else:
+                stages += 1
+        if todo:
+            raise ParamError(f"place composes more than {_MAX_COMPOSE_STAGES} stages, the budget")
         return compose(
             place_from_json(_get(blob, "first", dict, "place")),
             place_from_json(_get(blob, "second", dict, "place")),

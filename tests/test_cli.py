@@ -168,6 +168,35 @@ def test_eval_composed_place_refines_the_inner_embedding(capsys, tmp_path):
     assert (code, out, err) == (0, "v = (0,20), residue = 0\n", "")
 
 
+def _trivial_chain(stages):
+    """x1 -> 1 with residue x2 -> z, then the trivial place on z stages - 1
+    times, nested to the left."""
+    blob = {"variant": "monomial", "field": {"kind": "Q"}, "group": {"kind": "one_over_m", "m": 1},
+            "values": [["x1", "1"]], "residues": [["x2", "z"]]}
+    for _ in range(stages - 1):
+        blob = {"variant": "compose", "first": blob,
+                "second": {"variant": "trivial", "field": {"kind": "Q"}, "vars": ["z"]}}
+    return json.dumps(blob)
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("[" * 100_000, (2, "", "error: malformed JSON: nested too deeply to decode\n")),
+        (_trivial_chain(600), (2, "", "error: place composes more than 16 stages, the budget\n")),
+        (_trivial_chain(17), (2, "", "error: place composes more than 16 stages, the budget\n")),
+        (_trivial_chain(16), (0, "v = (1" + ",0" * 15 + "), residue = 0\n", "")),
+    ],
+    ids=["deep JSON", "600 stages", "17 stages", "16 stages"],
+)
+def test_eval_deeply_nested_place_files(capsys, tmp_path, text, expected):
+    path = tmp_path / "deep.json"
+    path.write_text(text, encoding="utf-8")
+    start = time.perf_counter()
+    assert run(capsys, ["eval", "--place", str(path), "x1*x2"]) == expected
+    assert time.perf_counter() - start < 1
+
+
 def test_lift_frobenius_root_text(capsys):
     code, out, _ = run(capsys, ["lift", "--p", "2", "--precision", "16", "--", "-t", "-1", "1"])
     assert code == 0
@@ -284,6 +313,20 @@ def test_perron_lex_unit_vectors(capsys):
     assert blob["targets"] == ["(1,3)"]
     for row in blob["coefficients"]:
         assert all(n >= 0 for n in row)
+
+
+@pytest.mark.parametrize("rank", [64, 65])
+def test_perron_lex_rank_at_and_above_the_budget(capsys, rank):
+    target = "(" + ",".join(["1"] + ["0"] * (rank - 1)) + ")"
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["perron", "--group", f"lex:{rank}", target])
+    assert time.perf_counter() - start < 1
+    if rank == 64:
+        assert (code, err) == (0, "")
+        assert out.startswith("basis: g1 = " + target)
+    else:
+        assert (code, out) == (2, "")
+        assert err == "error: lex:65 exceeds the perron rank budget of 64\n"
 
 
 def test_perron_negative_target_exits_2(capsys):

@@ -652,9 +652,8 @@ def test_residue_root_matches_enumeration(p):
         coeffs = [_const(field, c) for c in ints]
         expect = _enumerated_root(field, ints)
         if expect is None:
-            with pytest.raises(NoResidueRootError) as info:
+            with pytest.raises(NoResidueRootError, match="^residue polynomial has no simple root"):
                 _find_residue_root(coeffs)
-            assert info.value.witness == [str(field.elem(c)) for c in ints]
         else:
             assert _find_residue_root(coeffs) == expect, ints
         outcomes.add(expect is None)
