@@ -62,6 +62,22 @@ CASES = {
     "eval_compose_residue": [
         "eval", "--place", "compose_monomial.json", "(x1*x2*x3^2 + x1^2)/(x1*x2 + 2*x1*x2*x3)",
     ],
+    # the same two stages and then the trivial place on u, nested right and left
+    "eval_compose3_right_residue": [
+        "eval", "--place", "compose3_right.json", "(x1*x2*x3^2 + x1^2)/(x1*x2 + 2*x1*x2*x3)",
+    ],
+    "eval_compose3_right_residue_json": [
+        "eval", "--place", "compose3_right.json", "--json", "(x1*x2*x3^2 + x1^2)/(x1*x2 + 2*x1*x2*x3)",
+    ],
+    "eval_compose3_right_value": [
+        "eval", "--place", "compose3_right.json", "x1^2*x2*x3 + x1^2*x2^2 + x1^3",
+    ],
+    "eval_compose3_left_residue": [
+        "eval", "--place", "compose3_left.json", "(x1*x2*x3^2 + x1^2)/(x1*x2 + 2*x1*x2*x3)",
+    ],
+    "eval_compose3_left_residue_json": [
+        "eval", "--place", "compose3_left.json", "--json", "(x1*x2*x3^2 + x1^2)/(x1*x2 + 2*x1*x2*x3)",
+    ],
     "eval_trivial_gf5": ["eval", "--place", "trivial_gf5.json", "(x1^2 + 3)/(x2 + 4*x1)"],
     "eval_trivial_gf5_json": ["eval", "--place", "trivial_gf5.json", "--json", "x1^5*x2 - 7"],
     "lift": ["lift", "--p", "2", "--precision", "16", "--", "-t", "-1", "1"],
