@@ -17,11 +17,13 @@ A place is described declaratively and evaluated exactly:
   polynomial, numerator, denominator or that of an inner stage, expands the
   streams of the variables it contains round by round until its own value
   is decided.
-* ``ComposePlace``   -- place on the residue field applied after a first
-  place; values are lexicographic tuples with the first stage dominant.
+* ``ComposePlace``   -- a flat tuple of stages, each a place on the residue
+  field of the stage before it; values are lexicographic tuples with earlier
+  stages dominant.
 
 Composite values are flattened to integer lex tuples, so every stage of a
-composition must have an integer-coordinate value group.
+composition must have an integer-coordinate value group, and all its stages
+lie over one field.  ``compose`` concatenates stages, so it is associative.
 """
 
 from __future__ import annotations
@@ -168,22 +170,30 @@ class SeriesEmbedPlace:
 
 @dataclass(frozen=True)
 class ComposePlace:
-    """Place second on the residue field of first, applied after it: first
-    must have residue indeterminates, second must act on exactly those, and
-    both must have integer-coordinate value groups."""
+    """Two or more places applied in turn, none itself a composition: each
+    stage but the last must have residue indeterminates, the next stage must
+    act on exactly those and lie over the same field, and every stage must
+    have an integer-coordinate value group."""
 
-    first: "PlaceDesc"
-    second: "PlaceDesc"
+    stages: tuple["PlaceDesc", ...]
 
     def __post_init__(self):
-        inner = residue_vars(self.first)
-        if not inner:
-            raise UnsupportedError("the first place has a trivial residue field description")
-        if set(inner) != set(place_vars(self.second)):
-            raise ParamError(
-                f"second place acts on {place_vars(self.second)}, residue field has {inner}"
-            )
-        _depth(self)  # reject stages whose values do not flatten to integers
+        if len(self.stages) < 2 or any(isinstance(s, ComposePlace) for s in self.stages):
+            raise ParamError("a composition needs two or more stages, none itself a composition")
+        for earlier, later in zip(self.stages, self.stages[1:]):
+            inner = residue_vars(earlier)
+            if not inner:
+                raise UnsupportedError("the first place has a trivial residue field description")
+            if set(inner) != set(place_vars(later)):
+                raise ParamError(
+                    f"second place acts on {place_vars(later)}, residue field has {inner}"
+                )
+            if later.field != earlier.field:
+                raise FieldMismatchError(
+                    f"a stage over {later.field} follows one over {earlier.field}"
+                )
+        for stage in self.stages:
+            _width(stage)  # reject stages whose values do not flatten to integers
 
 
 PlaceDesc = TrivialPlace | EvalPlace | MonomialPlace | SeriesEmbedPlace | ComposePlace
@@ -234,7 +244,7 @@ def place_vars(P: PlaceDesc) -> tuple[str, ...]:
         return tuple(v for v, _ in P.assignments)
     if isinstance(P, MonomialPlace):
         return tuple(v for v, _ in P.values) + tuple(v for v, _ in P.residues)
-    return place_vars(P.first)
+    return place_vars(P.stages[0])
 
 
 def residue_vars(P: PlaceDesc) -> tuple[str, ...]:
@@ -245,14 +255,12 @@ def residue_vars(P: PlaceDesc) -> tuple[str, ...]:
     if isinstance(P, MonomialPlace):
         return tuple(z for _, z in P.residues)
     if isinstance(P, ComposePlace):
-        return residue_vars(P.second)
+        return residue_vars(P.stages[-1])
     return ()
 
 
 def base_field(P: PlaceDesc) -> FieldDesc:
-    if isinstance(P, ComposePlace):
-        return base_field(P.first)
-    return P.field
+    return P.stages[0].field if isinstance(P, ComposePlace) else P.field
 
 
 def value_group(P: PlaceDesc) -> GroupDesc:
@@ -263,26 +271,17 @@ def value_group(P: PlaceDesc) -> GroupDesc:
         return ZZ_GROUP if n == 1 else LexGroup(n)
     if isinstance(P, (MonomialPlace, SeriesEmbedPlace)):
         return P.group
-    return LexGroup(_depth(P.first) + _depth(P.second))
+    return LexGroup(sum(_width(stage) for stage in P.stages))
 
 
-def _depth(P: PlaceDesc) -> int:
-    """Number of lex coordinates the place contributes inside a composition."""
-    group = value_group(P)
+def _width(stage: PlaceDesc) -> int:
+    """Number of lex coordinates a stage contributes to a composite value."""
+    group = value_group(stage)
     if group == ZZ_GROUP:
         return 1
     if isinstance(group, LexGroup):
         return group.r
     raise UnsupportedError(f"{group} has non-integer coordinates; it cannot join a composition")
-
-
-def _flatten(g: GroupElem) -> tuple[int, ...]:
-    out = []
-    for q in g.coords():
-        if q.denominator != 1:
-            raise UnsupportedError(f"non-integer coordinate {q} in a composite value")
-        out.append(int(q))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -355,15 +354,17 @@ def _lead(P: PlaceDesc, g: MPoly):
         return _monomial_lead(P, g)
     if isinstance(P, SeriesEmbedPlace):
         return _embed_lead(P, g)
-    # the first stage has residue indeterminates, so its leading data is a polynomial
-    v1, lead1 = _lead(P.first, g)
-    v2, lead2 = _lead(P.second, lead1)
-    if isinstance(P.second, SeriesEmbedPlace):
-        if not v2.is_exact:
-            raise PrecisionError(f"value of an inner stage undecidable: {v2}")
-        v2 = v2.value
-    coords = _flatten(v1) + _flatten(v2)
-    return LexGroup(len(coords)).elem(coords), lead2
+    # each stage but the last has residue indeterminates, so the leading data
+    # it passes on is a polynomial; no stage is a composition
+    coords, lead = [], g
+    for stage in P.stages:
+        v, lead = _lead(stage, lead)
+        if isinstance(stage, SeriesEmbedPlace):
+            if not v.is_exact:
+                raise PrecisionError(f"value of an inner stage undecidable: {v}")
+            v = v.value
+        coords += map(int, v.coords())  # _width admitted only integer groups
+    return LexGroup(len(coords)).elem(coords), lead
 
 
 def _eval_lead(P: EvalPlace, g: MPoly):
@@ -452,22 +453,13 @@ def _embed_lead(P: SeriesEmbedPlace, g: MPoly):
 # public evaluation
 
 
-def _as_ratfn(f: RatFn | MPoly, field: FieldDesc) -> RatFn:
+def _nonzero_ratfn(P: PlaceDesc, f: RatFn | MPoly, zero_message: str) -> RatFn:
     if isinstance(f, MPoly):
-        return RatFn.from_poly(f, field)
-    return f
-
-
-def _check_covered(P: PlaceDesc, f: RatFn):
+        f = RatFn.from_poly(f, base_field(P))
     covered = set(place_vars(P))
     for name in f.num.vars:
         if name not in covered:
             raise ParamError(f"variable {name} is not covered by the place")
-
-
-def _nonzero_ratfn(P: PlaceDesc, f: RatFn | MPoly, zero_message: str) -> RatFn:
-    f = _as_ratfn(f, base_field(P))
-    _check_covered(P, f)
     if not f.num.terms:
         raise ParamError(zero_message)
     return f
@@ -539,9 +531,12 @@ def _leading_ratio(lead_num, lead_den):
 
 
 def compose(Q: PlaceDesc, Qbar: PlaceDesc) -> PlaceDesc:
-    """Place Qbar on the residue field of Q, applied after Q; values are lex
-    pairs with Q dominant."""
-    return ComposePlace(Q, Qbar)
+    """Place Qbar on the residue field of Q, applied after Q: the stages of
+    both concatenated, a place that is not a composition being one stage, so
+    compose is associative.  Each call checks every adjacent pair again and
+    costs O(stages); build a long chain with one ComposePlace call."""
+    stages = [P.stages if isinstance(P, ComposePlace) else (P,) for P in (Q, Qbar)]
+    return ComposePlace(stages[0] + stages[1])
 
 
 # ---------------------------------------------------------------------------
@@ -558,18 +553,6 @@ class PlaceInvariants:
     ambient_trdeg: int
     value_group_fg: bool = True
     residue_fg: bool = True
-
-    def to_json(self):
-        return {
-            "rank": self.rank,
-            "rational_rank": self.rational_rank,
-            "dim": self.dim,
-            "is_abhyankar": self.is_abhyankar,
-            "is_maximal_rank": self.is_maximal_rank,
-            "ambient_trdeg": self.ambient_trdeg,
-            "value_group_fg": self.value_group_fg,
-            "residue_fg": self.residue_fg,
-        }
 
 
 def _invariants(P: PlaceDesc) -> tuple[int, int, int, bool, bool]:
@@ -596,9 +579,8 @@ def _invariants(P: PlaceDesc) -> tuple[int, int, int, bool, bool]:
             all(m.value_group_fg for m in metas),
             all(m.residue_fg for m in metas),
         )
-    r1, rr1, _, v1, f1 = _invariants(P.first)
-    r2, rr2, dim, v2, f2 = _invariants(P.second)
-    return r1 + r2, rr1 + rr2, dim, v1 and v2, f1 and f2
+    ranks, rrs, dims, vfgs, rfgs = zip(*map(_invariants, P.stages))
+    return sum(ranks), sum(rrs), dims[-1], all(vfgs), all(rfgs)
 
 
 def place_invariants(P: PlaceDesc) -> PlaceInvariants:
@@ -830,8 +812,9 @@ def _elem_from_json(group: GroupDesc, text, where) -> GroupElem:
 
 
 # The most stages a place file may compose.  Tier-1, the goldens and the demos
-# reach 3; building and evaluating a composition recurse through its stages,
-# and 600 of them (64 kB of JSON) exhausted the interpreter's stack.
+# reach 3.  Building and evaluating a composition loop over its stages, but the
+# file form nests one level per stage, and the JSON decoder and encoder recurse
+# per level; the budget keeps every file far below their depth limits.
 _MAX_COMPOSE_STAGES = 16
 
 
@@ -859,11 +842,11 @@ def place_to_json(P: PlaceDesc) -> dict:
             "group": _group_to_json(P.group),
             "assignments": [[v, _assignment_to_json(s)] for v, s in P.assignments],
         }
-    return {
-        "variant": "compose",
-        "first": place_to_json(P.first),
-        "second": place_to_json(P.second),
-    }
+    # nested to the right, folded from the last stage
+    blob = place_to_json(P.stages[-1])
+    for stage in reversed(P.stages[:-1]):
+        blob = {"variant": "compose", "first": place_to_json(stage), "second": blob}
+    return blob
 
 
 def place_from_json(blob) -> PlaceDesc:
@@ -905,18 +888,18 @@ def place_from_json(blob) -> PlaceDesc:
             ),
         )
     if variant == "compose":
-        # count the stages without recursion, stopping past the budget
-        stages, todo = 0, [blob]
-        while todo and stages + len(todo) <= _MAX_COMPOSE_STAGES:
+        # the stages in order, whatever the nesting, read with a stack and
+        # stopping past the budget
+        stages, todo = [], [blob]
+        while todo:
+            if len(stages) + len(todo) > _MAX_COMPOSE_STAGES:
+                raise ParamError(
+                    f"place composes more than {_MAX_COMPOSE_STAGES} stages, the budget"
+                )
             b = todo.pop()
-            if isinstance(b, dict) and b.get("variant") == "compose":
-                todo += [b.get("first"), b.get("second")]
+            if _get(b, "variant", str, "place") == "compose":
+                todo += [_get(b, "second", dict, "place"), _get(b, "first", dict, "place")]
             else:
-                stages += 1
-        if todo:
-            raise ParamError(f"place composes more than {_MAX_COMPOSE_STAGES} stages, the budget")
-        return compose(
-            place_from_json(_get(blob, "first", dict, "place")),
-            place_from_json(_get(blob, "second", dict, "place")),
-        )
+                stages.append(place_from_json(b))
+        return ComposePlace(tuple(stages))
     raise ParamError(f"unknown place variant {variant!r}")

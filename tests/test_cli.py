@@ -168,6 +168,30 @@ def test_eval_composed_place_refines_the_inner_embedding(capsys, tmp_path):
     assert (code, out, err) == (0, "v = (0,20), residue = 0\n", "")
 
 
+def _monomial_stage(field, valued, residues):
+    return {"variant": "monomial", "field": field, "group": {"kind": "one_over_m", "m": 1},
+            "values": [[valued, "1"]], "residues": residues}
+
+
+@pytest.mark.parametrize(
+    "first, second, message",
+    [
+        (_monomial_stage({"kind": "Q"}, "x1", [["x2", "z"]]),
+         _monomial_stage({"kind": "GF", "p": 5}, "z", []), "a stage over F_5 follows one over Q"),
+        (_monomial_stage({"kind": "GF", "p": 5}, "x1", [["x2", "z"]]),
+         {"variant": "trivial", "field": {"kind": "Q"}, "vars": ["z"]},
+         "a stage over Q follows one over F_5"),
+    ],
+    ids=["Q then F_5", "F_5 then Q"],
+)
+def test_eval_refuses_stages_over_different_fields(capsys, tmp_path, first, second, message):
+    # over F_5 the value of x2 + 5 is (0,1); the second field was once ignored
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps({"variant": "compose", "first": first, "second": second}),
+                    encoding="utf-8")
+    assert run(capsys, ["eval", "--place", str(path), "x2+5"]) == (2, "", f"error: {message}\n")
+
+
 def _trivial_chain(stages):
     """x1 -> 1 with residue x2 -> z, then the trivial place on z stages - 1
     times, nested to the left."""

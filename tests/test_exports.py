@@ -22,6 +22,10 @@ ALLOWED = {
     "hensel.implicit_solve": "the implicit function theorem of henselian fields",
     "hensel.make_system": "builds the systems newton_system and implicit_solve take",
     "places.place_invariants": "ROADMAP item 9's uniformize command prints it",
+    "places.place_to_json": (
+        "README names it as the producer of the place-file schema, and the round-trip"
+        " tests pin place_from_json against it"
+    ),
 }
 
 
@@ -31,17 +35,27 @@ def _modules():
 
 def _referenced_outside_tests() -> set[str]:
     """Every name read, read as an attribute, or imported (with or without
-    an alias) by the code in src, bench and demos."""
+    an alias) by the code in src, bench and demos, except inside the body of
+    a definition of the same name: a routine calling itself is no caller."""
     used = set()
     for folder in ("src", "bench", "demos"):
         for path in (REPO / folder).rglob("*.py"):
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            todo = [(ast.parse(path.read_text(encoding="utf-8")), frozenset())]
+            while todo:
+                node, enclosing = todo.pop()
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    enclosing = enclosing | {node.name}
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                    used.add(node.id)
+                    name = node.id
                 elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                    used.add(node.attr)
+                    name = node.attr
                 elif isinstance(node, ast.alias):
-                    used.add(node.name)
+                    name = node.name
+                else:
+                    name = None
+                if name is not None and name not in enclosing:
+                    used.add(name)
+                todo += [(child, enclosing) for child in ast.iter_child_nodes(node)]
     return used
 
 

@@ -1,12 +1,16 @@
 import copy
+import json
 import pickle
 import random
 import re
+from dataclasses import asdict
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from valuedfields.errors import (
+    FieldMismatchError,
     HypothesisError,
     ParamError,
     PoleError,
@@ -42,6 +46,7 @@ from valuedfields.polys import MPoly, RatFn, const_poly, mpoly
 from valuedfields.series import (
     POLE,
     ValuationKind,
+    ValuationResult,
     bad_residue,
     bad_value_group,
     frobenius_root,
@@ -425,7 +430,7 @@ def test_direct_compose_place_raises_what_compose_raises():
         with pytest.raises(ValuedFieldError) as via_compose:
             compose(Q, Qbar)
         with pytest.raises(type(via_compose.value), match=re.escape(str(via_compose.value))):
-            ComposePlace(Q, Qbar)
+            ComposePlace((Q, Qbar))
 
 
 def test_eval_agrees_with_composed_coordinate_places():
@@ -454,6 +459,7 @@ def test_compose_associativity_on_random_functions():
     Qbb = MonomialPlace(QQ, ZZ_GROUP, (("w3", ZZ_GROUP.elem(1)),))
     left = compose(compose(Q, Qb), Qbb)
     right = compose(Q, compose(Qb, Qbb))
+    assert left == right
     assert value_group(left) == value_group(right) == LexGroup(3)
 
     def rand_poly():
@@ -472,6 +478,190 @@ def test_compose_associativity_on_random_functions():
             assert rl is rr
         else:
             assert rl == rr
+
+
+def _random_stage(rng, field, names, i, last):
+    """Stage i, acting on names: monomial or trivial, with residue
+    indeterminates unless it is the last; a last stage may also be an
+    evaluation or an embedding into F((t)) by polynomials in t."""
+    kinds = ["trivial"] + (["monomial"] if last or len(names) > 1 else [])
+    kinds += ["eval", "embed"] if last else []
+    kind = rng.choice(kinds)
+    if kind == "trivial":
+        return TrivialPlace(names, field)
+    if kind == "eval":
+        return EvalPlace(field, tuple((v, field.elem(rng.randint(-2, 2))) for v in names))
+    if kind == "embed":
+        return SeriesEmbedPlace(field, ZZ_GROUP, tuple(
+            (v, make_series(field, ZZ_GROUP, [(rng.randint(0, 2), rng.randint(1, 3))
+                                               for _ in range(rng.randint(1, 2))]))
+            for v in names
+        ))
+    k = rng.randint(1, len(names) if last else len(names) - 1)
+    valued = rng.sample(names, k)
+    group = ZZ_GROUP if k == 1 else LexGroup(k)
+    values = tuple(
+        (v, group.elem(rng.randint(1, 3)) if k == 1
+         else group.elem(tuple(rng.randint(1, 3) if j == axis else 0 for j in range(k))))
+        for axis, v in enumerate(valued)
+    )
+    residues = tuple((v, f"z{i}{v}") for v in names if v not in valued)
+    return MonomialPlace(field, group, values, residues)
+
+
+def _random_stages(rng, field, names, n):
+    stages = []
+    for i in range(n):
+        stages.append(_random_stage(rng, field, names, i, i == n - 1))
+        names = places.residue_vars(stages[-1])
+    return tuple(stages)
+
+
+def _bracketings(stages):
+    """Every binary tree with the stages as leaves, in order: a tree is a
+    stage or a (first, second) pair of trees."""
+    if len(stages) == 1:
+        return [stages[0]]
+    return [
+        (a, b)
+        for i in range(1, len(stages))
+        for a in _bracketings(stages[:i])
+        for b in _bracketings(stages[i:])
+    ]
+
+
+def _tree_lead(tree, g):
+    """Leading data of g at a composition nested as a binary tree, computed
+    the way nested compositions were: the first subtree's, then the second
+    subtree's on the first one's leading polynomial."""
+    if not isinstance(tree, tuple):
+        return places._lead(tree, g)
+    v1, lead1 = _tree_lead(tree[0], g)
+    v2, lead2 = _tree_lead(tree[1], lead1)
+    if isinstance(tree[1], SeriesEmbedPlace):
+        if not v2.is_exact:
+            raise PrecisionError(f"value of an inner stage undecidable: {v2}")
+        v2 = v2.value
+    coords = tuple(int(q) for q in v1.coords() + v2.coords())
+    return LexGroup(len(coords)).elem(coords), lead2
+
+
+def _tree_value_residue(tree, f):
+    (v_num, lead_num), (v_den, lead_den) = _tree_lead(tree, f.num), _tree_lead(tree, f.den)
+    v = v_num - v_den
+    s = v.sign()
+    residue = ZERO if s > 0 else POLE if s < 0 else places._leading_ratio(lead_num, lead_den)
+    return ValuationResult.exact(v), residue
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValuedFieldError as exc:
+        return type(exc), str(exc)
+
+
+def test_flat_compositions_match_nested_evaluation():
+    rng = random.Random(260)
+    names = ("x1", "x2", "x3", "x4")
+    errors = 0
+    for trial in range(240):
+        field = rng.choice([QQ, GF(2), GF(3), GF(5)])
+        stages = _random_stages(rng, field, names, rng.choice([3, 4]))
+        P = ComposePlace(stages)
+        trees = _bracketings(stages)
+
+        def build(tree):
+            return compose(build(tree[0]), build(tree[1])) if isinstance(tree, tuple) else tree
+
+        for tree in trees:
+            assert build(tree) == P
+        assert value_group(P) == LexGroup(sum(places._width(s) for s in stages))
+        tree = rng.choice(trees)
+        top = 4 if field == QQ else field.p - 1  # coefficients nonzero in the field
+        for _ in range(3):
+            f = RatFn.make(*(
+                MPoly.make(names, {tuple(rng.randint(0, 2) for _ in names): field.elem(rng.randint(1, top))
+                                   for _ in range(rng.randint(1, 3))})
+                for _ in range(2)
+            ))
+            got = _outcome(place_value_residue, P, f)
+            assert got == _outcome(_tree_value_residue, tree, f)
+            errors += isinstance(got[0], type)
+    assert 0 < errors < 240
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_eval_at_the_origin_is_the_composition_of_coordinate_stages(n):
+    rng = random.Random(56 + n)
+    names = tuple(f"x{i}" for i in range(1, n + 1))
+    P_eval = EvalPlace(QQ, tuple((v, QQ.elem(0)) for v in names))
+    stages, acting = [], names
+    for i in range(n):  # x1 -> 1, then the residue of x2 -> 1, and so on
+        residues = tuple((v, f"y{i}{v}") for v in acting[1:])
+        stages.append(MonomialPlace(QQ, ZZ_GROUP, ((acting[0], ZZ_GROUP.elem(1)),), residues))
+        acting = tuple(z for _, z in residues)
+    P_comp = ComposePlace(tuple(stages))
+
+    def rand_poly():
+        return MPoly.make(names, {tuple(rng.randint(0, 2) for _ in names): QQ.elem(rng.randint(-5, 5))
+                                  for _ in range(rng.randint(1, 4))})
+
+    checked = 0
+    for _ in range(60):
+        num, den = rand_poly(), rand_poly()
+        if not num.terms or not den.terms:
+            continue
+        f = RatFn.make(num, den)
+        (ve, re_), (vc, rc) = place_value_residue(P_eval, f), place_value_residue(P_comp, f)
+        assert ve.value.coords() == vc.value.coords()
+        assert re_ is rc if re_ in (ZERO, POLE) else re_ == rc
+        checked += 1
+    assert checked > 40
+
+
+def test_left_and_right_nested_place_files_read_to_one_place():
+    folder = Path(__file__).parent / "golden" / "places"
+    left, right = (
+        json.loads((folder / f"compose3_{side}.json").read_text(encoding="utf-8"))
+        for side in ("left", "right")
+    )
+    P = place_from_json(left)
+    assert P == place_from_json(right)
+    assert len(P.stages) == 3
+    assert place_to_json(P) == right  # written nested to the right
+
+
+def test_ten_thousand_stages_build_and_evaluate_without_recursion():
+    first = MonomialPlace(QQ, ZZ_GROUP, (("x1", ZZ_GROUP.elem(1)),), (("x2", "z"),))
+    P = ComposePlace((first,) + (TrivialPlace(("z",), QQ),) * 9_999)
+    assert value_group(P) == LexGroup(10_000)
+    v, r = place_value_residue(P, _poly(("x1", "x2"), {(1, 1): 3}))
+    assert v.value.coords() == (1,) + (0,) * 9_999 and r is ZERO
+    assert place_invariants(P).rank == 1
+
+
+def test_compose_place_needs_two_or_more_flat_stages():
+    P = _two_step()
+    message = "a composition needs two or more stages, none itself a composition"
+    for stages in ((), P.stages[:1], (P.stages[0], P), (P, P.stages[1])):
+        with pytest.raises(ParamError, match=message):
+            ComposePlace(stages)
+
+
+def test_compose_refuses_stages_over_different_fields():
+    F5 = GF(5)
+    q_first = MonomialPlace(QQ, ZZ_GROUP, (("x1", ZZ_GROUP.elem(1)),), (("x2", "z"),))
+    f5_first = MonomialPlace(F5, ZZ_GROUP, (("x1", ZZ_GROUP.elem(1)),), (("x2", "z"),))
+    refused = [
+        (q_first, MonomialPlace(F5, ZZ_GROUP, (("z", ZZ_GROUP.elem(1)),)), "F_5 follows one over Q"),
+        (q_first, EvalPlace(F5, (("z", F5.elem(0)),)), "F_5 follows one over Q"),
+        (f5_first, TrivialPlace(("z",), QQ), "Q follows one over F_5"),
+    ]
+    for Q, Qbar, message in refused:
+        for build in (compose, lambda a, b: ComposePlace((a, b))):
+            with pytest.raises(FieldMismatchError, match=message):
+                build(Q, Qbar)
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +797,7 @@ def test_composed_embedding_stage_agrees_with_the_embedding_alone():
             e = rng.choice([5, 12, 20, 40, 70, None])
             if e:
                 g = g + _poly(names, {(0, 0, e): 1}, F2)
-        v1, lead = places._lead(P.first, g)
+        v1, lead = places._lead(P.stages[0], g)
         w = place_value(embed, lead)
         if w.is_exact:
             assert str(place_value(P, g)) == f"({v1},{w})"
@@ -718,7 +908,7 @@ def _invariant_places():
 def test_invariants_and_value_group_of_every_place_kind(name):
     P, group, (rank, rr, dim, ambient, vfg, rfg) = _invariant_places()[name]
     assert value_group(P) == group
-    assert place_invariants(P).to_json() == {
+    assert asdict(place_invariants(P)) == {
         "rank": rank,
         "rational_rank": rr,
         "dim": dim,
