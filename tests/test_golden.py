@@ -52,6 +52,18 @@ CASES = {
     "eval_frobenius_root_undecided_den": [
         "eval", "--place", "frobenius_root_embed.json", "x1/(x2 + x1^2 + x1 + x2^70)",
     ],
+    # x1 -> 1 + t and x2 -> t^(1/2), both exact: a value read off a binomial
+    # power, one lifted to value 0 by the one-term x2, and a kernel element
+    "eval_exact_binomial_v1": ["eval", "--place", "exact_binomial.json", "x1^200 - 1"],
+    "eval_exact_binomial_residue": ["eval", "--place", "exact_binomial.json", "(x1^200 - 1)/x2^2"],
+    "eval_exact_binomial_kernel": ["eval", "--place", "exact_binomial.json", "x1 - 1 - x2^2"],
+    "eval_exact_binomial_json": ["eval", "--place", "exact_binomial.json", "--json", "(x1^60 - 1)/x2^2"],
+    # the FrobeniusRoot place with x3 -> 1 + t exact beside the stream: a bound
+    # the stream rounds leave undecided, and a value decided in the first round
+    "eval_frobenius_root_mixed_undecided": [
+        "eval", "--place", "frobenius_root_mixed.json", "x3*(x1^2-x1-x2)",
+    ],
+    "eval_frobenius_root_mixed_v3": ["eval", "--place", "frobenius_root_mixed.json", "x1*x3 - x2"],
     # residues that are polynomials and quotients in the residue indeterminates z, w
     "eval_monomial_residue_poly": ["eval", "--place", "monomial_residues.json", "(x1*x2 + x1^2)/x1"],
     "eval_monomial_residue_ratfn": [
