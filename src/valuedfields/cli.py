@@ -81,7 +81,19 @@ def _param_text(value) -> str:
 
 
 def _render_residue(r) -> str:
-    return "0" if r is ZERO else str(r)
+    return "0" if r is ZERO else _text(r)
+
+
+def _text(x) -> str:
+    """str(x), or ParamError where x holds an integer longer than CPython
+    converts to a string."""
+    try:
+        return str(x)
+    except ValueError:
+        raise ParamError(
+            f"the result has an integer of more than {sys.get_int_max_str_digits()} digits, "
+            "the most that print"
+        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -172,10 +184,11 @@ def _cmd_eval(ns) -> int:
     place = place_from_json(blob)
     rf = expr_to_ratfn(ns.expression, place_vars(place), base_field(place))
     v, r = place_value_residue(place, rf)
+    v, r = _text(v), _render_residue(r)
     if ns.json:
-        print(json.dumps({"v": str(v), "residue": _render_residue(r)}, sort_keys=True))
+        print(json.dumps({"v": v, "residue": r}, sort_keys=True))
     else:
-        print(f"v = {v}, residue = {_render_residue(r)}")
+        print(f"v = {v}, residue = {r}")
     return 0
 
 

@@ -194,6 +194,14 @@ def _digits(m: int, p: int, n: int) -> tuple[int, ...]:
 _MAX_DEGREE = 800
 _MAX_SCAN_WORK = 18_000_000
 
+# Budget of a rational power q^k in bits, ParamError beyond: |k| times the
+# bit length of q's numerator or denominator, whichever is longer, bounds
+# the bits of the result, so the check runs before the power is formed; 0
+# and +-1 are exempt.  Tier-1, the goldens, the demos and the workloads
+# reach 42 bits; 2^(2^19) forms in about 2 ms, and 2^15000, past the digits
+# CPython prints, stays within it.
+_MAX_POWER_BITS = 1 << 20
+
 
 def _least_irreducible(p: int, n: int) -> tuple[int, ...]:
     """The first monic irreducible of degree n in base-p counter order; x for n = 1."""
@@ -436,6 +444,16 @@ class FieldElement:
 
     def __pow__(self, e: int):
         f = self.field
+        if type(f) is RationalField:
+            q = self.data
+            if e < 0 and not q:
+                raise ZeroDivisionError("inverse of zero")
+            bits = abs(e) * max(q.numerator.bit_length(), q.denominator.bit_length())
+            if bits > _MAX_POWER_BITS and q and abs(q) != 1:
+                raise ParamError(
+                    f"a rational power of up to {bits} bits is above the budget of {_MAX_POWER_BITS}"
+                )
+            return FieldElement(f, q ** e)
         if type(f) is FiniteField and f.n == 1:
             if e < 0 and not self.data[0]:
                 raise ZeroDivisionError("inverse of zero")

@@ -307,22 +307,29 @@ def make_system(polys, vars, start) -> SystemInstance:
 
 def eval_poly_at_series(p: MPoly, values: dict[str, Series], field, group) -> Series:
     """Evaluate an MPoly with Series (or plain scalar) coefficients at Series
-    arguments.  Each power values[v] ** e is formed once per call, and the
-    terms are summed by one make_series below the least precision among
-    them."""
+    arguments.  Each power values[v] ** e is formed once per call and each
+    monomial's product of powers by mul_series; a Series coefficient
+    multiplies that product, a scalar one scales it, and a constant term is
+    the one term c*t^0.  One make_series sums the terms below the least
+    precision among them."""
     powers = {}
     terms, prec = [], None
     for exps, coeff in p.terms:
-        if isinstance(coeff, Series):
-            term = coeff
-        else:
-            term = make_series(field, group, [(group.zero(), coeff)])
+        term = None
         for v, e in zip(p.vars, exps):
             if e:
-                if (v, e) not in powers:
-                    powers[v, e] = values[v] ** e
-                term = mul_series(term, powers[v, e])
-        terms.extend(term.terms)
+                power = powers.get((v, e))
+                if power is None:
+                    power = powers[v, e] = values[v] ** e
+                term = power if term is None else mul_series(term, power)
+        if isinstance(coeff, Series):
+            term = coeff if term is None else mul_series(coeff, term)
+            terms.extend(term.terms)
+        elif term is None:
+            terms.append((group.zero(), coeff))
+            continue
+        else:
+            terms.extend([(e, coeff * c) for e, c in term.terms])
         prec = _prec_min(prec, term.precision)
     return make_series(field, group, terms, prec)
 

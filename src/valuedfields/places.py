@@ -16,7 +16,7 @@ A place is described declaratively and evaluated exactly:
   the variables and read value and residue off the resulting series.  Each
   polynomial, numerator, denominator or that of an inner stage, expands the
   streams of the variables it contains round by round until its own value
-  is decided.
+  is decided, and cuts its assignments of several terms on the same ladder.
 * ``ComposePlace``   -- a flat tuple of stages, each a place on the residue
   field of the stage before it; values are lexicographic tuples with earlier
   stages dominant.
@@ -68,6 +68,7 @@ from .series import (
     make_series,
     stream_expand,
     stream_from_params,
+    truncate,
     valuation,
 )
 
@@ -422,29 +423,44 @@ def _uses(g: MPoly, v: str) -> bool:
     return any(exps[i] for exps, _ in g.terms)
 
 
-def _substitute(P: SeriesEmbedPlace, g: MPoly, round_: int) -> Series:
-    values = {}
+def _substitute(P: SeriesEmbedPlace, g: MPoly, round_: int):
+    """(g at the assignments, whether an assignment was cut).  Round r below
+    REFINE_ROUNDS expands the streams g uses below t^(BASE_PRECISION * 2^r)
+    and cuts there each assignment of several terms that g uses, over a
+    subgroup of Q; truncate leaves one known less far whole.  Round
+    REFINE_ROUNDS expands the streams as the round before it and cuts
+    nothing.  One-term assignments stay whole."""
+    r = min(round_, REFINE_ROUNDS - 1)
+    rung = BASE_PRECISION * (2 ** r)
+    cut = round_ < REFINE_ROUNDS and type(P.group) is RationalGroup
+    values, was_cut = {}, False
     for v, s in P.assignments:
         if isinstance(s, Stream):
-            if not _uses(g, v):
-                continue
-            prec = P.group.elem(BASE_PRECISION * (2 ** round_))
-            values[v] = stream_expand(s, prec, DEFAULT_STREAM_CAP * (2 ** round_))
+            if _uses(g, v):
+                values[v] = stream_expand(s, rung, DEFAULT_STREAM_CAP * (2 ** r))
+        elif cut and len(s.terms) > 1 and _uses(g, v):
+            values[v] = truncate(s, rung)
+            was_cut = was_cut or values[v] is not s
         else:
             values[v] = s
-    return eval_poly_at_series(g, values, P.field, P.group)
+    return eval_poly_at_series(g, values, P.field, P.group), was_cut
 
 
 def _embed_lead(P: SeriesEmbedPlace, g: MPoly):
-    """(v(g(series)), its leading coefficient or None), expanding the streams
-    g uses round by round until the value is exact or infinite, or
-    REFINE_ROUNDS have run; a g that uses no stream is substituted once."""
-    for r in range(REFINE_ROUNDS):
-        s = _substitute(P, g, r)
+    """(v(g(series)), its leading coefficient or None), by the rounds of
+    _substitute until the value is exact or infinite.  Each cut is honest,
+    so a value decided on the ladder is the true one.  A round that cut
+    nothing is final if g uses no stream or it is the last ladder round;
+    else round REFINE_ROUNDS, with every assignment whole, is the last."""
+    for r in range(REFINE_ROUNDS + 1):
+        s, was_cut = _substitute(P, g, r)
         v = valuation(s)
         if v.kind is not ValuationKind.AT_LEAST:
             return v, s.terms[0][1] if s.terms else None
-        if not any(isinstance(a, Stream) and _uses(g, name) for name, a in P.assignments):
+        if not was_cut and (
+            r >= REFINE_ROUNDS - 1
+            or not any(isinstance(a, Stream) and _uses(g, name) for name, a in P.assignments)
+        ):
             break
     return v, None
 
@@ -814,8 +830,10 @@ def _elem_from_json(group: GroupDesc, text, where) -> GroupElem:
 # The most stages a place file may compose.  Tier-1, the goldens and the demos
 # reach 3.  Building and evaluating a composition loop over its stages, but the
 # file form nests one level per stage, and the JSON decoder and encoder recurse
-# per level; the budget keeps every file far below their depth limits.
+# per level; the budget keeps every file far below their depth limits, and
+# place_to_json writes no file that place_from_json refuses.
 _MAX_COMPOSE_STAGES = 16
+_TOO_MANY_STAGES = f"place composes more than {_MAX_COMPOSE_STAGES} stages, the budget"
 
 
 def place_to_json(P: PlaceDesc) -> dict:
@@ -842,6 +860,8 @@ def place_to_json(P: PlaceDesc) -> dict:
             "group": _group_to_json(P.group),
             "assignments": [[v, _assignment_to_json(s)] for v, s in P.assignments],
         }
+    if len(P.stages) > _MAX_COMPOSE_STAGES:
+        raise ParamError(_TOO_MANY_STAGES)
     # nested to the right, folded from the last stage
     blob = place_to_json(P.stages[-1])
     for stage in reversed(P.stages[:-1]):
@@ -893,9 +913,7 @@ def place_from_json(blob) -> PlaceDesc:
         stages, todo = [], [blob]
         while todo:
             if len(stages) + len(todo) > _MAX_COMPOSE_STAGES:
-                raise ParamError(
-                    f"place composes more than {_MAX_COMPOSE_STAGES} stages, the budget"
-                )
+                raise ParamError(_TOO_MANY_STAGES)
             b = todo.pop()
             if _get(b, "variant", str, "place") == "compose":
                 todo += [_get(b, "second", dict, "place"), _get(b, "first", dict, "place")]

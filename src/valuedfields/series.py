@@ -49,14 +49,14 @@ each operand is packed once, Horner's rule runs on the integers, and the
 slots are reduced mod p once, so a dense evaluation builds one Series where
 the plain Horner builds two per degree.
 
-Series.__pow__ is the one power routine.  In characteristic p a p-th power
-is the Frobenius, (sum c*t^e)^p = sum c^p*t^(pe), so a ** k with p | k
-takes frobenius_series in work linear in the terms and then the (k/p)-th
-power; the rest squares through mul_series.  The Frobenius is cut to the
-precision P + (p-1)v that repeated multiplication certifies (P the
-precision, v the least exponent, or P for a series zero to precision): a
-product has precision min(Pa + vb, Pb + va), so a ** k has P + (k-1)v
-whatever the order of the products, and both routes give equal results.
+Series.__pow__ is the one power routine.  A product has precision
+min(Pa + vb, Pb + va) (P the precision, v the least exponent, or P for a
+series zero to precision), so a ** k has P + (k-1)v whatever the order of
+the products, and every route below gives that result.  A one-term c*t^v
+gives the one term c^k*t^(kv).  In characteristic p a p-th power is the
+Frobenius, (sum c*t^e)^p = sum c^p*t^(pe), so a ** k with p | k takes
+frobenius_series in work linear in the terms, cut to P + (p-1)v, and then
+the (k/p)-th power; the rest squares through mul_series.
 
 The stream catalog at the bottom provides named infinite series that can be
 materialized at any requested truncation.
@@ -242,14 +242,23 @@ class Series:
         return mul_series(self, other)
 
     def __pow__(self, k: int):
+        """self^k below P + (k-1)v, P the precision and v the least
+        exponent: one term c^k*t^(kv) for a one-term c*t^v, the Frobenius
+        for p | k, else square and multiply (see the module docstring)."""
         if k < 0:
             return invert(self) ** (-k)
         if k == 0:
             return one_series(self.field, self.group)
+        if k == 1:
+            return self
+        if len(self.terms) == 1:
+            (e, c), = self.terms
+            prec = self.precision
+            if prec is not None:
+                prec = prec + e.scale(k - 1)
+            return Series(self.field, self.group, ((e.scale(k), c ** k),), prec)
         p = self.field.characteristic
         if p and k % p == 0:
-            # the p-th power is the Frobenius, cut to the precision P + (p-1)v
-            # that repeated multiplication certifies (v the least exponent)
             prec = self.precision
             if prec is not None:
                 prec = prec + _low_bound(self).scale(p - 1)

@@ -787,3 +787,50 @@ def test_power_beyond_the_term_budget_exits_2(capsys):
     assert time.perf_counter() - start < 1
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and "budget" in err
+
+
+GOLDEN_PLACES = Path(__file__).parent / "golden" / "places"
+
+
+def test_large_power_at_an_exact_binomial_is_fast(capsys):
+    # x1 -> 1 + t exact: the power is formed on the precision ladder, so it
+    # costs a few terms, not the 3001 of the full binomial expansion
+    start = time.perf_counter()
+    got = run(capsys, ["eval", "--place", str(GOLDEN_PLACES / "exact_binomial.json"), "x1^3000"])
+    assert time.perf_counter() - start < 0.5
+    assert got == (0, "v = 0, residue = 1\n", "")
+
+
+def _two_t_place(tmp_path):
+    """x1 -> 2t, exact, over Q."""
+    path = tmp_path / "two_t.json"
+    path.write_text(json.dumps({
+        "variant": "series_embed", "field": {"kind": "Q"}, "group": {"kind": "Q"},
+        "assignments": [["x1", {"terms": [["1", "2"]], "precision": None}]],
+    }), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("place, expression, needle", [
+    ("eval_q", "2^15000", "more than 4300 digits"),
+    ("eval_q", "2^15000/x1", "more than 4300 digits"),
+    ("eval_q", "2^1000000000000", "budget of 1048576"),
+    ("two_t", "x1^1000000000000", "budget of 1048576"),
+    ("two_t", "(x1/3)^(-1000000000000)", "budget of 1048576"),
+])
+def test_huge_rationals_exit_2_with_one_line(capsys, tmp_path, place, expression, needle):
+    path = _two_t_place(tmp_path) if place == "two_t" else str(GOLDEN_PLACES / f"{place}.json")
+    start = time.perf_counter()
+    for extra in ([], ["--json"]):
+        code, out, err = run(capsys, ["eval", "--place", path, *extra, expression])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and needle in err
+    assert time.perf_counter() - start < 1
+
+
+def test_powers_of_zero_and_units_have_no_size_budget(capsys):
+    path = str(GOLDEN_PLACES / "eval_q.json")
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["eval", "--place", path, "(-1)^1000000000001 + 0^1000000000000"])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (0, "v = (0,0), residue = -1\n")

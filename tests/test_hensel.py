@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from valuedfields import hensel
+from valuedfields import hensel, series
 from valuedfields.errors import (
     HypothesisError,
     IterationCapError,
@@ -16,8 +16,8 @@ from valuedfields.errors import (
     SingularPointError,
     ValuedFieldError,
 )
-from valuedfields.fields import GF, QQ, _poly_roots
-from valuedfields.groups import LexGroup, ZZ_GROUP, one_over_m
+from valuedfields.fields import GF, QQ, _power, _poly_roots
+from valuedfields.groups import LexGroup, QuadGroup, ZZ_GROUP, one_over_m
 from valuedfields.hensel import (
     ImplicitResult,
     LiftResult,
@@ -34,6 +34,7 @@ from valuedfields.polys import adjugate, det, mpoly
 from valuedfields.series import (
     Series,
     _newton,
+    _prec_min,
     add_series,
     frobenius_root,
     make_series,
@@ -304,6 +305,111 @@ def test_eval_poly_at_series_matches_the_add_chain(field):
         p = mpoly(("X", "Y"), terms)
         values = {"X": series(-1), "Y": series(0)}
         assert eval_poly_at_series(p, values, field, group) == _add_chain(p, values, field, group)
+
+
+
+def _fold(p, values, field, group):
+    """The reference evaluator, term by term: a one-term Series per scalar
+    coefficient, each power by square and multiply through mul_series
+    (fields._power), each product by mul_series, one make_series."""
+    powers = {}
+    terms, prec = [], None
+    for exps, coeff in p.terms:
+        term = coeff if isinstance(coeff, Series) else make_series(field, group, [(group.zero(), coeff)])
+        for v, e in zip(p.vars, exps):
+            if e:
+                if (v, e) not in powers:
+                    powers[v, e] = _power(values[v], e, mul_series)
+                term = mul_series(term, powers[v, e])
+        terms.extend(term.terms)
+        prec = _prec_min(prec, term.precision)
+    return make_series(field, group, terms, prec)
+
+
+_DIFF_FIELDS = [QQ, GF(5), GF(5, 2)]
+_DIFF_GROUPS = [ZZ_GROUP, one_over_m(2), LexGroup(2), QuadGroup()]
+
+
+def _random_exponent(rng, group, low):
+    if group == ZZ_GROUP:
+        return rng.randrange(low, 6)
+    if group == one_over_m(2):
+        return Fraction(rng.randrange(2 * low, 12), 2)
+    if isinstance(group, LexGroup):
+        return (rng.randrange(low, 4), rng.randrange(-2, 3))
+    return (Fraction(rng.randrange(low, 4)), Fraction(rng.randrange(-2, 3), rng.randrange(1, 3)))
+
+
+def _random_value(rng, field, group, kind):
+    """A series of kind one-exact, one-cut, many-exact or many-cut (two
+    terms), with exponents from -1 and any cut from 2."""
+    count = 1 if kind.startswith("one") else 2
+    terms = [(_random_exponent(rng, group, -1), _nonzero(rng, field)) for _ in range(count)]
+    prec = None if kind.endswith("exact") else _random_exponent(rng, group, 2)
+    s = make_series(field, group, terms, prec)
+    return s if len(s.terms) == count else _random_value(rng, field, group, kind)
+
+
+def _nonzero(rng, field):
+    while True:
+        if field == QQ:
+            c = field.elem(Fraction(rng.randrange(-4, 5), rng.randrange(1, 4)))
+        else:
+            c = field.elem(tuple(rng.randrange(field.p) for _ in range(field.n)))
+        if not c.is_zero():
+            return c
+
+
+def test_eval_poly_at_series_matches_the_term_by_term_fold():
+    rng = random.Random(27)
+    kinds = ("one-exact", "one-cut", "many-exact", "many-cut")
+    cases = Counter()
+    for i in range(520):
+        field, group = _DIFF_FIELDS[i % 3], _DIFF_GROUPS[i // 3 % 4]
+        values = {v: _random_value(rng, field, group, rng.choice(kinds)) for v in "XY"}
+        series_coeffs = rng.random() < 0.3
+        terms = {}
+        for _ in range(rng.randrange(1, 5)):
+            # exponents up to 2p + 1 for p = 5, the multiples of 5 among them
+            exps = tuple(rng.choice((5, 10, 11)) if rng.random() < 0.1
+                         else rng.randrange(4) for _ in "XY")
+            if series_coeffs:
+                terms[exps] = _random_value(rng, field, group, rng.choice(kinds))
+            else:
+                terms[exps] = _nonzero(rng, field)
+        p = mpoly(("X", "Y"), terms)
+        got, want = eval_poly_at_series(p, values, field, group), _fold(p, values, field, group)
+        assert (got.terms, got.precision) == (want.terms, want.precision), (p, values)
+        cases[field, group, series_coeffs] += 1
+    assert len(cases) == 24
+
+
+@pytest.mark.parametrize("field", _DIFF_FIELDS, ids=str)
+def test_one_term_power_matches_square_and_multiply(field):
+    rng = random.Random(5)
+    for group in _DIFF_GROUPS:
+        for kind in ("one-exact", "one-cut"):
+            s = _random_value(rng, field, group, kind)
+            for k in range(1, 12):  # 1 .. 2p + 1
+                got, want = s ** k, _power(s, k, mul_series)
+                assert (got.terms, got.precision) == (want.terms, want.precision), (s, k)
+
+
+def test_cusp_evaluation_forms_each_product_once(monkeypatch):
+    # x -> t, y -> t^(3/2), and each power 1..4 of x and of y: every power of
+    # a one-term value is one term, so the products are only the four
+    # monomials' x^a * y^b (the term-by-term fold makes 18)
+    group = one_over_m(2)
+    values = {"x": t_pow(QQ, group, 1), "y": t_pow(QQ, group, Fraction(3, 2))}
+    p = mpoly(("x", "y"), {e: QQ.elem(c) for e, c in {(1, 3): -1, (2, 2): 3, (3, 1): 5, (4, 4): 2}.items()})
+    products, powered = [], []
+    monkeypatch.setattr(hensel, "mul_series", lambda a, b: products.append(1) or mul_series(a, b))
+    monkeypatch.setattr(series, "_power", lambda x, k, mul: powered.append(x) or _power(x, k, mul))
+    got = eval_poly_at_series(p, values, QQ, group)
+    assert str(got) == "5*t^(9/2) + 3*t^(5) + -1*t^(11/2) + 2*t^(10)"
+    assert len(products) == 4
+    assert not [x for x in powered if len(x.terms) == 1]
+    assert got == _fold(p, values, QQ, group)
 
 
 def test_newton_system_matches_hensel_n1():

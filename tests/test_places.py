@@ -641,6 +641,15 @@ def test_ten_thousand_stages_build_and_evaluate_without_recursion():
     assert place_invariants(P).rank == 1
 
 
+@pytest.mark.parametrize("stages", [17, 1_000])
+def test_place_to_json_refuses_what_the_reader_refuses(stages):
+    first = MonomialPlace(QQ, ZZ_GROUP, (("x1", ZZ_GROUP.elem(1)),), (("x2", "z"),))
+    at_budget = ComposePlace((first,) + (TrivialPlace(("z",), QQ),) * 15)
+    assert place_from_json(json.loads(json.dumps(place_to_json(at_budget)))) == at_budget
+    with pytest.raises(ParamError, match="place composes more than 16 stages, the budget"):
+        place_to_json(ComposePlace((first,) + (TrivialPlace(("z",), QQ),) * (stages - 1)))
+
+
 def test_compose_place_needs_two_or_more_flat_stages():
     P = _two_step()
     message = "a composition needs two or more stages, none itself a composition"
