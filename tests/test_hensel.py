@@ -307,7 +307,6 @@ def test_eval_poly_at_series_matches_the_add_chain(field):
         assert eval_poly_at_series(p, values, field, group) == _add_chain(p, values, field, group)
 
 
-
 def _fold(p, values, field, group):
     """The reference evaluator, term by term: a one-term Series per scalar
     coefficient, each power by square and multiply through mul_series
