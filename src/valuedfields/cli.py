@@ -80,10 +80,6 @@ def _param_text(value) -> str:
     return str(value)
 
 
-def _render_residue(r) -> str:
-    return "0" if r is ZERO else _text(r)
-
-
 def _text(x) -> str:
     """str(x), or ParamError where x holds an integer longer than CPython
     converts to a string."""
@@ -184,7 +180,7 @@ def _cmd_eval(ns) -> int:
     place = place_from_json(blob)
     rf = expr_to_ratfn(ns.expression, place_vars(place), base_field(place))
     v, r = place_value_residue(place, rf)
-    v, r = _text(v), _render_residue(r)
+    v, r = _text(v), "0" if r is ZERO else _text(r)
     if ns.json:
         print(json.dumps({"v": v, "residue": r}, sort_keys=True))
     else:

@@ -16,7 +16,8 @@ A place is described declaratively and evaluated exactly:
   the variables and read value and residue off the resulting series.  Each
   polynomial, numerator, denominator or that of an inner stage, expands the
   streams of the variables it contains round by round until its own value
-  is decided, and cuts its assignments of several terms on the same ladder.
+  is decided, and, at a place with no truncated assignment, cuts its exact
+  assignments of several terms on the same ladder.
 * ``ComposePlace``   -- a flat tuple of stages, each a place on the residue
   field of the stage before it; values are lexicographic tuples with earlier
   stages dominant.
@@ -424,23 +425,25 @@ def _uses(g: MPoly, v: str) -> bool:
 
 
 def _substitute(P: SeriesEmbedPlace, g: MPoly, round_: int):
-    """(g at the assignments, whether an assignment was cut).  Round r below
-    REFINE_ROUNDS expands the streams g uses below t^(BASE_PRECISION * 2^r)
-    and cuts there each assignment of several terms that g uses, over a
-    subgroup of Q; truncate leaves one known less far whole.  Round
-    REFINE_ROUNDS expands the streams as the round before it and cuts
-    nothing.  One-term assignments stay whole."""
-    r = min(round_, REFINE_ROUNDS - 1)
-    rung = BASE_PRECISION * (2 ** r)
-    cut = round_ < REFINE_ROUNDS and type(P.group) is RationalGroup
+    """(g at the assignments, whether an assignment was cut).  Round r
+    expands the streams g uses below t^(BASE_PRECISION * 2^r).  Rounds before
+    the last also cut there each exact assignment of several terms that g
+    uses, over a subgroup of Q, so that its precision rises with the rung as
+    a stream's does; at a place with a truncated assignment, whose precision
+    stays put, nothing is cut.  One-term assignments stay whole."""
+    rung = BASE_PRECISION * (2 ** round_)
+    cut = (
+        round_ < REFINE_ROUNDS - 1
+        and type(P.group) is RationalGroup
+        and all(isinstance(s, Stream) or s.precision is None for _, s in P.assignments)
+    )
     values, was_cut = {}, False
     for v, s in P.assignments:
         if isinstance(s, Stream):
             if _uses(g, v):
-                values[v] = stream_expand(s, rung, DEFAULT_STREAM_CAP * (2 ** r))
+                values[v] = stream_expand(s, rung, DEFAULT_STREAM_CAP * (2 ** round_))
         elif cut and len(s.terms) > 1 and _uses(g, v):
-            values[v] = truncate(s, rung)
-            was_cut = was_cut or values[v] is not s
+            values[v], was_cut = truncate(s, rung), True
         else:
             values[v] = s
     return eval_poly_at_series(g, values, P.field, P.group), was_cut
@@ -448,18 +451,17 @@ def _substitute(P: SeriesEmbedPlace, g: MPoly, round_: int):
 
 def _embed_lead(P: SeriesEmbedPlace, g: MPoly):
     """(v(g(series)), its leading coefficient or None), by the rounds of
-    _substitute until the value is exact or infinite.  Each cut is honest,
-    so a value decided on the ladder is the true one.  A round that cut
-    nothing is final if g uses no stream or it is the last ladder round;
-    else round REFINE_ROUNDS, with every assignment whole, is the last."""
-    for r in range(REFINE_ROUNDS + 1):
+    _substitute until the value is exact or infinite, or REFINE_ROUNDS have
+    run; a round that cut nothing, where g uses no stream, is the last.  Each
+    cut is honest, so a value decided on the ladder is the true one, and the
+    last round, which cuts nothing, is the whole substitution."""
+    for r in range(REFINE_ROUNDS):
         s, was_cut = _substitute(P, g, r)
         v = valuation(s)
         if v.kind is not ValuationKind.AT_LEAST:
             return v, s.terms[0][1] if s.terms else None
-        if not was_cut and (
-            r >= REFINE_ROUNDS - 1
-            or not any(isinstance(a, Stream) and _uses(g, name) for name, a in P.assignments)
+        if not was_cut and not any(
+            isinstance(a, Stream) and _uses(g, name) for name, a in P.assignments
         ):
             break
     return v, None

@@ -1142,3 +1142,44 @@ def test_series_embed_refines_num_and_den_separately(monkeypatch, P, names, valu
     assert (str(v), r) == (value, ZERO)
     assert rounds == [0, 1, 2, 0]
     assert str(place_value(P, _kernel_plus(names, 20))) == value
+
+
+def _golden_place(name):
+    folder = Path(__file__).parent / "golden" / "places"
+    return place_from_json(json.loads((folder / name).read_text(encoding="utf-8")))
+
+
+def _g9_smooth_place():
+    """Gallery G9's smooth center over F_11: x -> 1 + t exact beside a
+    truncated y -> sqrt(x^3)."""
+    F11 = GF(11)
+    x = make_series(F11, ZZ_GROUP, [(0, 1), (1, 1)])
+    return SeriesEmbedPlace(
+        F11, ZZ_GROUP, (("x", x), ("y", unit_nth_root(x * x * x, 2, precision=8)))
+    )
+
+
+@pytest.mark.parametrize("P, names, term_map, value, want", [
+    # a truncated assignment holds the bound still, so nothing is cut
+    (_g9_smooth_place(), ("x", "y"), {(0, 2): 1, (3, 0): -1}, ">= 8", [0]),
+    # the cut at t^8 decides a value below it
+    (_golden_place("exact_binomial.json"), ("x1",), {(3000,): 1}, "0", [0]),
+    (_golden_place("exact_binomial.json"), ("x1",), {(200,): 1, (0,): -1}, "1", [0]),
+    # a kernel element stays undecided on every cut, and the last round is whole
+    (_golden_place("exact_binomial.json"), ("x1", "x2"),
+     {(1, 0): 1, (0, 0): -1, (0, 2): -1}, "oo", [0, 1, 2, 3]),
+    # beside a stream, the rounds are the stream's
+    (_golden_place("frobenius_root_mixed.json"), ("x1", "x2", "x3"),
+     {(2, 0, 1): 1, (1, 0, 1): -1, (0, 1, 1): -1}, ">= 64", [0, 1, 2, 3]),
+])
+def test_exact_assignments_of_several_terms_on_the_ladder(
+    monkeypatch, P, names, term_map, value, want
+):
+    rounds = []
+    substitute = places._substitute
+    monkeypatch.setattr(
+        places, "_substitute", lambda P, g, r: rounds.append(r) or substitute(P, g, r)
+    )
+    g = _poly(names, term_map, field=P.field)
+    assert str(place_value(P, g)) == value
+    assert rounds == want + [0]  # then the denominator 1
