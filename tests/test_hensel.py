@@ -1,7 +1,10 @@
+import gc
+import json
 import random
 import time
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +33,7 @@ from valuedfields.hensel import (
     make_system,
     newton_system,
 )
+from valuedfields.places import place_from_json, place_value_residue
 from valuedfields.polys import adjugate, det, mpoly
 from valuedfields.series import (
     Series,
@@ -790,3 +794,28 @@ def test_poly_roots_are_every_root(p):
         roots = sorted({rng.randrange(p) for _ in range(rng.randint(1, 6))})
         f = _mul_int_polys(_poly_from_roots(roots * 2, p), [-n, 0, 1])
         assert _poly_roots([c % p for c in f], p) == roots
+
+
+def test_lifts_solves_and_place_values_leave_no_cyclic_garbage():
+    # objects in a reference cycle, such as a local function that calls
+    # itself, wait for the cyclic collector and raise the peak memory between
+    # its runs; these paths free everything they make by reference counting
+    F = GF(5)
+    one, t = one_series(F, ZZ_GROUP), t_pow(F, ZZ_GROUP, 1)
+    f1 = mpoly(("X", "Y"), {(2, 0): one, (0, 0): -(one + t)})
+    f2 = mpoly(("X", "Y"), {(0, 2): one, (1, 0): -one, (0, 0): -t})
+    place = place_from_json(json.loads(
+        (Path(__file__).parent / "golden" / "places" / "frobenius_root_mixed.json").read_text()
+    ))
+    g = mpoly(("x1", "x2", "x3"), {(1, 0, 1): GF(2).one(), (0, 1, 0): GF(2).one()})
+    gc.collect()
+    gc.disable()
+    try:
+        for k in range(1, 21):
+            lift = SeriesPoly((make_series(F, ZZ_GROUP, [(0, -1), (k, 1)]), zero_series(F, ZZ_GROUP), one))
+            hensel_lift(lift, None, 32)
+        newton_system(make_system([f1, f2], ("X", "Y"), (one, one)), 16)
+        place_value_residue(place, g)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
