@@ -5,7 +5,10 @@ coefficients, starting either from a supplied initial approximation or from
 an automatically located simple residue root.  newton_system does the same
 for square systems via the Jacobian, and implicit_solve re-solves the
 trailing coordinates of a known common zero after the leading coordinates
-are perturbed, with an explicit, reported perturbation threshold.
+are perturbed, with an explicit, reported perturbation threshold.  A system
+is passed as its polynomials, their variables and the start; each solver
+forms the partial derivatives it needs, implicit_solve only those in the
+trailing variables.
 
 Each of them checks its own preconditions and then runs the one Newton
 iteration of series._newton, as does series.unit_nth_root: every step logs
@@ -14,7 +17,8 @@ v(f(a_next)) >= 2*v(f(a)), and solves with the Jacobian's adjugate and one
 inverted determinant.  The steps run on a precision ladder: after residual
 valuation w a step needs f(a) only modulo t^(4w) and J(a) modulo t^(3w)
 (both capped at the target), so the callbacks here see approximants
-truncated that far.
+truncated that far, until something loses precision and the ladder turns
+off.
 """
 
 from __future__ import annotations
@@ -55,11 +59,9 @@ from .series import (
 
 __all__ = [
     "SeriesPoly",
-    "SystemInstance",
     "LiftResult",
     "NewtonResult",
     "ImplicitResult",
-    "make_system",
     "hensel_lift",
     "newton_system",
     "implicit_solve",
@@ -281,28 +283,16 @@ def hensel_lift(f: SeriesPoly, b: Series | None, target) -> LiftResult:
 # systems
 
 
-@dataclass(frozen=True)
-class SystemInstance:
-    """Square (or underdetermined, for implicit_solve) polynomial system with
-    Series coefficients; jacobian rows follow polys, columns follow vars."""
-
-    polys: tuple[MPoly, ...]
-    vars: tuple[str, ...]
-    start: tuple[Series, ...]
-    jacobian: tuple[tuple[MPoly, ...], ...]
-
-
-def make_system(polys, vars, start) -> SystemInstance:
-    polys = tuple(polys)
-    vars = tuple(vars)
-    start = tuple(start)
+def _system(polys, vars, start):
+    """polys, vars and start as tuples, once start has a value for each
+    variable and every polynomial is in exactly vars."""
+    polys, vars, start = tuple(polys), tuple(vars), tuple(start)
     if len(start) != len(vars):
         raise UnsupportedError("start vector length differs from variable count")
     for p in polys:
         if p.vars != vars:
             raise UnsupportedError(f"poly vars {p.vars} differ from system vars {vars}")
-    jac = tuple(tuple(p.partial(v) for v in vars) for p in polys)
-    return SystemInstance(polys, vars, start, jac)
+    return polys, vars, start
 
 
 def eval_poly_at_series(p: MPoly, values: dict[str, Series], field, group) -> Series:
@@ -344,53 +334,54 @@ def _residuals(polys, vars, point, field, group, target):
     return [truncate(eval_poly_at_series(p, values, field, group), target) for p in polys]
 
 
-def newton_system(s: SystemInstance, target) -> NewtonResult:
-    """Newton iteration on a square system from a start whose residuals have
-    positive valuation and whose Jacobian determinant is a unit."""
-    n = len(s.polys)
-    if n != len(s.vars):
+def newton_system(polys, vars, start, target) -> NewtonResult:
+    """Newton iteration on the square system polys = 0 in vars, from a start
+    whose residuals have positive valuation and whose Jacobian determinant
+    is a unit."""
+    polys, vars, start = _system(polys, vars, start)
+    if len(polys) != len(vars):
         raise UnsupportedError("newton_system needs a square system")
-    field = s.start[0].field
-    group = s.start[0].group
+    field, group = start[0].field, start[0].group
     target = target if isinstance(target, GroupElem) else group.elem(target)
-    res0 = _residuals(s.polys, s.vars, s.start, field, group, target)
+    res0 = _residuals(polys, vars, start, field, group, target)
     for r in res0:
         v = valuation(r)
         if v.is_exact and not v.value.sign() > 0:
             raise HypothesisError(f"start residual has valuation {v.value}, need > 0")
-    jac0 = _eval_matrix(s.jacobian, s.vars, s.start, field, group)
+    jacobian = [[p.partial(v) for v in vars] for p in polys]
+    jac0 = _eval_matrix(jacobian, vars, start, field, group)
     vdet = valuation(det(jac0, zero_series(field, group), one_series(field, group)))
     if not (vdet.is_exact and vdet.value.is_zero()):
         raise SingularPointError(f"v(det J(start)) = {vdet}, need exactly 0")
     roots, steps = _newton(
-        lambda a: _residuals(s.polys, s.vars, a, field, group, target),
-        lambda a: _eval_matrix(s.jacobian, s.vars, a, field, group),
-        s.start, target,
+        lambda a: _residuals(polys, vars, a, field, group, target),
+        lambda a: _eval_matrix(jacobian, vars, a, field, group),
+        start, target,
     )
     return NewtonResult(roots, steps)
 
 
-def implicit_solve(s: SystemInstance, perturbed_prefix, target) -> ImplicitResult:
+def implicit_solve(polys, vars, start, perturbed_prefix, target) -> ImplicitResult:
     """Re-solve the trailing n coordinates after perturbing the first l - n.
 
-    s.start is a known common zero of the n polys in l variables.  The
-    trailing n x n Jacobian block at the start must be a unit; the report
-    includes the threshold alpha, and every perturbation must change its
-    coordinate by valuation > 2*alpha.
+    start is a known common zero of the n polys in the l variables vars.
+    The trailing n x n Jacobian block at the start must be a unit; the
+    report includes the threshold alpha, and every perturbation must change
+    its coordinate by valuation > 2*alpha.
     """
-    n = len(s.polys)
-    ell = len(s.vars)
+    polys, vars, start = _system(polys, vars, start)
+    n = len(polys)
+    ell = len(vars)
     if n >= ell:
         raise UnsupportedError("implicit_solve needs more variables than equations")
     perturbed_prefix = tuple(perturbed_prefix)
     if len(perturbed_prefix) != ell - n:
         raise UnsupportedError("perturbed prefix length must be l - n")
-    field = s.start[0].field
-    group = s.start[0].group
+    field, group = start[0].field, start[0].group
     target = target if isinstance(target, GroupElem) else group.elem(target)
 
-    block = [row[ell - n:] for row in s.jacobian]
-    block_val = _eval_matrix(block, s.vars, s.start, field, group)
+    block = [[p.partial(v) for v in vars[ell - n:]] for p in polys]
+    block_val = _eval_matrix(block, vars, start, field, group)
     zero, one = zero_series(field, group), one_series(field, group)
     vdet = valuation(det(block_val, zero, one))
     if not (vdet.is_exact and vdet.value.is_zero()):
@@ -404,7 +395,7 @@ def implicit_solve(s: SystemInstance, perturbed_prefix, target) -> ImplicitResul
                 alpha = v.value
     threshold = alpha.scale(2)
 
-    for old, new in zip(s.start, perturbed_prefix):
+    for old, new in zip(start, perturbed_prefix):
         diff = sub_series(new, old)
         if diff.is_exact_zero():
             continue
@@ -416,8 +407,8 @@ def implicit_solve(s: SystemInstance, perturbed_prefix, target) -> ImplicitResul
 
     # the system at (perturbed prefix, a) is a system in the trailing
     # coordinates a, and its Jacobian there is the trailing block
-    start_tail = s.start[ell - n:]
-    res0 = _residuals(s.polys, s.vars, perturbed_prefix + start_tail, field, group, target)
+    start_tail = start[ell - n:]
+    res0 = _residuals(polys, vars, perturbed_prefix + start_tail, field, group, target)
     for r in res0:
         v = valuation(r)
         if v.is_exact and not v.value.sign() > 0:
@@ -425,8 +416,8 @@ def implicit_solve(s: SystemInstance, perturbed_prefix, target) -> ImplicitResul
                 f"perturbation too large: residual valuation {v.value} not positive"
             )
     solved, steps = _newton(
-        lambda a: _residuals(s.polys, s.vars, perturbed_prefix + a, field, group, target),
-        lambda a: _eval_matrix(block, s.vars, perturbed_prefix + a, field, group),
+        lambda a: _residuals(polys, vars, perturbed_prefix + a, field, group, target),
+        lambda a: _eval_matrix(block, vars, perturbed_prefix + a, field, group),
         start_tail, target,
     )
     return ImplicitResult(solved, alpha, steps)

@@ -19,10 +19,12 @@ of the sum by bisection; make_series, which sorts, is for unsorted input.
 
 _newton is the one certified Newton iteration every lift goes through:
 unit_nth_root here, and hensel_lift, newton_system and implicit_solve in
-the hensel module.  It runs on a precision ladder, each step evaluated only
-as far as the next one can certify, and inversion is a Newton iteration of
-its own; mul_series never forms a product beyond its precision.  A lift to
-precision N so costs about N^2 coefficient products, not N^3.
+the hensel module.  Each pass of its loop corrects the approximant and reads
+the residual at the result, both only as far as the next pass can certify;
+one flag turns that precision ladder off for good when something loses
+precision.  Inversion is a Newton iteration of its own, and mul_series never
+forms a product beyond its precision.  A lift to precision N so costs about
+N^2 coefficient products, not N^3.
 
 mul_series scales exponents to slots once and has two kernels.  Over a
 subgroup of Q the slot of an exponent e is the integer m*e, with m the lcm
@@ -906,89 +908,95 @@ def _newton(residuals, jacobian, start, target: GroupElem):
     certificate v(f(a_next)) >= 2*v(f(a)).  Returns the root vector and the
     logged valuations.
 
-    The steps run on a precision ladder.  A correction after residual
-    valuation w is computed modulo t^(min(target, 4w)), with J(a) and 1/det
-    only modulo that minus w, since f(a) has valuation w.  The next residual
-    is evaluated modulo t^(min(target, 8w)), four times its certified lower
-    bound 2w.  It is evaluated again further when it is zero to, or too
-    close to, that precision.  A residual valuation that reaches the
-    precision of the last correction may be an artifact of that truncation,
-    so the correction is redone at the target.  The ladder runs only while
-    nothing loses precision: a residual known to less than it was evaluated
-    to (inputs known to less than the target), or a det J(a) or correction
-    known to less than it was computed to (coefficients of negative
-    valuation), turns it off, and the pending correction and every later
-    one run at the target.  No rung reaches a target in a higher archimedean
-    class than w (Z^r lex), so such a correction runs at the target, where
-    a Jacobian whose inverse needs infinitely many terms raises
-    PrecisionError.  An approximant or residual with more than _MAX_TERMS
-    terms raises IterationCapError."""
+    Each pass of the loop corrects a and reads f at the result, on a
+    precision ladder.  The correct step works modulo t^(cut), cut =
+    min(target, 4w), with J(a) and 1/det only modulo t^(cut - w), since
+    f(a) has valuation w.  The read step evaluates the next residual modulo
+    t^(min(target, 8w)), four times its certified lower bound 2w, and again
+    further when it is zero to, or too close to, that precision.  A residual
+    valuation that reaches the cut may be an artifact of that truncation:
+    the read reports it, and the pass reads a again at the target and redoes
+    the correction there.  The ladder runs only while nothing loses
+    precision: a residual known to less than it was read to (inputs known to
+    less than the target), or a det J(a) or correction known to less than
+    it was computed to (coefficients of negative valuation), sets full, the
+    one flag that outlives a pass, and the pending correction and every
+    later one run at the target.  No rung reaches a target in a higher
+    archimedean class than w (Z^r lex), so such a correction runs at the
+    target, where a Jacobian whose inverse needs infinitely many terms
+    raises PrecisionError.  An approximant or residual with more than
+    _MAX_TERMS terms raises IterationCapError."""
     a = tuple(truncate(s, target) for s in start)
     zero, one = zero_series(a[0].field, a[0].group), one_series(a[0].field, a[0].group)
-    steps: list[GroupElem] = []
-    back = None  # the approximant before the last correction, with its trust
-    trust = target  # a is the Newton update of back modulo t^(trust)
-    at = target  # precision of the next residual evaluation
-    full = redo = False
-    # between two corrections a residual is evaluated at most three times
-    # (on the ladder, widened, redone at the target), plus once when the
-    # ladder turns off; the bound below has room to spare
-    for _ in range(6 * _MAX_STEPS + 6):
-        point = tuple(truncate(x, at) for x in a)
-        res = [truncate(r, at) for r in residuals(point)]
-        if any(len(x.terms) > _MAX_TERMS for x in (*point, *res)):
-            raise IterationCapError(
-                f"Newton approximant or residual has more than {_MAX_TERMS} terms "
-                f"below t^({target})"
-            )
-        have = min((r.precision for r in res if r.precision is not None), default=at)
-        worst = min((v.value for v in map(valuation, res) if v.is_exact), default=None)
-        if have < at:
-            full = True
-            if at < target:
-                at = target
+    full = False
+
+    def read(a, at, cut):
+        """(f(a), its least exact valuation or None), read modulo t^(at) or
+        further; None when that valuation reaches the cut, below the target,
+        of the correction that made a."""
+        nonlocal full
+        while True:  # at rises on every pass, and a pass at the target returns
+            point = tuple(truncate(x, at) for x in a)
+            res = [truncate(r, at) for r in residuals(point)]
+            if any(len(x.terms) > _MAX_TERMS for x in (*point, *res)):
+                raise IterationCapError(
+                    f"Newton approximant or residual has more than {_MAX_TERMS} terms "
+                    f"below t^({target})"
+                )
+            w = min((v.value for v in map(valuation, res) if v.is_exact), default=None)
+            if any(r.precision is not None and r.precision < at for r in res):
+                full = True
+                if at < target:
+                    at = target
+                    continue
+            if cut < target and (w is None or not w < cut):
+                return None
+            if at < target and (w is None or at < w.scale(4)):
+                at = target if w is None else _prec_min(target, w.scale(4))
                 continue
-        if trust < target and (worst is None or not worst < trust):
-            (a, trust), at, redo = back, target, True
-            steps.pop()
-            continue
-        if at < target and (worst is None or at < worst.scale(4)):
-            at = target if worst is None else _prec_min(target, worst.scale(4))
-            continue
-        if worst is None:
-            return a, tuple(steps)
-        if steps and worst < steps[-1].scale(2):
-            raise HypothesisError(
-                f"convergence certificate failed: v went {steps[-1]} -> {worst}"
+            return res, w
+
+    def correct(a, res, w, cut):
+        """(a - J(a)^(-1) * f(a) modulo t^(cut), read to the target, and the
+        cut); when J(a), det J(a) or the correction loses precision, f(a) is
+        read again at the target and the correction runs there."""
+        nonlocal full
+        while True:  # the second pass runs with full set, and returns
+            jet = target if full else cut - w
+            d, (adj_res,) = cramer(
+                jacobian(tuple(truncate(x, jet) for x in a)), [[truncate(r, cut) for r in res]],
+                zero, one,
             )
-        steps.append(worst)
+            if full or d.precision is None or not d.precision < jet:
+                inv_d = invert(d, jet)
+                nxt = tuple(
+                    truncate(sub_series(ai, mul_series(x, inv_d)), cut) for ai, x in zip(a, adj_res)
+                )
+                if full or all(x.precision == cut for x in nxt):
+                    if cut < target:  # an approximant cut by the ladder alone is read to the target
+                        nxt = tuple(Series(x.field, x.group, x.terms, target) for x in nxt)
+                    return nxt, cut
+            full, cut = True, target
+            res, _ = read(a, target, target)
+
+    steps: list[GroupElem] = []
+    res, w = read(a, target, target)
+    while w is not None:
+        if steps and w < steps[-1].scale(2):
+            raise HypothesisError(f"convergence certificate failed: v went {steps[-1]} -> {w}")
+        steps.append(w)
         # a target in a higher archimedean class than w: no rung reaches it
-        gap = worst.sign() > 0 and worst.group.above_every_multiple(target, worst)
-        cut = target if full or redo or gap else _prec_min(target, worst.scale(4))
-        jet = target if full else cut - worst
-        d, (adj_res,) = cramer(
-            jacobian(tuple(truncate(x, jet) for x in a)), [[truncate(r, cut) for r in res]],
-            zero, one,
-        )
-        nxt = None
-        if full or d.precision is None or not d.precision < jet:
-            inv_d = invert(d, jet)
-            nxt = tuple(
-                truncate(sub_series(ai, mul_series(x, inv_d)), cut) for ai, x in zip(a, adj_res)
-            )
-        if nxt is None or not full and any(x.precision != cut for x in nxt):
-            # J(a), det or the correction lost precision the ladder had cut
-            # off (coefficients of negative valuation): redo at the target
-            full, at = True, target
-            steps.pop()
-            continue
-        if cut < target:  # an approximant cut by the ladder alone is read to the target
-            nxt = tuple(Series(x.field, x.group, x.terms, target) for x in nxt)
-        back, a = (a, trust), nxt
-        trust, at, redo = cut, target if full else _prec_min(target, worst.scale(8)), False
+        gap = w.sign() > 0 and w.group.above_every_multiple(target, w)
+        nxt, cut = correct(a, res, w, target if full or gap else _prec_min(target, w.scale(4)))
         if len(steps) == _MAX_STEPS:
-            break
-    raise IterationCapError("Newton iteration did not reach the target")
+            raise IterationCapError("Newton iteration did not reach the target")
+        got = read(nxt, target if full else _prec_min(target, w.scale(8)), cut)
+        if got is None:  # maybe an artifact of the cut: correct a again at the target
+            res, w = read(a, target, target)
+            nxt, _ = correct(a, res, w, target)
+            got = read(nxt, target if full else _prec_min(target, w.scale(8)), target)
+        a, (res, w) = nxt, got
+    return a, tuple(steps)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ REPO = Path(__file__).parent.parent
 ALLOWED = {
     "hensel.newton_system": "Hensel's lemma in several variables; ROADMAP item 1 times its 8x8 system",
     "hensel.implicit_solve": "the implicit function theorem of henselian fields",
-    "hensel.make_system": "builds the systems newton_system and implicit_solve take",
     "places.place_invariants": "ROADMAP item 9's uniformize command prints it",
     "places.place_to_json": (
         "README names it as the producer of the place-file schema, and the round-trip"

@@ -17,6 +17,7 @@ from valuedfields.errors import (
     PerturbationError,
     PrecisionError,
     SingularPointError,
+    UnsupportedError,
     ValuedFieldError,
 )
 from valuedfields.fields import GF, QQ, _power, _poly_roots
@@ -30,7 +31,6 @@ from valuedfields.hensel import (
     eval_poly_at_series,
     hensel_lift,
     implicit_solve,
-    make_system,
     newton_system,
 )
 from valuedfields.places import place_from_json, place_value_residue
@@ -86,8 +86,7 @@ def test_lift_matches_unit_nth_root():
     u = make_series(F, ZZ_GROUP, [(0, 1), (1, 1)])
     f = SeriesPoly((-u, zero_series(F, ZZ_GROUP), _const(F, 1)))
     out = hensel_lift(f, one, 9)
-    sysi = make_system([mpoly(("X",), {(2,): one, (0,): -u})], ("X",), (one,))
-    system = newton_system(sysi, 9)
+    system = newton_system([mpoly(("X",), {(2,): one, (0,): -u})], ("X",), (one,), 9)
     assert out.root == unit_nth_root(u, 2, 9) == system.roots[0]
     assert out.steps == system.steps
     assert [str(v) for v in out.steps] == ["1", "2", "4", "8"]
@@ -100,10 +99,9 @@ def test_newton_step_cap(monkeypatch):
         hensel_lift(_artin_schreier_poly(F, 2), zero_series(F, ZZ_GROUP), 16)
     one = one_series(F, ZZ_GROUP)
     f = mpoly(("X",), {(2,): one, (1,): -one, (0,): -t_pow(F, ZZ_GROUP, 1)})
-    sysi = make_system([f], ("X",), (zero_series(F, ZZ_GROUP),))
     monkeypatch.setattr("valuedfields.series._MAX_STEPS", 1)
     with pytest.raises(IterationCapError, match="did not reach the target"):
-        newton_system(sysi, 8)
+        newton_system([f], ("X",), (zero_series(F, ZZ_GROUP),), 8)
 
 
 def test_target_above_every_multiple_of_the_residual_value_fails_fast():
@@ -264,8 +262,7 @@ def test_newton_system_pair():
     t = t_pow(F, ZZ_GROUP, 1)
     f1 = mpoly(("X", "Y"), {(2, 0): one, (0, 0): -(one + t)})
     f2 = mpoly(("X", "Y"), {(0, 2): one, (1, 0): -one, (0, 0): -t})
-    sysi = make_system([f1, f2], ("X", "Y"), (one, one))
-    out = newton_system(sysi, 6)
+    out = newton_system([f1, f2], ("X", "Y"), (one, one), 6)
     x, y = out.roots
     assert x == unit_nth_root(one + t, 2, 6)
     vals = {"X": x, "Y": y}
@@ -420,8 +417,7 @@ def test_newton_system_matches_hensel_n1():
     one = one_series(F, ZZ_GROUP)
     t = t_pow(F, ZZ_GROUP, 1)
     f = mpoly(("X",), {(2,): one, (1,): -one, (0,): -t})
-    sysi = make_system([f], ("X",), (zero_series(F, ZZ_GROUP),))
-    out = newton_system(sysi, 8)
+    out = newton_system([f], ("X",), (zero_series(F, ZZ_GROUP),), 8)
     lift = hensel_lift(_artin_schreier_poly(F, 2), zero_series(F, ZZ_GROUP), 8)
     assert out.roots[0] == lift.root
     assert out.steps == lift.steps
@@ -432,8 +428,7 @@ def test_newton_exact_root_unchanged():
     one = one_series(F, ZZ_GROUP)
     t = t_pow(F, ZZ_GROUP, 1)
     f = mpoly(("X",), {(1,): one, (0,): -t})  # X - t
-    sysi = make_system([f], ("X",), (t,))
-    out = newton_system(sysi, 5)
+    out = newton_system([f], ("X",), (t,), 5)
     assert out.steps == ()
     assert out.roots[0] == truncate(t, 5)
 
@@ -443,9 +438,24 @@ def test_newton_singular_jacobian():
     one = one_series(F, ZZ_GROUP)
     t = t_pow(F, ZZ_GROUP, 1)
     f = mpoly(("X",), {(2,): one, (0,): -t})  # derivative 2X = 0
-    sysi = make_system([f], ("X",), (zero_series(F, ZZ_GROUP),))
     with pytest.raises(SingularPointError):
-        newton_system(sysi, 4)
+        newton_system([f], ("X",), (zero_series(F, ZZ_GROUP),), 4)
+
+
+def test_system_shape_errors():
+    # a start of the wrong length is named before a polynomial in other
+    # variables; vars and start may be any sequence
+    F = GF(5)
+    one = one_series(F, ZZ_GROUP)
+    g = mpoly(("X",), {(1,): one, (0,): -t_pow(F, ZZ_GROUP, 1)})
+    for solve in (lambda *a: newton_system(*a, 4), lambda *a: implicit_solve(*a, (one,), 4)):
+        with pytest.raises(UnsupportedError, match="^start vector length differs from variable count$"):
+            solve([g], ("X", "Y"), (one,))
+        with pytest.raises(UnsupportedError, match=r"^poly vars \('X',\) differ from system vars \('X', 'Y'\)$"):
+            solve([g], ("X", "Y"), (one, one))
+    assert newton_system([g], ["X"], [zero_series(F, ZZ_GROUP)], 4).roots == (
+        t_pow(F, ZZ_GROUP, 1, precision=4),
+    )
 
 
 def test_newton_elimination_path():
@@ -459,8 +469,7 @@ def test_newton_elimination_path():
     for i in range(5):
         e = tuple(2 if j == i else 0 for j in range(5))
         polys.append(mpoly(names, {e: one, (0,) * 5: -(one + t)}))
-    sysi = make_system(polys, names, (one,) * 5)
-    out = newton_system(sysi, 4)
+    out = newton_system(polys, names, (one,) * 5, 4)
     root = unit_nth_root(one + t, 2, 4)
     for r in out.roots:
         assert r == root
@@ -476,9 +485,8 @@ def test_implicit_cusp_smooth_center():
     F = GF(7)
     f, one = _cusp_system(F)
     start = (_const(F, 2), _const(F, 1))  # 2^3 = 1 = 1^2 in F_7
-    sysi = make_system([f], ("X", "Y"), start)
     x_new = make_series(F, ZZ_GROUP, [(0, 2), (1, 1)])  # 2 + s
-    out = implicit_solve(sysi, (x_new,), 6)
+    out = implicit_solve([f], ("X", "Y"), start, (x_new,), 6)
     assert out.alpha == ZZ_GROUP.zero()
     y = out.solved[0]
     check = truncate(
@@ -492,17 +500,15 @@ def test_implicit_singular_center():
     F = GF(7)
     f, one = _cusp_system(F)
     start = (zero_series(F, ZZ_GROUP), zero_series(F, ZZ_GROUP))
-    sysi = make_system([f], ("X", "Y"), start)
     with pytest.raises(SingularPointError):
-        implicit_solve(sysi, (t_pow(F, ZZ_GROUP, 1),), 6)
+        implicit_solve([f], ("X", "Y"), start, (t_pow(F, ZZ_GROUP, 1),), 6)
 
 
 def test_implicit_zero_perturbation_is_identity():
     F = GF(7)
     f, one = _cusp_system(F)
     start = (_const(F, 2), _const(F, 1))
-    sysi = make_system([f], ("X", "Y"), start)
-    out = implicit_solve(sysi, (start[0],), 6)
+    out = implicit_solve([f], ("X", "Y"), start, (start[0],), 6)
     assert out.steps == ()
     assert out.solved[0] == truncate(start[1], 6)
 
@@ -511,11 +517,9 @@ def test_implicit_solution_is_fixed_point():
     F = GF(7)
     f, one = _cusp_system(F)
     start = (_const(F, 2), _const(F, 1))
-    sysi = make_system([f], ("X", "Y"), start)
     x_new = make_series(F, ZZ_GROUP, [(0, 2), (1, 1)])
-    first = implicit_solve(sysi, (x_new,), 6)
-    sys2 = make_system([f], ("X", "Y"), (x_new, first.solved[0]))
-    second = implicit_solve(sys2, (x_new,), 6)
+    first = implicit_solve([f], ("X", "Y"), start, (x_new,), 6)
+    second = implicit_solve([f], ("X", "Y"), (x_new, first.solved[0]), (x_new,), 6)
     assert second.steps == ()
     assert second.solved[0] == first.solved[0]
 
@@ -524,10 +528,9 @@ def test_implicit_perturbation_threshold():
     F = GF(7)
     f, one = _cusp_system(F)
     start = (_const(F, 2), _const(F, 1))
-    sysi = make_system([f], ("X", "Y"), start)
     bad = make_series(F, ZZ_GROUP, [(0, 3), (1, 1)])  # changes the residue
     with pytest.raises(PerturbationError):
-        implicit_solve(sysi, (bad,), 6)
+        implicit_solve([f], ("X", "Y"), start, (bad,), 6)
 
 
 def test_implicit_threshold_from_a_jacobian_block_with_a_positive_adjugate_entry():
@@ -541,27 +544,26 @@ def test_implicit_threshold_from_a_jacobian_block_with_a_positive_adjugate_entry
     f1 = mpoly(vars, {(0, 1, 0): one, (0, 0, 1): t, (1, 0, 0): -one})
     f2 = mpoly(vars, {(0, 0, 1): one, (1, 0, 0): -one})
     zero = zero_series(F, ZZ_GROUP)
-    sysi = make_system([f1, f2], vars, (zero, zero, zero))
-    out = implicit_solve(sysi, (t_pow(F, ZZ_GROUP, 3),), 10)
+    out = implicit_solve([f1, f2], vars, (zero, zero, zero), (t_pow(F, ZZ_GROUP, 3),), 10)
     assert out.alpha == ZZ_GROUP.elem(1)
     x, y = out.solved
     assert x == make_series(F, ZZ_GROUP, [(3, 1), (4, 4)], 10)
     assert y == make_series(F, ZZ_GROUP, [(3, 1)], 10)
     with pytest.raises(PerturbationError, match="threshold 2"):
-        implicit_solve(sysi, (t_pow(F, ZZ_GROUP, 2),), 10)
+        implicit_solve([f1, f2], vars, (zero, zero, zero), (t_pow(F, ZZ_GROUP, 2),), 10)
 
 
-def _reference_implicit_solve(s, prefix, target):
+def _reference_implicit_solve(polys, vars, start, prefix, target):
     """implicit_solve as first written: substitute the perturbed prefix into
     the polynomials, then differentiate the reduced system in the trailing
     variables again."""
-    n, ell = len(s.polys), len(s.vars)
-    field, group = s.start[0].field, s.start[0].group
+    n, ell = len(polys), len(vars)
+    field, group = start[0].field, start[0].group
     target = group.elem(target)
-    head, trailing = s.vars[: ell - n], s.vars[ell - n:]
+    head, trailing = vars[: ell - n], vars[ell - n:]
     zero, one = zero_series(field, group), one_series(field, group)
     block = hensel._eval_matrix(
-        [row[ell - n:] for row in s.jacobian], s.vars, s.start, field, group
+        [[p.partial(v) for v in trailing] for p in polys], vars, start, field, group
     )
     vdet = valuation(det(block, zero, one))
     if not (vdet.is_exact and vdet.value.is_zero()):
@@ -573,7 +575,7 @@ def _reference_implicit_solve(s, prefix, target):
             if v.is_exact and alpha < v.value:
                 alpha = v.value
     threshold = alpha.scale(2)
-    for old, new in zip(s.start, prefix):
+    for old, new in zip(start, prefix):
         diff = sub_series(new, old)
         if diff.is_exact_zero():
             continue
@@ -582,9 +584,9 @@ def _reference_implicit_solve(s, prefix, target):
             raise PerturbationError(
                 f"perturbation valuation {v} does not exceed threshold 2*alpha = {threshold}"
             )
-    reduced = [p.subst(dict(zip(head, prefix)), field) for p in s.polys]
+    reduced = [p.subst(dict(zip(head, prefix)), field) for p in polys]
     assert all(q.vars == trailing for q in reduced)
-    tail = s.start[ell - n:]
+    tail = start[ell - n:]
     for r in hensel._residuals(reduced, trailing, tail, field, group, target):
         v = valuation(r)
         if v.is_exact and not v.value.sign() > 0:
@@ -656,15 +658,14 @@ def test_implicit_solve_matches_the_substituting_reference():
                                    value.precision)
                 f = f - mpoly(names, {(0,) * len(names): value})
             polys.append(f)
-        sysi = make_system(polys, names, start)
         shift = rng.choice([0, 1, 2, 3, 4, 5])
         prefix = tuple(
             add_series(x, _random_series(rng, field, group, shift)) if shift else x
             for x in start[:k]
         )
         target = rng.choice([4, 6, 9])
-        got = _outcome(implicit_solve, sysi, prefix, target)
-        want = _outcome(_reference_implicit_solve, sysi, prefix, target)
+        got = _outcome(implicit_solve, polys, names, start, prefix, target)
+        want = _outcome(_reference_implicit_solve, polys, names, start, prefix, target)
         if isinstance(got, ImplicitResult):
             got = (got.solved, got.alpha, got.steps)
             kinds["solved" if got[2] else "fixed"] += 1
@@ -814,7 +815,7 @@ def test_lifts_solves_and_place_values_leave_no_cyclic_garbage():
         for k in range(1, 21):
             lift = SeriesPoly((make_series(F, ZZ_GROUP, [(0, -1), (k, 1)]), zero_series(F, ZZ_GROUP), one))
             hensel_lift(lift, None, 32)
-        newton_system(make_system([f1, f2], ("X", "Y"), (one, one)), 16)
+        newton_system([f1, f2], ("X", "Y"), (one, one), 16)
         place_value_residue(place, g)
         assert gc.collect() == 0
     finally:
