@@ -17,7 +17,8 @@ A place is described declaratively and evaluated exactly:
   polynomial, numerator, denominator or that of an inner stage, expands the
   streams of the variables it contains round by round until its own value
   is decided, and, at a place with no truncated assignment, cuts its exact
-  assignments of several terms on the same ladder.
+  assignments of several terms on the same ladder while the rung is below
+  their top exponent times the polynomial's degree in their variable.
 * ``ComposePlace``   -- a flat tuple of stages, each a place on the residue
   field of the stage before it; values are lexicographic tuples with earlier
   stages dominant.
@@ -415,21 +416,23 @@ def _monomial_lead(P: MonomialPlace, g: MPoly):
 # series embedding with adaptive stream refinement
 
 
-def _uses(g: MPoly, v: str) -> bool:
-    """Whether g contains v with a nonzero exponent: only the streams of such
-    variables are expanded."""
+def _degree(g: MPoly, v: str) -> int:
+    """The degree of g in v, 0 when g does not contain v: only the streams
+    of variables of positive degree are expanded."""
     if v not in g.vars:
-        return False
+        return 0
     i = g.vars.index(v)
-    return any(exps[i] for exps, _ in g.terms)
+    return max(exps[i] for exps, _ in g.terms)
 
 
 def _substitute(P: SeriesEmbedPlace, g: MPoly, round_: int):
-    """(g at the assignments, whether an assignment was cut).  Round r
+    """(g at the assignments, whether the round left a term out).  Round r
     expands the streams g uses below t^(BASE_PRECISION * 2^r).  Rounds before
-    the last also cut there each exact assignment of several terms that g
-    uses, over a subgroup of Q, so that its precision rises with the rung as
-    a stream's does; at a place with a truncated assignment, whose precision
+    the last also cut there each exact assignment of several terms whose top
+    exponent times g's degree in its variable reaches that rung, over a
+    subgroup of Q, so that its precision rises with the rung as a stream's
+    does; below the rung the cut would drop no term and only lower the
+    precision.  At a place with a truncated assignment, whose precision
     stays put, nothing is cut.  One-term assignments stay whole."""
     rung = BASE_PRECISION * (2 ** round_)
     cut = (
@@ -437,32 +440,31 @@ def _substitute(P: SeriesEmbedPlace, g: MPoly, round_: int):
         and type(P.group) is RationalGroup
         and all(isinstance(s, Stream) or s.precision is None for _, s in P.assignments)
     )
-    values, was_cut = {}, False
+    values, left_out = {}, False
     for v, s in P.assignments:
         if isinstance(s, Stream):
-            if _uses(g, v):
+            if _degree(g, v):
                 values[v] = stream_expand(s, rung, DEFAULT_STREAM_CAP * (2 ** round_))
-        elif cut and len(s.terms) > 1 and _uses(g, v):
-            values[v], was_cut = truncate(s, rung), True
+                left_out = True
+        elif cut and len(s.terms) > 1 and s.terms[-1][0].data * _degree(g, v) >= rung:
+            values[v], left_out = truncate(s, rung), True
         else:
             values[v] = s
-    return eval_poly_at_series(g, values, P.field, P.group), was_cut
+    return eval_poly_at_series(g, values, P.field, P.group), left_out
 
 
 def _embed_lead(P: SeriesEmbedPlace, g: MPoly):
     """(v(g(series)), its leading coefficient or None), by the rounds of
     _substitute until the value is exact or infinite, or REFINE_ROUNDS have
-    run; a round that cut nothing, where g uses no stream, is the last.  Each
-    cut is honest, so a value decided on the ladder is the true one, and the
-    last round, which cuts nothing, is the whole substitution."""
+    run; a round that left no term out is the whole substitution, and the
+    last.  Each cut is honest, so a value decided on the ladder is the true
+    one."""
     for r in range(REFINE_ROUNDS):
-        s, was_cut = _substitute(P, g, r)
+        s, left_out = _substitute(P, g, r)
         v = valuation(s)
         if v.kind is not ValuationKind.AT_LEAST:
             return v, s.terms[0][1] if s.terms else None
-        if not was_cut and not any(
-            isinstance(a, Stream) and _uses(g, name) for name, a in P.assignments
-        ):
+        if not left_out:
             break
     return v, None
 
