@@ -20,11 +20,10 @@ of the sum by bisection; make_series, which sorts, is for unsorted input.
 _newton is the one certified Newton iteration every lift goes through:
 unit_nth_root here, and hensel_lift, newton_system and implicit_solve in
 the hensel module.  Each pass of its loop corrects the approximant and reads
-the residual at the result, both only as far as the next pass can certify;
-one flag turns that precision ladder off for good when something loses
-precision.  Inversion is a Newton iteration of its own, and mul_series never
-forms a product beyond its precision.  A lift to precision N so costs about
-N^2 coefficient products, not N^3.
+the residual at the result, only as far as the next pass can certify, until
+a loss of precision turns that ladder off.  Inversion is a Newton iteration
+of its own; mul_series never forms a product beyond its precision.  A lift
+to precision N so costs about N^2 coefficient products, not N^3.
 
 mul_series scales exponents to slots once and has two kernels.  Over a
 subgroup of Q the slot of an exponent e is the integer m*e, with m the lcm
@@ -85,7 +84,9 @@ from .errors import (
     ParamError,
     PrecisionError,
 )
-from .fields import GF, FieldDesc, FieldElement, FiniteField, _is_prime, _power, embed, frobenius
+from .fields import (
+    GF, FieldDesc, FieldElement, FiniteField, _check_power_bits, _is_prime, _power, embed, frobenius,
+)
 from .groups import GroupDesc, GroupElem, RationalGroup, ZZ_GROUP, QQ_GROUP, p_power_hull
 from .polys import cramer
 
@@ -265,6 +266,8 @@ class Series:
             if prec is not None:
                 prec = prec + _low_bound(self).scale(p - 1)
             return truncate(frobenius_series(self), prec) ** (k // p)
+        if not p and self.terms:  # the power leads with c^k: refuse a huge one before squaring
+            _check_power_bits(self.terms[0][1].data, k)
         return _power(self, k, mul_series)
 
     def __str__(self):
@@ -909,31 +912,28 @@ def _newton(residuals, jacobian, start, target: GroupElem):
     logged valuations.
 
     Each pass of the loop corrects a and reads f at the result, on a
-    precision ladder.  The correct step works modulo t^(cut), cut =
-    min(target, 4w), with J(a) and 1/det only modulo t^(cut - w), since
-    f(a) has valuation w.  The read step evaluates the next residual modulo
-    t^(min(target, 8w)), four times its certified lower bound 2w, and again
-    further when it is zero to, or too close to, that precision.  A residual
-    valuation that reaches the cut may be an artifact of that truncation:
-    the read reports it, and the pass reads a again at the target and redoes
-    the correction there.  The ladder runs only while nothing loses
-    precision: a residual known to less than it was read to (inputs known to
-    less than the target), or a det J(a) or correction known to less than
-    it was computed to (coefficients of negative valuation), sets full, the
-    one flag that outlives a pass, and the pending correction and every
-    later one run at the target.  No rung reaches a target in a higher
-    archimedean class than w (Z^r lex), so such a correction runs at the
-    target, where a Jacobian whose inverse needs infinitely many terms
-    raises PrecisionError.  An approximant or residual with more than
-    _MAX_TERMS terms raises IterationCapError."""
+    precision ladder.  The correction after residual valuation w is computed
+    modulo t^(cut), cut = min(target, 4w), with J(a) and 1/det only modulo
+    t^(cut - w).  The next residual is read modulo t^(min(target, 8w)), four
+    times its certified lower bound 2w, and further when it is zero to, or
+    too close to, that precision.  A valuation that reaches the cut may be
+    an artifact of it, so the pass reads a again at the target and redoes
+    the correction there.  A residual, det J(a) or correction known to less
+    than it was computed to (inputs known to less than the target, or
+    coefficients of negative valuation) sets full, the one flag that
+    outlives a pass: the pending correction and every later one run at the
+    target.  No rung reaches a target in a higher archimedean class than w
+    (Z^r lex), so such a correction runs at the target, where a Jacobian
+    whose inverse needs infinitely many terms raises PrecisionError.  An
+    approximant or residual with more than _MAX_TERMS terms raises
+    IterationCapError."""
     a = tuple(truncate(s, target) for s in start)
     zero, one = zero_series(a[0].field, a[0].group), one_series(a[0].field, a[0].group)
     full = False
 
     def read(a, at, cut):
-        """(f(a), its least exact valuation or None), read modulo t^(at) or
-        further; None when that valuation reaches the cut, below the target,
-        of the correction that made a."""
+        """(f(a), its least exact valuation or None) read modulo t^(at) or
+        further, or None when that valuation reaches a cut below the target."""
         nonlocal full
         while True:  # at rises on every pass, and a pass at the target returns
             point = tuple(truncate(x, at) for x in a)
@@ -958,8 +958,7 @@ def _newton(residuals, jacobian, start, target: GroupElem):
 
     def correct(a, res, w, cut):
         """(a - J(a)^(-1) * f(a) modulo t^(cut), read to the target, and the
-        cut); when J(a), det J(a) or the correction loses precision, f(a) is
-        read again at the target and the correction runs there."""
+        cut); on a loss of precision f(a) is read again and a corrected at the target."""
         nonlocal full
         while True:  # the second pass runs with full set, and returns
             jet = target if full else cut - w

@@ -801,12 +801,15 @@ def test_large_power_at_an_exact_binomial_is_fast(capsys):
     assert got == (0, "v = 0, residue = 1\n", "")
 
 
-def _two_t_place(tmp_path):
-    """x1 -> 2t, exact, over Q."""
-    path = tmp_path / "two_t.json"
+# exact assignments x1 -> 2t and x1 -> 2 + t over Q, for places the tests write
+_EXACT_X1 = {"two_t": [["1", "2"]], "two_plus_t": [["0", "2"], ["1", "1"]]}
+
+
+def _exact_place(tmp_path, name):
+    path = tmp_path / f"{name}.json"
     path.write_text(json.dumps({
         "variant": "series_embed", "field": {"kind": "Q"}, "group": {"kind": "Q"},
-        "assignments": [["x1", {"terms": [["1", "2"]], "precision": None}]],
+        "assignments": [["x1", {"terms": _EXACT_X1[name], "precision": None}]],
     }), encoding="utf-8")
     return str(path)
 
@@ -817,9 +820,11 @@ def _two_t_place(tmp_path):
     ("eval_q", "2^1000000000000", "budget of 1048576"),
     ("two_t", "x1^1000000000000", "budget of 1048576"),
     ("two_t", "(x1/3)^(-1000000000000)", "budget of 1048576"),
+    # a power of several terms leads with 2^(10^12), refused before squaring
+    ("two_plus_t", "x1^1000000000000", "budget of 1048576"),
 ])
 def test_huge_rationals_exit_2_with_one_line(capsys, tmp_path, place, expression, needle):
-    path = _two_t_place(tmp_path) if place == "two_t" else str(GOLDEN_PLACES / f"{place}.json")
+    path = _exact_place(tmp_path, place) if place in _EXACT_X1 else str(GOLDEN_PLACES / f"{place}.json")
     start = time.perf_counter()
     for extra in ([], ["--json"]):
         code, out, err = run(capsys, ["eval", "--place", path, *extra, expression])
