@@ -6,9 +6,8 @@ an automatically located simple residue root.  newton_system does the same
 for square systems via the Jacobian, and implicit_solve re-solves the
 trailing coordinates of a known common zero after the leading coordinates
 are perturbed, with an explicit, reported perturbation threshold.  A system
-is passed as its polynomials, their variables and the start; each solver
-forms the partial derivatives it needs, implicit_solve only those in the
-trailing variables.
+is passed as its polynomials, their variables and the start, and
+implicit_solve forms only the partials in the trailing variables.
 
 Each of them checks its own preconditions and then runs the one Newton
 iteration of series._newton, as does series.unit_nth_root: every step logs
@@ -17,8 +16,7 @@ v(f(a_next)) >= 2*v(f(a)), and solves with the Jacobian's adjugate and one
 inverted determinant.  The steps run on a precision ladder: after residual
 valuation w a step needs f(a) only modulo t^(4w) and J(a) modulo t^(3w)
 (both capped at the target), so the callbacks here see approximants
-truncated that far, until something loses precision and the ladder turns
-off.
+truncated that far until something loses precision.
 """
 
 from __future__ import annotations
@@ -335,16 +333,14 @@ def _residuals(polys, vars, point, field, group, target):
 
 
 def newton_system(polys, vars, start, target) -> NewtonResult:
-    """Newton iteration on the square system polys = 0 in vars, from a start
-    whose residuals have positive valuation and whose Jacobian determinant
-    is a unit."""
+    """Newton iteration on a square system from a start whose residuals have
+    positive valuation and whose Jacobian determinant is a unit."""
     polys, vars, start = _system(polys, vars, start)
     if len(polys) != len(vars):
         raise UnsupportedError("newton_system needs a square system")
     field, group = start[0].field, start[0].group
     target = target if isinstance(target, GroupElem) else group.elem(target)
-    res0 = _residuals(polys, vars, start, field, group, target)
-    for r in res0:
+    for r in _residuals(polys, vars, start, field, group, target):
         v = valuation(r)
         if v.is_exact and not v.value.sign() > 0:
             raise HypothesisError(f"start residual has valuation {v.value}, need > 0")
@@ -370,8 +366,7 @@ def implicit_solve(polys, vars, start, perturbed_prefix, target) -> ImplicitResu
     its coordinate by valuation > 2*alpha.
     """
     polys, vars, start = _system(polys, vars, start)
-    n = len(polys)
-    ell = len(vars)
+    n, ell = len(polys), len(vars)
     if n >= ell:
         raise UnsupportedError("implicit_solve needs more variables than equations")
     perturbed_prefix = tuple(perturbed_prefix)
@@ -408,8 +403,7 @@ def implicit_solve(polys, vars, start, perturbed_prefix, target) -> ImplicitResu
     # the system at (perturbed prefix, a) is a system in the trailing
     # coordinates a, and its Jacobian there is the trailing block
     start_tail = start[ell - n:]
-    res0 = _residuals(polys, vars, perturbed_prefix + start_tail, field, group, target)
-    for r in res0:
+    for r in _residuals(polys, vars, perturbed_prefix + start_tail, field, group, target):
         v = valuation(r)
         if v.is_exact and not v.value.sign() > 0:
             raise PerturbationError(
