@@ -197,9 +197,9 @@ _MAX_SCAN_WORK = 18_000_000
 # Budget of a rational power q^k in bits, ParamError beyond: |k| times the
 # bit length of q's numerator or denominator, whichever is longer, bounds
 # the bits of the result, so _check_power_bits runs before the power is
-# formed; 0 and +-1 are exempt.  Tier-1, the goldens, the demos and the workloads
-# reach 42 bits; 2^(2^19) forms in about 2 ms, and 2^15000, past the digits
-# CPython prints, stays within it.
+# formed; 0 and +-1 are exempt.  Tier-1, the goldens, the demos and the
+# workloads reach 42 bits; 2^(2^19) forms in about 2 ms, and 2^15000, past
+# the digits CPython prints, stays within it.
 _MAX_POWER_BITS = 1 << 20
 
 

@@ -19,11 +19,10 @@ of the sum by bisection; make_series, which sorts, is for unsorted input.
 
 _newton is the one certified Newton iteration every lift goes through:
 unit_nth_root here, and hensel_lift, newton_system and implicit_solve in
-the hensel module.  Each pass of its loop corrects the approximant and reads
-the residual at the result, only as far as the next pass can certify, until
-a loss of precision turns that ladder off.  Inversion is a Newton iteration
-of its own; mul_series never forms a product beyond its precision.  A lift
-to precision N so costs about N^2 coefficient products, not N^3.
+the hensel module.  It runs on a precision ladder, each pass correcting and
+reading only as far as the next one can certify, and inversion is a Newton
+iteration of its own; mul_series never forms a product beyond its precision.
+A lift to precision N so costs about N^2 coefficient products, not N^3.
 
 mul_series scales exponents to slots once and has two kernels.  Over a
 subgroup of Q the slot of an exponent e is the integer m*e, with m the lcm
@@ -266,7 +265,7 @@ class Series:
             if prec is not None:
                 prec = prec + _low_bound(self).scale(p - 1)
             return truncate(frobenius_series(self), prec) ** (k // p)
-        if not p and self.terms:  # the power leads with c^k: refuse a huge one before squaring
+        if not p and self.terms:  # c^k leads: check its size first
             _check_power_bits(self.terms[0][1].data, k)
         return _power(self, k, mul_series)
 
@@ -911,31 +910,30 @@ def _newton(residuals, jacobian, start, target: GroupElem):
     certificate v(f(a_next)) >= 2*v(f(a)).  Returns the root vector and the
     logged valuations.
 
-    Each pass of the loop corrects a and reads f at the result, on a
-    precision ladder.  The correction after residual valuation w is computed
-    modulo t^(cut), cut = min(target, 4w), with J(a) and 1/det only modulo
-    t^(cut - w).  The next residual is read modulo t^(min(target, 8w)), four
-    times its certified lower bound 2w, and further when it is zero to, or
-    too close to, that precision.  A valuation that reaches the cut may be
-    an artifact of it, so the pass reads a again at the target and redoes
-    the correction there.  A residual, det J(a) or correction known to less
-    than it was computed to (inputs known to less than the target, or
-    coefficients of negative valuation) sets full, the one flag that
-    outlives a pass: the pending correction and every later one run at the
-    target.  No rung reaches a target in a higher archimedean class than w
-    (Z^r lex), so such a correction runs at the target, where a Jacobian
-    whose inverse needs infinitely many terms raises PrecisionError.  An
-    approximant or residual with more than _MAX_TERMS terms raises
-    IterationCapError."""
+    Each pass corrects a and reads f at the result, on a precision ladder:
+    after residual valuation w the correction is computed modulo t^(cut),
+    cut = min(target, 4w), with J(a) and 1/det modulo t^(cut - w), and the
+    next residual modulo t^(min(target, 8w)), or further when it is zero to,
+    or too close to, that precision.  A valuation that reaches the cut may
+    be an artifact of it, so the pass corrects a again at the target.  A
+    residual, det J(a) or correction known to less than it was computed to
+    (inputs known to less than the target, coefficients of negative
+    valuation) sets full, the one flag that outlives a pass, and every later
+    step runs at the target.  No rung reaches a target in a higher
+    archimedean class than w (Z^r lex), so such a correction runs at the
+    target, where an inverse needing infinitely many terms raises
+    PrecisionError.  More than _MAX_TERMS terms in an approximant or
+    residual raise IterationCapError."""
     a = tuple(truncate(s, target) for s in start)
     zero, one = zero_series(a[0].field, a[0].group), one_series(a[0].field, a[0].group)
     full = False
 
     def read(a, at, cut):
-        """(f(a), its least exact valuation or None) read modulo t^(at) or
-        further, or None when that valuation reaches a cut below the target."""
+        """(f(a), its least exact valuation or None if f(a) is zero) read
+        modulo t^(at) or further; None when that valuation reaches a cut
+        below the target."""
         nonlocal full
-        while True:  # at rises on every pass, and a pass at the target returns
+        while True:  # at rises, and a read at the target returns
             point = tuple(truncate(x, at) for x in a)
             res = [truncate(r, at) for r in residuals(point)]
             if any(len(x.terms) > _MAX_TERMS for x in (*point, *res)):
@@ -958,9 +956,9 @@ def _newton(residuals, jacobian, start, target: GroupElem):
 
     def correct(a, res, w, cut):
         """(a - J(a)^(-1) * f(a) modulo t^(cut), read to the target, and the
-        cut); on a loss of precision f(a) is read again and a corrected at the target."""
+        cut, which a loss of precision raises to the target)."""
         nonlocal full
-        while True:  # the second pass runs with full set, and returns
+        while True:  # a second pass, with full set, returns
             jet = target if full else cut - w
             d, (adj_res,) = cramer(
                 jacobian(tuple(truncate(x, jet) for x in a)), [[truncate(r, cut) for r in res]],
@@ -984,13 +982,12 @@ def _newton(residuals, jacobian, start, target: GroupElem):
         if steps and w < steps[-1].scale(2):
             raise HypothesisError(f"convergence certificate failed: v went {steps[-1]} -> {w}")
         steps.append(w)
-        # a target in a higher archimedean class than w: no rung reaches it
         gap = w.sign() > 0 and w.group.above_every_multiple(target, w)
         nxt, cut = correct(a, res, w, target if full or gap else _prec_min(target, w.scale(4)))
         if len(steps) == _MAX_STEPS:
             raise IterationCapError("Newton iteration did not reach the target")
         got = read(nxt, target if full else _prec_min(target, w.scale(8)), cut)
-        if got is None:  # maybe an artifact of the cut: correct a again at the target
+        if got is None:  # maybe an artifact of the cut
             res, w = read(a, target, target)
             nxt, _ = correct(a, res, w, target)
             got = read(nxt, target if full else _prec_min(target, w.scale(8)), target)

@@ -166,11 +166,13 @@ def _ladder_cases():
 
     # over Z^2 lex no rung reaches a target above every multiple of w
     lex = LexGroup(2)
-    one = one_series(f5, lex)
-    quadratic = SeriesPoly((make_series(f5, lex, [((0, 0), -1), ((0, 1), -1)]), zero_series(f5, lex), one))
-    yield "gap_quadratic", lambda: hensel_lift(quadratic, one, (1, 0))
-    linear = SeriesPoly((make_series(f5, lex, [((0, 1), -1), ((1, 0), 2)]), one))
-    yield "gap_linear", lambda: hensel_lift(linear, zero_series(f5, lex), (2, 0))
+    lex_one, lex_zero = one_series(f5, lex), zero_series(f5, lex)
+    lex_quadratic = SeriesPoly(
+        (make_series(f5, lex, [((0, 0), -1), ((0, 1), -1)]), lex_zero, lex_one)
+    )
+    yield "gap_quadratic", lambda: hensel_lift(lex_quadratic, lex_one, (1, 0))
+    lex_linear = SeriesPoly((make_series(f5, lex, [((0, 1), -1), ((1, 0), 2)]), lex_one))
+    yield "gap_linear", lambda: hensel_lift(lex_linear, lex_zero, (2, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -198,13 +200,12 @@ def _coeff(rng, field):
     return field.elem(Fraction(rng.choice([-3, -2, -1, 1, 2, 3, 5]), rng.choice([1, 1, 2, 3])))
 
 
-def _tail(rng, field, group, den, low, high, precision=None):
-    """Random terms at exponents in [low, high) with denominator den."""
+def _tail(rng, field, group, den, low, high):
+    """Up to four random terms at exponents in [low, high) with denominator den."""
     slots = range(low * den, high * den)
     exps = rng.sample(slots, min(len(slots), rng.randint(0, 4)))
-    return make_series(
-        field, group, [(group.elem(Fraction(e, den)), _coeff(rng, field)) for e in exps], precision
-    )
+    terms = [(group.elem(Fraction(e, den)), _coeff(rng, field)) for e in exps]
+    return make_series(field, group, terms)
 
 
 def _ring(rng):
@@ -230,8 +231,7 @@ def _random_lift(rng):
         coeffs.append(x)
     start = None
     if rng.random() < 0.5:
-        start = make_series(field, group, [(0, r)])
-        start = start + _tail(rng, field, group, den, 1, 6)
+        start = make_series(field, group, [(0, r)]) + _tail(rng, field, group, den, 1, 6)
         if rng.random() < 0.3:
             start = truncate(start, target + group.elem(rng.randint(0, 2)))
     return lambda: hensel_lift(SeriesPoly(tuple(coeffs)), start, target)
@@ -254,8 +254,9 @@ def _random_system(rng):
     field, group, den = _ring(rng)
     names = ("X", "Y")
     target = rng.randint(2, 24)
-    # start coordinates of valuation m[j]: a coefficient t^(-k) on a monomial
-    # whose partials keep valuation >= 0 there leaves det J(start) a unit
+    # start coordinates of valuation m[j]; a coefficient t^(-k) goes only on a
+    # monomial whose partials keep valuation >= 0 there, so that det J(start)
+    # has valuation >= 0
     m = [rng.randint(0, 2), rng.randint(1, 3)]
     start = [
         make_series(field, group, [(mj, _coeff(rng, field))])
@@ -263,14 +264,15 @@ def _random_system(rng):
         for mj in m
     ]
     while True:
-        lin = [[_coeff(rng, field).times_int(rng.randint(0, 1)) for _ in range(2)] for _ in range(2)]
+        lin = [[_coeff(rng, field).times_int(rng.randint(0, 1)) for _ in "XY"] for _ in "XY"]
         if not (lin[0][0] * lin[1][1] - lin[0][1] * lin[1][0]).is_zero():
             break
     polys = []
     for i in range(2):
         terms = {}
         for j, e in enumerate(((1, 0), (0, 1))):
-            terms[e] = make_series(field, group, [(0, lin[i][j])]) + _tail(rng, field, group, den, 1, 6)
+            terms[e] = make_series(field, group, [(0, lin[i][j])])
+            terms[e] += _tail(rng, field, group, den, 1, 6)
         for e in rng.sample([(2, 0), (1, 1), (0, 2), (2, 1), (0, 3), (1, 2)], rng.randint(0, 3)):
             room = m[0] * e[0] + m[1] * e[1] - max(mj for mj, ej in zip(m, e) if ej)
             low = -rng.randint(1, room) if room > 0 and rng.random() < 0.5 else rng.randint(0, 1)
