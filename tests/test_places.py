@@ -1166,15 +1166,15 @@ def _g9_smooth_place():
     (_golden_place("exact_binomial.json"), ("x1",), {(3000,): 1}, "0", [0]),
     (_golden_place("exact_binomial.json"), ("x1",), {(200,): 1, (0,): -1}, "1", [0]),
     # the kernel element x1 - 1 - x2^2 has degree 1 in x1, below every rung,
-    # so no cut would drop a term and round 0 is whole; times x1^8 its degree
-    # 9 reaches the rung t^8 but not t^16, where the round is whole
+    # so no cut would drop a term and round 0 is whole; times x1^8 (the last
+    # row) its degree 9 reaches the rung t^8 but not t^16
     (_golden_place("exact_binomial.json"), ("x1", "x2"),
      {(1, 0): 1, (0, 0): -1, (0, 2): -1}, "oo", [0]),
-    (_golden_place("exact_binomial.json"), ("x1", "x2"),
-     {(9, 0): 1, (8, 0): -1, (8, 2): -1}, "oo", [0, 1]),
     # beside a stream, the rounds are the stream's
     (_golden_place("frobenius_root_mixed.json"), ("x1", "x2", "x3"),
      {(2, 0, 1): 1, (1, 0, 1): -1, (0, 1, 1): -1}, ">= 64", [0, 1, 2, 3]),
+    (_golden_place("exact_binomial.json"), ("x1", "x2"),
+     {(9, 0): 1, (8, 0): -1, (8, 2): -1}, "oo", [0, 1]),
 ])
 def test_exact_assignments_of_several_terms_on_the_ladder(
     monkeypatch, P, names, term_map, value, want
