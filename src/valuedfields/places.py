@@ -17,7 +17,7 @@ A place is described declaratively and evaluated exactly:
   polynomial, numerator, denominator or that of an inner stage, expands the
   streams of the variables it contains round by round until its own value
   is decided, and, at a place with no truncated assignment, cuts its exact
-  assignments of several terms on the same ladder while the rung is below
+  assignments of several terms on the same ladder while the rung is at most
   their top exponent times the polynomial's degree in their variable.
 * ``ComposePlace``   -- a flat tuple of stages, each a place on the residue
   field of the stage before it; values are lexicographic tuples with earlier

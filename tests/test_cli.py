@@ -824,7 +824,10 @@ def _exact_place(tmp_path, name):
     ("two_plus_t", "x1^1000000000000", "budget of 1048576"),
 ])
 def test_huge_rationals_exit_2_with_one_line(capsys, tmp_path, place, expression, needle):
-    path = _exact_place(tmp_path, place) if place in _EXACT_X1 else str(GOLDEN_PLACES / f"{place}.json")
+    if place in _EXACT_X1:
+        path = _exact_place(tmp_path, place)
+    else:
+        path = str(GOLDEN_PLACES / f"{place}.json")
     start = time.perf_counter()
     for extra in ([], ["--json"]):
         code, out, err = run(capsys, ["eval", "--place", path, *extra, expression])
