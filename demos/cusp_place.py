@@ -8,6 +8,7 @@ from fractions import Fraction
 
 from valuedfields.fields import GF, QQ
 from valuedfields.groups import ZZ_GROUP, one_over_m
+from valuedfields.hensel import implicit_solve
 from valuedfields.places import (
     SeriesEmbedPlace,
     UniformizationWitness,
@@ -15,7 +16,7 @@ from valuedfields.places import (
     verify_uniformization_witness,
 )
 from valuedfields.polys import mpoly
-from valuedfields.series import make_series, t_pow, unit_nth_root
+from valuedfields.series import make_series, t_pow
 
 
 def main():
@@ -34,12 +35,14 @@ def main():
     print("  witness checks at the origin:", verify_uniformization_witness(witness, origin))
     print()
 
-    # recenter at x = 1 + t over F_7, where the curve is smooth
+    # recenter at x = 1 + t over F_7, where the curve is smooth: the
+    # implicit function theorem re-solves y from the point (1, 1)
     field = GF(7)
+    one = make_series(field, ZZ_GROUP, [(0, 1)])
     xs = make_series(field, ZZ_GROUP, [(0, 1), (1, 1)])
-    ys = unit_nth_root(xs ** 3, 2, precision=8)
-    smooth = SeriesEmbedPlace(field, ZZ_GROUP, (("x", xs), ("y", ys)))
     curve7 = mpoly(("x", "y"), {(0, 2): field.one(), (3, 0): -field.one()})
+    (ys,) = implicit_solve([curve7], ("x", "y"), (one, one), (xs,), 8).solved
+    smooth = SeriesEmbedPlace(field, ZZ_GROUP, (("x", xs), ("y", ys)))
     witness7 = UniformizationWitness(("x",), ("y",), (curve7,))
     print("same curve at the smooth center x = 1 + t over F_7")
     print("  witness checks:", verify_uniformization_witness(witness7, smooth))

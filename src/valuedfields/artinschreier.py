@@ -9,9 +9,9 @@ The constant c decides everything through its valuation:
   value v(c)/p, which forces ramification.
 * v(c) < 0 and v(c) = p*g inside the group: surgery rewrites c by
   c - (b^p - b) with b = (lead coeff)^(1/p) * t^g, removing the leading term
-  at the cost of one of value g.  Iterating either reaches one of the shapes
-  above or keeps going forever; a bounded run that never terminates returns
-  the partial sum and residual as a defect suspect, not a proof.
+  at the cost of one of value g.  Over (1/m)Z the iteration always reaches
+  one of the shapes above; over (1/p^oo)Z and Q it can go on forever, and a
+  fixed step budget raises IterationCapError there.
 
 Translation by any b replaces c by c - (b^p - b) and shifts the root set
 by b; each surgery step is one such translation.
@@ -19,11 +19,12 @@ by b; each surgery step is one such translation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .errors import (
     HypothesisError,
+    IterationCapError,
     PrecisionError,
     UnsupportedError,
     WrongCaseError,
@@ -59,7 +60,6 @@ __all__ = [
     "LiftedRoot",
     "NoResidueRoot",
     "Ramified",
-    "DefectSuspect",
     "NormalForm",
     "SurgeryStep",
     "classify",
@@ -115,41 +115,45 @@ class ASInstance:
 # outcomes
 
 
+class _Outcome:
+    """Serializes as its variant, the class name, then each field in order."""
+
+    def to_json(self) -> dict:
+        out = {"variant": type(self).__name__}
+        for f in fields(self):
+            out[f.name] = _to_json(getattr(self, f.name))
+        return out
+
+
+def _to_json(x):
+    if isinstance(x, Series):
+        return series_to_json(x)
+    if isinstance(x, tuple):
+        return [_to_json(item) for item in x]
+    if isinstance(x, SurgeryStep):
+        return vars(x)
+    return x if isinstance(x, (int, str)) else str(x)
+
+
 @dataclass(frozen=True)
-class Split:
+class Split(_Outcome):
     roots: tuple[Series, ...]
 
-    def to_json(self):
-        return {"variant": "Split", "roots": [series_to_json(r) for r in self.roots]}
-
 
 @dataclass(frozen=True)
-class LiftedRoot:
+class LiftedRoot(_Outcome):
     root: Series
 
-    def to_json(self):
-        return {"variant": "LiftedRoot", "root": series_to_json(self.root)}
-
 
 @dataclass(frozen=True)
-class NoResidueRoot:
+class NoResidueRoot(_Outcome):
     trace: FieldElement
 
-    def to_json(self):
-        return {"variant": "NoResidueRoot", "trace": str(self.trace)}
-
 
 @dataclass(frozen=True)
-class Ramified:
+class Ramified(_Outcome):
     root_value: GroupElem
-    extension_note: str
-
-    def to_json(self):
-        return {
-            "variant": "Ramified",
-            "root_value": str(self.root_value),
-            "note": self.extension_note,
-        }
+    note: str
 
 
 @dataclass(frozen=True)
@@ -160,39 +164,12 @@ class SurgeryStep:
 
 
 @dataclass(frozen=True)
-class DefectSuspect:
-    partial: Series  # accumulated B with c_k = c - (B^p - B)
-    residual: Series
-    iterations: int
-    trace: tuple[SurgeryStep, ...]
-
-    def to_json(self):
-        return {
-            "variant": "DefectSuspect",
-            "partial": series_to_json(self.partial),
-            "residual": series_to_json(self.residual),
-            "iterations": self.iterations,
-            "trace": [vars(s) for s in self.trace],
-        }
-
-
-@dataclass(frozen=True)
-class NormalForm:
+class NormalForm(_Outcome):
     case: str  # classification of the rewritten constant
-    partial: Series
+    partial: Series  # the B with residual = c - (B^p - B)
     residual: Series
     iterations: int
     trace: tuple[SurgeryStep, ...]
-
-    def to_json(self):
-        return {
-            "variant": "NormalForm",
-            "case": self.case,
-            "partial": series_to_json(self.partial),
-            "residual": series_to_json(self.residual),
-            "iterations": self.iterations,
-            "trace": [vars(s) for s in self.trace],
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -293,22 +270,33 @@ def translation_instance(inst: ASInstance, b: Series) -> ASInstance:
     return ASInstance(inst.p, shifted)
 
 
-def surgery(c: Series, max_iter: int):
-    """Repeatedly eliminate the leading term when its exponent is a nonzero
+# Over (1/m)Z the surgery loop ends by itself: a negative leading exponent
+# rises and a positive one falls at every step, and all of them lie in
+# (1/m)Z.  Over (1/p^oo)Z and Q it need not end (t^(-1) goes on forever),
+# and over Z a pole of order p^k takes k steps.  Tier-1, the goldens, the
+# demos and the workloads reach 20 steps; 256 steps of t^(-1) over the hull
+# take about 0.06 s.
+_MAX_SURGERY_STEPS = 256
+
+
+def surgery(c: Series) -> NormalForm:
+    """Repeatedly eliminate the leading term while its exponent is a nonzero
     p-th multiple inside the group: subtract b^p - b for b the exact p-th
-    root of that term.  Returns a NormalForm once the leading exponent stops
-    being eliminable, or a DefectSuspect after max_iter rounds."""
+    root of that term.  Returns the NormalForm the loop ends in; a run past
+    _MAX_SURGERY_STEPS raises IterationCapError."""
     p = c.field.characteristic
     if p == 0:
         raise HypothesisError("surgery needs positive characteristic")
     if not isinstance(c.field, FiniteField):
         raise UnsupportedError("surgery takes p-th roots, needs a finite field")
-    if max_iter < 0:
-        raise HypothesisError("max_iter must be nonnegative")
     partial = zero_series(c.field, c.group)
     trace: list[SurgeryStep] = []
     current = c
-    while len(trace) < max_iter and _eliminable_front(current, p):
+    while _eliminable_front(current, p):
+        if len(trace) == _MAX_SURGERY_STEPS:
+            raise IterationCapError(
+                f"surgery over {c.group} did not end within the budget of {_MAX_SURGERY_STEPS} steps"
+            )
         lead_exp, lead = current.terms[0]
         g = divisible_by(lead_exp, p).witness
         b = t_pow(c.field, c.group, g, inverse_frobenius(lead))
@@ -317,8 +305,6 @@ def surgery(c: Series, max_iter: int):
         current = translation_instance(ASInstance(p, current), b).c
         partial = partial + b
         trace.append(SurgeryStep(len(trace) + 1, str(lead_exp), str(b)))
-    if _eliminable_front(current, p):  # stopped by the iteration cap, not shape
-        return DefectSuspect(partial, current, len(trace), tuple(trace))
     # the front is now zero, of value 0, or of a value not divisible by p
     case = classify(ASInstance(p, current))
     return NormalForm(case, partial, current, len(trace), tuple(trace))
@@ -337,7 +323,7 @@ def _eliminable_front(c: Series, p: int) -> bool:
 # orchestration
 
 
-def analyze(inst: ASInstance, target, max_iter: int = 16):
+def analyze(inst: ASInstance, target):
     """Classify, then run the matching analysis; returns (case, outcome)."""
     case = classify(inst)
     if case == POSITIVE_VALUE:
@@ -346,4 +332,4 @@ def analyze(inst: ASInstance, target, max_iter: int = 16):
         return case, residue_case(inst, target)
     if case == NEGATIVE_RAMIFIED:
         return case, ramified_root_value(inst)
-    return case, surgery(inst.c, max_iter)
+    return case, surgery(inst.c)

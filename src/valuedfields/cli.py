@@ -8,8 +8,8 @@ Commands:
   gallery  run named scenarios (all of them when none are named)
   list     catalog of scenarios with parameter schemas
 
-Shared flags: --json switches to machine output, --seed feeds sampled
-scenarios, --p / --k-max / --precision are forwarded as parameters.  Every
+Shared flags: --json switches to machine output; gallery forwards --p /
+--k-max / --precision / --seed to its scenarios as parameters.  Every
 printed quantity is exact; no floating point appears anywhere.  Exit codes:
 0 success, 1 at least one gallery claim failed, 2 usage or computation
 error (one structured message on stderr).
@@ -210,7 +210,7 @@ def _cmd_as(ns) -> int:
     group = ZZ_GROUP
     target = parse_elem(group, ns.precision)
     c = _rational_to_series(expr_to_ratfn(ns.expression, ("t",), field), field, group, target)
-    case, outcome = analyze(ASInstance(ns.p, c), target, max_iter=ns.k_max)
+    case, outcome = analyze(ASInstance(ns.p, c), target)
     if ns.json:
         print(json.dumps({"case": case, "outcome": outcome.to_json()}, indent=2, sort_keys=True))
     else:
@@ -339,9 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_as.add_argument("--p", type=int, required=True, help="the degree, a prime")
     p_as.add_argument(
         "--precision", required=True, help="truncation order for any computed root"
-    )
-    p_as.add_argument(
-        "--k-max", type=int, default=16, help="iteration cap for leading-term elimination"
     )
     p_as.add_argument("--json", action="store_true")
     p_as.add_argument("expression", help="the right-hand side c, an expression in t")

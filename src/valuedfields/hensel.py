@@ -157,6 +157,10 @@ _MAX_TRIAL_DIVISIONS = 5_000_000
 # a divisor q of l.  Tier-1, the goldens, the demos and the workloads reach
 # 169 pairs (the 10^12 test); 963761198400 with l = 1 makes 6720.
 _MAX_CANDIDATE_PAIRS = 10_000
+# Budget of the residue-root search over F_{p^n}, n > 1, in field elements,
+# each tried by one Horner pass.  Tier-1, the goldens, the demos and the
+# workloads reach F_81; F_{2^12} takes about 0.1 s and F_{2^16} took 2.7 s.
+_MAX_RESIDUE_SEARCH = 2 ** 12
 
 
 def _divisors(n: int) -> list[int]:
@@ -204,14 +208,20 @@ def _find_residue_root(coeffs) -> FieldElement:
     """Least simple root of the residue polynomial, in the deterministic
     element order of the residue field.  Over F_p the candidates are the
     roots found by fields._poly_roots, in polynomial time; F_{p^n} with
-    n > 1 tries every element.  The zero polynomial has no simple root, as
-    its derivative vanishes too."""
+    n > 1 tries every element, and more than _MAX_RESIDUE_SEARCH of them
+    raise ParamError.  The zero polynomial has no simple root, as its
+    derivative vanishes too."""
     residues = _coeff_residues(coeffs)
     field = residues[0].field
     deriv = _derivative(residues, field.zero())
     if isinstance(field, FiniteField) and field.n == 1:
         candidates = [field.elem(r) for r in _poly_roots([c.data[0] for c in residues], field.p)]
     elif isinstance(field, FiniteField):
+        if field.order > _MAX_RESIDUE_SEARCH:
+            raise ParamError(
+                f"the residue-root search tries every element of {field}; "
+                f"more than {_MAX_RESIDUE_SEARCH} is refused"
+            )
         candidates = field.elements()
     elif isinstance(field, RationalField):
         candidates = _rational_candidates(residues)

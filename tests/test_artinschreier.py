@@ -1,11 +1,12 @@
+import dataclasses
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from valuedfields.artinschreier import (
     ASInstance,
-    DefectSuspect,
     LiftedRoot,
     NEGATIVE_RAMIFIED,
     NEGATIVE_UNRAMIFIED,
@@ -26,12 +27,14 @@ from valuedfields.artinschreier import (
 )
 from valuedfields.errors import (
     HypothesisError,
+    IterationCapError,
+    ParamError,
     PrecisionError,
     UnsupportedError,
     WrongCaseError,
 )
 from valuedfields.fields import GF, frobenius, trace_to_prime
-from valuedfields.groups import ZZ_GROUP, one_over_m, p_power_hull
+from valuedfields.groups import QQ_GROUP, ZZ_GROUP, one_over_m, p_power_hull
 from valuedfields.polys import mpoly
 from valuedfields.series import (
     frobenius_root,
@@ -39,7 +42,6 @@ from valuedfields.series import (
     make_series,
     stream_expand,
     theta_defect,
-    truncate,
     valuation,
     zero_series,
 )
@@ -185,6 +187,18 @@ def test_residue_case_against_enumeration():
                 assert out.trace == trace_to_prime(r)
 
 
+def test_residue_root_search_over_a_large_field_fails_fast():
+    # b is a root of X^2 - X - (b^2 + b), but finding it would try every one
+    # of the 2^16 elements of F_{2^16}
+    start = time.perf_counter()
+    F = GF(2, 16)
+    b = F.elem((1,) * 16)
+    inst = ASInstance(2, _series(F, ZZ_GROUP, [(0, b ** 2 + b)]))
+    with pytest.raises(ParamError, match="every element of F_65536; more than 4096 is refused"):
+        residue_case(inst, target=4)
+    assert time.perf_counter() - start < 1
+
+
 # ---------------------------------------------------------------------------
 # forced fractional value
 
@@ -196,7 +210,7 @@ def test_ramified_value_halves_the_pole():
     assert isinstance(out, Ramified)
     assert str(out.root_value) == "-1/2"
     assert out.root_value.coords()[0] == Fraction(-1, 2)
-    assert "at least 2" in out.extension_note
+    assert "at least 2" in out.note
 
 
 def test_ramified_value_in_refined_group():
@@ -220,25 +234,29 @@ def test_ramified_value_rejects_divisible_case():
 
 
 def test_surgery_builds_defect_tower():
+    # over (1/16)Z the tower of t^(-1) stops at the first exponent outside
+    # the group; its partial sum is the defect root's first four terms
     F2 = GF(2)
-    hull = p_power_hull(2)
-    c = _series(F2, hull, [(-1, 1)])
-    out = surgery(c, max_iter=4)
-    assert isinstance(out, DefectSuspect)
+    c = _series(F2, one_over_m(16), [(-1, 1)])
+    out = surgery(c)
+    assert isinstance(out, NormalForm)
+    assert out.case == NEGATIVE_RAMIFIED
     assert out.iterations == 4
     exps = [str(e) for e, _ in out.partial.terms]
     assert exps == ["-1/2", "-1/4", "-1/8", "-1/16"]
     assert [(str(e), str(co)) for e, co in out.residual.terms] == [("-1/16", "1")]
-    # partial sum must match the catalog stream truncated to the same depth
+    # partial sum must match the catalog stream to the same depth
     theta = stream_expand(theta_defect(2), 0, max_terms=4)
-    assert truncate(out.partial, theta.precision) == theta
+    assert [(str(e), str(co)) for e, co in theta.terms] == [
+        (str(e), str(co)) for e, co in out.partial.terms
+    ]
 
 
 def test_surgery_step_exactness():
     # after any run, c - (B^p - B) equals the residual with no error term
     rng = random.Random(41)
     F4 = GF(2, 2)
-    hull = p_power_hull(2)
+    group = one_over_m(8)
     elems = list(F4.elements())
     for _ in range(25):
         pairs = []
@@ -252,8 +270,8 @@ def test_surgery_step_exactness():
             pairs.append((e, coeff))
         if not pairs:
             continue
-        c = _series(F4, hull, pairs)
-        out = surgery(c, max_iter=6)
+        c = _series(F4, group, pairs)
+        out = surgery(c)
         B = out.partial
         recomputed = c - (frobenius_series(B) - B)
         assert recomputed == out.residual
@@ -263,7 +281,7 @@ def test_surgery_positive_front_is_eliminated():
     # x^2 + x^3 rewrites to x + x^3: the leading square moves to its root
     F2 = GF(2)
     q = mpoly(("x",), {(2,): F2.one(), (3,): F2.one()})
-    out = surgery(poly_to_series(q, ZZ_GROUP), max_iter=10)
+    out = surgery(poly_to_series(q, ZZ_GROUP))
     assert isinstance(out, NormalForm)
     assert out.iterations == 1
     assert out.case == POSITIVE_VALUE
@@ -273,7 +291,7 @@ def test_surgery_positive_front_is_eliminated():
 
 def test_surgery_non_divisible_front_stops_immediately():
     F2 = GF(2)
-    out = surgery(_series(F2, ZZ_GROUP, [(-1, 1)]), max_iter=10)
+    out = surgery(_series(F2, ZZ_GROUP, [(-1, 1)]))
     assert isinstance(out, NormalForm)
     assert out.iterations == 0
     assert out.case == NEGATIVE_RAMIFIED
@@ -283,7 +301,7 @@ def test_surgery_detects_exact_image():
     # t^-4 + t^-1 = b^2 - b for b = t^-2 + t^-1, so everything cancels
     F2 = GF(2)
     c = _series(F2, ZZ_GROUP, [(-4, 1), (-1, 1)])
-    out = surgery(c, max_iter=10)
+    out = surgery(c)
     assert isinstance(out, NormalForm)
     assert out.case == POSITIVE_VALUE
     assert out.iterations == 2
@@ -295,7 +313,7 @@ def test_surgery_takes_coefficient_roots():
     F4 = GF(2, 2)
     g = F4.generator()
     c = _series(F4, ZZ_GROUP, [(-2, g)])
-    out = surgery(c, max_iter=10)
+    out = surgery(c)
     assert isinstance(out, NormalForm)
     assert out.case == NEGATIVE_RAMIFIED
     assert out.iterations == 1
@@ -303,21 +321,26 @@ def test_surgery_takes_coefficient_roots():
     assert (frobenius(root) - g).is_zero()
 
 
-def test_surgery_iteration_cap_zero():
-    F2 = GF(2)
-    hull = p_power_hull(2)
-    out = surgery(_series(F2, hull, [(-1, 1)]), max_iter=0)
-    assert isinstance(out, DefectSuspect)
-    assert out.iterations == 0
-    assert out.partial.is_exact_zero()
+@pytest.mark.parametrize(
+    "field, group",
+    [(GF(2), p_power_hull(2)), (GF(3), p_power_hull(3)), (GF(5), QQ_GROUP)],
+    ids=["hull2", "hull3", "Q5"],
+)
+def test_surgery_raises_at_its_step_budget(field, group):
+    # t^(-1) is eliminable at every step over a p-divisible group, so the
+    # loop would never end; the budget stops it with one line
+    start = time.perf_counter()
+    with pytest.raises(IterationCapError, match="budget of 256 steps"):
+        surgery(_series(field, group, [(-1, 1)]))
+    assert time.perf_counter() - start < 1
 
 
 def test_surgery_trace_records_steps():
     F3 = GF(3)
-    hull = p_power_hull(3)
-    out = surgery(_series(F3, hull, [(-1, 1)]), max_iter=3)
+    out = surgery(_series(F3, one_over_m(27), [(-1, 1)]))
     assert [s.eliminated_exponent for s in out.trace] == ["-1", "-1/3", "-1/9"]
     assert out.trace[0].b == "1*t^(-1/3)"
+    assert [(str(e), str(co)) for e, co in out.residual.terms] == [("-1/27", "1")]
 
 
 def test_surgery_rejects_multivariate_input():
@@ -333,7 +356,7 @@ def test_surgery_rejects_characteristic_zero():
 
     c = make_series(QQ, ZZ_GROUP, [(-1, 1)])
     with pytest.raises((HypothesisError, UnsupportedError)):
-        surgery(c, max_iter=3)
+        surgery(c)
 
 
 # ---------------------------------------------------------------------------
@@ -373,24 +396,24 @@ def test_translation_by_root_splits_off_zero():
 
 
 def test_surgery_is_one_translation_by_its_partial_sum():
-    # DefectSuspect.partial and NormalForm.partial both carry the B with
-    # residual = c - (B^p - B), the constant of the translation by B
+    # NormalForm.partial carries the B with residual = c - (B^p - B), the
+    # constant of the translation by B
     rng = random.Random(22)
-    kinds = set()
+    cases = set()
     for p in (2, 3, 5):
         F = GF(p)
-        for group, den in ((ZZ_GROUP, 1), (p_power_hull(p), p ** 2)):
+        for group, den in ((ZZ_GROUP, 1), (one_over_m(p ** 2), p ** 2)):
             for _ in range(10):
                 pairs = {
                     Fraction(rng.randint(-3 * p, 3), den): rng.randint(1, p - 1)
                     for _ in range(rng.randint(1, 4))
                 }
                 c = _series(F, group, list(pairs.items()))
-                out = surgery(c, max_iter=rng.randint(0, 3))
-                kinds.add(type(out))
+                out = surgery(c)
+                cases.add(out.case)
                 moved = translation_instance(ASInstance(p, c), out.partial)
                 assert moved.c == out.residual
-    assert kinds == {DefectSuspect, NormalForm}
+    assert cases == {POSITIVE_VALUE, NEGATIVE_RAMIFIED}
 
 
 # ---------------------------------------------------------------------------
@@ -404,18 +427,35 @@ def test_analyze_routes_all_cases():
         (_series(F2, ZZ_GROUP, [(1, 1)]), Split),
         (_series(F2, ZZ_GROUP, [(0, 1), (1, 1)]), NoResidueRoot),
         (_series(F2, ZZ_GROUP, [(-1, 1)]), Ramified),
-        (_series(F2, hull, [(-1, 1)]), DefectSuspect),
+        (_series(F2, ZZ_GROUP, [(-4, 1), (-1, 1)]), NormalForm),
     ]
     for c, kind in cases:
-        case, out = analyze(ASInstance(2, c), target=5, max_iter=3)
+        case, out = analyze(ASInstance(2, c), target=5)
         assert isinstance(out, kind), (case, out)
+    with pytest.raises(IterationCapError):
+        analyze(ASInstance(2, _series(F2, hull, [(-1, 1)])), target=5)
 
 
 def test_outcomes_serialize():
-    F2 = GF(2)
-    hull = p_power_hull(2)
-    _, out = analyze(ASInstance(2, _series(F2, hull, [(-1, 1)])), target=5, max_iter=2)
-    blob = out.to_json()
-    assert blob["variant"] == "DefectSuspect"
-    assert blob["iterations"] == 2
-    assert blob["trace"][0]["eliminated_exponent"] == "-1"
+    # one rule: the variant is the class name, then each field in order
+    F2, F4 = GF(2), GF(2, 2)
+    outs = [
+        analyze(ASInstance(2, _series(F2, ZZ_GROUP, [(1, 1)])), target=5)[1],
+        analyze(ASInstance(2, _series(F4, ZZ_GROUP, [(0, 1)])), target=5)[1],
+        analyze(ASInstance(2, _series(F2, ZZ_GROUP, [(0, 1)])), target=5)[1],
+        analyze(ASInstance(2, _series(F2, ZZ_GROUP, [(-1, 1)])), target=5)[1],
+        analyze(ASInstance(2, _series(F2, ZZ_GROUP, [(-8, 1), (1, 1)])), target=5)[1],
+    ]
+    assert [type(o) for o in outs] == [Split, LiftedRoot, NoResidueRoot, Ramified, NormalForm]
+    for out in outs:
+        blob = out.to_json()
+        assert list(blob) == ["variant"] + [f.name for f in dataclasses.fields(out)]
+        assert blob["variant"] == type(out).__name__
+    split, lifted, none, ramified, normal = (o.to_json() for o in outs)
+    assert [r["terms"][0] for r in split["roots"]] == [["1", "1"], ["0", "1"]]
+    assert lifted["root"]["field"] == "F_4"
+    assert none["trace"] == "1"
+    assert ramified["root_value"] == "-1/2" and "at least 2" in ramified["note"]
+    assert normal["case"] == NEGATIVE_RAMIFIED and normal["iterations"] == 3
+    assert normal["trace"][0] == {"index": 1, "eliminated_exponent": "-8", "b": "1*t^(-4)"}
+    assert normal["residual"]["terms"] == [["-1", "1"], ["1", "1"]]

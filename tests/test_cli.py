@@ -1,6 +1,7 @@
 """Command line behavior: output formats, exit codes, determinism."""
 
 import json
+import random
 import time
 from pathlib import Path
 
@@ -301,6 +302,82 @@ def test_as_surgery_reaches_normal_form(capsys):
     assert code == 0
     assert "case: NegativeUnramified" in out
     assert "variant: NormalForm" in out
+
+
+def test_as_pole_past_the_surgery_budget_exits_2_at_once(capsys):
+    # a pole of order 2^300 over Z needs 300 surgery steps, above the budget
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["as", "--p", "2", "--precision", "8", f"1/t^{2 ** 300}"])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == "error: surgery over (1/1)Z did not end within the budget of 256 steps\n"
+
+
+def test_as_takes_no_iteration_cap():
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["as", "--p", "2", "--precision", "8", "--k-max", "3", "1/t"])
+    assert exc.value.code == 2
+
+
+def _laurent_mul(a, b, p):
+    out = {}
+    for i, x in a.items():
+        for j, y in b.items():
+            out[i + j] = (out.get(i + j, 0) + x * y) % p
+    return {e: c for e, c in out.items() if c}
+
+
+def _laurent_add(a, b, p):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = (out.get(e, 0) + c) % p
+    return {e: c for e, c in out.items() if c}
+
+
+def _laurent_from_json(blob):
+    return {int(e): int(c) for e, c in blob["terms"]}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_as_differential_over_random_laurent_polynomials(capsys, p):
+    # poles of order m*p^k with k up to 8 make long surgery chains; every
+    # normal form is checked by plain-int Laurent arithmetic mod p
+    rng = random.Random(29 + p)
+    seen = set()
+    for _ in range(40):
+        c = {}
+        for _ in range(rng.randint(1, 4)):
+            c[-rng.randint(1, 3) * p ** rng.randint(0, 8)] = rng.randint(1, p - 1)
+        for _ in range(rng.randint(0, 3)):
+            c[rng.randint(-4, 4)] = rng.randint(1, p - 1)
+        text = " + ".join(f"{a}/t^{-e}" if e < 0 else f"{a}*t^{e}" for e, a in c.items())
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["as", "--p", str(p), "--precision", "8", "--json", text])
+        assert time.perf_counter() - start < 1, text
+        if code == 2:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, text
+            continue
+        assert code == 0 and err == "", text
+        blob = json.loads(out)
+        outcome = blob["outcome"]
+        seen.add(outcome["variant"])
+        if outcome["variant"] != "NormalForm":
+            continue
+        B, residual = _laurent_from_json(outcome["partial"]), _laurent_from_json(outcome["residual"])
+        power = {0: 1}
+        for _ in range(p):
+            power = _laurent_mul(power, B, p)
+        minus_B = {e: -a % p for e, a in B.items()}
+        assert _laurent_add(_laurent_add(power, minus_B, p), residual, p) == c, text
+        v = min(residual, default=None)
+        assert v is None or v == 0 or v % p != 0, text
+        expected = (
+            "PositiveValue" if v is None or v > 0
+            else "ZeroValue" if v == 0
+            else "NegativeRamified"
+        )
+        assert outcome["case"] == expected, text
+    assert "NormalForm" in seen
 
 
 def test_perron_quad_text(capsys):

@@ -146,6 +146,8 @@ CASES = {
         "as", "--p", "5", "--precision", "10",
         "(2*t^2*t*2 - 3*t*2 + 2^2*t^5*t + 0*t^3 - -t^0*3 + t^4*t^2 - 4*t^7/t^2)/t^5",
     ],
+    # a pole of order 2^17 over Z: surgery takes 17 steps down to t^(-1)
+    "as_deep_chain": ["as", "--p", "2", "--precision", "8", "1/t^131072"],
     "perron_quad": ["perron", "--group", "quad", "1", "sqrt2-1"],
     "perron_quad_json": ["perron", "--group", "quad", "--json", "3+1*sqrt2", "2-1*sqrt2"],
     "perron_lex": ["perron", "--group", "lex:3", "(1,3,0)", "(0,1,-2)", "(0,0,1)"],
