@@ -2,12 +2,14 @@
 
 hensel_lift finds a simple root of a univariate polynomial with series
 coefficients, starting either from a supplied initial approximation or from
-an automatically located simple residue root.  newton_system does the same
-for square systems via the Jacobian, and implicit_solve re-solves the
-trailing coordinates of a known common zero after the leading coordinates
-are perturbed, with an explicit, reported perturbation threshold.  A system
-is passed as its polynomials, their variables and the start, and
-implicit_solve forms only the partials in the trailing variables.
+an automatically located simple residue root.  implicit_solve is Hensel's
+lemma in several variables: from a common zero of n polynomials in l >= n
+variables whose trailing n x n Jacobian block is a unit, it re-solves the
+trailing coordinates after the leading l - n are perturbed, with an
+explicit, reported perturbation threshold.  With l = n the prefix is empty,
+and it is Newton's iteration on a square system.  A system is passed as its
+polynomials, their variables and the start, and implicit_solve forms only
+the partials in the trailing variables.
 
 Each of them checks its own preconditions and then runs the one Newton
 iteration of series._newton, as does series.unit_nth_root: every step logs
@@ -58,10 +60,8 @@ from .series import (
 __all__ = [
     "SeriesPoly",
     "LiftResult",
-    "NewtonResult",
     "ImplicitResult",
     "hensel_lift",
-    "newton_system",
     "implicit_solve",
     "eval_poly_at_series",
 ]
@@ -116,16 +116,10 @@ class LiftResult:
 
 
 @dataclass(frozen=True)
-class NewtonResult:
-    roots: tuple[Series, ...]
-    steps: tuple[GroupElem, ...]  # min residual valuation before each correction
-
-
-@dataclass(frozen=True)
 class ImplicitResult:
     solved: tuple[Series, ...]  # the re-solved trailing coordinates
-    alpha: GroupElem  # perturbations must exceed 2*alpha in value
-    steps: tuple[GroupElem, ...]
+    alpha: GroupElem  # perturbations must exceed 2*alpha in value; 0 with no prefix
+    steps: tuple[GroupElem, ...]  # min residual valuation before each correction
 
 
 # ---------------------------------------------------------------------------
@@ -291,18 +285,6 @@ def hensel_lift(f: SeriesPoly, b: Series | None, target) -> LiftResult:
 # systems
 
 
-def _system(polys, vars, start):
-    """polys, vars and start as tuples, once start has a value for each
-    variable and every polynomial is in exactly vars."""
-    polys, vars, start = tuple(polys), tuple(vars), tuple(start)
-    if len(start) != len(vars):
-        raise UnsupportedError("start vector length differs from variable count")
-    for p in polys:
-        if p.vars != vars:
-            raise UnsupportedError(f"poly vars {p.vars} differ from system vars {vars}")
-    return polys, vars, start
-
-
 def eval_poly_at_series(p: MPoly, values: dict[str, Series], field, group) -> Series:
     """Evaluate an MPoly with Series (or plain scalar) coefficients at Series
     arguments.  Each power values[v] ** e is formed once per call and each
@@ -342,83 +324,71 @@ def _residuals(polys, vars, point, field, group, target):
     return [truncate(eval_poly_at_series(p, values, field, group), target) for p in polys]
 
 
-def newton_system(polys, vars, start, target) -> NewtonResult:
-    """Newton iteration on a square system from a start whose residuals have
-    positive valuation and whose Jacobian determinant is a unit."""
-    polys, vars, start = _system(polys, vars, start)
-    if len(polys) != len(vars):
-        raise UnsupportedError("newton_system needs a square system")
+def implicit_solve(polys, vars, start, perturbed_prefix, target) -> ImplicitResult:
+    """Re-solve the trailing n coordinates after perturbing the first l - n.
+
+    start is a common zero, to positive valuation, of the n polys in the
+    l >= n variables vars, and the trailing n x n Jacobian block at the
+    start must be a unit.  With l = n the prefix is empty, and this is
+    Newton's iteration on a square system from start.  Otherwise the report
+    includes the threshold alpha, and every perturbation must change its
+    coordinate by valuation > 2*alpha.
+    """
+    polys, vars, start = tuple(polys), tuple(vars), tuple(start)
+    if len(start) != len(vars):
+        raise UnsupportedError("start vector length differs from variable count")
+    for p in polys:
+        if p.vars != vars:
+            raise UnsupportedError(f"poly vars {p.vars} differ from system vars {vars}")
+    n, ell = len(polys), len(vars)
+    if not n:
+        raise UnsupportedError("a system needs at least one equation")
+    if n > ell:
+        raise UnsupportedError("implicit_solve needs at least as many variables as equations")
+    perturbed_prefix = tuple(perturbed_prefix)
+    if len(perturbed_prefix) != ell - n:
+        raise UnsupportedError("perturbed prefix length must be l - n")
     field, group = start[0].field, start[0].group
     target = target if isinstance(target, GroupElem) else group.elem(target)
     for r in _residuals(polys, vars, start, field, group, target):
         v = valuation(r)
         if v.is_exact and not v.value.sign() > 0:
             raise HypothesisError(f"start residual has valuation {v.value}, need > 0")
-    jacobian = [[p.partial(v) for v in vars] for p in polys]
-    jac0 = _eval_matrix(jacobian, vars, start, field, group)
-    vdet = valuation(det(jac0, zero_series(field, group), one_series(field, group)))
-    if not (vdet.is_exact and vdet.value.is_zero()):
-        raise SingularPointError(f"v(det J(start)) = {vdet}, need exactly 0")
-    roots, steps = _newton(
-        lambda a: _residuals(polys, vars, a, field, group, target),
-        lambda a: _eval_matrix(jacobian, vars, a, field, group),
-        start, target,
-    )
-    return NewtonResult(roots, steps)
 
-
-def implicit_solve(polys, vars, start, perturbed_prefix, target) -> ImplicitResult:
-    """Re-solve the trailing n coordinates after perturbing the first l - n.
-
-    start is a known common zero of the n polys in the l variables vars.
-    The trailing n x n Jacobian block at the start must be a unit; the
-    report includes the threshold alpha, and every perturbation must change
-    its coordinate by valuation > 2*alpha.
-    """
-    polys, vars, start = _system(polys, vars, start)
-    n, ell = len(polys), len(vars)
-    if n >= ell:
-        raise UnsupportedError("implicit_solve needs more variables than equations")
-    perturbed_prefix = tuple(perturbed_prefix)
-    if len(perturbed_prefix) != ell - n:
-        raise UnsupportedError("perturbed prefix length must be l - n")
-    field, group = start[0].field, start[0].group
-    target = target if isinstance(target, GroupElem) else group.elem(target)
-
+    start_tail = start[ell - n:]
     block = [[p.partial(v) for v in vars[ell - n:]] for p in polys]
     block_val = _eval_matrix(block, vars, start, field, group)
     zero, one = zero_series(field, group), one_series(field, group)
     vdet = valuation(det(block_val, zero, one))
     if not (vdet.is_exact and vdet.value.is_zero()):
-        raise SingularPointError(f"v(det of trailing Jacobian block) = {vdet}, need 0")
+        raise SingularPointError(f"v(det J(start)) = {vdet}, need exactly 0")
 
     alpha = group.zero()
-    for row in adjugate(block_val, zero, one):
-        for entry in row:
-            v = valuation(entry)
-            if v.is_exact and alpha < v.value:
-                alpha = v.value
-    threshold = alpha.scale(2)
-
-    for old, new in zip(start, perturbed_prefix):
-        diff = sub_series(new, old)
-        if diff.is_exact_zero():
-            continue
-        v = valuation(diff)
-        if v.value is None or not threshold < v.value:  # None: diff is exactly zero
-            raise PerturbationError(
-                f"perturbation valuation {v} does not exceed threshold 2*alpha = {threshold}"
-            )
+    if perturbed_prefix:
+        for row in adjugate(block_val, zero, one):
+            for entry in row:
+                v = valuation(entry)
+                if v.is_exact and alpha < v.value:
+                    alpha = v.value
+        threshold = alpha.scale(2)
+        for old, new in zip(start, perturbed_prefix):
+            diff = sub_series(new, old)
+            if diff.is_exact_zero():
+                continue
+            v = valuation(diff)
+            if v.value is None or not threshold < v.value:  # None: diff is exactly zero
+                raise PerturbationError(
+                    f"perturbation valuation {v} does not exceed threshold 2*alpha = {threshold}"
+                )
+        for r in _residuals(polys, vars, perturbed_prefix + start_tail, field, group, target):
+            v = valuation(r)
+            if v.is_exact and not v.value.sign() > 0:
+                raise PerturbationError(
+                    f"perturbation too large: residual valuation {v.value} not positive"
+                )
 
     # the system at (perturbed prefix, a) is a system in the trailing
     # coordinates a, and its Jacobian there is the trailing block
-    start_tail = start[ell - n:]
-    for r in _residuals(polys, vars, perturbed_prefix + start_tail, field, group, target):
-        v = valuation(r)
-        if v.is_exact and not v.value.sign() > 0:
-            raise PerturbationError(
-                f"perturbation too large: residual valuation {v.value} not positive"
-            )
     solved, steps = _newton(
         lambda a: _residuals(polys, vars, perturbed_prefix + a, field, group, target),
         lambda a: _eval_matrix(block, vars, perturbed_prefix + a, field, group),

@@ -18,9 +18,9 @@ sum is one merge of the two sorted term lists, each cut below the precision
 of the sum by bisection; make_series, which sorts, is for unsorted input.
 
 _newton is the one certified Newton iteration every lift goes through:
-unit_nth_root here, and hensel_lift, newton_system and implicit_solve in
-the hensel module.  It runs on a precision ladder, each pass correcting and
-reading only as far as the next one can certify, and inversion is a Newton
+unit_nth_root here, and hensel_lift and implicit_solve in the hensel
+module.  It runs on a precision ladder, each pass correcting and reading
+only as far as the next one can certify, and inversion is a Newton
 iteration of its own; mul_series never forms a product beyond its precision.
 A lift to precision N so costs about N^2 coefficient products, not N^3.
 

@@ -313,6 +313,24 @@ def test_as_pole_past_the_surgery_budget_exits_2_at_once(capsys):
     assert err == "error: surgery over (1/1)Z did not end within the budget of 256 steps\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["as", "--p", "10007", "--precision", "32", "t"],
+    ["as", "--p", "1000003", "--precision", "4", "t"],
+    ["as", "--p", str(2 ** 61 - 1), "--precision", "4", "t"],
+    ["as", "--p", "1000003", "--precision", "4", "0"],
+    ["gallery", "G1", "--p", "10007", "--precision", "8"],
+])
+def test_artin_schreier_degree_above_the_budget_exits_2_at_once(capsys, argv):
+    # X^p - X - c is stored densely, so p above the budget is refused before
+    # its p + 1 coefficients (or the p roots of a split) are built
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    p = argv[argv.index("--p") + 1]
+    assert err == f"error: X^p - X - c has degree p = {p}, above the budget of 256\n"
+
+
 def test_as_takes_no_iteration_cap():
     with pytest.raises(SystemExit) as exc:
         cli.main(["as", "--p", "2", "--precision", "8", "--k-max", "3", "1/t"])

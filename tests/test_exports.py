@@ -18,7 +18,6 @@ REPO = Path(__file__).parent.parent
 
 # exported names with no caller outside the tests yet, and why each stays
 ALLOWED = {
-    "hensel.newton_system": "Hensel's lemma in several variables; ROADMAP item 1 times its 8x8 system",
     "places.place_invariants": "ROADMAP item 9's uniformize command prints it",
     "places.place_to_json": (
         "README names it as the producer of the place-file schema, and the round-trip"

@@ -2,6 +2,7 @@
 claims, ramification bookkeeping, determinism, and parameter validation."""
 
 import json
+import time
 from random import Random
 
 import pytest
@@ -141,6 +142,15 @@ def test_g1_odd_characteristic():
     assert r.passed
     # the stream carries coefficient -1 for odd p
     assert "2*t^(1)" in r.claims[1].rhs
+
+
+def test_g1_at_the_largest_prime_below_the_degree_budget_answers_fast():
+    # artinschreier._MAX_AS_DEGREE is 256; p = 257 is refused
+    start = time.perf_counter()
+    assert run_scenario("G1", {"p": 251, "precision": 8}).passed
+    assert time.perf_counter() - start < 1
+    with pytest.raises(ParamError, match="^X\\^p - X - c has degree p = 257, above the budget of 256$"):
+        run_scenario("G1", {"p": 257, "precision": 8})
 
 
 # ---------------------------------------------------------------------------

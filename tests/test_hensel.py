@@ -31,7 +31,6 @@ from valuedfields.hensel import (
     eval_poly_at_series,
     hensel_lift,
     implicit_solve,
-    newton_system,
 )
 from valuedfields.places import place_from_json, place_value_residue
 from valuedfields.polys import adjugate, det, mpoly
@@ -86,8 +85,8 @@ def test_lift_matches_unit_nth_root():
     u = make_series(F, ZZ_GROUP, [(0, 1), (1, 1)])
     f = SeriesPoly((-u, zero_series(F, ZZ_GROUP), _const(F, 1)))
     out = hensel_lift(f, one, 9)
-    system = newton_system([mpoly(("X",), {(2,): one, (0,): -u})], ("X",), (one,), 9)
-    assert out.root == unit_nth_root(u, 2, 9) == system.roots[0]
+    system = implicit_solve([mpoly(("X",), {(2,): one, (0,): -u})], ("X",), (one,), (), 9)
+    assert out.root == unit_nth_root(u, 2, 9) == system.solved[0]
     assert out.steps == system.steps
     assert [str(v) for v in out.steps] == ["1", "2", "4", "8"]
 
@@ -101,7 +100,7 @@ def test_newton_step_cap(monkeypatch):
     f = mpoly(("X",), {(2,): one, (1,): -one, (0,): -t_pow(F, ZZ_GROUP, 1)})
     monkeypatch.setattr("valuedfields.series._MAX_STEPS", 1)
     with pytest.raises(IterationCapError, match="did not reach the target"):
-        newton_system([f], ("X",), (zero_series(F, ZZ_GROUP),), 8)
+        implicit_solve([f], ("X",), (zero_series(F, ZZ_GROUP),), (), 8)
 
 
 def test_target_above_every_multiple_of_the_residual_value_fails_fast():
@@ -262,8 +261,8 @@ def test_newton_system_pair():
     t = t_pow(F, ZZ_GROUP, 1)
     f1 = mpoly(("X", "Y"), {(2, 0): one, (0, 0): -(one + t)})
     f2 = mpoly(("X", "Y"), {(0, 2): one, (1, 0): -one, (0, 0): -t})
-    out = newton_system([f1, f2], ("X", "Y"), (one, one), 6)
-    x, y = out.roots
+    out = implicit_solve([f1, f2], ("X", "Y"), (one, one), (), 6)
+    x, y = out.solved
     assert x == unit_nth_root(one + t, 2, 6)
     vals = {"X": x, "Y": y}
     for f in (f1, f2):
@@ -417,9 +416,9 @@ def test_newton_system_matches_hensel_n1():
     one = one_series(F, ZZ_GROUP)
     t = t_pow(F, ZZ_GROUP, 1)
     f = mpoly(("X",), {(2,): one, (1,): -one, (0,): -t})
-    out = newton_system([f], ("X",), (zero_series(F, ZZ_GROUP),), 8)
+    out = implicit_solve([f], ("X",), (zero_series(F, ZZ_GROUP),), (), 8)
     lift = hensel_lift(_artin_schreier_poly(F, 2), zero_series(F, ZZ_GROUP), 8)
-    assert out.roots[0] == lift.root
+    assert out.solved[0] == lift.root
     assert out.steps == lift.steps
 
 
@@ -428,9 +427,9 @@ def test_newton_exact_root_unchanged():
     one = one_series(F, ZZ_GROUP)
     t = t_pow(F, ZZ_GROUP, 1)
     f = mpoly(("X",), {(1,): one, (0,): -t})  # X - t
-    out = newton_system([f], ("X",), (t,), 5)
+    out = implicit_solve([f], ("X",), (t,), (), 5)
     assert out.steps == ()
-    assert out.roots[0] == truncate(t, 5)
+    assert out.solved[0] == truncate(t, 5)
 
 
 def test_newton_singular_jacobian():
@@ -439,7 +438,7 @@ def test_newton_singular_jacobian():
     t = t_pow(F, ZZ_GROUP, 1)
     f = mpoly(("X",), {(2,): one, (0,): -t})  # derivative 2X = 0
     with pytest.raises(SingularPointError):
-        newton_system([f], ("X",), (zero_series(F, ZZ_GROUP),), 4)
+        implicit_solve([f], ("X",), (zero_series(F, ZZ_GROUP),), (), 4)
 
 
 def test_system_shape_errors():
@@ -450,14 +449,78 @@ def test_system_shape_errors():
     g = mpoly(("X",), {(1,): one, (0,): -t_pow(F, ZZ_GROUP, 1)})
     length = "^start vector length differs from variable count$"
     other_vars = r"^poly vars \('X',\) differ from system vars \('X', 'Y'\)$"
-    for solve in (lambda *a: newton_system(*a, 4), lambda *a: implicit_solve(*a, (one,), 4)):
+    for solve in (lambda *a: implicit_solve(*a, (), 4), lambda *a: implicit_solve(*a, (one,), 4)):
         with pytest.raises(UnsupportedError, match=length):
             solve([g], ("X", "Y"), (one,))
         with pytest.raises(UnsupportedError, match=other_vars):
             solve([g], ("X", "Y"), (one, one))
-    assert newton_system([g], ["X"], [zero_series(F, ZZ_GROUP)], 4).roots == (
+    assert implicit_solve([g], ["X"], [zero_series(F, ZZ_GROUP)], [], 4).solved == (
         t_pow(F, ZZ_GROUP, 1, precision=4),
     )
+
+
+def test_a_system_with_no_equations_is_refused():
+    F = GF(5)
+    one, t = one_series(F, ZZ_GROUP), t_pow(F, ZZ_GROUP, 1)
+    for args in (([], [], [], ()), ([], ("X",), (one,), (one + t,))):
+        with pytest.raises(UnsupportedError, match="^a system needs at least one equation$"):
+            implicit_solve(*args, 4)
+
+
+def test_a_start_that_is_no_common_zero_is_named_before_the_perturbation():
+    # Y^2 - X^3 at (2, 2) over F_7 is 4 - 8 = 3: the start is at fault, not
+    # the small perturbation 2 + t^3 of X
+    F = GF(7)
+    f, _ = _cusp_system(F)
+    two = _const(F, 2)
+    x_new = make_series(F, ZZ_GROUP, [(0, 2), (3, 1)])
+    message = "^start residual has valuation 0, need > 0$"
+    with pytest.raises(HypothesisError, match=message):
+        implicit_solve([f], ("X", "Y"), (two, two), (x_new,), 6)
+    with pytest.raises(HypothesisError, match=message):
+        implicit_solve([f.subst({"X": two}, F)], ("Y",), (two,), (), 6)
+
+
+def _dense_system_8x8():
+    """The dense coupled system f_0..f_7 in X0..X7 over F_5, built under
+    random.Random(8), with the common zero 0 to valuation 1.  Each f_i has a
+    constant with terms at t^1..t^4; every linear monomial, whose
+    coefficients have residues forming a matrix of nonzero determinant and
+    terms at t^1..t^3; and every quadratic monomial, with terms at t^0..t^3.
+    Each coefficient but a linear residue is drawn from 1..4."""
+    F, rng = GF(5), random.Random(8)
+    names = tuple(f"X{i}" for i in range(8))
+
+    def coeff(low, high, residue=0):
+        terms = [(0, residue)] + [(e, rng.randrange(1, 5)) for e in range(low, high + 1)]
+        return make_series(F, ZZ_GROUP, terms)
+
+    while True:
+        linear = [[F.elem(rng.randrange(5)) for _ in names] for _ in names]
+        if not det(linear, F.zero(), F.one()).is_zero():
+            break
+    units = [tuple(int(i == j) for j in range(8)) for i in range(8)]
+    polys = []
+    for row in linear:
+        terms = {(0,) * 8: coeff(1, 4)}
+        for u, c in zip(units, row):
+            terms[u] = coeff(1, 3, c)
+        for i in range(8):
+            for j in range(i, 8):
+                terms[tuple(a + b for a, b in zip(units[i], units[j]))] = coeff(0, 3)
+        polys.append(mpoly(names, terms))
+    return polys, names, (zero_series(F, ZZ_GROUP),) * 8
+
+
+def test_dense_8x8_system_solves_with_an_empty_prefix():
+    polys, names, start = _dense_system_8x8()
+    out = implicit_solve(polys, names, start, (), 16)
+    assert [str(v) for v in out.steps] == ["1", "2", "4", "8"]
+    assert out.alpha == ZZ_GROUP.zero()
+    values = dict(zip(names, out.solved))
+    for f in polys:
+        r = truncate(eval_poly_at_series(f, values, GF(5), ZZ_GROUP), 16)
+        assert not r.terms and str(r.precision) == "16"
 
 
 def test_newton_elimination_path():
@@ -471,9 +534,9 @@ def test_newton_elimination_path():
     for i in range(5):
         e = tuple(2 if j == i else 0 for j in range(5))
         polys.append(mpoly(names, {e: one, (0,) * 5: -(one + t)}))
-    out = newton_system(polys, names, (one,) * 5, 4)
+    out = implicit_solve(polys, names, (one,) * 5, (), 4)
     root = unit_nth_root(one + t, 2, 4)
-    for r in out.roots:
+    for r in out.solved:
         assert r == root
 
 
@@ -564,12 +627,16 @@ def _reference_implicit_solve(polys, vars, start, prefix, target):
     target = group.elem(target)
     head, trailing = vars[: ell - n], vars[ell - n:]
     zero, one = zero_series(field, group), one_series(field, group)
+    for r in hensel._residuals(polys, vars, start, field, group, target):
+        v = valuation(r)
+        if v.is_exact and not v.value.sign() > 0:
+            raise HypothesisError(f"start residual has valuation {v.value}, need > 0")
     block = hensel._eval_matrix(
         [[p.partial(v) for v in trailing] for p in polys], vars, start, field, group
     )
     vdet = valuation(det(block, zero, one))
     if not (vdet.is_exact and vdet.value.is_zero()):
-        raise SingularPointError(f"v(det of trailing Jacobian block) = {vdet}, need 0")
+        raise SingularPointError(f"v(det J(start)) = {vdet}, need exactly 0")
     alpha = group.zero()
     for row in adjugate(block, zero, one):
         for entry in row:
@@ -817,7 +884,7 @@ def test_lifts_solves_and_place_values_leave_no_cyclic_garbage():
         for k in range(1, 21):
             c = make_series(F, ZZ_GROUP, [(0, -1), (k, 1)])
             hensel_lift(SeriesPoly((c, zero_series(F, ZZ_GROUP), one)), None, 32)
-        newton_system([f1, f2], ("X", "Y"), (one, one), 16)
+        implicit_solve([f1, f2], ("X", "Y"), (one, one), (), 16)
         place_value_residue(place, g)
         assert gc.collect() == 0
     finally:

@@ -18,7 +18,7 @@ from valuedfields import hensel, series
 from valuedfields.errors import IterationCapError, PrecisionError
 from valuedfields.fields import GF, QQ
 from valuedfields.groups import QQ_GROUP, ZZ_GROUP, LexGroup, one_over_m, p_power_hull
-from valuedfields.hensel import SeriesPoly, hensel_lift, newton_system
+from valuedfields.hensel import SeriesPoly, hensel_lift, implicit_solve
 from valuedfields.polys import mpoly
 from valuedfields.series import (
     invert, make_series, mul_series, one_series, sub_series, t_pow, zero_series,
@@ -306,8 +306,8 @@ def test_ladder_keeps_the_precision_of_a_start_known_to_less_than_the_target():
     f2 = mpoly(("X", "Y"), {(0, 2): one, (1, 0): -one, (0, 0): -t})
     for p, precisions, steps in ((3, ["4", "3"], ["1", "2"]), (5, ["6", "5"], ["1", "2", "4"])):
         start = (one, make_series(field, ZZ_GROUP, [(0, 1)], p))
-        out = newton_system([f1, f2], ("X", "Y"), start, 16)
-        assert [str(r.precision) for r in out.roots] == precisions
+        out = implicit_solve([f1, f2], ("X", "Y"), start, (), 16)
+        assert [str(r.precision) for r in out.solved] == precisions
         assert [str(v) for v in out.steps] == steps
 
 
@@ -321,8 +321,8 @@ def test_ladder_keeps_the_precision_lost_to_coefficients_of_negative_valuation()
         one = one_series(field, ZZ_GROUP)
         polys = [mpoly(("X", "Y"), {m: s(*c) if c else one for m, c in f.items()})
                  for f in (f1, f2)]
-        out = newton_system(polys, ("X", "Y"), tuple(s(*x) for x in start), n)
-        return [str(r.precision) for r in out.roots], [str(v) for v in out.steps]
+        out = implicit_solve(polys, ("X", "Y"), tuple(s(*x) for x in start), (), n)
+        return [str(r.precision) for r in out.solved], [str(v) for v in out.steps]
 
     # X = t, t^-1*X*Y + Y + Y^2 = 2t + t^2 + t^3 from (t, t): J(a) loses
     assert case(5, {(1, 0): (), (0, 0): ((1, -1),)},
@@ -350,8 +350,8 @@ def test_ladder_turns_off_when_a_residual_is_known_to_less_than_it_was_read_to()
     one = one_series(field, ZZ_GROUP)
     f1 = mpoly(("X", "Y"), {(1, 0): one, (0, 0): s((4, 2))})
     f2 = mpoly(("X", "Y"), {(0, 1): one, (1, 2): s((-3, 1)), (0, 0): s((1, 2))})
-    out = newton_system([f1, f2], ("X", "Y"), (s(), s()), 16)
-    x, y = out.roots
+    out = implicit_solve([f1, f2], ("X", "Y"), (s(), s()), (), 16)
+    x, y = out.solved
     assert x == make_series(field, ZZ_GROUP, [(4, 1)], 16)
     assert y == make_series(field, ZZ_GROUP, [(1, 1), (3, 2), (5, 2), (7, 1), (9, 2)], 15)
     assert [str(v) for v in out.steps] == ["1", "3", "7"]

@@ -28,7 +28,7 @@ from valuedfields import cli, hensel, series
 from valuedfields.errors import ValuedFieldError
 from valuedfields.fields import GF, QQ
 from valuedfields.groups import ZZ_GROUP, LexGroup, one_over_m
-from valuedfields.hensel import SeriesPoly, eval_poly_at_series, hensel_lift, newton_system
+from valuedfields.hensel import SeriesPoly, eval_poly_at_series, hensel_lift, implicit_solve
 from valuedfields.polys import mpoly
 from valuedfields.series import make_series, one_series, truncate, unit_nth_root, zero_series
 
@@ -132,8 +132,8 @@ def _ladder_cases():
     g2 = mpoly(("X", "Y"), {(0, 2): one5, (1, 0): -one5, (0, 0): -t5})
     for p in (3, 5):
         start = (one5, make_series(f5, ZZ_GROUP, [(0, 1)], p))
-        yield f"ladder_short_start_{p}", lambda start=start: newton_system(
-            [g1, g2], ("X", "Y"), start, 16
+        yield f"ladder_short_start_{p}", lambda start=start: implicit_solve(
+            [g1, g2], ("X", "Y"), start, (), 16
         )
 
     def system(p, f1, f2, start, n):
@@ -142,7 +142,7 @@ def _ladder_cases():
         one = one_series(field, ZZ_GROUP)
         polys = [mpoly(("X", "Y"), {m: s(*c) if c else one for m, c in f.items()})
                  for f in (f1, f2)]
-        return lambda: newton_system(polys, ("X", "Y"), tuple(s(*x) for x in start), n)
+        return lambda: implicit_solve(polys, ("X", "Y"), tuple(s(*x) for x in start), (), n)
 
     yield "ladder_negative_jacobian", system(
         5, {(1, 0): (), (0, 0): ((1, -1),)},
@@ -162,7 +162,7 @@ def _ladder_cases():
     k2 = mpoly(("X", "Y"), {
         (0, 1): one_series(f3, ZZ_GROUP), (1, 2): s3((-3, 1)), (0, 0): s3((1, 2)),
     })
-    yield "ladder_turns_off", lambda: newton_system([k1, k2], ("X", "Y"), (s3(), s3()), 16)
+    yield "ladder_turns_off", lambda: implicit_solve([k1, k2], ("X", "Y"), (s3(), s3()), (), 16)
 
     # over Z^2 lex no rung reaches a target above every multiple of w
     lex = LexGroup(2)
@@ -290,7 +290,7 @@ def _random_system(rng):
         truncate(x, group.elem(rng.randint(2, target + 2))) if rng.random() < 0.25 else x
         for x in start
     ]
-    return lambda: newton_system(polys, names, tuple(start), target)
+    return lambda: implicit_solve(polys, names, tuple(start), (), target)
 
 
 def _random_cases():
