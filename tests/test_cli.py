@@ -13,6 +13,7 @@ from valuedfields.expr import expr_to_ratfn
 from valuedfields.fields import GF
 from valuedfields.gallery import Claim, Report
 from valuedfields.groups import ZZ_GROUP
+from valuedfields.places import _group_from_json
 from valuedfields.series import invert, mul_series
 
 LEX2 = {
@@ -568,6 +569,42 @@ def test_perron_unknown_group_exits_2(capsys):
     code, _, err = run(capsys, ["perron", "--group", "hyperbolic", "1"])
     assert code == 2
     assert "hyperbolic" in err
+
+
+# each perron --group spelling and the place-file group object it names
+_GROUP_SPELLINGS = [
+    ("q", {"kind": "Q"}),
+    ("Q", {"kind": "Q"}),
+    (" z ", {"kind": "one_over_m", "m": 1}),
+    ("quad", {"kind": "quad"}),
+    ("lex:3", {"kind": "lex", "r": 3}),
+    ("one_over_m:6", {"kind": "one_over_m", "m": 6}),
+    ("p_power:3", {"kind": "p_power", "p": 3}),
+]
+
+
+@pytest.mark.parametrize("spec, blob", _GROUP_SPELLINGS)
+def test_perron_group_spelling_is_the_place_file_group(spec, blob):
+    assert cli._parse_group_spec(spec) == _group_from_json(blob)
+
+
+_USE = "; use q, z, quad, lex:R, one_over_m:M, or p_power:P"
+
+
+@pytest.mark.parametrize("spec, line", [
+    ("lex:x", "group argument must be an integer, got 'x'"),
+    ("lex:", "group argument must be an integer, got ''"),
+    ("lex:0", "lex rank must be >= 1"),
+    ("lex:65", "lex:65 exceeds the perron rank budget of 64"),
+    ("one_over_m:0", "one_over_m law needs m >= 1"),
+    ("p_power:4", "p_power law needs a prime p, got 4"),
+    ("q:2", "unknown group 'q:2'" + _USE),
+    ("quad:1", "unknown group 'quad:1'" + _USE),
+    ("hyperbolic", "unknown group 'hyperbolic'" + _USE),
+    ("", "unknown group ''" + _USE),
+])
+def test_perron_malformed_group_spec_prints_one_line(capsys, spec, line):
+    assert run(capsys, ["perron", "--group", spec, "1"]) == (2, "", f"error: {line}\n")
 
 
 def test_gallery_single_json_schema(capsys):

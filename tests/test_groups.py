@@ -197,14 +197,16 @@ def test_divisibility_membership():
 
 def test_parse_render_roundtrip():
     cases = [
-        (QQ_GROUP, "-3/4"),
-        (LEX2, "(2,-7)"),
-        (QUAD, "1+-2*sqrt2"),
+        (QQ_GROUP, "-3/4", Fraction(-3, 4)),
+        (LEX2, "(2,-7)", (2, -7)),
+        (QUAD, "1+-2*sqrt2", (Fraction(1), Fraction(-2))),
+        (QUAD, "3/2+-1/2*sqrt2", (Fraction(3, 2), Fraction(-1, 2))),
+        (QUAD, "sqrt2-1", (Fraction(-1), Fraction(1))),
     ]
-    for g, text in cases:
+    for g, text, data in cases:
         e = parse_elem(g, text)
+        assert e.data == data
         assert parse_elem(g, str(e)) == e
-    assert parse_elem(QUAD, "sqrt2-1").data == (Fraction(-1), Fraction(1))
 
 
 # ---------------------------------------------------------------------------

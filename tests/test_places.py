@@ -1049,6 +1049,22 @@ def test_sentinels_survive_copy_and_pickle():
         assert pickle.loads(pickle.dumps(sentinel)) is sentinel
 
 
+@pytest.mark.parametrize("field, text, value", [
+    (QQ, "3/4", Fraction(3, 4)),
+    (QQ, " -2 ", -2),
+    (QQ, "0", 0),
+    (QQ, "-1/3", Fraction(-1, 3)),
+    (GF(5), "3/4", Fraction(3, 4)),
+    (GF(5), "-1/3", Fraction(-1, 3)),
+    (GF(5), "12", 12),
+    (GF(5), " 7 ", 7),
+])
+def test_string_coefficients_read_in_the_place_field(field, text, value):
+    blob = {"variant": "eval", "field": place_to_json(TrivialPlace(("x1",), field))["field"],
+            "assignments": [["x1", text]]}
+    assert place_from_json(blob).assignments == (("x1", field.elem(value)),)
+
+
 def test_json_rejects_unknown_variant():
     with pytest.raises(ParamError):
         place_from_json({"variant": "mystery"})
