@@ -21,7 +21,7 @@ import json
 import sys
 
 from .artinschreier import ASInstance, analyze, poly_to_series
-from .errors import ParamError, ValuedFieldError
+from .errors import GroupLawError, ParamError, ValuedFieldError
 from .expr import expr_to_ratfn
 from .fields import GF
 from .gallery import (
@@ -32,18 +32,9 @@ from .gallery import (
     report_to_json,
     run_scenario,
 )
-from .groups import (
-    LexGroup,
-    QQ_GROUP,
-    QuadGroup,
-    ZZ_GROUP,
-    one_over_m,
-    p_power_hull,
-    parse_elem,
-    perron_basis,
-)
+from .groups import LexGroup, QQ_GROUP, QuadGroup, ZZ_GROUP, parse_elem, perron_basis
 from .hensel import SeriesPoly, hensel_lift
-from .places import ZERO, base_field, place_from_json, place_value_residue, place_vars
+from .places import ZERO, _group_from_json, base_field, place_from_json, place_value_residue, place_vars
 from .series import invert, mul_series, render_series, valuation, zero_series
 
 
@@ -80,11 +71,11 @@ def _param_text(value) -> str:
     return str(value)
 
 
-def _text(x) -> str:
-    """str(x), or ParamError where x holds an integer longer than CPython
-    converts to a string."""
+def _text(render, *args) -> str:
+    """render(*args), or ParamError where it meets an integer longer than
+    CPython converts to a string."""
     try:
-        return str(x)
+        return render(*args)
     except ValueError:
         raise ParamError(
             f"the result has an integer of more than {sys.get_int_max_str_digits()} digits, "
@@ -126,32 +117,30 @@ def _parse_gallery_precision(text: str):
 # 0.7 s, R = 300 took 94 s.  Tier-1, the goldens and the demos reach R = 4.
 _MAX_PERRON_RANK = 64
 
+# The spellings of perron --group: a name, or a head and an integer, mapped to
+# the place-file group object they read as.  Each head is its group's kind.
+_GROUP_NAMES = {"q": {"kind": "Q"}, "z": {"kind": "one_over_m", "m": 1}, "quad": {"kind": "quad"}}
+_GROUP_HEADS = {"lex": "r", "one_over_m": "m", "p_power": "p"}
+_SPELLINGS = [*_GROUP_NAMES, *(f"{head}:{key.upper()}" for head, key in _GROUP_HEADS.items())]
+_GROUP_HELP = ", ".join(_SPELLINGS[:-1]) + ", or " + _SPELLINGS[-1]
+
 
 def _parse_group_spec(spec: str):
     s = spec.strip().lower()
-    if s == "q":
-        return QQ_GROUP
-    if s == "z":
-        return ZZ_GROUP
-    if s == "quad":
-        return QuadGroup()
+    blob = _GROUP_NAMES.get(s)
     head, sep, arg = s.partition(":")
     if sep:
         try:
-            n = int(arg)
-        except ValueError:
-            raise ParamError(f"group argument must be an integer, got {arg!r}")
-        if head == "lex":
-            if n > _MAX_PERRON_RANK:
-                raise ParamError(f"lex:{n} exceeds the perron rank budget of {_MAX_PERRON_RANK}")
-            return LexGroup(n)
-        if head == "one_over_m":
-            return one_over_m(n)
-        if head == "p_power":
-            return p_power_hull(n)
-    raise ParamError(
-        f"unknown group {spec!r}; use q, z, quad, lex:R, one_over_m:M, or p_power:P"
-    )
+            n = parse_elem(ZZ_GROUP, arg).data
+        except GroupLawError:
+            raise ParamError(f"group argument must be an integer, got {arg!r}") from None
+        if head == "lex" and n > _MAX_PERRON_RANK:
+            raise ParamError(f"lex:{n} exceeds the perron rank budget of {_MAX_PERRON_RANK}")
+        if head in _GROUP_HEADS:
+            blob = {"kind": head, _GROUP_HEADS[head]: n}
+    if blob is None:
+        raise ParamError(f"unknown group {spec!r}; use {_GROUP_HELP}")
+    return _group_from_json(blob)
 
 
 def _standard_generators(group):
@@ -177,10 +166,12 @@ def _cmd_eval(ns) -> int:
             blob = json.load(fh)
         except RecursionError:  # the decoder recurses once per nesting level
             raise ParamError("malformed JSON: nested too deeply to decode") from None
+        except ValueError as exc:  # bad JSON, bytes not UTF-8, or an over-long integer
+            raise ParamError(f"malformed JSON: {exc}") from None
     place = place_from_json(blob)
     rf = expr_to_ratfn(ns.expression, place_vars(place), base_field(place))
     v, r = place_value_residue(place, rf)
-    v, r = _text(v), "0" if r is ZERO else _text(r)
+    v, r = _text(str, v), "0" if r is ZERO else _text(str, r)
     if ns.json:
         print(json.dumps({"v": v, "residue": r}, sort_keys=True))
     else:
@@ -228,24 +219,28 @@ def _cmd_perron(ns) -> int:
     if generators is None:
         generators = targets
     result = perron_basis(generators, targets)
-    if ns.json:
+    print(_text(_render_perron, result, targets, ns.json))
+    return 0
+
+
+def _render_perron(result, targets, as_json: bool) -> str:
+    if as_json:
         blob = {
             "basis": [str(b) for b in result.basis],
             "coefficients": [list(row) for row in result.coeffs],
             "change_of_basis": [list(row) for row in result.change_of_basis],
             "targets": [str(t) for t in targets],
         }
-        print(json.dumps(blob, indent=2, sort_keys=True))
-        return 0
-    print("basis: " + ", ".join(f"g{j + 1} = {b}" for j, b in enumerate(result.basis)))
-    print("coefficients:")
+        return json.dumps(blob, indent=2, sort_keys=True)
+    lines = ["basis: " + ", ".join(f"g{j + 1} = {b}" for j, b in enumerate(result.basis))]
+    lines.append("coefficients:")
     for t, row in zip(targets, result.coeffs):
         parts = [f"{n}*g{j + 1}" for j, n in enumerate(row) if n != 0]
-        print(f"  {t} = " + " + ".join(parts))
-    print("change of basis:")
+        lines.append(f"  {t} = " + " + ".join(parts))
+    lines.append("change of basis:")
     for row in result.change_of_basis:
-        print("  [" + ", ".join(str(n) for n in row) + "]")
-    return 0
+        lines.append("  [" + ", ".join(str(n) for n in row) + "]")
+    return "\n".join(lines)
 
 
 def _scenario_params(ns, schema_keys) -> dict:
@@ -350,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_perron.add_argument(
         "--group",
         required=True,
-        help="value group: q, z, quad, lex:R, one_over_m:M, or p_power:P",
+        help=f"value group: {_GROUP_HELP}",
     )
     p_perron.add_argument("--json", action="store_true")
     p_perron.add_argument("target", nargs="+", help="positive group elements")
@@ -378,9 +373,6 @@ def main(argv=None) -> int:
         return ns.handler(ns)
     except (ValuedFieldError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: malformed JSON: {exc}", file=sys.stderr)
         return 2
 
 

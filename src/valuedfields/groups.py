@@ -24,13 +24,15 @@ from numbers import Integral
 from operator import add, neg
 
 from .errors import (
+    ExprError,
     FamilyMismatchError,
     GroupLawError,
     IterationCapError,
     SpanError,
     UnsupportedError,
 )
-from .fields import _is_prime
+from .expr import expr_to_ratfn
+from .fields import QQ, _is_prime
 from .polys import det
 
 __all__ = [
@@ -376,51 +378,38 @@ def from_coords(group: GroupDesc, coords) -> GroupElem:
 
 
 def parse_elem(group: GroupDesc, text: str) -> GroupElem:
-    """Parse the textual element forms: "a/b", "(n1,...,nr)", "a+b*sqrt2"."""
+    """Parse the textual element forms: a number, "(n1,...,nr)" with a
+    number per coordinate, and a + b*sqrt2.  A number is an expression of
+    the expression grammar in the integers, and in sqrt2 for Q + Q*sqrt2;
+    text of another form raises GroupLawError."""
     text = text.strip()
     if isinstance(group, LexGroup):
         if not (text.startswith("(") and text.endswith(")")):
             raise GroupLawError(f"lex element must look like (n1,...,n{group.r})")
     try:
         if isinstance(group, LexGroup):
-            return group.elem([int(x) for x in text[1:-1].split(",")])
+            return group.elem([_affine(x, ())[0] for x in text[1:-1].split(",")])
         if isinstance(group, RationalGroup):
-            return group.elem(Fraction(text))
-        return group.elem(_parse_quad(text))
-    except (ValueError, ZeroDivisionError):
+            return group.elem(_affine(text, ())[0])
+        return group.elem(_affine(text, ("sqrt2",)))
+    except (ExprError, ValueError, ZeroDivisionError):
         raise GroupLawError(f"malformed element {text!r} of {group}") from None
 
 
-def _parse_quad(text: str) -> tuple[Fraction, Fraction]:
-    # sums of terms, each "r", "r*sqrt2" or "sqrt2"
-    s = text.replace(" ", "")
-    if not s:
-        raise GroupLawError("empty quadratic literal")
-    a = Fraction(0)
-    b = Fraction(0)
-    i = 0
-    while i < len(s):
-        sgn = 1
-        while i < len(s) and s[i] in "+-":
-            if s[i] == "-":
-                sgn = -sgn
-            i += 1
-        j = i
-        while j < len(s) and s[j] not in "+-":
-            j += 1
-        term = s[i:j]
-        if not term:
-            raise GroupLawError(f"malformed quadratic literal {text!r}")
-        if term.endswith("sqrt2"):
-            head = term[: -len("sqrt2")]
-            if head.endswith("*"):
-                head = head[:-1]
-            coef = Fraction(head) if head else Fraction(1)
-            b += sgn * coef
-        else:
-            a += sgn * Fraction(term)
-        i = j
-    return (a, b)
+def _affine(text: str, names: tuple) -> list:
+    """The rationals a (and b) with text = a (+ b*name) for the one name in
+    names, read over Q.  ExprError where text has a higher power of the
+    name or a denominator that is not constant; ValueError where a number
+    is longer than CPython prints, so that every element read prints."""
+    rf = expr_to_ratfn(text, names, QQ)
+    if rf.den.total_degree() or rf.num.total_degree() > 1:
+        raise ExprError(f"{text!r} is not affine in {names}")
+    (_, d), = rf.den.terms
+    coords = [0] * (1 + len(names))
+    for e, c in rf.num.terms:
+        coords[sum(e)] = c.data / d.data
+    str(coords)  # ValueError past the digits CPython prints
+    return coords
 
 
 # ---------------------------------------------------------------------------

@@ -91,12 +91,22 @@ class SeriesPoly:
     def eval(self, a: Series, below=None) -> Series:
         """The value at a, cut below t^(below) when below is given.  Over
         F_p that cut value may come from one packed pass
-        (series._horner_packed); it equals the plain Horner value cut."""
+        (series._horner_packed); it equals the plain value cut.  The plain
+        value is Horner's rule, from degree p on in characteristic p in a^p
+        over blocks of p coefficients: the Frobenius a^p is linear in the k
+        terms of a, where Horner's a^(p-1) of a sparse a can have about
+        k^(p-1)/(p-1)! terms."""
         if below is None:
-            return _horner(self.coeffs, a)
+            return self._plain(a)
         below = below if isinstance(below, GroupElem) else self.group.elem(below)
         out = _horner_packed(self.coeffs, a, below)
-        return truncate(_horner(self.coeffs, a), below) if out is None else out
+        return truncate(self._plain(a), below) if out is None else out
+
+    def _plain(self, a: Series) -> Series:
+        coeffs, p = self.coeffs, self.field.characteristic
+        if not p or len(coeffs) <= p:
+            return _horner(coeffs, a)
+        return _horner([_horner(coeffs[i:i + p], a) for i in range(0, len(coeffs), p)], a ** p)
 
     def derivative(self) -> "SeriesPoly":
         zero = zero_series(self.field, self.group)

@@ -31,10 +31,10 @@ lie over one field.  ``compose`` concatenates stages, so it is associative.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
 from .errors import (
+    ExprError,
     FieldMismatchError,
     HypothesisError,
     ParamError,
@@ -43,6 +43,7 @@ from .errors import (
     SpanError,
     UnsupportedError,
 )
+from .expr import expr_to_ratfn
 from .fields import GF, QQ, FieldDesc, FieldElement, RationalField
 from .groups import (
     GroupDesc,
@@ -761,8 +762,8 @@ def _coeff_to_json(c: FieldElement):
 def _coeff_from_json(field: FieldDesc, blob) -> FieldElement:
     if isinstance(blob, str):
         try:
-            return field.elem(Fraction(blob))
-        except (ValueError, ZeroDivisionError):
+            return expr_to_ratfn(blob, (), field).subst({}, field)
+        except (ExprError, ZeroDivisionError):
             raise ParamError(f"malformed coefficient {blob!r}") from None
     if isinstance(blob, int) and not isinstance(blob, bool):
         return field.elem(blob)

@@ -708,8 +708,8 @@ def _packing_pays(counts: list, limit: int, width: int) -> bool:
             terms += na - 1
         terms = min(limit, max(terms, nc))
         built += terms
-    words = (len(ncs) - 1) * limit * width / 8
-    return limit + words < _PACK_COST * built
+    # limit + words < _PACK_COST * built, times 8 to stay in integers
+    return 8 * limit + (len(ncs) - 1) * limit * width < 8 * _PACK_COST * built
 
 
 def truncate(a: Series, precision) -> Series:

@@ -78,6 +78,19 @@ def test_eval_malformed_json_exits_2(capsys, tmp_path):
     assert "JSON" in err
 
 
+@pytest.mark.parametrize("data, needle", [
+    (b'\xff\xfe{"variant": "trivial"}', "'utf-8' codec can't decode byte 0xff"),
+    (b'{"variant": "eval", "field": {"kind": "GF", "p": ' + b"1" * 5001 + b'}, "assignments": []}',
+     "value has 5001 digits"),
+], ids=["not UTF-8", "5001-digit integer"])
+def test_eval_undecodable_place_file_exits_2(capsys, tmp_path, data, needle):
+    path = tmp_path / "undecodable.json"
+    path.write_bytes(data)
+    code, out, err = run(capsys, ["eval", "--place", str(path), "x1"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: malformed JSON: ") and err.count("\n") == 1 and needle in err
+
+
 _P2_HULL = {"field": {"kind": "GF", "p": 2}, "group": {"kind": "p_power", "p": 2}}
 
 
@@ -487,6 +500,30 @@ def test_lift_p_beyond_the_primality_bound_exits_2(capsys):
     assert err.startswith("error: primality of") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["lift", "--p", "5", "--precision", "1" * 401, "--", "-1-t", "0", "1"],
+     "Newton approximant or residual has more than 1024 terms below t^(" + "1" * 401 + ")"),
+    (["as", "--p", "5", "--precision", "1" * 401, "t"], "Newton iteration did not reach the target"),
+    (["gallery", "G1", "--precision", "1" * 401], "Newton iteration did not reach the target"),
+], ids=["lift", "as", "G1"])
+def test_401_digit_precision_exits_2_on_a_budget_at_once(capsys, argv, line):
+    # the packed evaluation's cost rule compares integers: no float overflows
+    start = time.perf_counter()
+    assert run(capsys, argv) == (2, "", f"error: {line}\n")
+    assert time.perf_counter() - start < 1
+
+
+def test_as_at_a_huge_precision_takes_the_frobenius(capsys):
+    # the root -(t + t^5 + t^25 + ...) has 58 terms below t^(10^40); Horner's
+    # t^2, ..., t^4 of it would have hundreds of thousands
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["as", "--p", "5", "--precision", "10^40", "--json", "t"])
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    (root, *_) = json.loads(out)["outcome"]["roots"]
+    assert [e for e, _ in root["terms"]] == [str(5**j) for j in range(58)]
+
+
 def test_lift_beyond_the_term_budget_exits_2(capsys):
     # 1/(1 + t) over F_2 has a term at every exponent, so its inverse below
     # t^2000 exceeds the term budget of an inverse
@@ -588,6 +625,20 @@ def test_perron_group_spelling_is_the_place_file_group(spec, blob):
     assert cli._parse_group_spec(spec) == _group_from_json(blob)
 
 
+def test_every_group_spelling_the_help_names_reads(capsys):
+    perron = cli.build_parser()._subparsers._group_actions[0].choices["perron"]
+    (action,) = [a for a in perron._actions if a.dest == "group"]
+    head, _, names = action.help.partition(": ")
+    assert head == "value group"
+    spellings = names.replace(", or ", ", ").split(", ")
+    assert len(spellings) == len(_GROUP_SPELLINGS) - 1  # "Q" is "q" read in lower case
+    for spelling in spellings:
+        name, sep, _ = spelling.partition(":")
+        cli._parse_group_spec(name + sep + "3" * bool(sep))
+    code, _, err = run(capsys, ["perron", "--group", "hyperbolic", "1"])
+    assert err.endswith(f"; use {names}\n")
+
+
 _USE = "; use q, z, quad, lex:R, one_over_m:M, or p_power:P"
 
 
@@ -605,6 +656,65 @@ _USE = "; use q, z, quad, lex:R, one_over_m:M, or p_power:P"
 ])
 def test_perron_malformed_group_spec_prints_one_line(capsys, spec, line):
     assert run(capsys, ["perron", "--group", spec, "1"]) == (2, "", f"error: {line}\n")
+
+
+def test_perron_group_argument_is_read_as_a_number(capsys):
+    assert cli._parse_group_spec("lex:2^3") == _group_from_json({"kind": "lex", "r": 8})
+    assert run(capsys, ["perron", "--group", "lex:2^7", "1"]) == (
+        2, "", "error: lex:128 exceeds the perron rank budget of 64\n")
+    for spec in ("lex:1.5", "lex:1e1", "lex:1/2", "one_over_m:10^5000", "p_power:10^5000"):
+        arg = spec.partition(":")[2]
+        assert run(capsys, ["perron", "--group", spec, "1"]) == (
+            2, "", f"error: group argument must be an integer, got {arg!r}\n")
+
+
+# forms the number reader refuses: decimals, exponent notation, digit
+# separators, non-ASCII digits, juxtaposition and numbers too long to print
+_REFUSED = ["1.5", "1e5", "1_000", "\u0663", "2sqrt2", "1e10000000", "10^5000"]
+
+
+@pytest.mark.parametrize("text", _REFUSED)
+def test_refused_number_forms_exit_2_at_once(capsys, tmp_path, text):
+    coefficient = tmp_path / "coefficient.json"
+    coefficient.write_text(json.dumps(
+        {"variant": "eval", "field": {"kind": "Q"}, "assignments": [["x1", text]]}), encoding="utf-8")
+    exponent = tmp_path / "exponent.json"
+    exponent.write_text(json.dumps({
+        "variant": "series_embed", "field": {"kind": "Q"}, "group": {"kind": "Q"},
+        "assignments": [["x1", {"terms": [[text, "1"]], "precision": None}]]}), encoding="utf-8")
+    cases = [
+        (["perron", "--group", "q", text], f"malformed element {text!r} of Q"),
+        (["perron", "--group", "quad", text], f"malformed element {text!r} of Q + Q*sqrt2"),
+        (["lift", "--p", "5", "--precision", text, "--", "-1-t", "0", "1"],
+         f"malformed element {text!r} of (1/1)Z"),
+        (["as", "--p", "5", "--precision", text, "t"], f"malformed element {text!r} of (1/1)Z"),
+        (["gallery", "G1", "--precision", text], f"malformed element {text!r} of Q"),
+        (["eval", "--place", str(exponent), "x1"], f"malformed element {text!r} of Q"),
+    ]
+    if text != "10^5000":  # a coefficient is a field element; it may be long
+        cases.append((["eval", "--place", str(coefficient), "x1"], f"malformed coefficient {text!r}"))
+    for argv, line in cases:
+        start = time.perf_counter()
+        assert run(capsys, argv) == (2, "", f"error: {line}\n"), argv
+        assert time.perf_counter() - start < 1, argv
+
+
+def test_element_literals_are_expressions(capsys):
+    code, out, _ = run(capsys, ["perron", "--group", "quad", "--json", "(2+2*sqrt2)/2", "2*sqrt2"])
+    assert code == 0
+    assert json.loads(out)["targets"] == ["1+1*sqrt2", "0+2*sqrt2"]
+    code, out, _ = run(capsys, ["perron", "--group", "lex:2", "--json", "(2^10, -(3))"])
+    assert code == 0
+    assert json.loads(out)["targets"] == ["(1024,-3)"]
+
+
+@pytest.mark.parametrize("extra", [[], ["--json"]])
+def test_perron_result_beyond_the_digit_limit_exits_2(capsys, extra):
+    # 3001-digit denominators: the basis element 1/lcm has about 6000
+    argv = ["perron", "--group", "q", *extra, "1/(10^3000+1)", "1/(10^3000+3)"]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == "error: the result has an integer of more than 4300 digits, the most that print\n"
 
 
 def test_gallery_single_json_schema(capsys):

@@ -209,6 +209,17 @@ def test_parse_render_roundtrip():
         assert parse_elem(g, str(e)) == e
 
 
+def test_element_numbers_are_expressions():
+    assert parse_elem(QUAD, "(1+sqrt2)/2").data == (Fraction(1, 2), Fraction(1, 2))
+    assert parse_elem(QUAD, "2*sqrt2").data == (0, 2)
+    assert parse_elem(ZZ_GROUP, "2^10").data == 1024
+    assert parse_elem(LEX2, "(2^3, -(1))").data == (8, -1)
+    for g, text in ((QUAD, "sqrt2^2"), (QUAD, "1/sqrt2"), (QUAD, "2sqrt2"), (QQ_GROUP, "sqrt2"),
+                    (QQ_GROUP, "1.5"), (QQ_GROUP, "1/0"), (QQ_GROUP, "2^15000")):
+        with pytest.raises(GroupLawError, match=r"^malformed element "):
+            parse_elem(g, text)
+
+
 # ---------------------------------------------------------------------------
 # perron_basis
 

@@ -91,6 +91,23 @@ def test_packed_values_match_the_plain_horner(p, monkeypatch):
     assert min(tally.values()) > 5, tally
 
 
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(2, 2)], ids=str)
+def test_plain_value_from_degree_p_matches_the_plain_horner(field):
+    # from degree p on, the plain value is Horner's rule in a^p over blocks
+    # of p coefficients: the same series as Horner's rule at a, precision
+    # included
+    rng = random.Random(field.order)
+    tally = dict.fromkeys(("zero", "constant", "dense", "sparse", "negative", "cut", "short"), 0)
+    for _ in range(150):
+        group, den = rng.choice([(ZZ_GROUP, 1), (HALVES, 2)])
+        n = rng.randrange(1, 24)
+        degree = rng.randrange(field.p, 3 * field.p + 1)
+        coeffs = tuple(_operand(rng, field, group, den, n, tally) for _ in range(degree + 1))
+        a = _operand(rng, field, group, den, n, tally)
+        assert SeriesPoly(coeffs).eval(a) == _horner(coeffs, a)
+    assert min(tally.values()) > 5, tally
+
+
 def test_packed_slots_hold_the_largest_sums(monkeypatch):
     # every coefficient p - 1 at every slot: the unreduced sums are as large
     # as the slot width allows for
