@@ -3,7 +3,7 @@
 Run:  python3 demos/frobenius_root.py
 """
 
-from valuedfields.artinschreier import ASInstance
+from valuedfields.artinschreier import as_poly
 from valuedfields.fields import GF
 from valuedfields.groups import ZZ_GROUP
 from valuedfields.hensel import hensel_lift
@@ -20,7 +20,7 @@ def main():
     for p in (2, 3):
         field, group = GF(p), ZZ_GROUP
         bound = p ** 4
-        f = ASInstance(p, t_pow(field, group, 1)).poly()
+        f = as_poly(t_pow(field, group, 1))
         lifted = hensel_lift(f, None, bound)
         print(f"p = {p}: root of X^{p} - X - t, truncated at t^({bound})")
         print("  root  =", render_series(lifted.root))

@@ -14,7 +14,8 @@ The constant c decides everything through its valuation:
   fixed step budget raises IterationCapError there.
 
 Translation by any b replaces c by c - (b^p - b) and shifts the root set
-by b; each surgery step is one such translation.
+by b; each surgery step is one such translation.  Every routine takes the
+series c alone and reads p as its characteristic.
 """
 
 from __future__ import annotations
@@ -28,9 +29,8 @@ from .errors import (
     ParamError,
     PrecisionError,
     UnsupportedError,
-    WrongCaseError,
 )
-from .fields import FieldElement, FiniteField, inverse_frobenius, trace_to_prime
+from .fields import FieldElement, inverse_frobenius, trace_to_prime
 from .groups import (
     GroupDesc,
     GroupElem,
@@ -56,7 +56,6 @@ from .series import (
 from .hensel import SeriesPoly, hensel_lift
 
 __all__ = [
-    "ASInstance",
     "Split",
     "LiftedRoot",
     "NoResidueRoot",
@@ -64,13 +63,11 @@ __all__ = [
     "NormalForm",
     "SurgeryStep",
     "classify",
-    "root_split",
-    "residue_case",
-    "ramified_root_value",
-    "surgery",
-    "poly_to_series",
-    "translation_instance",
     "analyze",
+    "surgery",
+    "translate",
+    "as_poly",
+    "poly_to_series",
     "POSITIVE_VALUE",
     "ZERO_VALUE",
     "NEGATIVE_UNRAMIFIED",
@@ -90,38 +87,26 @@ NEGATIVE_RAMIFIED = "NegativeRamified"
 _MAX_AS_DEGREE = 256
 
 
-@dataclass(frozen=True)
-class ASInstance:
-    """The polynomial X^p - X - c with c a series in characteristic p."""
+def _characteristic(c: Series) -> int:
+    p = c.field.characteristic
+    if p == 0:
+        raise HypothesisError("Artin-Schreier analysis needs positive characteristic")
+    return p
 
-    p: int
-    c: Series
 
-    def __post_init__(self):
-        if self.c.field.characteristic != self.p:
-            raise HypothesisError(
-                f"characteristic {self.c.field.characteristic} differs from p = {self.p}"
-            )
-
-    @property
-    def group(self) -> GroupDesc:
-        return self.c.group
-
-    @property
-    def field(self):
-        return self.c.field
-
-    def poly(self) -> SeriesPoly:
-        """X^p - X - c, stored densely: p above _MAX_AS_DEGREE raises ParamError."""
-        if self.p > _MAX_AS_DEGREE:
-            raise ParamError(
-                f"X^p - X - c has degree p = {self.p}, above the budget of {_MAX_AS_DEGREE}"
-            )
-        field, group = self.field, self.group
-        coeffs = [-self.c, t_pow(field, group, group.zero(), -1)]
-        coeffs += [zero_series(field, group)] * (self.p - 2)
-        coeffs.append(t_pow(field, group, group.zero(), 1))
-        return SeriesPoly(tuple(coeffs))
+def as_poly(c: Series) -> SeriesPoly:
+    """X^p - X - c for p the characteristic of c, stored densely: p above
+    _MAX_AS_DEGREE raises ParamError."""
+    p = _characteristic(c)
+    if p > _MAX_AS_DEGREE:
+        raise ParamError(
+            f"X^p - X - c has degree p = {p}, above the budget of {_MAX_AS_DEGREE}"
+        )
+    field, group = c.field, c.group
+    coeffs = [-c, t_pow(field, group, group.zero(), -1)]
+    coeffs += [zero_series(field, group)] * (p - 2)
+    coeffs.append(t_pow(field, group, group.zero(), 1))
+    return SeriesPoly(tuple(coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +174,9 @@ class NormalForm(_Outcome):
 # classification
 
 
-def classify(inst: ASInstance) -> str:
-    v = valuation(inst.c)
+def classify(c: Series) -> str:
+    p = _characteristic(c)
+    v = valuation(c)
     if v.kind is ValuationKind.AT_LEAST:
         raise PrecisionError(
             f"sign of v(c) undecidable: known only to be >= {v.value}"
@@ -202,41 +188,46 @@ def classify(inst: ASInstance) -> str:
         return POSITIVE_VALUE
     if s == 0:
         return ZERO_VALUE
-    if divisible_by(v.value, inst.p).member:
+    if divisible_by(v.value, p) is not None:
         return NEGATIVE_UNRAMIFIED
     return NEGATIVE_RAMIFIED
 
 
-def root_split(inst: ASInstance, target) -> Split:
+def analyze(c: Series, target):
+    """Classify c, then run the matching case; returns (case, outcome)."""
+    case = classify(c)
+    if case == POSITIVE_VALUE:
+        return case, _split(c, target)
+    if case == ZERO_VALUE:
+        return case, _residue(c, target)
+    if case == NEGATIVE_RAMIFIED:
+        return case, _ramified(c)
+    return case, surgery(c)
+
+
+def _split(c: Series, target) -> Split:
     """All p roots when v(c) > 0: one lifted from the residue root 0, the
     rest shifted by the prime-field constants."""
-    if classify(inst) != POSITIVE_VALUE:
-        raise WrongCaseError("root_split needs v(c) > 0")
-    field, group = inst.field, inst.group
-    f = inst.poly()  # refuses p above the budget before the p roots are built
-    if inst.c.is_exact_zero():
+    field, group = c.field, c.group
+    f = as_poly(c)  # refuses p above the budget before the p roots are built
+    if c.is_exact_zero():
         base = zero_series(field, group)
     else:
         base = hensel_lift(f, zero_series(field, group), target).root
-    roots = tuple(base + t_pow(field, group, group.zero(), i) for i in range(inst.p))
-    return Split(roots)
+    p = field.characteristic
+    return Split(tuple(base + t_pow(field, group, group.zero(), i) for i in range(p)))
 
 
-def residue_case(inst: ASInstance, target) -> LiftedRoot | NoResidueRoot:
-    """Decide root existence at v(c) >= 0 by the absolute-trace criterion and
+def _residue(c: Series, target) -> LiftedRoot | NoResidueRoot:
+    """Decide root existence at v(c) = 0 by the absolute-trace criterion and
     lift the root when it exists."""
-    if classify(inst) not in (POSITIVE_VALUE, ZERO_VALUE):
-        raise WrongCaseError("residue criterion needs v(c) >= 0")
-    if not isinstance(inst.field, FiniteField):
-        raise UnsupportedError("residue criterion needs a finite residue field")
-    r = residue(inst.c)
+    r = residue(c)
     tr = trace_to_prime(r)
     if not tr.is_zero():
         return NoResidueRoot(tr)
     # trace 0: b^p - b = r has a root in the residue field, and every root is
-    # simple; the lift starts from 0 when r = 0, else from the least root
-    start = zero_series(inst.field, inst.group) if r.is_zero() else None
-    return LiftedRoot(hensel_lift(inst.poly(), start, target).root)
+    # simple; the lift starts from the least root
+    return LiftedRoot(hensel_lift(as_poly(c), None, target).root)
 
 
 def _p_divided_group(group: GroupDesc, p: int) -> GroupDesc:
@@ -248,18 +239,16 @@ def _p_divided_group(group: GroupDesc, p: int) -> GroupDesc:
     raise UnsupportedError(f"no canonical p-divided ambient for {group}")
 
 
-def ramified_root_value(inst: ASInstance) -> Ramified:
+def _ramified(c: Series) -> Ramified:
     """The forced root value v(c)/p when v(c) < 0 is not p-divisible in the
     group; the value lives in the p-divided ambient group."""
-    case = classify(inst)
-    if case != NEGATIVE_RAMIFIED:
-        raise WrongCaseError(f"ramified_root_value called in case {case}")
-    vc = valuation(inst.c).value
-    ambient = _p_divided_group(inst.group, inst.p)
-    root_value = from_coords(ambient, [Fraction(x, inst.p) for x in vc.coords()])
+    p = c.field.characteristic
+    vc = valuation(c).value
+    ambient = _p_divided_group(c.group, p)
+    root_value = from_coords(ambient, [Fraction(x, p) for x in vc.coords()])
     note = (
-        f"any root has value {root_value}, outside the base group {inst.group}; "
-        f"the value-group index is at least {inst.p}"
+        f"any root has value {root_value}, outside the base group {c.group}; "
+        f"the value-group index is at least {p}"
     )
     return Ramified(root_value, note)
 
@@ -278,10 +267,9 @@ def poly_to_series(q: MPoly, group: GroupDesc) -> Series:
     return make_series(field, group, [(e[0], c) for e, c in q.terms])
 
 
-def translation_instance(inst: ASInstance, b: Series) -> ASInstance:
+def translate(c: Series, b: Series) -> Series:
     """Roots shift by b: X^p - X - c becomes X^p - X - (c - (b^p - b))."""
-    shifted = sub_series(inst.c, sub_series(frobenius_series(b), b))
-    return ASInstance(inst.p, shifted)
+    return sub_series(c, sub_series(frobenius_series(b), b))
 
 
 # Over (1/m)Z the surgery loop ends by itself: a negative leading exponent
@@ -298,11 +286,7 @@ def surgery(c: Series) -> NormalForm:
     p-th multiple inside the group: subtract b^p - b for b the exact p-th
     root of that term.  Returns the NormalForm the loop ends in; a run past
     _MAX_SURGERY_STEPS raises IterationCapError."""
-    p = c.field.characteristic
-    if p == 0:
-        raise HypothesisError("surgery needs positive characteristic")
-    if not isinstance(c.field, FiniteField):
-        raise UnsupportedError("surgery takes p-th roots, needs a finite field")
+    p = _characteristic(c)
     partial = zero_series(c.field, c.group)
     trace: list[SurgeryStep] = []
     current = c
@@ -312,16 +296,15 @@ def surgery(c: Series) -> NormalForm:
                 f"surgery over {c.group} did not end within the budget of {_MAX_SURGERY_STEPS} steps"
             )
         lead_exp, lead = current.terms[0]
-        g = divisible_by(lead_exp, p).witness
+        g = divisible_by(lead_exp, p)
         b = t_pow(c.field, c.group, g, inverse_frobenius(lead))
         # b^p reproduces the leading term exactly, so the step only trades
         # the exponent lead_exp for the smaller-in-absolute-value exponent g
-        current = translation_instance(ASInstance(p, current), b).c
+        current = translate(current, b)
         partial = partial + b
         trace.append(SurgeryStep(len(trace) + 1, str(lead_exp), str(b)))
     # the front is now zero, of value 0, or of a value not divisible by p
-    case = classify(ASInstance(p, current))
-    return NormalForm(case, partial, current, len(trace), tuple(trace))
+    return NormalForm(classify(current), partial, current, len(trace), tuple(trace))
 
 
 def _eliminable_front(c: Series, p: int) -> bool:
@@ -330,20 +313,4 @@ def _eliminable_front(c: Series, p: int) -> bool:
         raise PrecisionError("surgery front undecidable at this precision")
     if v.kind is ValuationKind.INFINITY or v.value.is_zero():
         return False
-    return divisible_by(v.value, p).member
-
-
-# ---------------------------------------------------------------------------
-# orchestration
-
-
-def analyze(inst: ASInstance, target):
-    """Classify, then run the matching analysis; returns (case, outcome)."""
-    case = classify(inst)
-    if case == POSITIVE_VALUE:
-        return case, root_split(inst, target)
-    if case == ZERO_VALUE:
-        return case, residue_case(inst, target)
-    if case == NEGATIVE_RAMIFIED:
-        return case, ramified_root_value(inst)
-    return case, surgery(inst.c)
+    return divisible_by(v.value, p) is not None

@@ -20,7 +20,7 @@ import functools
 import json
 import sys
 
-from .artinschreier import ASInstance, analyze, poly_to_series
+from .artinschreier import analyze, poly_to_series
 from .errors import GroupLawError, ParamError, ValuedFieldError
 from .expr import expr_to_ratfn
 from .fields import GF
@@ -201,7 +201,7 @@ def _cmd_as(ns) -> int:
     group = ZZ_GROUP
     target = parse_elem(group, ns.precision)
     c = _rational_to_series(expr_to_ratfn(ns.expression, ("t",), field), field, group, target)
-    case, outcome = analyze(ASInstance(ns.p, c), target)
+    case, outcome = analyze(c, target)
     if ns.json:
         print(json.dumps({"case": case, "outcome": outcome.to_json()}, indent=2, sort_keys=True))
     else:
@@ -300,6 +300,15 @@ def _cmd_list(ns) -> int:
 # parser
 
 
+def _integer(text: str) -> int:
+    """The argparse type of --p, --k-max and --seed: an integer read by
+    parse_elem, the reader of every other number on the command line."""
+    try:
+        return parse_elem(ZZ_GROUP, text).data
+    except GroupLawError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser of this process; building one costs about a millisecond
@@ -318,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(handler=_cmd_eval)
 
     p_lift = sub.add_parser("lift", help="power-series root of a polynomial over F_p((t))")
-    p_lift.add_argument("--p", type=int, required=True, help="coefficient characteristic")
+    p_lift.add_argument("--p", type=_integer, required=True, help="coefficient characteristic")
     p_lift.add_argument(
         "--precision", required=True, help="truncation order for the root, an integer"
     )
@@ -331,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lift.set_defaults(handler=_cmd_lift)
 
     p_as = sub.add_parser("as", help="analyze the degree-p equation X^p - X = c over F_p((t))")
-    p_as.add_argument("--p", type=int, required=True, help="the degree, a prime")
+    p_as.add_argument("--p", type=_integer, required=True, help="the degree, a prime")
     p_as.add_argument(
         "--precision", required=True, help="truncation order for any computed root"
     )
@@ -353,10 +362,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gallery = sub.add_parser("gallery", help="run scenarios (all of them when none are named)")
     p_gallery.add_argument("name", nargs="*", help="scenario names, e.g. G1 G2")
-    p_gallery.add_argument("--p", type=int, default=None)
-    p_gallery.add_argument("--k-max", type=int, default=None)
+    p_gallery.add_argument("--p", type=_integer, default=None)
+    p_gallery.add_argument("--k-max", type=_integer, default=None)
     p_gallery.add_argument("--precision", default=None)
-    p_gallery.add_argument("--seed", type=int, default=None)
+    p_gallery.add_argument("--seed", type=_integer, default=None)
     p_gallery.add_argument("--json", action="store_true")
     p_gallery.set_defaults(handler=_cmd_gallery)
 

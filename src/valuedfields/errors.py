@@ -40,10 +40,6 @@ class PrecisionError(ValuedFieldError):
     """A question is undecidable at the precision carried by the operands."""
 
 
-class WrongCaseError(ValuedFieldError):
-    """An operation was invoked outside the case split it implements."""
-
-
 class NoResidueRootError(ValuedFieldError):
     """The reduced polynomial has no (simple) root in the residue field."""
 

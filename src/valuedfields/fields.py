@@ -281,8 +281,8 @@ class RationalField(FieldDesc):
     characteristic = 0
 
     def elem(self, data) -> "FieldElement":
-        if isinstance(data, float):
-            raise UnsupportedError(f"float {data!r} is not an exact rational")
+        if isinstance(data, (float, str)):
+            raise UnsupportedError(f"{type(data).__name__} {data!r} is not an exact rational")
         return FieldElement(self, Fraction(data))
 
     def zero(self):
@@ -321,6 +321,8 @@ class FiniteField(FieldDesc):
                 raise GroupLawError(f"denominator {q.denominator} not invertible mod {self.p}")
             v = (q.numerator * pow(q.denominator, -1, self.p)) % self.p
             return FieldElement(self, (v,) + (0,) * (self.n - 1))
+        if isinstance(data, (float, str)):
+            raise UnsupportedError(f"{type(data).__name__} {data!r} is not an exact element of {self}")
         vec = tuple(int(x) % self.p for x in data)
         if len(vec) > self.n:
             vec = _poly_divmod(vec, self.modulus, self.p)[1]

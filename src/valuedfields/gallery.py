@@ -39,7 +39,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from random import Random
 
-from .artinschreier import ASInstance, NEGATIVE_RAMIFIED, classify, ramified_root_value
+from .artinschreier import NEGATIVE_RAMIFIED, analyze, as_poly
 from .errors import HypothesisError, ParamError, PrecisionError
 from .fields import GF, QQ, _is_prime, embed, frobenius
 from .groups import QQ_GROUP, ZZ_GROUP, one_over_m, p_power_hull
@@ -258,8 +258,11 @@ def _g3_k_max(name: str, k, P) -> int:
 
 def _g3_s(name: str, s_raw, P) -> tuple[int, ...]:
     try:
-        S = tuple(sorted(set(int(n) for n in s_raw)))
-    except (TypeError, ValueError):
+        S = tuple(sorted(set(s_raw)))
+    except TypeError:  # not a collection, or items that do not compare
+        S = None
+    # a float, a str or a bool is refused, never truncated to an integer
+    if S is None or any(type(n) is not int for n in S):
         raise ParamError(f"S must be a collection of integers, got {s_raw!r}")
     for n in S:
         if n < 1 or gcd(n, P["p"]) != 1:
@@ -314,7 +317,7 @@ def _run_g1(P: dict):
     p, target = P["p"], P["precision"]
     field, group = GF(p), ZZ_GROUP
     bound = group.elem(target)
-    fpoly = ASInstance(p, t_pow(field, group, 1)).poly()
+    fpoly = as_poly(t_pow(field, group, 1))
     lifted = hensel_lift(fpoly, None, bound)
     root = lifted.root
     claims = []
@@ -382,10 +385,11 @@ def _run_g2(P: dict):
         ))
 
         level_group = one_over_m(p ** k)
-        inst = ASInstance(p, t_pow(field, level_group, Fraction(-1, p ** k)))
-        if classify(inst) != NEGATIVE_RAMIFIED:
+        # the ramified case lifts nothing, so any target does
+        case, ramified = analyze(t_pow(field, level_group, Fraction(-1, p ** k)), 1)
+        if case != NEGATIVE_RAMIFIED:
             raise HypothesisError(f"level {k} is not in the ramified case")
-        rv = ramified_root_value(inst).root_value
+        rv = ramified.root_value
 
         def chain(rv=rv, k=k):
             expect = one_over_m(p ** (k + 1))

@@ -42,7 +42,6 @@ __all__ = [
     "QuadGroup",
     "GroupElem",
     "GroupInvariants",
-    "MembershipResult",
     "PerronResult",
     "cmp",
     "divisible_by",
@@ -117,8 +116,8 @@ class RationalGroup(GroupDesc):
         return self.law == "one_over_m" and self.m == 1
 
     def elem(self, data) -> "GroupElem":
-        if isinstance(data, float):
-            raise GroupLawError(f"float {data!r} is not an exact element of {self}")
+        if isinstance(data, (float, str)):
+            raise GroupLawError(f"{type(data).__name__} {data!r} is not an exact element of {self}")
         q = Fraction(data)
         if not self.admits(q):
             raise GroupLawError(f"{q} violates the {self.law} law of {self}")
@@ -415,29 +414,21 @@ def _affine(text: str, names: tuple) -> list:
 # ---------------------------------------------------------------------------
 # membership
 
-@dataclass(frozen=True)
-class MembershipResult:
-    member: bool
-    witness: GroupElem | None = None
-
-
-def divisible_by(gamma: GroupElem, n: int) -> MembershipResult:
-    """Is gamma = n*beta solvable with beta in the same descriptor?"""
+def divisible_by(gamma: GroupElem, n: int) -> GroupElem | None:
+    """The beta in gamma's descriptor with gamma = n*beta, or None."""
     if n == 0:
         raise GroupLawError("division by zero")
     g = gamma.group
     if isinstance(g, RationalGroup):
         beta = Fraction(gamma.data, n)
-        if g.admits(beta):
-            return MembershipResult(True, g.elem(beta))
-        return MembershipResult(False)
+        return g.elem(beta) if g.admits(beta) else None
     if isinstance(g, LexGroup):
         if all(x % n == 0 for x in gamma.data):
-            return MembershipResult(True, g.elem(x // n for x in gamma.data))
-        return MembershipResult(False)
+            return g.elem(x // n for x in gamma.data)
+        return None
     a, b = gamma.data
     # Q + Q*sqrt2 is divisible
-    return MembershipResult(True, GroupElem(g, (a / n, b / n)))
+    return GroupElem(g, (a / n, b / n))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from valuedfields.artinschreier import (
-    ASInstance,
     LiftedRoot,
     NEGATIVE_RAMIFIED,
     NEGATIVE_UNRAMIFIED,
@@ -17,13 +16,11 @@ from valuedfields.artinschreier import (
     Split,
     ZERO_VALUE,
     analyze,
+    as_poly,
     classify,
     poly_to_series,
-    ramified_root_value,
-    residue_case,
-    root_split,
     surgery,
-    translation_instance,
+    translate,
 )
 from valuedfields.errors import (
     HypothesisError,
@@ -31,7 +28,6 @@ from valuedfields.errors import (
     ParamError,
     PrecisionError,
     UnsupportedError,
-    WrongCaseError,
 )
 from valuedfields.fields import GF, frobenius, trace_to_prime
 from valuedfields.groups import QQ_GROUP, ZZ_GROUP, one_over_m, p_power_hull
@@ -58,34 +54,28 @@ def _series(field, group, pairs, precision=None):
 def test_classify_four_cases():
     F2 = GF(2)
     hull = p_power_hull(2)
-    assert classify(ASInstance(2, _series(F2, ZZ_GROUP, [(1, 1)]))) == POSITIVE_VALUE
-    assert classify(ASInstance(2, _series(F2, ZZ_GROUP, [(0, 1), (1, 1)]))) == ZERO_VALUE
-    assert classify(ASInstance(2, _series(F2, ZZ_GROUP, [(-1, 1)]))) == NEGATIVE_RAMIFIED
-    assert classify(ASInstance(2, _series(F2, hull, [(-1, 1)]))) == NEGATIVE_UNRAMIFIED
+    assert classify(_series(F2, ZZ_GROUP, [(1, 1)])) == POSITIVE_VALUE
+    assert classify(_series(F2, ZZ_GROUP, [(0, 1), (1, 1)])) == ZERO_VALUE
+    assert classify(_series(F2, ZZ_GROUP, [(-1, 1)])) == NEGATIVE_RAMIFIED
+    assert classify(_series(F2, hull, [(-1, 1)])) == NEGATIVE_UNRAMIFIED
 
 
 def test_classify_divisible_negative_value_in_integers():
     F3 = GF(3)
     c = _series(F3, ZZ_GROUP, [(-3, 1)])
-    assert classify(ASInstance(3, c)) == NEGATIVE_UNRAMIFIED
+    assert classify(c) == NEGATIVE_UNRAMIFIED
 
 
 def test_classify_zero_constant_counts_as_positive():
     F2 = GF(2)
-    assert classify(ASInstance(2, zero_series(F2, ZZ_GROUP))) == POSITIVE_VALUE
+    assert classify(zero_series(F2, ZZ_GROUP)) == POSITIVE_VALUE
 
 
 def test_classify_rejects_undecidable_sign():
     F2 = GF(2)
     c = zero_series(F2, ZZ_GROUP, precision=-1)
     with pytest.raises(PrecisionError):
-        classify(ASInstance(2, c))
-
-
-def test_instance_rejects_characteristic_mismatch():
-    F2 = GF(2)
-    with pytest.raises(HypothesisError):
-        ASInstance(3, _series(F2, ZZ_GROUP, [(1, 1)]))
+        classify(c)
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +85,8 @@ def test_instance_rejects_characteristic_mismatch():
 def test_root_split_matches_fixed_point_stream():
     F2 = GF(2)
     c = _series(F2, ZZ_GROUP, [(1, 1)])
-    out = root_split(ASInstance(2, c), target=8)
+    case, out = analyze(c, target=8)
+    assert case == POSITIVE_VALUE
     assert isinstance(out, Split) and len(out.roots) == 2
     expected = stream_expand(frobenius_root(2), 8)
     signs = {str(r) for r in out.roots}
@@ -107,10 +98,10 @@ def test_root_split_matches_fixed_point_stream():
 
 def test_root_split_all_roots_evaluate_to_zero():
     F3 = GF(3)
-    inst = ASInstance(3, _series(F3, ZZ_GROUP, [(1, 1), (2, 2)]))
-    out = root_split(inst, target=7)
+    c = _series(F3, ZZ_GROUP, [(1, 1), (2, 2)])
+    _, out = analyze(c, target=7)
     assert len(out.roots) == 3
-    f = inst.poly()
+    f = as_poly(c)
     for r in out.roots:
         assert f.eval(r).is_zero_to_precision()
     consts = sorted(str((r - out.roots[0]).terms or "0") for r in out.roots)
@@ -119,16 +110,9 @@ def test_root_split_all_roots_evaluate_to_zero():
 
 def test_root_split_zero_constant_gives_prime_field():
     F3 = GF(3)
-    out = root_split(ASInstance(3, zero_series(F3, ZZ_GROUP)), target=5)
+    _, out = analyze(zero_series(F3, ZZ_GROUP), target=5)
     rendered = sorted(str(r) for r in out.roots)
     assert rendered == ["0", "1*t^(0)", "2*t^(0)"]
-
-
-def test_root_split_wrong_case():
-    F2 = GF(2)
-    inst = ASInstance(2, _series(F2, ZZ_GROUP, [(0, 1)]))
-    with pytest.raises(WrongCaseError):
-        root_split(inst, target=4)
 
 
 # ---------------------------------------------------------------------------
@@ -139,10 +123,11 @@ def test_residue_case_trace_zero_lifts():
     F4 = GF(2, 2)
     g = F4.generator()
     assert trace_to_prime(F4.one()).is_zero()  # tr(1) = 1 + 1 = 0 in F_4
-    inst = ASInstance(2, _series(F4, ZZ_GROUP, [(0, 1), (1, 1)]))
-    out = residue_case(inst, target=6)
+    c = _series(F4, ZZ_GROUP, [(0, 1), (1, 1)])
+    case, out = analyze(c, target=6)
+    assert case == ZERO_VALUE
     assert isinstance(out, LiftedRoot)
-    assert inst.poly().eval(out.root).is_zero_to_precision()
+    assert as_poly(c).eval(out.root).is_zero_to_precision()
     lead = out.root.terms[0][1]
     assert (frobenius(lead) - lead - F4.one()).is_zero()
     # the roots are g and g + 1; the start is the least in element order
@@ -151,25 +136,22 @@ def test_residue_case_trace_zero_lifts():
 
 def test_residue_case_nonzero_trace_reports_witness():
     F2 = GF(2)
-    inst = ASInstance(2, _series(F2, ZZ_GROUP, [(0, 1), (1, 1)]))
-    out = residue_case(inst, target=6)
+    _, out = analyze(_series(F2, ZZ_GROUP, [(0, 1), (1, 1)]), target=6)
     assert isinstance(out, NoResidueRoot)
     assert str(out.trace) == "1"
 
 
 def test_residue_case_zero_residue_falls_through():
-    F2 = GF(2)
-    inst = ASInstance(2, _series(F2, ZZ_GROUP, [(1, 1)]))
-    out = residue_case(inst, target=6)
-    assert isinstance(out, LiftedRoot)
-    assert inst.poly().eval(out.root).is_zero_to_precision()
-
-
-def test_residue_case_wrong_case():
-    F2 = GF(2)
-    inst = ASInstance(2, _series(F2, ZZ_GROUP, [(-1, 1)]))
-    with pytest.raises(WrongCaseError):
-        residue_case(inst, target=4)
+    # a residue 0 is a positive value: the split lifts from the residue root
+    # 0 and never searches F_{2^16}, whose 2^16 elements exceed the budget
+    start = time.perf_counter()
+    F = GF(2, 16)
+    c = _series(F, ZZ_GROUP, [(1, F.elem((1,) * 16))])
+    case, out = analyze(c, target=6)
+    assert case == POSITIVE_VALUE and isinstance(out, Split)
+    for root in out.roots:
+        assert as_poly(c).eval(root).is_zero_to_precision()
+    assert time.perf_counter() - start < 1
 
 
 def test_residue_case_against_enumeration():
@@ -178,10 +160,10 @@ def test_residue_case_against_enumeration():
         F = GF(p, n)
         for r in F.elements():
             c = _series(F, ZZ_GROUP, [(0, r), (1, 1)]) if not r.is_zero() else _series(F, ZZ_GROUP, [(1, 1)])
-            out = residue_case(ASInstance(p, c), target=4)
+            _, out = analyze(c, target=4)
             solvable = any((frobenius(b) - b - r).is_zero() for b in F.elements())
             if solvable:
-                assert isinstance(out, LiftedRoot)
+                assert isinstance(out, Split if r.is_zero() else LiftedRoot)
             else:
                 assert isinstance(out, NoResidueRoot)
                 assert out.trace == trace_to_prime(r)
@@ -193,9 +175,9 @@ def test_residue_root_search_over_a_large_field_fails_fast():
     start = time.perf_counter()
     F = GF(2, 16)
     b = F.elem((1,) * 16)
-    inst = ASInstance(2, _series(F, ZZ_GROUP, [(0, b ** 2 + b)]))
+    c = _series(F, ZZ_GROUP, [(0, b ** 2 + b)])
     with pytest.raises(ParamError, match="every element of F_65536; more than 4096 is refused"):
-        residue_case(inst, target=4)
+        analyze(c, target=4)
     assert time.perf_counter() - start < 1
 
 
@@ -205,8 +187,8 @@ def test_residue_root_search_over_a_large_field_fails_fast():
 
 def test_ramified_value_halves_the_pole():
     F2 = GF(2)
-    inst = ASInstance(2, _series(F2, ZZ_GROUP, [(-1, 1)]))
-    out = ramified_root_value(inst)
+    case, out = analyze(_series(F2, ZZ_GROUP, [(-1, 1)]), target=4)
+    assert case == NEGATIVE_RAMIFIED
     assert isinstance(out, Ramified)
     assert str(out.root_value) == "-1/2"
     assert out.root_value.coords()[0] == Fraction(-1, 2)
@@ -216,17 +198,9 @@ def test_ramified_value_halves_the_pole():
 def test_ramified_value_in_refined_group():
     F3 = GF(3)
     half = one_over_m(2)
-    inst = ASInstance(3, _series(F3, half, [(Fraction(-1, 2), 1)]))
-    out = ramified_root_value(inst)
+    _, out = analyze(_series(F3, half, [(Fraction(-1, 2), 1)]), target=4)
     assert str(out.root_value) == "-1/6"
     assert out.root_value.group == one_over_m(6)
-
-
-def test_ramified_value_rejects_divisible_case():
-    F3 = GF(3)
-    inst = ASInstance(3, _series(F3, ZZ_GROUP, [(-3, 1)]))
-    with pytest.raises(WrongCaseError):
-        ramified_root_value(inst)
 
 
 # ---------------------------------------------------------------------------
@@ -352,11 +326,14 @@ def test_surgery_rejects_multivariate_input():
 
 
 def test_surgery_rejects_characteristic_zero():
+    # every routine refuses characteristic 0 before it divides a value by p
     from valuedfields.fields import QQ
 
-    c = make_series(QQ, ZZ_GROUP, [(-1, 1)])
-    with pytest.raises((HypothesisError, UnsupportedError)):
-        surgery(c)
+    for exp in (-1, 0, 1):
+        c = make_series(QQ, ZZ_GROUP, [(exp, 1)])
+        for run in (surgery, classify, as_poly, lambda c: analyze(c, 4)):
+            with pytest.raises(HypothesisError, match="needs positive characteristic"):
+                run(c)
 
 
 # ---------------------------------------------------------------------------
@@ -365,10 +342,10 @@ def test_surgery_rejects_characteristic_zero():
 
 def test_translation_shifts_constant():
     F2 = GF(2)
-    inst = ASInstance(2, _series(F2, ZZ_GROUP, [(1, 1)]))
+    c = _series(F2, ZZ_GROUP, [(1, 1)])
     b = _series(F2, ZZ_GROUP, [(1, 1)])
-    moved = translation_instance(inst, b)
-    assert [(str(e), str(co)) for e, co in moved.c.terms] == [("2", "1")]
+    moved = translate(c, b)
+    assert [(str(e), str(co)) for e, co in moved.terms] == [("2", "1")]
 
 
 def test_translation_preserves_classification_below_the_pole():
@@ -377,11 +354,11 @@ def test_translation_preserves_classification_below_the_pole():
         (ZZ_GROUP, NEGATIVE_RAMIFIED),
         (p_power_hull(2), NEGATIVE_UNRAMIFIED),
     ]:
-        inst = ASInstance(2, _series(F2, group, [(-1, 1)]))
+        c = _series(F2, group, [(-1, 1)])
         b = _series(F2, group, [(1, 1), (3, 1)])
-        moved = translation_instance(inst, b)
+        moved = translate(c, b)
         assert classify(moved) == expected
-        assert valuation(moved.c).value == valuation(inst.c).value
+        assert valuation(moved).value == valuation(c).value
 
 
 def test_translation_by_root_splits_off_zero():
@@ -390,9 +367,7 @@ def test_translation_by_root_splits_off_zero():
     hull = p_power_hull(2)
     b = _series(F2, hull, [(Fraction(-1, 2), 1)])
     c = frobenius_series(b) - b
-    inst = ASInstance(2, c)
-    moved = translation_instance(inst, b)
-    assert moved.c.is_exact_zero()
+    assert translate(c, b).is_exact_zero()
 
 
 def test_surgery_is_one_translation_by_its_partial_sum():
@@ -411,8 +386,7 @@ def test_surgery_is_one_translation_by_its_partial_sum():
                 c = _series(F, group, list(pairs.items()))
                 out = surgery(c)
                 cases.add(out.case)
-                moved = translation_instance(ASInstance(p, c), out.partial)
-                assert moved.c == out.residual
+                assert translate(c, out.partial) == out.residual
     assert cases == {POSITIVE_VALUE, NEGATIVE_RAMIFIED}
 
 
@@ -430,21 +404,21 @@ def test_analyze_routes_all_cases():
         (_series(F2, ZZ_GROUP, [(-4, 1), (-1, 1)]), NormalForm),
     ]
     for c, kind in cases:
-        case, out = analyze(ASInstance(2, c), target=5)
+        case, out = analyze(c, target=5)
         assert isinstance(out, kind), (case, out)
     with pytest.raises(IterationCapError):
-        analyze(ASInstance(2, _series(F2, hull, [(-1, 1)])), target=5)
+        analyze(_series(F2, hull, [(-1, 1)]), target=5)
 
 
 def test_outcomes_serialize():
     # one rule: the variant is the class name, then each field in order
     F2, F4 = GF(2), GF(2, 2)
     outs = [
-        analyze(ASInstance(2, _series(F2, ZZ_GROUP, [(1, 1)])), target=5)[1],
-        analyze(ASInstance(2, _series(F4, ZZ_GROUP, [(0, 1)])), target=5)[1],
-        analyze(ASInstance(2, _series(F2, ZZ_GROUP, [(0, 1)])), target=5)[1],
-        analyze(ASInstance(2, _series(F2, ZZ_GROUP, [(-1, 1)])), target=5)[1],
-        analyze(ASInstance(2, _series(F2, ZZ_GROUP, [(-8, 1), (1, 1)])), target=5)[1],
+        analyze(_series(F2, ZZ_GROUP, [(1, 1)]), target=5)[1],
+        analyze(_series(F4, ZZ_GROUP, [(0, 1)]), target=5)[1],
+        analyze(_series(F2, ZZ_GROUP, [(0, 1)]), target=5)[1],
+        analyze(_series(F2, ZZ_GROUP, [(-1, 1)]), target=5)[1],
+        analyze(_series(F2, ZZ_GROUP, [(-8, 1), (1, 1)]), target=5)[1],
     ]
     assert [type(o) for o in outs] == [Split, LiftedRoot, NoResidueRoot, Ramified, NormalForm]
     for out in outs:

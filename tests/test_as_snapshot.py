@@ -18,7 +18,7 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-from valuedfields.artinschreier import ASInstance, analyze
+from valuedfields.artinschreier import analyze
 from valuedfields.errors import ValuedFieldError
 from valuedfields.fields import GF
 from valuedfields.groups import ZZ_GROUP, one_over_m, p_power_hull
@@ -59,7 +59,7 @@ def _case(rng):
 def _line(c) -> str:
     head = f"{c.field} {c.group} {c}"
     try:
-        case, outcome = analyze(ASInstance(c.field.characteristic, c), TARGET)
+        case, outcome = analyze(c, TARGET)
     except ValuedFieldError as e:
         return f"{head} -> {type(e).__name__}: {e}"
     return f"{head} -> {case} {json.dumps(outcome.to_json(), sort_keys=True)}"

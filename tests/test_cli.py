@@ -985,6 +985,29 @@ def test_one_parser_serves_a_sequence_of_calls(capsys, lex2_path):
     assert [a[0] for a in alone] == [0, ("SystemExit", 2), 0, 0, ("SystemExit", 2), 0, 0, 2, 0, 0, 0, 0]
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["lift", "--p", "\u0665", "--precision", "4", "--", "-1-t", "0", "1"], "--p"),
+        (["gallery", "G1", "--p", "1_1"], "--p"),
+        (["as", "--p", "2.0", "--precision", "4", "1/t"], "--p"),
+        (["gallery", "G2", "--k-max", "1e1"], "--k-max"),
+        (["gallery", "G8", "--seed", "1/2"], "--seed"),
+    ],
+    ids=["arabic_indic_digit", "separator", "decimal", "exponent", "fraction"],
+)
+def test_integer_flags_read_through_the_number_reader(capsys, argv, flag):
+    # --p, --k-max and --seed refuse what parse_elem refuses, with exit 2
+    code, out, err = _call(capsys, argv)
+    assert (code, out) == (("SystemExit", 2), "")
+    assert f"error: argument {flag}: " in err
+
+
+def test_integer_flags_read_expressions(capsys):
+    five = _call(capsys, ["gallery", "G1", "--p", "5"])
+    assert five[0] == 0 and _call(capsys, ["gallery", "G1", "--p", "2^2 + 1"]) == five
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["lift", "--p", "2"])  # missing --precision

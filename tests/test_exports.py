@@ -4,7 +4,8 @@ code outside the tests.
 A routine deleted without its ``__all__`` entry leaves a stale export that
 only ``from valuedfields.<module> import *`` would trip over.  A public
 routine that only tests call either gains a caller or goes; the few kept
-for a reason are listed in ALLOWED with that reason.
+for a reason are listed in ALLOWED with that reason.  Likewise every error
+class must be raised somewhere in src.
 """
 
 import ast
@@ -13,6 +14,7 @@ import pkgutil
 from pathlib import Path
 
 import valuedfields
+from valuedfields import errors
 
 REPO = Path(__file__).parent.parent
 
@@ -71,3 +73,25 @@ def test_every_all_entry_has_a_caller_outside_the_tests():
         module = importlib.import_module(f"valuedfields.{name}")
         unused |= {f"{name}.{n}" for n in getattr(module, "__all__", ()) if n not in used}
     assert unused == set(ALLOWED)
+
+
+def _raised_in_src() -> set[str]:
+    """Every class name a raise statement in src names, called or not."""
+    raised = set()
+    for path in (REPO / "src").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None))
+    return raised
+
+
+def test_every_error_class_is_raised_in_src():
+    # a class no raise names leaves a dead branch in every handler that catches it
+    classes = {
+        name for name, obj in vars(errors).items()
+        if isinstance(obj, type) and issubclass(obj, errors.ValuedFieldError)
+        and obj is not errors.ValuedFieldError
+    }
+    assert "ParamError" in classes
+    assert classes - _raised_in_src() == set()

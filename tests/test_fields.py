@@ -36,6 +36,17 @@ def test_rational_arithmetic():
         QQ.zero().inverse()
 
 
+@pytest.mark.parametrize(
+    "field, data",
+    [(QQ, "0.5"), (QQ, 0.5), (GF(5), "12"), (GF(5), 2.5), (GF(7), "1/3"), (GF(2, 2), "10")],
+)
+def test_elem_refuses_text_and_floats(field, data):
+    # text would be read by a second grammar, or as a list of digits, and a
+    # float is not exact: UnsupportedError, never a bare TypeError or ValueError
+    with pytest.raises(UnsupportedError, match=f"{type(data).__name__} {data!r} is not an exact"):
+        field.elem(data)
+
+
 def test_field_mismatch():
     with pytest.raises(FieldMismatchError):
         QQ.one() + GF(2).one()

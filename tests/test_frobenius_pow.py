@@ -98,7 +98,7 @@ def _z_elems():
         ("-", a - b),
         ("neg", -a),
         ("scale", a.scale(5)),
-        ("divisible_by", divisible_by(z.elem(6), 3).witness),
+        ("divisible_by", divisible_by(z.elem(6), 3)),
         *(("dense product", e) for e, _ in mul_series(dense, dense).terms),
         ("dense precision", mul_series(dense, dense).precision),
         *(("shift", e) for e, _ in shift(t, 2).terms),
@@ -122,7 +122,7 @@ def test_q_data_stays_fraction_at_integral_values():
     assert m == 1 and series._kronecker_pays(xa, xb, limit)
     made = [
         q.zero(), a, b, parse_elem(q, "7"), a + b, a - b, -a, a.scale(5),
-        divisible_by(q.elem(6), 3).witness,
+        divisible_by(q.elem(6), 3),
         *(e for e, _ in mul_series(dense, dense).terms),
         *(e for e, _ in frobenius_series(dense).terms),
         one_over_m(6).elem(2), p_power_hull(3).elem(2),

@@ -211,6 +211,15 @@ def test_g3_rejects_denominators_sharing_a_factor_with_p():
         run_scenario("G3", {"p": 3, "k_max": 4, "S": (5, 7)})  # k_max missing from S
 
 
+@pytest.mark.parametrize(
+    "S", [(2.5, 4, "5"), (4.0, 5), (True, 4), (4, "5"), "45", 4, [[4]]],
+    ids=["float_and_str", "integral_float", "bool", "mixed", "str", "scalar", "nested"],
+)
+def test_g3_refuses_denominators_that_are_not_integers(S):
+    with pytest.raises(ParamError, match="S must be a collection of integers, got"):
+        run_scenario("G3", {"p": 3, "k_max": 4, "S": S})
+
+
 # ---------------------------------------------------------------------------
 # G4
 

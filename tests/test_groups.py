@@ -80,6 +80,9 @@ def test_rational_law_enforced():
         (QuadGroup(), ("a", 1), "quad coordinate 'a' is not an integer or a Fraction"),
         (QuadGroup(), (None, 1), "quad coordinate None is not an integer or a Fraction"),
         (QuadGroup(), ("1/2", 1), "quad coordinate '1/2' is not an integer or a Fraction"),
+        (QQ_GROUP, "1e5", "str '1e5' is not an exact element of Q"),
+        (one_over_m(2), " 1_0.5 ", r"str ' 1_0.5 ' is not an exact element of \(1/2\)Z"),
+        (QQ_GROUP, 2.5, "float 2.5 is not an exact element of Q"),
     ],
     ids=[
         "lex_float",
@@ -92,6 +95,9 @@ def test_rational_law_enforced():
         "quad_word",
         "quad_none",
         "quad_string_fraction",
+        "rational_exponent_text",
+        "rational_separator_text",
+        "rational_float",
     ],
 )
 def test_elem_refuses_what_it_cannot_hold_exactly(group, data, message):
@@ -185,14 +191,12 @@ def test_invariants_specific():
 
 def test_divisibility_membership():
     g = one_over_m(6)
-    r = divisible_by(g.elem(Fraction(1, 3)), 2)
-    assert r.member and r.witness.data == Fraction(1, 6)
-    assert not divisible_by(g.elem(Fraction(1, 6)), 5).member
+    assert divisible_by(g.elem(Fraction(1, 3)), 2).data == Fraction(1, 6)
+    assert divisible_by(g.elem(Fraction(1, 6)), 5) is None
     lex = LEX2
-    assert divisible_by(lex.elem((2, -4)), 2).member
-    assert not divisible_by(lex.elem((2, -3)), 2).member
-    rq = divisible_by(QUAD.elem((1, 1)), 3)
-    assert rq.member and rq.witness.scale(3) == QUAD.elem((1, 1))
+    assert divisible_by(lex.elem((2, -4)), 2) == lex.elem((1, -2))
+    assert divisible_by(lex.elem((2, -3)), 2) is None
+    assert divisible_by(QUAD.elem((1, 1)), 3).scale(3) == QUAD.elem((1, 1))
 
 
 def test_parse_render_roundtrip():
