@@ -305,7 +305,7 @@ def _integer(text: str) -> int:
     parse_elem, the reader of every other number on the command line."""
     try:
         return parse_elem(ZZ_GROUP, text).data
-    except GroupLawError as exc:
+    except ValuedFieldError as exc:  # not an integer, 0^0, a power over budget
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 

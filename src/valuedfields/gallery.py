@@ -258,12 +258,14 @@ def _g3_k_max(name: str, k, P) -> int:
 
 def _g3_s(name: str, s_raw, P) -> tuple[int, ...]:
     try:
-        S = tuple(sorted(set(s_raw)))
-    except TypeError:  # not a collection, or items that do not compare
-        S = None
-    # a float, a str or a bool is refused, never truncated to an integer
-    if S is None or any(type(n) is not int for n in S):
+        items = list(s_raw)
+    except TypeError:  # not a collection
+        items = None
+    # a float, a str or a bool is refused, never truncated to an integer; the
+    # check comes before set(), which would fold 4.0 into 4 and True into 1
+    if items is None or any(type(n) is not int for n in items):
         raise ParamError(f"S must be a collection of integers, got {s_raw!r}")
+    S = tuple(sorted(set(items)))
     for n in S:
         if n < 1 or gcd(n, P["p"]) != 1:
             raise ParamError(f"every denominator in S must be positive and prime to {P['p']}; got {n}")

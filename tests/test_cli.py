@@ -993,8 +993,10 @@ def test_one_parser_serves_a_sequence_of_calls(capsys, lex2_path):
         (["as", "--p", "2.0", "--precision", "4", "1/t"], "--p"),
         (["gallery", "G2", "--k-max", "1e1"], "--k-max"),
         (["gallery", "G8", "--seed", "1/2"], "--seed"),
+        (["gallery", "G1", "--p", "0^0"], "--p"),
+        (["lift", "--p", "2^1000000000000", "--precision", "4", "--", "-1-t", "0", "1"], "--p"),
     ],
-    ids=["arabic_indic_digit", "separator", "decimal", "exponent", "fraction"],
+    ids=["arabic_indic_digit", "separator", "decimal", "exponent", "fraction", "zero_to_zero", "power_over_budget"],
 )
 def test_integer_flags_read_through_the_number_reader(capsys, argv, flag):
     # --p, --k-max and --seed refuse what parse_elem refuses, with exit 2

@@ -212,8 +212,9 @@ def test_g3_rejects_denominators_sharing_a_factor_with_p():
 
 
 @pytest.mark.parametrize(
-    "S", [(2.5, 4, "5"), (4.0, 5), (True, 4), (4, "5"), "45", 4, [[4]]],
-    ids=["float_and_str", "integral_float", "bool", "mixed", "str", "scalar", "nested"],
+    "S", [(2.5, 4, "5"), (4.0, 5), (True, 4), (4, "5"), "45", 4, [[4]], (4, 4.0), (1, True)],
+    ids=["float_and_str", "integral_float", "bool", "mixed", "str", "scalar", "nested",
+         "float_equal_to_an_int", "bool_equal_to_an_int"],
 )
 def test_g3_refuses_denominators_that_are_not_integers(S):
     with pytest.raises(ParamError, match="S must be a collection of integers, got"):
