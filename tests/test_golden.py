@@ -171,6 +171,16 @@ CASES["gallery_G8_k64"] = ["gallery", "G8", "--k-max", "64"]
 CASES["gallery_G8_k64_json"] = ["gallery", "G8", "--k-max", "64", "--json"]
 CASES["gallery_G8_p3_k32_seed5"] = ["gallery", "G8", "--p", "3", "--k-max", "32", "--seed", "5"]
 CASES["gallery_G8_p5_k24_seed2"] = ["gallery", "G8", "--p", "5", "--k-max", "24", "--seed", "2"]
+# a seed whose sampled values outrun the truncation: exit 1 with an indeterminate claim
+CASES["gallery_G8_k64_seed457"] = ["gallery", "G8", "--k-max", "64", "--seed", "457"]
+# the gallery workload's remaining parameter sets, as it runs them
+CASES["gallery_G1_p5_json"] = ["gallery", "G1", "--p", "5", "--json"]
+CASES["gallery_G2_k5_json"] = ["gallery", "G2", "--k-max", "5", "--json"]
+CASES["gallery_G3_p5_k8_json"] = ["gallery", "G3", "--p", "5", "--k-max", "8", "--json"]
+CASES["gallery_G5_k6_json"] = ["gallery", "G5", "--k-max", "6", "--json"]
+CASES["gallery_G6_k5_json"] = ["gallery", "G6", "--k-max", "5", "--json"]
+CASES["gallery_G7_k12_json"] = ["gallery", "G7", "--k-max", "12", "--json"]
+CASES["gallery_G9_p11_json"] = ["gallery", "G9", "--p", "11", "--json"]
 
 _ELAPSED = re.compile(r'"elapsed_ms": \d+')
 
