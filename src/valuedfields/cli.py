@@ -32,7 +32,7 @@ from .gallery import (
     report_to_json,
     run_scenario,
 )
-from .groups import LexGroup, QQ_GROUP, QuadGroup, ZZ_GROUP, parse_elem, perron_basis
+from .groups import LexGroup, QuadGroup, ZZ_GROUP, parse_elem, perron_basis
 from .hensel import SeriesPoly, hensel_lift
 from .places import ZERO, _group_from_json, base_field, place_from_json, place_value_residue, place_vars
 from .series import invert, mul_series, render_series, valuation, zero_series
@@ -102,14 +102,6 @@ def _rational_to_series(rf, field, group, margin):
     vd2 = valuation(den).value.scale(2)
     pad = vd2 if vd2.sign() >= 0 else vd2.scale(-1)
     return mul_series(num, invert(den, precision=margin + pad))
-
-
-def _parse_gallery_precision(text: str):
-    """Scenario precision parameters are rational literals; integral values
-    become plain ints so the scenario schemas accept them."""
-    g = parse_elem(QQ_GROUP, text)
-    q = g.coords()[0]
-    return int(q) if q.denominator == 1 else q
 
 
 # The largest R of perron --group lex:R.  Its postcondition takes a
@@ -250,7 +242,7 @@ def _scenario_params(ns, schema_keys) -> dict:
     if ns.k_max is not None:
         params["k_max"] = ns.k_max
     if ns.precision is not None:
-        params["precision"] = _parse_gallery_precision(ns.precision)
+        params["precision"] = ns.precision
     if ns.seed is not None:
         params["seed"] = ns.seed
     if schema_keys is not None:
@@ -301,8 +293,9 @@ def _cmd_list(ns) -> int:
 
 
 def _integer(text: str) -> int:
-    """The argparse type of --p, --k-max and --seed: an integer read by
-    parse_elem, the reader of every other number on the command line."""
+    """The argparse type of --p, --k-max, --seed and gallery's --precision:
+    an integer read by parse_elem, the reader of every other number on the
+    command line."""
     try:
         return parse_elem(ZZ_GROUP, text).data
     except ValuedFieldError as exc:  # not an integer, 0^0, a power over budget
@@ -364,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gallery.add_argument("name", nargs="*", help="scenario names, e.g. G1 G2")
     p_gallery.add_argument("--p", type=_integer, default=None)
     p_gallery.add_argument("--k-max", type=_integer, default=None)
-    p_gallery.add_argument("--precision", default=None)
+    p_gallery.add_argument("--precision", type=_integer, default=None)
     p_gallery.add_argument("--seed", type=_integer, default=None)
     p_gallery.add_argument("--json", action="store_true")
     p_gallery.set_defaults(handler=_cmd_gallery)

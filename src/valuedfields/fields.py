@@ -281,7 +281,7 @@ class RationalField(FieldDesc):
     characteristic = 0
 
     def elem(self, data) -> "FieldElement":
-        if isinstance(data, (float, str)):
+        if type(data) not in (int, Fraction):  # not a bool, a float, a str or a Decimal
             raise UnsupportedError(f"{type(data).__name__} {data!r} is not an exact rational")
         return FieldElement(self, Fraction(data))
 
@@ -315,15 +315,15 @@ class FiniteField(FieldDesc):
     def elem(self, data) -> "FieldElement":
         if type(data) is int:  # the common case, without building a Fraction
             return FieldElement(self, (data % self.p,) + (0,) * (self.n - 1))
-        if isinstance(data, (int, Fraction)):
-            q = Fraction(data)
-            if q.denominator % self.p == 0:
-                raise GroupLawError(f"denominator {q.denominator} not invertible mod {self.p}")
-            v = (q.numerator * pow(q.denominator, -1, self.p)) % self.p
+        if type(data) is Fraction:
+            if data.denominator % self.p == 0:
+                raise GroupLawError(f"denominator {data.denominator} not invertible mod {self.p}")
+            v = (data.numerator * pow(data.denominator, -1, self.p)) % self.p
             return FieldElement(self, (v,) + (0,) * (self.n - 1))
-        if isinstance(data, (float, str)):
+        # otherwise only a list or tuple of ints: coordinates on 1, u, u^2, ...
+        if type(data) not in (list, tuple) or any(type(x) is not int for x in data):
             raise UnsupportedError(f"{type(data).__name__} {data!r} is not an exact element of {self}")
-        vec = tuple(int(x) % self.p for x in data)
+        vec = tuple(x % self.p for x in data)
         if len(vec) > self.n:
             vec = _poly_divmod(vec, self.modulus, self.p)[1]
         vec = vec + (0,) * (self.n - len(vec))

@@ -54,7 +54,7 @@ from .places import (
 from .polys import RatFn, mpoly
 from .series import (
     _MAX_HOST_DEGREE,
-    ValuationKind,
+    ValuationResult,
     _below,
     _prec_min,
     add_series,
@@ -178,11 +178,7 @@ def report_to_json(r: Report) -> dict:
 
 
 def _param_json(v):
-    if isinstance(v, tuple):
-        return list(v)
-    if isinstance(v, Fraction):
-        return str(v)
-    return v
+    return list(v) if isinstance(v, tuple) else v
 
 
 def _claim(description: str, fn) -> Claim:
@@ -192,6 +188,16 @@ def _claim(description: str, fn) -> Claim:
     except PrecisionError as exc:
         return Claim(description, f"indeterminate: {exc}", "(not decided at this truncation)", False, True)
     return Claim(description, str(lhs), str(rhs), bool(ok))
+
+
+def _equal(description: str, compute, want) -> Claim:
+    """A claim that compute() == want, both sides printed with str."""
+
+    def verdict():
+        got = compute()
+        return got, want, got == want
+
+    return _claim(description, verdict)
 
 
 def _ram_row(level: str, n: int, e: int, f: int, p: int) -> RamificationRow:
@@ -365,25 +371,15 @@ def _run_g2(P: dict):
     claims, rows = [], []
     for k in range(1, k_max + 1):
         theta_k = make_series(field, hull, theta.terms[:k])
-
-        def identity(tk=theta_k, k=k):
-            lhs = sub_series(sub_series(tk ** p, tk), pole)
-            rhs = t_pow(field, hull, Fraction(-1, p ** k), -1)
-            return render_series(lhs), render_series(rhs), lhs == rhs
-
-        claims.append(_claim(
+        claims.append(_equal(
             f"level {k}: theta_{k}^{p} - theta_{k} - t^(-1) = -t^(-1/{p ** k})",
-            identity,
+            lambda: sub_series(sub_series(theta_k ** p, theta_k), pole),
+            t_pow(field, hull, Fraction(-1, p ** k), -1),
         ))
-
-        def tail_value(tk=theta_k, k=k):
-            v = valuation(sub_series(theta, tk))
-            expect = hull.elem(Fraction(-1, p ** (k + 1)))
-            return v, expect, v.is_exact and v.value == expect
-
-        claims.append(_claim(
+        claims.append(_equal(
             f"level {k}: v(theta - theta_{k}) = -1/{p ** (k + 1)} by stream subtraction",
-            tail_value,
+            lambda: valuation(sub_series(theta, theta_k)),
+            ValuationResult.exact(hull.elem(Fraction(-1, p ** (k + 1)))),
         ))
 
         level_group = one_over_m(p ** k)
@@ -392,14 +388,10 @@ def _run_g2(P: dict):
         if case != NEGATIVE_RAMIFIED:
             raise HypothesisError(f"level {k} is not in the ramified case")
         rv = ramified.root_value
-
-        def chain(rv=rv, k=k):
-            expect = one_over_m(p ** (k + 1))
-            return rv.group, expect, rv.group == expect
-
-        claims.append(_claim(
+        claims.append(_equal(
             f"level {k}: the step value group is (1/{p ** (k + 1)})Z (finite-level evidence)",
-            chain,
+            lambda: rv.group,
+            one_over_m(p ** (k + 1)),
         ))
 
         e = next(m for m in (1, p) if level_group.admits(rv.scale(m).data))
@@ -431,48 +423,37 @@ def _run_g3(P: dict):
     full = stream_expand(bad_value_group(p, S), 0, max_terms=len(S))
     cut = group.elem(Fraction(-1, k))
     tail = make_series(field, group, [(e, c) for e, c in full.terms if not e < cut])
-    claims = []
-
-    def tail_value():
-        v = valuation(tail)
-        return v, cut, v.is_exact and v.value == cut
-
-    claims.append(_claim(
+    claims = [_equal(
         f"the tail of the stream from denominator {k} on has value -1/{k}",
-        tail_value,
-    ))
+        lambda: valuation(tail),
+        ValuationResult.exact(cut),
+    )]
 
     unit = add_series(
         one_series(field, group),
         sub_series(shift(tail, Fraction(1, k)), one_series(field, group)),
     )
     recovered = mul_series(unit, invert(tail, precision=group.elem(prec)))
-
-    def root_value():
-        v = valuation(recovered)
-        expect = group.elem(Fraction(1, k))
-        return v, expect, v.is_exact and v.value == expect
-
-    claims.append(_claim(f"the recovered root has value 1/{k}", root_value))
-
-    def identity():
-        bound = group.elem(prec)
-        lhs = truncate(recovered ** k, bound)
-        rhs = truncate(t_pow(field, group, 1), bound)
-        return render_series(lhs), render_series(rhs), lhs == rhs
-
-    claims.append(_claim(
+    claims.append(_equal(
+        f"the recovered root has value 1/{k}",
+        lambda: valuation(recovered),
+        ValuationResult.exact(group.elem(Fraction(1, k))),
+    ))
+    bound = group.elem(prec)
+    claims.append(_equal(
         f"((1 + c) * tail^(-1))^{k} = t below t^({prec}): the tail recovers t^(1/{k})",
-        identity,
+        lambda: truncate(recovered ** k, bound),
+        truncate(t_pow(field, group, 1), bound),
     ))
     return claims, None
 
 
 def _run_g4(P: dict):
     p, k_max = P["p"], P["k_max"]
-    host_degree = lcm(*range(1, k_max + 1))
-    zeta = stream_expand(bad_residue(p, host_degree), k_max + 1)
+    # the terms below t^(k_max + 1) are hosted in F_(p^lcm(1..k_max))
+    zeta = stream_expand(bad_residue(p), k_max + 1)
     big = zeta.field
+    host_degree = big.n
     claims = []
     running = 1
 
@@ -481,38 +462,33 @@ def _run_g4(P: dict):
         return residue(shift(sub_series(zeta, head), -n))
 
     for k in range(1, k_max + 1):
-        def extract(k=k):
-            got = tail_coeff(k)
-            want = embed(GF(p, k).generator(), big)
-            return got, want, got == want
-
-        claims.append(_claim(
+        claims.append(_equal(
             f"the coefficient at t^({k}) is the canonical degree-{k} generator inside "
             f"the degree-{host_degree} host field",
-            extract,
+            lambda: tail_coeff(k),
+            embed(GF(p, k).generator(), big),
         ))
-
-        def orbit_size(k=k):
-            orbit = _frob_orbit_size(tail_coeff(k))
-            return orbit, k, orbit == k
-
-        claims.append(_claim(
+        claims.append(_equal(
             f"the coefficient at t^({k}) has degree {k} over the prime field",
-            orbit_size,
+            lambda: _frob_orbit_size(tail_coeff(k)),
+            k,
         ))
         running = lcm(running, k)
-
-        def chain(k=k, expect=running):
-            got = 1
-            for n in range(1, k + 1):
-                got = lcm(got, _frob_orbit_size(tail_coeff(n)))
-            return got, expect, got == expect
-
-        claims.append(_claim(
+        claims.append(_equal(
             f"the residue field after level {k} has degree lcm(1..{k}) = {running} (finite-level evidence)",
-            chain,
+            lambda: lcm(*(_frob_orbit_size(tail_coeff(n)) for n in range(1, k + 1))),
+            running,
         ))
     return claims, None
+
+
+def _gap_inverse_value(gap, shift_by: int):
+    """v(t^shift_by * gap^(-1)), with gap inverted one past its value."""
+    v = valuation(gap)
+    if not v.is_exact:
+        raise PrecisionError("the gap valuation is undecided at this truncation")
+    inv = invert(gap, precision=v.value + gap.group.elem(1))
+    return valuation(shift(inv, shift_by))
 
 
 def _run_g5(P: dict):
@@ -530,31 +506,17 @@ def _run_g5(P: dict):
             field, hull, [(e, c) for e, c in power.terms if e.coords()[0].denominator == 1]
         )
         gap = sub_series(power, head)
-
-        def first_fractional(gap=gap, k=k):
-            v = valuation(gap)
-            expect = hull.elem(p ** ((k + 1) ** 2) - Fraction(1, p ** (k + 1)))
-            return v, expect, v.is_exact and v.value == expect
-
-        claims.append(_claim(
+        claims.append(_equal(
             f"level {k}: the first fractional exponent of z^({p ** nu(k)}) is "
             f"{p ** ((k + 1) ** 2)} - 1/{p ** (k + 1)}",
-            first_fractional,
+            lambda: valuation(gap),
+            ValuationResult.exact(hull.elem(p ** ((k + 1) ** 2) - Fraction(1, p ** (k + 1)))),
         ))
-
-        def gap_value(gap=gap, k=k):
-            v = valuation(gap)
-            if not v.is_exact:
-                raise PrecisionError("the gap valuation is undecided at this truncation")
-            inv = invert(gap, precision=v.value + hull.elem(1))
-            got = valuation(shift(inv, p ** ((k + 1) ** 2)))
-            expect = hull.elem(Fraction(1, p ** (k + 1)))
-            return got, expect, got.is_exact and got.value == expect
-
-        claims.append(_claim(
+        claims.append(_equal(
             f"level {k}: v(t^({p ** ((k + 1) ** 2)}) * (z^({p ** nu(k)}) - integer head)^(-1)) "
             f"= 1/{p ** (k + 1)}",
-            gap_value,
+            lambda: _gap_inverse_value(gap, p ** ((k + 1) ** 2)),
+            ValuationResult.exact(hull.elem(Fraction(1, p ** (k + 1)))),
         ))
     return claims, None
 
@@ -562,42 +524,39 @@ def _run_g5(P: dict):
 def _run_g6(P: dict):
     p, k_max = P["p"], P["k_max"]
     small, big, hull = GF(p), GF(p, p), p_power_hull(p)
-    claims = []
-
-    def rootless():
-        roots = [b for b in small.elements() if frobenius(b) - b == small.one()]
-        return len(roots), 0, not roots
-
-    claims.append(_claim(
+    claims = [_equal(
         f"X^{p} - X - 1 has no root in the prime field F_{p}",
-        rootless,
-    ))
+        lambda: len([b for b in small.elements() if frobenius(b) - b == small.one()]),
+        0,
+    )]
 
     shiftc = next(b for b in big.elements() if frobenius(b) - b == big.one())
     theta = stream_expand(theta_defect(p), 0, max_terms=k_max)
     theta_k = make_series(big, hull, [(e, embed(c, big)) for e, c in theta.terms])
     theta_c = add_series(theta_k, make_series(big, hull, [(0, shiftc)]))
-
-    def identity():
-        diff = sub_series(theta_c, theta_k)
-        lhs = sub_series(diff ** p, diff)
-        rhs = make_series(big, hull, [(0, big.one())])
-        return render_series(lhs), render_series(rhs), lhs == rhs
-
-    claims.append(_claim(
+    diff = sub_series(theta_c, theta_k)
+    claims.append(_equal(
         f"(theta_c - theta)^{p} - (theta_c - theta) = 1 exactly at truncation depth {k_max}",
-        identity,
+        lambda: sub_series(diff ** p, diff),
+        make_series(big, hull, [(0, big.one())]),
     ))
-
-    def constant_degree():
-        orbit = _frob_orbit_size(shiftc)
-        return orbit, p, orbit == p
-
-    claims.append(_claim(
+    claims.append(_equal(
         f"the translation constant generates a degree-{p} extension of the prime field",
-        constant_degree,
+        lambda: _frob_orbit_size(shiftc),
+        p,
     ))
     return claims, None
+
+
+def _denominator_lcm(k_max: int) -> int:
+    """The lcm of the value denominators of t^(1/k) + t^2 over Q, k = 1..k_max."""
+    got = 1
+    for k in range(1, k_max + 1):
+        v = valuation(add_series(t_pow(QQ, QQ_GROUP, Fraction(1, k)), t_pow(QQ, QQ_GROUP, 2)))
+        if not v.is_exact:
+            raise PrecisionError("value undecided")
+        got = lcm(got, v.value.coords()[0].denominator)
+    return got
 
 
 def _run_g7(P: dict):
@@ -605,50 +564,30 @@ def _run_g7(P: dict):
     field, group = QQ, QQ_GROUP
     claims = []
     running = 1
-    sample = None
     for k in range(1, k_max + 1):
         x = add_series(t_pow(field, group, Fraction(1, k)), t_pow(field, group, 2))
-        sample = x
-
-        def value(x=x, k=k):
-            v = valuation(x)
-            expect = group.elem(Fraction(1, k))
-            return v, expect, v.is_exact and v.value == expect
-
-        claims.append(_claim(f"v(t^(1/{k}) + t^(2)) = 1/{k}", value))
-
-        def res(x=x, k=k):
-            r = residue(shift(x, Fraction(-1, k)))
-            return r, field.one(), r == field.one()
-
-        claims.append(_claim(
+        claims.append(_equal(
+            f"v(t^(1/{k}) + t^(2)) = 1/{k}",
+            lambda: valuation(x),
+            ValuationResult.exact(group.elem(Fraction(1, k))),
+        ))
+        claims.append(_equal(
             f"the value-0 normalization at denominator {k} has residue 1 in the coefficient field",
-            res,
+            lambda: residue(shift(x, Fraction(-1, k))),
+            field.one(),
         ))
         running = lcm(running, k)
 
-    def covered():
-        got = 1
-        for k in range(1, k_max + 1):
-            v = valuation(add_series(t_pow(field, group, Fraction(1, k)), t_pow(field, group, 2)))
-            if not v.is_exact:
-                raise PrecisionError("value undecided")
-            got = lcm(got, v.value.coords()[0].denominator)
-        return got, running, got == running
-
-    claims.append(_claim(
+    claims.append(_equal(
         f"realized value denominators cover 1..{k_max}: their lcm is {running} (finite-level evidence)",
-        covered,
+        lambda: _denominator_lcm(k_max),
+        running,
     ))
-
-    def inverse_value(x=sample):
-        v = valuation(invert(x, precision=group.elem(3)))
-        expect = group.elem(Fraction(-1, k_max))
-        return v, expect, v.is_exact and v.value == expect
-
-    claims.append(_claim(
+    # x is the last sample, at denominator k_max
+    claims.append(_equal(
         f"inversion realizes negative denominators: v((t^(1/{k_max}) + t^(2))^(-1)) = -1/{k_max}",
-        inverse_value,
+        lambda: valuation(invert(x, precision=group.elem(3))),
+        ValuationResult.exact(group.elem(Fraction(-1, k_max))),
     ))
     return claims, None
 
@@ -686,17 +625,11 @@ def _run_g8(P: dict):
         model,
     ))
 
-    def values_divide():
-        vx, vs = valuation(x), valuation(s)
-        got = f"v(x) = {vx}, v(s) = {vs}"
-        want = f"v(x) = 1, v(s) = {p}"
-        ok = (
-            vx.is_exact and vx.value == group.elem(1)
-            and vs.is_exact and vs.value == group.elem(p)
-        )
-        return got, want, ok
-
-    claims.append(_claim("the step divides the designated value by p: v(x) = v(s)/p", values_divide))
+    claims.append(_equal(
+        "the step divides the designated value by p: v(x) = v(s)/p",
+        lambda: f"v(x) = {valuation(x)}, v(s) = {valuation(s)}",
+        f"v(x) = 1, v(s) = {p}",
+    ))
 
     rng = Random(seed)
     xs = [one_series(field, group), x, mul_series(x, x), mul_series(mul_series(x, x), x)]
@@ -721,61 +654,46 @@ def _run_g8(P: dict):
     # h(t, x) for each sample, shared by the three claims below
     values = [_sample_value(terms, xs, x_table) for terms in drawn]
 
-    def integral_values():
-        good = 0
-        for w in values:
-            v = valuation(w)
-            if not v.is_exact:
-                raise PrecisionError("a sampled value is undecided at this truncation")
-            if v.value.coords()[0].denominator == 1:
-                good += 1
-        return f"{good} of {samples} integral", f"{samples} of {samples} integral", good == samples
+    def decided():
+        """The samples' values; an undecided one makes the claim indeterminate."""
+        vs = [valuation(w) for w in values]
+        if not all(v.is_exact for v in vs):
+            raise PrecisionError("a sampled value is undecided at this truncation")
+        return vs
 
-    claims.append(_claim(
+    def residues():
+        decided()
+        return [w.terms[0][1] for w in values]  # the residues of w/t^v(w)
+
+    def matches_counterpart(terms, w) -> bool:
+        counterpart = _sample_value([((a * p, b), pow(c, p)) for (a, b), c in terms], ss, s_table)
+        w_p = w ** p
+        prec = _prec_min(w_p.precision, counterpart.precision)
+        return _below(w_p.terms, prec) == _below(counterpart.terms, prec)
+
+    def every_sample(description, count, what):
+        """A claim that count() of the samples pass, printed as a tally."""
+        claims.append(_equal(
+            description, lambda: f"{count()} of {samples} {what}", f"{samples} of {samples} {what}",
+        ))
+
+    every_sample(
         f"value-group invariance on {samples} sampled polynomials in (t, x): every value stays in Z "
         "(finite-sample evidence)",
-        integral_values,
-    ))
-
-    def prime_residues():
-        good = 0
-        for w in values:
-            v = valuation(w)
-            if not v.is_exact:
-                raise PrecisionError("a sampled value is undecided at this truncation")
-            r = w.terms[0][1]  # the residue of w/t^v
-            if frobenius(r) == r:
-                good += 1
-        return (
-            f"{good} of {samples} residues fixed by Frobenius",
-            f"{samples} of {samples} residues fixed by Frobenius",
-            good == samples,
-        )
-
-    claims.append(_claim(
+        lambda: sum(v.value.coords()[0].denominator == 1 for v in decided()),
+        "integral",
+    )
+    every_sample(
         f"residue invariance on {samples} samples: value-0 normalizations have residues in the "
         "prime field (finite-sample evidence)",
-        prime_residues,
-    ))
-
-    def power_counterparts():
-        good = 0
-        for terms, w in zip(drawn, values):
-            counterpart = _sample_value([((a * p, b), pow(c, p)) for (a, b), c in terms], ss, s_table)
-            w_p = w ** p
-            prec = _prec_min(w_p.precision, counterpart.precision)
-            if _below(w_p.terms, prec) == _below(counterpart.terms, prec):
-                good += 1
-        return (
-            f"{good} of {samples} p-th powers match their (t, s)-counterparts",
-            f"{samples} of {samples} p-th powers match their (t, s)-counterparts",
-            good == samples,
-        )
-
-    claims.append(_claim(
+        lambda: sum(frobenius(r) == r for r in residues()),
+        "residues fixed by Frobenius",
+    )
+    every_sample(
         f"each sampled h(t, x)^{p} equals the counterpart polynomial in (t, s) exactly at truncation",
-        power_counterparts,
-    ))
+        lambda: sum(map(matches_counterpart, drawn, values)),
+        "p-th powers match their (t, s)-counterparts",
+    )
 
     rows = (_ram_row(f"degree-{p} model step x^{p} = s (finite-sample evidence)", p, 1, 1, p),)
     return claims, rows
@@ -783,55 +701,44 @@ def _run_g8(P: dict):
 
 def _run_g9(P: dict):
     p = P["p"]
-    claims = []
-
     half = one_over_m(2)
     origin = SeriesEmbedPlace(
         QQ, half, (("x", t_pow(QQ, half, 1)), ("y", t_pow(QQ, half, Fraction(3, 2)))),
     )
     curve_q = mpoly(("x", "y"), {(0, 2): QQ.one(), (3, 0): -QQ.one()})
 
-    def y_value():
-        v = place_value(origin, mpoly(("x", "y"), {(0, 1): QQ.one()}))
-        expect = half.elem(Fraction(3, 2))
-        return v, expect, v.is_exact and v.value == expect
+    claims = [
+        _equal(
+            "v(y) = 3/2 under the parameterization x -> t of y^2 = x^3",
+            lambda: place_value(origin, mpoly(("x", "y"), {(0, 1): QQ.one()})),
+            ValuationResult.exact(half.elem(Fraction(3, 2))),
+        ),
+        _equal(
+            "the curve equation y^2 - x^3 lies in the kernel: value oo",
+            lambda: place_value(origin, curve_q),
+            ValuationResult.infinity(),
+        ),
+        _equal(
+            "the unit y^2/x^3 has residue 1 along the parameterization",
+            lambda: place_residue(origin, RatFn.make(
+                mpoly(("x", "y"), {(0, 2): QQ.one()}), mpoly(("x", "y"), {(3, 0): QQ.one()}),
+            )),
+            QQ.one(),
+        ),
+    ]
 
-    claims.append(_claim("v(y) = 3/2 under the parameterization x -> t of y^2 = x^3", y_value))
-
-    def kernel():
-        v = place_value(origin, curve_q)
-        return v, "oo", v.kind is ValuationKind.INFINITY
-
-    claims.append(_claim("the curve equation y^2 - x^3 lies in the kernel: value oo", kernel))
-
-    def unit_ratio():
-        num = mpoly(("x", "y"), {(0, 2): QQ.one()})
-        den = mpoly(("x", "y"), {(3, 0): QQ.one()})
-        r = place_residue(origin, RatFn.make(num, den))
-        return r, QQ.one(), r == QQ.one()
-
-    claims.append(_claim("the unit y^2/x^3 has residue 1 along the parameterization", unit_ratio))
-
-    witness_q = UniformizationWitness(("x",), ("y",), (curve_q,))
-    out0 = verify_uniformization_witness(witness_q, origin)
-
-    def origin_u2():
-        return out0["U2"], True, out0["U2"]
-
-    claims.append(_claim("at the origin the generator relation vanishes field-level (U2)", origin_u2))
-
-    def origin_u3():
-        return out0["U3"], False, out0["U3"] is False
-
-    claims.append(_claim(
-        "at the singular origin the Jacobian residue check U3 fails (expected failure)",
-        origin_u3,
+    out0 = verify_uniformization_witness(UniformizationWitness(("x",), ("y",), (curve_q,)), origin)
+    claims.append(_equal(
+        "at the origin the generator relation vanishes field-level (U2)", lambda: out0["U2"], True,
     ))
-
-    def origin_smooth():
-        return out0["smooth_center"], False, out0["smooth_center"] is False
-
-    claims.append(_claim("the origin is not certified as a smooth center", origin_smooth))
+    claims.append(_equal(
+        "at the singular origin the Jacobian residue check U3 fails (expected failure)",
+        lambda: out0["U3"],
+        False,
+    ))
+    claims.append(_equal(
+        "the origin is not certified as a smooth center", lambda: out0["smooth_center"], False,
+    ))
 
     field = GF(p)
     xs = make_series(field, ZZ_GROUP, [(0, 1), (1, 1)])
@@ -842,14 +749,10 @@ def _run_g9(P: dict):
         UniformizationWitness(("x",), ("y",), (curve_p,)), smooth,
     )
 
-    def smooth_all():
-        got = ", ".join(f"{k}={out1[k]}" for k in ("U1", "U2", "U3", "smooth_center"))
-        want = "U1=True, U2=True, U3=True, smooth_center=True"
-        return got, want, all(out1.values())
-
-    claims.append(_claim(
+    claims.append(_equal(
         f"the same curve passes every witness check at the smooth center x = 1 over F_{p}",
-        smooth_all,
+        lambda: ", ".join(f"{k}={v}" for k, v in out1.items()),
+        "U1=True, U2=True, U3=True, smooth_center=True",
     ))
     return claims, None
 

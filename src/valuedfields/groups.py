@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from numbers import Integral
 from operator import add, neg
 
@@ -116,7 +116,7 @@ class RationalGroup(GroupDesc):
         return self.law == "one_over_m" and self.m == 1
 
     def elem(self, data) -> "GroupElem":
-        if isinstance(data, (float, str)):
+        if type(data) not in (int, Fraction):  # not a bool, a float, a str or a Decimal
             raise GroupLawError(f"{type(data).__name__} {data!r} is not an exact element of {self}")
         q = Fraction(data)
         if not self.admits(q):
@@ -494,6 +494,14 @@ def _hnf(rows: list[list[int]]) -> list[list[int]]:
     return basis
 
 
+def _integer_rows(elems) -> tuple[list[list[int]], int]:
+    """The coordinate rows of elems as integers, scaled by one common
+    denominator, and that denominator."""
+    rows = [g.coords() for g in elems]
+    denom = lcm(*(c.denominator for row in rows for c in row))
+    return [[int(c * denom) for c in row] for row in rows], denom
+
+
 def _solve_int_coords(basis: list[list[int]], target: list[int]) -> list[int] | None:
     """Integer coordinates of target over an echelon basis, or None."""
     t = list(target)
@@ -561,14 +569,8 @@ def perron_basis(generators, positives) -> PerronResult:
         if a.sign() <= 0:
             raise SpanError(f"target {a} is not positive")
 
-    # integer coordinate matrix: clear denominators with one common scale
-    coord_rows = [list(g.coords()) for g in generators]
-    dim = len(coord_rows[0])
-    denom = 1
-    for row in coord_rows + [list(a.coords()) for a in positives]:
-        for c in row:
-            denom = denom * c.denominator // gcd(denom, c.denominator)
-    int_rows = [[int(c * denom) for c in row] for row in coord_rows]
+    int_rows, denom = _integer_rows(generators + positives)
+    int_rows, targets_int = int_rows[: len(generators)], int_rows[len(generators):]
     base = _hnf(int_rows)
     if not base:
         raise SpanError("generators span the trivial group")
@@ -577,7 +579,6 @@ def perron_basis(generators, positives) -> PerronResult:
     def to_elem(int_row) -> GroupElem:
         return from_coords(group, [Fraction(x, denom) for x in int_row])
 
-    targets_int = [[int(c * denom) for c in a.coords()] for a in positives]
     coords = []
     for a, trow in zip(positives, targets_int):
         c = _solve_int_coords(base, trow)

@@ -53,6 +53,8 @@ from .groups import (
     QuadGroup,
     RationalGroup,
     ZZ_GROUP,
+    _hnf,
+    _integer_rows,
     one_over_m,
     p_power_hull,
     parse_elem,
@@ -212,29 +214,10 @@ def _check_distinct(names):
 
 
 def _check_rational_independence(values: list[GroupElem]):
-    """Supported families: a single value; values on distinct lex axes; or up
-    to two rationally independent elements of Q + Q*sqrt2."""
-    if len(values) == 1:
-        return
-    group = values[0].group
-    if isinstance(group, LexGroup):
-        axes = set()
-        for g in values:
-            support = [i for i, c in enumerate(g.coords()) if c != 0]
-            if len(support) != 1:
-                raise SpanError(f"lex value {g} is not on a single axis")
-            if support[0] in axes:
-                raise SpanError("two values share a lex axis")
-            axes.add(support[0])
-        return
-    if isinstance(group, QuadGroup):
-        if len(values) > 2:
-            raise SpanError("at most two independent values fit in Q + Q*sqrt2")
-        (a1, b1), (a2, b2) = values[0].coords(), values[1].coords()
-        if a1 * b2 - a2 * b1 == 0:
-            raise SpanError(f"{values[0]} and {values[1]} are rationally dependent")
-        return
-    raise SpanError("several values in a rank-1 rational group are never independent")
+    """Values are rationally independent when their integer coordinate rows
+    have full rank."""
+    if len(_hnf(_integer_rows(values)[0])) < len(values):
+        raise SpanError(f"the values {', '.join(map(str, values))} are rationally dependent")
 
 
 # ---------------------------------------------------------------------------
@@ -585,8 +568,9 @@ def _invariants(P: PlaceDesc) -> tuple[int, int, int, bool, bool]:
         n = len(P.assignments)
         return n, n, 0, True, True
     if isinstance(P, MonomialPlace):
-        # __post_init__ checked the values rationally independent; a group
-        # other than lex is archimedean
+        # __post_init__ checked the values rationally independent; in lex
+        # their echelon basis has n distinct pivots, so n convex subgroups,
+        # and a group other than lex is archimedean
         n = len(P.values)
         return n if isinstance(P.group, LexGroup) else 1, n, len(P.residues), True, True
     if isinstance(P, SeriesEmbedPlace):

@@ -1103,18 +1103,14 @@ def bad_value_group(p: int, S) -> Stream:
 _MAX_HOST_DEGREE = 60
 
 
-def bad_residue(p: int, lcm_degree: int | None = None) -> Stream:
+def bad_residue(p: int) -> Stream:
     """Sum of a_n*t^n with a_n the canonical generator of F_{p^n}, all
-    embedded into F_{p^L}; L is lcm(1..N) for the truncation's largest N, or
-    the pinned lcm_degree.  L above _MAX_HOST_DEGREE raises ParamError."""
+    embedded into F_{p^L}; L is lcm(1..N) for the truncation's largest N.
+    L above _MAX_HOST_DEGREE raises ParamError."""
     _check_prime(p)
-    if lcm_degree is not None and not (_is_int(lcm_degree) and lcm_degree >= 1):
-        raise ParamError(f"lcm_degree must be a positive integer, got {lcm_degree!r}")
-    if lcm_degree is not None and lcm_degree > _MAX_HOST_DEGREE:
-        raise ParamError(f"lcm_degree {lcm_degree} is above the budget of {_MAX_HOST_DEGREE}")
     return Stream(
         "BadResidue",
-        (("p", p), ("lcm_degree", lcm_degree)),
+        (("p", p),),
         None,
         ZZ_GROUP,
         StreamMeta(True, False),
@@ -1231,7 +1227,6 @@ def stream_expand(s: Stream, precision, max_terms: int | None = None) -> Series:
 
 def _expand_bad_residue(s: Stream, prec: GroupElem, cap: int) -> Series:
     p = s.param("p")
-    pinned = s.param("lcm_degree")
     ns = []
     honest = prec
     for n in itertools.count(1):
@@ -1242,12 +1237,6 @@ def _expand_bad_residue(s: Stream, prec: GroupElem, cap: int) -> Series:
             break
         ns.append(n)
     L = lcm(*ns) if ns else 1
-    if pinned is not None:
-        if pinned % L:
-            raise ParamError(
-                f"lcm_degree {pinned} cannot host degree-{max(ns)} coefficients (needs a multiple of {L})"
-            )
-        L = pinned
     if L > _MAX_HOST_DEGREE:
         raise ParamError(
             f"degree-1..{max(ns)} coefficients need a host of degree {L}, above the budget of {_MAX_HOST_DEGREE}"

@@ -688,7 +688,6 @@ def test_refused_number_forms_exit_2_at_once(capsys, tmp_path, text):
         (["lift", "--p", "5", "--precision", text, "--", "-1-t", "0", "1"],
          f"malformed element {text!r} of (1/1)Z"),
         (["as", "--p", "5", "--precision", text, "t"], f"malformed element {text!r} of (1/1)Z"),
-        (["gallery", "G1", "--precision", text], f"malformed element {text!r} of Q"),
         (["eval", "--place", str(exponent), "x1"], f"malformed element {text!r} of Q"),
     ]
     if text != "10^5000":  # a coefficient is a field element; it may be long
@@ -697,6 +696,10 @@ def test_refused_number_forms_exit_2_at_once(capsys, tmp_path, text):
         start = time.perf_counter()
         assert run(capsys, argv) == (2, "", f"error: {line}\n"), argv
         assert time.perf_counter() - start < 1, argv
+    # gallery's --precision is read by argparse, as --p is
+    code, out, err = _call(capsys, ["gallery", "G1", "--precision", text])
+    assert (code, out) == (("SystemExit", 2), "")
+    assert err.endswith(f"error: argument --precision: malformed element {text!r} of (1/1)Z\n")
 
 
 def test_element_literals_are_expressions(capsys):
@@ -800,7 +803,7 @@ def test_eval_bad_residue_place_over_budget_exits_2(capsys, tmp_path):
         "field": {"kind": "GF", "p": 2, "n": 1},
         "group": {"kind": "one_over_m", "m": 1},
         "residue_dim": 0,
-        "assignments": [["x1", {"stream": "BadResidue", "params": {"p": 2, "lcm_degree": 420}}]],
+        "assignments": [["x1", {"stream": "BadResidue", "params": {"p": 2}}]],
     }
     path = tmp_path / "bad_residue.json"
     path.write_text(json.dumps(place), encoding="utf-8")
@@ -896,12 +899,6 @@ def test_gallery_claim_failure_exits_1(capsys, monkeypatch):
     assert "result: FAIL" in out
 
 
-def test_gallery_fractional_precision_rejected(capsys):
-    code, _, err = run(capsys, ["gallery", "G1", "--precision", "5/2"])
-    assert code == 2
-    assert err != ""
-
-
 def test_render_report_text_shape():
     r = Report(
         scenario="G9",
@@ -995,11 +992,16 @@ def test_one_parser_serves_a_sequence_of_calls(capsys, lex2_path):
         (["gallery", "G8", "--seed", "1/2"], "--seed"),
         (["gallery", "G1", "--p", "0^0"], "--p"),
         (["lift", "--p", "2^1000000000000", "--precision", "4", "--", "-1-t", "0", "1"], "--p"),
+        (["gallery", "G1", "--precision", "5/2"], "--precision"),
     ],
-    ids=["arabic_indic_digit", "separator", "decimal", "exponent", "fraction", "zero_to_zero", "power_over_budget"],
+    ids=[
+        "arabic_indic_digit", "separator", "decimal", "exponent", "fraction", "zero_to_zero",
+        "power_over_budget", "gallery_fractional_precision",
+    ],
 )
 def test_integer_flags_read_through_the_number_reader(capsys, argv, flag):
-    # --p, --k-max and --seed refuse what parse_elem refuses, with exit 2
+    # --p, --k-max, --seed and gallery's --precision refuse what parse_elem
+    # refuses, with exit 2
     code, out, err = _call(capsys, argv)
     assert (code, out) == (("SystemExit", 2), "")
     assert f"error: argument {flag}: " in err

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import random
+import re
 import time
+from decimal import Decimal
 from fractions import Fraction
 from functools import cache
 
@@ -38,12 +40,18 @@ def test_rational_arithmetic():
 
 @pytest.mark.parametrize(
     "field, data",
-    [(QQ, "0.5"), (QQ, 0.5), (GF(5), "12"), (GF(5), 2.5), (GF(7), "1/3"), (GF(2, 2), "10")],
+    [
+        (QQ, "0.5"), (QQ, 0.5), (GF(5), "12"), (GF(5), 2.5), (GF(7), "1/3"), (GF(2, 2), "10"),
+        (QQ, None), (QQ, True), (GF(5), ("1", "2")), (GF(5), None), (GF(5), Decimal("2.5")),
+        (GF(5), True), (GF(5, 2), (1, True)),
+    ],
 )
 def test_elem_refuses_text_and_floats(field, data):
-    # text would be read by a second grammar, or as a list of digits, and a
-    # float is not exact: UnsupportedError, never a bare TypeError or ValueError
-    with pytest.raises(UnsupportedError, match=f"{type(data).__name__} {data!r} is not an exact"):
+    # only an int (not a bool), a Fraction and, over F_(p^n), a list or tuple
+    # of ints are exact: text would be read by a second grammar, or as a list
+    # of digits, and a float or a Decimal is not exact; UnsupportedError,
+    # never a bare TypeError or ValueError
+    with pytest.raises(UnsupportedError, match=re.escape(f"{type(data).__name__} {data!r} is not an exact")):
         field.elem(data)
 
 

@@ -14,6 +14,7 @@ from valuedfields.gallery import (
     RamificationRow,
     SCENARIO_NAMES,
     _claim,
+    _equal,
     _sample_value,
     list_scenarios,
     make_scenario,
@@ -23,7 +24,14 @@ from valuedfields.gallery import (
 from valuedfields.groups import ZZ_GROUP
 from valuedfields.hensel import eval_poly_at_series
 from valuedfields.polys import mpoly
-from valuedfields.series import frobenius_root, frobenius_series, one_series, stream_expand, t_pow
+from valuedfields.series import (
+    ValuationResult,
+    frobenius_root,
+    frobenius_series,
+    one_series,
+    stream_expand,
+    t_pow,
+)
 
 
 def _strip_elapsed(d):
@@ -103,6 +111,22 @@ def test_indeterminate_claim_marks_failure():
     assert c.indeterminate and not c.exact_match
     assert "too short" in c.lhs
     assert c.to_json()["indeterminate"] is True
+
+
+def test_equal_claim_prints_both_sides_and_compares_them():
+    ok, bad = _equal("two is two", lambda: 2, 2), _equal("two is three", lambda: 2, 3)
+    assert (ok.lhs, ok.rhs, ok.exact_match, ok.indeterminate) == ("2", "2", True, False)
+    assert (bad.lhs, bad.rhs, bad.exact_match, bad.indeterminate) == ("2", "3", False, False)
+    # an undecided value prints as a bound and fails, but is decided as unequal
+    g = ZZ_GROUP.elem(3)
+    c = _equal("v = 3", lambda: ValuationResult.at_least(g), ValuationResult.exact(g))
+    assert (c.lhs, c.rhs, c.exact_match, c.indeterminate) == (">= 3", "3", False, False)
+
+    def too_short():
+        raise PrecisionError("too short")
+
+    c = _equal("undecidable at this truncation", too_short, 0)
+    assert c.indeterminate and not c.exact_match and "too short" in c.lhs
 
 
 def test_plain_claim_json_has_no_indeterminate_key():

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -83,6 +84,9 @@ def test_rational_law_enforced():
         (QQ_GROUP, "1e5", "str '1e5' is not an exact element of Q"),
         (one_over_m(2), " 1_0.5 ", r"str ' 1_0.5 ' is not an exact element of \(1/2\)Z"),
         (QQ_GROUP, 2.5, "float 2.5 is not an exact element of Q"),
+        (QQ_GROUP, Decimal("0.1"), r"Decimal Decimal\('0.1'\) is not an exact element of Q"),
+        (QQ_GROUP, (1, 2), r"tuple \(1, 2\) is not an exact element of Q"),
+        (QQ_GROUP, True, "bool True is not an exact element of Q"),
     ],
     ids=[
         "lex_float",
@@ -98,6 +102,9 @@ def test_rational_law_enforced():
         "rational_exponent_text",
         "rational_separator_text",
         "rational_float",
+        "rational_decimal",
+        "rational_pair",
+        "rational_bool",
     ],
 )
 def test_elem_refuses_what_it_cannot_hold_exactly(group, data, message):

@@ -20,7 +20,15 @@ from valuedfields.errors import (
     ValuedFieldError,
 )
 from valuedfields.fields import GF, QQ
-from valuedfields.groups import LexGroup, QQ_GROUP, QuadGroup, ZZ_GROUP, one_over_m, p_power_hull
+from valuedfields.groups import (
+    LexGroup,
+    QQ_GROUP,
+    QuadGroup,
+    ZZ_GROUP,
+    one_over_m,
+    p_power_hull,
+    perron_basis,
+)
 from valuedfields import places
 from valuedfields.hensel import eval_poly_at_series
 from valuedfields.places import (
@@ -138,6 +146,27 @@ def test_monomial_rejects_dependent_values():
         MonomialPlace(
             QQ, QUAD, (("x1", QUAD.elem((1, 1))), ("x2", QUAD.elem((2, 2))))
         )
+    lex2 = LexGroup(2)
+    for dependent in ([(1, -3), (2, -6)], [(1, 0), (2, 0)], [(1, -3), (0, 1), (1, 1)]):
+        with pytest.raises(SpanError, match="rationally dependent"):
+            MonomialPlace(QQ, lex2, tuple((f"x{i}", lex2.elem(g)) for i, g in enumerate(dependent)))
+
+
+def test_monomial_accepts_a_perron_basis():
+    # perron_basis gives lex bases off the axes; the place takes any
+    # rationally independent values, and its value is the least weighted
+    # exponent sum over the monomials
+    lex2 = LexGroup(2)
+    basis = perron_basis([lex2.elem((1, 0)), lex2.elem((0, 1))], [lex2.elem((1, -3)), lex2.elem((0, 1))]).basis
+    assert [str(g) for g in basis] == ["(1,-3)", "(0,1)"]
+    P = MonomialPlace(QQ, lex2, (("x1", basis[0]), ("x2", basis[1])))
+    inv = place_invariants(P)
+    assert (inv.rank, inv.rational_rank) == (2, 2)
+    rng = random.Random(9)
+    for _ in range(300):
+        terms = {(rng.randrange(6), rng.randrange(6)): rng.randrange(1, 9) for _ in range(rng.randrange(1, 6))}
+        least = min(basis[0].scale(a) + basis[1].scale(b) for a, b in terms)
+        assert place_value(P, _poly(("x1", "x2"), terms)) == ValuationResult.exact(least)
 
 
 def test_monomial_rejects_nonpositive_value():

@@ -371,19 +371,10 @@ def test_stream_bad_residue_term_cap():
     assert s.precision == ZZ_GROUP.elem(4)
 
 
-def test_stream_bad_residue_pinned_degree():
-    s = stream_expand(bad_residue(2, lcm_degree=12), 4)
-    assert s.field.order == 2 ** 12
-    with pytest.raises(ParamError):
-        stream_expand(bad_residue(2, lcm_degree=5), 5)
-
-
 def test_stream_bad_residue_host_degree_budget():
     assert stream_expand(bad_residue(2), 7).field.n == 60  # lcm(1..6)
     with pytest.raises(ParamError):
         stream_expand(bad_residue(2), 8)  # lcm(1..7) = 420
-    with pytest.raises(ParamError):
-        bad_residue(2, lcm_degree=420)
 
 
 def test_stream_from_params_matches_constructors():
