@@ -191,7 +191,8 @@ def _claim(description: str, fn) -> Claim:
 
 
 def _equal(description: str, compute, want) -> Claim:
-    """A claim that compute() == want, both sides printed with str."""
+    """A claim that compute() == want, both sides printed with str.
+    compute runs before _equal returns, so it may read loop variables."""
 
     def verdict():
         got = compute()
