@@ -90,6 +90,15 @@ CASES = {
     "eval_compose3_left_residue_json": [
         "eval", "--place", "compose3_left.json", "--json", "(x1*x2*x3^2 + x1^2)/(x1*x2 + 2*x1*x2*x3)",
     ],
+    # monomial places whose values are not integers: Q + Q*sqrt2, (1/6)Z and
+    # the 3-power hull over F_3
+    "eval_quad_value": ["eval", "--place", "quad.json", "x1^3*x3 + x2^2*x3^2 - x1*x2"],
+    "eval_quad_pole": ["eval", "--place", "quad.json", "(x1^2 + x2*x3)/(x1*x2)"],
+    "eval_one_over_6_residue": [
+        "eval", "--place", "one_over_6.json", "(x1^2*x2 + x1^2)/(x1^2*x2^2 - 3*x1^3)",
+    ],
+    "eval_one_over_6_value": ["eval", "--place", "one_over_6.json", "x1*x2 - x1"],
+    "eval_hull3_unit": ["eval", "--place", "hull3.json", "(x1^5*x2 + x1^4)/x1^4"],
     "eval_trivial_gf5": ["eval", "--place", "trivial_gf5.json", "(x1^2 + 3)/(x2 + 4*x1)"],
     "eval_trivial_gf5_json": ["eval", "--place", "trivial_gf5.json", "--json", "x1^5*x2 - 7"],
     "lift": ["lift", "--p", "2", "--precision", "16", "--", "-t", "-1", "1"],
@@ -181,6 +190,9 @@ CASES["gallery_G5_k6_json"] = ["gallery", "G5", "--k-max", "6", "--json"]
 CASES["gallery_G6_k5_json"] = ["gallery", "G6", "--k-max", "5", "--json"]
 CASES["gallery_G7_k12_json"] = ["gallery", "G7", "--k-max", "12", "--json"]
 CASES["gallery_G9_p11_json"] = ["gallery", "G9", "--p", "11", "--json"]
+for _name in ("quad_value", "quad_pole", "one_over_6_residue", "one_over_6_value", "hull3_unit"):
+    _argv = CASES[f"eval_{_name}"]
+    CASES[f"eval_{_name}_json"] = _argv[:3] + ["--json"] + _argv[3:]
 
 _ELAPSED = re.compile(r'"elapsed_ms": \d+')
 
