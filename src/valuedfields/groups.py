@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from numbers import Integral
 from operator import add, neg
 
 from .errors import (
@@ -155,7 +154,7 @@ class LexGroup(GroupDesc):
         if len(vec) != self.r:
             raise GroupLawError(f"expected {self.r} coordinates, got {len(vec)}")
         if any(type(x) is not int for x in vec):
-            vec = tuple(map(_lex_coordinate, vec))
+            vec = tuple(_lex_coordinate(x, self) for x in vec)
         return GroupElem(self, vec)
 
     def zero(self) -> "GroupElem":
@@ -170,12 +169,20 @@ class LexGroup(GroupDesc):
         return f"Z^{self.r} lex"
 
 
-def _lex_coordinate(x) -> int:
-    """An integer or an integral Fraction as an int; a float or any other
-    fraction raises GroupLawError rather than being truncated."""
-    if isinstance(x, Integral) or isinstance(x, Fraction) and x.denominator == 1:
-        return int(x)
-    raise GroupLawError(f"lex coordinate {x} is not an integer")
+def _exact_coordinate(x, group: GroupDesc):
+    """x when it is an int or a Fraction; a bool, a float, a str, a Decimal
+    or any other kind raises GroupLawError."""
+    if type(x) not in (int, Fraction):
+        raise GroupLawError(f"{type(x).__name__} {x!r} is not an exact coordinate of {group}")
+    return x
+
+
+def _lex_coordinate(x, group: "LexGroup") -> int:
+    """An int or an integral Fraction as an int; any other fraction raises
+    GroupLawError rather than being truncated."""
+    if _exact_coordinate(x, group).denominator != 1:
+        raise GroupLawError(f"lex coordinate {x} is not an integer")
+    return int(x)
 
 
 @dataclass(frozen=True)
@@ -189,12 +196,7 @@ class QuadGroup(GroupDesc):
             a, b = data
         except (TypeError, ValueError):
             raise GroupLawError(f"expected coordinates (a, b) of {self}, got {data!r}") from None
-        if isinstance(a, float) or isinstance(b, float):
-            raise GroupLawError(f"float coordinates {a!r}, {b!r} are not exact in {self}")
-        for x in (a, b):
-            if not isinstance(x, (Integral, Fraction)):
-                raise GroupLawError(f"quad coordinate {x!r} is not an integer or a Fraction")
-        return GroupElem(self, (Fraction(a), Fraction(b)))
+        return GroupElem(self, tuple(Fraction(_exact_coordinate(x, self)) for x in (a, b)))
 
     def zero(self) -> "GroupElem":
         return GroupElem(self, (Fraction(0), Fraction(0)))
@@ -502,6 +504,16 @@ def _integer_rows(elems) -> tuple[list[list[int]], int]:
     return [[int(c * denom) for c in row] for row in rows], denom
 
 
+def _from_integer_row(group: GroupDesc, row, denom: int) -> GroupElem:
+    """The element of group with coordinates row / denom, the inverse of
+    _integer_rows, in the family's own data type."""
+    if type(group) is RationalGroup:
+        return GroupElem(group, row[0] // denom if group.int_data else Fraction(row[0], denom))
+    if type(group) is LexGroup:
+        return GroupElem(group, tuple(x // denom for x in row))
+    return GroupElem(group, tuple(Fraction(x, denom) for x in row))
+
+
 def _solve_int_coords(basis: list[list[int]], target: list[int]) -> list[int] | None:
     """Integer coordinates of target over an echelon basis, or None."""
     t = list(target)
@@ -577,7 +589,7 @@ def perron_basis(generators, positives) -> PerronResult:
     rho = len(base)
 
     def to_elem(int_row) -> GroupElem:
-        return from_coords(group, [Fraction(x, denom) for x in int_row])
+        return _from_integer_row(group, int_row, denom)
 
     coords = []
     for a, trow in zip(positives, targets_int):

@@ -30,8 +30,10 @@ lie over one field.  ``compose`` concatenates stages, so it is associative.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from math import comb
+from operator import mul
 
 from .errors import (
     ExprError,
@@ -53,6 +55,7 @@ from .groups import (
     QuadGroup,
     RationalGroup,
     ZZ_GROUP,
+    _from_integer_row,
     _hnf,
     _integer_rows,
     one_over_m,
@@ -137,6 +140,9 @@ class MonomialPlace:
     group: GroupDesc
     values: tuple[tuple[str, GroupElem], ...]
     residues: tuple[tuple[str, str], ...] = ()
+    # ({variable: its value's coordinate row}, d): the rows are integers over
+    # one common denominator d, as _integer_rows gives them
+    _rows: tuple = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         names = [v for v, _ in self.values] + [v for v, _ in self.residues]
@@ -152,7 +158,12 @@ class MonomialPlace:
                 raise ParamError(f"value of {v} lies outside the declared group")
             if g.sign() <= 0:
                 raise ParamError(f"value of {v} must be positive")
-        _check_rational_independence([g for _, g in self.values])
+        # the values are rationally independent when their rows have full rank
+        rows, denom = _integer_rows(g for _, g in self.values)
+        if len(_hnf(rows)) < len(rows):
+            values = ", ".join(str(g) for _, g in self.values)
+            raise SpanError(f"the values {values} are rationally dependent")
+        object.__setattr__(self, "_rows", ({v: r for (v, _), r in zip(self.values, rows)}, denom))
 
 
 @dataclass(frozen=True)
@@ -211,13 +222,6 @@ def _check_distinct(names):
         if n in seen:
             raise ParamError(f"repeated name {n!r}")
         seen.add(n)
-
-
-def _check_rational_independence(values: list[GroupElem]):
-    """Values are rationally independent when their integer coordinate rows
-    have full rank."""
-    if len(_hnf(_integer_rows(values)[0])) < len(values):
-        raise SpanError(f"the values {', '.join(map(str, values))} are rationally dependent")
 
 
 # ---------------------------------------------------------------------------
@@ -303,14 +307,22 @@ def _lowest_taylor_coeff(g: MPoly, var: str, a: FieldElement) -> tuple[int, MPol
             a_pow.append(a_pow[-1] * a)
         k = 0
     while True:
-        coeff = MPoly.make(g.vars[:i] + g.vars[i + 1:], [
-            (rest, (c * a_pow[e - k]).times_int(comb(e, k)))
-            for e, rest, c in terms
-            if 0 <= e - k < len(a_pow)
-        ])
-        if coeff.terms:
-            return k, coeff
+        coeff: dict[tuple[int, ...], FieldElement] = {}
+        for e, rest, c in terms:
+            if 0 <= e - k < len(a_pow):
+                x = (c * a_pow[e - k]).times_int(comb(e, k))
+                acc = coeff.get(rest)
+                coeff[rest] = x if acc is None else acc + x
+        lowest = _sorted_terms(coeff)
+        if lowest:
+            return k, MPoly(g.vars[:i] + g.vars[i + 1:], lowest)
         k += 1
+
+
+def _sorted_terms(terms: dict) -> tuple:
+    """The terms of a polynomial from a dict of distinct exponent tuples to
+    coefficients, as MPoly keeps them: zeros dropped, exponents sorted."""
+    return tuple(sorted((e, c) for e, c in terms.items() if not c.is_exact_zero()))
 
 
 def _const_value(g: MPoly) -> FieldElement | None:
@@ -350,7 +362,8 @@ def _lead(P: PlaceDesc, g: MPoly):
             if not v.is_exact:
                 raise PrecisionError(f"value of an inner stage undecidable: {v}")
             v = v.value
-        coords += map(int, v.coords())  # _width admitted only integer groups
+        # _width admitted only integer groups: an int or a tuple of ints
+        coords += v.data if type(v.data) is tuple else (v.data,)
     return LexGroup(len(coords)).elem(coords), lead
 
 
@@ -364,36 +377,43 @@ def _eval_lead(P: EvalPlace, g: MPoly):
 
 
 def _monomial_lead(P: MonomialPlace, g: MPoly):
-    weights = dict(P.values)
-    res_names = dict(P.residues)
-    zvars = tuple(z for _, z in P.residues)
+    """The least value of a term of g, one integer combination of the rows
+    of the place per term, and the sum of the least terms' images in the
+    residue indeterminates.  The common denominator d > 0 keeps the order,
+    so the scaled values compare as int tuples where the group orders its
+    data natively, and else as elements of the group with int data."""
+    rows, denom = P._rows
+    zero = [0] * len(rows[P.values[0][0]])
+    # weights[j] holds coordinate j of the row of each of g's variables
+    cols = [rows.get(name, zero) for name in g.vars]
+    weights = [tuple(c[j] for c in cols) for j in range(len(zero))]
+    residues = [v for v, _ in P.residues]
+    zsrc = [g.vars.index(v) if v in g.vars else None for v in residues]
+    uncovered = [i for i, v in enumerate(g.vars) if v not in rows and v not in residues]
+    wrap = None if P.group.native_order else P.group
     best = None
     collided: dict[tuple[int, ...], FieldElement] = {}
     for exps, coeff in g.terms:
-        val = P.group.zero()
-        zexp = [0] * len(zvars)
-        for name, e in zip(g.vars, exps):
-            if e == 0:
-                continue
-            if name in weights:
-                val = val + weights[name].scale(e)
-            elif name in res_names:
-                zexp[zvars.index(res_names[name])] = e
-            else:
-                raise ParamError(f"variable {name} is not covered by the place")
+        for i in uncovered:
+            if exps[i]:
+                raise ParamError(f"variable {g.vars[i]} is not covered by the place")
+        val = tuple([sum(map(mul, exps, w)) for w in weights])
+        if wrap:
+            val = GroupElem(wrap, val)
         if best is None or val < best:
-            best = val
-            collided = {}
-        if val == best:
-            key = tuple(zexp)
-            acc = collided.get(key)
-            collided[key] = coeff if acc is None else acc + coeff
-    lead = MPoly.make(zvars, collided)
-    if not lead.terms:
+            best, collided = val, {}
+        elif val != best:
+            continue
+        key = tuple([0 if i is None else exps[i] for i in zsrc])
+        acc = collided.get(key)
+        collided[key] = coeff if acc is None else acc + coeff
+    lead = _sorted_terms(collided)
+    if not lead:
         raise HypothesisError(
             "minimal monomials cancel; the independence hypothesis fails"
         )
-    return best, lead
+    value = _from_integer_row(P.group, best.data if wrap else best, denom)
+    return value, MPoly(tuple(z for _, z in P.residues), lead)
 
 
 # ---------------------------------------------------------------------------

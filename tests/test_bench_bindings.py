@@ -3,27 +3,33 @@
 ``bench/tracing.py`` lists, per workload, the functions a traced run must
 reach.  A refactor that moves or renames one of them, or stops calling it,
 would only show up in a traced benchmark run, so these tests resolve each
-name here and run one small lift under the tracer.  Counter keys
-(``*.calls`` and ``*.calls.*``) name element-operation counts, not
-functions, and are skipped.
+name here, run one small lift under the tracer, and run the first ops of
+the places-eval workload under the tracer and the element counter.
+Counter keys (``*.calls`` and ``*.calls.*``) name element-operation
+counts, not functions, and are skipped where only functions are checked.
 """
 
 import importlib
 import importlib.util
 import io
+from collections import Counter
 from contextlib import redirect_stdout
 from pathlib import Path
 
 from valuedfields import cli
 
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing
+    return _load("tracing")
 
 
 def _functions(names):
@@ -53,4 +59,23 @@ def test_small_lift_reaches_every_traced_lift_function():
         )
     assert code == 0, out.getvalue()
     missing = [n for n in _functions(tracing.EXERCISED["lift-deep"]) if not spans.calls.get(n)]
+    assert not missing
+
+
+def test_first_places_eval_ops_reach_every_traced_name(monkeypatch):
+    # what a traced benchmark run asserts, on 10 ops of each place kind:
+    # every function listed is called and every counter listed is nonzero
+    monkeypatch.syspath_prepend(str(BENCH))  # workloads imports oracles
+    workloads, tracing = _load("workloads"), _tracing()
+    ops = workloads.build("places-eval", 1).ops[:50]
+    kinds = Counter(op.label.split()[0] for op in ops)
+    assert kinds == {kind: 10 for kind in workloads.PLACE_KINDS}
+    with tracing.Spans() as spans:
+        results = [op.run() for op in ops]
+    with tracing.ElementCounter() as counter:
+        for op in ops:
+            op.run()
+    assert [op.check(r) for op, r in zip(ops, results)] == [None] * len(ops)
+    names = tracing.EXERCISED["places-eval"]
+    missing = [n for n in names if not spans.calls.get(n, counter.counts.get(n, 0))]
     assert not missing

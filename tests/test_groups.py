@@ -71,16 +71,19 @@ def test_rational_law_enforced():
 @pytest.mark.parametrize(
     "group, data, message",
     [
-        (LexGroup(2), (1.5, 2), "lex coordinate 1.5 is not an integer"),
+        (LexGroup(2), (1.5, 2), r"float 1.5 is not an exact coordinate of Z\^2 lex"),
         (LexGroup(2), (Fraction(1, 2), 1), "lex coordinate 1/2 is not an integer"),
+        (LexGroup(2), (True, 2), r"bool True is not an exact coordinate of Z\^2 lex"),
+        (LexGroup(2), (Decimal("2"), 1), r"Decimal Decimal\('2'\) is not an exact coordinate of Z\^2 lex"),
         (LexGroup(2), 0, "expected 2 coordinates, got 0"),
         (LexGroup(2), (1, 2, 3), "expected 2 coordinates, got 3"),
         (QuadGroup(), 0, r"expected coordinates \(a, b\) of Q \+ Q\*sqrt2, got 0$"),
         (QuadGroup(), (1, 2, 3), r"of Q \+ Q\*sqrt2, got \(1, 2, 3\)$"),
-        (QuadGroup(), (0.5, 1), "float coordinates"),
-        (QuadGroup(), ("a", 1), "quad coordinate 'a' is not an integer or a Fraction"),
-        (QuadGroup(), (None, 1), "quad coordinate None is not an integer or a Fraction"),
-        (QuadGroup(), ("1/2", 1), "quad coordinate '1/2' is not an integer or a Fraction"),
+        (QuadGroup(), (0.5, 1), r"float 0.5 is not an exact coordinate of Q \+ Q\*sqrt2"),
+        (QuadGroup(), ("a", 1), r"str 'a' is not an exact coordinate of Q \+ Q\*sqrt2"),
+        (QuadGroup(), (None, 1), r"NoneType None is not an exact coordinate of Q \+ Q\*sqrt2"),
+        (QuadGroup(), ("1/2", 1), r"str '1/2' is not an exact coordinate of Q \+ Q\*sqrt2"),
+        (QuadGroup(), (True, 1), r"bool True is not an exact coordinate of Q \+ Q\*sqrt2"),
         (QQ_GROUP, "1e5", "str '1e5' is not an exact element of Q"),
         (one_over_m(2), " 1_0.5 ", r"str ' 1_0.5 ' is not an exact element of \(1/2\)Z"),
         (QQ_GROUP, 2.5, "float 2.5 is not an exact element of Q"),
@@ -91,6 +94,8 @@ def test_rational_law_enforced():
     ids=[
         "lex_float",
         "lex_fraction",
+        "lex_bool",
+        "lex_decimal",
         "lex_scalar",
         "lex_length",
         "quad_scalar",
@@ -99,6 +104,7 @@ def test_rational_law_enforced():
         "quad_word",
         "quad_none",
         "quad_string_fraction",
+        "quad_bool",
         "rational_exponent_text",
         "rational_separator_text",
         "rational_float",
@@ -115,7 +121,7 @@ def test_elem_refuses_what_it_cannot_hold_exactly(group, data, message):
 
 
 def test_lex_elem_takes_integral_coordinates_of_any_kind():
-    assert LexGroup(2).elem((Fraction(4, 2), True)).data == (2, 1)
+    assert LexGroup(2).elem((Fraction(4, 2), 1)).data == (2, 1)
     assert LexGroup(2).elem(x for x in (3, -1)).data == (3, -1)
 
 

@@ -257,6 +257,113 @@ def test_residue_multiplicative_at_value_zero():
     assert checked >= 20
 
 
+def _folded_monomial_lead(P, g):
+    """The leading data of g at a monomial place folded over group
+    elements: each term's value summed from group.zero() by scale and +,
+    compared by the group's order, and the lead built by MPoly.make."""
+    weights = dict(P.values)
+    res_names = dict(P.residues)
+    zvars = tuple(z for _, z in P.residues)
+    best = None
+    collided = {}
+    for exps, coeff in g.terms:
+        val = P.group.zero()
+        zexp = [0] * len(zvars)
+        for name, e in zip(g.vars, exps):
+            if e == 0:
+                continue
+            if name in weights:
+                val = val + weights[name].scale(e)
+            elif name in res_names:
+                zexp[zvars.index(res_names[name])] = e
+            else:
+                raise ParamError(f"variable {name} is not covered by the place")
+        if best is None or val < best:
+            best = val
+            collided = {}
+        if val == best:
+            key = tuple(zexp)
+            acc = collided.get(key)
+            collided[key] = coeff if acc is None else acc + coeff
+    lead = MPoly.make(zvars, collided)
+    if not lead.terms:
+        raise HypothesisError("minimal monomials cancel; the independence hypothesis fails")
+    return best, lead
+
+
+def _random_positive_value(rng, group):
+    if isinstance(group, LexGroup):
+        data = [rng.randint(-3, 3) for _ in range(group.r)]
+    elif isinstance(group, QuadGroup):
+        data = [Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(2)]
+    elif group.law == "one_over_m":
+        return group.elem(Fraction(rng.randint(1, 3 * group.m), group.m))
+    elif group.law == "p_power":
+        return group.elem(Fraction(rng.randint(1, 30), group.p ** rng.randint(0, 3)))
+    else:
+        return group.elem(Fraction(rng.randint(1, 20), rng.randint(1, 9)))
+    g = group.elem(data)
+    return g if g.sign() > 0 else group.elem([-x for x in data]) if g.sign() < 0 else None
+
+
+def _random_monomial_place(rng, field):
+    """A monomial place over Z, (1/m)Z, Q, a p-power hull, Z^2-Z^4 lex or
+    Q + Q*sqrt2 with fractional coordinates, with up to two residue
+    indeterminates."""
+    group = rng.choice([
+        ZZ_GROUP, one_over_m(rng.randint(2, 12)), QQ_GROUP, p_power_hull(rng.choice([2, 3, 5])),
+        LexGroup(rng.randint(2, 4)), QUAD,
+    ])
+    rank = group.r if isinstance(group, LexGroup) else 2 if group == QUAD else 1
+    residues = tuple((f"y{i}", f"z{i}") for i in range(rng.randint(0, 2)))
+    while True:
+        values = [_random_positive_value(rng, group) for _ in range(rng.randint(1, rank))]
+        if None in values:
+            continue
+        try:
+            return MonomialPlace(field, group, tuple((f"x{i}", g) for i, g in enumerate(values)), residues)
+        except SpanError:
+            continue
+
+
+def _lead_outcome(lead, P, g):
+    """The value's data, the types in it and its text with the lead, or the
+    ParamError text."""
+    try:
+        v, poly = lead(P, g)
+    except ParamError as exc:
+        return "ParamError", str(exc)
+    types = tuple(map(type, v.data)) if isinstance(v.data, tuple) else type(v.data)
+    return v.data, types, str(v), poly
+
+
+def test_monomial_kernel_matches_the_group_element_fold():
+    rng = random.Random(20261020)
+    covered = 0
+    for _ in range(1200):
+        field = rng.choice([QQ, GF(5)])
+        P = _random_monomial_place(rng, field)
+        # any subset of the place's variables in any order, sometimes with a
+        # variable the place does not cover, whose exponents may all be 0
+        gvars = [v for v in place_vars(P) if rng.random() < 0.8]
+        if rng.random() < 0.15:
+            gvars.append("u")
+        rng.shuffle(gvars)
+        g = MPoly(tuple(gvars), ())
+        while not g.terms:
+            g = MPoly.make(gvars, {
+                tuple(rng.randint(0, 1 if v == "u" else 4) for v in gvars): field.elem(rng.randint(1, 4))
+                for _ in range(rng.randint(1, 5))
+            })
+        want = _lead_outcome(_folded_monomial_lead, P, g)
+        assert _lead_outcome(places._lead, P, g) == want, (P, g)
+        # the stored rows stay out of equality, hashing and the place file
+        read = place_from_json(place_to_json(P))
+        assert read == P and hash(read) == hash(P) and read._rows == P._rows
+        covered += want[0] != "ParamError"
+    assert covered >= 1000
+
+
 # ---------------------------------------------------------------------------
 # evaluation places
 
@@ -345,8 +452,10 @@ def _random_eval_case(rng, field):
     names = ("x", "y", "z")[: rng.randint(1, 3)]
     if field == QQ:
         draw = lambda: field.elem(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
-    else:
+    elif field.n == 1:
         draw = lambda: field.elem(rng.randrange(field.p))
+    else:
+        draw = lambda: field.elem([rng.randrange(field.p) for _ in range(field.n)])
     point = {v: draw() if rng.random() < 0.7 else field.zero() for v in names}
     # g lives in the first few place variables, so the others are absent from it
     gvars = names[: rng.randint(1, len(names))]
@@ -362,7 +471,7 @@ def _random_eval_case(rng, field):
     return EvalPlace(field, tuple(point.items())), g
 
 
-@pytest.mark.parametrize("field", [QQ, GF(2), GF(5), GF(7)], ids=str)
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(5), GF(7), GF(3, 2)], ids=str)
 def test_eval_lowest_taylor_coeff_vs_naive_shift(field):
     rng = random.Random(20261018)
     for _ in range(24):
