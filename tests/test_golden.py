@@ -157,10 +157,18 @@ CASES = {
     ],
     # a pole of order 2^17 over Z: surgery takes 17 steps down to t^(-1)
     "as_deep_chain": ["as", "--p", "2", "--precision", "8", "1/t^131072"],
+    # a ramified value v(c) = -2 over Z at p = 3: the root value is -2/3
+    "as_ramified_p3": ["as", "--p", "3", "--precision", "4", "1/(t^2+t^3)"],
     "perron_quad": ["perron", "--group", "quad", "1", "sqrt2-1"],
     "perron_quad_json": ["perron", "--group", "quad", "--json", "3+1*sqrt2", "2-1*sqrt2"],
     "perron_lex": ["perron", "--group", "lex:3", "(1,3,0)", "(0,1,-2)", "(0,0,1)"],
     "perron_rational": ["perron", "--group", "q", "3/2", "1/2", "5/3"],
+    # a lex shear, a (1/6)Z span read as integer rows, a p-power hull, and a
+    # quad subtraction of more than one run
+    "perron_lex_shear": ["perron", "--group", "lex:2", "(1,-3)", "(0,1)"],
+    "perron_one_over_6_json": ["perron", "--group", "one_over_m:6", "--json", "1/6", "1/3"],
+    "perron_hull3": ["perron", "--group", "p_power:3", "1/9", "1/3"],
+    "perron_quad_runs": ["perron", "--group", "quad", "1", "sqrt2", "3-2*sqrt2"],
     "list": ["list"],
     "list_json": ["list", "--json"],
 }
