@@ -37,7 +37,6 @@ from .groups import (
     QQ_GROUP,
     RationalGroup,
     divisible_by,
-    from_coords,
     one_over_m,
 )
 from .polys import MPoly
@@ -245,7 +244,7 @@ def _ramified(c: Series) -> Ramified:
     p = c.field.characteristic
     vc = valuation(c).value
     ambient = _p_divided_group(c.group, p)
-    root_value = from_coords(ambient, [Fraction(x, p) for x in vc.coords()])
+    root_value = ambient.elem(Fraction(vc.data, p))
     note = (
         f"any root has value {root_value}, outside the base group {c.group}; "
         f"the value-group index is at least {p}"

@@ -139,7 +139,7 @@ def _standard_generators(group):
     """Lattice generators for the finitely generated families; rational
     families have no canonical lattice, so the targets span themselves."""
     if isinstance(group, QuadGroup):
-        return (parse_elem(group, "1"), parse_elem(group, "sqrt2"))
+        return (group.elem((1, 0)), group.elem((0, 1)))
     if isinstance(group, LexGroup):
         return tuple(
             group.elem(tuple(1 if j == i else 0 for j in range(group.r)))

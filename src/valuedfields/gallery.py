@@ -504,7 +504,7 @@ def _run_g5(P: dict):
         for _ in range(nu(k) - nu(k - 1)):  # z^(p^nu(k-1)) -> z^(p^nu(k))
             power = power ** p
         head = make_series(
-            field, hull, [(e, c) for e, c in power.terms if e.coords()[0].denominator == 1]
+            field, hull, [(e, c) for e, c in power.terms if e.data.denominator == 1]
         )
         gap = sub_series(power, head)
         claims.append(_equal(
@@ -556,7 +556,7 @@ def _denominator_lcm(k_max: int) -> int:
         v = valuation(add_series(t_pow(QQ, QQ_GROUP, Fraction(1, k)), t_pow(QQ, QQ_GROUP, 2)))
         if not v.is_exact:
             raise PrecisionError("value undecided")
-        got = lcm(got, v.value.coords()[0].denominator)
+        got = lcm(got, v.value.data.denominator)
     return got
 
 
@@ -681,7 +681,7 @@ def _run_g8(P: dict):
     every_sample(
         f"value-group invariance on {samples} sampled polynomials in (t, x): every value stays in Z "
         "(finite-sample evidence)",
-        lambda: sum(v.value.coords()[0].denominator == 1 for v in decided()),
+        lambda: sum(v.value.data.denominator == 1 for v in decided()),
         "integral",
     )
     every_sample(

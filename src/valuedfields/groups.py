@@ -248,7 +248,8 @@ class GroupElem:
 
     The data is one representation per group: an int for Z, a Fraction for
     Q, (1/m)Z with m > 1 and (1/p^inf)Z (even at integral values), a tuple
-    of ints for Z^r lex and a pair of Fractions for Q + Q*sqrt2.  Ints and
+    of ints for Z^r lex and a pair of Fractions for Q + Q*sqrt2.  It is the
+    element's only coordinate form; _integer_rows reads it directly.  Ints and
     Fractions of one value compare, hash and print alike, so readers of the
     data need not tell them apart; only true division must, as int / int is
     a float.
@@ -309,30 +310,26 @@ class GroupElem:
         x, y = self.data, other.data
         if type(g) is RationalGroup:
             return GroupElem(g, x + y)
-        if type(g) is LexGroup:
-            return GroupElem(g, tuple(map(add, x, y)))
-        return GroupElem(g, (x[0] + y[0], x[1] + y[1]))
+        return GroupElem(g, tuple(map(add, x, y)))
 
     def __neg__(self) -> "GroupElem":
         g, x = self.group, self.data
         if type(g) is RationalGroup:
             return GroupElem(g, -x)
-        if type(g) is LexGroup:
-            return GroupElem(g, tuple(map(neg, x)))
-        return GroupElem(g, (-x[0], -x[1]))
+        return GroupElem(g, tuple(map(neg, x)))
 
     def __sub__(self, other: "GroupElem") -> "GroupElem":
         return self + (-other)
 
     def scale(self, n: int) -> "GroupElem":
-        """Integer multiple n*self (n may be negative or zero)."""
-        n = int(n)
+        """Integer multiple n*self (n may be negative or zero); an n that is
+        not an int, a bool included, raises GroupLawError."""
+        if type(n) is not int:
+            raise GroupLawError(f"{type(n).__name__} {n!r} is not an integer multiplier")
         g, x = self.group, self.data
         if type(g) is RationalGroup:
             return GroupElem(g, x * n)
-        if type(g) is LexGroup:
-            return GroupElem(g, tuple(n * c for c in x))
-        return GroupElem(g, (n * x[0], n * x[1]))
+        return GroupElem(g, tuple(n * c for c in x))
 
     def sign(self) -> int:
         g, x = self.group, self.data
@@ -344,14 +341,6 @@ class GroupElem:
 
     def is_zero(self) -> bool:
         return self.sign() == 0
-
-    def coords(self) -> tuple[Fraction, ...]:
-        """Coordinates in the ambient Q-vector space of the family."""
-        if isinstance(self.group, RationalGroup):
-            return (Fraction(self.data),)
-        if isinstance(self.group, LexGroup):
-            return tuple(Fraction(x) for x in self.data)
-        return self.data
 
     def __str__(self):
         if isinstance(self.group, RationalGroup):
@@ -369,13 +358,6 @@ def cmp(a: GroupElem, b: GroupElem) -> int:
     """-1, 0 or 1 as a < b, a = b, a > b.  Exact in every family."""
     x, y = a._keys(b)
     return (x > y) - (x < y)
-
-
-def from_coords(group: GroupDesc, coords) -> GroupElem:
-    coords = tuple(Fraction(c) for c in coords)
-    if isinstance(group, RationalGroup):
-        return group.elem(coords[0])
-    return group.elem(coords)
 
 
 def parse_elem(group: GroupDesc, text: str) -> GroupElem:
@@ -498,10 +480,11 @@ def _hnf(rows: list[list[int]]) -> list[list[int]]:
 
 def _integer_rows(elems) -> tuple[list[list[int]], int]:
     """The coordinate rows of elems as integers, scaled by one common
-    denominator, and that denominator."""
-    rows = [g.coords() for g in elems]
+    denominator, and that denominator.  The data is the row: a lex or quad
+    tuple as it stands, and a rational as a one-tuple."""
+    rows = [(g.data,) if type(g.group) is RationalGroup else g.data for g in elems]
     denom = lcm(*(c.denominator for row in rows for c in row))
-    return [[int(c * denom) for c in row] for row in rows], denom
+    return [[c.numerator * (denom // c.denominator) for c in row] for row in rows], denom
 
 
 def _from_integer_row(group: GroupDesc, row, denom: int) -> GroupElem:

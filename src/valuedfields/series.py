@@ -1159,6 +1159,11 @@ def _bad_value_group_terms(s: Stream):
         yield s.group.elem(Fraction(-1, n)), one
 
 
+def _bad_residue_terms(s: Stream):
+    for n in itertools.count(1):
+        yield s.group.elem(n), n
+
+
 def _z_series_terms(s: Stream):
     p = s.param("p")
     one = s.field.one()
@@ -1168,13 +1173,14 @@ def _z_series_terms(s: Stream):
 
 
 # The stream registry: name -> (constructor, term generator).  A generator
-# yields (exponent, coefficient) in increasing exponent order; BadResidue has
-# none because its coefficient field depends on the truncation.
+# yields (exponent, coefficient) in increasing exponent order; BadResidue's
+# yields the degree n of its coefficient in place of the coefficient, since
+# the field that hosts them depends on the truncation.
 _STREAMS = {
     "ThetaDefect": (theta_defect, _theta_defect_terms),
     "FrobeniusRoot": (frobenius_root, _frobenius_root_terms),
     "BadValueGroup": (bad_value_group, _bad_value_group_terms),
-    "BadResidue": (bad_residue, None),
+    "BadResidue": (bad_residue, _bad_residue_terms),
     "ZSeries": (z_series, _z_series_terms),
 }
 
@@ -1211,8 +1217,6 @@ def stream_expand(s: Stream, precision, max_terms: int | None = None) -> Series:
         raise ParamError("max_terms must be positive")
     prec = _as_group_elem(s.group, precision)
     _, terms = _registry_entry(s.name)
-    if terms is None:
-        return _expand_bad_residue(s, prec, cap)
     kept = []
     honest = prec
     for e, c in terms(s):
@@ -1222,25 +1226,13 @@ def stream_expand(s: Stream, precision, max_terms: int | None = None) -> Series:
             honest = e  # first omitted exponent
             break
         kept.append((e, c))
-    return Series(s.field, s.group, tuple(kept), honest)
-
-
-def _expand_bad_residue(s: Stream, prec: GroupElem, cap: int) -> Series:
-    p = s.param("p")
-    ns = []
-    honest = prec
-    for n in itertools.count(1):
-        if not s.group.elem(n) < prec:
-            break
-        if len(ns) == cap:
-            honest = s.group.elem(n)
-            break
-        ns.append(n)
-    L = lcm(*ns) if ns else 1
-    if L > _MAX_HOST_DEGREE:
-        raise ParamError(
-            f"degree-1..{max(ns)} coefficients need a host of degree {L}, above the budget of {_MAX_HOST_DEGREE}"
-        )
-    big = GF(p, L)
-    terms = tuple((s.group.elem(n), embed(GF(p, n).generator(), big)) for n in ns)
-    return Series(big, s.group, terms, honest)
+    field = s.field
+    if field is None:  # BadResidue: host the kept degrees n in F_(p^L)
+        p, L = s.param("p"), lcm(*(n for _, n in kept))
+        if L > _MAX_HOST_DEGREE:
+            raise ParamError(
+                f"degree-1..{kept[-1][1]} coefficients need a host of degree {L}, above the budget of {_MAX_HOST_DEGREE}"
+            )
+        field = GF(p, L)
+        kept = [(e, embed(GF(p, n).generator(), field)) for e, n in kept]
+    return Series(field, s.group, tuple(kept), honest)

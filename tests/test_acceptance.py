@@ -286,7 +286,7 @@ def test_criterion_05_perron_positive_basis():
             T = result.change_of_basis
             assert T[0][0] * T[1][1] - T[0][1] * T[1][0] in (1, -1)
             for g in result.basis:
-                ca, cb = g.coords()
+                ca, cb = g.data
                 assert qsign(ca, cb) == 1
             for tgt, row in zip(targets, result.coeffs):
                 assert all(isinstance(n, int) and n >= 0 for n in row)

@@ -191,7 +191,7 @@ def test_ramified_value_halves_the_pole():
     assert case == NEGATIVE_RAMIFIED
     assert isinstance(out, Ramified)
     assert str(out.root_value) == "-1/2"
-    assert out.root_value.coords()[0] == Fraction(-1, 2)
+    assert out.root_value.data == Fraction(-1, 2)
     assert "at least 2" in out.note
 
 

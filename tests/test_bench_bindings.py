@@ -4,7 +4,8 @@
 reach.  A refactor that moves or renames one of them, or stops calling it,
 would only show up in a traced benchmark run, so these tests resolve each
 name here, run one small lift under the tracer, and run the first ops of
-the places-eval workload under the tracer and the element counter.
+the places-eval workload and all ops of the gallery workload under the
+tracer and the element counter.
 Counter keys (``*.calls`` and ``*.calls.*``) name element-operation
 counts, not functions, and are skipped where only functions are checked.
 """
@@ -62,20 +63,35 @@ def test_small_lift_reaches_every_traced_lift_function():
     assert not missing
 
 
-def test_first_places_eval_ops_reach_every_traced_name(monkeypatch):
-    # what a traced benchmark run asserts, on 10 ops of each place kind:
-    # every function listed is called and every counter listed is nonzero
-    monkeypatch.syspath_prepend(str(BENCH))  # workloads imports oracles
-    workloads, tracing = _load("workloads"), _tracing()
-    ops = workloads.build("places-eval", 1).ops[:50]
-    kinds = Counter(op.label.split()[0] for op in ops)
-    assert kinds == {kind: 10 for kind in workloads.PLACE_KINDS}
+def _unreached(workload, ops):
+    """The names EXERCISED lists for workload that ops neither call nor
+    count, once each result has passed its op's check."""
+    tracing = _tracing()
     with tracing.Spans() as spans:
         results = [op.run() for op in ops]
     with tracing.ElementCounter() as counter:
         for op in ops:
             op.run()
     assert [op.check(r) for op, r in zip(ops, results)] == [None] * len(ops)
-    names = tracing.EXERCISED["places-eval"]
-    missing = [n for n in names if not spans.calls.get(n, counter.counts.get(n, 0))]
-    assert not missing
+    names = tracing.EXERCISED[workload]
+    return [n for n in names if not spans.calls.get(n, counter.counts.get(n, 0))]
+
+
+def test_first_places_eval_ops_reach_every_traced_name(monkeypatch):
+    # what a traced benchmark run asserts, on 10 ops of each place kind:
+    # every function listed is called and every counter listed is nonzero
+    monkeypatch.syspath_prepend(str(BENCH))  # workloads imports oracles
+    workloads = _load("workloads")
+    ops = workloads.build("places-eval", 1).ops[:50]
+    kinds = Counter(op.label.split()[0] for op in ops)
+    assert kinds == {kind: 10 for kind in workloads.PLACE_KINDS}
+    assert not _unreached("places-eval", ops)
+
+
+def test_gallery_ops_reach_every_traced_name(monkeypatch):
+    # every op, since few ops reach some names: series.unit_nth_root only
+    # G9, and fields.embed only G4 (the BadResidue expansion) and G6
+    monkeypatch.syspath_prepend(str(BENCH))
+    ops = _load("workloads").build("gallery", 1).ops
+    assert len(ops) == 13
+    assert not _unreached("gallery", ops)

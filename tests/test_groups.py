@@ -5,6 +5,7 @@ import random
 import time
 from decimal import Decimal
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -19,6 +20,7 @@ from valuedfields.groups import (
     LexGroup,
     QQ_GROUP,
     QuadGroup,
+    RationalGroup,
     ZZ_GROUP,
     cmp,
     divisible_by,
@@ -123,6 +125,72 @@ def test_elem_refuses_what_it_cannot_hold_exactly(group, data, message):
 def test_lex_elem_takes_integral_coordinates_of_any_kind():
     assert LexGroup(2).elem((Fraction(4, 2), 1)).data == (2, 1)
     assert LexGroup(2).elem(x for x in (3, -1)).data == (3, -1)
+
+
+@pytest.mark.parametrize(
+    "elem, n, message",
+    [
+        (ZZ_GROUP.elem(3), Fraction(1, 2), r"Fraction Fraction\(1, 2\) is not an integer multiplier"),
+        (ZZ_GROUP.elem(3), Fraction(2), r"Fraction Fraction\(2, 1\) is not an integer multiplier"),
+        (QQ_GROUP.elem(Fraction(1, 3)), 2.9, "float 2.9 is not an integer multiplier"),
+        (QuadGroup().elem((1, 1)), -1.5, "float -1.5 is not an integer multiplier"),
+        (LexGroup(2).elem((1, 2)), True, "bool True is not an integer multiplier"),
+    ],
+    ids=["z_half", "z_integral_fraction", "q_float", "quad_float", "lex_bool"],
+)
+def test_scale_refuses_a_multiplier_that_is_not_an_int(elem, n, message):
+    # the multiple of a non-integer would be truncated, or True taken as 1
+    with pytest.raises(GroupLawError, match=f"^{message}$"):
+        elem.scale(n)
+
+
+def _reference_coords(g: GroupElem) -> tuple:
+    """The Fraction coordinates that elements once had beside their data."""
+    if isinstance(g.group, RationalGroup):
+        return (Fraction(g.data),)
+    if isinstance(g.group, LexGroup):
+        return tuple(Fraction(x) for x in g.data)
+    return g.data
+
+
+def _reference_integer_rows(elems):
+    """groups._integer_rows as it read the Fraction coordinates: the
+    reference for the rows read from the data."""
+    rows = [_reference_coords(g) for g in elems]
+    denom = lcm(*(c.denominator for row in rows for c in row))
+    return [[int(c * denom) for c in row] for row in rows], denom
+
+
+def _random_elem(rng: random.Random, group):
+    num = lambda: rng.choice([0, rng.randint(-9, 9), rng.randint(-10**30, 10**30)])
+    if isinstance(group, LexGroup):
+        return group.elem(num() for _ in range(group.r))
+    if isinstance(group, QuadGroup):
+        return group.elem((Fraction(num(), rng.randint(1, 40)), Fraction(num(), rng.randint(1, 40))))
+    if group.law == "one_over_m":
+        return group.elem(Fraction(num(), rng.choice([d for d in range(1, group.m + 1) if group.m % d == 0])))
+    if group.law == "p_power":
+        return group.elem(Fraction(num(), group.p ** rng.randint(0, 6)))
+    return group.elem(Fraction(num(), rng.randint(1, 10**6)))
+
+
+def test_integer_rows_match_the_fraction_coordinates():
+    # every family, zeros and 100-bit numerators included: the rows and the
+    # denominator read from the data are those of the Fraction coordinates,
+    # and _from_integer_row gives back each element with data of its type
+    rng = random.Random(35)
+    families = [ZZ_GROUP, one_over_m(6), one_over_m(12), QQ_GROUP, p_power_hull(2),
+                p_power_hull(3), *(LexGroup(r) for r in range(1, 5)), QuadGroup()]
+    for _ in range(1200):
+        group = rng.choice(families)
+        elems = [_random_elem(rng, group) for _ in range(rng.randint(1, 5))]
+        rows, denom = groups._integer_rows(elems)
+        assert (rows, denom) == _reference_integer_rows(elems)
+        for g, row in zip(elems, rows):
+            back = groups._from_integer_row(group, row, denom)
+            assert back == g and type(back.data) is type(g.data)
+            if type(g.data) is tuple:
+                assert [type(x) for x in back.data] == [type(x) for x in g.data]
 
 
 @pytest.mark.parametrize("p", [4, 6])
