@@ -38,6 +38,14 @@ CASES = {
     "eval_q_residue_json": [
         "eval", "--place", "eval_q.json", "--json", "(x1-2)^2*(x1^2+1)*(x2-3)/((x1^2-4)^2*(x2+2))",
     ],
+    # a high order of vanishing over Q, one at the fractional x2 = -1/2, and an
+    # order above p over F_5: the Taylor coefficients by synthetic division
+    "eval_q_order600": ["eval", "--place", "eval_q.json", "(x1-2)^600*(x1+1)"],
+    "eval_q_fractional_json": [
+        "eval", "--place", "eval_q.json", "--json", "(2*x2+1)^40*(x2+3)/(x1-2)^3",
+    ],
+    "eval_q_fractional_residue": ["eval", "--place", "eval_q.json", "(2*x2+1)^3*(x2+3)/((4*x2+2)^3*x1)"],
+    "eval_gf5_order_above_p": ["eval", "--place", "eval_gf5.json", "(x1-2)^30*(x1+3)^7*x2"],
     "eval_embed_unit": ["eval", "--place", "frobenius_embed.json", "x1*x2 + 1"],
     "eval_embed_pole": ["eval", "--place", "frobenius_embed.json", "x1^2/x2"],
     # x2 + x1^2 + x1 vanishes at x1 -> FrobeniusRoot(2), x2 -> t, so each value
@@ -124,6 +132,10 @@ CASES = {
     "lift_rational_p1000003": [
         "lift", "--p", "1000003", "--precision", "24", "--",
         "-(4 + 2*t + 3*t^2 + 5*t^3)", "(3 + t + 7*t^2)/(1 + 2*t + 5*t^2)", "1",
+    ],
+    # a product of two dense 601-term powers over F_1000003
+    "lift_power_product_p1000003": [
+        "lift", "--p", "1000003", "--precision", "4", "--", "-(1+t)^600*(1+t)^600", "0", "1",
     ],
     "lift_rational_p2e61_json": [
         "lift", "--p", "2305843009213693951", "--precision", "24", "--json", "--",
