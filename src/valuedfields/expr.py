@@ -27,7 +27,8 @@ rational functions; its cost model:
   coefficient) term, built with O(1) work per factor and no MPoly;
 * a sum merges all its summands in one MPoly.make;
 * a value stays a polynomial until it meets a division or a negative
-  power, and only then does RatFn arithmetic run.
+  power, and only then does RatFn arithmetic run; a polynomial divided by
+  a polynomial is just the pair of the two.
 
 A dense coefficient therefore costs time linear in its length.
 """
@@ -274,9 +275,15 @@ class _Evaluator:
         """Monomial factors fold into one monomial, with no MPoly built.  A
         division or a factor that is not a monomial turns the product so far
         into an MPoly, and later factors multiply and divide polynomials and
-        RatFns."""
+        RatFns.  A polynomial divided by a nonzero polynomial is the pair
+        of the two, with no RatFn built."""
         (num, den), (num2, den2) = value, factor
         if op == "/":
+            if den is None and den2 is None:
+                num2 = self.poly(num2)
+                if num2.is_zero():
+                    raise ZeroDivisionError("division by the zero rational function")
+                return self.poly(num), num2
             q = self.ratfn(num, den) / self.ratfn(num2, den2)
             return q.num, q.den
         if type(num) is tuple and type(num2) is tuple:

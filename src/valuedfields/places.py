@@ -7,7 +7,9 @@ A place is described declaratively and evaluated exactly:
 * ``EvalPlace``      -- evaluation at a point; the value is the vector of
   vanishing orders along the listed coordinates (first listed dominates).
   Each order is the least k with a nonzero Taylor coefficient at (x - a)^k (a
-  Hasse derivative); degrees above 1024 at a nonzero point raise ParamError.
+  Hasse derivative), found by synthetic division: dividing by (x - a) until
+  a remainder is nonzero, each division one Horner pass, on plain ints over
+  Q and F_p.  Degrees above 2048 at a nonzero point raise ParamError.
 * ``MonomialPlace``  -- prescribed positive, rationally independent values
   on some variables and fresh residue indeterminates for the others; the
   value of a polynomial is the least weighted exponent sum over its
@@ -32,7 +34,9 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from math import comb
+from fractions import Fraction
+from itertools import accumulate
+from math import lcm
 from operator import mul
 
 from .errors import (
@@ -279,44 +283,103 @@ def _width(stage: PlaceDesc) -> int:
 # polynomial preliminaries
 
 
-# the highest degree in one variable at a nonzero point: each Taylor coefficient
-# tried is one pass over the terms, so a degree far beyond any real input fails fast
-_MAX_SHIFT_DEGREE = 1024
+# the highest degree in one variable at a nonzero point: the Taylor coefficients
+# up to the k-th take k synthetic divisions of each row, so the work grows as
+# the square of the degree, and a degree far beyond any real input fails fast
+_MAX_SHIFT_DEGREE = 2048
 
 
 def _lowest_taylor_coeff(g: MPoly, var: str, a: FieldElement) -> tuple[int, MPoly]:
     """The least k such that (var - a)^k has a nonzero coefficient in g, with
     that coefficient, a polynomial in the other variables: the k-th Hasse
-    derivative of g in var at a, the sum of c * C(e, k) * a^(e-k) * rest over
-    the terms c * var^e * rest of g."""
+    derivative of g in var at a.
+
+    The terms of g that share their other exponents form one row, a
+    polynomial in var, and the k-th remainder of dividing a row by (var - a)
+    again and again is its k-th Taylor coefficient.  Each division is one
+    Horner pass, and k is the least at which some row leaves a nonzero
+    remainder.  The rows hold the slots of _taylor_rows: plain ints over Q
+    and F_p, and coordinate tuples over F_{p^n}."""
     if var not in g.vars:
         return 0, g
     i = g.vars.index(var)
-    terms = [(exps[i], exps[:i] + exps[i + 1:], c) for exps, c in g.terms]
-    a_pow = [a.field.one()]  # the nonzero powers of a
+    others = g.vars[:i] + g.vars[i + 1:]
     if a.is_zero():
-        # only a^0: no degree budget, and k starts at the least exponent of var
-        k = min(e for e, _, _ in terms)
-    else:
-        top = max(e for e, _, _ in terms)
-        if top > _MAX_SHIFT_DEGREE:
-            raise ParamError(
-                f"degree {top} in {var} exceeds the Taylor shift budget of {_MAX_SHIFT_DEGREE}"
-            )
-        for _ in range(top):
-            a_pow.append(a_pow[-1] * a)
-        k = 0
+        # only a^0: no degree budget, and k is the least exponent of var
+        k = min(exps[i] for exps, _ in g.terms)
+        return k, MPoly(others, tuple(sorted(
+            (exps[:i] + exps[i + 1:], c) for exps, c in g.terms if exps[i] == k
+        )))
+    top = max(exps[i] for exps, _ in g.terms)
+    if top > _MAX_SHIFT_DEGREE:
+        raise ParamError(
+            f"degree {top} in {var} exceeds the Taylor shift budget of {_MAX_SHIFT_DEGREE}"
+        )
+    rows, step, zero, unslot = _taylor_rows(g, i, a, top)
+    # a row of degree d has a nonzero d-th remainder, its leading slot, so
+    # every row keeps a slot until k is found
+    k = 0
     while True:
-        coeff: dict[tuple[int, ...], FieldElement] = {}
-        for e, rest, c in terms:
-            if 0 <= e - k < len(a_pow):
-                x = (c * a_pow[e - k]).times_int(comb(e, k))
-                acc = coeff.get(rest)
-                coeff[rest] = x if acc is None else acc + x
-        lowest = _sorted_terms(coeff)
+        lowest = []
+        for rest, row in rows.items():
+            quotient = list(accumulate(row, step))
+            r = quotient.pop()
+            rows[rest] = quotient
+            if r != zero:
+                lowest.append((rest, r))
         if lowest:
-            return k, MPoly(g.vars[:i] + g.vars[i + 1:], lowest)
+            return k, MPoly(others, tuple(sorted((rest, unslot(r, k)) for rest, r in lowest)))
         k += 1
+
+
+def _taylor_rows(g: MPoly, i: int, a: FieldElement, top: int):
+    """The rows of _lowest_taylor_coeff, with the slot rule of the field of
+    a: (rows, step, zero, unslot).  rows maps the exponents of g without the
+    one at index i to a row, the slots of its coefficients from the highest
+    power of that variable down to the power 0.  step(acc, slot) is one
+    Horner step, acc * a + slot; zero is the zero slot, and unslot(r, k) the
+    field element of the k-th remainder r.
+
+    Over F_p a slot is the int of an element, reduced mod p at each step.
+    Over Q at a = n/m it is an integer of G(y) = L * m^top * g(y/m), with L
+    the least common denominator of the coefficients, and the step
+    multiplies by n: the k-th Taylor coefficient of G at n is
+    L * m^(top-k) times that of g at a.  Over F_{p^n} a slot is the
+    coordinate tuple of an element, and the step multiplies it by the
+    matrix of multiplication by a."""
+    field = a.field
+    if type(field) is RationalField:
+        n, m = a.data.numerator, a.data.denominator
+        den = lcm(*(c.data.denominator for _, c in g.terms))
+        slot = lambda e, c: c.data.numerator * (den // c.data.denominator) * m ** (top - e)
+        step = lambda acc, c: acc * n + c
+        zero = 0
+        unslot = lambda r, k: FieldElement(field, Fraction(r * m ** k, den * m ** top))
+    elif field.n == 1:
+        p, b = field.p, a.data[0]
+        slot = lambda e, c: c.data[0]
+        step = lambda acc, c: (acc * b + c) % p
+        zero = 0
+        unslot = lambda r, k: FieldElement(field, (r,))
+    else:
+        p = field.p
+        # column j of the matrix is the coordinate tuple of a * u^j
+        units = (FieldElement(field, tuple(int(d == j) for d in range(field.n))) for j in range(field.n))
+        matrix = list(zip(*((a * u).data for u in units)))
+        slot = lambda e, c: c.data
+        step = lambda acc, c: tuple([(sum(map(mul, row, acc)) + x) % p for row, x in zip(matrix, c)])
+        zero = (0,) * field.n
+        unslot = lambda r, k: FieldElement(field, r)
+    by_rest: dict[tuple[int, ...], list] = {}
+    for exps, c in g.terms:
+        by_rest.setdefault(exps[:i] + exps[i + 1:], []).append((exps[i], c))
+    rows = {}
+    for rest, terms in by_rest.items():
+        d = max(e for e, _ in terms)
+        row = rows[rest] = [zero] * (d + 1)
+        for e, c in terms:
+            row[d - e] = slot(e, c)
+    return rows, step, zero, unslot
 
 
 def _sorted_terms(terms: dict) -> tuple:

@@ -41,10 +41,11 @@ rung of its Newton ladder on it and builds one Series at the end.  The slots
 live only inside mul_series, invert and _horner_packed; a Series has one
 representation.
 
-_pack and _unpack are the one pair of routines that put coefficients into
-the fixed-width slots of one integer and read them back, by memoryview.cast
-where a slot is 1, 2, 4 or 8 bytes wide.  Kronecker multiplies with them,
-and _horner_packed evaluates a polynomial at a series below t^N with them:
+polys._pack and polys._unpack are the one pair of routines that put
+coefficients into the fixed-width slots of one integer and read them back,
+by memoryview.cast where a slot is 1, 2, 4 or 8 bytes wide.  polys._kronecker
+multiplies with them, for mul_series as for MPoly products, and
+_horner_packed evaluates a polynomial at a series below t^N with them:
 each operand is packed once, Horner's rule runs on the integers, and the
 slots are reduced mod p once, so a dense evaluation builds one Series where
 the plain Horner builds two per degree.
@@ -66,8 +67,6 @@ from __future__ import annotations
 
 import inspect
 import itertools
-import struct
-import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
@@ -87,7 +86,7 @@ from .fields import (
     GF, FieldDesc, FieldElement, FiniteField, _check_power_bits, _is_prime, _power, embed, frobenius,
 )
 from .groups import GroupDesc, GroupElem, RationalGroup, ZZ_GROUP, QQ_GROUP, p_power_hull
-from .polys import cramer
+from .polys import _kronecker, _pack, _slot_width, _unpack, cramer
 
 __all__ = [
     "Series",
@@ -575,63 +574,16 @@ def _mul_pairs(xa: list, ca: list, xb: list, cb: list, limit, zero):
 
 
 def _mul_kronecker(xa: list, ca: list, xb: list, cb: list, limit, p: int) -> list:
-    """The product over F_p by Kronecker substitution: each operand becomes
-    one integer with coefficient k in slot x - x[0] (_pack), and one
-    big-integer product does the work.  A slot holds the sum of at most
-    min(len xa, len xb) products below p^2, so no slot carries into the
-    next; the slots below limit are read back (_unpack) as sorted
-    (slot, sum) pairs, the sums not yet reduced mod p."""
+    """The product over F_p by Kronecker substitution (polys._kronecker): a
+    slot holds the sum of at most min(len xa, len xb) products below p^2.
+    The slots below limit come back as sorted (slot, sum) pairs, the sums
+    not yet reduced mod p."""
     base = xa[0] + xb[0]
-    width = _slot_width(min(len(xa), len(xb)) * (p - 1) ** 2)
-    packed = [_pack(xs, cs, xs[0], xs[-1] - xs[0] + 1, width) for xs, cs in ((xa, ca), (xb, cb))]
     size = xa[-1] + xb[-1] - base + 1
     if limit is not None:
         size = min(size, limit - base)
-    return list(zip(range(base, base + size), _unpack(packed[0] * packed[1], size, width)))
-
-
-# memoryview.cast formats of the slot widths it reads and writes natively,
-# by byte count; a cast reads native byte order, so big-endian hosts use
-# none and fall back to int.to_bytes and int.from_bytes per slot
-_CAST = {struct.calcsize(f): f for f in "BHIQ"} if sys.byteorder == "little" else {}
-
-
-def _slot_width(bound: int) -> int:
-    """Bytes per slot for slot values up to bound, rounded up to a width
-    memoryview.cast reads when one is wide enough."""
-    width = (bound.bit_length() + 7) // 8
-    for w in _CAST:  # ascending
-        if w >= width:
-            return w
-    return width
-
-
-def _pack(xs: list, ks: list, low: int, size: int, width: int) -> int:
-    """The integer of size slots of width bytes, low slot first, whose slot
-    x - low holds k for each slot x and value 0 <= k < 2^(8*width) of xs
-    and ks, and whose other slots hold 0."""
-    buf = bytearray(size * width)
-    fmt = _CAST.get(width)
-    if fmt:
-        view = memoryview(buf).cast(fmt)
-        for x, k in zip(xs, ks):
-            view[x - low] = k
-        view.release()
-    else:
-        for x, k in zip(xs, ks):
-            i = (x - low) * width
-            buf[i:i + width] = k.to_bytes(width, "little")
-    return int.from_bytes(buf, "little")
-
-
-def _unpack(value: int, size: int, width: int) -> list:
-    """The values of the low size slots of width bytes of value >= 0, low
-    slot first: the inverse of _pack."""
-    raw = memoryview(value.to_bytes(max(size * width, (value.bit_length() + 7) // 8), "little"))
-    fmt = _CAST.get(width)
-    if fmt:
-        return raw[:size * width].cast(fmt).tolist()
-    return [int.from_bytes(raw[i:i + width], "little") for i in range(0, size * width, width)]
+    bound = min(len(xa), len(xb)) * (p - 1) ** 2
+    return list(zip(range(base, base + size), _kronecker(xa, ca, xb, cb, size, bound)))
 
 
 def _horner_packed(coeffs, a: Series, below: GroupElem) -> Series | None:
