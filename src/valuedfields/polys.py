@@ -382,8 +382,13 @@ def _mul_packed(a: MPoly, b: MPoly) -> MPoly | None:
     na, nb = len(a.terms), len(b.terms)
     if na < 2 or nb < 2:
         return None
-    field = a.terms[0][1].field if type(a.terms[0][1]) is FieldElement else None
-    if field is None or type(field) is FiniteField and field.n > 1:
+    ca, cb = a.terms[0][1], b.terms[0][1]
+    # Series coefficients, F_{p^n} and a field mismatch (which the pair loop
+    # reports) stay on the pair loop
+    if type(ca) is not FieldElement or type(cb) is not FieldElement or cb.field != ca.field:
+        return None
+    field = ca.field
+    if type(field) is FiniteField and field.n > 1:
         return None
     strides, stride = [], 1
     for i in reversed(range(len(a.vars))):

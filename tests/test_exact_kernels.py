@@ -16,7 +16,7 @@ from math import comb
 import pytest
 
 from valuedfields import places, polys
-from valuedfields.errors import ParamError
+from valuedfields.errors import FieldMismatchError, ParamError
 from valuedfields.fields import GF, QQ
 from valuedfields.polys import MPoly
 
@@ -210,3 +210,10 @@ def test_sparse_products_in_three_variables_answer_at_once():
         assert a * b == _reference_product(a, b)
         assert len((a * b).terms) == 9
     assert time.perf_counter() - start < 0.1
+
+
+def test_a_product_across_fields_still_reports_the_mismatch():
+    a = MPoly.make(("x",), {(0,): QQ.one(), (1,): QQ.elem(2)})
+    b = MPoly.make(("x",), {(0,): GF(5).one(), (1,): GF(5).elem(2)})
+    with pytest.raises(FieldMismatchError):
+        a * b
