@@ -7,9 +7,10 @@ A place is described declaratively and evaluated exactly:
 * ``EvalPlace``      -- evaluation at a point; the value is the vector of
   vanishing orders along the listed coordinates (first listed dominates).
   Each order is the least k with a nonzero Taylor coefficient at (x - a)^k (a
-  Hasse derivative), found by synthetic division: dividing by (x - a) until
-  a remainder is nonzero, each division one Horner pass, on plain ints over
-  Q and F_p.  Degrees above 2048 at a nonzero point raise ParamError.
+  Hasse derivative): the value at a, term by term, and where that is zero
+  synthetic division, dividing by (x - a) until a remainder is nonzero,
+  each division one Horner pass, on plain ints over Q and F_p.  Degrees
+  above 1280 at a nonzero point raise ParamError.
 * ``MonomialPlace``  -- prescribed positive, rationally independent values
   on some variables and fresh residue indeterminates for the others; the
   value of a polynomial is the least weighted exponent sum over its
@@ -285,8 +286,11 @@ def _width(stage: PlaceDesc) -> int:
 
 # the highest degree in one variable at a nonzero point: the Taylor coefficients
 # up to the k-th take k synthetic divisions of each row, so the work grows as
-# the square of the degree, and a degree far beyond any real input fails fast
-_MAX_SHIFT_DEGREE = 2048
+# the square of the degree (over Q as its cube in bit operations), and a
+# degree far beyond any real input fails fast.  At 1280 the order 1280 of
+# (x - a)^1280 * (x - a - 1) takes 0.13 s at a = 2, 0.33-0.39 s at -7/3 and
+# 0.92-0.97 s at 100/37, and that of (x - a)^1280 over F_9 0.83-0.93 s
+_MAX_SHIFT_DEGREE = 1280
 
 
 def _lowest_taylor_coeff(g: MPoly, var: str, a: FieldElement) -> tuple[int, MPoly]:
@@ -295,10 +299,13 @@ def _lowest_taylor_coeff(g: MPoly, var: str, a: FieldElement) -> tuple[int, MPol
     derivative of g in var at a.
 
     The terms of g that share their other exponents form one row, a
-    polynomial in var, and the k-th remainder of dividing a row by (var - a)
-    again and again is its k-th Taylor coefficient.  Each division is one
-    Horner pass, and k is the least at which some row leaves a nonzero
-    remainder.  The rows hold the slots of _taylor_rows: plain ints over Q
+    polynomial in var.  Its 0-th Taylor coefficient is its value at a,
+    summed term by term with powers of a shared by all rows, so a row of
+    few terms costs its terms, not its degree.  When every row vanishes at
+    a, the k-th remainder of dividing a row by (var - a) again and again is
+    its k-th Taylor coefficient: each division is one Horner pass over the
+    dense row, and k is the least at which some row leaves a nonzero
+    remainder.  The rows hold the slots of _taylor_rule: plain ints over Q
     and F_p, and coordinate tuples over F_{p^n}."""
     if var not in g.vars:
         return 0, g
@@ -315,29 +322,40 @@ def _lowest_taylor_coeff(g: MPoly, var: str, a: FieldElement) -> tuple[int, MPol
         raise ParamError(
             f"degree {top} in {var} exceeds the Taylor shift budget of {_MAX_SHIFT_DEGREE}"
         )
-    rows, step, zero, unslot = _taylor_rows(g, i, a, top)
-    # a row of degree d has a nonzero d-th remainder, its leading slot, so
-    # every row keeps a slot until k is found
+    slot, value, step, zero, unslot = _taylor_rule(g, a, top)
+    by_rest: dict[tuple[int, ...], list] = {}
+    for exps, c in g.terms:
+        by_rest.setdefault(exps[:i] + exps[i + 1:], []).append((exps[i], c))
     k = 0
-    while True:
-        lowest = []
-        for rest, row in rows.items():
-            quotient = list(accumulate(row, step))
-            r = quotient.pop()
-            rows[rest] = quotient
-            if r != zero:
-                lowest.append((rest, r))
-        if lowest:
-            return k, MPoly(others, tuple(sorted((rest, unslot(r, k)) for rest, r in lowest)))
-        k += 1
+    lowest = [(rest, r) for rest, terms in by_rest.items() if (r := value(terms)) != zero]
+    if not lowest:
+        rows = {}
+        for rest, terms in by_rest.items():
+            d = max(e for e, _ in terms)
+            row = rows[rest] = [zero] * (d + 1)
+            for e, c in terms:
+                row[d - e] = slot(e, c)
+        # a row of degree d has a nonzero d-th remainder, its leading slot,
+        # so every row keeps a slot until k is found; the first pass only
+        # repeats the zero values, for the quotients
+        k = -1
+        while not lowest:
+            k += 1
+            for rest, row in rows.items():
+                quotient = list(accumulate(row, step))
+                r = quotient.pop()
+                rows[rest] = quotient
+                if r != zero:
+                    lowest.append((rest, r))
+    return k, MPoly(others, tuple(sorted((rest, unslot(r, k)) for rest, r in lowest)))
 
 
-def _taylor_rows(g: MPoly, i: int, a: FieldElement, top: int):
-    """The rows of _lowest_taylor_coeff, with the slot rule of the field of
-    a: (rows, step, zero, unslot).  rows maps the exponents of g without the
-    one at index i to a row, the slots of its coefficients from the highest
-    power of that variable down to the power 0.  step(acc, slot) is one
-    Horner step, acc * a + slot; zero is the zero slot, and unslot(r, k) the
+def _taylor_rule(g: MPoly, a: FieldElement, top: int):
+    """The slot rule of _lowest_taylor_coeff for the field of a, as
+    (slot, value, step, zero, unslot).  slot(e, c) is the slot of the term
+    c * var^e; value(terms) is the slot of the value at a of the row of the
+    (e, c) terms, from powers of a shared by all rows; step(acc, s) is one
+    Horner step, acc * a + s; zero is the zero slot, and unslot(r, k) the
     field element of the k-th remainder r.
 
     Over F_p a slot is the int of an element, reduced mod p at each step.
@@ -348,16 +366,35 @@ def _taylor_rows(g: MPoly, i: int, a: FieldElement, top: int):
     coordinate tuple of an element, and the step multiplies it by the
     matrix of multiplication by a."""
     field = a.field
+    powers: dict[int, object] = {}  # the shared weight of each exponent
     if type(field) is RationalField:
         n, m = a.data.numerator, a.data.denominator
         den = lcm(*(c.data.denominator for _, c in g.terms))
         slot = lambda e, c: c.data.numerator * (den // c.data.denominator) * m ** (top - e)
+
+        def value(terms):
+            total = 0
+            for e, c in terms:
+                if (w := powers.get(e)) is None:
+                    w = powers[e] = n ** e * m ** (top - e)
+                total += c.data.numerator * (den // c.data.denominator) * w
+            return total
+
         step = lambda acc, c: acc * n + c
         zero = 0
         unslot = lambda r, k: FieldElement(field, Fraction(r * m ** k, den * m ** top))
     elif field.n == 1:
         p, b = field.p, a.data[0]
         slot = lambda e, c: c.data[0]
+
+        def value(terms):
+            total = 0
+            for e, c in terms:
+                if (w := powers.get(e)) is None:
+                    w = powers[e] = pow(b, e, p)
+                total += c.data[0] * w
+            return total % p
+
         step = lambda acc, c: (acc * b + c) % p
         zero = 0
         unslot = lambda r, k: FieldElement(field, (r,))
@@ -367,19 +404,19 @@ def _taylor_rows(g: MPoly, i: int, a: FieldElement, top: int):
         units = (FieldElement(field, tuple(int(d == j) for d in range(field.n))) for j in range(field.n))
         matrix = list(zip(*((a * u).data for u in units)))
         slot = lambda e, c: c.data
+
+        def value(terms):
+            total = field.zero()
+            for e, c in terms:
+                if (w := powers.get(e)) is None:
+                    w = powers[e] = a ** e
+                total = total + c * w
+            return total.data
+
         step = lambda acc, c: tuple([(sum(map(mul, row, acc)) + x) % p for row, x in zip(matrix, c)])
         zero = (0,) * field.n
         unslot = lambda r, k: FieldElement(field, r)
-    by_rest: dict[tuple[int, ...], list] = {}
-    for exps, c in g.terms:
-        by_rest.setdefault(exps[:i] + exps[i + 1:], []).append((exps[i], c))
-    rows = {}
-    for rest, terms in by_rest.items():
-        d = max(e for e, _ in terms)
-        row = rows[rest] = [zero] * (d + 1)
-        for e, c in terms:
-            row[d - e] = slot(e, c)
-    return rows, step, zero, unslot
+    return slot, value, step, zero, unslot
 
 
 def _sorted_terms(terms: dict) -> tuple:

@@ -10,8 +10,9 @@ terms.
 A product over Q or F_p packs each operand into one integer, one slot per
 monomial, and multiplies the two (Kronecker substitution, von zur Gathen
 and Gerhard, Modern Computer Algebra, section 8.4), where the cost rule
-says it pays; other products loop over the term pairs.  _pack, _unpack and
-_kronecker are the slot kernel that series multiplies F_p((t)) with too.
+_kronecker_pays says it pays; other products loop over the term pairs.
+_pack, _unpack, _kronecker and that rule are the slot kernel that series
+multiplies F_p((t)) with too.
 
 RatFn is a quotient num/den of FieldElement-coefficient polynomials with a
 nonzero denominator.  No gcd machinery: equality is decided by
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import struct
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -40,19 +42,21 @@ __all__ = ["MPoly", "RatFn", "mpoly", "const_poly", "var_poly", "cramer", "det",
 # prod over the variables v of (k*deg_v + 1), checked before any product is
 # formed; beyond it MPoly.__pow__ raises ParamError.  The goldens reach 601
 # ((x1 - 2)^600), the benchmark workloads 561 (a 15-term power in two
-# variables); (1 + t)^2499 at the budget takes 0.02 s over F_1000003 and
-# 0.9 s over Q, its products packed by Kronecker substitution.
+# variables); (1 + t)^2499 at the budget takes 0.015 s over F_1000003 and
+# 0.7 s over Q, its products packed by Kronecker substitution.
 _MAX_POWER_TERMS = 2500
 
-# The cost rule of MPoly products: Kronecker substitution pays when the
-# bytes of the product's window of slots are fewer than _SLOT_COST times the
-# term pairs the pair loop would form.  Both kernels were timed on 778
-# random products over Q, F_3, F_101 and F_(2^61 - 1), in two sweeps: 1 to
-# 3 variables, 2 to 128 terms per operand, from dense to 32 times sparser.
-# 32 keeps the total time within 1 % of always picking the faster kernel,
-# with no loss above 1.6x (16: 6 %, 64: 4 %).  A rule on the slots alone,
-# blind to their width, does no better than 6 %, with losses of 2.6x.
-_SLOT_COST = 32
+# The cost rule of the Kronecker kernel, for series products and MPoly
+# products alike: it pays when the slots of the product window it reads
+# back are fewer than _PAIR_COST times the term pairs the pair loop would
+# form.  Both kernels were timed, with the slots read back by
+# memoryview.cast, on 660 random operand pairs over F_3, F_101 and
+# F_(2^61 - 1): 2 to 128 terms, 1 to 24 slots per term, exact and cut, in
+# two sweeps.  Kronecker won every case with fewer than 0.05 slots per pair
+# and was the faster in the median up to 0.35; the pair loop won in the
+# median above.  0.2 keeps the total time within 9 % of always picking the
+# faster kernel (0.1: 11 %, 0.25: 16 %).
+_PAIR_COST = 0.2
 
 
 @dataclass(frozen=True)
@@ -339,6 +343,20 @@ def _unpack(value: int, size: int, width: int) -> list:
     return [int.from_bytes(raw[i:i + width], "little") for i in range(0, size * width, width)]
 
 
+def _kronecker_pays(xa: list, xb: list, limit) -> bool:
+    """Whether the Kronecker kernel is cheaper than the pair loop on the
+    increasing slot lists xa, xb with the slot bound limit (None when
+    exact)."""
+    base = xa[0] + xb[0]
+    slots = xa[-1] + xb[-1] - base + 1
+    pairs = len(xa) * len(xb)
+    if limit is not None:
+        slots = min(slots, limit - base)
+        if slots < _PAIR_COST * pairs:  # count the pairs below the limit
+            pairs = sum(bisect_left(xb, limit - x) for x in xa)
+    return slots < _PAIR_COST * pairs
+
+
 def _kronecker(xa: list, ka: list, xb: list, kb: list, size: int, bound: int) -> list:
     """The low size coefficients, from X^(xa[0] + xb[0]) up, of the product
     of the polynomials sum k*X^x over the increasing slots xs and int values
@@ -370,7 +388,7 @@ def _kronecker(xa: list, ka: list, xb: list, kb: list, size: int, bound: int) ->
 
 def _mul_packed(a: MPoly, b: MPoly) -> MPoly | None:
     """a * b by Kronecker substitution, or None where it does not apply or
-    the cost rule says it does not pay.
+    _kronecker_pays says it does not pay.
 
     It applies over Q and F_p to two operands of two terms or more; a
     one-term factor only shifts and scales the other.  Variable i has the
@@ -396,6 +414,8 @@ def _mul_packed(a: MPoly, b: MPoly) -> MPoly | None:
         stride *= max(e[i] for e, _ in a.terms) + max(e[i] for e, _ in b.terms) + 1
     strides.reverse()
     xa, xb = ([sum(map(mul, e, strides)) for e, _ in t.terms] for t in (a, b))
+    if not _kronecker_pays(xa, xb, None):
+        return None
     base = xa[0] + xb[0]
     size = xa[-1] + xb[-1] - base + 1
     if type(field) is RationalField:
@@ -406,8 +426,6 @@ def _mul_packed(a: MPoly, b: MPoly) -> MPoly | None:
     else:
         ka, kb = ([c.data[0] for _, c in t.terms] for t in (a, b))
         bound = min(na, nb) * (field.p - 1) ** 2
-    if size * _slot_width(bound) >= _SLOT_COST * na * nb:
-        return None
     sums = enumerate(_kronecker(xa, ka, xb, kb, size, bound), base)
     if type(field) is RationalField:
         den = den_a * den_b

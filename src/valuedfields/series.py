@@ -32,9 +32,10 @@ the terms whose products can fall below the precision.  The term-pair loop
 adds and compares slots, sums the products per slot in a dict (over F_p as
 plain ints, reduced mod p once per slot) and sorts the slots once.  Over F_p
 with slots in Z, Kronecker substitution packs each operand into one Python
-integer, and CPython's Karatsuba multiplies them.  One cost rule picks the
-kernel: Kronecker when the slots of the product window it reads back are
-fewer than _PAIR_COST times the pairs the loop would form.  A one-term
+integer, and CPython's Karatsuba multiplies them.  One cost rule,
+polys._kronecker_pays, picks the kernel: Kronecker when the slots of the
+product window it reads back are fewer than polys._PAIR_COST times the
+pairs the loop would form, as for MPoly products.  A one-term
 factor only shifts and scales the other.  _mul_slots is that product on slot
 lists and raw coefficients: mul_series calls it once, and invert runs every
 rung of its Newton ladder on it and builds one Series at the end.  The slots
@@ -86,7 +87,7 @@ from .fields import (
     GF, FieldDesc, FieldElement, FiniteField, _check_power_bits, _is_prime, _power, embed, frobenius,
 )
 from .groups import GroupDesc, GroupElem, RationalGroup, ZZ_GROUP, QQ_GROUP, p_power_hull
-from .polys import _kronecker, _pack, _slot_width, _unpack, cramer
+from .polys import _kronecker, _kronecker_pays, _pack, _slot_width, _unpack, cramer
 
 __all__ = [
     "Series",
@@ -528,31 +529,6 @@ def _slot_lists(group: GroupDesc, term_lists, prec: GroupElem | None):
     slots = [[e.data.numerator * (m // e.data.denominator) for e, _ in ts] for ts in term_lists]
     limit = None if prec is None else prec.data.numerator * (m // prec.data.denominator)
     return m, slots, limit
-
-
-# The cost rule: the Kronecker kernel pays when the slots of the product
-# window it reads back are fewer than _PAIR_COST times the term pairs the
-# pair loop would form.  Both kernels were timed, with the slots read back
-# by memoryview.cast, on 660 random operand pairs over F_3, F_101 and
-# F_(2^61 - 1): 2 to 128 terms, 1 to 24 slots per term, exact and cut, in
-# two sweeps.  Kronecker won every case with fewer than 0.05 slots per pair
-# and was the faster in the median up to 0.35; the pair loop won in the
-# median above.  0.2 keeps the total time within 9 % of always picking the
-# faster kernel (0.1: 11 %, 0.25: 16 %).
-_PAIR_COST = 0.2
-
-
-def _kronecker_pays(xa: list, xb: list, limit) -> bool:
-    """Whether the Kronecker kernel is cheaper than the pair loop on the
-    cut slot lists xa, xb with the slot bound limit (None when exact)."""
-    base = xa[0] + xb[0]
-    slots = xa[-1] + xb[-1] - base + 1
-    pairs = len(xa) * len(xb)
-    if limit is not None:
-        slots = min(slots, limit - base)
-        if slots < _PAIR_COST * pairs:  # count the pairs below the limit
-            pairs = sum(bisect_left(xb, limit - x) for x in xa)
-    return slots < _PAIR_COST * pairs
 
 
 def _mul_pairs(xa: list, ca: list, xb: list, cb: list, limit, zero):

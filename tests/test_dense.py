@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import pytest
 
-from valuedfields import series
+from valuedfields import polys, series
 from valuedfields.errors import IterationCapError, ValuedFieldError
 from valuedfields.fields import GF, QQ
 from valuedfields.groups import LexGroup, QQ_GROUP, QuadGroup, ZZ_GROUP, one_over_m, p_power_hull
@@ -78,7 +78,7 @@ def _spy_kronecker(monkeypatch):
 
 def _force(mp, kernel):
     """Make the cost rule pick the given kernel wherever Kronecker applies."""
-    mp.setattr(series, "_PAIR_COST", math.inf if kernel == "kronecker" else 0)
+    mp.setattr(polys, "_PAIR_COST", math.inf if kernel == "kronecker" else 0)
 
 
 def _on_each_kernel(monkeypatch, fn):
@@ -355,5 +355,5 @@ def test_cost_rule_picks_each_kernel_on_its_side_of_the_boundary(monkeypatch):
     assert seen == [[0, 1, 2, 3]]
     # with the constant 100 times larger, a sparse operand takes Kronecker
     with monkeypatch.context() as mp:
-        mp.setattr(series, "_PAIR_COST", series._PAIR_COST * 100)
+        mp.setattr(polys, "_PAIR_COST", polys._PAIR_COST * 100)
         assert product(8, 12) == 3

@@ -1,7 +1,8 @@
 """The integer kernels of exact polynomials against the loops they replaced.
 
-places._lowest_taylor_coeff finds the order of vanishing at a point by
-synthetic division on rows of slots, and MPoly.__mul__ multiplies over Q and
+places._lowest_taylor_coeff finds the order of vanishing at a point from
+the value of each row of slots there and, where every row vanishes, by
+synthetic division on the dense rows, and MPoly.__mul__ multiplies over Q and
 F_p by Kronecker substitution.  The references below are the term-by-term
 forms: the sum of c * C(e, k) * a^(e-k) over the terms, and the loop over
 every term pair.  Both sides must give identical polynomials, term for term.
@@ -122,6 +123,20 @@ def test_taylor_kernel_at_fractional_points_over_q():
         assert places._lowest_taylor_coeff(g, "x", a) == _reference_taylor(g, "x", a)
 
 
+def test_sparse_rows_of_high_degree_cost_their_terms():
+    # x^1280 * (y + ... + y^300) + 1 at a nonzero x: 301 rows, 300 of them
+    # one term of degree 1280; the values at the point, from powers shared
+    # by the rows, give k = 0 with no dense row of 1281 slots built
+    for field, a in ((QQ, QQ.elem(Fraction(-7, 3))), (GF(7), GF(7).elem(3)), (GF(3, 2), GF(3, 2).elem([1, 2]))):
+        one = field.one()
+        g = MPoly.make(("x", "y"), {**{(1280, j): one for j in range(1, 301)}, (0, 0): one})
+        start = time.perf_counter()
+        got = places._lowest_taylor_coeff(g, "x", a)
+        assert time.perf_counter() - start < 0.05
+        assert got == _reference_taylor(g, "x", a)
+        assert got[0] == 0 and len(got[1].terms) == 301
+
+
 def test_taylor_degree_budget_fails_before_any_row():
     g = MPoly.make(("x",), {(10**12,): QQ.one(), (0,): QQ.one()})
     start = time.perf_counter()
@@ -155,7 +170,7 @@ def test_product_kernel_matches_the_pair_loop(field, monkeypatch):
         assert a * b == _reference_product(a, b), (a, b)
     # Kronecker wherever it applies, on all but the sparse operands, whose
     # windows of 10^9 slots and more only the cost rule keeps from being built
-    monkeypatch.setattr(polys, "_SLOT_COST", math.inf)
+    monkeypatch.setattr(polys, "_PAIR_COST", math.inf)
     for a, b in cases:
         if max((max(e) for e, _ in a.terms + b.terms), default=0) < 100:
             assert a * b == _reference_product(a, b), (a, b)
