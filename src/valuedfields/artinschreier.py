@@ -44,7 +44,6 @@ from .series import (
     Series,
     ValuationKind,
     frobenius_series,
-    make_series,
     residue,
     series_to_json,
     sub_series,
@@ -257,13 +256,14 @@ def _ramified(c: Series) -> Ramified:
 
 
 def poly_to_series(q: MPoly, group: GroupDesc) -> Series:
-    """View a univariate polynomial as the series sum of its monomials."""
+    """View a univariate polynomial as the exact series sum of its
+    monomials.  q's terms are merged, nonzero and in increasing order, so
+    they become the series' terms as they stand."""
     if len(q.vars) != 1:
         raise UnsupportedError("only univariate polynomials convert to series")
     if not q.terms:
         raise UnsupportedError("zero polynomial has no coefficient field")
-    field = q.terms[0][1].field
-    return make_series(field, group, [(e[0], c) for e, c in q.terms])
+    return Series(q.terms[0][1].field, group, tuple((group.elem(e), c) for (e,), c in q.terms), None)
 
 
 def translate(c: Series, b: Series) -> Series:

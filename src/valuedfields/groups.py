@@ -115,6 +115,8 @@ class RationalGroup(GroupDesc):
         return self.law == "one_over_m" and self.m == 1
 
     def elem(self, data) -> "GroupElem":
+        if type(data) is int and self.int_data:
+            return GroupElem(self, data)
         if type(data) not in (int, Fraction):  # not a bool, a float, a str or a Decimal
             raise GroupLawError(f"{type(data).__name__} {data!r} is not an exact element of {self}")
         q = Fraction(data)

@@ -69,10 +69,14 @@ class MPoly:
         vars = tuple(vars)
         merged: dict[tuple[int, ...], object] = {}
         for exps, coef in (term_map.items() if isinstance(term_map, dict) else term_map):
-            exps = tuple(int(e) for e in exps)
+            given = tuple(exps)
+            exps = tuple(map(int, given))
+            if exps != given:  # int() truncates 1/2 and 1.5; 2.0 and True are integral
+                e = next(e for e, i in zip(given, exps) if e != i)
+                raise UnsupportedError(f"exponent {e} is not an integer")
             if len(exps) != len(vars):
                 raise UnsupportedError(f"exponent tuple {exps} does not match vars {vars}")
-            if any(e < 0 for e in exps):
+            if exps and min(exps) < 0:
                 raise UnsupportedError("negative exponents belong in RatFn or Series")
             if exps in merged:
                 merged[exps] = merged[exps] + coef
@@ -335,11 +339,15 @@ def _pack(xs: list, ks: list, low: int, size: int, width: int) -> int:
 
 def _unpack(value: int, size: int, width: int) -> list:
     """The values of the low size slots of width bytes of value >= 0, low
-    slot first: the inverse of _pack."""
+    slot first: the inverse of _pack.  A 16-byte slot, as products over a
+    prime near 2^61 have, is read as a pair of cast 8-byte words."""
     raw = memoryview(value.to_bytes(max(size * width, (value.bit_length() + 7) // 8), "little"))
     fmt = _CAST.get(width)
     if fmt:
         return raw[:size * width].cast(fmt).tolist()
+    if width == 16 and _CAST:
+        words = raw[:size * 16].cast(_CAST[8]).tolist()
+        return [lo | hi << 64 for lo, hi in zip(words[::2], words[1::2])]
     return [int.from_bytes(raw[i:i + width], "little") for i in range(0, size * width, width)]
 
 

@@ -14,8 +14,9 @@ Every Series checks its invariants once, on construction: exponents in its
 group and strictly increasing, nonzero coefficients in its field, each term
 below a precision that lies in its group.  The exponents compare by their
 data wherever the group orders its data natively (all but Q + Q*sqrt2).  A
-sum is one merge of the two sorted term lists, each cut below the precision
-of the sum by bisection; make_series, which sorts, is for unsorted input.
+sum or difference is one merge of the two sorted term lists, each cut below
+the precision of the result by bisection; make_series, which sorts, is for
+unsorted input.
 
 _newton is the one certified Newton iteration every lift goes through:
 unit_nth_root here, and hensel_lift and implicit_solve in the hensel
@@ -37,10 +38,11 @@ polys._kronecker_pays, picks the kernel: Kronecker when the slots of the
 product window it reads back are fewer than polys._PAIR_COST times the
 pairs the loop would form, as for MPoly products.  A one-term
 factor only shifts and scales the other.  _mul_slots is that product on slot
-lists and raw coefficients: mul_series calls it once, and invert runs every
-rung of its Newton ladder on it and builds one Series at the end.  The slots
-live only inside mul_series, invert and _horner_packed; a Series has one
-representation.
+lists and raw coefficients: mul_series calls it once, invert runs every
+rung of its Newton ladder on it and builds one Series at the end, and
+_newton's correction a - x*y takes the product's slots from a's and builds
+one Series.  The slots live only inside these and _horner_packed; a Series
+has one representation.
 
 polys._pack and polys._unpack are the one pair of routines that put
 coefficients into the fixed-width slots of one integer and read them back,
@@ -367,9 +369,23 @@ def add_series(a: Series, b: Series) -> Series:
     """a + b by one merge of the two increasing term lists, each first cut
     below the precision of the sum; equal exponents add their coefficients,
     and a sum that vanishes drops out."""
+    return _merge(a, b, False)
+
+
+def sub_series(a: Series, b: Series) -> Series:
+    """a - b by the merge of add_series on b's coefficients negated: no
+    negated Series is built."""
+    return _merge(a, b, True)
+
+
+def _merge(a: Series, b: Series, minus: bool) -> Series:
+    """The one merge behind add_series and sub_series: a + b, or a - b when
+    minus is set."""
     _check_same_ring(a, b)
     prec = _prec_min(a.precision, b.precision)
     ta, tb = _below(a.terms, prec), _below(b.terms, prec)
+    if minus:
+        tb = [(e, -c) for e, c in tb]
     native = a.group.native_order
     out = []
     i = j = 0
@@ -393,10 +409,6 @@ def add_series(a: Series, b: Series) -> Series:
     out.extend(ta[i:])
     out.extend(tb[j:])
     return Series(a.field, a.group, tuple(out), prec)
-
-
-def sub_series(a: Series, b: Series) -> Series:
-    return add_series(a, -b)
 
 
 def mul_series(a: Series, b: Series) -> Series:
@@ -447,16 +459,51 @@ def _mul_slots(xa: list, ca: list, xb: list, cb: list, limit, m, p: int, zero) -
         na, nb = bisect_left(xa, limit - xb[0]), bisect_left(xb, limit - xa[0])
         xa, xb, ca, cb = xa[:na], xb[:nb], ca[:na], cb[:nb]
     if p and m and _kronecker_pays(xa, xb, limit):
-        return [(x, k) for x, s in _mul_kronecker(xa, ca, xb, cb, limit, p) if (k := s % p)]
-    sums = _mul_pairs(xa, ca, xb, cb, limit, zero)
+        return _nonzero(_mul_kronecker(xa, ca, xb, cb, limit, p), p, zero)
+    return _sorted_slots(_nonzero(_mul_pairs(xa, ca, xb, cb, limit, zero), p, zero), m)
+
+
+def _nonzero(sums, p: int, zero) -> list:
+    """The (slot, raw coefficient) pairs of sums whose coefficient is not
+    zero, reduced mod p over F_p (p as _raw_coeffs gives it, with zero)."""
     if p:
-        items = [(x, k) for x, s in sums if (k := s % p)]
-    elif type(zero) is FieldElement:
-        items = [(x, c) for x, c in sums if not c.is_zero()]
-    else:
-        items = [(x, c) for x, c in sums if c]
-    items.sort(key=itemgetter(0) if m or not xa[0].group.native_order else _exp_data)
+        return [(x, k) for x, s in sums if (k := s % p)]
+    if type(zero) is FieldElement:
+        return [(x, c) for x, c in sums if not c.is_zero()]
+    return [(x, c) for x, c in sums if c]
+
+
+def _sorted_slots(items: list, m) -> list:
+    """(slot, coefficient) items sorted by slot: integer slots (m set) and
+    quad exponents by themselves, lex exponents by their data."""
+    lex = items and not m and items[0][0].group.native_order
+    items.sort(key=_exp_data if lex else itemgetter(0))
     return items
+
+
+def _sub_product(a: Series, x: Series, y: Series, cut: GroupElem, keep: GroupElem) -> Series:
+    """truncate(sub_series(a, mul_series(x, y)), cut), the correction of
+    _newton, built as one Series whose precision is keep where it would be
+    the cut.  The three operands map to slots and raw coefficients once,
+    _mul_slots forms x*y below the precision of the result, and each of its
+    coefficients is taken from a's at its slot."""
+    _check_same_ring(a, x)
+    _check_same_ring(x, y)
+    prec = _prec_min(a.precision, cut)
+    lx, ly = _low_bound(x), _low_bound(y)
+    if lx is not None and ly is not None:  # else x*y is the exact zero
+        for known, low in ((x.precision, ly), (y.precision, lx)):
+            if known is not None:
+                prec = _prec_min(prec, known + low)
+    field, group, ta = a.field, a.group, _below(a.terms, prec)
+    m, (sa, sx, sy), limit = _slot_lists(group, (ta, x.terms, y.terms), prec)
+    p, zero, (ca, cx, cy) = _raw_coeffs(field, (ta, x.terms, y.terms))
+    acc = dict(zip(sa, ca))
+    if sx and sy and sx[0] + sy[0] < limit:
+        for s, k in _mul_slots(sx, cx, sy, cy, limit, m, p, zero):
+            acc[s] = acc.get(s, zero) - k
+    items = _sorted_slots(_nonzero(acc.items(), p, zero), m)
+    return _from_slots(field, group, m, items, keep if prec == cut else prec)
 
 
 def _raw_coeffs(field: FieldDesc, term_lists):
@@ -842,7 +889,9 @@ def _newton(residuals, jacobian, start, target: GroupElem):
     after residual valuation w the correction is computed modulo t^(cut),
     cut = min(target, 4w), with J(a) and 1/det modulo t^(cut - w), and the
     next residual modulo t^(min(target, 8w)), or further when it is zero to,
-    or too close to, that precision.  A valuation that reaches the cut may
+    or too close to, that precision.  Each corrected entry a_i - x_i/det is
+    one slot pass that builds one Series (_sub_product), read to the target
+    where it is known to the cut.  A valuation that reaches the cut may
     be an artifact of it, so the pass corrects a again at the target.  A
     residual, det J(a) or correction known to less than it was computed to
     (inputs known to less than the target, coefficients of negative
@@ -894,12 +943,9 @@ def _newton(residuals, jacobian, start, target: GroupElem):
             )
             if full or d.precision is None or not d.precision < jet:
                 inv_d = invert(d, jet)
-                nxt = tuple(
-                    truncate(sub_series(ai, mul_series(x, inv_d)), cut) for ai, x in zip(a, adj_res)
-                )
-                if full or all(x.precision == cut for x in nxt):
-                    if cut < target:  # an approximant cut by the ladder alone is read to the target
-                        nxt = tuple(Series(x.field, x.group, x.terms, target) for x in nxt)
+                # an approximant cut by the ladder alone is read to the target
+                nxt = tuple(_sub_product(ai, x, inv_d, cut, target) for ai, x in zip(a, adj_res))
+                if full or all(x.precision == target for x in nxt):
                     return nxt, cut
             full, cut = True, target
             res, _ = read(a, target, target)

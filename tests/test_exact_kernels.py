@@ -197,6 +197,22 @@ def test_product_kernel_reads_signed_slots_back():
             assert a * b == _reference_product(a, b) == want
 
 
+def test_wide_slots_read_back_as_the_slice_reader_reads_them():
+    # 16-byte slots are read as pairs of 8-byte words, the rest slice by slice
+    rng = random.Random(9)
+    for width in range(9, 33):
+        size = rng.randint(1, 40)
+        xs = sorted(rng.sample(range(size), rng.randint(1, size)))
+        ks = [rng.choice((1, (1 << 8 * width) - 1, rng.getrandbits(8 * width))) for _ in xs]
+        value = polys._pack(xs, ks, 0, size, width)
+        raw = value.to_bytes(size * width, "little")
+        sliced = [int.from_bytes(raw[i:i + width], "little") for i in range(0, size * width, width)]
+        want = [0] * size
+        for x, k in zip(xs, ks):
+            want[x] = k
+        assert polys._unpack(value, size, width) == sliced == want
+
+
 def test_dense_products_take_kronecker_and_tiny_ones_the_pair_loop(monkeypatch):
     seen = []
     kronecker = polys._kronecker

@@ -183,17 +183,29 @@ def test_dense_lifts_match_the_plain_horner(monkeypatch):
     assert lifted >= 45
 
 
-def test_dense_lift_evaluates_without_products(monkeypatch):
+def _dense_cubic():
     rng = random.Random(16)
     field = GF(3)
-    f = SeriesPoly((_dense(rng, field, 1, 32), make_series(field, ZZ_GROUP, [(0, 1)]),
-                    _dense(rng, field, 0, 32), _dense(rng, field, 0, 32)))
+    return SeriesPoly((_dense(rng, field, 1, 32), make_series(field, ZZ_GROUP, [(0, 1)]),
+                       _dense(rng, field, 0, 32), _dense(rng, field, 0, 32)))
+
+
+def test_dense_lift_evaluates_without_products(monkeypatch):
+    # products are formed by mul_series and, in invert and Newton's
+    # correction, by series._mul_slots directly: spy on both
+    f = _dense_cubic()
     products, evals = [], []
     evaluating = []
 
     def counting(a, b):
         products.append(bool(evaluating))
         return mul_series(a, b)
+
+    mul_slots = series._mul_slots
+
+    def counting_slots(*args):
+        products.append(bool(evaluating))
+        return mul_slots(*args)
 
     plain_eval = SeriesPoly.eval
 
@@ -207,8 +219,26 @@ def test_dense_lift_evaluates_without_products(monkeypatch):
 
     monkeypatch.setattr(series, "mul_series", counting)
     monkeypatch.setattr(hensel, "mul_series", counting)
+    monkeypatch.setattr(series, "_mul_slots", counting_slots)
     monkeypatch.setattr(SeriesPoly, "eval", spy_eval)
     out = hensel_lift(f, None, 32)
     assert [str(v) for v in out.steps] == ["1", "2", "4", "8", "16"]
     assert len(evals) > 10 and None not in evals
     assert products and not any(products)
+
+
+def test_dense_lift_builds_each_series_once(monkeypatch):
+    # a correction is one Series, not a product, its negation, a sum and a
+    # re-wrap at the target: this lift built 50 before
+    f = _dense_cubic()
+    built = []
+    check = series.Series.__post_init__
+
+    def counting(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(series.Series, "__post_init__", counting)
+    out = hensel_lift(f, None, 32)
+    assert [str(v) for v in out.steps] == ["1", "2", "4", "8", "16"]
+    assert len(built) == 37

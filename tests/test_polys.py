@@ -273,3 +273,17 @@ def test_power_term_budget():
     assert time.perf_counter() - start < 1
     # a monomial raises in one step, whatever its exponent
     assert (x * y) ** 10 ** 6 == mpoly(("x", "y"), {(10 ** 6, 10 ** 6): F.one()})
+
+
+def test_exponents_must_be_integral():
+    c = QQ.elem(3)
+    # int() would truncate these: 1/2 to the constant c, 1.5 to x^1
+    for e in (Fraction(1, 2), 1.5):
+        with pytest.raises(UnsupportedError, match=f"exponent {e} is not an integer"):
+            mpoly(("x",), {(e,): c})
+        with pytest.raises(UnsupportedError, match=f"exponent {e} is not an integer"):
+            mpoly(("x", "y"), {(2, e): c})
+    # integral values of any kind convert as before
+    for e, want in ((2.0, 2), (True, 1), (Fraction(4, 2), 2), (0, 0)):
+        assert mpoly(("x",), {(e,): c}).terms == (((want,), c),)
+    assert mpoly(("x", "y"), [([1, 2], c)]).terms == (((1, 2), c),)

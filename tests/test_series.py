@@ -10,13 +10,17 @@ from valuedfields.errors import (
     ParamError,
     PrecisionError,
 )
+from valuedfields import series
+from valuedfields.artinschreier import poly_to_series
 from valuedfields.fields import GF, QQ
 from valuedfields.groups import QQ_GROUP, ZZ_GROUP, LexGroup, QuadGroup, one_over_m, p_power_hull
+from valuedfields.polys import MPoly
 from valuedfields.series import (
     POLE,
     Series,
     ValuationKind,
     _prec_min,
+    _sub_product,
     add_series,
     bad_residue,
     bad_value_group,
@@ -445,7 +449,7 @@ def _exponent_pool(rng, group):
         return [group.elem((Fraction(rng.randint(-6, 6), rng.randint(1, 3)), rng.randint(-3, 3))) for _ in range(12)]
     if group is ZZ_GROUP:
         return [group.elem(rng.randint(-6, 12)) for _ in range(12)]
-    den = {"one_over_m": lambda: 6, "p_power": lambda: 2 ** rng.randint(0, 4)}.get(group.law, lambda: rng.randint(1, 5))
+    den = {"one_over_m": lambda: group.m, "p_power": lambda: 2 ** rng.randint(0, 4)}.get(group.law, lambda: rng.randint(1, 5))
     return [group.elem(Fraction(rng.randint(-20, 40), den())) for _ in range(12)]
 
 
@@ -501,6 +505,65 @@ def test_add_series_takes_the_precision_of_either_operand():
     assert add_series(quad, cut) == add_series(cut, quad) == make_series(
         F, _QUAD, [((0, 0), 1), ((1, 0), 4)], (0, 1)
     )
+
+
+# ---------------------------------------------------------------------------
+# the series built once against the series they replaced: sub_series against
+# add_series(a, -b), Newton's correction _sub_product against
+# truncate(sub_series(a, mul_series(x, y)), cut), and poly_to_series against
+# make_series of the same terms
+
+_ONCE_GROUPS = [ZZ_GROUP, one_over_m(2), QQ_GROUP, _LEX2, _QUAD]
+_ONCE_FIELDS = [QQ, GF(5), GF(3, 2)]
+
+
+def _shaped_operand(rng, field, group, pool):
+    """An exact, truncated, zero or one-term operand; over a subgroup of Q
+    now and then a dense run of terms, which the Kronecker kernel takes."""
+    shape = rng.choice(("exact", "truncated", "zero", "one-term", "dense", "dense"))
+    prec = None if shape == "exact" or rng.random() < 0.4 else rng.choice(pool)
+    if shape == "zero":
+        return zero_series(field, group, prec)
+    if shape == "dense" and group in _ONCE_GROUPS[:3]:
+        den, low = 1 if group is ZZ_GROUP else rng.choice((1, 2)), rng.randint(-4, 4)
+        return make_series(field, group, [(Fraction(low + i, den), _coefficient(rng, field))
+                                          for i in range(rng.randint(20, 40))], prec)
+    count = 1 if shape == "one-term" else rng.randint(2, 8)
+    return make_series(field, group, [(rng.choice(pool), _coefficient(rng, field)) for _ in range(count)], prec)
+
+
+def _outcome(compute):
+    try:
+        return compute()
+    except Exception as exc:  # both sides must refuse alike
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("group", _ONCE_GROUPS, ids=str)
+@pytest.mark.parametrize("field", _ONCE_FIELDS, ids=str)
+def test_series_built_once_match_the_series_they_replaced(field, group, monkeypatch):
+    rng = random.Random(f"once/{field}/{group}")
+    pool = _exponent_pool(rng, group)
+    kronecker = []
+    mul_kronecker = series._mul_kronecker
+    monkeypatch.setattr(series, "_mul_kronecker", lambda *args: kronecker.append(1) or mul_kronecker(*args))
+    for _ in range(30):
+        a, x, y = (_shaped_operand(rng, field, group, pool) for _ in range(3))
+        assert sub_series(a, x) == add_series(a, -x)
+        assert sub_series(x, x) == zero_series(field, group, x.precision)
+        cut = rng.choice(pool)
+        keep = max(cut, rng.choice(pool))
+        want = truncate(sub_series(a, mul_series(x, y)), cut)
+        assert _sub_product(a, x, y, cut, cut) == want
+        read_to = keep if want.precision == cut else want.precision
+        assert _sub_product(a, x, y, cut, keep) == Series(field, group, want.terms, read_to)
+        terms = {(rng.randint(0, 30),): _coefficient(rng, field) for _ in range(rng.randint(1, 12))}
+        terms.setdefault((rng.randint(0, 30),), field.zero())  # dropped on both sides
+        q = MPoly.make(("t",), terms)
+        assert _outcome(lambda: poly_to_series(q, group)) == _outcome(
+            lambda: make_series(field, group, [(e, c) for (e,), c in q.terms]))
+    if field == GF(5) and group in _ONCE_GROUPS[:3]:
+        assert kronecker
 
 
 # ---------------------------------------------------------------------------
