@@ -7,12 +7,14 @@ is_exact_zero() works, which covers both FieldElement and Series.  Exactly
 zero coefficients are dropped on construction, so the zero polynomial has no
 terms.
 
-A product over Q or F_p packs each operand into one integer, one slot per
-monomial, and multiplies the two (Kronecker substitution, von zur Gathen
-and Gerhard, Modern Computer Algebra, section 8.4), where the cost rule
-_kronecker_pays says it pays; other products loop over the term pairs.
-_pack, _unpack, _kronecker and that rule are the slot kernel that series
-multiplies F_p((t)) with too.
+MPoly and Series share one slot product, _mul_slots.  A product in several
+variables is a product in one after Kronecker's substitution of exponents
+(von zur Gathen and Gerhard, Modern Computer Algebra, section 8.4):
+MPoly.__mul__ maps each exponent tuple to one integer slot, series maps
+each exponent to one, and _mul_slots multiplies the slot lists.  Over Q
+and F_p it packs each operand into one integer, one slot per monomial, and
+multiplies the two where the cost rule _kronecker_pays says it pays; other
+products, and coefficients of any other ring, loop over the term pairs.
 
 RatFn is a quotient num/den of FieldElement-coefficient polynomials with a
 nonzero denominator.  No gcd machinery: equality is decided by
@@ -30,10 +32,10 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import mul
+from operator import itemgetter, mul
 
 from .errors import ParamError, PoleError, UnsupportedError
-from .fields import FieldDesc, FieldElement, FiniteField, RationalField, _power
+from .fields import FieldDesc, FieldElement, FiniteField, _power
 
 __all__ = ["MPoly", "RatFn", "mpoly", "const_poly", "var_poly", "cramer", "det", "adjugate"]
 
@@ -61,6 +63,10 @@ _PAIR_COST = 0.2
 
 @dataclass(frozen=True)
 class MPoly:
+    """A polynomial as its increasing (exponent tuple, coefficient) terms.
+    Its product is the one slot product of Series too (_mul_slots), with
+    Kronecker substitution over Q and F_p."""
+
     vars: tuple[str, ...]
     terms: tuple[tuple[tuple[int, ...], object], ...]
 
@@ -114,16 +120,25 @@ class MPoly:
 
     def __mul__(self, other: "MPoly") -> "MPoly":
         self._check(other)
-        product = _mul_packed(self, other)
-        if product is not None:
-            return product
-        acc: dict[tuple[int, ...], object] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = tuple(a + b for a, b in zip(e1, e2))
-                prod = c1 * c2
-                acc[e] = acc[e] + prod if e in acc else prod
-        return MPoly.make(self.vars, acc)
+        if not (self.terms and other.terms):
+            return MPoly(self.vars, ())
+        # variable i has the stride prod over j > i of (deg_j self + deg_j
+        # other + 1), so the slot sum(e_i * stride_i) of an exponent tuple e
+        # orders as e does, and the slots of a product add
+        strides, stride = [], 1
+        for i in reversed(range(len(self.vars))):
+            strides.append(stride)
+            stride *= max(e[i] for e, _ in self.terms) + max(e[i] for e, _ in other.terms) + 1
+        strides.reverse()
+        xa, xb = ([sum(map(mul, e, strides)) for e, _ in t.terms] for t in (self, other))
+        ca, cb = self.terms[0][1], other.terms[0][1]
+        # Series coefficients, or elements of two fields (c1 * c2 reports the
+        # mismatch), take the generic path
+        same = type(ca) is FieldElement and type(cb) is FieldElement and ca.field == cb.field
+        field = ca.field if same else None
+        p, zero, (ka, kb) = _raw_coeffs(field, (self.terms, other.terms))
+        items = _elements(field, _mul_slots(xa, ka, xb, kb, None, 1, p, zero))
+        return MPoly(self.vars, tuple((_digits(x, strides), c) for x, c in items))
 
     def __pow__(self, k: int) -> "MPoly":
         if k < 0:
@@ -394,54 +409,117 @@ def _kronecker(xa: list, ka: list, xb: list, kb: list, size: int, bound: int) ->
     return [s - half for s in _unpack(value, size, width)]
 
 
-def _mul_packed(a: MPoly, b: MPoly) -> MPoly | None:
-    """a * b by Kronecker substitution, or None where it does not apply or
-    _kronecker_pays says it does not pay.
+# ---------------------------------------------------------------------------
+# the one slot product, of MPoly and Series
 
-    It applies over Q and F_p to two operands of two terms or more; a
-    one-term factor only shifts and scales the other.  Variable i has the
-    stride prod over j > i of (deg_j a + deg_j b + 1), so the slot
-    sum(e_i * stride_i) of an exponent tuple e orders as e does, and the
-    slots of a product add.  Over Q each operand is scaled to integers by
-    the least common denominator of its coefficients, and the product
-    divided by both; over F_p the slot sums are reduced mod p once."""
-    na, nb = len(a.terms), len(b.terms)
-    if na < 2 or nb < 2:
-        return None
-    ca, cb = a.terms[0][1], b.terms[0][1]
-    # Series coefficients, F_{p^n} and a field mismatch (which the pair loop
-    # reports) stay on the pair loop
-    if type(ca) is not FieldElement or type(cb) is not FieldElement or cb.field != ca.field:
-        return None
-    field = ca.field
-    if type(field) is FiniteField and field.n > 1:
-        return None
-    strides, stride = [], 1
-    for i in reversed(range(len(a.vars))):
-        strides.append(stride)
-        stride *= max(e[i] for e, _ in a.terms) + max(e[i] for e, _ in b.terms) + 1
-    strides.reverse()
-    xa, xb = ([sum(map(mul, e, strides)) for e, _ in t.terms] for t in (a, b))
-    if not _kronecker_pays(xa, xb, None):
-        return None
+
+def _mul_slots(xa: list, ca: list, xb: list, cb: list, limit, m, p: int, zero) -> list:
+    """The product of MPoly.__mul__ and of series' mul_series, invert and
+    Newton correction: the increasing slots xa and xb (integers, or lex and
+    quad exponents where m is None) with raw coefficients ca and cb (as
+    _raw_coeffs gives them, with p and zero), multiplied below the slot
+    limit (None: all of it), as increasing (slot, raw coefficient) pairs
+    with the zeros dropped.  Each operand is cut to the terms whose
+    products can fall below limit, the cost rule picks Kronecker (over Q
+    and F_p with integer slots) or the term-pair loop, and each slot's sum
+    is reduced mod p once."""
+    if limit is not None:
+        # a term matters only if its product with the other's first is below;
+        # each first term is, as every term lies below its series' precision
+        na, nb = bisect_left(xa, limit - xb[0]), bisect_left(xb, limit - xa[0])
+        xa, xb, ca, cb = xa[:na], xb[:nb], ca[:na], cb[:nb]
+    # zero is the int 0 where the raw coefficients are numbers: over Q and F_p
+    if m and type(zero) is int and _kronecker_pays(xa, xb, limit):
+        return _nonzero(_mul_kronecker(xa, ca, xb, cb, limit, p), p, zero)
+    return _sorted_slots(_nonzero(_mul_pairs(xa, ca, xb, cb, limit, zero), p, zero), m)
+
+
+def _mul_pairs(xa: list, ca: list, xb: list, cb: list, limit, zero):
+    """The one term-pair loop: every product of a slot of xa and one of xb
+    below limit (None: all of them), summed per slot, as (slot, sum) pairs
+    in no particular order.  Rows shrink as xa grows, so each row is cut by
+    bisection."""
+    acc = {}
+    get = acc.get
+    tb = list(zip(xb, cb))
+    row = tb
+    for x1, c1 in zip(xa, ca):
+        if limit is not None:
+            row = tb[:bisect_left(xb, limit - x1, 0, len(row))]
+        for x2, c2 in row:
+            x = x1 + x2
+            acc[x] = get(x, zero) + c1 * c2
+    return acc.items()
+
+
+def _mul_kronecker(xa: list, ca: list, xb: list, cb: list, limit, p: int) -> list:
+    """The product over F_p (p the prime) or Q (p 0) by Kronecker
+    substitution (_kronecker).  The slots below limit come back as sorted
+    (slot, sum) pairs.  Over F_p a slot holds the sum of at most
+    min(len xa, len xb) products below p^2, not yet reduced mod p.  Over Q
+    each operand is scaled to integers by the least common denominator of
+    its coefficients, and each slot sum divided by both."""
     base = xa[0] + xb[0]
     size = xa[-1] + xb[-1] - base + 1
-    if type(field) is RationalField:
-        den_a, den_b = (lcm(*(c.data.denominator for _, c in t.terms)) for t in (a, b))
-        ka = [c.data.numerator * (den_a // c.data.denominator) for _, c in a.terms]
-        kb = [c.data.numerator * (den_b // c.data.denominator) for _, c in b.terms]
-        bound = min(na, nb) * max(map(abs, ka)) * max(map(abs, kb))
-    else:
-        ka, kb = ([c.data[0] for _, c in t.terms] for t in (a, b))
-        bound = min(na, nb) * (field.p - 1) ** 2
-    sums = enumerate(_kronecker(xa, ka, xb, kb, size, bound), base)
-    if type(field) is RationalField:
-        den = den_a * den_b
-        coeffs = [(x, FieldElement(field, Fraction(s, den))) for x, s in sums if s]
-    else:
-        p = field.p
-        coeffs = [(x, FieldElement(field, (k,))) for x, s in sums if (k := s % p)]
-    return MPoly(a.vars, tuple((_digits(x, strides), c) for x, c in coeffs))
+    if limit is not None:
+        size = min(size, limit - base)
+    slots, pairs = range(base, base + size), min(len(xa), len(xb))
+    if p:
+        return list(zip(slots, _kronecker(xa, ca, xb, cb, size, pairs * (p - 1) ** 2)))
+    den_a, den_b = lcm(*(c.denominator for c in ca)), lcm(*(c.denominator for c in cb))
+    ka = [c.numerator * (den_a // c.denominator) for c in ca]
+    kb = [c.numerator * (den_b // c.denominator) for c in cb]
+    bound = pairs * max(map(abs, ka)) * max(map(abs, kb))
+    den = den_a * den_b
+    return [(x, Fraction(s, den)) for x, s in zip(slots, _kronecker(xa, ka, xb, kb, size, bound))]
+
+
+def _nonzero(sums, p: int, zero) -> list:
+    """The (slot, raw coefficient) pairs of sums whose coefficient is not
+    zero, reduced mod p over F_p (p and zero as _raw_coeffs gives them).
+    A series coefficient is dropped only when it is exactly zero."""
+    if p:
+        return [(x, k) for x, s in sums if (k := s % p)]
+    if type(zero) is int:
+        return [(x, c) for x, c in sums if c]
+    return [(x, c) for x, c in sums if not c.is_exact_zero()]
+
+
+def _sorted_slots(items: list, m) -> list:
+    """(slot, coefficient) items sorted by slot: integer slots (m set) and
+    quad exponents by themselves, lex exponents by their data."""
+    lex = items and not m and items[0][0].group.native_order
+    items.sort(key=_exp_data if lex else itemgetter(0))
+    return items
+
+
+def _exp_data(term):
+    return term[0].data
+
+
+def _raw_coeffs(field, term_lists):
+    """(p, zero, the raw coefficients of each term list): ints mod p over
+    F_p, with p the prime; otherwise p is 0 and they are Fraction data over
+    Q, elements over F_{p^n} and, for field None (series, or elements of two
+    fields), the coefficients as they are.  zero starts a sum: 0, or an
+    exact zero of the ring (for None the first coefficient times 0)."""
+    if field is None:
+        return 0, term_lists[0][0][1].times_int(0), [[c for _, c in ts] for ts in term_lists]
+    if type(field) is not FiniteField:
+        return 0, 0, [[c.data for _, c in ts] for ts in term_lists]
+    if field.n == 1:
+        return field.p, 0, [[c.data[0] for _, c in ts] for ts in term_lists]
+    return 0, field.zero(), [[c for _, c in ts] for ts in term_lists]
+
+
+def _elements(field, items: list) -> list:
+    """The (slot, coefficient) pairs of the (slot, raw coefficient) items,
+    raw as _raw_coeffs holds them over field: its inverse."""
+    if field is None or type(field) is FiniteField and field.n > 1:
+        return items
+    if type(field) is FiniteField:
+        return [(x, FieldElement(field, (k,))) for x, k in items]
+    return [(x, FieldElement(field, c)) for x, c in items]
 
 
 def _digits(x: int, strides: list) -> tuple[int, ...]:

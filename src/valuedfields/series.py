@@ -25,33 +25,32 @@ only as far as the next one can certify, and inversion is a Newton
 iteration of its own; mul_series never forms a product beyond its precision.
 A lift to precision N so costs about N^2 coefficient products, not N^3.
 
-mul_series scales exponents to slots once and has two kernels.  Over a
+mul_series scales exponents to slots once and multiplies them by
+polys._mul_slots, the one slot product, which MPoly products share.  Over a
 subgroup of Q the slot of an exponent e is the integer m*e, with m the lcm
 of the denominators of both operands and of the product's precision; over
 lex and quad groups the slot is the exponent itself.  Each operand is cut to
 the terms whose products can fall below the precision.  The term-pair loop
 adds and compares slots, sums the products per slot in a dict (over F_p as
-plain ints, reduced mod p once per slot) and sorts the slots once.  Over F_p
-with slots in Z, Kronecker substitution packs each operand into one Python
-integer, and CPython's Karatsuba multiplies them.  One cost rule,
+plain ints, reduced mod p once per slot) and sorts the slots once.  Over Q
+and F_p with integer slots, Kronecker substitution packs each operand into
+one Python integer, and CPython's Karatsuba multiplies them.  One cost rule,
 polys._kronecker_pays, picks the kernel: Kronecker when the slots of the
 product window it reads back are fewer than polys._PAIR_COST times the
-pairs the loop would form, as for MPoly products.  A one-term
-factor only shifts and scales the other.  _mul_slots is that product on slot
-lists and raw coefficients: mul_series calls it once, invert runs every
-rung of its Newton ladder on it and builds one Series at the end, and
-_newton's correction a - x*y takes the product's slots from a's and builds
-one Series.  The slots live only inside these and _horner_packed; a Series
-has one representation.
+pairs the loop would form.  A one-term factor only shifts and scales the
+other.  mul_series calls _mul_slots once, invert runs every rung of its
+Newton ladder on it and builds one Series at the end, and _newton's
+correction a - x*y takes the product's slots from a's and builds one
+Series.  The slots live only inside these and _horner_packed; a Series has
+one representation.
 
 polys._pack and polys._unpack are the one pair of routines that put
 coefficients into the fixed-width slots of one integer and read them back,
-by memoryview.cast where a slot is 1, 2, 4 or 8 bytes wide.  polys._kronecker
-multiplies with them, for mul_series as for MPoly products, and
-_horner_packed evaluates a polynomial at a series below t^N with them:
-each operand is packed once, Horner's rule runs on the integers, and the
-slots are reduced mod p once, so a dense evaluation builds one Series where
-the plain Horner builds two per degree.
+by memoryview.cast where a slot is 1, 2, 4 or 8 bytes wide.  The Kronecker
+kernel multiplies with them, and _horner_packed evaluates a polynomial at a
+series below t^N with them: each operand is packed once, Horner's rule runs
+on the integers, and the slots are reduced mod p once, so a dense
+evaluation builds one Series where the plain Horner builds two per degree.
 
 Series.__pow__ is the one power routine.  A product has precision
 min(Pa + vb, Pb + va) (P the precision, v the least exponent, or P for a
@@ -89,7 +88,10 @@ from .fields import (
     GF, FieldDesc, FieldElement, FiniteField, _check_power_bits, _is_prime, _power, embed, frobenius,
 )
 from .groups import GroupDesc, GroupElem, RationalGroup, ZZ_GROUP, QQ_GROUP, p_power_hull
-from .polys import _kronecker, _kronecker_pays, _pack, _slot_width, _unpack, cramer
+from .polys import (
+    _elements, _exp_data, _mul_slots, _nonzero, _pack, _raw_coeffs, _slot_width, _sorted_slots, _unpack,
+    cramer,
+)
 
 __all__ = [
     "Series",
@@ -361,10 +363,6 @@ def _below(terms, prec: GroupElem | None):
     return terms[:bisect_left(terms, prec, key=itemgetter(0))]
 
 
-def _exp_data(term):
-    return term[0].data
-
-
 def add_series(a: Series, b: Series) -> Series:
     """a + b by one merge of the two increasing term lists, each first cut
     below the precision of the sum; equal exponents add their coefficients,
@@ -419,9 +417,9 @@ def mul_series(a: Series, b: Series) -> Series:
     other product maps its exponents to slots (_slot_lists) and its
     coefficients to raw data (_raw_coeffs) once, and _mul_slots cuts each
     operand to the terms whose products can fall below the precision and
-    takes the kernel the cost rule picks: Kronecker substitution over F_p
-    with slots in Z, the term-pair loop otherwise.  The result is built
-    once."""
+    takes the kernel the cost rule picks: Kronecker substitution over Q and
+    F_p with integer slots, the term-pair loop otherwise.  The result is
+    built once."""
     _check_same_ring(a, b)
     la, lb = _low_bound(a), _low_bound(b)
     field, group, ta, tb = a.field, a.group, a.terms, b.terms
@@ -440,45 +438,6 @@ def mul_series(a: Series, b: Series) -> Series:
     m, (xa, xb), limit = _slot_lists(group, (ta, tb), prec)
     p, zero, (ca, cb) = _raw_coeffs(field, (ta, tb))
     return _from_slots(field, group, m, _mul_slots(xa, ca, xb, cb, limit, m, p, zero), prec)
-
-
-def _mul_slots(xa: list, ca: list, xb: list, cb: list, limit, m, p: int, zero) -> list:
-    """The one slot-level product, behind mul_series and invert: the
-    increasing slots xa and xb with their raw coefficients ca and cb (as
-    _slot_lists, with scale m, and _raw_coeffs, with p and zero, give them),
-    multiplied below the slot limit (None: all of it).  Returns the
-    product's nonzero coefficients as increasing (slot, raw coefficient)
-    pairs.
-
-    Each operand is cut to the terms whose products can fall below limit,
-    the cost rule picks the kernel (Kronecker over F_p with slots in Z, the
-    term-pair loop otherwise), and each slot's sum is reduced mod p once."""
-    if limit is not None:
-        # a term matters only if its product with the other's first is below;
-        # each first term is, as every term lies below its series' precision
-        na, nb = bisect_left(xa, limit - xb[0]), bisect_left(xb, limit - xa[0])
-        xa, xb, ca, cb = xa[:na], xb[:nb], ca[:na], cb[:nb]
-    if p and m and _kronecker_pays(xa, xb, limit):
-        return _nonzero(_mul_kronecker(xa, ca, xb, cb, limit, p), p, zero)
-    return _sorted_slots(_nonzero(_mul_pairs(xa, ca, xb, cb, limit, zero), p, zero), m)
-
-
-def _nonzero(sums, p: int, zero) -> list:
-    """The (slot, raw coefficient) pairs of sums whose coefficient is not
-    zero, reduced mod p over F_p (p as _raw_coeffs gives it, with zero)."""
-    if p:
-        return [(x, k) for x, s in sums if (k := s % p)]
-    if type(zero) is FieldElement:
-        return [(x, c) for x, c in sums if not c.is_zero()]
-    return [(x, c) for x, c in sums if c]
-
-
-def _sorted_slots(items: list, m) -> list:
-    """(slot, coefficient) items sorted by slot: integer slots (m set) and
-    quad exponents by themselves, lex exponents by their data."""
-    lex = items and not m and items[0][0].group.native_order
-    items.sort(key=_exp_data if lex else itemgetter(0))
-    return items
 
 
 def _sub_product(a: Series, x: Series, y: Series, cut: GroupElem, keep: GroupElem) -> Series:
@@ -506,26 +465,12 @@ def _sub_product(a: Series, x: Series, y: Series, cut: GroupElem, keep: GroupEle
     return _from_slots(field, group, m, items, keep if prec == cut else prec)
 
 
-def _raw_coeffs(field: FieldDesc, term_lists):
-    """(p, zero, the coefficients of each term tuple as the slot kernels
-    hold them): ints mod p over F_p, with p the prime; elements over
-    F_{p^n} and Fraction data over Q, with p 0.  zero starts a sum."""
-    if type(field) is not FiniteField:
-        return 0, 0, [[c.data for _, c in ts] for ts in term_lists]
-    if field.n == 1:
-        return field.p, 0, [[c.data[0] for _, c in ts] for ts in term_lists]
-    return 0, field.zero(), [[c for _, c in ts] for ts in term_lists]
-
-
 def _from_slots(field: FieldDesc, group: GroupDesc, m, items: list, prec) -> Series:
     """The Series whose terms are the (slot, raw coefficient) items, in slot
     order: slot x is the exponent x/m over a subgroup of Q, and the
     exponent itself over lex and quad groups (m None); a raw coefficient is
     as _raw_coeffs holds it."""
-    if type(field) is not FiniteField:
-        items = [(x, FieldElement(field, c)) for x, c in items]
-    elif field.n == 1:
-        items = [(x, FieldElement(field, (k,))) for x, k in items]
+    items = _elements(field, items)
     if not m:
         terms = items
     elif group.int_data:
@@ -576,37 +521,6 @@ def _slot_lists(group: GroupDesc, term_lists, prec: GroupElem | None):
     slots = [[e.data.numerator * (m // e.data.denominator) for e, _ in ts] for ts in term_lists]
     limit = None if prec is None else prec.data.numerator * (m // prec.data.denominator)
     return m, slots, limit
-
-
-def _mul_pairs(xa: list, ca: list, xb: list, cb: list, limit, zero):
-    """The one term-pair loop: every product of a slot of xa and one of xb
-    below limit (None: all of them), summed per slot, as (slot, sum) pairs
-    in no particular order.  Rows shrink as xa grows, so each row is cut by
-    bisection."""
-    acc = {}
-    get = acc.get
-    tb = list(zip(xb, cb))
-    row = tb
-    for x1, c1 in zip(xa, ca):
-        if limit is not None:
-            row = tb[:bisect_left(xb, limit - x1, 0, len(row))]
-        for x2, c2 in row:
-            x = x1 + x2
-            acc[x] = get(x, zero) + c1 * c2
-    return acc.items()
-
-
-def _mul_kronecker(xa: list, ca: list, xb: list, cb: list, limit, p: int) -> list:
-    """The product over F_p by Kronecker substitution (polys._kronecker): a
-    slot holds the sum of at most min(len xa, len xb) products below p^2.
-    The slots below limit come back as sorted (slot, sum) pairs, the sums
-    not yet reduced mod p."""
-    base = xa[0] + xb[0]
-    size = xa[-1] + xb[-1] - base + 1
-    if limit is not None:
-        size = min(size, limit - base)
-    bound = min(len(xa), len(xb)) * (p - 1) ** 2
-    return list(zip(range(base, base + size), _kronecker(xa, ca, xb, cb, size, bound)))
 
 
 def _horner_packed(coeffs, a: Series, below: GroupElem) -> Series | None:

@@ -2,10 +2,12 @@
 
 places._lowest_taylor_coeff finds the order of vanishing at a point from
 the value of each row of slots there and, where every row vanishes, by
-synthetic division on the dense rows, and MPoly.__mul__ multiplies over Q and
-F_p by Kronecker substitution.  The references below are the term-by-term
-forms: the sum of c * C(e, k) * a^(e-k) over the terms, and the loop over
-every term pair.  Both sides must give identical polynomials, term for term.
+synthetic division on the dense rows, and MPoly.__mul__ multiplies by the
+slot product it shares with Series, polys._mul_slots: Kronecker substitution
+over Q and F_p, the term-pair loop otherwise.  The references below are the
+term-by-term forms: the sum of c * C(e, k) * a^(e-k) over the terms, and the
+loop over every term pair.  Both sides must give identical polynomials, term
+for term.
 """
 
 import math
@@ -19,7 +21,9 @@ import pytest
 from valuedfields import places, polys
 from valuedfields.errors import FieldMismatchError, ParamError
 from valuedfields.fields import GF, QQ
+from valuedfields.groups import ZZ_GROUP
 from valuedfields.polys import MPoly
+from valuedfields.series import make_series, mul_series
 
 
 def _reference_taylor(g, var, a):
@@ -176,7 +180,24 @@ def test_product_kernel_matches_the_pair_loop(field, monkeypatch):
             assert a * b == _reference_product(a, b), (a, b)
 
 
-def test_product_kernel_reads_signed_slots_back():
+def _series_reference(a, b):
+    """The terms of the Series product a * b below its precision, by the
+    loop over every term pair, with exponents and coefficients as data."""
+    prec = min(p + low for p, low in ((a.precision, b.terms[0][0]), (b.precision, a.terms[0][0]))
+               if p is not None)
+    acc = {}
+    for e1, c1 in a.terms:
+        for e2, c2 in b.terms:
+            if e1 + e2 < prec:
+                e = (e1 + e2).data
+                acc[e] = acc.get(e, 0) + c1.data * c2.data
+    return sorted((e, c) for e, c in acc.items() if c), prec
+
+
+def test_product_kernel_reads_signed_slots_back(monkeypatch):
+    seen = []
+    kronecker = polys._mul_kronecker
+    monkeypatch.setattr(polys, "_mul_kronecker", lambda *args: seen.append(1) or kronecker(*args))
     # negative slot sums sit beside positive ones, and every sum cancels in
     # (x - 1)(x + 1)(x^2 + 1) = x^4 - 1 but the outer two
     x = lambda *terms: MPoly.make(("x",), {(e,): QQ.elem(c) for e, c in terms})
@@ -195,6 +216,46 @@ def test_product_kernel_reads_signed_slots_back():
             (x((0, c), (1, c), (2, -c)), x((0, cc), (1, 2 * cc), (3, -cc))),
         ):
             assert a * b == _reference_product(a, b) == want
+    # a Q series with mixed denominators and negative coefficients, cut at
+    # t^51: the slots at and above the cut are never read back
+    a = make_series(QQ, ZZ_GROUP, [(e, Fraction((-1) ** e * (e + 1), e % 4 + 1)) for e in range(40)], 50)
+    b = make_series(QQ, ZZ_GROUP, [(e, Fraction(-(e % 5) - 1, e % 3 + 2)) for e in range(1, 30)])
+    seen.clear()
+    product = mul_series(a, b)
+    assert seen == [1]
+    assert ([(e.data, c.data) for e, c in product.terms], product.precision) == _series_reference(a, b)
+    assert product.precision == ZZ_GROUP.elem(51)
+
+
+def test_products_with_series_coefficients_match_the_pair_loop():
+    F, G = GF(5), ZZ_GROUP
+    names = ("x", "y")
+
+    def s(terms, prec=None):
+        return make_series(F, G, terms, prec)
+
+    def poly(*terms):
+        return MPoly.make(names, dict(terms))
+
+    exact, cut = s([(0, 1), (1, 2)]), s([(0, 3), (2, 1)], 4)
+    # (u x + v)(u x - v): the x terms u*(-v) + v*u cancel to the exact zero,
+    # which is dropped, where v is exact, and to a series zero to its
+    # precision t^4, which is kept, where v is cut
+    for v, x_term in ((exact, None), (cut, s([], 4))):
+        a = poly(((1, 0), exact), ((0, 0), v))
+        b = poly(((1, 0), exact), ((0, 0), -v))
+        product = a * b
+        assert product == _reference_product(a, b)
+        assert dict(product.terms).get((1, 0)) == x_term
+        assert len(product.terms) == (2 if x_term is None else 3)
+    rng = random.Random("product/series")
+    for _ in range(40):
+        a, b = (MPoly.make(names, {
+            (rng.randint(0, 3), rng.randint(0, 3)): s(
+                [(rng.randint(-2, 4), rng.randrange(1, 5)) for _ in range(rng.randint(1, 4))],
+                rng.choice((None, None, rng.randint(3, 8))))
+            for _ in range(rng.randint(1, 6))}) for _ in range(2))
+        assert a * b == _reference_product(a, b), (a, b)
 
 
 def test_wide_slots_read_back_as_the_slice_reader_reads_them():
@@ -214,21 +275,30 @@ def test_wide_slots_read_back_as_the_slice_reader_reads_them():
 
 
 def test_dense_products_take_kronecker_and_tiny_ones_the_pair_loop(monkeypatch):
+    # MPoly and Series share one slot product: a dense product of either
+    # over F_p or Q reaches the one Kronecker kernel, polys._mul_kronecker
     seen = []
-    kronecker = polys._kronecker
-    monkeypatch.setattr(polys, "_kronecker", lambda *args: seen.append(1) or kronecker(*args))
+    for name in ("_mul_kronecker", "_mul_pairs"):
+        kernel = getattr(polys, name)
+        monkeypatch.setattr(polys, name, lambda *args, name=name, kernel=kernel: seen.append(name) or kernel(*args))
     F = GF(1000003)
-    dense = MPoly.make(("t",), {(e,): F.elem(e + 1) for e in range(50)})
-    assert dense * dense == _reference_product(dense, dense)
-    assert seen == [1]
+    for field in (F, QQ):
+        poly = MPoly.make(("t",), {(e,): field.elem(e + 1) for e in range(50)})
+        square = poly * poly
+        assert square == _reference_product(poly, poly)
+        series = make_series(field, ZZ_GROUP, [(e, e + 1) for e in range(50)], 50)
+        want = make_series(field, ZZ_GROUP, [(e, c) for (e,), c in square.terms if e < 50], 50)
+        assert mul_series(series, series) == want
+    assert seen == ["_mul_kronecker"] * 4
     # a one-term factor, and a 2x2 product with a wide window, stay on the pair loop
+    dense = MPoly.make(("t",), {(e,): F.elem(e + 1) for e in range(50)})
     monomial = MPoly.make(("t",), {(3,): F.elem(2)})
     sparse = MPoly.make(("t",), {(0,): F.one(), (10**9,): F.one()})
     assert monomial * dense == _reference_product(monomial, dense)
     start = time.perf_counter()
     assert sparse * sparse == _reference_product(sparse, sparse)
     assert time.perf_counter() - start < 0.1
-    assert seen == [1]
+    assert seen == ["_mul_kronecker"] * 4 + ["_mul_pairs"] * 2
 
 
 def test_sparse_products_in_three_variables_answer_at_once():
