@@ -295,14 +295,20 @@ def hensel_lift(f: SeriesPoly, b: Series | None, target) -> LiftResult:
 # systems
 
 
-def eval_poly_at_series(p: MPoly, values: dict[str, Series], field, group) -> Series:
+def eval_poly_at_series(
+    p: MPoly, values: dict[str, Series], field, group, powers: dict | None = None
+) -> Series:
     """Evaluate an MPoly with Series (or plain scalar) coefficients at Series
-    arguments.  Each power values[v] ** e is formed once per call and each
-    monomial's product of powers by mul_series; a Series coefficient
-    multiplies that product, a scalar one scales it, and a constant term is
-    the one term c*t^0.  One make_series sums the terms below the least
-    precision among them."""
-    powers = {}
+    arguments.  Each power values[v] ** e is formed once and kept in powers
+    under (v, e): a fresh dict per call, unless the caller passes one that
+    holds the powers of these same values from earlier calls, as a place
+    whose every assignment is one term does, each power one term and one
+    per (v, e) ever used.  Each monomial's product of powers is formed by
+    mul_series; a Series coefficient multiplies that product, a scalar one
+    scales it, and a constant term is the one term c*t^0.  One make_series
+    sums the terms below the least precision among them."""
+    if powers is None:
+        powers = {}
     terms, prec = [], None
     for exps, coeff in p.terms:
         term = None

@@ -15,13 +15,19 @@ A place is described declaratively and evaluated exactly:
   on some variables and fresh residue indeterminates for the others; the
   value of a polynomial is the least weighted exponent sum over its
   monomials, and the residue is the sum of the minimal monomials' images.
+  The place keeps one layout per variable tuple it has evaluated (weight
+  rows, residue indices), so a call costs g's terms, not the set-up; the
+  functions it admits are in its own variables, so the tuples are few.
 * ``SeriesEmbedPlace`` -- substitute explicit series or catalog streams for
   the variables and read value and residue off the resulting series.  Each
   polynomial, numerator, denominator or that of an inner stage, expands the
   streams of the variables it contains round by round until its own value
   is decided, and, at a place with no truncated assignment, cuts its exact
   assignments of several terms on the same ladder while the rung is at most
-  their top exponent times the polynomial's degree in their variable.
+  their top exponent times the polynomial's degree in their variable.  A
+  monomial embedding, every assignment one term, has nothing to expand or
+  cut and keeps each power x^e it has formed, itself one term, for every
+  later evaluation: one term per (variable, exponent) pair used.
 * ``ComposePlace``   -- a flat tuple of stages, each a place on the residue
   field of the stage before it; values are lexicographic tuples with earlier
   stages dominant.
@@ -148,6 +154,8 @@ class MonomialPlace:
     # ({variable: its value's coordinate row}, d): the rows are integers over
     # one common denominator d, as _integer_rows gives them
     _rows: tuple = dataclasses.field(init=False, repr=False, compare=False)
+    # {a polynomial's variable tuple: its layout}, filled by _monomial_layout
+    _layouts: dict = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         names = [v for v, _ in self.values] + [v for v, _ in self.residues]
@@ -169,6 +177,7 @@ class MonomialPlace:
             values = ", ".join(str(g) for _, g in self.values)
             raise SpanError(f"the values {values} are rationally dependent")
         object.__setattr__(self, "_rows", ({v: r for (v, _), r in zip(self.values, rows)}, denom))
+        object.__setattr__(self, "_layouts", {})
 
 
 @dataclass(frozen=True)
@@ -176,6 +185,9 @@ class SeriesEmbedPlace:
     field: FieldDesc
     group: GroupDesc
     assignments: tuple[tuple[str, Series | Stream], ...]
+    # {(variable, exponent): the power of its assignment} when every
+    # assignment is a one-term Series, filled by eval_poly_at_series; else None
+    _powers: dict | None = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_distinct([v for v, _ in self.assignments])
@@ -188,6 +200,8 @@ class SeriesEmbedPlace:
             else:
                 if s.group != self.group or s.field != self.field:
                     raise FieldMismatchError(f"series for {v} lies in a different ring")
+        monomial = all(isinstance(s, Series) and len(s.terms) == 1 for _, s in self.assignments)
+        object.__setattr__(self, "_powers", {} if monomial else None)
 
 
 @dataclass(frozen=True)
@@ -476,21 +490,39 @@ def _eval_lead(P: EvalPlace, g: MPoly):
     return (vg.elem(coords[0]) if vg == ZZ_GROUP else vg.elem(tuple(coords))), _const_value(g)
 
 
+def _monomial_layout(P: MonomialPlace, vars: tuple[str, ...]):
+    """What _monomial_lead reads of P for a polynomial in vars, built once
+    per variable tuple and kept in P._layouts: (weights, zsrc, uncovered,
+    wrap, names).  weights[j] holds coordinate j of the row of each
+    variable, zsrc the index in vars of each residue variable (None when
+    absent), uncovered the indices of the variables P does not cover, wrap
+    the group when its data do not order natively, and names the residue
+    indeterminates.  The functions a place admits, and the leading data a
+    composition stage passes on, are in the place's own variables, so the
+    keys are orderings of subsets of them."""
+    layout = P._layouts.get(vars)
+    if layout is None:
+        rows = P._rows[0]
+        zero = [0] * len(rows[P.values[0][0]])
+        cols = [rows.get(name, zero) for name in vars]
+        residues = [v for v, _ in P.residues]
+        layout = P._layouts[vars] = (
+            [tuple(c[j] for c in cols) for j in range(len(zero))],
+            [vars.index(v) if v in vars else None for v in residues],
+            [i for i, v in enumerate(vars) if v not in rows and v not in residues],
+            None if P.group.native_order else P.group,
+            tuple(z for _, z in P.residues),
+        )
+    return layout
+
+
 def _monomial_lead(P: MonomialPlace, g: MPoly):
     """The least value of a term of g, one integer combination of the rows
     of the place per term, and the sum of the least terms' images in the
     residue indeterminates.  The common denominator d > 0 keeps the order,
     so the scaled values compare as int tuples where the group orders its
     data natively, and else as elements of the group with int data."""
-    rows, denom = P._rows
-    zero = [0] * len(rows[P.values[0][0]])
-    # weights[j] holds coordinate j of the row of each of g's variables
-    cols = [rows.get(name, zero) for name in g.vars]
-    weights = [tuple(c[j] for c in cols) for j in range(len(zero))]
-    residues = [v for v, _ in P.residues]
-    zsrc = [g.vars.index(v) if v in g.vars else None for v in residues]
-    uncovered = [i for i, v in enumerate(g.vars) if v not in rows and v not in residues]
-    wrap = None if P.group.native_order else P.group
+    weights, zsrc, uncovered, wrap, names = _monomial_layout(P, g.vars)
     best = None
     collided: dict[tuple[int, ...], FieldElement] = {}
     for exps, coeff in g.terms:
@@ -512,8 +544,8 @@ def _monomial_lead(P: MonomialPlace, g: MPoly):
         raise HypothesisError(
             "minimal monomials cancel; the independence hypothesis fails"
         )
-    value = _from_integer_row(P.group, best.data if wrap else best, denom)
-    return value, MPoly(tuple(z for _, z in P.residues), lead)
+    value = _from_integer_row(P.group, best.data if wrap else best, P._rows[1])
+    return value, MPoly(names, lead)
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +569,11 @@ def _substitute(P: SeriesEmbedPlace, g: MPoly, round_: int):
     subgroup of Q, so that its precision rises with the rung as a stream's
     does; below the rung the cut would drop no term and only lower the
     precision.  At a place with a truncated assignment, whose precision
-    stays put, nothing is cut.  One-term assignments stay whole."""
+    stays put, nothing is cut.  One-term assignments stay whole, so at a
+    place whose assignments all have one term every round substitutes
+    whole, with the powers the place keeps."""
+    if P._powers is not None:
+        return eval_poly_at_series(g, dict(P.assignments), P.field, P.group, P._powers), False
     rung = BASE_PRECISION * (2 ** round_)
     cut = (
         round_ < REFINE_ROUNDS - 1

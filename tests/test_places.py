@@ -53,6 +53,7 @@ from valuedfields.places import (
 from valuedfields.polys import MPoly, RatFn, const_poly, mpoly
 from valuedfields.series import (
     POLE,
+    Series,
     ValuationKind,
     ValuationResult,
     bad_residue,
@@ -1346,3 +1347,125 @@ def test_exact_assignments_of_several_terms_on_the_ladder(
     g = _poly(names, term_map, field=P.field)
     assert str(place_value(P, g)) == value
     assert rounds == want + [0]  # then the denominator 1
+
+
+# ---------------------------------------------------------------------------
+# place-level tables: a place keeps what every evaluation at it reads
+
+
+def _monomial_embedding(group, field, coeffs, precision=None):
+    """A monomial embedding x1, x2, x3 -> c t^e, each one term, the first
+    cut at t^(precision) when that is given."""
+    return SeriesEmbedPlace(field, group, tuple(
+        (f"x{i + 1}", make_series(field, group, [(e, c)], precision if i == 0 else None))
+        for i, (e, c) in enumerate(coeffs)
+    ))
+
+
+_L2 = LexGroup(2)
+_TABLE_PLACES = {
+    "quad": _quad_place,
+    "lex": lambda: MonomialPlace(
+        QQ, _L2, (("x1", _L2.elem((1, 0))), ("x2", _L2.elem((0, 1)))), (("x3", "z3"),),
+    ),
+    "compose": lambda: compose(
+        MonomialPlace(QQ, ZZ_GROUP, (("x1", ZZ_GROUP.elem(1)),), (("x2", "z2"), ("x3", "z3"))),
+        MonomialPlace(QQ, _L2, (("z2", _L2.elem((1, 0))), ("z3", _L2.elem((0, 1))))),
+    ),
+    "embed_half": lambda: _monomial_embedding(
+        one_over_m(2), QQ, [(1, 3), (Fraction(3, 2), Fraction(-2, 5)), (Fraction(1, 2), 7)]
+    ),
+    # x1 -> 2 t^2 + O(t^5) over F_5, beside an exact constant x3 -> 3
+    "embed_z_truncated": lambda: _monomial_embedding(ZZ_GROUP, GF(5), [(2, 2), (3, 4), (0, 3)], 5),
+}
+
+
+def _random_table_function(rng, field, names):
+    """A random quotient in a shuffled subset of names, sometimes a
+    polynomial."""
+    gvars = [v for v in names if rng.random() < 0.75] or [rng.choice(names)]
+    rng.shuffle(gvars)
+
+    def poly(count):
+        return MPoly.make(tuple(gvars), {
+            tuple(rng.randint(0, 3) for _ in gvars): field.elem(rng.randint(-4, 4))
+            for _ in range(count)
+        })
+
+    num = poly(rng.randint(1, 4))
+    while not num.terms:
+        num = poly(rng.randint(1, 4))
+    if rng.random() < 0.3:
+        return num
+    den = poly(rng.randint(1, 3))
+    while not den.terms:
+        den = poly(rng.randint(1, 3))
+    return RatFn.make(num, den)
+
+
+@pytest.mark.parametrize("name", sorted(_TABLE_PLACES))
+def test_a_used_place_answers_as_a_fresh_one(name):
+    build = _TABLE_PLACES[name]
+    P = build()  # one long-lived place, its tables filled as it goes
+    field, names = places.base_field(P), place_vars(P)
+    rng = random.Random(f"tables-{name}")
+    raised = 0
+    for _ in range(120):
+        f = _random_table_function(rng, field, names)
+        for fn in (place_value, place_residue, place_value_residue):
+            got = _outcome(fn, P, f)
+            assert got == _outcome(fn, build(), f), (fn.__name__, f)
+            raised += isinstance(got, tuple) and isinstance(got[0], type)
+    assert raised < 360  # not every answer an error
+    first, *later = P.stages if isinstance(P, ComposePlace) else (P,)
+    if isinstance(first, MonomialPlace):
+        assert len(first._layouts) >= 3  # several variable orders were kept
+    else:
+        assert first._powers and all(len(s.terms) == 1 for s in first._powers.values())
+    # a later stage sees only the residue indeterminates of the stage before
+    assert all(len(stage._layouts) == 1 for stage in later)
+
+
+def test_a_second_evaluation_at_a_monomial_embedding_forms_no_power(monkeypatch):
+    P = _TABLE_PLACES["embed_half"]()
+    names = ("x3", "x1", "x2")
+    f = RatFn.make(
+        _poly(names, {(2, 3, 0): 5, (0, 0, 2): -1, (4, 0, 1): 2}),
+        _poly(names, {(0, 2, 0): 3, (1, 1, 1): 1}),
+    )
+    powers = []
+    power = Series.__pow__
+    monkeypatch.setattr(Series, "__pow__", lambda s, e: powers.append(e) or power(s, e))
+    first = place_value_residue(P, f)
+    assert powers
+    del powers[:]
+    assert place_value_residue(P, f) == first and place_value(P, f) == first[0]
+    assert place_residue(P, f) == first[1]
+    assert powers == []
+
+
+def test_only_monomial_embeddings_keep_powers():
+    assert _cusp_place()._powers == {}
+    F2 = GF(2)
+    stream = SeriesEmbedPlace(
+        F2, ZZ_GROUP, (("x", frobenius_root(2)), ("u", t_pow(F2, ZZ_GROUP, 1)))
+    )
+    zero = SeriesEmbedPlace(QQ, ZZ_GROUP, (("x", make_series(QQ, ZZ_GROUP, [])),))
+    for P in (stream, zero, _g9_smooth_place(), _golden_place("exact_binomial.json")):
+        assert P._powers is None
+        place_value(P, _poly(place_vars(P)[:1], {(2,): 1, (0,): 1}, field=P.field))
+        assert P._powers is None
+
+
+@pytest.mark.parametrize("name", sorted(_TABLE_PLACES))
+def test_tables_stay_out_of_equality_hashing_and_the_place_file(name):
+    build = _TABLE_PLACES[name]
+    P, fresh = build(), build()
+    rng = random.Random(f"file-{name}")
+    field, names = places.base_field(P), place_vars(P)
+    for _ in range(20):
+        _outcome(place_value_residue, P, _random_table_function(rng, field, names))
+    assert P == fresh and hash(P) == hash(fresh) and repr(P) == repr(fresh)
+    assert place_to_json(P) == place_to_json(fresh)
+    back = place_from_json(place_to_json(P))
+    assert back == P and hash(back) == hash(P)
