@@ -303,7 +303,7 @@ def eval_poly_at_series(
     under (v, e): a fresh dict per call, unless the caller passes one that
     holds the powers of these same values from earlier calls, as a place
     whose every assignment is one term does, each power one term and one
-    per (v, e) ever used.  Each monomial's product of powers is formed by
+    per (v, e) ever used, kept for as long as the caller keeps the dict.  Each monomial's product of powers is formed by
     mul_series; a Series coefficient multiplies that product, a scalar one
     scales it, and a constant term is the one term c*t^0.  One make_series
     sums the terms below the least precision among them."""

@@ -16,8 +16,11 @@ A place is described declaratively and evaluated exactly:
   value of a polynomial is the least weighted exponent sum over its
   monomials, and the residue is the sum of the minimal monomials' images.
   The place keeps one layout per variable tuple it has evaluated (weight
-  rows, residue indices), so a call costs g's terms, not the set-up; the
-  functions it admits are in its own variables, so the tuples are few.
+  rows, residue indices), so a call costs g's terms, not the set-up.  The
+  functions it admits are in its own variables, so each tuple is an
+  ordering of a subset of them: a place of n variables could keep up to
+  about e*n! layouts, each O(n * rank) ints, but keeps one per variable
+  order its callers use, and nothing evicts them.
 * ``SeriesEmbedPlace`` -- substitute explicit series or catalog streams for
   the variables and read value and residue off the resulting series.  Each
   polynomial, numerator, denominator or that of an inner stage, expands the
@@ -27,7 +30,10 @@ A place is described declaratively and evaluated exactly:
   their top exponent times the polynomial's degree in their variable.  A
   monomial embedding, every assignment one term, has nothing to expand or
   cut and keeps each power x^e it has formed, itself one term, for every
-  later evaluation: one term per (variable, exponent) pair used.
+  later evaluation: one term per (variable, exponent) pair used, kept as
+  long as the place lives, with no limit.  The term for c t^q holds c^e,
+  so a high power keeps a large coefficient: x -> (2/5) t evaluated on
+  x^5000 keeps 2^5000/5^5000, about 4 KB, on the place.
 * ``ComposePlace``   -- a flat tuple of stages, each a place on the residue
   field of the stage before it; values are lexicographic tuples with earlier
   stages dominant.
@@ -186,7 +192,8 @@ class SeriesEmbedPlace:
     group: GroupDesc
     assignments: tuple[tuple[str, Series | Stream], ...]
     # {(variable, exponent): the power of its assignment} when every
-    # assignment is a one-term Series, filled by eval_poly_at_series; else None
+    # assignment is a one-term Series, filled by eval_poly_at_series and
+    # never emptied; else None
     _powers: dict | None = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -499,7 +506,7 @@ def _monomial_layout(P: MonomialPlace, vars: tuple[str, ...]):
     the group when its data do not order natively, and names the residue
     indeterminates.  The functions a place admits, and the leading data a
     composition stage passes on, are in the place's own variables, so the
-    keys are orderings of subsets of them."""
+    keys are orderings of subsets of them, one per order a caller uses."""
     layout = P._layouts.get(vars)
     if layout is None:
         rows = P._rows[0]
@@ -569,11 +576,8 @@ def _substitute(P: SeriesEmbedPlace, g: MPoly, round_: int):
     subgroup of Q, so that its precision rises with the rung as a stream's
     does; below the rung the cut would drop no term and only lower the
     precision.  At a place with a truncated assignment, whose precision
-    stays put, nothing is cut.  One-term assignments stay whole, so at a
-    place whose assignments all have one term every round substitutes
-    whole, with the powers the place keeps."""
-    if P._powers is not None:
-        return eval_poly_at_series(g, dict(P.assignments), P.field, P.group, P._powers), False
+    stays put, nothing is cut.  One-term assignments stay whole; at a
+    monomial embedding P._powers carries their powers from call to call."""
     rung = BASE_PRECISION * (2 ** round_)
     cut = (
         round_ < REFINE_ROUNDS - 1
@@ -590,7 +594,7 @@ def _substitute(P: SeriesEmbedPlace, g: MPoly, round_: int):
             values[v], left_out = truncate(s, rung), True
         else:
             values[v] = s
-    return eval_poly_at_series(g, values, P.field, P.group), left_out
+    return eval_poly_at_series(g, values, P.field, P.group, P._powers), left_out
 
 
 def _embed_lead(P: SeriesEmbedPlace, g: MPoly):

@@ -4,8 +4,9 @@
 reach.  A refactor that moves or renames one of them, or stops calling it,
 would only show up in a traced benchmark run, so these tests resolve each
 name here, run one small lift under the tracer, and run the first ops of
-the places-eval workload, fresh and again after an untraced pass, and
-all ops of the gallery workload under the tracer and the element counter.
+the places-eval workload, fresh and again once their places hold their
+tables, and all ops of the gallery workload under the tracer and the
+element counter.
 Counter keys (``*.calls`` and ``*.calls.*``) name element-operation
 counts, not functions, and are skipped where only functions are checked.
 """
@@ -79,23 +80,15 @@ def _unreached(workload, ops):
 
 def test_first_places_eval_ops_reach_every_traced_name(monkeypatch):
     # what a traced benchmark run asserts, on 10 ops of each place kind:
-    # every function listed is called and every counter listed is nonzero
+    # every function listed is called and every counter listed is nonzero,
+    # on fresh places and again once the places hold their tables, as they
+    # do when a benchmark run traces after its warm-up and plain pass
     monkeypatch.syspath_prepend(str(BENCH))  # workloads imports oracles
     workloads = _load("workloads")
     ops = workloads.build("places-eval", 1).ops[:50]
     kinds = Counter(op.label.split()[0] for op in ops)
     assert kinds == {kind: 10 for kind in workloads.PLACE_KINDS}
     assert not _unreached("places-eval", ops)
-
-
-def test_places_eval_ops_reach_every_traced_name_after_an_untraced_pass(monkeypatch):
-    # a traced benchmark run traces only after the warm-up and a plain pass,
-    # when each place already holds its tables; the cusp must still reach
-    # eval_poly_at_series, mul_series and make_series then
-    monkeypatch.syspath_prepend(str(BENCH))
-    ops = _load("workloads").build("places-eval", 1).ops[:50]
-    for op in ops:
-        op.run()
     assert not _unreached("places-eval", ops)
 
 
