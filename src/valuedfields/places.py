@@ -41,6 +41,13 @@ A place is described declaratively and evaluated exactly:
 Composite values are flattened to integer lex tuples, so every stage of a
 composition must have an integer-coordinate value group, and all its stages
 lie over one field.  ``compose`` concatenates stages, so it is associative.
+
+At every place but an embedding a value stays an integer row until the
+answer: the coordinates times a denominator d that the place fixes when it
+is built, with its value group.  Values of numerator and denominator are
+subtracted as rows and the residue's case is read off the row's sign, so
+``place_value`` builds one group element per answer and ``place_residue``
+none.
 """
 
 from __future__ import annotations
@@ -75,6 +82,7 @@ from .groups import (
     _from_integer_row,
     _hnf,
     _integer_rows,
+    _quad_sign,
     one_over_m,
     p_power_hull,
     parse_elem,
@@ -128,19 +136,29 @@ BASE_PRECISION = 8
 # descriptors
 
 
+# Every place but an embedding keeps, as _frame, (its value group, d): _lead
+# gives a value as a row of ints, the coordinates of the value times d.
+# Every place keeps, as _vars, the frozenset of its variables.
+
+
 @dataclass(frozen=True)
 class TrivialPlace:
     vars: tuple[str, ...]
     field: FieldDesc
+    _vars: frozenset = dataclasses.field(init=False, repr=False, compare=False)
+    _frame = (ZZ_GROUP, 1)
 
     def __post_init__(self):
         _check_distinct(self.vars)
+        object.__setattr__(self, "_vars", frozenset(self.vars))
 
 
 @dataclass(frozen=True)
 class EvalPlace:
     field: FieldDesc
     assignments: tuple[tuple[str, FieldElement], ...]
+    _vars: frozenset = dataclasses.field(init=False, repr=False, compare=False)
+    _frame: tuple = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.assignments:
@@ -149,6 +167,9 @@ class EvalPlace:
         for v, a in self.assignments:
             if a.field != self.field:
                 raise FieldMismatchError(f"point coordinate {v} lies in {a.field}")
+        n = len(self.assignments)
+        object.__setattr__(self, "_vars", frozenset(v for v, _ in self.assignments))
+        object.__setattr__(self, "_frame", (ZZ_GROUP if n == 1 else LexGroup(n), 1))
 
 
 @dataclass(frozen=True)
@@ -157,9 +178,11 @@ class MonomialPlace:
     group: GroupDesc
     values: tuple[tuple[str, GroupElem], ...]
     residues: tuple[tuple[str, str], ...] = ()
-    # ({variable: its value's coordinate row}, d): the rows are integers over
-    # one common denominator d, as _integer_rows gives them
-    _rows: tuple = dataclasses.field(init=False, repr=False, compare=False)
+    _vars: frozenset = dataclasses.field(init=False, repr=False, compare=False)
+    _frame: tuple = dataclasses.field(init=False, repr=False, compare=False)
+    # {variable: its value's coordinate row}: integers over the one common
+    # denominator d of _frame, as _integer_rows gives them
+    _rows: dict = dataclasses.field(init=False, repr=False, compare=False)
     # {a polynomial's variable tuple: its layout}, filled by _monomial_layout
     _layouts: dict = dataclasses.field(init=False, repr=False, compare=False)
 
@@ -182,7 +205,9 @@ class MonomialPlace:
         if len(_hnf(rows)) < len(rows):
             values = ", ".join(str(g) for _, g in self.values)
             raise SpanError(f"the values {values} are rationally dependent")
-        object.__setattr__(self, "_rows", ({v: r for (v, _), r in zip(self.values, rows)}, denom))
+        object.__setattr__(self, "_vars", frozenset(names))
+        object.__setattr__(self, "_frame", (self.group, denom))
+        object.__setattr__(self, "_rows", {v: r for (v, _), r in zip(self.values, rows)})
         object.__setattr__(self, "_layouts", {})
 
 
@@ -191,6 +216,7 @@ class SeriesEmbedPlace:
     field: FieldDesc
     group: GroupDesc
     assignments: tuple[tuple[str, Series | Stream], ...]
+    _vars: frozenset = dataclasses.field(init=False, repr=False, compare=False)
     # {(variable, exponent): the power of its assignment} when every
     # assignment is a one-term Series, filled by eval_poly_at_series and
     # never emptied; else None
@@ -207,6 +233,7 @@ class SeriesEmbedPlace:
             else:
                 if s.group != self.group or s.field != self.field:
                     raise FieldMismatchError(f"series for {v} lies in a different ring")
+        object.__setattr__(self, "_vars", frozenset(v for v, _ in self.assignments))
         monomial = all(isinstance(s, Series) and len(s.terms) == 1 for _, s in self.assignments)
         object.__setattr__(self, "_powers", {} if monomial else None)
 
@@ -219,6 +246,8 @@ class ComposePlace:
     have an integer-coordinate value group."""
 
     stages: tuple["PlaceDesc", ...]
+    _vars: frozenset = dataclasses.field(init=False, repr=False, compare=False)
+    _frame: tuple = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.stages) < 2 or any(isinstance(s, ComposePlace) for s in self.stages):
@@ -235,8 +264,11 @@ class ComposePlace:
                 raise FieldMismatchError(
                     f"a stage over {later.field} follows one over {earlier.field}"
                 )
-        for stage in self.stages:
-            _width(stage)  # reject stages whose values do not flatten to integers
+        # _width rejects stages whose values do not flatten to integers; the
+        # groups it admits have int data, so every stage's d is 1
+        width = sum(_width(stage) for stage in self.stages)
+        object.__setattr__(self, "_vars", self.stages[0]._vars)
+        object.__setattr__(self, "_frame", (LexGroup(width), 1))
 
 
 PlaceDesc = TrivialPlace | EvalPlace | MonomialPlace | SeriesEmbedPlace | ComposePlace
@@ -281,14 +313,7 @@ def base_field(P: PlaceDesc) -> FieldDesc:
 
 
 def value_group(P: PlaceDesc) -> GroupDesc:
-    if isinstance(P, TrivialPlace):
-        return ZZ_GROUP
-    if isinstance(P, EvalPlace):
-        n = len(P.assignments)
-        return ZZ_GROUP if n == 1 else LexGroup(n)
-    if isinstance(P, (MonomialPlace, SeriesEmbedPlace)):
-        return P.group
-    return LexGroup(sum(_width(stage) for stage in P.stages))
+    return P.group if isinstance(P, SeriesEmbedPlace) else P._frame[0]
 
 
 def _width(stage: PlaceDesc) -> int:
@@ -461,13 +486,19 @@ def _lead(P: PlaceDesc, g: MPoly):
     """For nonzero g return (value, leading), where leading represents the
     residue of g divided by its value part: a FieldElement for Eval and
     SeriesEmbed, an MPoly over the residue indeterminates for Trivial and
-    Monomial, and whatever the final stage yields for Compose.  The value is
-    a GroupElem of value_group(P), except at a SeriesEmbedPlace, where it is
-    the ValuationResult of g(series) and leading is None unless it is exact."""
+    Monomial, and whatever the final stage yields for Compose.
+
+    The value stays an integer row until the answer: a tuple of ints, the
+    coordinates of the value in P._frame's group times its denominator d --
+    the least term's row at a monomial place, the orders of vanishing at an
+    evaluation place, (0,) at a trivial place and the stage rows
+    concatenated at a composition.  Only _answer builds the element, once
+    per answer.  At a SeriesEmbedPlace the value is the ValuationResult of
+    g(series), and leading is None unless it is exact."""
     if not g.terms:
         raise ParamError("the zero polynomial has no value")
     if isinstance(P, TrivialPlace):
-        return ZZ_GROUP.zero(), g
+        return (0,), g
     if isinstance(P, EvalPlace):
         return _eval_lead(P, g)
     if isinstance(P, MonomialPlace):
@@ -475,17 +506,18 @@ def _lead(P: PlaceDesc, g: MPoly):
     if isinstance(P, SeriesEmbedPlace):
         return _embed_lead(P, g)
     # each stage but the last has residue indeterminates, so the leading data
-    # it passes on is a polynomial; no stage is a composition
-    coords, lead = [], g
+    # it passes on is a polynomial; no stage is a composition.  Each stage's
+    # d is 1, so its row is its coordinates, an embedding's the data of an
+    # int or lex element
+    row, lead = (), g
     for stage in P.stages:
         v, lead = _lead(stage, lead)
         if isinstance(stage, SeriesEmbedPlace):
             if not v.is_exact:
                 raise PrecisionError(f"value of an inner stage undecidable: {v}")
-            v = v.value
-        # _width admitted only integer groups: an int or a tuple of ints
-        coords += v.data if type(v.data) is tuple else (v.data,)
-    return LexGroup(len(coords)).elem(coords), lead
+            v = v.value.data if type(v.value.data) is tuple else (v.value.data,)
+        row += v
+    return row, lead
 
 
 def _eval_lead(P: EvalPlace, g: MPoly):
@@ -493,8 +525,7 @@ def _eval_lead(P: EvalPlace, g: MPoly):
     for var, a in P.assignments:
         k, g = _lowest_taylor_coeff(g, var, a)
         coords.append(k)
-    vg = value_group(P)
-    return (vg.elem(coords[0]) if vg == ZZ_GROUP else vg.elem(tuple(coords))), _const_value(g)
+    return tuple(coords), _const_value(g)
 
 
 def _monomial_layout(P: MonomialPlace, vars: tuple[str, ...]):
@@ -509,7 +540,7 @@ def _monomial_layout(P: MonomialPlace, vars: tuple[str, ...]):
     keys are orderings of subsets of them, one per order a caller uses."""
     layout = P._layouts.get(vars)
     if layout is None:
-        rows = P._rows[0]
+        rows = P._rows
         zero = [0] * len(rows[P.values[0][0]])
         cols = [rows.get(name, zero) for name in vars]
         residues = [v for v, _ in P.residues]
@@ -525,10 +556,11 @@ def _monomial_layout(P: MonomialPlace, vars: tuple[str, ...]):
 
 def _monomial_lead(P: MonomialPlace, g: MPoly):
     """The least value of a term of g, one integer combination of the rows
-    of the place per term, and the sum of the least terms' images in the
-    residue indeterminates.  The common denominator d > 0 keeps the order,
-    so the scaled values compare as int tuples where the group orders its
-    data natively, and else as elements of the group with int data."""
+    of the place per term, as that row, and the sum of the least terms'
+    images in the residue indeterminates.  The common denominator d > 0
+    keeps the order, so the scaled values compare as int tuples where the
+    group orders its data natively, and else as elements of the group with
+    int data."""
     weights, zsrc, uncovered, wrap, names = _monomial_layout(P, g.vars)
     best = None
     collided: dict[tuple[int, ...], FieldElement] = {}
@@ -551,8 +583,7 @@ def _monomial_lead(P: MonomialPlace, g: MPoly):
         raise HypothesisError(
             "minimal monomials cancel; the independence hypothesis fails"
         )
-    value = _from_integer_row(P.group, best.data if wrap else best, P._rows[1])
-    return value, MPoly(names, lead)
+    return best.data if wrap else best, MPoly(names, lead)
 
 
 # ---------------------------------------------------------------------------
@@ -620,9 +651,8 @@ def _embed_lead(P: SeriesEmbedPlace, g: MPoly):
 def _nonzero_ratfn(P: PlaceDesc, f: RatFn | MPoly, zero_message: str) -> RatFn:
     if isinstance(f, MPoly):
         f = RatFn.from_poly(f, base_field(P))
-    covered = set(place_vars(P))
     for name in f.num.vars:
-        if name not in covered:
+        if name not in P._vars:
             raise ParamError(f"variable {name} is not covered by the place")
     if not f.num.terms:
         raise ParamError(zero_message)
@@ -632,15 +662,15 @@ def _nonzero_ratfn(P: PlaceDesc, f: RatFn | MPoly, zero_message: str) -> RatFn:
 def place_value(P: PlaceDesc, f: RatFn | MPoly) -> ValuationResult:
     """Value of a nonzero rational function: v(num) - v(den)."""
     f = _nonzero_ratfn(P, f, "the zero function has no value")
-    return _value(P, _lead(P, f.num)[0], _lead(P, f.den)[0])
+    return _answer(P, _value(P, _lead(P, f.num)[0], _lead(P, f.den)[0]))
 
 
-def _value(P: PlaceDesc, v_num, v_den) -> ValuationResult:
-    """v_num - v_den from the values _lead gives num and den; only at an
-    embedding can num be in the kernel or bounded only from below, and den
-    vanish or stay undecided."""
+def _value(P: PlaceDesc, v_num, v_den):
+    """v_num - v_den from the values _lead gives num and den: a row, or at
+    an embedding a ValuationResult.  Only at an embedding can num be in the
+    kernel or bounded only from below, and den vanish or stay undecided."""
     if not isinstance(P, SeriesEmbedPlace):
-        return ValuationResult.exact(v_num - v_den)
+        return tuple([a - b for a, b in zip(v_num, v_den)])
     if v_den.kind is ValuationKind.INFINITY:
         raise PoleError("denominator vanishes under the embedding")
     if not v_den.is_exact:
@@ -661,20 +691,38 @@ def place_value_residue(P: PlaceDesc, f: RatFn | MPoly):
     """(place_value(P, f), place_residue(P, f)), with the leading data of
     num and den computed once; an error is the one place_value, or else
     place_residue, raises."""
-    return _value_residue(P, _nonzero_ratfn(P, f, "the zero function has no value"))
+    v, residue = _value_residue(P, _nonzero_ratfn(P, f, "the zero function has no value"))
+    return _answer(P, v), residue
+
+
+def _answer(P: PlaceDesc, v) -> ValuationResult:
+    """The ValuationResult of a value _value gives: at an embedding v
+    itself, and else the one element built per answer, the row over d."""
+    if isinstance(P, SeriesEmbedPlace):
+        return v
+    group, d = P._frame
+    return ValuationResult.exact(_from_integer_row(group, v, d))
 
 
 def _value_residue(P: PlaceDesc, f: RatFn):
+    """(the value as _value gives it, the residue).  The denominator d > 0
+    keeps the sign of a row: that of its first nonzero entry, or of
+    a + b*sqrt2 for Q + Q*sqrt2."""
     v_num, lead_num = _lead(P, f.num)
     v_den, lead_den = _lead(P, f.den)
     v = _value(P, v_num, v_den)
-    if v.kind is ValuationKind.INFINITY:
-        return v, ZERO
-    s = v.value.sign()
-    if s <= 0 and not v.is_exact:  # num bounded below by no more than den's value
-        raise PrecisionError(
-            f"residue undecidable: numerator value only known to be >= {v_num.value}"
-        )
+    if isinstance(P, SeriesEmbedPlace):
+        if v.kind is ValuationKind.INFINITY:
+            return v, ZERO
+        s = v.value.sign()
+        if s <= 0 and not v.is_exact:  # num bounded below by no more than den's value
+            raise PrecisionError(
+                f"residue undecidable: numerator value only known to be >= {v_num.value}"
+            )
+    elif type(P._frame[0]) is QuadGroup:
+        s = _quad_sign(*v)
+    else:
+        s = next((x for x in v if x), 0)
     residue = ZERO if s > 0 else POLE if s < 0 else _leading_ratio(lead_num, lead_den)
     return v, residue
 

@@ -3,6 +3,7 @@ import json
 import pickle
 import random
 import re
+from collections import Counter
 from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
@@ -21,10 +22,12 @@ from valuedfields.errors import (
 )
 from valuedfields.fields import GF, QQ
 from valuedfields.groups import (
+    GroupElem,
     LexGroup,
     QQ_GROUP,
     QuadGroup,
     ZZ_GROUP,
+    _from_integer_row,
     one_over_m,
     p_power_hull,
     perron_basis,
@@ -258,6 +261,17 @@ def test_residue_multiplicative_at_value_zero():
     assert checked >= 20
 
 
+def _element_lead(P, g):
+    """places._lead with its value row passed through _from_integer_row, the
+    one row-to-element routine, as the group element it stands for; an
+    embedding's ValuationResult passes as it is."""
+    v, lead = places._lead(P, g)
+    if isinstance(P, SeriesEmbedPlace):
+        return v, lead
+    group, d = P._frame
+    return _from_integer_row(group, v, d), lead
+
+
 def _folded_monomial_lead(P, g):
     """The leading data of g at a monomial place folded over group
     elements: each term's value summed from group.zero() by scale and +,
@@ -357,7 +371,7 @@ def test_monomial_kernel_matches_the_group_element_fold():
                 for _ in range(rng.randint(1, 5))
             })
         want = _lead_outcome(_folded_monomial_lead, P, g)
-        assert _lead_outcome(places._lead, P, g) == want, (P, g)
+        assert _lead_outcome(_element_lead, P, g) == want, (P, g)
         # the stored rows stay out of equality, hashing and the place file
         read = place_from_json(place_to_json(P))
         assert read == P and hash(read) == hash(P) and read._rows == P._rows
@@ -679,7 +693,7 @@ def _tree_lead(tree, g):
     the way nested compositions were: the first subtree's, then the second
     subtree's on the first one's leading polynomial."""
     if not isinstance(tree, tuple):
-        return places._lead(tree, g)
+        return _element_lead(tree, g)
     v1, lead1 = _tree_lead(tree[0], g)
     v2, lead2 = _tree_lead(tree[1], lead1)
     if isinstance(tree[1], SeriesEmbedPlace):
@@ -950,7 +964,7 @@ def test_composed_embedding_stage_agrees_with_the_embedding_alone():
             e = rng.choice([5, 12, 20, 40, 70, None])
             if e:
                 g = g + _poly(names, {(0, 0, e): 1}, F2)
-        v1, lead = places._lead(P.stages[0], g)
+        v1, lead = _element_lead(P.stages[0], g)
         w = place_value(embed, lead)
         if w.is_exact:
             assert str(place_value(P, g)) == f"({v1},{w})"
@@ -1469,3 +1483,149 @@ def test_tables_stay_out_of_equality_hashing_and_the_place_file(name):
     assert place_to_json(P) == place_to_json(fresh)
     back = place_from_json(place_to_json(P))
     assert back == P and hash(back) == hash(P)
+
+
+# ---------------------------------------------------------------------------
+# values as integer rows against the group-element fold
+
+
+def _fold_lead(P, g):
+    """The leading data of g over group elements: folded term by term at a
+    monomial place, and else as _tree_lead gives it, a composition's stages
+    nested to the right."""
+    if isinstance(P, MonomialPlace):
+        return _folded_monomial_lead(P, g)
+    tree = P
+    if isinstance(P, ComposePlace):
+        tree = P.stages[-1]
+        for stage in reversed(P.stages[:-1]):
+            tree = (stage, tree)
+    return _tree_lead(tree, g)
+
+
+def _folded_value_residue(P, f, zero_message):
+    """(value, residue) of f from _fold_lead: the values subtracted and the
+    sign read as group elements, after the checks of a covered, nonzero f."""
+    for name in f.num.vars:
+        if name not in place_vars(P):
+            raise ParamError(f"variable {name} is not covered by the place")
+    if not f.num.terms:
+        raise ParamError(zero_message)
+    (v_num, lead_num), (v_den, lead_den) = _fold_lead(P, f.num), _fold_lead(P, f.den)
+    v = v_num - v_den
+    s = v.sign()
+    residue = ZERO if s > 0 else POLE if s < 0 else places._leading_ratio(lead_num, lead_den)
+    return ValuationResult.exact(v), residue
+
+
+def _described(answer):
+    """An answer with the types of its value data and its text beside it,
+    as equality alone does not tell 2 from Fraction(2); errors as they are."""
+    if isinstance(answer, ValuationResult):
+        data = answer.value.data
+        types = tuple(map(type, data)) if isinstance(data, tuple) else type(data)
+        return answer, data, types, str(answer.value)
+    if isinstance(answer, tuple) and isinstance(answer[0], ValuationResult):
+        return _described(answer[0]), (answer[1], str(answer[1]))
+    return answer if isinstance(answer, tuple) else (answer, str(answer))
+
+
+def _random_poly(rng, field, gvars, top=3, terms=4):
+    g = MPoly(tuple(gvars), ())
+    while not g.terms:
+        g = MPoly.make(gvars, {
+            tuple(rng.randint(0, top) for _ in gvars): field.elem(rng.randint(1, 4))
+            for _ in range(rng.randint(1, terms))
+        })
+    return g
+
+
+def _row_case(rng, kind):
+    """A place of the kind and a function on it: a zero numerator now and
+    then, at a monomial place sometimes a variable the place does not cover,
+    and denominators that often cancel the numerator's value."""
+    if kind == "monomial":
+        field = rng.choice([QQ, GF(5)])
+        P = _random_monomial_place(rng, field)
+        gvars = [v for v in place_vars(P) if rng.random() < 0.8] or [place_vars(P)[0]]
+        if rng.random() < 0.1:
+            gvars.append("u")
+        rng.shuffle(gvars)
+        num = _random_poly(rng, field, gvars)
+        # one of num's terms, so that the value is 0 as often as not
+        den = MPoly(num.vars, (rng.choice(num.terms),)) if rng.random() < 0.5 else (
+            _random_poly(rng, field, gvars, terms=2))
+    elif kind == "eval":
+        field = rng.choice([QQ, GF(5), GF(3, 2)])
+        P, num = _random_eval_case(rng, field)
+        point = dict(P.assignments)
+        v = rng.choice(num.vars)
+        den = _power(_x_minus(num.vars, v, point[v]), rng.randint(0, 3)).scale(field.elem(rng.randint(1, 2)))
+    elif kind == "trivial":
+        field = rng.choice([QQ, GF(3)])
+        names = ("x1", "x2", "x3")[: rng.randint(1, 3)]
+        P = TrivialPlace(names, field)
+        num, den = _random_poly(rng, field, names), _random_poly(rng, field, names, terms=2)
+    else:
+        field = rng.choice([QQ, GF(2), GF(3), GF(5)])
+        names = ("x1", "x2", "x3", "x4")
+        P = ComposePlace(_random_stages(rng, field, names, rng.choice([2, 3])))
+        top = 4 if field == QQ else field.p - 1
+        num, den = (
+            MPoly.make(names, {tuple(rng.randint(0, 2) for _ in names): field.elem(rng.randint(1, top))
+                               for _ in range(rng.randint(1, 3))})
+            for _ in range(2)
+        )
+    if rng.random() < 0.03:
+        num = MPoly(num.vars, ())
+    return P, RatFn.make(num, den)
+
+
+def test_integer_rows_answer_as_the_group_element_fold():
+    rng = random.Random(20261021)
+    kinds = Counter()
+    for kind in ["monomial"] * 420 + ["eval"] * 300 + ["trivial"] * 80 + ["compose"] * 240:
+        P, f = _row_case(rng, kind)
+        no_value, no_residue = "the zero function has no value", "the zero function has no residue data"
+        value = _outcome(place_value, P, f)
+        assert _described(value) == _described(_outcome(lambda: _folded_value_residue(P, f, no_value)[0]))
+        assert _described(_outcome(place_residue, P, f)) == _described(
+            _outcome(lambda: _folded_value_residue(P, f, no_residue)[1]))
+        assert _described(_outcome(place_value_residue, P, f)) == _described(
+            _outcome(_folded_value_residue, P, f, no_value))
+        kinds[kind, value.value.sign() if isinstance(value, ValuationResult) else None] += 1
+    # every kind answers with positive, zero and negative values
+    assert all(kinds[kind, s] for kind in ("monomial", "eval", "compose") for s in (-1, 0, 1))
+    assert kinds["trivial", 0] and sum(kinds.values()) >= 1000
+
+
+def test_a_value_builds_one_element_and_a_residue_none(monkeypatch):
+    # the rows of num and den are subtracted as ints and their sign read
+    # off the row: one element is built per value and none per residue
+    counts = Counter()
+    for name in ("__add__", "__sub__", "__neg__"):
+        op = vars(GroupElem)[name]
+        monkeypatch.setattr(GroupElem, name, lambda *a, name=name, op=op: counts.update([name]) or op(*a))
+    from_row = places._from_integer_row
+    monkeypatch.setattr(
+        places, "_from_integer_row", lambda *a: counts.update(["_from_integer_row"]) or from_row(*a)
+    )
+    rng = random.Random(20261022)
+    checked = Counter()
+    while min(checked[kind] for kind in ("monomial", "eval", "compose")) < 30:
+        kind = rng.choice(["monomial", "eval", "compose"])
+        P, f = _row_case(rng, kind)
+        if isinstance(P, ComposePlace) and any(isinstance(s, SeriesEmbedPlace) for s in P.stages):
+            continue  # an embedding stage does series arithmetic on exponents
+        if isinstance(_outcome(place_value_residue, P, f)[0], type):
+            continue  # an error
+        counts.clear()
+        place_value(P, f)
+        assert counts == {"_from_integer_row": 1}, (P, f)
+        counts.clear()
+        place_residue(P, f)
+        assert not counts, (P, f)
+        counts.clear()
+        place_value_residue(P, f)
+        assert counts == {"_from_integer_row": 1}, (P, f)
+        checked[kind] += 1
