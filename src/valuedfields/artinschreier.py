@@ -263,7 +263,8 @@ def poly_to_series(q: MPoly, group: GroupDesc) -> Series:
         raise UnsupportedError("only univariate polynomials convert to series")
     if not q.terms:
         raise UnsupportedError("zero polynomial has no coefficient field")
-    return Series(q.terms[0][1].field, group, tuple((group.elem(e), c) for (e,), c in q.terms), None)
+    # tuple([...]), not tuple(generator): see the series module docstring
+    return Series(q.terms[0][1].field, group, tuple([(group.elem(e), c) for (e,), c in q.terms]), None)
 
 
 def translate(c: Series, b: Series) -> Series:

@@ -19,6 +19,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .artinschreier import analyze, poly_to_series
 from .errors import GroupLawError, ParamError, ValuedFieldError
@@ -42,12 +43,57 @@ from .series import invert, mul_series, render_series, valuation, zero_series
 # shared rendering
 
 
+def _json_text(value) -> str:
+    """json.dumps(value, indent=2, sort_keys=True), byte for byte.  With an
+    indent json runs its pure-Python encoder, whose nested closures form
+    reference cycles on every call that only the cyclic collector frees;
+    this writer leaves none."""
+    out: list[str] = []
+    _json_write(value, "\n", out)
+    return "".join(out)
+
+
+def _json_write(value, newline: str, out: list):
+    """Append the text of value to out, its lines indented as newline is."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+        return
+    if isinstance(value, dict):
+        pairs, brackets = sorted(value.items()), "{}"
+    elif isinstance(value, (list, tuple)):
+        pairs, brackets = [(None, v) for v in value], "[]"
+    else:  # null, a bool or a number; anything else raises TypeError
+        out.append(json.dumps(value))
+        return
+    if not pairs:
+        out.append(brackets)
+        return
+    inner, lead = newline + "  ", brackets[0]
+    for k, v in pairs:
+        out += (lead, inner)
+        if brackets == "{}":
+            out += (encode_basestring_ascii(_json_key(k)), ": ")
+        _json_write(v, inner, out)
+        lead = ","
+    out += (newline, brackets[1])
+
+
+def _json_key(k) -> str:
+    """A dict key as json writes it: a str as it is, null, a bool or a
+    number as its JSON text; any other key raises TypeError."""
+    if isinstance(k, str):
+        return k
+    if k is None or isinstance(k, (int, float)):
+        return json.dumps(k)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+
+
 def render_report(r: Report, mode: str = "text") -> str:
     """Text: aligned claim list with check marks, ramification rows, verdict.
     JSON: the report dictionary, keys sorted.  Text output never includes
     the elapsed time, so identical runs render identically."""
     if mode == "json":
-        return json.dumps(report_to_json(r), indent=2, sort_keys=True)
+        return _json_text(report_to_json(r))
     params = ", ".join(f"{k}={_param_text(v)}" for k, v in r.params)
     lines = [f"scenario: {r.scenario} ({params})"]
     for c in r.claims:
@@ -181,7 +227,7 @@ def _cmd_lift(ns) -> int:
     )
     lifted = hensel_lift(SeriesPoly(coeffs), None, target)
     if ns.json:
-        print(json.dumps(lifted.to_json(), indent=2, sort_keys=True))
+        print(_json_text(lifted.to_json()))
     else:
         print(f"root = {render_series(lifted.root)}")
         print("steps: " + " -> ".join(str(s) for s in lifted.steps))
@@ -195,7 +241,7 @@ def _cmd_as(ns) -> int:
     c = _rational_to_series(expr_to_ratfn(ns.expression, ("t",), field), field, group, target)
     case, outcome = analyze(c, target)
     if ns.json:
-        print(json.dumps({"case": case, "outcome": outcome.to_json()}, indent=2, sort_keys=True))
+        print(_json_text({"case": case, "outcome": outcome.to_json()}))
     else:
         print(f"case: {case}")
         for key, value in outcome.to_json().items():
@@ -223,7 +269,7 @@ def _render_perron(result, targets, as_json: bool) -> str:
             "change_of_basis": [list(row) for row in result.change_of_basis],
             "targets": [str(t) for t in targets],
         }
-        return json.dumps(blob, indent=2, sort_keys=True)
+        return _json_text(blob)
     lines = ["basis: " + ", ".join(f"g{j + 1} = {b}" for j, b in enumerate(result.basis))]
     lines.append("coefficients:")
     for t, row in zip(targets, result.coeffs):
@@ -265,7 +311,7 @@ def _cmd_gallery(ns) -> int:
         if len(reports) == 1:
             print(render_report(reports[0], "json"))
         else:
-            print(json.dumps([report_to_json(r) for r in reports], indent=2, sort_keys=True))
+            print(_json_text([report_to_json(r) for r in reports]))
     else:
         print("\n\n".join(render_report(r, "text") for r in reports))
     return 0 if all(r.passed for r in reports) else 1
@@ -274,7 +320,7 @@ def _cmd_gallery(ns) -> int:
 def _cmd_list(ns) -> int:
     entries = list_scenarios()
     if ns.json:
-        print(json.dumps(list(entries), indent=2, sort_keys=True))
+        print(_json_text(list(entries)))
         return 0
     width = max(len(e["title"]) for e in entries)
     for e in entries:

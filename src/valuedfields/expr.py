@@ -242,6 +242,8 @@ class _Evaluator:
         if type(num) is tuple:
             exps, c = num
             if k > 0 or k == 0 and not c.is_exact_zero():
+                # `is` is a fast path only: a c equal to one but not self.one,
+                # as elements of Q and of large fields are, gives c ** k = 1
                 return (tuple(e * k for e in exps), c if c is self.one else c ** k), None
             num = self.poly(num)
         if den is None and k > 0:
@@ -287,7 +289,8 @@ class _Evaluator:
             q = self.ratfn(num, den) / self.ratfn(num2, den2)
             return q.num, q.den
         if type(num) is tuple and type(num2) is tuple:
-            # names and their powers carry the shared one: skip c*1
+            # names and their powers carry the shared one: skip c*1.  `is`
+            # is a fast path only; an equal one multiplies to the same value
             c = num[1] if num2[1] is self.one else num[1] * num2[1]
             return (tuple(map(add, num[0], num2[0])), c), den
         # a den of None stands for the constant one

@@ -13,6 +13,14 @@ Three concrete families cover every value group used by this package:
 Elements are immutable and carry their descriptor; mixing descriptors raises
 ``FamilyMismatchError``.  The total order is compatible with addition in each
 family, which downstream modules rely on for valuation arithmetic.
+
+Elements are immutable values and may be shared: ``ZZ_GROUP`` keeps its
+elements 0 <= e < _SHARED_Z (256) in one tuple, built at import (about
+25 kB, tracemalloc on CPython 3.11), and every element of it made from an
+int in that range is one of them, so that the exponents of a series over
+Z allocate nothing (``one_over_m(1)`` is ``ZZ_GROUP``).  Other elements,
+of Z or of any other group, are built each time.  Callers compare elements
+with ==; identity is a fast path at most.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import add, neg
+from operator import add, neg, sub
 
 from .errors import (
     ExprError,
@@ -116,16 +124,24 @@ class RationalGroup(GroupDesc):
 
     def elem(self, data) -> "GroupElem":
         if type(data) is int and self.int_data:
-            return GroupElem(self, data)
+            return self._of(data)
         if type(data) not in (int, Fraction):  # not a bool, a float, a str or a Decimal
             raise GroupLawError(f"{type(data).__name__} {data!r} is not an exact element of {self}")
         q = Fraction(data)
         if not self.admits(q):
             raise GroupLawError(f"{q} violates the {self.law} law of {self}")
-        return GroupElem(self, q.numerator if self.int_data else q)
+        return self._of(q.numerator if self.int_data else q)
+
+    def _of(self, x) -> "GroupElem":
+        """The element with data x, unchecked: an int over Z, a Fraction
+        otherwise.  The one constructor of rational elements: ZZ_GROUP's
+        shared element for 0 <= x < _SHARED_Z."""
+        if self is ZZ_GROUP and 0 <= x < _SHARED_Z:
+            return _ZZ_ELEMS[x]
+        return GroupElem(self, x)
 
     def zero(self) -> "GroupElem":
-        return GroupElem(self, 0 if self.int_data else Fraction(0))
+        return self._of(0 if self.int_data else Fraction(0))
 
     def above_every_multiple(self, a: "GroupElem", b: "GroupElem") -> bool:
         return False  # archimedean: one class
@@ -212,10 +228,12 @@ class QuadGroup(GroupDesc):
 
 QQ_GROUP = RationalGroup("all")
 ZZ_GROUP = RationalGroup("one_over_m", m=1)
+# ZZ_GROUP keeps its elements 0 <= e < _SHARED_Z, _ZZ_ELEMS below
+_SHARED_Z = 256
 
 
 def one_over_m(m: int) -> RationalGroup:
-    return RationalGroup("one_over_m", m=m)
+    return ZZ_GROUP if m == 1 else RationalGroup("one_over_m", m=m)
 
 
 def p_power_hull(p: int) -> RationalGroup:
@@ -311,17 +329,22 @@ class GroupElem:
         g = self.group
         x, y = self.data, other.data
         if type(g) is RationalGroup:
-            return GroupElem(g, x + y)
+            return g._of(x + y)
         return GroupElem(g, tuple(map(add, x, y)))
 
     def __neg__(self) -> "GroupElem":
         g, x = self.group, self.data
         if type(g) is RationalGroup:
-            return GroupElem(g, -x)
+            return g._of(-x)
         return GroupElem(g, tuple(map(neg, x)))
 
     def __sub__(self, other: "GroupElem") -> "GroupElem":
-        return self + (-other)
+        self._check(other)
+        g = self.group
+        x, y = self.data, other.data
+        if type(g) is RationalGroup:
+            return g._of(x - y)
+        return GroupElem(g, tuple(map(sub, x, y)))
 
     def scale(self, n: int) -> "GroupElem":
         """Integer multiple n*self (n may be negative or zero); an n that is
@@ -330,7 +353,7 @@ class GroupElem:
             raise GroupLawError(f"{type(n).__name__} {n!r} is not an integer multiplier")
         g, x = self.group, self.data
         if type(g) is RationalGroup:
-            return GroupElem(g, x * n)
+            return g._of(x * n)
         return GroupElem(g, tuple(n * c for c in x))
 
     def sign(self) -> int:
@@ -354,6 +377,9 @@ class GroupElem:
 
     def __repr__(self):
         return f"GroupElem({self})"
+
+
+_ZZ_ELEMS = tuple(GroupElem(ZZ_GROUP, e) for e in range(_SHARED_Z))
 
 
 def cmp(a: GroupElem, b: GroupElem) -> int:
@@ -493,7 +519,7 @@ def _from_integer_row(group: GroupDesc, row, denom: int) -> GroupElem:
     """The element of group with coordinates row / denom, the inverse of
     _integer_rows, in the family's own data type."""
     if type(group) is RationalGroup:
-        return GroupElem(group, row[0] // denom if group.int_data else Fraction(row[0], denom))
+        return group._of(row[0] // denom if group.int_data else Fraction(row[0], denom))
     if type(group) is LexGroup:
         return GroupElem(group, tuple(x // denom for x in row))
     return GroupElem(group, tuple(Fraction(x, denom) for x in row))

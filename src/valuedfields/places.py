@@ -443,7 +443,7 @@ def _taylor_rule(g: MPoly, a: FieldElement, top: int):
 
         step = lambda acc, c: (acc * b + c) % p
         zero = 0
-        unslot = lambda r, k: FieldElement(field, (r,))
+        unslot = lambda r, k: field._residue(r)
     else:
         p = field.p
         # column j of the matrix is the coordinate tuple of a * u^j

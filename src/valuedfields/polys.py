@@ -76,7 +76,8 @@ class MPoly:
         merged: dict[tuple[int, ...], object] = {}
         for exps, coef in (term_map.items() if isinstance(term_map, dict) else term_map):
             given = tuple(exps)
-            exps = tuple(map(int, given))
+            # tuple([...]), not tuple(generator): see the series module docstring
+            exps = tuple([*map(int, given)])
             if exps != given:  # int() truncates 1/2 and 1.5; 2.0 and True are integral
                 e = next(e for e, i in zip(given, exps) if e != i)
                 raise UnsupportedError(f"exponent {e} is not an integer")
@@ -113,7 +114,7 @@ class MPoly:
         return MPoly(self.vars, tuple(sorted(acc.items(), key=lambda t: t[0])))
 
     def __neg__(self) -> "MPoly":
-        return MPoly(self.vars, tuple((e, -c) for e, c in self.terms))
+        return MPoly(self.vars, tuple([(e, -c) for e, c in self.terms]))
 
     def __sub__(self, other: "MPoly") -> "MPoly":
         return self + (-other)
@@ -138,7 +139,7 @@ class MPoly:
         field = ca.field if same else None
         p, zero, (ka, kb) = _raw_coeffs(field, (self.terms, other.terms))
         items = _elements(field, _mul_slots(xa, ka, xb, kb, None, 1, p, zero))
-        return MPoly(self.vars, tuple((_digits(x, strides), c) for x, c in items))
+        return MPoly(self.vars, tuple([(_digits(x, strides), c) for x, c in items]))
 
     def __pow__(self, k: int) -> "MPoly":
         if k < 0:
@@ -163,7 +164,7 @@ class MPoly:
         return _power(self, k, MPoly.__mul__)
 
     def scale(self, coef) -> "MPoly":
-        return MPoly.make(self.vars, tuple((e, c * coef) for e, c in self.terms))
+        return MPoly.make(self.vars, tuple([(e, c * coef) for e, c in self.terms]))
 
     def partial(self, var: str) -> "MPoly":
         """Formal partial derivative."""
@@ -518,7 +519,8 @@ def _elements(field, items: list) -> list:
     if field is None or type(field) is FiniteField and field.n > 1:
         return items
     if type(field) is FiniteField:
-        return [(x, FieldElement(field, (k,))) for x, k in items]
+        residue = field._residue
+        return [(x, residue(k)) for x, k in items]
     return [(x, FieldElement(field, c)) for x, c in items]
 
 

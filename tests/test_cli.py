@@ -1,5 +1,6 @@
 """Command line behavior: output formats, exit codes, determinism."""
 
+import gc
 import json
 import random
 import time
@@ -1111,3 +1112,69 @@ def test_powers_of_zero_and_units_have_no_size_budget(capsys):
     code, out, _ = run(capsys, ["eval", "--place", path, "(-1)^1000000000001 + 0^1000000000000"])
     assert time.perf_counter() - start < 1
     assert (code, out) == (0, "v = (0,0), residue = -1\n")
+
+
+def _golden_json():
+    """Every golden whose output is one JSON document, parsed."""
+    docs = {}
+    for path in sorted((Path(__file__).parent / "golden").glob("*.txt")):
+        body = path.read_text(encoding="utf-8").split("\n", 1)[1]
+        try:
+            docs[path.stem] = json.loads(body)
+        except ValueError:
+            continue  # text output
+    return docs
+
+
+def _random_json(rng, depth=0):
+    kind = rng.randrange(8 if depth < 4 else 5)
+    if kind == 0:
+        return rng.choice([None, True, False])
+    if kind == 1:
+        return rng.randrange(-10**25, 10**25)
+    if kind == 2:
+        return rng.choice([0.5, -1e300, 1.25e-7, float("inf")])
+    if kind in (3, 4):
+        return "".join(rng.choice('az"\\/\n\t\x01é☃\U0001f600 ') for _ in range(rng.randrange(6)))
+    if kind == 5:
+        return tuple(_random_json(rng, depth + 1) for _ in range(rng.randrange(3)))
+    if kind == 6:
+        return [_random_json(rng, depth + 1) for _ in range(rng.randrange(4))]
+    return {_random_json(rng, 4) if rng.randrange(4) == 0 and kind else "k" + str(rng.randrange(9)):
+            _random_json(rng, depth + 1) for _ in range(rng.randrange(4))}
+
+
+def test_json_writer_matches_json_dumps():
+    docs = _golden_json()
+    assert len(docs) >= 40 and "lift_json" in docs and "list_json" in docs
+    values = list(docs.values())
+    rng = random.Random(41)
+    values += [_random_json(rng) for _ in range(2000)]
+    values += [{}, [], (), "", {"a": []}, [{}], {1: 2, 3: "x"}, {None: 1}, {True: 0}, {2.5: 1}]
+    for value in values:
+        try:
+            want = json.dumps(value, indent=2, sort_keys=True)
+        except TypeError:  # keys of mixed types cannot be sorted
+            with pytest.raises(TypeError):
+                cli._json_text(value)
+            continue
+        assert cli._json_text(value) == want
+    for bad in ({(1, 2): 0}, [object()], {"a": {1, 2}}):
+        with pytest.raises(TypeError):
+            json.dumps(bad, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            cli._json_text(bad)
+
+
+def test_lift_json_leaves_no_cyclic_garbage(capsys):
+    argv = ["lift", "--p", "3", "--precision", "12", "--json", "--", "-t", "-1", "0", "1"]
+    assert cli.main(argv) == 0  # the parser and GF(3) built and cached
+    capsys.readouterr()
+    gc.collect()
+    gc.disable()
+    try:
+        assert cli.main(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert json.loads(capsys.readouterr().out)["steps"] == ["1", "3", "9"]

@@ -712,13 +712,6 @@ def _tree_value_residue(tree, f):
     return ValuationResult.exact(v), residue
 
 
-def _outcome(fn, *args):
-    try:
-        return fn(*args)
-    except ValuedFieldError as exc:
-        return type(exc), str(exc)
-
-
 def test_flat_compositions_match_nested_evaluation():
     rng = random.Random(260)
     names = ("x1", "x2", "x3", "x4")
