@@ -7,10 +7,15 @@ A place is described declaratively and evaluated exactly:
 * ``EvalPlace``      -- evaluation at a point; the value is the vector of
   vanishing orders along the listed coordinates (first listed dominates).
   Each order is the least k with a nonzero Taylor coefficient at (x - a)^k (a
-  Hasse derivative): the value at a, term by term, and where that is zero
-  synthetic division, dividing by (x - a) until a remainder is nonzero,
-  each division one Horner pass, on plain ints over Q and F_p.  Degrees
-  above 1280 at a nonzero point raise ParamError.
+  Hasse derivative), found in one pass over the terms held as integer slots
+  (coordinate tuples over F_{p^n}), one variable after the other: for each
+  row of terms sharing their other exponents, its value at a, summed term
+  by term, and where every row vanishes the sum of c * C(e, k) * a^(e-k)
+  over a row's terms, or synthetic division for a row of nearly as many
+  terms as its degree.  Degrees above 1280 at a nonzero point raise
+  ParamError.  Each evaluation forms its own powers of the point: over Q
+  n^1280 at a = 100/37 alone is 1 KiB and all of them near 0.7 MB, and
+  over F_p a table kept on the place showed no gain on the benchmark.
 * ``MonomialPlace``  -- prescribed positive, rationally independent values
   on some variables and fresh residue indeterminates for the others; the
   value of a polynomial is the least weighted exponent sum over its
@@ -55,8 +60,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from math import lcm
+from math import comb, lcm
 from operator import mul
 
 from .errors import (
@@ -70,7 +74,7 @@ from .errors import (
     UnsupportedError,
 )
 from .expr import expr_to_ratfn
-from .fields import GF, QQ, FieldDesc, FieldElement, RationalField
+from .fields import GF, QQ, FieldDesc, FieldElement, RationalField, _poly_divmod, _poly_powmod
 from .groups import (
     GroupDesc,
     GroupElem,
@@ -159,6 +163,10 @@ class EvalPlace:
     assignments: tuple[tuple[str, FieldElement], ...]
     _vars: frozenset = dataclasses.field(init=False, repr=False, compare=False)
     _frame: tuple = dataclasses.field(init=False, repr=False, compare=False)
+    # per coordinate (var, b, p, m), what _eval_lead reads of the point: b
+    # None at 0, else over Q the numerator with p = 0 and m the denominator,
+    # over F_p the int and p, over F_{p^n} the element and p, with m = 1
+    _points: tuple = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.assignments:
@@ -170,6 +178,17 @@ class EvalPlace:
         n = len(self.assignments)
         object.__setattr__(self, "_vars", frozenset(v for v, _ in self.assignments))
         object.__setattr__(self, "_frame", (ZZ_GROUP if n == 1 else LexGroup(n), 1))
+        field, points = self.field, []
+        for v, a in self.assignments:
+            if a.is_zero():
+                points.append((v, None, 0, 1))
+            elif type(field) is RationalField:
+                points.append((v, a.data.numerator, 0, a.data.denominator))
+            elif field.n == 1:
+                points.append((v, a.data[0], field.p, 1))
+            else:
+                points.append((v, a, field.p, 1))
+        object.__setattr__(self, "_points", tuple(points))
 
 
 @dataclass(frozen=True)
@@ -330,139 +349,152 @@ def _width(stage: PlaceDesc) -> int:
 # polynomial preliminaries
 
 
-# the highest degree in one variable at a nonzero point: the Taylor coefficients
-# up to the k-th take k synthetic divisions of each row, so the work grows as
-# the square of the degree (over Q as its cube in bit operations), and a
-# degree far beyond any real input fails fast.  At 1280 the order 1280 of
-# (x - a)^1280 * (x - a - 1) takes 0.13 s at a = 2, 0.33-0.39 s at -7/3 and
-# 0.92-0.97 s at 100/37, and that of (x - a)^1280 over F_9 0.83-0.93 s
+# the highest degree in one variable at a nonzero point: a dense row reaches
+# its k-th Taylor coefficient after k + 1 synthetic divisions, so the work
+# grows as the square of the degree (over Q as its cube in bit operations),
+# and a degree far beyond any real input fails fast.  At 1280 the order 1279
+# of (x - a)^1279 * (x - a - 1) takes 0.10-0.22 s at a = 2, 0.30-0.58 s at
+# -7/3 and 0.87-1.52 s at 100/37, and the order 1280 of (x - a)^1280 over
+# F_9 0.81-1.73 s (in process, the fastest and slowest of 3 runs in each
+# of four processes, on a shared 2-core machine)
 _MAX_SHIFT_DEGREE = 1280
 
+# A row of s terms and degree D takes its k-th Taylor coefficient, k >= 1,
+# as the sparse sum of slot * C(e, k) * a^(e-k) over its terms while
+# s * (k + 1) < _SPARSE_TAYLOR_REACH * D, and else by synthetic division,
+# one Horner pass over its D + 1 dense slots per order.  A term of the sum
+# costs 2.5 to 4 Horner steps at k = 1, more as k and C(e, k) grow, and a
+# dense row pays its calls at every order.  Timed in process on rows
+# (x - a)^K * h, h of 1 to 16 random terms, over F_7, F_1000003 and Q at 2
+# and -7/3: of degree 40 to 650 the routes break even near s * (k + 1) =
+# 1.5 * D to 2 * D, and of degree at most 16 the sums win up to 2 * D to
+# 4 * D.  With 2, 180 rows of the first kind took within 3 % of their time
+# with 1 (on two seeds), and the vanishing eval7 polynomials of the
+# places-eval benchmark 6-9 % less.  A dense row, s = D + 1, such as (x - 2)^1200 *
+# (x + 1), divides from k = 1 on.
+_SPARSE_TAYLOR_REACH = 2
 
-def _lowest_taylor_coeff(g: MPoly, var: str, a: FieldElement) -> tuple[int, MPoly]:
-    """The least k such that (var - a)^k has a nonzero coefficient in g, with
-    that coefficient, a polynomial in the other variables: the k-th Hasse
-    derivative of g in var at a.
 
-    The terms of g that share their other exponents form one row, a
-    polynomial in var.  Its 0-th Taylor coefficient is its value at a,
-    summed term by term with powers of a shared by all rows, so a row of
-    few terms costs its terms, not its degree.  When every row vanishes at
-    a, the k-th remainder of dividing a row by (var - a) again and again is
-    its k-th Taylor coefficient: each division is one Horner pass over the
-    dense row, and k is the least at which some row leaves a nonzero
-    remainder.  The rows hold the slots of _taylor_rule: plain ints over Q
-    and F_p, and coordinate tuples over F_{p^n}."""
-    if var not in g.vars:
-        return 0, g
-    i = g.vars.index(var)
-    others = g.vars[:i] + g.vars[i + 1:]
-    if a.is_zero():
-        # only a^0: no degree budget, and k is the least exponent of var
-        k = min(exps[i] for exps, _ in g.terms)
-        return k, MPoly(others, tuple(sorted(
-            (exps[:i] + exps[i + 1:], c) for exps, c in g.terms if exps[i] == k
-        )))
-    top = max(exps[i] for exps, _ in g.terms)
-    if top > _MAX_SHIFT_DEGREE:
-        raise ParamError(
-            f"degree {top} in {var} exceeds the Taylor shift budget of {_MAX_SHIFT_DEGREE}"
-        )
-    slot, value, step, zero, unslot = _taylor_rule(g, a, top)
-    by_rest: dict[tuple[int, ...], list] = {}
-    for exps, c in g.terms:
-        by_rest.setdefault(exps[:i] + exps[i + 1:], []).append((exps[i], c))
+def _taylor_coeffs(rows: dict, b, p: int):
+    """(k, [(rest, coefficient)]) for the rows {rest: [(e, slot)]} of one
+    variable at a nonzero point: the least k at which some row has a
+    nonzero k-th Taylor coefficient (a Hasse derivative), and the slots of
+    those rows' k-th coefficients.  Over F_p b is the point's int and p the
+    prime; over Q b is the point's numerator and p is 0, no reduction;
+    over F_{p^n} b is the point, a FieldElement, and the slots are
+    coordinate tuples.
+
+    Order 0, the value at the point, is the sparse sum for every row, from
+    powers shared by all rows, so a row of few terms costs its terms, not
+    its degree.  Only when every row vanishes does the search go on, each
+    row by the route _SPARSE_TAYLOR_REACH picks at each order.  A row of
+    degree D has a nonzero D-th coefficient, its leading slot, so the
+    search ends by the least degree of a row."""
+    powers: dict = {}
+    lowest = _sparse_coeffs(rows.items(), 0, b, p, powers)
+    if lowest:
+        return 0, lowest
+    zero = 0 if type(b) is int else (0,) * b.field.n
+    step = b if type(b) is int else _times_matrix(b)
+    dense: dict[tuple[int, ...], list] = {}
     k = 0
-    lowest = [(rest, r) for rest, terms in by_rest.items() if (r := value(terms)) != zero]
-    if not lowest:
-        rows = {}
-        for rest, terms in by_rest.items():
-            d = max(e for e, _ in terms)
-            row = rows[rest] = [zero] * (d + 1)
-            for e, c in terms:
-                row[d - e] = slot(e, c)
-        # a row of degree d has a nonzero d-th remainder, its leading slot,
-        # so every row keeps a slot until k is found; the first pass only
-        # repeats the zero values, for the quotients
-        k = -1
-        while not lowest:
-            k += 1
-            for rest, row in rows.items():
-                quotient = list(accumulate(row, step))
-                r = quotient.pop()
-                rows[rest] = quotient
-                if r != zero:
-                    lowest.append((rest, r))
-    return k, MPoly(others, tuple(sorted((rest, unslot(r, k)) for rest, r in lowest)))
+    while not lowest:
+        k += 1
+        sparse = []
+        for rest, row in list(rows.items()):
+            degree = max([e for e, _ in row])
+            if len(row) * (k + 1) < _SPARSE_TAYLOR_REACH * degree:
+                sparse.append((rest, row))
+            else:
+                dense[rest] = _dense_quotient(rows.pop(rest), degree, k, step, p, zero)
+        lowest = _sparse_coeffs(sparse, k, b, p, powers)
+        for rest, quotient in dense.items():
+            dense[rest], r = _divide(quotient, step, p)
+            if r != zero:
+                lowest.append((rest, r))
+    return k, lowest
 
 
-def _taylor_rule(g: MPoly, a: FieldElement, top: int):
-    """The slot rule of _lowest_taylor_coeff for the field of a, as
-    (slot, value, step, zero, unslot).  slot(e, c) is the slot of the term
-    c * var^e; value(terms) is the slot of the value at a of the row of the
-    (e, c) terms, from powers of a shared by all rows; step(acc, s) is one
-    Horner step, acc * a + s; zero is the zero slot, and unslot(r, k) the
-    field element of the k-th remainder r.
-
-    Over F_p a slot is the int of an element, reduced mod p at each step.
-    Over Q at a = n/m it is an integer of G(y) = L * m^top * g(y/m), with L
-    the least common denominator of the coefficients, and the step
-    multiplies by n: the k-th Taylor coefficient of G at n is
-    L * m^(top-k) times that of g at a.  Over F_{p^n} a slot is the
-    coordinate tuple of an element, and the step multiplies it by the
-    matrix of multiplication by a."""
-    field = a.field
-    powers: dict[int, object] = {}  # the shared weight of each exponent
-    if type(field) is RationalField:
-        n, m = a.data.numerator, a.data.denominator
-        den = lcm(*(c.data.denominator for _, c in g.terms))
-        slot = lambda e, c: c.data.numerator * (den // c.data.denominator) * m ** (top - e)
-
-        def value(terms):
+def _sparse_coeffs(rows, k: int, b, p: int, powers: dict) -> list:
+    """The (rest, coefficient) pairs of the (rest, row) pairs whose k-th
+    Taylor coefficient at b is nonzero: the sum of slot * C(e, k) * b^(e-k)
+    over the row's (e, slot) terms, reduced mod p when p, with the powers
+    of b kept in powers."""
+    out = []
+    if type(b) is int:
+        for rest, row in rows:
             total = 0
-            for e, c in terms:
-                if (w := powers.get(e)) is None:
-                    w = powers[e] = n ** e * m ** (top - e)
-                total += c.data.numerator * (den // c.data.denominator) * w
-            return total
+            for e, s in row:
+                if e >= k:
+                    if (w := powers.get(e - k)) is None:
+                        w = powers[e - k] = pow(b, e - k, p) if p else b ** (e - k)
+                    total += s * w * comb(e, k) if k else s * w
+            if p:
+                total %= p
+            if total:
+                out.append((rest, total))
+        return out
+    # over F_{p^n} the products of coordinate tuples add up unreduced, as
+    # polynomials in the generator, and each row is reduced once
+    n, modulus = b.field.n, b.field.modulus
+    for rest, row in rows:
+        total = [0] * (2 * n - 1)
+        for e, s in row:
+            if e >= k and (c := comb(e, k) % p):
+                if (w := powers.get(e - k)) is None:
+                    w = powers[e - k] = _poly_powmod(b.data, e - k, modulus, p) if e > k else (1,)
+                for i, x in enumerate(s):
+                    if x:
+                        for j, y in enumerate(w):
+                            total[i + j] += c * x * y
+        r = _poly_divmod([t % p for t in total], modulus, p)[1]
+        if r:
+            out.append((rest, r + (0,) * (n - len(r))))
+    return out
 
-        step = lambda acc, c: acc * n + c
-        zero = 0
-        unslot = lambda r, k: FieldElement(field, Fraction(r * m ** k, den * m ** top))
-    elif field.n == 1:
-        p, b = field.p, a.data[0]
-        slot = lambda e, c: c.data[0]
 
-        def value(terms):
-            total = 0
-            for e, c in terms:
-                if (w := powers.get(e)) is None:
-                    w = powers[e] = pow(b, e, p)
-                total += c.data[0] * w
-            return total % p
+def _times_matrix(b: FieldElement) -> list:
+    """The rows of the matrix of multiplication by b on coordinate tuples:
+    column j is the coordinate tuple of b * x^j, x the generator."""
+    n, modulus, p = b.field.n, b.field.modulus, b.field.p
+    columns = [_poly_divmod((0,) * j + b.data, modulus, p)[1] for j in range(n)]
+    return list(zip(*[c + (0,) * (n - len(c)) for c in columns]))
 
-        step = lambda acc, c: (acc * b + c) % p
-        zero = 0
-        unslot = lambda r, k: field._residue(r)
+
+def _dense_quotient(row: list, degree: int, k: int, step, p: int, zero) -> list:
+    """The dense slots of the row of (e, slot) terms, highest first, divided
+    k times by (var - point): the row's coefficients of the orders below k
+    are zero, so each remainder is."""
+    quotient = [zero] * (degree + 1)
+    for e, s in row:
+        quotient[degree - e] = s
+    for _ in range(k):
+        quotient = _divide(quotient, step, p)[0]
+    return quotient
+
+
+def _divide(row: list, step, p: int):
+    """(quotient, remainder) of the dense row, highest slot first, divided
+    by (var - point) in one Horner pass: step is the point's int, reduced
+    mod p when p, or over F_{p^n} the rows of its multiplication matrix."""
+    quotient = []
+    append = quotient.append
+    if type(step) is not int:
+        acc = (0,) * len(step)
+        for c in row:
+            acc = tuple([(sum(map(mul, r, acc)) + x) % p for r, x in zip(step, c)])
+            append(acc)
+    elif p:
+        acc = 0
+        for c in row:
+            acc = (acc * step + c) % p
+            append(acc)
     else:
-        p = field.p
-        # column j of the matrix is the coordinate tuple of a * u^j
-        units = (FieldElement(field, tuple(int(d == j) for d in range(field.n))) for j in range(field.n))
-        matrix = list(zip(*((a * u).data for u in units)))
-        slot = lambda e, c: c.data
-
-        def value(terms):
-            total = field.zero()
-            for e, c in terms:
-                if (w := powers.get(e)) is None:
-                    w = powers[e] = a ** e
-                total = total + c * w
-            return total.data
-
-        step = lambda acc, c: tuple([(sum(map(mul, row, acc)) + x) % p for row, x in zip(matrix, c)])
-        zero = (0,) * field.n
-        unslot = lambda r, k: FieldElement(field, r)
-    return slot, value, step, zero, unslot
+        acc = 0
+        for c in row:
+            acc = acc * step + c
+            append(acc)
+    return quotient, quotient.pop()
 
 
 def _sorted_terms(terms: dict) -> tuple:
@@ -521,11 +553,70 @@ def _lead(P: PlaceDesc, g: MPoly):
 
 
 def _eval_lead(P: EvalPlace, g: MPoly):
+    """The orders of vanishing of g along P's coordinates, as an int row,
+    and the lowest Taylor coefficient, a FieldElement, or None when g keeps
+    a variable P does not assign.
+
+    One pass over g's terms held as slots: ints mod p over F_p, ints over Q
+    over one common denominator den carried to the end, and coordinate
+    tuples over F_{p^n}.  For each coordinate the (exponents, slot) pairs
+    are grouped into rows by their other exponents.  At 0 the order is the
+    least exponent of the variable; elsewhere _taylor_coeffs finds it, and
+    the (rest, coefficient) pairs of the rows that reach it go straight on
+    to the next variable.  No polynomial is built between the variables,
+    and only the answer builds a field element.
+
+    Over Q at a = n/m the rows hold G(y) = m^top * g(y/m), top the degree
+    of g in the variable: the slot of c * x^e is c * m^(top-e), and the
+    k-th Taylor coefficient of G at n is m^(top-k) times that of g at a,
+    a factor den takes on.  Each call forms its own powers of the point:
+    the place keeps none."""
+    field = P.field
+    names, den = g.vars, 1
+    if type(field) is RationalField:
+        den = lcm(*[c.data.denominator for _, c in g.terms])
+        terms = [(exps, c.data.numerator * (den // c.data.denominator)) for exps, c in g.terms]
+    elif field.n == 1:
+        terms = [(exps, c.data[0]) for exps, c in g.terms]
+    else:
+        terms = [(exps, c.data) for exps, c in g.terms]
     coords = []
-    for var, a in P.assignments:
-        k, g = _lowest_taylor_coeff(g, var, a)
+    for var, b, p, m in P._points:
+        if var not in names:
+            coords.append(0)
+            continue
+        i = names.index(var)
+        names = names[:i] + names[i + 1:]
+        if b is None:
+            # only a^0: no degree budget, and k is the least exponent of var
+            k = min([exps[i] for exps, _ in terms])
+            terms = [(exps[:i] + exps[i + 1:], s) for exps, s in terms if exps[i] == k]
+            coords.append(k)
+            continue
+        top = max([exps[i] for exps, _ in terms])
+        if top > _MAX_SHIFT_DEGREE:
+            raise ParamError(
+                f"degree {top} in {var} exceeds the Taylor shift budget of {_MAX_SHIFT_DEGREE}"
+            )
+        rows: dict[tuple[int, ...], list] = {}
+        scale: dict[int, int] = {}
+        for exps, s in terms:
+            e = exps[i]
+            if m != 1:
+                if (w := scale.get(e)) is None:
+                    w = scale[e] = m ** (top - e)
+                s *= w
+            rows.setdefault(exps[:i] + exps[i + 1:], []).append((e, s))
+        k, terms = _taylor_coeffs(rows, b, p)
+        if m != 1:
+            den *= m ** (top - k)
         coords.append(k)
-    return tuple(coords), _const_value(g)
+    if len(terms) != 1 or any(terms[0][0]):
+        return tuple(coords), None
+    s = terms[0][1]
+    if type(field) is RationalField:
+        return tuple(coords), FieldElement(field, Fraction(s, den))
+    return tuple(coords), field._residue(s) if field.n == 1 else FieldElement(field, s)
 
 
 def _monomial_layout(P: MonomialPlace, vars: tuple[str, ...]):

@@ -1,13 +1,15 @@
 """The integer kernels of exact polynomials against the loops they replaced.
 
-places._lowest_taylor_coeff finds the order of vanishing at a point from
-the value of each row of slots there and, where every row vanishes, by
-synthetic division on the dense rows, and MPoly.__mul__ multiplies by the
-slot product it shares with Series, polys._mul_slots: Kronecker substitution
-over Q and F_p, the term-pair loop otherwise.  The references below are the
-term-by-term forms: the sum of c * C(e, k) * a^(e-k) over the terms, and the
-loop over every term pair.  Both sides must give identical polynomials, term
-for term.
+places._eval_lead finds the orders of vanishing at a point in one pass over
+the slots of a polynomial: the value of each row of slots there and, where
+every row vanishes, the sparse sum of its Taylor coefficient or synthetic
+division on its dense slots.  MPoly.__mul__ multiplies by the slot product
+it shares with Series, polys._mul_slots: Kronecker substitution over Q and
+F_p, the term-pair loop otherwise.  The references below are the
+term-by-term forms: the sum of c * C(e, k) * a^(e-k) over the terms, one
+variable at a time, and the loop over every term pair.  Both sides must
+give identical orders and coefficients, and identical polynomials, term for
+term.
 """
 
 import math
@@ -22,8 +24,9 @@ from valuedfields import places, polys
 from valuedfields.errors import FieldMismatchError, ParamError
 from valuedfields.fields import GF, QQ
 from valuedfields.groups import ZZ_GROUP
-from valuedfields.polys import MPoly
-from valuedfields.series import make_series, mul_series
+from valuedfields.places import EvalPlace, place_residue, place_value, place_value_residue
+from valuedfields.polys import MPoly, RatFn
+from valuedfields.series import POLE, ZERO, make_series, mul_series
 
 
 def _reference_taylor(g, var, a):
@@ -103,20 +106,49 @@ def _taylor_case(rng, field):
     return g, var, a
 
 
+def _reference_lead(P, g):
+    """The orders of g along P's coordinates and its lowest coefficient, by
+    _reference_taylor one variable at a time; the shift budget is checked
+    on the polynomial each variable before leaves."""
+    coords = []
+    for var, a in P.assignments:
+        if var in g.vars and not a.is_zero():
+            i = g.vars.index(var)
+            top = max(exps[i] for exps, _ in g.terms)
+            if top > places._MAX_SHIFT_DEGREE:
+                raise ParamError(
+                    f"degree {top} in {var} exceeds the Taylor shift budget of {places._MAX_SHIFT_DEGREE}"
+                )
+        k, g = _reference_taylor(g, var, a)
+        coords.append(k)
+    return tuple(coords), g.terms[0][1]
+
+
+def _place_first(rng, field, var, a, names):
+    """An evaluation place assigning var -> a first, then the other names in
+    a shuffled order at random points, zero now and then."""
+    rest = [v for v in names if v != var]
+    rng.shuffle(rest)
+    return EvalPlace(field, ((var, a),) + tuple(
+        (v, _draw(rng, field) if rng.random() < 0.8 else field.zero()) for v in rest
+    ))
+
+
 @pytest.mark.parametrize("field", _FIELDS, ids=str)
 def test_taylor_kernel_matches_the_binomial_sum(field):
     rng = random.Random(f"taylor/{field}")
     orders = set()
     for _ in range(220):
         g, var, a = _taylor_case(rng, field)
-        got = places._lowest_taylor_coeff(g, var, a)
-        assert got == _reference_taylor(g, var, a), (g, var, a)
-        orders.add(got[0])
+        P = _place_first(rng, field, var, a, g.vars)
+        got = places._eval_lead(P, g)
+        assert got == _reference_lead(P, g), (g, P)
+        orders.add(got[0][0])
     assert max(orders) >= 4  # the cases reach high orders of vanishing
 
 
 def test_taylor_kernel_at_fractional_points_over_q():
-    # G(y) = L * m^top * g(y/m) runs over Z; the remainders scale back exactly
+    # G(y) = m^top * g(y/m) runs over Z; the coefficients scale back exactly
     rng = random.Random("taylor/fractions")
     for _ in range(60):
         a = QQ.elem(Fraction(rng.choice((-1, 1)) * rng.randint(1, 12), rng.randint(2, 9)))
@@ -124,29 +156,238 @@ def test_taylor_kernel_at_fractional_points_over_q():
         if g.is_zero():
             continue
         g = g * _linear(("x", "y"), 0, a) ** rng.randint(1, 6)
-        assert places._lowest_taylor_coeff(g, "x", a) == _reference_taylor(g, "x", a)
+        P = _place_first(rng, QQ, "x", a, g.vars)
+        assert places._eval_lead(P, g) == _reference_lead(P, g)
+
+
+def _sparse_high_rows(field):
+    """x^1280 * (y + ... + y^300) + 1: 301 rows in x, 300 of them one term
+    of degree 1280."""
+    one = field.one()
+    return MPoly.make(("x", "y"), {**{(1280, j): one for j in range(1, 301)}, (0, 0): one})
+
+
+_SPARSE_POINTS = ((QQ, Fraction(-7, 3)), (GF(7), 3), (GF(3, 2), [1, 2]))
 
 
 def test_sparse_rows_of_high_degree_cost_their_terms():
-    # x^1280 * (y + ... + y^300) + 1 at a nonzero x: 301 rows, 300 of them
-    # one term of degree 1280; the values at the point, from powers shared
-    # by the rows, give k = 0 with no dense row of 1281 slots built
-    for field, a in ((QQ, QQ.elem(Fraction(-7, 3))), (GF(7), GF(7).elem(3)), (GF(3, 2), GF(3, 2).elem([1, 2]))):
-        one = field.one()
-        g = MPoly.make(("x", "y"), {**{(1280, j): one for j in range(1, 301)}, (0, 0): one})
+    # the values at the point, from powers shared by the rows, give k = 0
+    # with no dense row of 1281 slots built
+    for field, a in _SPARSE_POINTS:
+        g = _sparse_high_rows(field)
+        P = EvalPlace(field, (("x", field.elem(a)), ("y", field.elem(2))))
         start = time.perf_counter()
-        got = places._lowest_taylor_coeff(g, "x", a)
+        got = places._eval_lead(P, g)
         assert time.perf_counter() - start < 0.05
-        assert got == _reference_taylor(g, "x", a)
-        assert got[0] == 0 and len(got[1].terms) == 301
+        assert got == _reference_lead(P, g)
+        assert got[0][0] == 0
 
 
-def test_taylor_degree_budget_fails_before_any_row():
+def _vanishing_rows(field, a, b):
+    """(x1^1000 - a^1000) * (x2 + ... + x2^300) at x1 -> a, x2 -> b: 300 rows
+    in x1 that all vanish at a, each two terms of degree 1000, so k = 1."""
+    one, a = field.one(), field.elem(a)
+    top = -(a ** 1000)
+    g = MPoly.make(("x1", "x2"), {
+        **{(1000, j): one for j in range(1, 301)}, **{(0, j): top for j in range(1, 301)}
+    })
+    return EvalPlace(field, (("x1", a), ("x2", field.elem(b)))), g
+
+
+_VANISHING_POINTS = ((QQ, 2, 3), (QQ, Fraction(-7, 3), 3), (GF(7), 2, 3), (GF(1_000_003), 2, 3))
+
+
+def test_vanishing_sparse_rows_take_no_synthetic_division(monkeypatch):
+    # a count guard beside the wall bounds: the order 1 of each row comes
+    # from its sparse sum, and no row turns dense
+    calls = []
+    for name in ("_divide", "_dense_quotient"):
+        kernel = getattr(places, name)
+        monkeypatch.setattr(
+            places, name, lambda *args, name=name, kernel=kernel: calls.append(name) or kernel(*args)
+        )
+    # over F_7 the x2 row, 3 + ... + 3^300, vanishes too and is dense
+    for field, a, b in _VANISHING_POINTS:
+        if field != GF(7):
+            P, g = _vanishing_rows(field, a, b)
+            got = places._eval_lead(P, g)
+            assert got == _reference_lead(P, g)
+            assert got[0] == (1, 0)
+    assert calls == []
+    # a dense row does divide: (x - 2)^3 * (x + 1)
+    g = _linear(("x",), 0, QQ.elem(2)) ** 3 * _linear(("x",), 0, QQ.elem(-1))
+    assert places._eval_lead(EvalPlace(QQ, (("x", QQ.elem(2)),)), g)[0] == (3,)
+    assert calls[0] == "_dense_quotient" and "_divide" in calls
+
+
+def test_a_two_variable_place_builds_no_polynomial_between_its_variables(monkeypatch):
+    rng = random.Random("taylor/no-mpoly")
+    names = ("x", "y")
+    cases = []
+    for field in _FIELDS:
+        a, b = _draw(rng, field), _draw(rng, field)
+        P = EvalPlace(field, (("x", a), ("y", b)))
+        for _ in range(10):
+            num = MPoly(names, ())
+            while num.is_zero():
+                num = _random_poly(rng, field, names, rng.randint(1, 4), 3)
+            den = _linear(names, 0, a + field.one())
+            for _ in range(rng.randint(0, 3)):
+                num = num * _linear(names, 0, a)
+            for _ in range(rng.randint(0, 2)):
+                num, den = num * _linear(names, 1, b), den * _linear(names, 1, b)
+            cases.append((P, RatFn.make(num, den)))
+    built = []
+    init = MPoly.__init__
+    monkeypatch.setattr(MPoly, "__init__", lambda self, *args: built.append(1) or init(self, *args))
+    MPoly(names, ())
+    assert built == [1]  # the spy sees a construction
+    built.clear()
+    for P, f in cases:
+        place_value(P, f), place_residue(P, f), place_value_residue(P, f)
+    assert built == []
+
+
+def test_taylor_degree_budget_fails_before_any_row(monkeypatch):
+    rows = []
+    coeffs = places._taylor_coeffs
+    monkeypatch.setattr(places, "_taylor_coeffs", lambda *args: rows.append(1) or coeffs(*args))
     g = MPoly.make(("x",), {(10**12,): QQ.one(), (0,): QQ.one()})
     start = time.perf_counter()
     with pytest.raises(ParamError, match="Taylor shift budget"):
-        places._lowest_taylor_coeff(g, "x", QQ.elem(2))
+        places._eval_lead(EvalPlace(QQ, (("x", QQ.elem(2)),)), g)
     assert time.perf_counter() - start < 0.1
+    # a degree-1281 row at a nonzero point, after a first variable it passes
+    g = MPoly.make(("x", "y"), {(0, 1281): QQ.one(), (1, 0): QQ.one()})
+    with pytest.raises(ParamError, match="degree 1281 in y"):
+        places._eval_lead(EvalPlace(QQ, (("x", QQ.zero()), ("y", QQ.elem(Fraction(100, 37))))), g)
+    assert rows == []
+
+
+# ---------------------------------------------------------------------------
+# evaluation places against the reference, one variable at a time
+
+
+def _diff_point(rng, field, fractional):
+    if rng.random() < 0.2:
+        return field.zero()
+    if field == QQ and not fractional:
+        return QQ.elem(rng.choice((-3, -2, -1, 1, 2, 3)))
+    if field == QQ:
+        return QQ.elem(Fraction(rng.choice((-1, 1)) * rng.randint(1, 12), rng.randint(2, 9)))
+    return _draw(rng, field)
+
+
+def _diff_poly(rng, field, names, point):
+    """A nonzero polynomial in names: random terms, now and then sparse rows
+    of high degree or a term past the shift budget, times factors
+    (x - a)^k at the point, in characteristic p sometimes (x - a)^p."""
+    small = 4 if field == QQ else field.p + 2
+    g = MPoly(names, ())
+    while g.is_zero():
+        g = _random_poly(rng, field, names, rng.randint(1, 5), small)
+    shape = rng.random()
+    if shape < 0.12:
+        v = rng.randrange(len(names))
+        top = rng.choice((100, 400, 1280))
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            exps = [rng.randint(0, 2) for _ in names]
+            exps[v] = rng.choice((top, rng.randint(0, top)))
+            terms[tuple(exps)] = _draw(rng, field)
+        g = g + MPoly.make(names, terms)
+    elif shape < 0.15:
+        exps = [0] * len(names)
+        exps[rng.randrange(len(names))] = 1281
+        g = g + MPoly.make(names, {tuple(exps): field.one()})
+    for v in range(len(names)):
+        if rng.random() < 0.6:
+            g = g * _linear(names, v, point[v]) ** rng.randint(1, 3)
+        if field != QQ and rng.random() < 0.15:
+            g = g * _linear(names, v, point[v]) ** field.p
+    return g if not g.is_zero() else MPoly.make(names, {(0,) * len(names): field.one()})
+
+
+def _reference_outcomes(P, f):
+    """(value row, residue, both) by _reference_lead on num and den; an error
+    stands for all three, as place_value raises it first."""
+    try:
+        v_num, lead_num = _reference_lead(P, f.num)
+        v_den, lead_den = _reference_lead(P, f.den)
+    except ParamError as exc:
+        return [(ParamError, str(exc))] * 3
+    row = tuple([x - y for x, y in zip(v_num, v_den)])
+    sign = next((x for x in row if x), 0)
+    residue = ZERO if sign > 0 else POLE if sign < 0 else lead_num / lead_den
+    return [row, residue, (row, residue)]
+
+
+def _outcomes(P, f):
+    row = lambda v: v.value.data if type(v.value.data) is tuple else (v.value.data,)
+    out = []
+    for fn in (place_value, place_residue, place_value_residue):
+        try:
+            got = fn(P, f)
+        except ParamError as exc:
+            out.append((ParamError, str(exc)))
+            continue
+        if fn is place_value:
+            got = row(got)
+        elif fn is place_value_residue:
+            got = (row(got[0]), got[1])
+        out.append(got)
+    return out
+
+
+_DIFF_KINDS = [(QQ, False), (QQ, True), (GF(2), False), (GF(5), False), (GF(7), False), (GF(3, 2), False)]
+
+
+@pytest.mark.parametrize("field, fractional", _DIFF_KINDS, ids=["Q", "Q-fractions", "F2", "F5", "F7", "F9"])
+def test_evaluation_places_match_the_reference_variable_by_variable(field, fractional):
+    # 6 x 180 seeded cases, 1,080 in all, in 1 to 3 variables
+    rng = random.Random(f"eval-diff/{field}/{fractional}")
+    seen = {"error": 0, "ZERO": 0, "POLE": 0, "residue": 0, "high order": 0}
+    for _ in range(180):
+        names = ("x", "y", "z")[: rng.randint(1, 3)]
+        point = [_diff_point(rng, field, fractional) for _ in names]
+        order = list(range(len(names)))
+        rng.shuffle(order)
+        P = EvalPlace(field, tuple((names[i], point[i]) for i in order))
+        num = _diff_poly(rng, field, names, point)
+        den = _diff_poly(rng, field, names, point)
+        f = RatFn.make(num, den)
+        want = _reference_outcomes(P, f)
+        assert _outcomes(P, f) == want, (P, f)
+        residue = want[1]
+        kind = "error" if isinstance(residue, tuple) else (
+            "ZERO" if residue is ZERO else "POLE" if residue is POLE else "residue"
+        )
+        seen[kind] += 1
+        seen["high order"] += kind != "error" and max(want[0]) >= 3
+    assert all(seen.values()), seen
+
+
+def test_sparse_vanishing_rows_match_the_reference_on_every_route(monkeypatch):
+    # vanishing sparse rows, alone and over x2 - b, and two rows times
+    # (x1 - a)^3: the three calls by the rule, and the leads by sparse sums
+    # only and by dense rows only, all as the reference gives them
+    cases = []
+    for field, a, b in _VANISHING_POINTS:
+        P, g = _vanishing_rows(field, a, b)
+        cases += [(P, RatFn.from_poly(g, field)), (P, RatFn.make(g, _linear(g.vars, 1, field.elem(b))))]
+    one = QQ.one()
+    for a in (2, Fraction(-7, 3)):
+        x = QQ.elem(a)
+        row = MPoly.make(("x1", "x2"), {(300, 0): one, (0, 0): -(x ** 300), (2, 1): one})
+        g = row * _linear(("x1", "x2"), 0, x) ** 3
+        cases.append((EvalPlace(QQ, (("x1", x), ("x2", one))), RatFn.from_poly(g, QQ)))
+    for P, f in cases:
+        assert _outcomes(P, f) == _reference_outcomes(P, f)
+    polys = {f.num: (P, _reference_lead(P, f.num)) for P, f in cases}
+    for reach in (math.inf, 0):
+        monkeypatch.setattr(places, "_SPARSE_TAYLOR_REACH", reach)
+        for g, (P, lead) in polys.items():
+            assert places._eval_lead(P, g) == lead, reach
 
 
 _PRODUCT_FIELDS = [QQ, GF(2), GF(7), GF(2**61 - 1)]

@@ -1384,6 +1384,15 @@ _TABLE_PLACES = {
     ),
     # x1 -> 2 t^2 + O(t^5) over F_5, beside an exact constant x3 -> 3
     "embed_z_truncated": lambda: _monomial_embedding(ZZ_GROUP, GF(5), [(2, 2), (3, 4), (0, 3)], 5),
+    # evaluation places
+    "eval_q_integer": lambda: EvalPlace(QQ, (("x1", QQ.elem(2)), ("x2", QQ.elem(-1)))),
+    "eval_q_fraction": lambda: EvalPlace(
+        QQ, (("x1", QQ.elem(Fraction(-7, 3))), ("x2", QQ.elem(Fraction(-7, 3))))
+    ),
+    "eval_f5_zero": lambda: EvalPlace(GF(5), (("x1", GF(5).elem(3)), ("x2", GF(5).zero()))),
+    "eval_f9": lambda: EvalPlace(GF(3, 2), tuple(
+        (v, GF(3, 2).elem(a)) for v, a in (("x1", [1, 2]), ("x2", [0, 1]), ("x3", [2, 0]))
+    )),
 }
 
 
@@ -1427,6 +1436,8 @@ def test_a_used_place_answers_as_a_fresh_one(name):
     first, *later = P.stages if isinstance(P, ComposePlace) else (P,)
     if isinstance(first, MonomialPlace):
         assert len(first._layouts) >= 3  # several variable orders were kept
+    elif isinstance(first, EvalPlace):
+        assert first._points == build()._points  # an evaluation place keeps nothing
     else:
         assert first._powers and all(len(s.terms) == 1 for s in first._powers.values())
     # a later stage sees only the residue indeterminates of the stage before

@@ -18,7 +18,7 @@ import pytest
 from valuedfields import cli, fields, groups
 from valuedfields.fields import GF, FieldElement, FiniteField, _SHARED_P
 from valuedfields.groups import GroupElem, ZZ_GROUP, _SHARED_Z, _from_integer_row, one_over_m
-from valuedfields.places import _taylor_rule
+from valuedfields.places import EvalPlace, _eval_lead
 from valuedfields.polys import MPoly, _elements
 from valuedfields.series import _from_slots, _mul_monomial, make_series
 
@@ -80,7 +80,7 @@ def test_prime_field_operations_match_direct_elements(p):
 @pytest.mark.parametrize("p", PRIMES)
 def test_prime_field_kernels_match_direct_elements(p):
     # the slot kernels' inverse _elements, the series built from slots, the
-    # monomial shift and the unslot of the Taylor rule at an evaluation place
+    # monomial shift and the coefficient an evaluation place builds from a slot
     rng = random.Random(p + 1)
     for F in _fields(p):
         direct = lambda k: FieldElement(F, (k % p,))
@@ -97,11 +97,12 @@ def test_prime_field_kernels_match_direct_elements(p):
         for (e, c), (x, k) in zip(shifted.terms, items):
             _same(e, GroupElem(ZZ_GROUP, x + 3))
             _same(c, direct(k1 * k))
-        g = MPoly.make(("x",), [((e,), F.elem(rng.randrange(p))) for e in range(6)])
-        *_, zero, unslot = _taylor_rule(g, direct(rng.randrange(p)), 5)
-        assert zero == 0
+        # x - b + r has the value r at b, and order 1 with coefficient 1 at r = 0
+        b = rng.randrange(1, p)
+        P = EvalPlace(F, (("x", direct(b)),))
         for r in range(min(p, 300)):
-            _same(unslot(r, 0), direct(r))
+            g = MPoly.make(("x",), [((1,), F.one()), ((0,), direct(r - b))])
+            _same(_eval_lead(P, g)[1], direct(r or 1))
 
 
 @pytest.mark.parametrize("p", PRIMES)
