@@ -17,8 +17,9 @@ the residual valuation, asserts the quadratic-convergence certificate
 v(f(a_next)) >= 2*v(f(a)), and solves with the Jacobian's adjugate and one
 inverted determinant.  The steps run on a precision ladder: after residual
 valuation w a step needs f(a) only modulo t^(4w) and J(a) modulo t^(3w)
-(both capped at the target), so the callbacks here see approximants
-truncated that far until something loses precision.
+(both capped at the target): _newton passes each callback the approximant
+whole and that cut, and the callbacks here evaluate below the cut until
+something loses precision.
 """
 
 from __future__ import annotations
@@ -95,12 +96,17 @@ class SeriesPoly:
         value is Horner's rule, from degree p on in characteristic p in a^p
         over blocks of p coefficients: the Frobenius a^p is linear in the k
         terms of a, where Horner's a^(p-1) of a sparse a can have about
-        k^(p-1)/(p-1)! terms."""
+        k^(p-1)/(p-1)! terms.  It runs on a cut below t^(below) when no
+        term of a or of a coefficient has a negative exponent."""
         if below is None:
             return self._plain(a)
         below = below if isinstance(below, GroupElem) else self.group.elem(below)
         out = _horner_packed(self.coeffs, a, below)
-        return truncate(self._plain(a), below) if out is None else out
+        if out is not None:
+            return out
+        if not any(s.terms and s.terms[0][0].sign() < 0 for s in (a, *self.coeffs)):
+            a = truncate(a, below)
+        return truncate(self._plain(a), below)
 
     def _plain(self, a: Series) -> Series:
         coeffs, p = self.coeffs, self.field.characteristic
@@ -285,7 +291,7 @@ def hensel_lift(f: SeriesPoly, b: Series | None, target) -> LiftResult:
             raise HypothesisError(f"v(f(start)) = {v0.value}, need > 0")
 
     (root,), steps = _newton(
-        lambda a: [f.eval(a[0], a[0].precision)], lambda a: [[fd.eval(a[0], a[0].precision)]],
+        lambda a, at: [f.eval(a[0], at)], lambda a, jet: [[fd.eval(a[0], jet)]],
         [b], target,
     )
     return LiftResult(root, steps)
@@ -405,9 +411,12 @@ def implicit_solve(polys, vars, start, perturbed_prefix, target) -> ImplicitResu
 
     # the system at (perturbed prefix, a) is a system in the trailing
     # coordinates a, and its Jacobian there is the trailing block
+    def point(a, cut):
+        return perturbed_prefix + tuple(truncate(x, cut) for x in a)
+
     solved, steps = _newton(
-        lambda a: _residuals(polys, vars, perturbed_prefix + a, field, group, target),
-        lambda a: _eval_matrix(block, vars, perturbed_prefix + a, field, group),
+        lambda a, at: _residuals(polys, vars, point(a, at), field, group, at),
+        lambda a, jet: _eval_matrix(block, vars, point(a, jet), field, group),
         start_tail, target,
     )
     return ImplicitResult(solved, alpha, steps)

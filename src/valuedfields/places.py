@@ -497,12 +497,6 @@ def _divide(row: list, step, p: int):
     return quotient, quotient.pop()
 
 
-def _sorted_terms(terms: dict) -> tuple:
-    """The terms of a polynomial from a dict of distinct exponent tuples to
-    coefficients, as MPoly keeps them: zeros dropped, exponents sorted."""
-    return tuple(sorted((e, c) for e, c in terms.items() if not c.is_exact_zero()))
-
-
 def _const_value(g: MPoly) -> FieldElement | None:
     """The coefficient when g is a nonzero constant polynomial, else None."""
     if len(g.terms) == 1 and not any(g.terms[0][0]):
@@ -554,8 +548,7 @@ def _lead(P: PlaceDesc, g: MPoly):
 
 def _eval_lead(P: EvalPlace, g: MPoly):
     """The orders of vanishing of g along P's coordinates, as an int row,
-    and the lowest Taylor coefficient, a FieldElement, or None when g keeps
-    a variable P does not assign.
+    and the lowest Taylor coefficient, a FieldElement.
 
     One pass over g's terms held as slots: ints mod p over F_p, ints over Q
     over one common denominator den carried to the end, and coordinate
@@ -611,8 +604,9 @@ def _eval_lead(P: EvalPlace, g: MPoly):
         if m != 1:
             den *= m ** (top - k)
         coords.append(k)
-    if len(terms) != 1 or any(terms[0][0]):
-        return tuple(coords), None
+    # _nonzero_ratfn refuses a variable P does not cover, and a composition
+    # stage acts on exactly the residue names of the stage before it, so
+    # every variable is gone and one constant term is left
     s = terms[0][1]
     if type(field) is RationalField:
         return tuple(coords), FieldElement(field, Fraction(s, den))
@@ -653,8 +647,7 @@ def _monomial_lead(P: MonomialPlace, g: MPoly):
     group orders its data natively, and else as elements of the group with
     int data."""
     weights, zsrc, uncovered, wrap, names = _monomial_layout(P, g.vars)
-    best = None
-    collided: dict[tuple[int, ...], FieldElement] = {}
+    best, lead = None, []
     for exps, coeff in g.terms:
         for i in uncovered:
             if exps[i]:
@@ -663,18 +656,13 @@ def _monomial_lead(P: MonomialPlace, g: MPoly):
         if wrap:
             val = GroupElem(wrap, val)
         if best is None or val < best:
-            best, collided = val, {}
+            best, lead = val, []
         elif val != best:
             continue
-        key = tuple([0 if i is None else exps[i] for i in zsrc])
-        acc = collided.get(key)
-        collided[key] = coeff if acc is None else acc + coeff
-    lead = _sorted_terms(collided)
-    if not lead:
-        raise HypothesisError(
-            "minimal monomials cancel; the independence hypothesis fails"
-        )
-    return best.data if wrap else best, MPoly(names, lead)
+        # the values are independent, so two terms of one value differ in
+        # their residue exponents: each image is one term of g, and none cancel
+        lead.append((tuple([0 if i is None else exps[i] for i in zsrc]), coeff))
+    return best.data if wrap else best, MPoly(names, tuple(sorted(lead)))
 
 
 # ---------------------------------------------------------------------------

@@ -781,7 +781,8 @@ def unit_nth_root(u: Series, n: int, precision=None) -> Series:
             return one_series(u.field, u.group)
         raise PrecisionError("exact multi-term input needs an explicit precision bound")
     (root,), _ = _newton(
-        lambda a: [a[0] ** n - u], lambda a: [[(a[0] ** (n - 1)).times_int(n)]],
+        lambda a, at: [truncate(a[0], at) ** n - u],
+        lambda a, jet: [[(truncate(a[0], jet) ** (n - 1)).times_int(n)]],
         [one_series(u.field, u.group)], target,
     )
     return root
@@ -802,13 +803,15 @@ _MAX_TERMS = 1024
 def _newton(residuals, jacobian, start, target: GroupElem):
     """The Newton iteration a <- a - J(a)^(-1) * f(a) behind every lift.
 
-    residuals(a) returns the vector f(a) and jacobian(a) the matrix J(a) at
-    the vector a; det J(a) must be a unit, and each correction solves
-    J * d = f by Cramer's rule with one inverted determinant.  The iteration
-    stops when every residual is zero below the target; before each
-    correction it logs the least exact residual valuation w and checks the
-    certificate v(f(a_next)) >= 2*v(f(a)).  Returns the root vector and the
-    logged valuations.
+    residuals(a, at) returns the vector f(a) and jacobian(a, jet) the
+    matrix J(a) at the vector a, each needed only below its cut: a is
+    passed whole and the cut as an argument, and a callback that evaluates
+    on a cut point cuts it itself.  det J(a) must be a unit, and each
+    correction solves J * d = f by Cramer's rule with one inverted
+    determinant.  The iteration stops when every residual is zero below the
+    target; before each correction it logs the least exact residual
+    valuation w and checks the certificate v(f(a_next)) >= 2*v(f(a)).
+    Returns the root vector and the logged valuations.
 
     Each pass corrects a and reads f at the result, on a precision ladder:
     after residual valuation w the correction is computed modulo t^(cut),
@@ -824,8 +827,8 @@ def _newton(residuals, jacobian, start, target: GroupElem):
     step runs at the target.  No rung reaches a target in a higher
     archimedean class than w (Z^r lex), so such a correction runs at the
     target, where an inverse needing infinitely many terms raises
-    PrecisionError.  More than _MAX_TERMS terms in an approximant or
-    residual raise IterationCapError."""
+    PrecisionError.  More than _MAX_TERMS terms below the read's cut in an
+    approximant or residual raise IterationCapError."""
     a = tuple(truncate(s, target) for s in start)
     zero, one = zero_series(a[0].field, a[0].group), one_series(a[0].field, a[0].group)
     full = False
@@ -836,9 +839,8 @@ def _newton(residuals, jacobian, start, target: GroupElem):
         below the target."""
         nonlocal full
         while True:  # at rises, and a read at the target returns
-            point = tuple(truncate(x, at) for x in a)
-            res = [truncate(r, at) for r in residuals(point)]
-            if any(len(x.terms) > _MAX_TERMS for x in (*point, *res)):
+            res = [truncate(r, at) for r in residuals(a, at)]
+            if any(len(_below(x.terms, at)) > _MAX_TERMS for x in (*a, *res)):
                 raise IterationCapError(
                     f"Newton approximant or residual has more than {_MAX_TERMS} terms "
                     f"below t^({target})"
@@ -863,8 +865,7 @@ def _newton(residuals, jacobian, start, target: GroupElem):
         while True:  # a second pass, with full set, returns
             jet = target if full else cut - w
             d, (adj_res,) = cramer(
-                jacobian(tuple(truncate(x, jet) for x in a)), [[truncate(r, cut) for r in res]],
-                zero, one,
+                jacobian(a, jet), [[truncate(r, cut) for r in res]], zero, one,
             )
             if full or d.precision is None or not d.precision < jet:
                 inv_d = invert(d, jet)

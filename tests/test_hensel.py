@@ -664,8 +664,12 @@ def _reference_implicit_solve(polys, vars, start, prefix, target):
             )
     jac = [[q.partial(v) for v in trailing] for q in reduced]
     solved, steps = _newton(
-        lambda a: hensel._residuals(reduced, trailing, a, field, group, target),
-        lambda a: hensel._eval_matrix(jac, trailing, a, field, group),
+        lambda a, at: hensel._residuals(
+            reduced, trailing, tuple(truncate(x, at) for x in a), field, group, at
+        ),
+        lambda a, jet: hensel._eval_matrix(
+            jac, trailing, tuple(truncate(x, jet) for x in a), field, group
+        ),
         tail, target,
     )
     return solved, alpha, steps
@@ -749,6 +753,63 @@ def test_implicit_solve_matches_the_substituting_reference():
     for kind in ("singular, exact", "singular, inexact", "perturbation, threshold",
                  "perturbation, residual"):
         assert kinds[kind] >= 5, kinds
+
+
+def _cut_first(newton):
+    """_newton under the callback contract hensel_lift first had: each
+    callback gets the approximant cut at its rung and reads the rung off the
+    cut's precision."""
+    def run(residuals, jacobian, start, target):
+        def cut(fn):
+            def call(a, at):
+                x = truncate(a[0], at)
+                return fn((x,), x.precision)
+            return call
+        return newton(cut(residuals), cut(jacobian), start, target)
+    return run
+
+
+def test_lifts_from_starts_of_negative_valuation_match_the_cutting_callbacks(monkeypatch):
+    # f = t^h (X - r)(X - s) with v(r) = -h and v(r - s) = -h, so that
+    # v(f'(r)) = 0, lifted from b = r + t^e: the roots, steps and errors
+    # are those of _newton whose callbacks read a point cut at their rung
+    rng = random.Random(43)
+    kinds, rings = Counter(), set()
+    for _ in range(400):
+        field = rng.choice([GF(2), GF(3), GF(5), GF(7), QQ])
+        group, m = rng.choice([(ZZ_GROUP, 1), (one_over_m(2), 2)])
+
+        def series(low, high, lead=None):
+            slots = range(low + 1, high)
+            exps = sorted(rng.sample(slots, min(len(slots), rng.randint(0, 3))))
+            terms = [(Fraction(e, m), _nonzero(rng, field)) for e in exps]
+            head = [] if lead is None else [(Fraction(low, m), lead)]
+            return make_series(field, group, head + terms)
+
+        h = rng.randint(1, 3 * m)
+        r = series(-h, 4 * m, _nonzero(rng, field))
+        # s of a value above -h; one below 0 gives t^h*r*s, a coefficient
+        # of negative valuation that hensel_lift refuses
+        low = rng.randint(-h + 1, 0) if rng.random() < 0.15 else rng.randint(0, 2 * m)
+        s = series(low, 5 * m, _nonzero(rng, field))
+        th = t_pow(field, group, Fraction(h, m))
+        f = SeriesPoly((th * r * s, -(th * (r + s)), th))
+        b = r + t_pow(field, group, Fraction(rng.randint(1, 6 * m), m))
+        target = Fraction(rng.randint(1, 16 * m), m)
+        got = _outcome(hensel_lift, f, b, target)
+        with monkeypatch.context() as patch:
+            patch.setattr(hensel, "_newton", _cut_first(_newton))
+            want = _outcome(hensel_lift, f, b, target)
+        if isinstance(got, LiftResult):
+            kinds["lifted"] += 1
+            rings.add((field, group))
+            assert not (got.root - r).terms  # the root b is closest to
+            got, want = (got.root, got.steps), (want.root, want.steps)
+        else:
+            kinds[got[0]] += 1
+        assert got == want
+    assert kinds["lifted"] >= 300 and kinds["HypothesisError"] >= 20, kinds
+    assert len(rings) == 10
 
 
 def test_automatic_start_lifts_as_the_same_start_supplied():

@@ -2,9 +2,10 @@
 
 Each case runs with _newton wrapped, and the wrapper logs one line per
 event: the call and its target, the precision and term count of every
-point passed to the residual and the Jacobian callbacks, each
-invert(d, jet) call the iteration makes (not those inside a callback), and
-the steps and roots it returns or the error it raises.  Errors raised
+point the residual and the Jacobian callbacks are asked about (the
+approximant cut at the callback's cut), each invert(d, jet) call the
+iteration makes (not those inside a callback), and the steps and roots it
+returns or the error it raises.  Errors raised
 before the iteration starts end a case's trace too.
 
 The cases are the inputs of the four test_ladder_* tests in
@@ -55,11 +56,11 @@ class _Tracer:
             self.events.append(f"newton {target} {_points(start)}")
 
             def callback(name, fn):
-                def call(a):
-                    self.events.append(f"{name} {_points(a)}")
+                def call(a, at):
+                    self.events.append(f"{name} {_points([truncate(x, at) for x in a])}")
                     self.active = False
                     try:
-                        return fn(a)
+                        return fn(a, at)
                     finally:
                         self.active = True
                 return call
